@@ -19,7 +19,8 @@
 // Brokers additionally record an availability change log so that
 // observations can be replayed "as of" an earlier time, supporting the
 // paper's study of inaccurate resource availability observations
-// (section 5.2.4).
+// (section 5.2.4). The log trims itself to a retention horizon fixed at
+// construction (see changelog.go).
 package broker
 
 import (
@@ -88,7 +89,8 @@ type Broker interface {
 // r_avail values reported during the past 3 time units".
 const DefaultAlphaWindow Time = 3
 
-// availSample is one point of the availability change log.
+// availSample is an availability observed at an instant: one entry of
+// the availability change log, or one past report in the α window.
 type availSample struct {
 	at    Time
 	avail float64
@@ -103,12 +105,6 @@ type hold struct {
 	expiry Time
 }
 
-// reportSample is one past report, kept for the α window.
-type reportSample struct {
-	at    Time
-	avail float64
-}
-
 // Local is a Resource Broker for a single local resource or network link.
 // It is safe for concurrent use. Its book lives on a lock stripe
 // (possibly shared with other brokers of its pool — see stripe.go);
@@ -118,19 +114,18 @@ type reportSample struct {
 // the end of every mutation (see publish.go), and the α report window
 // lives under its own small mutex.
 type Local struct {
-	resource    string
-	capacity    float64
-	alphaWindow Time
+	resource string
+	capacity float64
 	// seq is the broker's registration index: the deterministic
 	// tie-break for orderings when two distinct brokers share a
 	// resource ID. Immutable after construction.
 	seq uint64
 
-	stripe    *stripe
-	reserved  float64
-	holds     map[ReservationID]hold
-	nextID    ReservationID
-	changeLog []availSample
+	stripe   *stripe
+	reserved float64
+	holds    map[ReservationID]hold
+	nextID   ReservationID
+	log      changeLog
 	// epoch counts this broker's availability-affecting mutations; the
 	// stripe keeps its own aggregate counter.
 	epoch uint64
@@ -147,13 +142,9 @@ type Local struct {
 
 	// alphaMu guards the α report window. It is deliberately separate
 	// from the stripe: feeding the window is a read-side concern and
-	// must not contend with commits. alphaSum is the running sum of
-	// reports[i].avail, maintained so α is O(1) per query; it is kept
-	// bit-identical to a left-to-right recompute by resumming in slice
-	// order after every prune.
-	alphaMu  sync.Mutex
-	reports  []reportSample
-	alphaSum float64
+	// must not contend with commits.
+	alphaMu sync.Mutex
+	window  reportWindow
 }
 
 // NewLocal creates a broker for the named resource with the given total
@@ -162,15 +153,17 @@ func NewLocal(resource string, capacity float64) (*Local, error) {
 	return NewLocalWindow(resource, capacity, DefaultAlphaWindow)
 }
 
-// NewLocalWindow creates a broker with an explicit α averaging window.
-// The broker gets a private lock stripe; pool-registered brokers share
-// the pool's StripeSet instead (see newLocalOn).
+// NewLocalWindow creates a broker with an explicit α averaging window
+// that keeps its whole change history. The broker gets a private lock
+// stripe; pool-registered brokers share the pool's StripeSet instead
+// (see newLocalOn).
 func NewLocalWindow(resource string, capacity float64, window Time) (*Local, error) {
-	return newLocalOn(newStripe(), resource, capacity, window)
+	return newLocalOn(newStripe(), resource, capacity, window, keepAllHistory)
 }
 
-// newLocalOn creates a broker whose book lives on the given stripe.
-func newLocalOn(s *stripe, resource string, capacity float64, window Time) (*Local, error) {
+// newLocalOn creates a broker whose book lives on the given stripe and
+// whose change log answers AvailableAt queries up to history old.
+func newLocalOn(s *stripe, resource string, capacity float64, window, history Time) (*Local, error) {
 	if resource == "" {
 		return nil, fmt.Errorf("broker: empty resource name")
 	}
@@ -180,14 +173,17 @@ func newLocalOn(s *stripe, resource string, capacity float64, window Time) (*Loc
 	if window <= 0 {
 		return nil, fmt.Errorf("broker: resource %s has non-positive alpha window %g", resource, float64(window))
 	}
+	if history < 0 {
+		return nil, fmt.Errorf("broker: resource %s has negative history horizon %g", resource, float64(history))
+	}
 	b := &Local{
-		resource:    resource,
-		capacity:    capacity,
-		alphaWindow: window,
-		seq:         localSeq.Add(1),
-		stripe:      s,
-		holds:       make(map[ReservationID]hold),
-		changeLog:   []availSample{{at: 0, avail: capacity}},
+		resource: resource,
+		capacity: capacity,
+		seq:      localSeq.Add(1),
+		stripe:   s,
+		holds:    make(map[ReservationID]hold),
+		log:      newChangeLog(history, capacity),
+		window:   reportWindow{span: window},
 	}
 	b.pub.Store(&pubRecord{avail: capacity, capacity: capacity})
 	return b, nil
@@ -225,9 +221,9 @@ func (b *Local) Available() float64 {
 // reconstructed from the change log. The hot path — asking "as of now",
 // i.e. at or after the last mutation — is served wait-free from the
 // published record, whose avail equals the change log's final entry
-// (same-instant mutations coalesce, so once pub.at <= asOf the log has
-// no later entry). Only genuinely historical queries walk the log under
-// the stripe lock.
+// (same-instant and backdated mutations coalesce, so once pub.at <= asOf
+// the log has no later entry). Only genuinely historical queries walk
+// the log under the stripe lock.
 func (b *Local) AvailableAt(asOf Time) float64 {
 	if p := b.published(); asOf >= p.at {
 		return p.avail
@@ -238,14 +234,13 @@ func (b *Local) AvailableAt(asOf Time) float64 {
 }
 
 // availableAtLocked reconstructs the availability in force at asOf from
-// the change log. Callers must hold the stripe lock.
+// the change log; instants the log no longer reaches report the full
+// capacity. Callers must hold the stripe lock.
 func (b *Local) availableAtLocked(asOf Time) float64 {
-	// Find the last change at or before asOf.
-	i := sort.Search(len(b.changeLog), func(i int) bool { return b.changeLog[i].at > asOf })
-	if i == 0 {
-		return b.capacity
+	if avail, ok := b.log.availableAt(asOf); ok {
+		return avail
 	}
-	return b.changeLog[i-1].avail
+	return b.capacity
 }
 
 // Report implements Broker. α is the ratio of the current availability to
@@ -257,38 +252,9 @@ func (b *Local) availableAtLocked(asOf Time) float64 {
 func (b *Local) Report(now Time) Report {
 	p := b.published()
 	b.alphaMu.Lock()
-	alpha := b.alphaFeedLocked(now, p.avail)
+	alpha := b.window.feed(now, p.avail)
 	b.alphaMu.Unlock()
 	return Report{Resource: b.resource, Avail: p.avail, Alpha: alpha, At: now, Epoch: p.epoch}
-}
-
-// alphaFeedLocked computes α against the reports within (now-window, now]
-// and then appends the new sample to the window. The running sum is
-// resynced by an in-order resum after every prune, so the α value is
-// bit-identical to recomputing the window sum from scratch on each call.
-// Callers must hold alphaMu.
-func (b *Local) alphaFeedLocked(now Time, avail float64) float64 {
-	// Prune reports that fell out of every plausible window. Keep the log
-	// bounded even under heavy query load.
-	cutoff := now - b.alphaWindow
-	first := sort.Search(len(b.reports), func(i int) bool { return b.reports[i].at > cutoff })
-	if first > 0 {
-		b.reports = append(b.reports[:0], b.reports[first:]...)
-		var sum float64
-		for _, r := range b.reports {
-			sum += r.avail
-		}
-		b.alphaSum = sum
-	}
-	alpha := 1.0
-	if len(b.reports) > 0 {
-		if avg := b.alphaSum / float64(len(b.reports)); avg > 0 {
-			alpha = avail / avg
-		}
-	}
-	b.reports = append(b.reports, reportSample{at: now, avail: avail})
-	b.alphaSum += avail
-	return alpha
 }
 
 // Reserve implements Broker.
@@ -401,29 +367,12 @@ func (b *Local) HoldAmounts() []float64 {
 	return out
 }
 
+// logChangeLocked bumps the epochs, records the new availability in the
+// change log and republishes the book, both under the instant the log
+// recorded it at (see changeLog.record). Callers must hold the stripe
+// lock.
 func (b *Local) logChangeLocked(now Time) {
 	b.epoch++
 	b.stripe.epoch++
-	avail := b.availLocked()
-	if n := len(b.changeLog); n > 0 && b.changeLog[n-1].at == now {
-		b.changeLog[n-1].avail = avail
-	} else {
-		b.changeLog = append(b.changeLog, availSample{at: now, avail: avail})
-	}
-	b.publishLocked(now)
-}
-
-// TrimLog drops change-log entries strictly older than keepAfter, keeping
-// the latest entry at or before it as the new baseline. Long simulations
-// call this periodically so memory stays proportional to the staleness
-// window rather than to the full run.
-func (b *Local) TrimLog(keepAfter Time) {
-	b.stripe.Lock()
-	defer b.stripe.Unlock()
-	i := sort.Search(len(b.changeLog), func(i int) bool { return b.changeLog[i].at > keepAfter })
-	if i == 0 {
-		return
-	}
-	// Keep entry i-1 as the baseline for queries at keepAfter.
-	b.changeLog = append(b.changeLog[:0], b.changeLog[i-1:]...)
+	b.publishLocked(b.log.record(now, b.availLocked()))
 }

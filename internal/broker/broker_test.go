@@ -102,17 +102,28 @@ func TestAvailableAtSameInstantCoalesces(t *testing.T) {
 	}
 }
 
-func TestTrimLogKeepsBaseline(t *testing.T) {
-	b, _ := NewLocal("r", 100)
+func TestChangeLogTrimKeepsBaseline(t *testing.T) {
+	// A 5-TU horizon: the change at 30 makes 25 the oldest instant the
+	// log must answer, so the entry in force then (the release at 20)
+	// becomes the baseline and everything before it goes.
+	b, err := newLocalOn(newStripe(), "r", 100, DefaultAlphaWindow, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	id, _ := b.Reserve(10, 40)
 	_ = b.Release(20, id)
 	_, _ = b.Reserve(30, 25)
-	b.TrimLog(25)
 	if got := b.AvailableAt(25); got != 100 {
 		t.Fatalf("baseline after trim = %v, want 100", got)
 	}
 	if got := b.AvailableAt(35); got != 75 {
 		t.Fatalf("AvailableAt(35) = %v, want 75", got)
+	}
+	if got := len(b.log.buf) - b.log.head; got != 2 {
+		t.Fatalf("log retains %d entries, want 2 (baseline at 20, change at 30)", got)
+	}
+	if _, err := newLocalOn(newStripe(), "r", 100, DefaultAlphaWindow, -1); err == nil {
+		t.Fatal("negative history horizon accepted")
 	}
 }
 

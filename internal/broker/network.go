@@ -2,7 +2,6 @@ package broker
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -17,9 +16,8 @@ import (
 // Per the paper's RSVP-compatibility note, the broker logically lives on
 // the receiver-side host; the Pool records that placement.
 type Network struct {
-	resource    string
-	links       []*Local
-	alphaWindow Time
+	resource string
+	links    []*Local
 	// lockOrder is the distinct lock stripes backing the route's links,
 	// sorted by stripe acquisition rank — the package-wide multi-lock
 	// order. It backs the locked read fallback (see readLockedAll) and
@@ -31,11 +29,12 @@ type Network struct {
 	// so duplicates count once, without a per-call dedup map.
 	uniq []int
 
-	mu       sync.Mutex
-	holds    map[ReservationID]netHold
-	nextID   ReservationID
-	reports  []reportSample
-	alphaSum float64
+	// mu guards the hold table and the α report window of route-minimum
+	// values (the same window type Local brokers use, see window.go).
+	mu     sync.Mutex
+	holds  map[ReservationID]netHold
+	nextID ReservationID
+	window reportWindow
 }
 
 type linkHold struct {
@@ -92,12 +91,12 @@ func NewNetworkWindow(resource string, links []*Local, window Time) (*Network, e
 		}
 	}
 	return &Network{
-		resource:    resource,
-		links:       ls,
-		alphaWindow: window,
-		lockOrder:   order,
-		uniq:        uniq,
-		holds:       make(map[ReservationID]netHold),
+		resource:  resource,
+		links:     ls,
+		lockOrder: order,
+		uniq:      uniq,
+		holds:     make(map[ReservationID]netHold),
+		window:    reportWindow{span: window},
 	}, nil
 }
 
@@ -275,7 +274,7 @@ func (n *Network) CurrentEpoch() uint64 {
 func (n *Network) FeedTick(now Time) {
 	avail, _ := n.readConsistent()
 	n.mu.Lock()
-	n.alphaFeedLocked(now, avail)
+	n.window.feed(now, avail)
 	n.mu.Unlock()
 }
 
@@ -287,34 +286,8 @@ func (n *Network) Report(now Time) Report {
 	avail, epoch := n.readConsistent()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	alpha := n.alphaFeedLocked(now, avail)
+	alpha := n.window.feed(now, avail)
 	return Report{Resource: n.resource, Avail: avail, Alpha: alpha, At: now, Epoch: epoch}
-}
-
-// alphaFeedLocked computes α against the window and appends the new
-// sample, maintaining the running sum exactly as Local.alphaFeedLocked
-// does (in-order resum after prune keeps the value bit-identical to a
-// from-scratch recompute). Callers must hold n.mu.
-func (n *Network) alphaFeedLocked(now Time, avail float64) float64 {
-	cutoff := now - n.alphaWindow
-	first := sort.Search(len(n.reports), func(i int) bool { return n.reports[i].at > cutoff })
-	if first > 0 {
-		n.reports = append(n.reports[:0], n.reports[first:]...)
-		var sum float64
-		for _, r := range n.reports {
-			sum += r.avail
-		}
-		n.alphaSum = sum
-	}
-	alpha := 1.0
-	if len(n.reports) > 0 {
-		if avg := n.alphaSum / float64(len(n.reports)); avg > 0 {
-			alpha = avail / avg
-		}
-	}
-	n.reports = append(n.reports, reportSample{at: now, avail: avail})
-	n.alphaSum += avail
-	return alpha
 }
 
 // Reserve implements Broker: reserve the amount on every link on the

@@ -31,6 +31,9 @@ func NetResourceID(from, to topo.HostID) string { return fmt.Sprintf("net:%s->%s
 type Pool struct {
 	topology    *topo.Topology
 	alphaWindow Time
+	// history is how far back the local brokers' change logs answer
+	// AvailableAt (see changelog.go).
+	history Time
 	// stripes shards the pool's broker books across a fixed set of
 	// lock stripes (see stripe.go); brokers are hashed onto stripes by
 	// resource ID at registration.
@@ -43,24 +46,33 @@ type Pool struct {
 }
 
 // NewPool creates an empty pool over a topology. The topology may be nil
-// for pools that only hold local resources.
+// for pools that only hold local resources. Its brokers use the default
+// α window and keep their whole change history.
 func NewPool(topology *topo.Topology) *Pool {
-	return NewPoolWindow(topology, DefaultAlphaWindow)
+	return newPool(topology, DefaultAlphaWindow, keepAllHistory, DefaultStripes)
 }
 
 // NewPoolWindow creates a pool whose brokers use the given α window and
-// the default stripe count.
-func NewPoolWindow(topology *topo.Topology, window Time) *Pool {
-	return NewPoolStriped(topology, window, DefaultStripes)
+// whose change logs answer AvailableAt (and so StaleSnapshot lags) up to
+// history old, trimming themselves beyond that; zero suits a deployment
+// that only ever observes the present. A negative history is refused
+// when the first broker is added.
+func NewPoolWindow(topology *topo.Topology, window, history Time) *Pool {
+	return newPool(topology, window, history, DefaultStripes)
 }
 
 // NewPoolStriped creates a pool whose broker books are sharded across
 // the given number of lock stripes (minimum 1; 1 degenerates to one
-// global book lock).
+// global book lock) and keep their whole change history.
 func NewPoolStriped(topology *topo.Topology, window Time, stripes int) *Pool {
+	return newPool(topology, window, keepAllHistory, stripes)
+}
+
+func newPool(topology *topo.Topology, window, history Time, stripes int) *Pool {
 	return &Pool{
 		topology:    topology,
 		alphaWindow: window,
+		history:     history,
 		stripes:     NewStripeSet(stripes),
 		local:       make(map[string]*Local),
 		net:         make(map[string]*Network),
@@ -88,7 +100,7 @@ func (p *Pool) AddLink(id topo.LinkID, capacity float64) (*Local, error) {
 }
 
 func (p *Pool) addLocal(resource string, capacity float64) (*Local, error) {
-	b, err := newLocalOn(p.stripes.forResource(resource), resource, capacity, p.alphaWindow)
+	b, err := newLocalOn(p.stripes.forResource(resource), resource, capacity, p.alphaWindow, p.history)
 	if err != nil {
 		return nil, err
 	}
@@ -367,14 +379,6 @@ func (m *MultiReservation) Release(now Time) error {
 	}
 	m.parts = nil
 	return firstErr
-}
-
-// TrimLogs bounds every local broker's change log to observations after
-// keepAfter; used by long simulation runs.
-func (p *Pool) TrimLogs(keepAfter Time) {
-	for _, b := range p.LocalBrokers() {
-		b.TrimLog(keepAfter)
-	}
 }
 
 // NetworkBrokers returns every end-to-end network broker created so

@@ -226,15 +226,25 @@ func TestReserveAllSkipsZeroAmounts(t *testing.T) {
 	_ = m.Release(1)
 }
 
-func TestPoolTrimLogs(t *testing.T) {
-	p := testPool(t)
-	b, _ := p.Get("cpu@H1")
-	local := b.(*Local)
+func TestPoolHistoryHorizon(t *testing.T) {
+	// The pool hands its construction-time horizon to every local broker
+	// it registers: with 10 TU kept, the release at 20 retires the
+	// initial entry and keeps the reservation at 10 as the baseline.
+	p := NewPoolWindow(topo.Figure9(), DefaultAlphaWindow, 10)
+	local, err := p.AddLocal("cpu", topo.ServerHost(1), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
 	id, _ := local.Reserve(10, 40)
 	_ = local.Release(20, id)
-	p.TrimLogs(30)
 	if got := local.AvailableAt(30); got != 100 {
-		t.Fatalf("post-trim baseline = %v", got)
+		t.Fatalf("post-trim current = %v, want 100", got)
+	}
+	if got := local.AvailableAt(10); got != 60 {
+		t.Fatalf("post-trim baseline = %v, want 60", got)
+	}
+	if got := len(local.log.buf) - local.log.head; got != 2 {
+		t.Fatalf("log retains %d entries, want 2", got)
 	}
 }
 

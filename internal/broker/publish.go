@@ -20,11 +20,13 @@ package broker
 // enforced only at validate-at-commit, which always re-reads the book
 // under the stripe locks.
 //
-// The α report window moved off the stripe too: it lives under a small
-// per-broker mutex (alphaMu) with a running sum, so feeding the window
-// on every snapshot query — the paper's protocol, preserved — costs a
-// short uncontended lock and O(1) arithmetic instead of a stripe
-// acquisition and an O(window) sum.
+// The α report window is off the stripe too: it lives under a small
+// per-broker mutex (alphaMu) as a reportWindow — samples in arrival
+// order behind a head index, with a running sum that eviction subtracts
+// from (window.go has the rules for when it is re-summed). Feeding the
+// window on every snapshot query — the paper's protocol, preserved —
+// costs a short lock and amortised O(1) work however many reports the
+// window holds.
 
 // pubRecord is one published book state. Immutable once stored.
 type pubRecord struct {
@@ -70,7 +72,7 @@ func (b *Local) CurrentEpoch() uint64 { return b.published().epoch }
 func (b *Local) FeedTick(now Time) {
 	avail := b.published().avail
 	b.alphaMu.Lock()
-	b.alphaFeedLocked(now, avail)
+	b.window.feed(now, avail)
 	b.alphaMu.Unlock()
 }
 

@@ -107,9 +107,6 @@ func Run(cfg Config) (*Result, error) {
 				continue
 			}
 			env.redrawPopularity(rng)
-			// Bound broker memory for long runs: keep just enough change
-			// history for the staleness window.
-			env.pool.TrimLogs(now - cfg.StaleE - 2*cfg.AlphaWindow)
 			sched.at(now+cfg.PopularityInterval, evPopularity, nil)
 		}
 	}
@@ -202,7 +199,13 @@ func buildEnvironment(cfg Config, rng *rand.Rand) (*environment, error) {
 			Sink:         sink,
 		})
 	}
-	env.pool = broker.NewPoolWindow(env.topology, cfg.AlphaWindow)
+	// Only stale observations (section 5.2.4) ever read broker history,
+	// at lags up to StaleE; the runtime observes the present alone.
+	history := cfg.StaleE + 2*cfg.AlphaWindow
+	if cfg.UseRuntime {
+		history = 0
+	}
+	env.pool = broker.NewPoolWindow(env.topology, cfg.AlphaWindow, history)
 	if cfg.SnapshotCache {
 		env.snapcache = broker.NewSnapshotCache(env.pool, env.ins.read)
 	}
