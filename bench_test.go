@@ -169,9 +169,7 @@ func BenchmarkQRGBuildVideo(b *testing.B) {
 // graph construction plus planner — between the from-scratch reference
 // (qrg.Build) and the compiled-template fast lane
 // (Template.Instantiate + Recycle), on the figure-9 S1 chain (max-plus
-// Dijkstra) and the fan-in DAG (two-pass heuristic). The same fixtures
-// back cmd/experiments -run planbench, which records the comparison in
-// BENCH_plan.json.
+// Dijkstra) and the fan-in DAG (two-pass heuristic).
 func BenchmarkPlanPath(b *testing.B) {
 	shapes := []struct {
 		name    string
@@ -489,7 +487,7 @@ func BenchmarkAdvanceReserve(b *testing.B) {
 // runtime.
 func BenchmarkProxyEstablish(b *testing.B) {
 	clock := &proxy.ManualClock{}
-	rt := proxy.NewRuntime(clock)
+	rt := proxy.NewRuntime(clock, proxy.Options{})
 	for _, h := range []string{"X", "Y"} {
 		if _, err := rt.AddHost(topo.HostID(h)); err != nil {
 			b.Fatal(err)

@@ -22,16 +22,12 @@ import (
 
 func main() {
 	var (
-		run      = flag.String("run", "all", "comma-separated experiments: fig11, table1, table2, table3, table4, fig12, fig13, quality, planbench, admitbench, readbench, servebench (planbench, admitbench, readbench and servebench are opt-in, not part of all)")
+		run      = flag.String("run", "all", "comma-separated experiments: fig11, table1, table2, table3, table4, fig12, fig13, quality")
 		seed     = flag.Int64("seed", 1, "base random seed")
 		duration = flag.Float64("duration", 10800, "simulated time units per run")
 		scale    = flag.Float64("scale", 0, "workload base scale override (0 = calibrated default)")
 		plot     = flag.Bool("plot", false, "also render figures as ASCII charts")
 		csvDir   = flag.String("csv", "", "also write each experiment's data as CSV files into this directory")
-		benchOut = flag.String("benchjson", "", "with -run planbench, also write the comparison to this JSON file (e.g. BENCH_plan.json)")
-		admitOut = flag.String("admitjson", "", "with -run admitbench, also write the sweep to this JSON file (e.g. BENCH_admit.json)")
-		readOut  = flag.String("readjson", "", "with -run readbench, also write the read-path benchmark to this JSON file (e.g. BENCH_read.json)")
-		serveOut = flag.String("servejson", "", "with -run servebench, also write the serving benchmark to this JSON file (e.g. BENCH_served.json)")
 	)
 	flag.Parse()
 
@@ -151,71 +147,6 @@ func main() {
 		writeCSV("fig13.csv", func(w *os.File) error { return experiments.WriteFig11CSV(w, rows) })
 		if *plot {
 			experiments.PlotFig11(os.Stdout, "Figure 13 (a): success rate (%), diversity 3:1", "a", rows)
-		}
-		fmt.Println()
-	}
-	// Opt-in (deterministic experiment output stays the default): the
-	// plan-path microbenchmarks behind the compiled-template fast lane.
-	if want["planbench"] {
-		res, err := experiments.PlanBench()
-		if err != nil {
-			fail(err)
-		}
-		experiments.PrintPlanBench(os.Stdout, res)
-		if *benchOut != "" {
-			if err := experiments.WritePlanBenchJSON(*benchOut, res); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", *benchOut)
-		}
-		fmt.Println()
-	}
-	// Also opt-in: the admission-throughput sweep (group-commit batching
-	// vs serialized 2PC) behind the BENCH_admit.json artifact.
-	if want["admitbench"] {
-		res, err := experiments.AdmitBench(*seed)
-		if err != nil {
-			fail(err)
-		}
-		experiments.PrintAdmitBench(os.Stdout, res)
-		if *admitOut != "" {
-			if err := experiments.WriteAdmitBenchJSON(*admitOut, res); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", *admitOut)
-		}
-		fmt.Println()
-	}
-	// Also opt-in: the lock-free read-path benchmark (epoch-validated
-	// snapshot cache + plan memoization) behind BENCH_read.json.
-	if want["readbench"] {
-		res, err := experiments.ReadBench(*seed)
-		if err != nil {
-			fail(err)
-		}
-		experiments.PrintReadBench(os.Stdout, res)
-		if *readOut != "" {
-			if err := experiments.WriteReadBenchJSON(*readOut, res); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", *readOut)
-		}
-		fmt.Println()
-	}
-	// Also opt-in: the serving front-end benchmark (open-loop Poisson
-	// load over HTTP, establish latency percentiles) behind
-	// BENCH_served.json.
-	if want["servebench"] {
-		res, err := experiments.ServeBench(experiments.DefaultServeBenchConfig(*seed))
-		if err != nil {
-			fail(err)
-		}
-		experiments.PrintServeBench(os.Stdout, res)
-		if *serveOut != "" {
-			if err := experiments.WriteServeBenchJSON(*serveOut, res); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", *serveOut)
 		}
 		fmt.Println()
 	}

@@ -32,6 +32,7 @@ import (
 	"os"
 	"os/signal"
 	"sync"
+	"syscall"
 	"time"
 
 	"qosres/internal/adapt"
@@ -398,14 +399,18 @@ func main() {
 		}()
 	}
 
+	// Catch the signals before the listener is up, so a stop that
+	// arrives the moment the daemon answers still shuts down cleanly.
+	// SIGTERM is what a service manager's stop (and plain kill) sends.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	srv := &http.Server{Addr: *addr, Handler: mux}
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe() }()
 	log.Printf("qosserved: serving on %s (wal=%q recover=%v lease=%gs)",
 		*addr, *walDir, *recoverFl && *walDir != "", *lease)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
 	select {
 	case err := <-done:
 		log.Fatalf("qosserved: %v", err)

@@ -4,16 +4,36 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"qosres/internal/broker"
 	"qosres/internal/obs"
 	"qosres/internal/sim"
+	"qosres/internal/wal"
 )
+
+// daemonArgsEnv, when set, turns the test binary into the daemon: its
+// value is the qosserved command line. TestServedStopsCleanlyOnSIGTERM
+// re-executes the binary this way to signal a real process.
+const daemonArgsEnv = "QOSSERVED_TEST_DAEMON_ARGS"
+
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv(daemonArgsEnv); ok {
+		os.Args = append([]string{"qosserved"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // manualClock lets the test decide what time it is, so lease expiry is
 // deterministic instead of wall-clock-raced.
@@ -200,5 +220,75 @@ func TestServedRestartRecovery(t *testing.T) {
 	}
 	if n := s2.env.SweepLeases(); n != 0 {
 		t.Fatalf("recovery left %d expired holds for the periodic sweep", n)
+	}
+}
+
+// TestServedStopsCleanlyOnSIGTERM is the service-manager stop: kill
+// (SIGTERM) must run the same shutdown as Ctrl-C — sweeper down, HTTP
+// drained, WAL closed — and exit 0, leaving a log that replays to its
+// end with no torn tail.
+func TestServedStopsCleanlyOnSIGTERM(t *testing.T) {
+	dir := t.TempDir()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), daemonArgsEnv+"=-addr "+addr+" -wal "+dir+" -lease 30")
+	var logs bytes.Buffer
+	cmd.Stderr = &logs
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	defer cmd.Process.Kill()
+
+	// Ready when an admission succeeds; it also puts records in the log.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Post("http://"+addr+"/establish", "application/json", nil)
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("establish: status %d", resp.StatusCode)
+			}
+			break
+		}
+		select {
+		case err := <-exited:
+			t.Fatalf("daemon exited before serving: %v\n%s", err, logs.String())
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never served on %s: %v\n%s", addr, err, logs.String())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("daemon did not exit 0 on SIGTERM: %v\n%s", err, logs.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("daemon still running 10s after SIGTERM\n%s", logs.String())
+	}
+	if strings.Contains(logs.String(), "qosserved: close:") {
+		t.Errorf("shutdown reported a close error:\n%s", logs.String())
+	}
+
+	records, torn, err := wal.Replay(dir)
+	if err != nil || torn {
+		t.Fatalf("replay after clean stop: torn=%v err=%v", torn, err)
+	}
+	if len(records) == 0 {
+		t.Fatal("the admitted session left no record in the log")
 	}
 }

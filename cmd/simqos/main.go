@@ -88,8 +88,6 @@ func main() {
 		contention = flag.String("contention", "ratio", "contention index: ratio, headroom, or log")
 		useRuntime = flag.Bool("runtime", false, "route sessions through the QoSProxy runtime architecture")
 		tplCache   = flag.Bool("template-cache", true, "serve QRGs from compiled per-(service, binding) templates; false rebuilds every graph from scratch (reference path)")
-		snapCache  = flag.Bool("snapshot-cache", false, "serve availability snapshots from the epoch-validated shared cache (direct path; α values lag one epoch on cache hits)")
-		planMemo   = flag.Bool("plan-memo", false, "with -runtime or -chaos: memoize plans by (template, planner, epoch vector), skipping planning when the book is unchanged")
 		admitRetry = flag.Int("admit-retries", 3, "with -runtime: max replanning retries after a commit-time refusal")
 		batch      = flag.Int("batch", 0, "with -runtime or -chaos: coalesce concurrent admissions into group-commit rounds of at most this many members (0 or 1 = serialized commits)")
 		batchWin   = flag.Duration("batch-window", 0, "with -batch: extra wall-clock time the collector waits to grow a round (0 = only coalesce naturally concurrent attempts)")
@@ -131,8 +129,6 @@ func main() {
 	cfg.Contention = *contention
 	cfg.UseRuntime = *useRuntime
 	cfg.TemplateCache = *tplCache
-	cfg.SnapshotCache = *snapCache
-	cfg.PlanMemo = *planMemo
 	cfg.MaxAdmitRetries = *admitRetry
 	cfg.BatchAdmit = *batch
 	cfg.BatchWindow = *batchWin
@@ -183,8 +179,6 @@ func main() {
 		sc := sim.DefaultStressConfig(*seed)
 		sc.Config.Algorithm = sim.Algorithm(*alg)
 		sc.Config.TemplateCache = *tplCache
-		sc.Config.SnapshotCache = *snapCache
-		sc.Config.PlanMemo = *planMemo
 		sc.Config.MaxAdmitRetries = *admitRetry
 		sc.Config.BatchAdmit = *batch
 		sc.Config.BatchWindow = *batchWin
@@ -248,7 +242,6 @@ func main() {
 		fmt.Println(cres)
 		printAdmission(reg)
 		printBatching(reg)
-		printReadPath(reg)
 		printFaults(reg)
 		printTransport(reg)
 		if *metrics != "" && *hold {
@@ -284,7 +277,6 @@ func main() {
 	printAdmission(reg)
 	printBatching(reg)
 	printTemplateCache(reg)
-	printReadPath(reg)
 	printFaults(reg)
 	printUtilization(reg)
 
@@ -444,42 +436,6 @@ func printTemplateCache(reg *obs.Registry) {
 	tbl.AddRow("misses (compilations)", fmt.Sprintf("%.0f", misses))
 	tbl.AddRow("templates resident", fmt.Sprintf("%.0f", value(obs.MetricTemplatesCached)))
 	fmt.Printf("\nQRG construction (compiled-template fast lane):\n%s", tbl)
-}
-
-// printReadPath summarizes the epoch-validated read-path caches: how
-// many availability snapshots were reused against an unchanged book
-// (-snapshot-cache) and how many plans were served from the memo
-// (-plan-memo), including invalidations. Silent when both caches are
-// off (every counter at zero).
-func printReadPath(reg *obs.Registry) {
-	snap := reg.Snapshot()
-	value := func(name string) float64 {
-		var v float64
-		for _, c := range snap.Counters {
-			if c.Name == name {
-				v += c.Value
-			}
-		}
-		return v
-	}
-	snapHits := value(obs.MetricSnapshotCacheHits)
-	snapMisses := value(obs.MetricSnapshotCacheMisses)
-	memoHits := value(obs.MetricPlanMemoHits)
-	memoMisses := value(obs.MetricPlanMemoMisses)
-	if snapHits+snapMisses+memoHits+memoMisses == 0 {
-		return
-	}
-	tbl := &stats.Table{Header: []string{"read path", "count"}}
-	if snapHits+snapMisses > 0 {
-		tbl.AddRow("snapshot cache hits", fmt.Sprintf("%.0f", snapHits))
-		tbl.AddRow("snapshot cache misses (rebuilds)", fmt.Sprintf("%.0f", snapMisses))
-	}
-	if memoHits+memoMisses > 0 {
-		tbl.AddRow("plan memo hits", fmt.Sprintf("%.0f", memoHits))
-		tbl.AddRow("plan memo misses (planned fresh)", fmt.Sprintf("%.0f", memoMisses))
-		tbl.AddRow("plan memo evictions", fmt.Sprintf("%.0f", value(obs.MetricPlanMemoEvictions)))
-	}
-	fmt.Printf("\nepoch-validated read path:\n%s", tbl)
 }
 
 // printFaults summarizes the fault-injection and session-repair

@@ -19,10 +19,10 @@ func lvl(name string, q float64) svc.Level {
 
 // world deploys the proxy test topology through the exported API: hosts
 // X and Y, a cpu broker each, a net broker on the receiver side.
-func world(t *testing.T) (*proxy.Runtime, *proxy.ManualClock, map[string]*broker.Local) {
+func world(t *testing.T, opts proxy.Options) (*proxy.Runtime, *proxy.ManualClock, map[string]*broker.Local) {
 	t.Helper()
 	clock := &proxy.ManualClock{}
-	rt := proxy.NewRuntime(clock)
+	rt := proxy.NewRuntime(clock, opts)
 	brokers := map[string]*broker.Local{}
 	for _, h := range []topo.HostID{"X", "Y"} {
 		if _, err := rt.AddHost(h); err != nil {
@@ -114,10 +114,9 @@ func TestPolicyDefaults(t *testing.T) {
 // suppressing the rest. The session books stay audit-clean on every
 // single tick.
 func TestHysteresisUnderOscillatingLoad(t *testing.T) {
-	rt, clock, brokers := world(t)
 	reg := obs.New()
 	metrics := obs.NewAdaptMetrics(reg)
-	rt.InstrumentAdapt(metrics)
+	rt, clock, brokers := world(t, proxy.Options{Adapt: metrics})
 
 	s1 := establish(t, rt, core.Basic{})
 	s2 := establish(t, rt, core.Basic{})
@@ -226,7 +225,7 @@ func TestHysteresisUnderOscillatingLoad(t *testing.T) {
 // same timeline.
 func TestAdaptationDeliversMoreQoS(t *testing.T) {
 	run := func(adaptive bool) float64 {
-		rt, clock, brokers := world(t)
+		rt, clock, brokers := world(t, proxy.Options{})
 		// A capacity dip at admission time: "best" needs 20 cpu@Y, only
 		// "ok" (8) fits under a 15-unit cap.
 		if err := brokers["cpu@Y"].SetCapacity(clock.Now(), 15); err != nil {

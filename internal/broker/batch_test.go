@@ -279,8 +279,8 @@ func TestReserveBatchMatchesSerialized(t *testing.T) {
 }
 
 // TestEpochStamping: every availability-affecting mutation advances the
-// broker's epoch, reports and snapshots carry it, and an untouched book
-// keeps its epoch.
+// broker's epoch, reports carry it, and an untouched book keeps its
+// epoch.
 func TestEpochStamping(t *testing.T) {
 	b := mustLocal(t, "cpu", 100)
 	e0 := b.Epoch()
@@ -313,31 +313,6 @@ func TestEpochStamping(t *testing.T) {
 	}
 	if e := b.Epoch(); e != e0+5 {
 		t.Fatalf("fail+recover+setcapacity: epoch %d, want %d", e, e0+5)
-	}
-}
-
-// TestSnapshotCarriesEpochs: pool snapshots stamp every resource with
-// its book epoch, including network resources (sum of route links).
-func TestSnapshotCarriesEpochs(t *testing.T) {
-	p := NewPool(nil)
-	cpu, err := p.AddLocal("cpu", "H1", 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap1, err := p.Snapshot(0, []string{cpu.Resource()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cpu.Reserve(1, 5); err != nil {
-		t.Fatal(err)
-	}
-	snap2, err := p.Snapshot(1, []string{cpu.Resource()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap2.Epoch[cpu.Resource()] != snap1.Epoch[cpu.Resource()]+1 {
-		t.Fatalf("snapshot epochs %d -> %d, want +1",
-			snap1.Epoch[cpu.Resource()], snap2.Epoch[cpu.Resource()])
 	}
 }
 

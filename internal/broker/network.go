@@ -252,30 +252,19 @@ func (n *Network) tryReadConsistentAt(asOf Time) (min float64, current, ok bool)
 	return min, true, sum1 == sum2
 }
 
-// CurrentEpoch returns the dedup'd sum of the route links' epochs as a
-// wait-free single-pass read. Because every link epoch is monotone
-// non-decreasing, a cached epoch sum that equals a later CurrentEpoch
-// value proves every sampled link was individually unchanged — sums of
-// monotone components collide only when each component is equal — which
-// is exactly the revalidation the snapshot cache needs. (A torn read
-// across an in-flight commit yields a sum that matches no quiescent
-// state, so it can only force a spurious miss, never a false hit.)
-func (n *Network) CurrentEpoch() uint64 {
+// Epoch returns the dedup'd sum of the route links' epochs as a
+// wait-free single-pass read. Every link epoch is monotone
+// non-decreasing, so two equal sums bracket a route whose every link
+// was individually unchanged — sums of monotone components collide only
+// when each component is equal. (A torn read across an in-flight commit
+// yields a sum that matches no quiescent state; it is still never
+// smaller than an earlier one.)
+func (n *Network) Epoch() uint64 {
 	var sum uint64
 	for _, i := range n.uniq {
 		sum += n.links[i].published().epoch
 	}
 	return sum
-}
-
-// FeedTick registers one observation tick in the network broker's α
-// window — exactly the sample Report(now) would have appended — without
-// recomputing α. See Local.FeedTick.
-func (n *Network) FeedTick(now Time) {
-	avail, _ := n.readConsistent()
-	n.mu.Lock()
-	n.window.feed(now, avail)
-	n.mu.Unlock()
 }
 
 // Report implements Broker. The availability is the route minimum; α is

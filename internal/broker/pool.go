@@ -187,16 +187,11 @@ func (p *Pool) LocalBrokers() []*Local {
 
 // Snapshot is a consistent-enough view of availability and α for a set of
 // resources at one instant, the "snap-shot of end-to-end resource
-// requirement and availability" from which a QRG is constructed. Epoch
-// carries each resource's book epoch at observation time (see
-// stripe.go) when the snapshot's producer recorded it; a nil map means
-// the snapshot is synthetic (tests, workload generators) and makes no
-// staleness claim.
+// requirement and availability" from which a QRG is constructed.
 type Snapshot struct {
 	At    Time
 	Avail qos.ResourceVector
 	Alpha map[string]float64
-	Epoch map[string]uint64
 }
 
 // Snapshot queries the named resources and returns their reports. Each
@@ -216,7 +211,6 @@ func (p *Pool) Snapshot(now Time, resources []string) (*Snapshot, error) {
 		rep := b.Report(now)
 		s.Avail[r] = rep.Avail
 		s.Alpha[r] = rep.Alpha
-		s.Epoch[r] = rep.Epoch
 	}
 	return s, nil
 }
@@ -235,7 +229,6 @@ func (p *Pool) StaleSnapshot(now Time, resources []string, lag map[string]Time) 
 			return nil, fmt.Errorf("broker: snapshot of unknown resource %s", r)
 		}
 		rep := b.Report(now)
-		s.Epoch[r] = rep.Epoch
 		l := lag[r]
 		if l < 0 {
 			l = 0

@@ -58,31 +58,3 @@ func (b *Local) publishLocked(now Time) {
 // published returns the current record. It is never nil: construction
 // publishes the initial book state.
 func (b *Local) published() *pubRecord { return b.pub.Load() }
-
-// CurrentEpoch returns the broker's availability epoch as a wait-free
-// read (see Epoch for the meaning). Snapshot caches revalidate against
-// it on every query.
-func (b *Local) CurrentEpoch() uint64 { return b.published().epoch }
-
-// FeedTick registers one observation tick in the broker's α window —
-// exactly the sample Report(now) would have appended — without
-// recomputing α. Snapshot caches call it on every cache hit so the α
-// window evolves identically whether queries are served from the cache
-// or from the broker.
-func (b *Local) FeedTick(now Time) {
-	avail := b.published().avail
-	b.alphaMu.Lock()
-	b.window.feed(now, avail)
-	b.alphaMu.Unlock()
-}
-
-// epochReader is the wait-free epoch surface shared by *Local and
-// *Network, used by snapshot caches to revalidate entries.
-type epochReader interface {
-	CurrentEpoch() uint64
-}
-
-var (
-	_ epochReader = (*Local)(nil)
-	_ epochReader = (*Network)(nil)
-)

@@ -1,23 +1,17 @@
 package broker
 
 import (
-	"fmt"
 	"sync"
-	"sync/atomic"
 
-	"qosres/internal/obs"
 	"qosres/internal/qos"
 )
 
-// This file is the shared snapshot layer on top of the wait-free broker
-// reads (publish.go): pooled snapshot buffers so Pool.Snapshot stops
-// allocating three maps per query, and SnapshotCache, an
-// epoch-validated cache that lets concurrent admissions over the same
-// resource set share one Snapshot object instead of building N
-// identical ones.
+// This file holds the pooled snapshot buffers on top of the wait-free
+// broker reads (publish.go), so Pool.Snapshot stops allocating two maps
+// per query.
 
 // snapBufPool recycles Snapshot buffers. A pooled snapshot keeps its
-// three maps allocated; RecycleSnapshot clears them in place so the
+// two maps allocated; RecycleSnapshot clears them in place so the
 // buckets are reused and steady-state snapshot queries allocate
 // nothing.
 var snapBufPool = sync.Pool{
@@ -25,7 +19,6 @@ var snapBufPool = sync.Pool{
 		return &Snapshot{
 			Avail: make(qos.ResourceVector, 8),
 			Alpha: make(map[string]float64, 8),
-			Epoch: make(map[string]uint64, 8),
 		}
 	},
 }
@@ -41,11 +34,10 @@ func grabSnapshot(now Time) *Snapshot {
 // Pool.StaleSnapshot to the buffer pool once the caller is done
 // planning against it. Recycling is strictly optional — an unrecycled
 // snapshot is simply garbage-collected — and must only be done by a
-// caller that owns the snapshot exclusively: snapshots served by a
-// SnapshotCache are shared between admissions and must never be
-// recycled. Synthetic snapshots with nil maps are ignored.
+// caller that owns the snapshot exclusively. Synthetic snapshots with
+// nil maps are ignored.
 func (p *Pool) RecycleSnapshot(s *Snapshot) {
-	if s == nil || s.Avail == nil || s.Alpha == nil || s.Epoch == nil {
+	if s == nil || s.Avail == nil || s.Alpha == nil {
 		return
 	}
 	for k := range s.Avail {
@@ -54,217 +46,6 @@ func (p *Pool) RecycleSnapshot(s *Snapshot) {
 	for k := range s.Alpha {
 		delete(s.Alpha, k)
 	}
-	for k := range s.Epoch {
-		delete(s.Epoch, k)
-	}
 	s.At = 0
 	snapBufPool.Put(s)
-}
-
-// readFeeder is the wait-free read surface the cache needs from a
-// broker: epoch revalidation plus α-window observation ticks. *Local
-// and *Network implement it; a pool can in principle hold other Broker
-// implementations (synthetic test brokers), whose resource sets the
-// cache then simply never caches.
-type readFeeder interface {
-	epochReader
-	FeedTick(now Time)
-}
-
-// snapVersion is one published cache entry state: the shared snapshot
-// and the epoch vector (parallel to the entry's broker list) it was
-// built against. Immutable once stored; rebuilds publish a fresh
-// version, copy-on-write, because earlier admissions may still be
-// planning against the old snapshot.
-type snapVersion struct {
-	snap   *Snapshot
-	epochs []uint64
-}
-
-// snapEntry is the cache's per-resource-set state.
-type snapEntry struct {
-	resources []string
-	brokers   []Broker
-	readers   []readFeeder // nil when any broker lacks the read surface
-	// mu serializes rebuilds so concurrent misses coalesce into one
-	// Report sweep; hits never take it.
-	mu  sync.Mutex
-	cur atomic.Pointer[snapVersion]
-}
-
-// SnapshotCache shares epoch-validated snapshots between concurrent
-// admissions of the same resource set. A query loads the entry's
-// current version and compares each broker's CurrentEpoch — all
-// wait-free reads — against the version's epoch vector: if no epoch
-// moved, the books are exactly as the snapshot describes and the same
-// Snapshot object is returned again (zero allocations), with each
-// broker's α window still fed an observation tick so the availability
-// change index evolves identically to uncached querying. Any epoch
-// mismatch rebuilds the snapshot from fresh Reports.
-//
-// Two staleness notes, both by design: a cache hit returns the
-// snapshot with its original At stamp and α values (the books are
-// unchanged, so the availability is exact; α merely reflects the build
-// instant); and between validation and the caller's use a commit may
-// move the books — the same TOCTOU window every snapshot-based planner
-// already has, closed as always by validate-at-commit.
-type SnapshotCache struct {
-	pool    *Pool
-	metrics *obs.ReadMetrics
-
-	// sources maps the resource-set key to its entry. The map itself is
-	// copy-on-write behind an atomic pointer so lookups are lock-free;
-	// mu serializes inserts of new resource sets (rare after warmup).
-	mu      sync.Mutex
-	sources atomic.Pointer[map[string]*snapEntry]
-}
-
-// keyBufPool recycles the scratch buffers resource-set keys are built
-// in, so cache lookups allocate nothing.
-var keyBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 256)
-		return &b
-	},
-}
-
-// NewSnapshotCache creates a snapshot cache over the pool. metrics may
-// be nil for an unobserved cache.
-func NewSnapshotCache(pool *Pool, metrics *obs.ReadMetrics) *SnapshotCache {
-	if metrics == nil {
-		metrics = &obs.ReadMetrics{}
-	}
-	c := &SnapshotCache{pool: pool, metrics: metrics}
-	m := make(map[string]*snapEntry)
-	c.sources.Store(&m)
-	return c
-}
-
-// Pool returns the underlying broker pool.
-func (c *SnapshotCache) Pool() *Pool { return c.pool }
-
-// Snapshot returns an epoch-validated snapshot of the named resources,
-// shared with every other admission that queried the same set since
-// the books last changed. The returned snapshot is owned by the cache:
-// callers must treat it as immutable and must not recycle it.
-func (c *SnapshotCache) Snapshot(now Time, resources []string) (*Snapshot, error) {
-	buf := keyBufPool.Get().(*[]byte)
-	key := appendKey((*buf)[:0], resources)
-	e := (*c.sources.Load())[string(key)]
-	*buf = key[:0]
-	keyBufPool.Put(buf)
-	if e == nil {
-		var err error
-		if e, err = c.makeEntry(resources); err != nil {
-			return nil, err
-		}
-	}
-	if e.readers == nil {
-		// Unvalidatable brokers in the set: always build fresh.
-		c.metrics.SnapshotMisses.Inc()
-		return c.pool.Snapshot(now, resources)
-	}
-	if v := e.cur.Load(); c.validate(e, v) {
-		c.hit(e, now)
-		return v.snap, nil
-	}
-	// Rebuild, coalescing concurrent misses: whoever gets the entry
-	// lock rebuilds once; the waiters revalidate and share the result.
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if v := e.cur.Load(); c.validate(e, v) {
-		c.hit(e, now)
-		return v.snap, nil
-	}
-	c.metrics.SnapshotMisses.Inc()
-	snap, err := c.pool.Snapshot(now, resources)
-	if err != nil {
-		return nil, err
-	}
-	epochs := make([]uint64, len(e.resources))
-	for i, r := range e.resources {
-		epochs[i] = snap.Epoch[r]
-	}
-	e.cur.Store(&snapVersion{snap: snap, epochs: epochs})
-	return snap, nil
-}
-
-// validate reports whether the version's epoch vector still matches
-// every broker's current epoch — all wait-free loads. Broker epochs
-// are monotone non-decreasing (and, for network brokers, dedup'd sums
-// of monotone link epochs), so equality proves the books are exactly
-// as the snapshot observed them; any commit since forces a rebuild.
-func (c *SnapshotCache) validate(e *snapEntry, v *snapVersion) bool {
-	if v == nil {
-		return false
-	}
-	for i, r := range e.readers {
-		if r.CurrentEpoch() != v.epochs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// hit records a cache hit: the observation still feeds every broker's
-// α window, exactly as an uncached Report sweep would, so α dynamics
-// are identical with the cache on and off.
-func (c *SnapshotCache) hit(e *snapEntry, now Time) {
-	for _, r := range e.readers {
-		r.FeedTick(now)
-	}
-	c.metrics.SnapshotHits.Inc()
-}
-
-// makeEntry resolves the resource set's brokers and installs an entry
-// for it, copy-on-write under c.mu. Unknown resources fail without
-// caching anything.
-func (c *SnapshotCache) makeEntry(resources []string) (*snapEntry, error) {
-	key := string(appendKey(nil, resources))
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e := (*c.sources.Load())[key]; e != nil {
-		return e, nil
-	}
-	e := &snapEntry{
-		resources: append([]string(nil), resources...),
-		brokers:   make([]Broker, len(resources)),
-		readers:   make([]readFeeder, len(resources)),
-	}
-	for i, r := range resources {
-		b, ok := c.pool.Get(r)
-		if !ok {
-			return nil, fmt.Errorf("broker: snapshot of unknown resource %s", r)
-		}
-		e.brokers[i] = b
-		if f, ok := b.(readFeeder); ok {
-			e.readers[i] = f
-		} else {
-			e.readers = nil
-			break
-		}
-	}
-	old := *c.sources.Load()
-	next := make(map[string]*snapEntry, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[key] = e
-	c.sources.Store(&next)
-	return e, nil
-}
-
-// appendKey builds the cache key for a resource set: the IDs joined
-// with NUL separators (resource IDs never contain NUL). Order matters
-// — callers with a deterministic resource-set order (the admission
-// paths) share entries; permuted sets would cache separately, which is
-// only a capacity cost, never a correctness one.
-func appendKey(dst []byte, resources []string) []byte {
-	for i, r := range resources {
-		if i > 0 {
-			dst = append(dst, 0)
-		}
-		dst = append(dst, r...)
-	}
-	return dst
 }

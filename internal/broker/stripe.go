@@ -25,10 +25,10 @@ import (
 //
 // Epochs. Every stripe and every broker carries an epoch counter,
 // bumped (under the stripe lock) on each availability-affecting book
-// mutation. Epochs stamp availability snapshots (Report.Epoch,
-// Snapshot.Epoch) so consumers can tell whether the books moved
-// between two observations — they gate metrics and assertions, never
-// validation: a commit always re-validates against the live book.
+// mutation. Epochs stamp availability reports (Report.Epoch) so
+// consumers can tell whether the books moved between two observations —
+// they gate metrics and assertions, never validation: a commit always
+// re-validates against the live book.
 
 // stripe is one lock shard of the reservation books.
 type stripe struct {

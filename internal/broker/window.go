@@ -14,7 +14,7 @@ const smallWindow = 64
 // reportWindow is the sliding window of past reports behind the
 // availability change index α = r_avail / r_avg of equation (5), shared
 // by Local and Network brokers. It averages over reports, not over time:
-// every Report or FeedTick in the past span counts once.
+// every Report in the past span counts once.
 //
 // Samples stay in arrival order behind a head index. A sample leaves the
 // window when its time is at or before now-span: the head steps over it

@@ -201,10 +201,10 @@ func TestReportWindowMatchesReferenceAtServedScale(t *testing.T) {
 	}
 }
 
-func TestAlphaReportAndFeedTickMatchReference(t *testing.T) {
-	// Through the brokers: Report and FeedTick interleave on a Local and
-	// on a Network over it while reservations move the availability.
-	// Both must feed exactly the sample the reference is given.
+func TestAlphaReportMatchesReference(t *testing.T) {
+	// Through the brokers: Report on a Local and on a Network over it
+	// while reservations move the availability. Both must feed exactly
+	// the sample the reference is given.
 	rng := rand.New(rand.NewSource(3))
 	link, _ := NewLocalWindow("link:L1", 1000, 3)
 	other, _ := NewLocalWindow("link:L2", 700, 3)
@@ -231,19 +231,12 @@ func TestAlphaReportAndFeedTickMatchReference(t *testing.T) {
 			held = held[:len(held)-1]
 		}
 		for _, b := range []struct {
-			broker interface {
-				Broker
-				FeedTick(Time)
-			}
-			ref *refWindow
+			broker Broker
+			ref    *refWindow
 		}{{link, refLink}, {net, refNet}} {
 			avail := b.broker.Available()
 			live := b.ref.live(now)
-			if rng.Intn(2) == 0 {
-				b.broker.FeedTick(now)
-			} else {
-				checkAlpha(t, b.broker.Resource()+" Report", now, len(live), b.broker.Report(now).Alpha, b.ref.alpha(live, avail))
-			}
+			checkAlpha(t, b.broker.Resource()+" Report", now, len(live), b.broker.Report(now).Alpha, b.ref.alpha(live, avail))
 			b.ref.push(now, avail)
 		}
 	}
@@ -282,7 +275,7 @@ func TestBackdatedSamplesKeepLogsSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 		b.Report(now)
-		b.FeedTick(clock - Time(rng.Float64()*skew))
+		b.Report(clock - Time(rng.Float64()*skew))
 
 		if oldest := b.window.buf[b.window.head].at; oldest <= now-b.window.span-skew {
 			t.Fatalf("feed at %v: sample at %v outlived the window by more than the skew", now, oldest)

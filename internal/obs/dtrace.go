@@ -46,10 +46,6 @@ const (
 	// EventBatchRound marks a member joining a group-commit round; the
 	// detail carries the round size.
 	EventBatchRound = "batch_round"
-	// EventPlanMemoHit marks an admission that reused a memoized plan
-	// against an unchanged epoch vector, skipping the build and plan
-	// stages entirely.
-	EventPlanMemoHit = "plan_memo_hit"
 )
 
 // Span statuses. Any status other than "" or StatusOK marks the span —

@@ -43,7 +43,6 @@ import (
 	"qosres/internal/qos"
 	"qosres/internal/topo"
 	"qosres/internal/transport"
-	"qosres/internal/wal"
 )
 
 // Batched two-phase-commit message kinds. Named distinctly from the
@@ -136,7 +135,7 @@ func (p *QoSProxy) handleBatchPrepare(req batchPrepareRequest) batchPrepareReply
 			b, ok := p.brokers[r]
 			return b, ok
 		}
-		now := p.clock.Now()
+		now := p.rt.clock.Now()
 		ress, errs, stats := broker.ReserveBatch(now, resolve, reqs)
 		out.stats = stats
 		for j, i := range fresh {
@@ -149,12 +148,11 @@ func (p *QoSProxy) handleBatchPrepare(req batchPrepareRequest) batchPrepareReply
 					st = &prepState{prepErr: lerr}
 				}
 			}
+			if st.prepErr == nil {
+				st = p.journalPrepare(req.members[i].id, req.expiry, st)
+			}
 			p.pending[req.members[i].id] = st
 			p.order = append(p.order, req.members[i].id)
-			if st.prepErr == nil {
-				p.logRecord(wal.Record{Type: wal.TypePrepare, ID: req.members[i].id,
-					Expiry: float64(req.expiry), Parts: partsFromReservation(st.res)})
-			}
 			out.results[i].res, out.results[i].err = st.res, st.prepErr
 		}
 		p.gcPending()
@@ -407,7 +405,7 @@ func (m *batchMember) finish(res reservation, err error) {
 // commitPlan exactly; members only share the messages and the
 // participants' stripe sweeps.
 func (rt *Runtime) commitBatch(batch []*batchWork) {
-	_, admit, _ := rt.admitState()
+	admit := rt.admit
 	admit.Batches.Inc()
 	admit.BatchMembers.Add(float64(len(batch)))
 	admit.BatchSize.Observe(float64(len(batch)))
@@ -416,8 +414,8 @@ func (rt *Runtime) commitBatch(batch []*batchWork) {
 	}
 
 	var expiry broker.Time
-	if ttl := rt.leaseTTLNow(); ttl > 0 {
-		expiry = rt.clock.Now() + ttl
+	if rt.leaseTTL > 0 {
+		expiry = rt.clock.Now() + rt.leaseTTL
 	}
 
 	// Split every member by owning host; members whose deadline already
@@ -460,7 +458,7 @@ func (rt *Runtime) commitBatch(batch []*batchWork) {
 	}
 	ctx := obs.ContextWithSpan(leader.w.ctx, leader.span)
 	from := transport.Addr(leader.w.main)
-	fabric := rt.Transport()
+	fabric := rt.fabric
 
 	// Batched prepare fan-out: one message per participating host
 	// carrying every member's share there.
@@ -564,15 +562,23 @@ func (rt *Runtime) commitBatch(batch []*batchWork) {
 	}
 
 	// Commit point, per member: journal each decision before any
-	// participant learns of it (recovery presumes abort otherwise).
+	// participant learns of it (recovery presumes abort otherwise). A
+	// member whose decision could not be made durable fails here, is
+	// left out of the commit fan-out, and is aborted everywhere with the
+	// partial commits below.
 	for _, m := range committing {
-		rt.recordDecide(m.w.main, m.id, expiry)
+		if err := rt.recordDecide(m.w.main, m.id, expiry); err != nil {
+			m.fail(err)
+		}
 	}
 
 	// Batched commit fan-out: one message per host with the admitted
 	// members' IDs there.
 	commitHosts := make(map[topo.HostID][]*batchMember)
 	for _, m := range committing {
+		if m.err() != nil {
+			continue
+		}
 		for h := range m.shares {
 			commitHosts[h] = append(commitHosts[h], m)
 		}

@@ -16,15 +16,12 @@ import (
 
 // batchedWorld is twoHostWorld with the group-commit front end enabled
 // and live admission metrics, with configurable per-broker capacity.
-func batchedWorld(t *testing.T, policy BatchPolicy, capacity float64) (*Runtime, map[string]*broker.Local, *obs.AdmitMetrics) {
+func batchedWorld(t *testing.T, opts Options, capacity float64) (*Runtime, map[string]*broker.Local, *obs.AdmitMetrics) {
 	t.Helper()
 	clock := &ManualClock{}
-	rt := NewRuntime(clock)
-	if err := rt.SetBatchPolicy(policy); err != nil {
-		t.Fatal(err)
-	}
 	admit := obs.NewAdmitMetrics(obs.New())
-	rt.InstrumentAdmission(admit)
+	opts.Admission = admit
+	rt := NewRuntime(clock, opts)
 	brokers := map[string]*broker.Local{}
 	for _, h := range []topo.HostID{"X", "Y"} {
 		if _, err := rt.AddHost(h); err != nil {
@@ -53,7 +50,7 @@ func batchedWorld(t *testing.T, policy BatchPolicy, capacity float64) (*Runtime,
 // drop-in for the serialized commit path: a single session establishes
 // through a one-member round, holds on both hosts, and releases fully.
 func TestBatchedEstablishAndRelease(t *testing.T) {
-	rt, brokers, admit := batchedWorld(t, BatchPolicy{MaxBatch: 8}, 100)
+	rt, brokers, admit := batchedWorld(t, Options{Batch: BatchPolicy{MaxBatch: 8}}, 100)
 	service, binding := pipelineService(t)
 	s, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}})
 	if err != nil {
@@ -97,7 +94,7 @@ func TestBatchedCoalescesConcurrentAdmissions(t *testing.T) {
 	const n = 8
 	// Generous capacity: every session fits, so refusals cannot hide a
 	// failure to coalesce.
-	rt, brokers, admit := batchedWorld(t, BatchPolicy{MaxBatch: n, Window: 100 * time.Millisecond}, 1e6)
+	rt, brokers, admit := batchedWorld(t, Options{Batch: BatchPolicy{MaxBatch: n, Window: 100 * time.Millisecond}}, 1e6)
 	service, binding := pipelineService(t)
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -145,7 +142,7 @@ func TestBatchedCoalescesConcurrentAdmissions(t *testing.T) {
 // plans — per-member all-or-nothing inside shared rounds.
 func TestBatchedRefusedMemberLeavesNoResidue(t *testing.T) {
 	const n = 16
-	rt, brokers, _ := batchedWorld(t, BatchPolicy{MaxBatch: n, Window: 20 * time.Millisecond}, 100)
+	rt, brokers, _ := batchedWorld(t, Options{Batch: BatchPolicy{MaxBatch: n, Window: 20 * time.Millisecond}}, 100)
 	service, binding := pipelineService(t)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -201,7 +198,7 @@ func TestBatchedRefusedMemberLeavesNoResidue(t *testing.T) {
 // TestBatchedRuntimeRestart pins that the collector belongs to the
 // Start..Stop cycle: a restarted runtime batches again.
 func TestBatchedRuntimeRestart(t *testing.T) {
-	rt, _, admit := batchedWorld(t, BatchPolicy{MaxBatch: 4}, 1e6)
+	rt, _, admit := batchedWorld(t, Options{Batch: BatchPolicy{MaxBatch: 4}}, 1e6)
 	service, binding := pipelineService(t)
 	spec := SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}}
 	s, err := rt.Establish("X", spec)
@@ -234,12 +231,8 @@ func TestBatchedRuntimeRestart(t *testing.T) {
 // batched 2PC messages parent under the leader's batch span.
 func TestBatchedTraceHasBatchCommitSpan(t *testing.T) {
 	clock := &ManualClock{}
-	rt := NewRuntime(clock)
-	if err := rt.SetBatchPolicy(BatchPolicy{MaxBatch: 4}); err != nil {
-		t.Fatal(err)
-	}
 	rec := obs.NewTraceRecorder(nil, obs.TraceOptions{Sample: 1})
-	rt.InstrumentTracing(rec)
+	rt := NewRuntime(clock, Options{Batch: BatchPolicy{MaxBatch: 4}, Tracing: rec})
 	for _, h := range []topo.HostID{"X", "Y"} {
 		if _, err := rt.AddHost(h); err != nil {
 			t.Fatal(err)
@@ -314,7 +307,7 @@ func TestGroupCommitContentionStress(t *testing.T) {
 		perG       = 20
 		capacity   = 400
 	)
-	rt, brokers, admit := batchedWorld(t, BatchPolicy{MaxBatch: 16}, capacity)
+	rt, brokers, admit := batchedWorld(t, Options{Batch: BatchPolicy{MaxBatch: 16}}, capacity)
 	service, binding := pipelineService(t)
 	spec := SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}}
 
@@ -404,7 +397,7 @@ func TestGroupCommitContentionStress(t *testing.T) {
 // already-expired context fails that member fast without failing the
 // round's other members.
 func TestBatchedCommitRespectsMemberDeadline(t *testing.T) {
-	rt, brokers, _ := batchedWorld(t, BatchPolicy{MaxBatch: 4}, 1e6)
+	rt, brokers, _ := batchedWorld(t, Options{Batch: BatchPolicy{MaxBatch: 4}}, 1e6)
 	fe := rt.batchFrontEnd()
 	if fe == nil {
 		t.Fatal("no batch front end")
@@ -433,7 +426,7 @@ func TestBatchedCommitRespectsMemberDeadline(t *testing.T) {
 // duplicated batch-prepare replays recorded outcomes instead of
 // reserving twice, and a batch-abort of unknown IDs tombstones them.
 func TestBatchPrepareIdempotent(t *testing.T) {
-	rt, brokers, _ := batchedWorld(t, BatchPolicy{MaxBatch: 4}, 100)
+	rt, brokers, _ := batchedWorld(t, Options{Batch: BatchPolicy{MaxBatch: 4}}, 100)
 	p, err := rt.proxyFor("cpu@X")
 	if err != nil {
 		t.Fatal(err)

@@ -6,44 +6,19 @@ import (
 	"testing"
 	"time"
 
-	"qosres/internal/broker"
 	"qosres/internal/core"
 	"qosres/internal/obs"
 	"qosres/internal/qos"
-	"qosres/internal/topo"
 	"qosres/internal/transport"
 )
 
-// tracedWorld is unreliableWorld with a trace recorder attached before
-// Start, so the participant proxies record spans.
-func tracedWorld(t *testing.T, opts transport.Options) (*Runtime, *obs.TraceRecorder) {
+// tracedWorld is unreliableWorld with a trace recorder attached, so
+// the coordinator and the participant proxies record spans.
+func tracedWorld(t *testing.T, fabric transport.Options, opts Options) (*Runtime, *obs.TraceRecorder) {
 	t.Helper()
-	clock := &ManualClock{}
-	rt := NewRuntime(clock)
-	if err := rt.SetTransport(transport.New(opts)); err != nil {
-		t.Fatal(err)
-	}
 	rec := obs.NewTraceRecorder(nil, obs.TraceOptions{Sample: 1})
-	rt.InstrumentTracing(rec)
-	for _, h := range []topo.HostID{"X", "Y"} {
-		if _, err := rt.AddHost(h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mk := func(resource string, cap float64, host topo.HostID) {
-		b, err := broker.NewLocal(resource, cap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.Deploy(host, b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mk("cpu@X", 100, "X")
-	mk("cpu@Y", 100, "Y")
-	mk("net:X->Y", 100, "Y")
-	rt.Start()
-	t.Cleanup(rt.Stop)
+	opts.Tracing = rec
+	rt, _, _ := unreliableWorld(t, fabric, opts)
 	return rt, rec
 }
 
@@ -98,7 +73,7 @@ func hasEvent(spans []obs.SpanRecord, typ string) bool {
 func TestDuplicatedPrepareTracesOneParticipantSpan(t *testing.T) {
 	rt, rec := tracedWorld(t, transport.Options{
 		Defaults: transport.RouteConfig{Dup: 1},
-	})
+	}, Options{})
 	fabric := rt.Transport()
 
 	root := rec.Root(obs.StageEstablish, "test")
@@ -154,7 +129,7 @@ func TestDuplicatedPrepareTracesOneParticipantSpan(t *testing.T) {
 // "partition" and a partition-drop event — never an orphan, never a
 // bare timeout when the cause is known.
 func TestPartitionedCallSpanTerminatesWithPartition(t *testing.T) {
-	rt, rec := tracedWorld(t, transport.Options{})
+	rt, rec := tracedWorld(t, transport.Options{}, Options{})
 	fabric := rt.Transport()
 	fabric.Partition("X", "Y")
 
@@ -191,7 +166,7 @@ func TestPartitionedCallSpanTerminatesWithPartition(t *testing.T) {
 func TestBreakerFastFailTracesTerminatedSpan(t *testing.T) {
 	rt, rec := tracedWorld(t, transport.Options{
 		Breaker: &transport.BreakerConfig{Threshold: 1, Cooldown: time.Minute},
-	})
+	}, Options{})
 	fabric := rt.Transport()
 	fabric.Partition("X", "Y")
 
@@ -232,11 +207,10 @@ func TestBreakerFastFailTracesTerminatedSpan(t *testing.T) {
 // with status "shed" and a shed event — refused admissions are visible
 // in the trace store, not silent.
 func TestShedEstablishTracesTerminatedRoot(t *testing.T) {
-	rt, rec := tracedWorld(t, transport.Options{})
+	rt, rec := tracedWorld(t, transport.Options{}, Options{MaxInFlight: 1})
 	service, binding := pipelineService(t)
 
-	rt.SetMaxInFlight(1)
-	if err := rt.admitGate().TryAcquire(); err != nil {
+	if err := rt.gate.TryAcquire(); err != nil {
 		t.Fatal(err)
 	}
 	_, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}})
@@ -265,7 +239,7 @@ func TestShedEstablishTracesTerminatedRoot(t *testing.T) {
 // call spans under the stages, and remote participant spans parented
 // under their call spans.
 func TestEstablishTracesFullTree(t *testing.T) {
-	rt, rec := tracedWorld(t, transport.Options{})
+	rt, rec := tracedWorld(t, transport.Options{}, Options{})
 	service, binding := pipelineService(t)
 
 	s, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}})

@@ -53,7 +53,7 @@ func buildMirrorEnvs(t *testing.T, clock Clock) (*Runtime, *broker.Pool, *broker
 	runtimePool := mkPool()
 	directPool := mkPool()
 
-	rt := NewRuntime(clock)
+	rt := NewRuntime(clock, Options{})
 	for _, h := range topology.Hosts() {
 		if _, err := rt.AddHost(h); err != nil {
 			t.Fatal(err)
@@ -252,11 +252,9 @@ func (p *stealPlanner) Plan(g *qrg.Graph) (*core.Plan, error) {
 // broker.ErrInsufficient and leaves zero residual holds on every broker
 // of the plan — including the ones that individually had room.
 func TestEstablishCommitRefusalRollsBackEverything(t *testing.T) {
-	rt, _, brokers := twoHostWorld(t)
-	rt.SetAdmitPolicy(AdmitPolicy{MaxRetries: 0})
 	reg := obs.New()
 	admit := obs.NewAdmitMetrics(reg)
-	rt.InstrumentAdmission(admit)
+	rt, _, brokers := twoHostWorld(t, Options{AdmitPolicy: &AdmitPolicy{MaxRetries: 0}, Admission: admit})
 	service, binding := pipelineService(t)
 
 	// The basic planner picks lo→best (cpu@X 10, cpu@Y 35, net 25, Ψ
@@ -304,11 +302,9 @@ func TestEstablishCommitRefusalRollsBackEverything(t *testing.T) {
 // after a commit-time refusal the runtime takes a fresh snapshot, plans
 // against the post-race availability, and commits the degraded level.
 func TestEstablishRetriesWithFreshSnapshot(t *testing.T) {
-	rt, _, brokers := twoHostWorld(t)
-	rt.SetAdmitPolicy(AdmitPolicy{MaxRetries: 2})
 	reg := obs.New()
 	admit := obs.NewAdmitMetrics(reg)
-	rt.InstrumentAdmission(admit)
+	rt, _, brokers := twoHostWorld(t, Options{AdmitPolicy: &AdmitPolicy{MaxRetries: 2}, Admission: admit})
 	service, binding := pipelineService(t)
 
 	// Attempt 1 plans lo→best (net 25) and is refused: the steal leaves
@@ -355,11 +351,9 @@ func TestEstablishRetriesWithFreshSnapshot(t *testing.T) {
 // broker.ErrInsufficient via errors.Is, so callers classify it without
 // string matching.
 func TestEstablishRetryExhaustionKeepsErrInsufficient(t *testing.T) {
-	rt, _, brokers := twoHostWorld(t)
-	rt.SetAdmitPolicy(AdmitPolicy{MaxRetries: 1})
 	reg := obs.New()
 	admit := obs.NewAdmitMetrics(reg)
-	rt.InstrumentAdmission(admit)
+	rt, _, brokers := twoHostWorld(t, Options{AdmitPolicy: &AdmitPolicy{MaxRetries: 1}, Admission: admit})
 	service, binding := pipelineService(t)
 
 	// Attempt 1 snapshots net=100 and plans lo→best (net 25); the drain

@@ -139,7 +139,7 @@ func (rt *Runtime) assembleService(ctx context.Context, mainHost topo.HostID, sk
 	for _, comps := range byHost {
 		sort.Slice(comps, func(i, j int) bool { return comps[i] < comps[j] })
 	}
-	fabric := rt.Transport()
+	fabric := rt.fabric
 	from := transport.Addr(mainHost)
 	type result struct {
 		comps []*svc.Component

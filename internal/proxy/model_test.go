@@ -28,7 +28,7 @@ func string2Host(m map[string]string) map[svc.ComponentID]topo.HostID {
 func distWorldUnstarted(t *testing.T) (*Runtime, svc.Binding, map[string]*svc.Component) {
 	t.Helper()
 	clock := &ManualClock{}
-	rt := NewRuntime(clock)
+	rt := NewRuntime(clock, Options{})
 	for _, h := range []string{"X", "Y"} {
 		if _, err := rt.AddHost(svcHost(h)); err != nil {
 			t.Fatal(err)

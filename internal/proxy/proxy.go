@@ -26,9 +26,9 @@
 // and partitions, not just in-process calls. All protocol entry points
 // accept a context: a partitioned or silent participant surfaces as a
 // deadline expiry and a degraded-snapshot retry, never as an unbounded
-// block. The default fabric (NewRuntime) is perfect — instant, lossless,
-// exactly-once — which preserves the in-process semantics for
-// deployments that do not inject chaos.
+// block. The default fabric (a zero Options.Transport) is perfect —
+// instant, lossless, exactly-once — which preserves the in-process
+// semantics for deployments that do not inject chaos.
 package proxy
 
 import (
@@ -40,7 +40,6 @@ import (
 	"sync/atomic"
 
 	"qosres/internal/broker"
-	"qosres/internal/core"
 	"qosres/internal/obs"
 	"qosres/internal/qrg"
 	"qosres/internal/svc"
@@ -111,8 +110,10 @@ type stallRequest struct {
 
 // QoSProxy is the per-host reservation coordinator.
 type QoSProxy struct {
-	host    topo.HostID
-	clock   Clock
+	host topo.HostID
+	// rt is the deploying runtime: handlers reach its clock, trace
+	// recorder, write-ahead log, and commit-decision table through it.
+	rt      *Runtime
 	brokers map[string]broker.Broker
 	// models holds, per service, the components stored at this host
 	// under the distributed model-storage approach of section 3.
@@ -128,11 +129,6 @@ type QoSProxy struct {
 	// order remembers pending insertion order for bounded GC.
 	order []string
 
-	// tracer records participant spans causally parented under the
-	// coordinator's message spans; nil-safe, copied from the runtime at
-	// Start.
-	tracer *obs.TraceRecorder
-
 	// ep and done belong to the current Start..Stop cycle; a restarted
 	// runtime re-registers the endpoint and spawns a fresh serve loop.
 	ep   *transport.Endpoint
@@ -144,23 +140,13 @@ type QoSProxy struct {
 	// callers observe the same wedged-proxy symptoms (deadline expiry)
 	// the serve loop exhibits.
 	wedged atomic.Bool
-
-	// wlog, when non-nil, is the runtime's write-ahead log: message
-	// handlers journal prepare/commit/abort records through it in the
-	// order the book mutates. wmetrics counts the appends; outcomes
-	// answers recovery outcome queries from the runtime's coordinator
-	// decide table. All three are set at Start (and kept across
-	// CrashRestart), before the serve goroutine exists.
-	wlog     *wal.Log
-	wmetrics *obs.WALMetrics
-	outcomes func(id string) outcomeReply
 }
 
 // newQoSProxy constructs (but does not start) a proxy.
-func newQoSProxy(host topo.HostID, clock Clock) *QoSProxy {
+func newQoSProxy(host topo.HostID, rt *Runtime) *QoSProxy {
 	return &QoSProxy{
 		host:    host,
-		clock:   clock,
+		rt:      rt,
 		brokers: make(map[string]broker.Broker),
 		pending: make(map[string]*prepState),
 	}
@@ -209,9 +195,9 @@ func (p *QoSProxy) serve(ep *transport.Endpoint, done chan struct{}) {
 func (p *QoSProxy) handle(d transport.Delivery) {
 	if d.Span.Sampled {
 		if d.Dup {
-			p.tracer.EventOn(d.Span, obs.EventDuplicateSuppressed, d.Kind)
+			p.rt.tracer.EventOn(d.Span, obs.EventDuplicateSuppressed, d.Kind)
 		} else if d.Kind != "" {
-			sp := p.tracer.ChildOf(d.Span, d.Kind, string(p.host))
+			sp := p.rt.tracer.ChildOf(d.Span, d.Kind, string(p.host))
 			defer sp.End()
 		}
 	}
@@ -260,9 +246,9 @@ func (p *QoSProxy) handleAvailabilityFast(d transport.Delivery) bool {
 	}
 	if d.Span.Sampled {
 		if d.Dup {
-			p.tracer.EventOn(d.Span, obs.EventDuplicateSuppressed, d.Kind)
+			p.rt.tracer.EventOn(d.Span, obs.EventDuplicateSuppressed, d.Kind)
 		} else {
-			sp := p.tracer.ChildOf(d.Span, d.Kind, string(p.host))
+			sp := p.rt.tracer.ChildOf(d.Span, d.Kind, string(p.host))
 			defer sp.End()
 		}
 	}
@@ -275,7 +261,7 @@ func (p *QoSProxy) handleAvailabilityFast(d transport.Delivery) bool {
 }
 
 func (p *QoSProxy) handleAvailability(req availabilityRequest) availabilityReply {
-	now := p.clock.Now()
+	now := p.rt.clock.Now()
 	reports := make([]broker.Report, 0, len(req.resources))
 	for _, r := range req.resources {
 		b, ok := p.brokers[r]
@@ -287,73 +273,142 @@ func (p *QoSProxy) handleAvailability(req availabilityRequest) availabilityReply
 	return availabilityReply{reports: reports}
 }
 
+// Options configures a Runtime. It is read once, by NewRuntime; the
+// zero value is a complete configuration (each field documents what its
+// zero means), and nothing in it can be changed on a constructed
+// runtime. The five metric sets and the trace recorder are optional:
+// nil (or a set built from a nil registry) leaves the runtime
+// unobserved at no cost.
+type Options struct {
+	// Transport is the message fabric every inter-proxy call crosses —
+	// typically one carrying injected loss, latency, duplication, or
+	// partitions. nil is a perfect fabric: instant, lossless,
+	// exactly-once.
+	Transport *transport.Fabric
+	// Batch configures the group-commit admission front end: with
+	// MaxBatch of at least 2, concurrent Establish commits coalesce into
+	// batched two-phase-commit rounds (one prepare and one commit message
+	// per participating host per round, one stripe sweep per host). The
+	// zero policy runs every commit through the serialized commitPlan
+	// path.
+	Batch BatchPolicy
+	// MaxInFlight bounds the number of concurrently admitted Establish
+	// calls: beyond it, calls are shed immediately with
+	// transport.ErrOverloaded instead of queueing. 0 is unbounded.
+	MaxInFlight int
+	// LeaseTTL, when positive, leases every established session's holds:
+	// they expire LeaseTTL after the last heartbeat, so a crashed or
+	// partitioned main proxy can never strand capacity — a lease sweep
+	// (broker.Pool.ExpireLeases) reclaims it. The same TTL leases
+	// two-phase-commit prepares, so a prepare orphaned by a lost commit or
+	// abort message is reclaimed by the sweep too. Zero or negative holds
+	// live until released.
+	LeaseTTL broker.Time
+	// Templates is the compiled-template cache Establish draws QRG graphs
+	// from — pass one built over a live registry to count hits and
+	// misses. nil is an unobserved cache; NoTemplates turns the fast lane
+	// off.
+	Templates *qrg.TemplateCache
+	// AdmitPolicy bounds the validate-at-commit retry loop of Establish;
+	// nil is DefaultAdmitPolicy. Negative MaxRetries is treated as zero (a
+	// single attempt, no replanning). When the policy enables Jitter, the
+	// backoff sleeps are drawn full-jitter from a source seeded with
+	// JitterSeed, so retry storms de-synchronize deterministically under
+	// a fixed seed.
+	AdmitPolicy *AdmitPolicy
+	// WAL, when non-nil, makes the reservation books durable: participant
+	// prepare/commit/abort records, coordinator commit decisions, lease
+	// renewals, and releases are appended — fsynced, in commit order — to
+	// this log. The runtime owns it from here on (CloseWAL closes it).
+	// Pair with Recover to rebuild state from a previous process's log.
+	WAL *wal.Log
+	// Stages receives the per-phase latency of every Establish: phase-1
+	// availability collection, QRG build, planning, and phase-3 dispatch.
+	Stages *obs.PlanStages
+	// Admission counts commit-time refusals, rollbacks, replanning
+	// retries, sheds, and group-commit rounds.
+	Admission *obs.AdmitMetrics
+	// Faults counts every fault-driven session repair as repaired,
+	// degraded, or failed.
+	Faults *obs.FaultMetrics
+	// Adapt counts every successful renegotiation as an upgrade or a
+	// downgrade.
+	Adapt *obs.AdaptMetrics
+	// Tracing records distributed traces: every Establish, renegotiation
+	// and repair sweep opens a trace whose spans follow the protocol
+	// across the fabric (stage children, per-message call spans, remote
+	// participant spans).
+	Tracing *obs.TraceRecorder
+	// WALMetrics counts log appends, replayed records, reconciliation
+	// outcomes, and recovery lease sweeps.
+	WALMetrics *obs.WALMetrics
+}
+
+// NoTemplates, passed as Options.Templates, disables the
+// compiled-template fast lane: every graph is rebuilt from scratch with
+// qrg.Build, the reference path the parity tests compare against.
+var NoTemplates = new(qrg.TemplateCache)
+
 // Runtime is a deployment of QoSProxies over a set of hosts, plus the
 // registry mapping each resource to its owning host.
 type Runtime struct {
-	clock   Clock
-	fabric  *transport.Fabric
-	proxies map[topo.HostID]*QoSProxy
-	owner   map[string]topo.HostID
-	mu      sync.Mutex
-	started bool
-	// stages, when non-nil, receives per-phase latency observations of
-	// every Establish call (see Instrument).
+	// Configuration: set by NewRuntime from Options and never written
+	// again, so every path reads these fields without a lock. The metric
+	// sets are never nil (inert when unobserved); tracer may be nil, which
+	// is inert too.
+	clock  Clock
+	fabric *transport.Fabric
 	stages *obs.PlanStages
-	// admit receives admission-path counter increments (see
-	// InstrumentAdmission); always non-nil, inert by default.
-	admit *obs.AdmitMetrics
-	// policy bounds the validate-at-commit retry loop of Establish.
+	admit  *obs.AdmitMetrics
+	faults *obs.FaultMetrics
+	adapt  *obs.AdaptMetrics
+	tracer *obs.TraceRecorder
+	// policy bounds the validate-at-commit retry loop of Establish;
+	// jitter is the seeded source behind its full-jitter backoff, nil
+	// when jitter is off.
 	policy AdmitPolicy
-	// jitter is the seeded source behind the policy's full-jitter
-	// backoff; nil when jitter is off.
 	jitter *lockedRand
 	// gate bounds concurrent admissions; excess Establish calls are shed
-	// with transport.ErrOverloaded (see SetMaxInFlight).
+	// with transport.ErrOverloaded.
 	gate *transport.Gate
-	// templates serves compiled QRG templates to Establish; nil falls
-	// back to building every graph from scratch (see SetTemplateCache).
+	// templates serves compiled QRG templates to Establish; nil builds
+	// every graph from scratch.
 	templates *qrg.TemplateCache
-	// memo serves epoch-validated memoized plans to Establish; nil
-	// plans every admission afresh (see SetPlanMemo).
-	memo *core.PlanMemo
+	// leaseTTL, when positive, leases every new session's holds.
+	leaseTTL    broker.Time
+	batchPolicy BatchPolicy
+	// wal, when non-nil, is the durability log: participant handlers and
+	// the coordinator journal protocol records through it, and
+	// Recover/CrashRestart replay it.
+	wal        *wal.Log
+	walMetrics *obs.WALMetrics
+
+	// mu guards what changes over the runtime's life: the deployment
+	// (proxies and owner, frozen while started), the Start..Stop cycle and
+	// its batcher, the live-session registry, the availability report
+	// cache, and the delivered QoS-seconds total.
+	mu      sync.Mutex
+	proxies map[topo.HostID]*QoSProxy
+	owner   map[string]topo.HostID
+	started bool
+	// batcher is the live group-commit collector of the current
+	// Start..Stop cycle, nil when batching is disabled.
+	batcher *admitBatcher
 	// sessions is the registry of live sessions, the set the repair
 	// layer walks when a fault invalidates reservations.
 	sessions map[*Session]struct{}
-	// leaseTTL, when positive, leases every new session's holds: they
-	// expire leaseTTL after the last heartbeat (see SetLeaseTTL).
-	leaseTTL broker.Time
-	// faults receives repair-outcome counter increments (see
-	// InstrumentFaults); always non-nil, inert by default.
-	faults *obs.FaultMetrics
-	// adapt receives renegotiation counter increments (see
-	// InstrumentAdapt); always non-nil, inert by default.
-	adapt *obs.AdaptMetrics
 	// qosDelivered accumulates delivered QoS-seconds (end-to-end rank ×
 	// held time) of torn-down sessions; live sessions' running segments
 	// are added on read (DeliveredQoSSeconds).
 	qosDelivered float64
-	// tracer records distributed traces of Establish and repair sweeps
-	// (see InstrumentTracing); nil (the default) is inert.
-	tracer *obs.TraceRecorder
 	// reports caches the last availability report received from each
 	// resource's owning proxy. When a participant is unreachable,
 	// admission degrades to planning from this cache, aged by α (see
 	// collectAvailability), instead of blocking on the partition.
 	reports map[string]broker.Report
+
 	// nextReq numbers two-phase-commit request IDs.
-	nextReq uint64
-	// batchPolicy configures the group-commit admission front end (see
-	// SetBatchPolicy); batcher is the live collector of the current
-	// Start..Stop cycle, nil when batching is disabled.
-	batchPolicy BatchPolicy
-	batcher     *admitBatcher
-	// walLog, when non-nil, is the durability log (see EnableWAL):
-	// participant handlers and the coordinator journal protocol records
-	// through it, and Recover/CrashRestart replay it. walMetrics counts
-	// appends, replays, and reconciliation outcomes; always non-nil,
-	// inert by default.
-	walLog     *wal.Log
-	walMetrics *obs.WALMetrics
+	nextReq atomic.Uint64
 	// decided is the coordinator's commit-decision table — request IDs
 	// whose commit point was journaled, with the decided lease expiry —
 	// under its own lock so recovery outcome queries never touch rt.mu.
@@ -366,75 +421,78 @@ type Runtime struct {
 	crashMu sync.Mutex
 }
 
-// NewRuntime creates an empty runtime over a clock with the default
-// admission policy and a perfect transport fabric (instant, lossless,
-// exactly-once — the in-process semantics). SetTransport swaps in a
-// fabric with injected chaos. QRG construction is served from an
-// (unobserved) template cache; SetTemplateCache swaps in an instrumented
-// one or disables the fast lane.
-func NewRuntime(clock Clock) *Runtime {
-	return &Runtime{
-		clock:     clock,
-		fabric:    transport.New(transport.Options{}),
-		proxies:   make(map[topo.HostID]*QoSProxy),
-		owner:     make(map[string]topo.HostID),
-		stages:    &obs.PlanStages{},
-		admit:     &obs.AdmitMetrics{},
-		policy:    DefaultAdmitPolicy,
-		gate:      transport.NewGate(0),
-		templates: qrg.NewTemplateCache(nil),
-		sessions:  make(map[*Session]struct{}),
-		faults:    &obs.FaultMetrics{},
-		adapt:     &obs.AdaptMetrics{},
-		reports:   make(map[string]broker.Report),
+// NewRuntime creates an empty runtime over a clock, configured by opts.
+// Options{} is a perfect fabric, the default admission policy, an
+// unobserved template cache, no batching, no admission bound, no
+// leasing, no durability, and no instrumentation.
+func NewRuntime(clock Clock, opts Options) *Runtime {
+	rt := &Runtime{
+		clock:       clock,
+		fabric:      opts.Transport,
+		stages:      opts.Stages,
+		admit:       opts.Admission,
+		faults:      opts.Faults,
+		adapt:       opts.Adapt,
+		tracer:      opts.Tracing,
+		policy:      DefaultAdmitPolicy,
+		gate:        transport.NewGate(opts.MaxInFlight),
+		templates:   opts.Templates,
+		leaseTTL:    opts.LeaseTTL,
+		batchPolicy: opts.Batch,
+		wal:         opts.WAL,
+		walMetrics:  opts.WALMetrics,
 
-		walMetrics: &obs.WALMetrics{},
-		decided:    make(map[string]broker.Time),
+		proxies:  make(map[topo.HostID]*QoSProxy),
+		owner:    make(map[string]topo.HostID),
+		sessions: make(map[*Session]struct{}),
+		reports:  make(map[string]broker.Report),
+		decided:  make(map[string]broker.Time),
 	}
-}
-
-// SetTransport replaces the runtime's message fabric — typically with
-// one carrying injected loss, latency, duplication, or partitions. Must
-// be called before Start.
-func (rt *Runtime) SetTransport(f *transport.Fabric) error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.started {
-		return errors.New("proxy: runtime already started")
+	if rt.fabric == nil {
+		rt.fabric = transport.New(transport.Options{})
 	}
-	if f == nil {
-		f = transport.New(transport.Options{})
+	if rt.stages == nil {
+		rt.stages = &obs.PlanStages{}
 	}
-	rt.fabric = f
-	return nil
+	if rt.admit == nil {
+		rt.admit = &obs.AdmitMetrics{}
+	}
+	if rt.faults == nil {
+		rt.faults = &obs.FaultMetrics{}
+	}
+	if rt.adapt == nil {
+		rt.adapt = &obs.AdaptMetrics{}
+	}
+	if rt.walMetrics == nil {
+		rt.walMetrics = &obs.WALMetrics{}
+	}
+	if opts.AdmitPolicy != nil {
+		rt.policy = *opts.AdmitPolicy
+	}
+	if rt.policy.MaxRetries < 0 {
+		rt.policy.MaxRetries = 0
+	}
+	if rt.policy.Jitter {
+		rt.jitter = newLockedRand(rt.policy.JitterSeed)
+	}
+	switch rt.templates {
+	case nil:
+		rt.templates = qrg.NewTemplateCache(nil)
+	case NoTemplates:
+		rt.templates = nil
+	}
+	if rt.leaseTTL < 0 {
+		rt.leaseTTL = 0
+	}
+	if rt.batchPolicy.Window < 0 {
+		rt.batchPolicy.Window = 0
+	}
+	return rt
 }
 
 // Transport returns the runtime's message fabric (for partition/heal
 // injection and end-of-run settling).
-func (rt *Runtime) Transport() *transport.Fabric {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.fabric
-}
-
-// SetBatchPolicy configures the group-commit admission front end: with
-// MaxBatch of at least 2, concurrent Establish commits coalesce into
-// batched two-phase-commit rounds (one prepare and one commit message
-// per participating host per round, one stripe sweep per host). The
-// default policy disables batching — every commit runs the serialized
-// commitPlan path. Must be called before Start.
-func (rt *Runtime) SetBatchPolicy(p BatchPolicy) error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.started {
-		return errors.New("proxy: runtime already started")
-	}
-	if p.Window < 0 {
-		p.Window = 0
-	}
-	rt.batchPolicy = p
-	return nil
-}
+func (rt *Runtime) Transport() *transport.Fabric { return rt.fabric }
 
 // batchFrontEnd returns the live batching collector, or nil when
 // batching is disabled or the runtime is stopped.
@@ -442,105 +500,6 @@ func (rt *Runtime) batchFrontEnd() *admitBatcher {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return rt.batcher
-}
-
-// SetMaxInFlight bounds the number of concurrently admitted Establish
-// calls: beyond max, calls are shed immediately with
-// transport.ErrOverloaded instead of queueing. 0 (the default) means
-// unbounded.
-func (rt *Runtime) SetMaxInFlight(max int) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.gate = transport.NewGate(max)
-}
-
-// admitGate returns the overload gate.
-func (rt *Runtime) admitGate() *transport.Gate {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.gate
-}
-
-// SetLeaseTTL configures reservation leasing: when ttl is positive,
-// every subsequently established session's holds expire ttl after the
-// last heartbeat, so a crashed or partitioned main proxy can never
-// strand capacity — a lease sweep (broker.Pool.ExpireLeases) reclaims
-// it. The same TTL leases two-phase-commit prepares, so a prepare
-// orphaned by a lost commit or abort message is reclaimed by the sweep
-// too. Zero disables leasing (the default; holds live until released).
-func (rt *Runtime) SetLeaseTTL(ttl broker.Time) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if ttl < 0 {
-		ttl = 0
-	}
-	rt.leaseTTL = ttl
-}
-
-// leaseTTLNow returns the configured lease TTL (0 = leasing disabled).
-func (rt *Runtime) leaseTTLNow() broker.Time {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.leaseTTL
-}
-
-// InstrumentTracing attaches a distributed-trace recorder: every
-// Establish and repair sweep then opens a trace whose spans follow the
-// protocol across the fabric (stage children, per-message call spans,
-// remote participant spans). Call before Start so the proxies see the
-// recorder; a nil recorder leaves the runtime untraced at no cost.
-func (rt *Runtime) InstrumentTracing(rec *obs.TraceRecorder) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.tracer = rec
-}
-
-// traceRecorder returns the attached recorder (possibly nil; a nil
-// recorder is inert).
-func (rt *Runtime) traceRecorder() *obs.TraceRecorder {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.tracer
-}
-
-// InstrumentFaults attaches repair-outcome counters: every fault-driven
-// session repair then counts as repaired, degraded, or failed. A nil
-// argument (or one built from a nil registry) leaves the runtime
-// unobserved at no cost.
-func (rt *Runtime) InstrumentFaults(m *obs.FaultMetrics) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if m == nil {
-		m = &obs.FaultMetrics{}
-	}
-	rt.faults = m
-}
-
-// faultMetrics returns the attached repair counters (never nil).
-func (rt *Runtime) faultMetrics() *obs.FaultMetrics {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.faults
-}
-
-// InstrumentAdapt attaches adaptation counters: every successful
-// renegotiation then counts as an upgrade or a downgrade. A nil
-// argument (or one built from a nil registry) leaves the runtime
-// unobserved at no cost.
-func (rt *Runtime) InstrumentAdapt(m *obs.AdaptMetrics) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if m == nil {
-		m = &obs.AdaptMetrics{}
-	}
-	rt.adapt = m
-}
-
-// adaptMetrics returns the attached adaptation counters (never nil).
-func (rt *Runtime) adaptMetrics() *obs.AdaptMetrics {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.adapt
 }
 
 // addDeliveredQoS folds a torn-down session's QoS-seconds into the
@@ -602,113 +561,18 @@ func (rt *Runtime) LiveSessions() int {
 	return len(rt.sessions)
 }
 
-// SetTemplateCache replaces the compiled-template cache Establish
-// draws QRG graphs from — pass one built over a live registry to count
-// hits and misses, or nil to disable the fast lane and rebuild every
-// graph from scratch (the reference path).
-func (rt *Runtime) SetTemplateCache(c *qrg.TemplateCache) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.templates = c
-}
-
 // templateFor returns the session's compiled template, or nil when the
 // fast lane is disabled or compilation fails (Establish then falls back
 // to qrg.Build, which reports errors with its own lazier semantics).
 func (rt *Runtime) templateFor(spec SessionSpec) *qrg.Template {
-	rt.mu.Lock()
-	c := rt.templates
-	rt.mu.Unlock()
-	if c == nil {
+	if rt.templates == nil {
 		return nil
 	}
-	tpl, err := c.Get(spec.Service, spec.Binding)
+	tpl, err := rt.templates.Get(spec.Service, spec.Binding)
 	if err != nil {
 		return nil
 	}
 	return tpl
-}
-
-// SetPlanMemo attaches an epoch-validated plan memo: admissions whose
-// (template, planner) pair already planned against an identical epoch
-// vector reuse the memoized plan and skip the build and plan stages,
-// going straight to validate-at-commit. Requires the template cache
-// (sessions without a compiled template never memoize). nil — the
-// default — disables memoization.
-func (rt *Runtime) SetPlanMemo(m *core.PlanMemo) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.memo = m
-}
-
-// planMemo returns the attached plan memo, possibly nil (a nil
-// *core.PlanMemo is inert: Get always misses, Put is a no-op).
-func (rt *Runtime) planMemo() *core.PlanMemo {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.memo
-}
-
-// Instrument attaches stage-latency histograms: every Establish then
-// records its phase-1 availability collection, QRG build, planning and
-// phase-3 dispatch durations into the corresponding histograms. Call
-// before Start; a nil argument (or one built from a nil registry)
-// leaves the runtime unobserved at no cost.
-func (rt *Runtime) Instrument(stages *obs.PlanStages) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if stages == nil {
-		stages = &obs.PlanStages{}
-	}
-	rt.stages = stages
-}
-
-// planStages returns the attached stage histograms (never nil; the
-// default set is inert).
-func (rt *Runtime) planStages() *obs.PlanStages {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.stages
-}
-
-// InstrumentAdmission attaches admission counters: every Establish then
-// counts its commit-time refusals, rollbacks, and replanning retries.
-// A nil argument (or one built from a nil registry) leaves the runtime
-// unobserved at no cost.
-func (rt *Runtime) InstrumentAdmission(m *obs.AdmitMetrics) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if m == nil {
-		m = &obs.AdmitMetrics{}
-	}
-	rt.admit = m
-}
-
-// SetAdmitPolicy replaces the validate-at-commit retry policy applied
-// by Establish. Negative MaxRetries is treated as zero (a single
-// attempt, no replanning). When the policy enables Jitter, the backoff
-// sleeps are drawn full-jitter from a source seeded with JitterSeed, so
-// retry storms de-synchronize deterministically under a fixed seed.
-func (rt *Runtime) SetAdmitPolicy(p AdmitPolicy) {
-	if p.MaxRetries < 0 {
-		p.MaxRetries = 0
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.policy = p
-	if p.Jitter {
-		rt.jitter = newLockedRand(p.JitterSeed)
-	} else {
-		rt.jitter = nil
-	}
-}
-
-// admitState returns the current policy, counters, and jitter source
-// under one lock.
-func (rt *Runtime) admitState() (AdmitPolicy, *obs.AdmitMetrics, *lockedRand) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.policy, rt.admit, rt.jitter
 }
 
 // lockedRand is a mutex-guarded rand.Rand shared by concurrent
@@ -773,7 +637,7 @@ func (rt *Runtime) AddHost(host topo.HostID) (*QoSProxy, error) {
 	if _, dup := rt.proxies[host]; dup {
 		return nil, fmt.Errorf("proxy: host %s already has a QoSProxy", host)
 	}
-	p := newQoSProxy(host, rt.clock)
+	p := newQoSProxy(host, rt)
 	rt.proxies[host] = p
 	return p, nil
 }
@@ -819,10 +683,6 @@ func (rt *Runtime) Start() {
 	}
 	rt.started = true
 	for _, p := range rt.proxies {
-		p.tracer = rt.tracer
-		p.wlog = rt.walLog
-		p.wmetrics = rt.walMetrics
-		p.outcomes = rt.lookupOutcome
 		p.ep = rt.fabric.Endpoint(p.addr(), 16)
 		p.done = make(chan struct{})
 		// Availability queries take the read fast lane: wait-free broker

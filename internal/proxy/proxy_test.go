@@ -18,10 +18,10 @@ func lvl(name string, q float64) svc.Level {
 
 // twoHostWorld deploys proxies on hosts X and Y, a cpu broker on each,
 // and a shared "net" broker on Y (the receiver side).
-func twoHostWorld(t *testing.T) (*Runtime, *ManualClock, map[string]*broker.Local) {
+func twoHostWorld(t *testing.T, opts Options) (*Runtime, *ManualClock, map[string]*broker.Local) {
 	t.Helper()
 	clock := &ManualClock{}
-	rt := NewRuntime(clock)
+	rt := NewRuntime(clock, opts)
 	brokers := map[string]*broker.Local{}
 	for _, h := range []topo.HostID{"X", "Y"} {
 		if _, err := rt.AddHost(h); err != nil {
@@ -79,7 +79,7 @@ func pipelineService(t *testing.T) (*svc.Service, svc.Binding) {
 }
 
 func TestEstablishAndRelease(t *testing.T) {
-	rt, _, brokers := twoHostWorld(t)
+	rt, _, brokers := twoHostWorld(t, Options{})
 	service, binding := pipelineService(t)
 	s, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}})
 	if err != nil {
@@ -110,7 +110,7 @@ func TestEstablishAndRelease(t *testing.T) {
 }
 
 func TestEstablishDegradesUnderLoad(t *testing.T) {
-	rt, _, _ := twoHostWorld(t)
+	rt, _, _ := twoHostWorld(t, Options{})
 	service, binding := pipelineService(t)
 	var sessions []*Session
 	levels := map[string]int{}
@@ -133,7 +133,7 @@ func TestEstablishDegradesUnderLoad(t *testing.T) {
 }
 
 func TestEstablishInfeasible(t *testing.T) {
-	rt, _, brokers := twoHostWorld(t)
+	rt, _, brokers := twoHostWorld(t, Options{})
 	service, binding := pipelineService(t)
 	// Drain the net resource entirely.
 	if _, err := brokers["net:X->Y"].Reserve(0, 100); err != nil {
@@ -150,7 +150,7 @@ func TestEstablishInfeasible(t *testing.T) {
 }
 
 func TestEstablishConcurrentNoOverbooking(t *testing.T) {
-	rt, _, brokers := twoHostWorld(t)
+	rt, _, brokers := twoHostWorld(t, Options{})
 	service, binding := pipelineService(t)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -191,7 +191,7 @@ func TestEstablishConcurrentNoOverbooking(t *testing.T) {
 }
 
 func TestEstablishValidation(t *testing.T) {
-	rt, _, _ := twoHostWorld(t)
+	rt, _, _ := twoHostWorld(t, Options{})
 	service, binding := pipelineService(t)
 	if _, err := rt.Establish("nowhere", SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}}); err == nil {
 		t.Fatal("unknown main host accepted")
@@ -213,7 +213,7 @@ func TestEstablishValidation(t *testing.T) {
 }
 
 func TestRuntimeDeployValidation(t *testing.T) {
-	rt := NewRuntime(&ManualClock{})
+	rt := NewRuntime(&ManualClock{}, Options{})
 	if _, err := rt.AddHost("X"); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestRuntimeDeployValidation(t *testing.T) {
 }
 
 func TestEstablishBeforeStartFails(t *testing.T) {
-	rt := NewRuntime(&ManualClock{})
+	rt := NewRuntime(&ManualClock{}, Options{})
 	if _, err := rt.AddHost("X"); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestManualClock(t *testing.T) {
 }
 
 func TestProxyResourcesListing(t *testing.T) {
-	rt, _, _ := twoHostWorld(t)
+	rt, _, _ := twoHostWorld(t, Options{})
 	rt.mu.Lock()
 	p := rt.proxies["Y"]
 	rt.mu.Unlock()
@@ -287,7 +287,7 @@ func TestProxyResourcesListing(t *testing.T) {
 
 func TestStopIsIdempotentAndRestartable(t *testing.T) {
 	clock := &ManualClock{}
-	rt := NewRuntime(clock)
+	rt := NewRuntime(clock, Options{})
 	if _, err := rt.AddHost("X"); err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,11 @@ package proxy
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,12 +19,17 @@ import (
 	"qosres/internal/wal"
 )
 
-// durableWorld is twoHostWorld plus a write-ahead log in dir and a lease
-// TTL; the runtime is NOT started so tests can Recover first.
-func durableWorld(t *testing.T, dir string, ttl broker.Time) (*Runtime, *ManualClock, map[string]*broker.Local) {
+// durableWorld is twoHostWorld plus a write-ahead log in dir; the
+// runtime is NOT started so tests can Recover first.
+func durableWorld(t *testing.T, dir string, opts Options) (*Runtime, *ManualClock, map[string]*broker.Local) {
 	t.Helper()
 	clock := &ManualClock{}
-	rt := NewRuntime(clock)
+	log, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.WAL = log
+	rt := NewRuntime(clock, opts)
 	brokers := map[string]*broker.Local{}
 	for _, h := range []topo.HostID{"X", "Y"} {
 		if _, err := rt.AddHost(h); err != nil {
@@ -41,12 +48,6 @@ func durableWorld(t *testing.T, dir string, ttl broker.Time) (*Runtime, *ManualC
 			t.Fatal(err)
 		}
 		brokers[r.resource] = b
-	}
-	if err := rt.EnableWAL(wal.Options{Dir: dir}); err != nil {
-		t.Fatal(err)
-	}
-	if ttl > 0 {
-		rt.SetLeaseTTL(ttl)
 	}
 	t.Cleanup(func() {
 		rt.Stop()
@@ -82,7 +83,7 @@ func bookState(brokers map[string]*broker.Local) map[string][]float64 {
 // book state identical to the pre-crash books; surviving sessions keep
 // heartbeating and release cleanly, leaking and resurrecting nothing.
 func TestCrashRestartConvergesToPreCrashBooks(t *testing.T) {
-	rt, clock, brokers := durableWorld(t, t.TempDir(), 50)
+	rt, clock, brokers := durableWorld(t, t.TempDir(), Options{LeaseTTL: 50})
 	rt.Start()
 	s1 := establishDurable(t, rt)
 	s2 := establishDurable(t, rt)
@@ -131,7 +132,7 @@ func TestRecoverColdStart(t *testing.T) {
 
 	// First process: two sessions; s1 heartbeats (lease to t=15), s2
 	// does not (lease dies at t=10); crash at t=6.
-	rt1, c1, _ := durableWorld(t, dir, 10)
+	rt1, c1, _ := durableWorld(t, dir, Options{LeaseTTL: 10})
 	rt1.Start()
 	s1 := establishDurable(t, rt1)
 	s2 := establishDurable(t, rt1)
@@ -155,10 +156,9 @@ func TestRecoverColdStart(t *testing.T) {
 	}
 
 	// Second process, t=12: s2's lease lapsed during downtime.
-	rt2, c2, brokers2 := durableWorld(t, dir, 10)
-	c2.Set(12)
 	reg := obs.New()
-	rt2.InstrumentWAL(obs.NewWALMetrics(reg))
+	rt2, c2, brokers2 := durableWorld(t, dir, Options{LeaseTTL: 10, WALMetrics: obs.NewWALMetrics(reg)})
+	c2.Set(12)
 	if err := rt2.Recover(c2.Now()); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestRecoverColdStart(t *testing.T) {
 // replaced.
 func TestRecoverAfterCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	rt1, _, brokers1 := durableWorld(t, dir, 50)
+	rt1, _, brokers1 := durableWorld(t, dir, Options{LeaseTTL: 50})
 	rt1.Start()
 	s1 := establishDurable(t, rt1)
 	s2 := establishDurable(t, rt1)
@@ -219,7 +219,7 @@ func TestRecoverAfterCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rt2, _, brokers2 := durableWorld(t, dir, 50)
+	rt2, _, brokers2 := durableWorld(t, dir, Options{LeaseTTL: 50})
 	if err := rt2.Recover(0); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func commitOn(t *testing.T, rt *Runtime, id string, expiry broker.Time) error {
 // after recovery still answer idempotently, and gcPending never evicts
 // an entry WAL replay re-created while it is unresolved.
 func TestCrashBetweenPrepareAndCommit(t *testing.T) {
-	rt, clock, brokers := durableWorld(t, t.TempDir(), 50)
+	rt, clock, brokers := durableWorld(t, t.TempDir(), Options{LeaseTTL: 50})
 	rt.Start()
 	expiry := clock.Now() + 50
 
@@ -332,7 +332,7 @@ func TestCrashBetweenPrepareAndCommit(t *testing.T) {
 // lands on the OLD level by presumed abort; a decided upgrade and a
 // journaled downgrade shrink both replay to exactly the NEW level.
 func TestRenegotiateCrashRecovery(t *testing.T) {
-	rt, clock, brokers := durableWorld(t, t.TempDir(), 50)
+	rt, clock, brokers := durableWorld(t, t.TempDir(), Options{LeaseTTL: 50})
 	rt.Start()
 	service, binding := pipelineService(t)
 	s, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.AtLevel{Level: "ok"}})
@@ -415,17 +415,139 @@ func TestRenegotiateCrashRecovery(t *testing.T) {
 
 // TestWALDisabledPaths pins the guard rails of the durability surface.
 func TestWALDisabledPaths(t *testing.T) {
-	rt, _, _ := twoHostWorld(t)
+	rt, _, _ := twoHostWorld(t, Options{})
 	if err := rt.Recover(0); err == nil {
 		t.Error("Recover without WAL succeeded")
 	}
 	if err := rt.CrashRestart("X"); err == nil {
 		t.Error("CrashRestart without WAL succeeded")
 	}
-	if err := rt.EnableWAL(wal.Options{Dir: t.TempDir()}); err == nil {
-		t.Error("EnableWAL after Start succeeded")
-	}
 	if err := rt.CloseWAL(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestUndurableDecisionIsNotAcknowledged is the regression test for
+// swallowed append errors: with the log failing (closed under a started
+// runtime, as a full disk would), no admission may be acknowledged — a
+// prepare that cannot be journaled is refused and released, a commit
+// decision that cannot be journaled aborts everywhere — and nothing may
+// be counted as appended.
+func TestUndurableDecisionIsNotAcknowledged(t *testing.T) {
+	for name, batch := range map[string]BatchPolicy{"serialized": {}, "batched": {MaxBatch: 4}} {
+		t.Run(name, func(t *testing.T) {
+			reg := obs.New()
+			rt, _, brokers := durableWorld(t, t.TempDir(), Options{
+				LeaseTTL: 50, Batch: batch, WALMetrics: obs.NewWALMetrics(reg),
+			})
+			rt.Start()
+			establishDurable(t, rt)
+			before := bookState(brokers)
+			appends := reg.Counter(obs.MetricWALAppends, "").Value()
+			if appends == 0 {
+				t.Fatal("the healthy admission journaled nothing")
+			}
+
+			if err := rt.wal.Close(); err != nil {
+				t.Fatal(err)
+			}
+			service, binding := pipelineService(t)
+			s, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}})
+			if err == nil {
+				t.Fatalf("establish acknowledged session %v with the log closed", s.Plan.PathLevels)
+			}
+			if errors.Is(err, broker.ErrInsufficient) {
+				t.Errorf("err = %v: a journal failure must be terminal, not a retryable refusal", err)
+			}
+			if got := bookState(brokers); !reflect.DeepEqual(got, before) {
+				t.Errorf("books moved under the failed admission:\n got %v\nwant %v", got, before)
+			}
+			if got := reg.Counter(obs.MetricWALAppends, "").Value(); got != appends {
+				t.Errorf("%s moved from %v to %v with the log closed", obs.MetricWALAppends, appends, got)
+			}
+			if live := rt.LiveSessions(); live != 1 {
+				t.Errorf("%d live sessions, want the one admitted before the log failed", live)
+			}
+
+			// The coordinator half on its own: a decision that could not be
+			// journaled is forgotten, so a recovering participant asking
+			// for its outcome is told to abort.
+			if err := rt.recordDecide("X", "X#undurable", 0); err == nil {
+				t.Error("recordDecide succeeded on a closed log")
+			}
+			if rt.lookupOutcome("X#undurable").commit {
+				t.Error("an undurable decision stayed in the decide table")
+			}
+		})
+	}
+}
+
+// TestFailedDecideAbortsEverywhere drives the coordinator's half end to
+// end: both participants prepare and journal successfully, then the log
+// fails before the commit decision can be journaled. The admission must
+// fail, the prepared holds must be aborted on both hosts, and no decide
+// record may exist for recovery to find.
+func TestFailedDecideAbortsEverywhere(t *testing.T) {
+	for name, batch := range map[string]BatchPolicy{"serialized": {}, "batched": {MaxBatch: 4}} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			rt, _, brokers := durableWorld(t, dir, Options{LeaseTTL: 50, Batch: batch})
+			rt.Start()
+			before := bookState(brokers)
+
+			// Intercept prepares on the delivering goroutine: handle each
+			// as the serve loop would, and close the log once both hosts
+			// have journaled theirs — before either reply reaches the
+			// coordinator.
+			var prepared atomic.Int32
+			intercept := func(p *QoSProxy, prepare func(transport.Delivery) (interface{}, error)) func(transport.Delivery) bool {
+				return func(d transport.Delivery) bool {
+					rep, err := prepare(d)
+					if err != nil {
+						t.Errorf("prepare on %s: %v", p.host, err)
+					}
+					if prepared.Add(1) == 2 {
+						if err := rt.wal.Close(); err != nil {
+							t.Error(err)
+						}
+					}
+					d.Reply(rep)
+					return true
+				}
+			}
+			for _, h := range []topo.HostID{"X", "Y"} {
+				p := rt.proxies[h]
+				p.ep.SetHandler(msgPrepare, intercept(p, func(d transport.Delivery) (interface{}, error) {
+					rep := p.handlePrepare(d.Payload.(prepareRequest))
+					return rep, rep.err
+				}))
+				p.ep.SetHandler(msgBatchPrepare, intercept(p, func(d transport.Delivery) (interface{}, error) {
+					rep := p.handleBatchPrepare(d.Payload.(batchPrepareRequest))
+					return rep, rep.results[0].err
+				}))
+			}
+
+			service, binding := pipelineService(t)
+			if _, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}}); err == nil {
+				t.Fatal("establish acknowledged a session whose commit decision was never journaled")
+			} else if errors.Is(err, broker.ErrInsufficient) {
+				t.Errorf("err = %v: a journal failure must be terminal, not a retryable refusal", err)
+			}
+			if n := prepared.Load(); n != 2 {
+				t.Fatalf("%d prepares handled, want one per host and no retry", n)
+			}
+			if got := bookState(brokers); !reflect.DeepEqual(got, before) {
+				t.Errorf("prepared holds survived the failed decision:\n got %v\nwant %v", got, before)
+			}
+			records, torn, err := wal.Replay(dir)
+			if err != nil || torn {
+				t.Fatalf("replay: torn=%v err=%v", torn, err)
+			}
+			for _, rec := range records {
+				if rec.Type == wal.TypeDecide {
+					t.Errorf("decide record %s is in the log", rec.ID)
+				}
+			}
+		})
 	}
 }

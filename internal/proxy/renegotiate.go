@@ -162,7 +162,7 @@ func (s *Session) renegotiateLocked(ctx context.Context, level string) error {
 	}
 	upgrade := rank > s.plan.Rank
 
-	root := rt.traceRecorder().Root("renegotiate", string(s.mainHost))
+	root := rt.tracer.Root("renegotiate", string(s.mainHost))
 	ctx = obs.ContextWithSpan(ctx, root)
 
 	// Phases 1-2: plan the target level against a fresh snapshot,
@@ -226,22 +226,19 @@ func (s *Session) renegotiateLocked(ctx context.Context, level string) error {
 		root.EndStatus("error")
 		return err
 	}
-	m := rt.adaptMetrics()
 	if upgrade {
-		m.Upgrades.Inc()
+		rt.adapt.Upgrades.Inc()
 	} else {
-		m.Downgrades.Inc()
+		rt.adapt.Downgrades.Inc()
 	}
 	root.End()
 	return nil
 }
 
 // planOnly runs admission phases 1 and 2 — availability snapshot,
-// template instantiation, planning, memoization — without committing
-// anything: the planning half of Renegotiate. A non-empty credit is
-// added to the snapshot's availability before planning (the caller's
-// own live holds); credited plans are session-specific, so they bypass
-// the shared plan memo in both directions.
+// template instantiation, planning — without committing anything: the
+// planning half of Renegotiate. The credit (the caller's own live
+// holds) is added to the snapshot's availability before planning.
 func (rt *Runtime) planOnly(ctx context.Context, mainHost topo.HostID, spec SessionSpec, credit qos.ResourceVector) (*core.Plan, error) {
 	resources, err := sessionResourceSet(spec)
 	if err != nil {
@@ -255,12 +252,6 @@ func (rt *Runtime) planOnly(ctx context.Context, mainHost topo.HostID, spec Sess
 		snap.Avail[r] += amt
 	}
 	tpl := rt.templateFor(spec)
-	memo := rt.planMemo()
-	if len(credit) == 0 {
-		if plan, ok := memo.Get(tpl, spec.Planner, snap); ok {
-			return plan, nil
-		}
-	}
 	var g *qrg.Graph
 	if tpl != nil {
 		g, err = tpl.Instantiate(snap)
@@ -276,9 +267,6 @@ func (rt *Runtime) planOnly(ctx context.Context, mainHost topo.HostID, spec Sess
 	}
 	if err != nil {
 		return nil, err
-	}
-	if len(credit) == 0 && len(snap.Epoch) == len(resources) {
-		memo.Put(tpl, spec.Planner, snap, plan)
 	}
 	return plan, nil
 }
@@ -340,7 +328,7 @@ func (rt *Runtime) SessionList() []*Session {
 // per violation.
 func (rt *Runtime) AuditSessions(tol float64) []string {
 	var bad []string
-	ttl := rt.leaseTTLNow()
+	ttl := rt.leaseTTL
 	now := rt.clock.Now()
 	for _, s := range rt.SessionList() {
 		s.mu.Lock()

@@ -47,7 +47,7 @@ func auditClean(t *testing.T, rt *Runtime, when string) {
 // recorded level exactly. QoS-seconds accrue at the rank each segment
 // actually ran at.
 func TestRenegotiateDowngradeAndUpgrade(t *testing.T) {
-	rt, clock, brokers := twoHostWorld(t)
+	rt, clock, brokers := twoHostWorld(t, Options{})
 	s := establishPipe(t, rt, core.Basic{})
 	if s.CurrentPlan().EndToEnd.Name != "best" {
 		t.Fatalf("established at %s, want best", s.CurrentPlan().EndToEnd.Name)
@@ -121,7 +121,7 @@ func TestRenegotiateDowngradeAndUpgrade(t *testing.T) {
 // same state, heartbeats keep working — and the upgrade succeeds later
 // once capacity returns.
 func TestRenegotiateFailedUpgradeLeavesSessionUntouched(t *testing.T) {
-	rt, clock, brokers := twoHostWorld(t)
+	rt, clock, brokers := twoHostWorld(t, Options{})
 	s := establishPipe(t, rt, core.AtLevel{Level: "ok"})
 	if s.CurrentPlan().EndToEnd.Name != "ok" {
 		t.Fatalf("established at %s, want ok", s.CurrentPlan().EndToEnd.Name)
@@ -185,8 +185,8 @@ func TestRenegotiateFailedUpgradeLeavesSessionUntouched(t *testing.T) {
 // TestRenegotiateRefusesForeignSessions pins the ownership and liveness
 // guards.
 func TestRenegotiateRefusesForeignSessions(t *testing.T) {
-	rt, _, _ := twoHostWorld(t)
-	other, _, _ := twoHostWorld(t)
+	rt, _, _ := twoHostWorld(t, Options{})
+	other, _, _ := twoHostWorld(t, Options{})
 	s := establishPipe(t, rt, core.Basic{})
 	if err := other.Renegotiate(context.Background(), s, "ok"); err == nil {
 		t.Error("foreign runtime renegotiated another runtime's session")

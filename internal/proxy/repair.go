@@ -124,11 +124,11 @@ func (rt *Runtime) RepairAffectedContext(ctx context.Context, failed []string) R
 	// Trace root: one trace per sweep; each affected session's repair
 	// hangs a child span under it (whose re-admission stages nest in
 	// turn). Every exit path terminates the root.
-	root := rt.traceRecorder().Root("repair", strings.Join(failed, ","))
+	root := rt.tracer.Root("repair", strings.Join(failed, ","))
 	ctx = obs.ContextWithSpan(ctx, root)
 
 	var rep RepairReport
-	m := rt.faultMetrics()
+	m := rt.faults
 	for i, s := range sessions {
 		if ctx.Err() != nil {
 			n := len(sessions) - i

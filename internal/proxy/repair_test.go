@@ -21,7 +21,7 @@ func establishPipe(t *testing.T, rt *Runtime, planner core.Planner) *Session {
 }
 
 func TestRepairAtSameLevel(t *testing.T) {
-	rt, clock, brokers := twoHostWorld(t)
+	rt, clock, brokers := twoHostWorld(t, Options{})
 	s := establishPipe(t, rt, core.Basic{})
 	if s.Plan.EndToEnd.Name != "best" {
 		t.Fatalf("initial level = %s", s.Plan.EndToEnd.Name)
@@ -60,7 +60,7 @@ func TestRepairAtSameLevel(t *testing.T) {
 }
 
 func TestRepairDegradesWhenTargetInfeasible(t *testing.T) {
-	rt, clock, brokers := twoHostWorld(t)
+	rt, clock, brokers := twoHostWorld(t, Options{})
 	s := establishPipe(t, rt, core.Basic{})
 
 	// cpu@Y down to 15: "best" needs 20 (via in-hi) or 35 (via in-lo),
@@ -84,7 +84,7 @@ func TestRepairDegradesWhenTargetInfeasible(t *testing.T) {
 }
 
 func TestRepairTerminatesWhenNothingFeasible(t *testing.T) {
-	rt, clock, brokers := twoHostWorld(t)
+	rt, clock, brokers := twoHostWorld(t, Options{})
 	s := establishPipe(t, rt, core.Basic{})
 
 	// Every level of the service needs the network; with it down even
@@ -114,7 +114,7 @@ func TestRepairTerminatesWhenNothingFeasible(t *testing.T) {
 }
 
 func TestRepairIgnoresUntouchedSessions(t *testing.T) {
-	rt, _, _ := twoHostWorld(t)
+	rt, _, _ := twoHostWorld(t, Options{})
 	s := establishPipe(t, rt, core.Basic{})
 	rep := rt.RepairAffected([]string{"link:L99"})
 	if rep.Affected != 0 {
@@ -141,7 +141,7 @@ func TestReleaseRacingRepair(t *testing.T) {
 	if raceEnabled {
 		rounds = 200
 	}
-	rt, clock, brokers := twoHostWorld(t)
+	rt, clock, brokers := twoHostWorld(t, Options{})
 	for round := 0; round < rounds; round++ {
 		s := establishPipe(t, rt, core.Basic{})
 		if err := brokers["cpu@Y"].SetCapacity(clock.Now(), 60); err != nil {
@@ -188,8 +188,7 @@ func TestReleaseRacingRepair(t *testing.T) {
 }
 
 func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
-	rt, clock, brokers := twoHostWorld(t)
-	rt.SetLeaseTTL(5)
+	rt, clock, brokers := twoHostWorld(t, Options{LeaseTTL: 5})
 	s := establishPipe(t, rt, core.Basic{})
 
 	sweep := func() int {
@@ -235,8 +234,7 @@ func TestHeartbeatRacingDowngradeRenewsCurrentHolds(t *testing.T) {
 	if raceEnabled {
 		rounds = 100
 	}
-	rt, clock, brokers := twoHostWorld(t)
-	rt.SetLeaseTTL(5)
+	rt, clock, brokers := twoHostWorld(t, Options{LeaseTTL: 5})
 	ctx := context.Background()
 	for round := 0; round < rounds; round++ {
 		s := establishPipe(t, rt, core.Basic{})
@@ -300,8 +298,7 @@ func TestHeartbeatRacingDowngradeRenewsCurrentHolds(t *testing.T) {
 }
 
 func TestLeaseExpiryTerminatesSilentSession(t *testing.T) {
-	rt, clock, brokers := twoHostWorld(t)
-	rt.SetLeaseTTL(5)
+	rt, clock, brokers := twoHostWorld(t, Options{LeaseTTL: 5})
 	s := establishPipe(t, rt, core.Basic{})
 
 	// The session goes silent: no heartbeat past the TTL. The sweep
@@ -332,7 +329,7 @@ func TestLeaseExpiryTerminatesSilentSession(t *testing.T) {
 }
 
 func TestHeartbeatWithoutLeasingIsNoop(t *testing.T) {
-	rt, _, _ := twoHostWorld(t)
+	rt, _, _ := twoHostWorld(t, Options{})
 	s := establishPipe(t, rt, core.Basic{})
 	if err := s.Heartbeat(); err != nil {
 		t.Fatal(err)

@@ -41,8 +41,8 @@ type AdmitPolicy struct {
 	// Jitter, when set, draws each sleep uniformly from [0, d] (full
 	// jitter) where d is the capped exponential above, so a mass refusal
 	// does not re-synchronize every refused client into a retry storm.
-	// The draw comes from a source seeded with JitterSeed (see
-	// Runtime.SetAdmitPolicy), so tests replay deterministically.
+	// The draw comes from a source seeded with JitterSeed, so tests
+	// replay deterministically.
 	Jitter bool
 	// JitterSeed seeds the jitter source; two runtimes with different
 	// seeds de-correlate their retry schedules.
@@ -193,10 +193,10 @@ func (rt *Runtime) Establish(mainHost topo.HostID, spec SessionSpec) (*Session, 
 // concurrent admission, Establish then replans against a fresh snapshot,
 // bounded by the runtime's AdmitPolicy and the context.
 //
-// When the runtime bounds in-flight admissions (SetMaxInFlight), calls
-// beyond the bound fail immediately with transport.ErrOverloaded.
+// When the runtime bounds in-flight admissions (Options.MaxInFlight),
+// calls beyond the bound fail immediately with transport.ErrOverloaded.
 //
-// When the runtime has a lease TTL configured (SetLeaseTTL), the new
+// When the runtime has a lease TTL configured (Options.LeaseTTL), the new
 // session's holds are leased: they expire and are reclaimed unless the
 // session heartbeats (Heartbeat) before the TTL elapses.
 func (rt *Runtime) EstablishContext(ctx context.Context, mainHost topo.HostID, spec SessionSpec) (*Session, error) {
@@ -214,20 +214,18 @@ func (rt *Runtime) EstablishContext(ctx context.Context, mainHost topo.HostID, s
 	// Trace root: one trace per admission attempt sequence. Every exit
 	// path below terminates it, so shed or refused sessions never leave
 	// an orphan root behind.
-	root := rt.traceRecorder().Root(obs.StageEstablish, string(mainHost))
+	root := rt.tracer.Root(obs.StageEstablish, string(mainHost))
 	ctx = obs.ContextWithSpan(ctx, root)
 
 	// Overload protection: shed rather than queue when the runtime is
 	// saturated with in-flight admissions.
-	gate := rt.admitGate()
-	if err := gate.TryAcquire(); err != nil {
-		_, admit, _ := rt.admitState()
-		admit.Shed.Inc()
+	if err := rt.gate.TryAcquire(); err != nil {
+		rt.admit.Shed.Inc()
 		root.Event(obs.EventShed, string(mainHost))
 		root.EndStatus("shed")
 		return nil, fmt.Errorf("proxy: establish on %s: %w", mainHost, err)
 	}
-	defer gate.Release()
+	defer rt.gate.Release()
 
 	plan, res, err := rt.admitOnce(ctx, mainHost, spec)
 	if err != nil {
@@ -318,10 +316,8 @@ func (rt *Runtime) admitOnce(ctx context.Context, mainHost topo.HostID, spec Ses
 	if err != nil {
 		return nil, nil, err
 	}
-	stages := rt.planStages()
-	policy, admit, jitter := rt.admitState()
+	stages, admit, policy := rt.stages, rt.admit, rt.policy
 	tpl := rt.templateFor(spec)
-	memo := rt.planMemo()
 	root := obs.SpanFromContext(ctx)
 	host := string(mainHost)
 
@@ -344,46 +340,32 @@ func (rt *Runtime) admitOnce(ctx context.Context, mainHost topo.HostID, spec Ses
 			return nil, nil, err
 		}
 
-		// Phase 2: local computation at the main proxy. The plan memo
-		// short-circuits it entirely when this (template, planner) pair
-		// already planned against an identical epoch vector — the books
-		// are provably unchanged, so the memoized plan is the plan the
-		// stages below would recompute. Otherwise the compiled template
-		// (shared by every attempt and every session of this (service,
-		// binding) pair) yields the same graph as qrg.Build.
-		plan, memoized := memo.Get(tpl, spec.Planner, snap)
-		if memoized {
-			root.Event(obs.EventPlanMemoHit, host)
+		// Phase 2: local computation at the main proxy. The compiled
+		// template (shared by every attempt and every session of this
+		// (service, binding) pair) yields the same graph as qrg.Build.
+		st = startStageSpan(stages.Build, root, obs.StageBuild, host)
+		var g *qrg.Graph
+		if tpl != nil {
+			g, err = tpl.Instantiate(snap)
 		} else {
-			st = startStageSpan(stages.Build, root, obs.StageBuild, host)
-			var g *qrg.Graph
-			if tpl != nil {
-				g, err = tpl.Instantiate(snap)
-			} else {
-				g, err = qrg.Build(spec.Service, spec.Binding, snap)
-			}
-			st.end(err, "error")
-			if err != nil {
-				return nil, nil, err
-			}
-			st = startStageSpan(stages.Plan, root, obs.StagePlan, host)
-			plan, err = spec.Planner.Plan(g)
-			st.end(err, "infeasible")
-			if tpl != nil {
-				// Plans own their data; recycle the graph buffers for the
-				// next instantiation.
-				tpl.Recycle(g)
-			}
-			if err != nil {
-				// Planning failure against a fresh snapshot is not staleness;
-				// retrying cannot help.
-				return nil, nil, err
-			}
-			if len(snap.Epoch) == len(resources) {
-				// Only a fully epoch-stamped snapshot (no degraded
-				// resources) proves enough to memoize against.
-				memo.Put(tpl, spec.Planner, snap, plan)
-			}
+			g, err = qrg.Build(spec.Service, spec.Binding, snap)
+		}
+		st.end(err, "error")
+		if err != nil {
+			return nil, nil, err
+		}
+		st = startStageSpan(stages.Plan, root, obs.StagePlan, host)
+		plan, err := spec.Planner.Plan(g)
+		st.end(err, "infeasible")
+		if tpl != nil {
+			// Plans own their data; recycle the graph buffers for the
+			// next instantiation.
+			tpl.Recycle(g)
+		}
+		if err != nil {
+			// Planning failure against a fresh snapshot is not staleness;
+			// retrying cannot help.
+			return nil, nil, err
 		}
 
 		// Phase 3: two-phase validate-at-commit across the plan's owning
@@ -424,7 +406,7 @@ func (rt *Runtime) admitOnce(ctx context.Context, mainHost topo.HostID, spec Ses
 		if policy.Backoff > 0 {
 			root.Event(obs.EventBackoff, "")
 		}
-		policy.wait(ctx, attempt+1, jitter)
+		policy.wait(ctx, attempt+1, rt.jitter)
 	}
 }
 
@@ -473,7 +455,7 @@ func (rt *Runtime) collectAvailability(ctx context.Context, mainHost topo.HostID
 		}
 		groups[host] = append(groups[host], r)
 	}
-	fabric := rt.Transport()
+	fabric := rt.fabric
 	from := transport.Addr(mainHost)
 	type result struct {
 		host    topo.HostID
@@ -502,7 +484,6 @@ func (rt *Runtime) collectAvailability(ctx context.Context, mainHost topo.HostID
 		At:    rt.clock.Now(),
 		Avail: make(qos.ResourceVector, len(resources)),
 		Alpha: make(map[string]float64, len(resources)),
-		Epoch: make(map[string]uint64, len(resources)),
 	}
 	span := obs.SpanFromContext(ctx)
 	var firstErr error
@@ -540,10 +521,6 @@ func (rt *Runtime) collectAvailability(ctx context.Context, mainHost topo.HostID
 		for _, rep := range res.reports {
 			snap.Avail[rep.Resource] = rep.Avail
 			snap.Alpha[rep.Resource] = rep.Alpha
-			// Degraded (cache-aged) resources deliberately get no epoch:
-			// only fresh reports make the staleness claim the plan memo
-			// validates against.
-			snap.Epoch[rep.Resource] = rep.Epoch
 		}
 	}
 	if firstErr != nil {
@@ -643,7 +620,7 @@ func (s *Session) Heartbeat() error {
 	if s.state != StateActive {
 		return ErrSessionLost
 	}
-	ttl := s.runtime.leaseTTLNow()
+	ttl := s.runtime.leaseTTL
 	if ttl <= 0 || s.reservation == nil {
 		return nil
 	}
@@ -664,9 +641,8 @@ func (s *Session) Heartbeat() error {
 // armLease leases a freshly admitted reservation when the runtime has a
 // TTL configured; without one the holds stay permanent.
 func (rt *Runtime) armLease(res reservation) error {
-	ttl := rt.leaseTTLNow()
-	if ttl <= 0 {
+	if rt.leaseTTL <= 0 {
 		return nil
 	}
-	return res.SetLease(rt.clock.Now() + ttl)
+	return res.SetLease(rt.clock.Now() + rt.leaseTTL)
 }

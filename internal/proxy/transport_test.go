@@ -16,35 +16,10 @@ import (
 )
 
 // unreliableWorld is twoHostWorld rebased on a caller-configured fabric.
-func unreliableWorld(t *testing.T, opts transport.Options) (*Runtime, *ManualClock, map[string]*broker.Local) {
+func unreliableWorld(t *testing.T, fabric transport.Options, opts Options) (*Runtime, *ManualClock, map[string]*broker.Local) {
 	t.Helper()
-	clock := &ManualClock{}
-	rt := NewRuntime(clock)
-	if err := rt.SetTransport(transport.New(opts)); err != nil {
-		t.Fatal(err)
-	}
-	brokers := map[string]*broker.Local{}
-	for _, h := range []topo.HostID{"X", "Y"} {
-		if _, err := rt.AddHost(h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mk := func(resource string, cap float64, host topo.HostID) {
-		b, err := broker.NewLocal(resource, cap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.Deploy(host, b); err != nil {
-			t.Fatal(err)
-		}
-		brokers[resource] = b
-	}
-	mk("cpu@X", 100, "X")
-	mk("cpu@Y", 100, "Y")
-	mk("net:X->Y", 100, "Y")
-	rt.Start()
-	t.Cleanup(rt.Stop)
-	return rt, clock, brokers
+	opts.Transport = transport.New(fabric)
+	return twoHostWorld(t, opts)
 }
 
 // stallProxy wedges the named proxy's serve goroutine: it pulls a stall
@@ -81,7 +56,7 @@ func stallProxy(t *testing.T, rt *Runtime, host topo.HostID) chan struct{} {
 // answers them (its serve goroutine is wedged) must not hang Establish
 // past its deadline — the call degrades or aborts and returns.
 func TestEstablishReturnsByDeadlineWhenProxyStalls(t *testing.T) {
-	rt, _, _ := unreliableWorld(t, transport.Options{})
+	rt, _, _ := unreliableWorld(t, transport.Options{}, Options{})
 	service, binding := pipelineService(t)
 
 	release := stallProxy(t, rt, "Y")
@@ -120,7 +95,7 @@ func TestEstablishReturnsByDeadlineWhenProxyStalls(t *testing.T) {
 // does not exclude it — planning proceeds from the aged cache, and the
 // commit's re-validation keeps correctness.
 func TestEstablishDegradesToCachedReportsUnderPartition(t *testing.T) {
-	rt, _, _ := unreliableWorld(t, transport.Options{})
+	rt, _, _ := unreliableWorld(t, transport.Options{}, Options{})
 	service, binding := pipelineService(t)
 
 	// Prime the report cache with one successful admission.
@@ -164,9 +139,8 @@ func TestEstablishDegradesToCachedReportsUnderPartition(t *testing.T) {
 // untouched, counted under qosres_repair_deadline_abandoned_total)
 // instead of repaired.
 func TestRepairAbandonsAtDeadline(t *testing.T) {
-	rt, _, brokers := twoHostWorld(t)
 	reg := obs.New()
-	rt.InstrumentFaults(obs.NewFaultMetrics(reg))
+	rt, _, brokers := twoHostWorld(t, Options{Faults: obs.NewFaultMetrics(reg)})
 	service, binding := pipelineService(t)
 	s, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}})
 	if err != nil {
@@ -226,7 +200,7 @@ func TestDuplicatedMessagesCommitExactlyOnce(t *testing.T) {
 	// availability requests record extra α samples at the brokers, which
 	// only the tradeoff policy would observe.
 	scenario := func(t *testing.T, opts transport.Options) (string, string) {
-		rt, _, brokers := unreliableWorld(t, opts)
+		rt, _, brokers := unreliableWorld(t, opts, Options{})
 		service, binding := pipelineService(t)
 		var sessions []*Session
 		for i := 0; i < 3; i++ {
@@ -306,10 +280,11 @@ func TestJitteredBackoffDivergesBySeedAndHoldsCap(t *testing.T) {
 // the in-flight bound at 1, a second concurrent Establish is shed with
 // transport.ErrOverloaded (and counted), not queued.
 func TestMaxInFlightShedsConcurrentAdmissions(t *testing.T) {
-	rt, _, _ := unreliableWorld(t, transport.Options{})
 	reg := obs.New()
-	rt.InstrumentAdmission(obs.NewAdmitMetrics(reg))
-	rt.SetMaxInFlight(1)
+	rt, _, _ := unreliableWorld(t, transport.Options{}, Options{
+		Admission:   obs.NewAdmitMetrics(reg),
+		MaxInFlight: 1,
+	})
 	service, binding := pipelineService(t)
 
 	// Wedge Y so the first admission parks inside the protocol holding
@@ -323,7 +298,7 @@ func TestMaxInFlightShedsConcurrentAdmissions(t *testing.T) {
 		firstDone <- err
 	}()
 	// Wait for the first admission to occupy the gate.
-	for i := 0; rt.admitGate().InFlight() == 0; i++ {
+	for i := 0; rt.gate.InFlight() == 0; i++ {
 		if i > 1000 {
 			t.Fatal("first admission never took the gate slot")
 		}

@@ -166,27 +166,39 @@ func (p *QoSProxy) handlePrepare(req prepareRequest) prepareReply {
 		b, ok := p.brokers[r]
 		return b, ok
 	}
-	res, err := broker.ReserveAtomic(p.clock.Now(), resolve, req.req)
+	res, err := broker.ReserveAtomic(p.rt.clock.Now(), resolve, req.req)
 	st := &prepState{res: res, prepErr: err}
 	if err == nil && req.expiry > 0 {
 		if lerr := res.SetLease(req.expiry); lerr != nil {
 			// A broker of the share does not support leasing; refuse the
 			// prepare rather than hold unreclaimable capacity.
-			_ = res.Release(p.clock.Now())
+			_ = res.Release(p.rt.clock.Now())
 			st = &prepState{prepErr: lerr}
 		}
+	}
+	if st.prepErr == nil {
+		st = p.journalPrepare(req.id, req.expiry, st)
 	}
 	p.pending[req.id] = st
 	p.order = append(p.order, req.id)
 	p.gcPending()
-	if st.prepErr == nil {
-		// Journal the holds before the reply leaves the host: a crash
-		// after this point recovers the prepare; a crash before it loses
-		// the reply too, so the coordinator aborts either way.
-		p.logRecord(wal.Record{Type: wal.TypePrepare, ID: req.id,
-			Expiry: float64(req.expiry), Parts: partsFromReservation(st.res)})
-	}
 	return prepareReply{res: st.res, err: st.prepErr}
+}
+
+// journalPrepare journals a fresh prepare's holds before the reply
+// leaves the host: a crash after this point recovers the prepare; a
+// crash before it loses the reply too, so the coordinator aborts either
+// way. A prepare that cannot be journaled is refused and its holds
+// released — acknowledging it would let a commit build on holds that a
+// crash forgets.
+func (p *QoSProxy) journalPrepare(id string, expiry broker.Time, st *prepState) *prepState {
+	err := p.logRecord(wal.Record{Type: wal.TypePrepare, ID: id,
+		Expiry: float64(expiry), Parts: partsFromReservation(st.res)})
+	if err == nil {
+		return st
+	}
+	_ = st.res.Release(p.rt.clock.Now())
+	return &prepState{prepErr: fmt.Errorf("proxy %s: journal prepare %s: %w", p.host, id, err)}
 }
 
 // handleCommit runs on the participant's serve goroutine.
@@ -216,20 +228,24 @@ func (p *QoSProxy) handleCommit(req commitRequest) commitReply {
 		return commitReply{err: fmt.Errorf("proxy %s: commit %s: %w", p.host, req.id, err)}
 	}
 	st.committed = true
-	p.logRecord(wal.Record{Type: wal.TypeCommit, ID: req.id, Expiry: float64(req.expiry)})
+	// A lost commit record is recoverable: replay finds the prepare
+	// undecided and the coordinator's durable decide record resolves it.
+	_ = p.logRecord(wal.Record{Type: wal.TypeCommit, ID: req.id, Expiry: float64(req.expiry)})
 	return commitReply{}
 }
 
 // handleAbort runs on the participant's serve goroutine. Aborting is
 // idempotent and total: unknown IDs leave a tombstone (so a delayed
 // prepare cannot land after its abort), committed prepares roll back.
+// A lost abort record is harmless: recovery presumes abort for a
+// prepare without a decision.
 func (p *QoSProxy) handleAbort(req abortRequest) abortReply {
 	st, ok := p.pending[req.id]
 	if !ok {
 		p.pending[req.id] = &prepState{aborted: true}
 		p.order = append(p.order, req.id)
 		p.gcPending()
-		p.logRecord(wal.Record{Type: wal.TypeAbort, ID: req.id})
+		_ = p.logRecord(wal.Record{Type: wal.TypeAbort, ID: req.id})
 		return abortReply{}
 	}
 	if st.aborted {
@@ -239,10 +255,10 @@ func (p *QoSProxy) handleAbort(req abortRequest) abortReply {
 	st.committed = false
 	if st.res != nil {
 		// Release tolerates parts already reclaimed by a lease sweep.
-		_ = st.res.Release(p.clock.Now())
+		_ = st.res.Release(p.rt.clock.Now())
 		st.res = nil
 	}
-	p.logRecord(wal.Record{Type: wal.TypeAbort, ID: req.id})
+	_ = p.logRecord(wal.Record{Type: wal.TypeAbort, ID: req.id})
 	return abortReply{}
 }
 
@@ -314,11 +330,7 @@ func (rt *Runtime) splitByHost(req qos.ResourceVector) (map[topo.HostID]qos.Reso
 
 // reqID mints a unique two-phase-commit request ID.
 func (rt *Runtime) reqID(mainHost topo.HostID) string {
-	rt.mu.Lock()
-	rt.nextReq++
-	n := rt.nextReq
-	rt.mu.Unlock()
-	return fmt.Sprintf("%s#%d", mainHost, n)
+	return fmt.Sprintf("%s#%d", mainHost, rt.nextReq.Add(1))
 }
 
 // commitPlan is the coordinator: it runs the idempotent two-phase
@@ -336,12 +348,12 @@ func (rt *Runtime) commitPlan(ctx context.Context, mainHost topo.HostID, req qos
 	if len(shares) == 0 {
 		return &reservationSet{}, nil
 	}
-	fabric := rt.Transport()
+	fabric := rt.fabric
 	from := transport.Addr(mainHost)
 	id := rt.reqID(mainHost)
 	var expiry broker.Time
-	if ttl := rt.leaseTTLNow(); ttl > 0 {
-		expiry = rt.clock.Now() + ttl
+	if rt.leaseTTL > 0 {
+		expiry = rt.clock.Now() + rt.leaseTTL
 	}
 
 	type hostResult struct {
@@ -415,8 +427,12 @@ func (rt *Runtime) commitPlan(ctx context.Context, mainHost topo.HostID, req qos
 
 	// Commit point: journal the decision before any participant learns
 	// of it — recovery presumes abort for a prepare with no decide
-	// record, so the fan-out below must never outrun the log.
-	rt.recordDecide(mainHost, id, expiry)
+	// record, so the fan-out below must never outrun the log, and a
+	// decision that could not be made durable is no decision.
+	if err := rt.recordDecide(mainHost, id, expiry); err != nil {
+		abortAll()
+		return nil, err
+	}
 
 	// Commit fan-out: transfer ownership of every prepared share.
 	commits := make(chan error, len(shares))

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"qosres/internal/broker"
-	"qosres/internal/obs"
 	"qosres/internal/qos"
 	"qosres/internal/topo"
 	"qosres/internal/transport"
@@ -48,39 +47,13 @@ type outcomeReply struct {
 	expiry broker.Time
 }
 
-// EnableWAL makes the reservation books durable: participant
-// prepare/commit/abort records, coordinator commit decisions, lease
-// renewals, and releases are appended — fsynced, in commit order — to a
-// CRC-framed segmented log under opts.Dir. Must be called before Start.
-// Pair with Recover to rebuild state from a previous process's log.
-func (rt *Runtime) EnableWAL(opts wal.Options) error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.started {
-		return errors.New("proxy: EnableWAL after Start")
-	}
-	if rt.walLog != nil {
-		return errors.New("proxy: WAL already enabled")
-	}
-	l, err := wal.Open(opts)
-	if err != nil {
-		return err
-	}
-	rt.walLog = l
-	return nil
-}
-
 // CloseWAL flushes and closes the write-ahead log; call after Stop when
 // the process is done with the runtime. Safe when durability is off.
 func (rt *Runtime) CloseWAL() error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.walLog == nil {
+	if rt.wal == nil {
 		return nil
 	}
-	err := rt.walLog.Close()
-	rt.walLog = nil
-	return err
+	return rt.wal.Close()
 }
 
 // CheckpointWAL compacts the log: the live book state — every pending
@@ -90,17 +63,16 @@ func (rt *Runtime) CloseWAL() error {
 // the serve goroutines, so checkpointing requires a stopped (or
 // not-yet-started) runtime — e.g. right after Recover, before Start.
 func (rt *Runtime) CheckpointWAL() error {
+	if rt.wal == nil {
+		return errors.New("proxy: WAL not enabled")
+	}
 	rt.mu.Lock()
-	l := rt.walLog
 	started := rt.started
 	proxies := make([]*QoSProxy, 0, len(rt.proxies))
 	for _, p := range rt.proxies {
 		proxies = append(proxies, p)
 	}
 	rt.mu.Unlock()
-	if l == nil {
-		return errors.New("proxy: WAL not enabled")
-	}
 	if started {
 		return errors.New("proxy: CheckpointWAL requires a stopped runtime")
 	}
@@ -148,51 +120,44 @@ func (rt *Runtime) CheckpointWAL() error {
 			Outcome: "commit", Expiry: float64(exp)})
 	}
 	rt.decideMu.Unlock()
-	return l.Checkpoint(snap)
+	return rt.wal.Checkpoint(snap)
 }
 
-// WALDir returns the directory of the enabled write-ahead log, or "".
-func (rt *Runtime) WALDir() string {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.walLog == nil {
-		return ""
+// appendWAL journals one record and counts it. A no-op when durability
+// is off.
+func (rt *Runtime) appendWAL(rec wal.Record) error {
+	if rt.wal == nil {
+		return nil
 	}
-	return rt.walLog.Dir()
-}
-
-// InstrumentWAL attaches durability counters; nil detaches them.
-func (rt *Runtime) InstrumentWAL(m *obs.WALMetrics) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if m == nil {
-		m = &obs.WALMetrics{}
+	if err := rt.wal.Append(rec); err != nil {
+		return err
 	}
-	rt.walMetrics = m
-}
-
-// walState reads the log handle and counters consistently.
-func (rt *Runtime) walState() (*wal.Log, *obs.WALMetrics) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.walLog, rt.walMetrics
+	rt.walMetrics.Appends.Inc()
+	return nil
 }
 
 // recordDecide journals the coordinator's commit point for a request —
 // appended and fsynced BEFORE the commit fan-out — and remembers it in
-// the in-memory decide table that answers recovery outcome queries.
-func (rt *Runtime) recordDecide(main topo.HostID, id string, expiry broker.Time) {
-	l, m := rt.walState()
-	if l == nil {
-		return
+// the in-memory decide table that answers recovery outcome queries. A
+// failed append means the decision is not durable: the table forgets it
+// and the caller must abort, never commit — after a crash, recovery
+// would presume abort and free holds the client was told it owns.
+func (rt *Runtime) recordDecide(main topo.HostID, id string, expiry broker.Time) error {
+	if rt.wal == nil {
+		return nil
 	}
 	rt.decideMu.Lock()
 	rt.decided[id] = expiry
 	rt.decideMu.Unlock()
-	if err := l.Append(wal.Record{Type: wal.TypeDecide, Host: string(main), ID: id,
-		Outcome: "commit", Expiry: float64(expiry)}); err == nil {
-		m.Appends.Inc()
+	err := rt.appendWAL(wal.Record{Type: wal.TypeDecide, Host: string(main), ID: id,
+		Outcome: "commit", Expiry: float64(expiry)})
+	if err != nil {
+		rt.decideMu.Lock()
+		delete(rt.decided, id)
+		rt.decideMu.Unlock()
+		return fmt.Errorf("proxy: journal commit decision %s: %w", id, err)
 	}
+	return nil
 }
 
 // lookupOutcome answers an outcome query from the decide table: absent
@@ -208,22 +173,14 @@ func (rt *Runtime) lookupOutcome(id string) outcomeReply {
 
 // handleOutcome serves msgOutcome for recovering participants.
 func (p *QoSProxy) handleOutcome(req outcomeRequest) outcomeReply {
-	if p.outcomes == nil {
-		return outcomeReply{}
-	}
-	return p.outcomes(req.id)
+	return p.rt.lookupOutcome(req.id)
 }
 
 // logRecord journals one participant record, stamped with this proxy's
 // host. A no-op when durability is off.
-func (p *QoSProxy) logRecord(rec wal.Record) {
-	if p.wlog == nil {
-		return
-	}
+func (p *QoSProxy) logRecord(rec wal.Record) error {
 	rec.Host = string(p.host)
-	if err := p.wlog.Append(rec); err == nil {
-		p.wmetrics.Appends.Inc()
-	}
+	return p.rt.appendWAL(rec)
 }
 
 // partsFromReservation flattens a prepared multi-reservation's holds
@@ -333,10 +290,6 @@ func (j *journaled) Touches() []string { return j.inner.Touches() }
 // under-account on replay, never resurrect capacity.
 func (j *journaled) shrinkTo(now broker.Time, budget qos.ResourceVector) error {
 	err := shrinkReservation(j.inner, now, budget)
-	l, m := j.rt.walState()
-	if l == nil {
-		return err
-	}
 	parts := j.hostParts()
 	if len(parts) != len(j.hosts) {
 		// Alignment lost (should not happen: commitPlan and commitBatch
@@ -346,11 +299,10 @@ func (j *journaled) shrinkTo(now broker.Time, budget qos.ResourceVector) error {
 		return err
 	}
 	for i, part := range parts {
-		rec := wal.Record{Type: wal.TypeShrink, ID: j.id, Host: string(j.hosts[i]),
-			Parts: partsFromReservation(part)}
-		if aerr := l.Append(rec); aerr == nil {
-			m.Appends.Inc()
-		}
+		// A lost shrink record replays the pre-downgrade amounts: an
+		// overshoot the lease sweep bounds, never a lost hold.
+		_ = j.rt.appendWAL(wal.Record{Type: wal.TypeShrink, ID: j.id, Host: string(j.hosts[i]),
+			Parts: partsFromReservation(part)})
 	}
 	return err
 }
@@ -367,22 +319,19 @@ func (j *journaled) hostParts() []*broker.MultiReservation {
 	return nil
 }
 
+// append journals one lease or release record per participating host.
+// Losing one is safe: replay then keeps an older (shorter) lease or a
+// released hold, both of which the lease sweep reclaims.
 func (j *journaled) append(rec wal.Record) {
-	l, m := j.rt.walState()
-	if l == nil {
-		return
-	}
 	for _, h := range j.hosts {
 		rec.Host = string(h)
-		if err := l.Append(rec); err == nil {
-			m.Appends.Inc()
-		}
+		_ = j.rt.appendWAL(rec)
 	}
 }
 
 // journal wraps a freshly committed reservation when durability is on.
 func (rt *Runtime) journal(res reservation, id string, hosts []topo.HostID) reservation {
-	if l, _ := rt.walState(); l == nil {
+	if rt.wal == nil {
 		return res
 	}
 	return &journaled{inner: res, rt: rt, id: id, hosts: hosts}
@@ -514,16 +463,9 @@ func (p *QoSProxy) restorePending(now broker.Time, entries []*replayEntry) (indo
 // itself journaled so a second crash does not re-raise the doubt.
 // Returns the outcome label for metrics.
 func (rt *Runtime) resolveInDoubt(p *QoSProxy, st *prepState, id string, now broker.Time, rep outcomeReply) string {
-	l, m := rt.walState()
-	record := func(rec wal.Record) {
-		if l == nil {
-			return
-		}
-		rec.Host = string(p.host)
-		if err := l.Append(rec); err == nil {
-			m.Appends.Inc()
-		}
-	}
+	// A resolution record that fails to append re-raises the same doubt
+	// after the next crash, where it resolves the same way.
+	record := func(rec wal.Record) { _ = p.logRecord(rec) }
 	if rep.commit {
 		if st.res != nil {
 			if err := st.res.SetLease(rep.expiry); err != nil {
@@ -575,7 +517,7 @@ func recoverySweep(now broker.Time, brokers map[string]broker.Broker) int {
 // the prepare in doubt — its restored lease keeps the holds reclaimable
 // by the ordinary sweep, so nothing leaks even if no answer ever comes.
 func (rt *Runtime) reconcile(p *QoSProxy, fabric *transport.Fabric, indoubt []string, now broker.Time) {
-	_, m := rt.walState()
+	m := rt.walMetrics
 	for _, id := range indoubt {
 		st := p.pending[id]
 		coord, ok := coordinatorOf(id)
@@ -619,12 +561,12 @@ func (rt *Runtime) Recover(now broker.Time) error {
 		rt.mu.Unlock()
 		return errors.New("proxy: Recover after Start")
 	}
-	l, m := rt.walLog, rt.walMetrics
 	proxies := make([]*QoSProxy, 0, len(rt.proxies))
 	for _, p := range rt.proxies {
 		proxies = append(proxies, p)
 	}
 	rt.mu.Unlock()
+	l, m := rt.wal, rt.walMetrics
 	if l == nil {
 		return errors.New("proxy: WAL not enabled")
 	}
@@ -646,11 +588,9 @@ func (rt *Runtime) Recover(now broker.Time) error {
 			}
 		}
 	}
-	rt.mu.Lock()
-	if maxSeq > rt.nextReq {
-		rt.nextReq = maxSeq
+	if maxSeq > rt.nextReq.Load() {
+		rt.nextReq.Store(maxSeq)
 	}
-	rt.mu.Unlock()
 	now = rt.clock.Now()
 	var swept int
 	for _, p := range proxies {
@@ -707,9 +647,8 @@ func (rt *Runtime) CrashRestart(host topo.HostID) error {
 		rt.mu.Unlock()
 		return fmt.Errorf("proxy: no QoSProxy on host %s", host)
 	}
-	l, m := rt.walLog, rt.walMetrics
-	fabric := rt.fabric
 	rt.mu.Unlock()
+	l, m, fabric := rt.wal, rt.walMetrics, rt.fabric
 	if l == nil {
 		return errors.New("proxy: WAL not enabled")
 	}

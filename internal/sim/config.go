@@ -139,23 +139,6 @@ type Config struct {
 	// with BatchAdmit > 1; avoid with the deterministic Run, where every
 	// admission would idle out the full window alone.
 	BatchWindow time.Duration
-	// SnapshotCache serves the direct path's availability snapshots from
-	// the pool's epoch-validated shared cache: an admission whose
-	// resources' brokers are unchanged since the previous snapshot reuses
-	// it without locking or allocating. The cached snapshot's α values
-	// are as of the last rebuild (observation ticks still feed every α
-	// window, so the trajectory matches the uncached run state-for-state,
-	// but the values planned against can lag one epoch). Off by default:
-	// deterministic parity with the reference path requires fresh α per
-	// admission. Incompatible with StaleE > 0, which needs per-resource
-	// aged observations.
-	SnapshotCache bool
-	// PlanMemo memoizes runtime plans by (template, planner, epoch
-	// vector): an admission whose book is unchanged since an identical
-	// earlier admission skips instantiation and planning entirely and
-	// goes straight to validate-at-commit. Requires UseRuntime. Off by
-	// default for the same α-staleness reason as SnapshotCache.
-	PlanMemo bool
 }
 
 // DefaultBaseScale calibrates the figure-10 requirement units against
@@ -266,12 +249,6 @@ func (c Config) Validate() error {
 	}
 	if c.BatchWindow > 0 && c.BatchAdmit <= 1 {
 		return fmt.Errorf("sim: batch window %v without batching (BatchAdmit=%d)", c.BatchWindow, c.BatchAdmit)
-	}
-	if c.SnapshotCache && c.StaleE > 0 {
-		return fmt.Errorf("sim: SnapshotCache is incompatible with stale observations (E=%g)", float64(c.StaleE))
-	}
-	if c.PlanMemo && !c.UseRuntime {
-		return fmt.Errorf("sim: PlanMemo requires the QoSProxy runtime (UseRuntime)")
 	}
 	return nil
 }

@@ -33,9 +33,6 @@ type instruments struct {
 	// transport carries the message/drop/duplication/breaker counters of
 	// unreliable-messaging chaos runs; inert without a registry.
 	transport *obs.TransportMetrics
-	// read carries the read-path cache counters (snapshot cache and plan
-	// memo hits/misses/evictions); inert without a registry.
-	read *obs.ReadMetrics
 	// adapt carries the mid-session adaptation counters (upgrades,
 	// downgrades, held ticks, suppressed flaps, delivered QoS-seconds);
 	// inert without a registry.
@@ -70,7 +67,6 @@ func newInstruments(r *obs.Registry) instruments {
 	in.admit = obs.NewAdmitMetrics(r)
 	in.faults = obs.NewFaultMetrics(r)
 	in.transport = obs.NewTransportMetrics(r)
-	in.read = obs.NewReadMetrics(r)
 	in.adapt = obs.NewAdaptMetrics(r)
 	return in
 }

@@ -159,10 +159,6 @@ type environment struct {
 	// templates serves compiled QRG templates when Config.TemplateCache
 	// is set; nil keeps the from-scratch reference path.
 	templates *qrg.TemplateCache
-	// snapcache serves epoch-validated shared snapshots when
-	// Config.SnapshotCache is set; nil keeps the per-arrival
-	// pool.Snapshot reference path (with buffer recycling).
-	snapcache *broker.SnapshotCache
 }
 
 // buildEnvironment draws capacities, registers all brokers, pre-creates
@@ -206,9 +202,6 @@ func buildEnvironment(cfg Config, rng *rand.Rand) (*environment, error) {
 		history = 0
 	}
 	env.pool = broker.NewPoolWindow(env.topology, cfg.AlphaWindow, history)
-	if cfg.SnapshotCache {
-		env.snapcache = broker.NewSnapshotCache(env.pool, env.ins.read)
-	}
 
 	capDraw := func() float64 {
 		return cfg.CapacityMin + rng.Float64()*(cfg.CapacityMax-cfg.CapacityMin)
@@ -389,7 +382,6 @@ func (env *environment) handleArrival(cfg Config, rng *rand.Rand, planner core.P
 	spSnap := root.Child(obs.StageSnapshot, host)
 	var snap *broker.Snapshot
 	var err error
-	recycleSnap := false
 	if cfg.StaleE > 0 {
 		lag := make(map[string]broker.Time, len(resources))
 		for _, r := range resources {
@@ -400,15 +392,8 @@ func (env *environment) handleArrival(cfg Config, rng *rand.Rand, planner core.P
 			lag[r] = l
 		}
 		snap, err = env.pool.StaleSnapshot(now, resources, lag)
-		recycleSnap = err == nil
-	} else if env.snapcache != nil {
-		// Epoch-validated shared snapshot: reused as-is while the four
-		// resources' brokers are unchanged. Never recycled — other
-		// admissions may still share it.
-		snap, err = env.snapcache.Snapshot(now, resources)
 	} else {
 		snap, err = env.pool.Snapshot(now, resources)
-		recycleSnap = err == nil
 	}
 	if err != nil {
 		spSnap.EndStatus("error")
@@ -453,13 +438,10 @@ func (env *environment) handleArrival(cfg Config, rng *rand.Rand, planner core.P
 		// to the template pool for the next arrival.
 		tpl.Recycle(g)
 	}
-	if recycleSnap {
-		// Planning is done and the graph is dead past this point: the
-		// snapshot's maps go back to the pool for the next arrival.
-		// Cache-served snapshots are shared and never recycled.
-		env.pool.RecycleSnapshot(snap)
-		snap = nil
-	}
+	// Planning is done and the graph is dead past this point: the
+	// snapshot's maps go back to the pool for the next arrival.
+	env.pool.RecycleSnapshot(snap)
+	snap = nil
 	if errors.Is(err, core.ErrInfeasible) {
 		env.ins.planFailed.Inc()
 		metrics.PlanFailures++

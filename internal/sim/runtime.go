@@ -36,47 +36,47 @@ func (c simClock) Now() broker.Time { return c.sched.now }
 // buildRuntime deploys a QoSProxy per figure-9 host and registers every
 // broker of the environment with its owning host's proxy.
 func (env *environment) buildRuntime(cfg Config, clock proxy.Clock) (*proxy.Runtime, error) {
-	rt := proxy.NewRuntime(clock)
-	// Admission retries are bounded by the run config; no backoff sleep,
-	// since a simulated run must never block on wall-clock time.
-	rt.SetAdmitPolicy(proxy.AdmitPolicy{MaxRetries: cfg.MaxAdmitRetries})
-	// Share the run's template cache (instrumented into the run
-	// registry) so hit/miss counters cover both execution modes; a nil
-	// cache disables the fast lane for reference runs.
-	rt.SetTemplateCache(env.templates)
-	if cfg.PlanMemo {
-		// Epoch-validated plan memoization: admissions whose book is
-		// unchanged skip instantiation and planning and go straight to
-		// validate-at-commit. Counters land in the run registry.
-		rt.SetPlanMemo(core.NewPlanMemo(env.ins.reg))
+	opts := proxy.Options{
+		// Admission retries are bounded by the run config; no backoff
+		// sleep, since a simulated run must never block on wall-clock
+		// time.
+		AdmitPolicy: &proxy.AdmitPolicy{MaxRetries: cfg.MaxAdmitRetries},
+		// Share the run's template cache (instrumented into the run
+		// registry) so hit/miss counters cover both execution modes.
+		Templates: env.templates,
+		// Distributed tracing gates itself on TraceSample, not on the
+		// metrics registry: the runtime roots one trace per Establish,
+		// stage spans and fabric-call spans nest under it, and remote
+		// participants parent their spans via the propagated context.
+		Tracing: env.tracerec,
+	}
+	if env.templates == nil {
+		// Reference runs rebuild every graph from scratch.
+		opts.Templates = proxy.NoTemplates
 	}
 	if cfg.BatchAdmit > 1 {
 		// Group-commit admission: concurrent commits coalesce into
 		// batched 2PC rounds. Single-threaded runs see one-member rounds
 		// and identical results; the stress/chaos harnesses see real
 		// coalescing.
-		if err := rt.SetBatchPolicy(proxy.BatchPolicy{
-			MaxBatch: cfg.BatchAdmit,
-			Window:   cfg.BatchWindow,
-		}); err != nil {
-			return nil, err
-		}
+		opts.Batch = proxy.BatchPolicy{MaxBatch: cfg.BatchAdmit, Window: cfg.BatchWindow}
 	}
 	if cfg.Faults != nil {
 		// Chaos mode: lease every session's holds so a silent (orphaned)
 		// session can never strand capacity, and count repair outcomes
 		// into the run's registry.
-		rt.SetLeaseTTL(cfg.Faults.LeaseTTL)
-		rt.InstrumentFaults(env.ins.faults)
+		opts.LeaseTTL = cfg.Faults.LeaseTTL
+		opts.Faults = env.ins.faults
 		if cfg.Faults.WALDir != "" {
 			// Durable chaos: journal every 2PC transition so crash/restart
-			// injection can replay the books. Must precede Start — the log
-			// handle is distributed to the proxies at startup.
-			if err := rt.EnableWAL(wal.Options{Dir: cfg.Faults.WALDir}); err != nil {
+			// injection can replay the books.
+			log, err := wal.Open(wal.Options{Dir: cfg.Faults.WALDir})
+			if err != nil {
 				return nil, err
 			}
+			opts.WAL = log
 			if env.ins.enabled() {
-				rt.InstrumentWAL(obs.NewWALMetrics(env.ins.reg))
+				opts.WALMetrics = obs.NewWALMetrics(env.ins.reg)
 			}
 		}
 		if tc := cfg.Faults.Transport; tc != nil {
@@ -95,7 +95,7 @@ func (env *environment) buildRuntime(cfg Config, clock proxy.Clock) (*proxy.Runt
 					Cooldown:  tc.BreakerCooldown,
 				}
 			}
-			f := transport.New(transport.Options{
+			opts.Transport = transport.New(transport.Options{
 				Seed: seed,
 				Defaults: transport.RouteConfig{
 					Latency: tc.Latency,
@@ -105,10 +105,7 @@ func (env *environment) buildRuntime(cfg Config, clock proxy.Clock) (*proxy.Runt
 				Breaker: bc,
 				Metrics: env.ins.transport,
 			})
-			if err := rt.SetTransport(f); err != nil {
-				return nil, err
-			}
-			rt.SetMaxInFlight(tc.MaxInFlight)
+			opts.MaxInFlight = tc.MaxInFlight
 		}
 	}
 	if env.ins.enabled() {
@@ -116,17 +113,11 @@ func (env *environment) buildRuntime(cfg Config, clock proxy.Clock) (*proxy.Runt
 		// histograms as the direct path, so both execution modes share
 		// one latency vocabulary, and admission retries/rollbacks land in
 		// the run's registry.
-		rt.Instrument(env.ins.stages)
-		rt.InstrumentAdmission(env.ins.admit)
-		rt.InstrumentAdapt(env.ins.adapt)
+		opts.Stages = env.ins.stages
+		opts.Admission = env.ins.admit
+		opts.Adapt = env.ins.adapt
 	}
-	if env.tracerec != nil {
-		// Distributed tracing gates itself on TraceSample, not on the
-		// metrics registry: the runtime roots one trace per Establish,
-		// stage spans and fabric-call spans nest under it, and remote
-		// participants parent their spans via the propagated context.
-		rt.InstrumentTracing(env.tracerec)
-	}
+	rt := proxy.NewRuntime(clock, opts)
 	for _, h := range env.topology.Hosts() {
 		if _, err := rt.AddHost(h); err != nil {
 			return nil, err
@@ -200,7 +191,7 @@ func (env *environment) handleArrivalRuntime(cfg Config, rt *proxy.Runtime,
 	})
 
 	// The per-phase stage histograms are recorded inside Establish (see
-	// Runtime.Instrument in buildRuntime); the sim layer only times the
+	// Options.Stages in buildRuntime); the sim layer only times the
 	// protocol end to end.
 	stEst := env.startStage()
 	session, err := rt.Establish(topo.ServerHost(sh.service), proxy.SessionSpec{

@@ -521,28 +521,3 @@ func TestTimelineAttachedToRun(t *testing.T) {
 		t.Fatalf("timeline attempts %d != overall %d", total, res.Metrics.Overall.Attempts)
 	}
 }
-
-// TestRunSnapshotCacheParityBasic pins the epoch-validated snapshot
-// cache against the reference path: the basic planner is α-independent
-// and cache hits return exact availability (the books are proven
-// unchanged), so a cached run must make identical admission decisions.
-func TestRunSnapshotCacheParityBasic(t *testing.T) {
-	off := quickConfig(AlgBasic, 120)
-	on := quickConfig(AlgBasic, 120)
-	on.SnapshotCache = true
-	a, err := Run(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Metrics.Overall != b.Metrics.Overall {
-		t.Fatalf("snapshot cache changed basic-planner outcomes:\noff: %+v\non:  %+v",
-			a.Metrics.Overall, b.Metrics.Overall)
-	}
-	if a.Metrics.Summary() != b.Metrics.Summary() {
-		t.Fatal("summaries differ with the snapshot cache on")
-	}
-}

@@ -223,8 +223,9 @@ type (
 // per second.
 func NewWallClock(tuPerSecond float64) *WallClock { return proxy.NewWallClock(tuPerSecond) }
 
-// NewRuntime creates a QoSProxy runtime over a clock.
-func NewRuntime(clock Clock) *Runtime { return proxy.NewRuntime(clock) }
+// NewRuntime creates a QoSProxy runtime over a clock with the default
+// configuration (proxy.Options{}).
+func NewRuntime(clock Clock) *Runtime { return proxy.NewRuntime(clock, proxy.Options{}) }
 
 // Advance reservations (the extension named in section 6).
 type (

@@ -16,4 +16,9 @@ echo "== go test -race -shuffle=on ./..."
 # chosen seed is printed for replay with -shuffle=<seed>.
 go test -race -shuffle=on ./...
 
+echo "== bench/ (its own module): go vet, go test -short"
+# The harness builds against internal packages of this module but is not
+# covered by ./... above, so an API change can break it unnoticed.
+(cd bench && go vet ./... && go test -short ./...)
+
 echo "verify: OK"
