@@ -16,15 +16,12 @@ import (
 	"fmt"
 	"testing"
 
-	"qosres/internal/advance"
 	"qosres/internal/broker"
 	"qosres/internal/core"
 	"qosres/internal/experiments"
-	"qosres/internal/proxy"
 	"qosres/internal/qrg"
 	"qosres/internal/sim"
 	"qosres/internal/svc"
-	"qosres/internal/topo"
 	"qosres/internal/workload"
 )
 
@@ -283,22 +280,6 @@ func BenchmarkPlanExhaustiveDAG(b *testing.B) {
 	}
 }
 
-// BenchmarkSimThroughput measures end-to-end simulated sessions per
-// second (snapshot + QRG + plan + reserve + release).
-func BenchmarkSimThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := sim.DefaultConfig(sim.AlgBasic, 120, 1)
-		cfg.Duration = 1800
-		res, err := sim.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(float64(res.Metrics.Overall.Attempts), "sessions/op")
-		}
-	}
-}
-
 // --- Ablation benches (design choices in DESIGN.md) -------------------
 
 // BenchmarkAblationAlphaWindow sweeps the tradeoff policy's averaging
@@ -455,75 +436,5 @@ func BenchmarkPlanScaling(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkAdvanceReserve measures advance booking against a ledger
-// with many live bookings.
-func BenchmarkAdvanceReserve(b *testing.B) {
-	book, err := advance.NewBook("cpu", 1e6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		if _, err := book.Reserve(broker.Time(i), broker.Time(i+20), 100); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id, err := book.Reserve(broker.Time(i%400), broker.Time(i%400+10), 50)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := book.Release(id); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkProxyEstablish measures the full three-phase protocol round
-// trip (messages, planning, segment dispatch, release) on a two-host
-// runtime.
-func BenchmarkProxyEstablish(b *testing.B) {
-	clock := &proxy.ManualClock{}
-	rt := proxy.NewRuntime(clock, proxy.Options{})
-	for _, h := range []string{"X", "Y"} {
-		if _, err := rt.AddHost(topo.HostID(h)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	mk := func(resource string, host string) {
-		br, err := broker.NewLocal(resource, 1e9)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := rt.Deploy(topo.HostID(host), br); err != nil {
-			b.Fatal(err)
-		}
-	}
-	mk("cpu@videoserver", "X")
-	mk("disk@videoserver", "X")
-	mk("cpu@trackingproxy", "Y")
-	mk("net:videoserver->trackingproxy", "Y")
-	mk("cpu@client", "Y")
-	mk("net:trackingproxy->client", "Y")
-	rt.Start()
-	defer rt.Stop()
-
-	spec := proxy.SessionSpec{
-		Service: workload.VideoService(),
-		Binding: workload.VideoBinding(),
-		Planner: core.Basic{},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := rt.Establish("X", spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Release(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -7,7 +7,6 @@
 // Usage:
 //
 //	qosplan -in session.json [-alg basic|tradeoff|twopass|random|exhaustive] [-seed 1]
-//	qosplan -in session.json -bench 1000   # planning micro-benchmark
 //	qosplan -example        # print a ready-to-edit example session file
 //
 // The JSON schema is documented in qosres/internal/spec; `qosplan
@@ -21,7 +20,6 @@ import (
 	"os"
 
 	"qosres"
-	"qosres/internal/obs"
 	"qosres/internal/spec"
 )
 
@@ -49,7 +47,6 @@ func main() {
 		example = flag.Bool("example", false, "print an example session spec and exit")
 		dot     = flag.Bool("dot", false, "print the session's QoS-Resource Graph in Graphviz DOT format and exit")
 		counts  = flag.Bool("counts", false, "also print the number of feasible plans per end-to-end level")
-		bench   = flag.Int("bench", 0, "run QRG build + planning this many times and print latency percentiles")
 	)
 	flag.Parse()
 
@@ -91,12 +88,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *bench > 0 {
-		if err := runBench(*bench, service, binding, snap, planner); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	plan, err := planner.Plan(g)
 	if err != nil {
 		fatal(err)
@@ -121,42 +112,6 @@ func main() {
 			fmt.Printf("  %-10s (level %d): %.0f\n", c.Level, c.Rank, c.Plans)
 		}
 	}
-}
-
-// runBench measures the two planner-side stages — QRG construction and
-// plan computation — over n repetitions of the same session, recording
-// each into an obs histogram and printing the percentile summary.
-func runBench(n int, service *qosres.Service, binding qosres.Binding,
-	snap *qosres.Snapshot, planner qosres.Planner) error {
-
-	reg := obs.New()
-	stages := obs.NewPlanStages(reg)
-	for i := 0; i < n; i++ {
-		sp := obs.StartSpan(stages.Build)
-		g, err := qosres.BuildQRG(service, binding, snap)
-		sp.End()
-		if err != nil {
-			return err
-		}
-		sp = obs.StartSpan(stages.Plan)
-		_, err = planner.Plan(g)
-		sp.End()
-		if err != nil {
-			return err
-		}
-	}
-	fmt.Printf("planning benchmark: %s, %d iterations\n", planner.Name(), n)
-	for _, s := range []struct {
-		name string
-		h    *obs.Histogram
-	}{
-		{obs.StageBuild, stages.Build},
-		{obs.StagePlan, stages.Plan},
-	} {
-		fmt.Printf("  %-10s p50 %8.1fµs  p90 %8.1fµs  p99 %8.1fµs\n",
-			s.name, 1e6*s.h.Quantile(0.5), 1e6*s.h.Quantile(0.9), 1e6*s.h.Quantile(0.99))
-	}
-	return nil
 }
 
 func fatal(err error) {

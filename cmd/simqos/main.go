@@ -9,16 +9,9 @@
 //	       [-scale 4] [-diversity 0]
 //	       [-metrics :9090] [-hold] [-trace run.jsonl] [-spans]
 //	       [-trace-sample 0.01]
-//	       [-batch 16] [-batch-window 0]
 //	       [-chaos [-loss 0.1] [-dup 0.05] [-latency 1ms] [-partition 0.1]
 //	        [-deadline 250ms] [-max-inflight 0] [-crash 0.2]]
 //	simqos -server http://localhost:8080 [-rate 100] [-for 30s] [-seed 1]
-//
-// With -batch N (N > 1) plus -runtime or -chaos, concurrent admissions
-// are coalesced into group-commit rounds of at most N members: one
-// batched prepare/commit exchange per participating host per round, one
-// striped-lock sweep per broker. The run ends with a batching summary
-// (rounds, members, coalesced admissions, stripe locks amortized).
 //
 // With -trace-sample, sessions are head-sampled into causal distributed
 // trace trees (errored admissions always rescued) exported to the
@@ -89,8 +82,6 @@ func main() {
 		useRuntime = flag.Bool("runtime", false, "route sessions through the QoSProxy runtime architecture")
 		tplCache   = flag.Bool("template-cache", true, "serve QRGs from compiled per-(service, binding) templates; false rebuilds every graph from scratch (reference path)")
 		admitRetry = flag.Int("admit-retries", 3, "with -runtime: max replanning retries after a commit-time refusal")
-		batch      = flag.Int("batch", 0, "with -runtime or -chaos: coalesce concurrent admissions into group-commit rounds of at most this many members (0 or 1 = serialized commits)")
-		batchWin   = flag.Duration("batch-window", 0, "with -batch: extra wall-clock time the collector waits to grow a round (0 = only coalesce naturally concurrent attempts)")
 		timeline   = flag.Float64("timeline", 0, "print a success-rate timeline with this window width (TUs)")
 		metrics    = flag.String("metrics", "", "serve /metrics, /snapshot and /debug/pprof on this address (e.g. :9090)")
 		hold       = flag.Bool("hold", false, "with -metrics: keep serving after the run until interrupted")
@@ -130,8 +121,6 @@ func main() {
 	cfg.UseRuntime = *useRuntime
 	cfg.TemplateCache = *tplCache
 	cfg.MaxAdmitRetries = *admitRetry
-	cfg.BatchAdmit = *batch
-	cfg.BatchWindow = *batchWin
 	cfg.TimelineWindow = *timeline
 	cfg.TraceSample = *traceSampl
 
@@ -180,8 +169,6 @@ func main() {
 		sc.Config.Algorithm = sim.Algorithm(*alg)
 		sc.Config.TemplateCache = *tplCache
 		sc.Config.MaxAdmitRetries = *admitRetry
-		sc.Config.BatchAdmit = *batch
-		sc.Config.BatchWindow = *batchWin
 		sc.Config.Obs = reg
 		// Chaos always traces at sample 1.0 (the harness asserts trace
 		// completeness); with -trace the span trees land in the JSONL for
@@ -241,7 +228,6 @@ func main() {
 		}
 		fmt.Println(cres)
 		printAdmission(reg)
-		printBatching(reg)
 		printFaults(reg)
 		printTransport(reg)
 		if *metrics != "" && *hold {
@@ -275,7 +261,6 @@ func main() {
 
 	printStageLatencies(reg)
 	printAdmission(reg)
-	printBatching(reg)
 	printTemplateCache(reg)
 	printFaults(reg)
 	printUtilization(reg)
@@ -372,37 +357,6 @@ func printAdmission(reg *obs.Registry) {
 		tbl.AddRow(r.label, fmt.Sprintf("%.0f", r.value))
 	}
 	fmt.Printf("\nadmission (validate-at-commit):\n%s", tbl)
-}
-
-// printBatching summarizes the group-commit admission front end: rounds
-// run, members carried, how many shared their round with at least one
-// other admission, the mean round size, and the striped-lock
-// acquisitions the batch sweeps amortized away. Silent when no batched
-// round ever committed (every run without -batch).
-func printBatching(reg *obs.Registry) {
-	snap := reg.Snapshot()
-	value := func(name string) float64 {
-		var v float64
-		for _, c := range snap.Counters {
-			if c.Name == name {
-				v += c.Value
-			}
-		}
-		return v
-	}
-	batches := value(obs.MetricAdmitBatches)
-	if batches == 0 {
-		return
-	}
-	members := value(obs.MetricAdmitBatchMembers)
-	tbl := &stats.Table{Header: []string{"group-commit admission", "count"}}
-	tbl.AddRow("rounds", fmt.Sprintf("%.0f", batches))
-	tbl.AddRow("members", fmt.Sprintf("%.0f", members))
-	tbl.AddRow("coalesced (shared a round)", fmt.Sprintf("%.0f", value(obs.MetricAdmitCoalesced)))
-	tbl.AddRow("avg round size", fmt.Sprintf("%.1f", members/batches))
-	tbl.AddRow("stripe locks taken", fmt.Sprintf("%.0f", value(obs.MetricStripeLocks)))
-	tbl.AddRow("stripe locks amortized", fmt.Sprintf("%.0f", value(obs.MetricStripeAmortized)))
-	fmt.Printf("\ngroup-commit admission (batched 2PC):\n%s", tbl)
 }
 
 // printTemplateCache summarizes the compiled-template fast lane: how

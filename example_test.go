@@ -88,28 +88,6 @@ func ExampleNewTradeoffPlanner() {
 	// tradeoff: ok (Ψ 0.25)
 }
 
-// ExampleNewAdvanceRegistry books an advance reservation for a future
-// window (the section 6 extension).
-func ExampleNewAdvanceRegistry() {
-	service, binding := buildExampleService()
-	reg := qosres.NewAdvanceRegistry()
-	reg.Add("cpu@server", 200)
-	reg.Add("net@server", 100)
-
-	snap, _ := reg.WindowSnapshot(100, 160, []string{"cpu@server", "net@server"})
-	g, _ := qosres.BuildQRG(service, binding, snap)
-	plan, _ := qosres.NewBasicPlanner().Plan(g)
-	booking, _ := reg.ReserveAll(100, 160, plan.Requirement())
-	defer booking.Release()
-
-	book, _ := reg.Get("net@server")
-	during, _ := book.AvailableOver(120, 140)
-	after, _ := book.AvailableOver(200, 260)
-	fmt.Printf("booked %s; net during=%.0f after=%.0f\n", plan.EndToEnd.Name, during, after)
-	// Output:
-	// booked best; net during=40 after=100
-}
-
 // ExampleValidatePlan guards a transported plan against a changed
 // snapshot before reserving it.
 func ExampleValidatePlan() {

@@ -19,7 +19,7 @@ import (
 // reservations and refuse each other even though either would fit alone.
 //
 // ReserveAtomic provides that commit as the one-member special case of
-// the group-commit round in batch.go: the requirement is resolved to
+// the batch sweep in batch.go: the requirement is resolved to
 // its underlying Local brokers (end-to-end Network resources expand to
 // their route links), their distinct lock stripes are acquired in the
 // package-wide acquisition-rank order, every broker's aggregate demand
@@ -88,7 +88,7 @@ func resolvePlan(resolve func(string) (Broker, bool), req qos.ResourceVector) (r
 // shortfallLocked validates the plan's aggregate demand against every
 // broker's current book and returns the first bottleneck, or nil when
 // the whole plan fits. extra carries demand already granted to earlier
-// members of the same group-commit round (nil outside a batch).
+// members of the same batch sweep (nil outside a batch).
 // Callers must hold the stripe locks of every broker in the plan.
 func (rp resolvedPlan) shortfallLocked(extra map[*Local]float64) error {
 	// fitsLocked folds in the failure state, so a plan touching a down

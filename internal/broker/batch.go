@@ -2,13 +2,12 @@ package broker
 
 import "qosres/internal/qos"
 
-// This file implements the group-commit reservation round: a batch of
+// This file implements the batch reservation sweep: a batch of
 // independently planned requirement vectors validated and committed
 // against the books in ONE sweep over their lock stripes. Where k
 // serialized ReserveAtomic calls acquire (and convoy on) the hot
 // resources' locks k times, a batch acquires each distinct stripe
-// exactly once, amortizing the lock round — and everything the caller
-// does per round, like 2PC fan-out — across all members.
+// exactly once. ReserveAtomic is the one-member sweep.
 //
 // Members stay independent: each is validated in batch order against
 // the book *plus* the demand already granted to earlier members of the
@@ -16,8 +15,7 @@ import "qosres/internal/qos"
 // leaves no residue and never affects the outcome of the members after
 // it beyond the capacity it did not consume.
 
-// BatchStats summarizes the lock amortization of one group-commit
-// round.
+// BatchStats summarizes the lock amortization of one batch sweep.
 type BatchStats struct {
 	// Members is the number of requirement vectors in the round.
 	Members int
@@ -32,15 +30,6 @@ type BatchStats struct {
 	StripesSolo int
 	// BrokersTouched is the number of distinct Local brokers validated.
 	BrokersTouched int
-}
-
-// Merge folds another round's stats into s.
-func (s *BatchStats) Merge(o BatchStats) {
-	s.Members += o.Members
-	s.Admitted += o.Admitted
-	s.StripesLocked += o.StripesLocked
-	s.StripesSolo += o.StripesSolo
-	s.BrokersTouched += o.BrokersTouched
 }
 
 // ReserveBatch validates and commits a batch of requirement vectors in

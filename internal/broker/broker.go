@@ -355,7 +355,8 @@ func (b *Local) Reserved() float64 {
 // HoldAmounts returns the amounts of every live hold, sorted ascending.
 // Two books with equal multisets of hold amounts are observably
 // equivalent regardless of the order the holds were admitted in —
-// the equivalence tests of the group-commit path compare exactly this.
+// the equivalence tests of the batch and contention paths compare
+// exactly this.
 func (b *Local) HoldAmounts() []float64 {
 	b.stripe.Lock()
 	out := make([]float64, 0, len(b.holds))

@@ -180,6 +180,65 @@ func (n *Network) Wipe() {
 	n.holds = make(map[ReservationID]netHold)
 }
 
+// ReleaseStranded releases the link holds of an end-to-end reservation
+// whose network-level hold is no longer live and returns how many it
+// freed. A teardown that races a crash finds the network-level hold
+// wiped and releases nothing, yet journals the release — so replay
+// restores no owner for link holds that survived the wipe. Replay
+// retires every ID its log names before serving (RetireIDs), so link
+// hold IDs are never reused and a listed hold that still exists can
+// only be one of those strays. A live reservation is left alone.
+func (n *Network) ReleaseStranded(now Time, ex HoldExport) int {
+	n.mu.Lock()
+	_, live := n.holds[ex.ID]
+	n.mu.Unlock()
+	if live {
+		return 0
+	}
+	freed := 0
+	for _, le := range ex.Links {
+		for _, l := range n.links {
+			if l.resource == le.Resource {
+				if l.Release(now, le.ID) == nil {
+					freed++
+				}
+				break
+			}
+		}
+	}
+	return freed
+}
+
+// RetireID bumps the ID allocator past id without creating a hold.
+// Replay calls it for every ID the log names, live or released: a fresh
+// process starts its allocators at zero, and restoring only the live
+// holds would let it hand out IDs that older records still name.
+func (b *Local) RetireID(id ReservationID) {
+	b.stripe.Lock()
+	if id > b.nextID {
+		b.nextID = id
+	}
+	b.stripe.Unlock()
+}
+
+// RetireIDs retires an end-to-end export's network-level ID and the ID
+// of each of its link holds on this route.
+func (n *Network) RetireIDs(ex HoldExport) {
+	n.mu.Lock()
+	if ex.ID > n.nextID {
+		n.nextID = ex.ID
+	}
+	n.mu.Unlock()
+	for _, le := range ex.Links {
+		for _, l := range n.links {
+			if l.resource == le.Resource {
+				l.RetireID(le.ID)
+				break
+			}
+		}
+	}
+}
+
 // RestoreMulti rebuilds a reservation from its journaled exports,
 // resolving each resource through the supplied lookup (typically a
 // host's deployed-broker table). Holds come back with their exact

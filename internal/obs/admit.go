@@ -10,25 +10,6 @@ const (
 	// were feasible against their planning snapshot but no longer fit
 	// the brokers' availability at reserve time.
 	MetricAdmitStaleRejects = "qosres_admit_stale_rejections_total"
-	// MetricAdmitBatches counts group-commit rounds run by the batching
-	// admission front end.
-	MetricAdmitBatches = "qosres_admit_batches_total"
-	// MetricAdmitBatchMembers counts sessions that went through a
-	// group-commit round (members across all batches).
-	MetricAdmitBatchMembers = "qosres_admit_batch_members_total"
-	// MetricAdmitCoalesced counts sessions that shared their round with
-	// at least one other session — the admissions whose lock rounds and
-	// 2PC fan-out were actually amortized.
-	MetricAdmitCoalesced = "qosres_admit_coalesced_total"
-	// MetricAdmitBatchSize is the histogram of group-commit round sizes.
-	MetricAdmitBatchSize = "qosres_admit_batch_size"
-	// MetricStripeLocks counts distinct broker lock stripes acquired by
-	// group-commit rounds (each stripe once per round).
-	MetricStripeLocks = "qosres_broker_stripe_locks_total"
-	// MetricStripeAmortized counts stripe acquisitions saved by
-	// batching: what the same members would have locked as individual
-	// commits, minus what their rounds actually locked.
-	MetricStripeAmortized = "qosres_broker_stripe_locks_amortized_total"
 )
 
 // AdmitMetrics bundles the admission-path counters: how often a
@@ -48,22 +29,6 @@ type AdmitMetrics struct {
 	// Shed counts admission requests refused outright by the bounded
 	// in-flight gate (overload shedding).
 	Shed *Counter
-	// Batches counts group-commit rounds.
-	Batches *Counter
-	// BatchMembers counts sessions admitted through group-commit
-	// rounds (admitted or refused — every member of every round).
-	BatchMembers *Counter
-	// Coalesced counts members that shared a round with at least one
-	// other member.
-	Coalesced *Counter
-	// BatchSize records the distribution of round sizes.
-	BatchSize *Histogram
-	// StripeLocks counts distinct lock stripes acquired per round,
-	// summed over rounds.
-	StripeLocks *Counter
-	// StripeAmortized counts stripe acquisitions batching saved
-	// relative to serialized one-member commits.
-	StripeAmortized *Counter
 }
 
 // NewAdmitMetrics registers (or re-fetches) the admission counters. A
@@ -78,18 +43,5 @@ func NewAdmitMetrics(r *Registry) *AdmitMetrics {
 			"Reservation plans refused at commit time because the planning snapshot went stale."),
 		Shed: r.Counter(MetricAdmissionShed,
 			"Admission requests shed by the bounded in-flight overload gate."),
-		Batches: r.Counter(MetricAdmitBatches,
-			"Group-commit admission rounds."),
-		BatchMembers: r.Counter(MetricAdmitBatchMembers,
-			"Sessions that went through a group-commit admission round."),
-		Coalesced: r.Counter(MetricAdmitCoalesced,
-			"Sessions that shared a group-commit round with at least one other session."),
-		BatchSize: r.Histogram(MetricAdmitBatchSize,
-			"Group-commit round sizes (members per round).",
-			[]float64{1, 2, 4, 8, 16, 32, 64}),
-		StripeLocks: r.Counter(MetricStripeLocks,
-			"Distinct broker lock stripes acquired by group-commit rounds."),
-		StripeAmortized: r.Counter(MetricStripeAmortized,
-			"Stripe acquisitions amortized away by batching admissions."),
 	}
 }

@@ -43,9 +43,6 @@ const (
 	// EventDuplicateSuppressed marks a duplicated delivery suppressed by
 	// the receiver (one span per logical message, not per copy).
 	EventDuplicateSuppressed = "duplicate_suppressed"
-	// EventBatchRound marks a member joining a group-commit round; the
-	// detail carries the round size.
-	EventBatchRound = "batch_round"
 )
 
 // Span statuses. Any status other than "" or StatusOK marks the span —

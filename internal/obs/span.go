@@ -21,11 +21,6 @@ const (
 	// StageEstablish is the whole three-phase protocol end to end; only
 	// emitted as a trace span by runtime-mode simulations.
 	StageEstablish = "establish"
-	// StageBatchCommit is one member's share of a group-commit round:
-	// a child of the member's reserve-stage span covering the batched
-	// 2PC fan-out. Every batch member keeps its own trace root; the
-	// round itself appears only as these per-member children.
-	StageBatchCommit = "batch_commit"
 )
 
 // Canonical metric names of the instrumented system; documented in

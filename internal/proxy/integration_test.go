@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -407,4 +408,109 @@ func (p *drainPlanner) Plan(g *qrg.Graph) (*core.Plan, error) {
 	}
 	p.calls++
 	return p.inner.Plan(g)
+}
+
+// TestGroupCommitContentionStress is the commit-path correctness harness
+// under contention (run under -race): many goroutines push overlapping
+// plans through Establish at once against under-provisioned brokers.
+// Every admission must be all-or-nothing, refused ones must leave no
+// residue, and the final books must be exactly what serially admitting
+// the same winning plans onto fresh books produces — hold for hold.
+func TestGroupCommitContentionStress(t *testing.T) {
+	if testing.Short() {
+		t.Skip("contention stress skipped in -short")
+	}
+	const (
+		goroutines = 24
+		perG       = 20
+		capacity   = 400
+	)
+	rt, _, brokers := twoHostWorld(t, Options{})
+	for r, b := range brokers {
+		if err := b.SetCapacity(0, capacity); err != nil {
+			t.Fatalf("%s: %v", r, err)
+		}
+	}
+	service, binding := pipelineService(t)
+	spec := SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}}
+
+	var mu sync.Mutex
+	var kept []*Session
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				s, err := rt.Establish("X", spec)
+				if err != nil {
+					continue
+				}
+				// Keep a slice of the winners to stress refusals against
+				// standing load; release the rest immediately for churn.
+				if (g+i)%3 == 0 {
+					mu.Lock()
+					kept = append(kept, s)
+					mu.Unlock()
+					continue
+				}
+				if err := s.Release(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if len(kept) == 0 {
+		t.Fatal("stress admitted no standing session")
+	}
+
+	// Replay the surviving sessions' plans serially onto fresh books:
+	// the concurrent books must match hold for hold.
+	replay := map[string]*broker.Local{}
+	for r := range brokers {
+		b, err := broker.NewLocal(r, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replay[r] = b
+	}
+	resolve := func(r string) (broker.Broker, bool) {
+		b, ok := replay[r]
+		return b, ok
+	}
+	for _, s := range kept {
+		if _, err := broker.ReserveAtomic(0, resolve, s.Plan.Requirement()); err != nil {
+			t.Fatalf("serial replay refused a concurrently admitted plan: %v", err)
+		}
+	}
+	for r, b := range brokers {
+		got, want := b.HoldAmounts(), replay[r].HoldAmounts()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d holds, serial replay has %d", r, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: hold multiset diverged from serial replay: %v vs %v", r, got, want)
+			}
+		}
+		if b.Available() < 0 {
+			t.Fatalf("%s overbooked: %v", r, b.Available())
+		}
+	}
+
+	for _, s := range kept {
+		if err := s.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r, b := range brokers {
+		if b.Available() != capacity {
+			t.Errorf("%s not restored: %v", r, b.Available())
+		}
+		if b.Reservations() != 0 {
+			t.Errorf("%s leaked %d reservations", r, b.Reservations())
+		}
+	}
 }

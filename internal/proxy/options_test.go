@@ -18,8 +18,8 @@ func TestOptionsZeroValueIsDefaultRuntime(t *testing.T) {
 	if rt.policy != DefaultAdmitPolicy || rt.policy.MaxRetries != 3 || rt.jitter != nil {
 		t.Errorf("policy = %+v (jitter %v), want DefaultAdmitPolicy with MaxRetries 3 and no jitter", rt.policy, rt.jitter)
 	}
-	if rt.leaseTTL != 0 || rt.wal != nil || rt.batchPolicy.MaxBatch > 1 || rt.tracer != nil {
-		t.Errorf("leaseTTL %v, wal %v, batch %+v, tracer %v; want none of them", rt.leaseTTL, rt.wal, rt.batchPolicy, rt.tracer)
+	if rt.leaseTTL != 0 || rt.wal != nil || rt.tracer != nil {
+		t.Errorf("leaseTTL %v, wal %v, tracer %v; want none of them", rt.leaseTTL, rt.wal, rt.tracer)
 	}
 	if rt.stages == nil || rt.admit == nil || rt.faults == nil || rt.adapt == nil || rt.walMetrics == nil {
 		t.Fatal("a nil metric set survived normalisation")

@@ -212,12 +212,6 @@ func (p *QoSProxy) handle(d transport.Delivery) {
 		d.Reply(p.handleCommit(req))
 	case abortRequest:
 		d.Reply(p.handleAbort(req))
-	case batchPrepareRequest:
-		d.Reply(p.handleBatchPrepare(req))
-	case batchCommitRequest:
-		d.Reply(p.handleBatchCommit(req))
-	case batchAbortRequest:
-		d.Reply(p.handleBatchAbort(req))
 	case outcomeRequest:
 		d.Reply(p.handleOutcome(req))
 	case stallRequest:
@@ -285,13 +279,6 @@ type Options struct {
 	// partitions. nil is a perfect fabric: instant, lossless,
 	// exactly-once.
 	Transport *transport.Fabric
-	// Batch configures the group-commit admission front end: with
-	// MaxBatch of at least 2, concurrent Establish commits coalesce into
-	// batched two-phase-commit rounds (one prepare and one commit message
-	// per participating host per round, one stripe sweep per host). The
-	// zero policy runs every commit through the serialized commitPlan
-	// path.
-	Batch BatchPolicy
 	// MaxInFlight bounds the number of concurrently admitted Establish
 	// calls: beyond it, calls are shed immediately with
 	// transport.ErrOverloaded instead of queueing. 0 is unbounded.
@@ -326,7 +313,7 @@ type Options struct {
 	// availability collection, QRG build, planning, and phase-3 dispatch.
 	Stages *obs.PlanStages
 	// Admission counts commit-time refusals, rollbacks, replanning
-	// retries, sheds, and group-commit rounds.
+	// retries, and sheds.
 	Admission *obs.AdmitMetrics
 	// Faults counts every fault-driven session repair as repaired,
 	// degraded, or failed.
@@ -375,8 +362,7 @@ type Runtime struct {
 	// every graph from scratch.
 	templates *qrg.TemplateCache
 	// leaseTTL, when positive, leases every new session's holds.
-	leaseTTL    broker.Time
-	batchPolicy BatchPolicy
+	leaseTTL broker.Time
 	// wal, when non-nil, is the durability log: participant handlers and
 	// the coordinator journal protocol records through it, and
 	// Recover/CrashRestart replay it.
@@ -384,16 +370,13 @@ type Runtime struct {
 	walMetrics *obs.WALMetrics
 
 	// mu guards what changes over the runtime's life: the deployment
-	// (proxies and owner, frozen while started), the Start..Stop cycle and
-	// its batcher, the live-session registry, the availability report
-	// cache, and the delivered QoS-seconds total.
+	// (proxies and owner, frozen while started), the Start..Stop cycle,
+	// the live-session registry, the availability report cache, and the
+	// delivered QoS-seconds total.
 	mu      sync.Mutex
 	proxies map[topo.HostID]*QoSProxy
 	owner   map[string]topo.HostID
 	started bool
-	// batcher is the live group-commit collector of the current
-	// Start..Stop cycle, nil when batching is disabled.
-	batcher *admitBatcher
 	// sessions is the registry of live sessions, the set the repair
 	// layer walks when a fault invalidates reservations.
 	sessions map[*Session]struct{}
@@ -423,24 +406,23 @@ type Runtime struct {
 
 // NewRuntime creates an empty runtime over a clock, configured by opts.
 // Options{} is a perfect fabric, the default admission policy, an
-// unobserved template cache, no batching, no admission bound, no
-// leasing, no durability, and no instrumentation.
+// unobserved template cache, no admission bound, no leasing, no
+// durability, and no instrumentation.
 func NewRuntime(clock Clock, opts Options) *Runtime {
 	rt := &Runtime{
-		clock:       clock,
-		fabric:      opts.Transport,
-		stages:      opts.Stages,
-		admit:       opts.Admission,
-		faults:      opts.Faults,
-		adapt:       opts.Adapt,
-		tracer:      opts.Tracing,
-		policy:      DefaultAdmitPolicy,
-		gate:        transport.NewGate(opts.MaxInFlight),
-		templates:   opts.Templates,
-		leaseTTL:    opts.LeaseTTL,
-		batchPolicy: opts.Batch,
-		wal:         opts.WAL,
-		walMetrics:  opts.WALMetrics,
+		clock:      clock,
+		fabric:     opts.Transport,
+		stages:     opts.Stages,
+		admit:      opts.Admission,
+		faults:     opts.Faults,
+		adapt:      opts.Adapt,
+		tracer:     opts.Tracing,
+		policy:     DefaultAdmitPolicy,
+		gate:       transport.NewGate(opts.MaxInFlight),
+		templates:  opts.Templates,
+		leaseTTL:   opts.LeaseTTL,
+		wal:        opts.WAL,
+		walMetrics: opts.WALMetrics,
 
 		proxies:  make(map[topo.HostID]*QoSProxy),
 		owner:    make(map[string]topo.HostID),
@@ -484,23 +466,12 @@ func NewRuntime(clock Clock, opts Options) *Runtime {
 	if rt.leaseTTL < 0 {
 		rt.leaseTTL = 0
 	}
-	if rt.batchPolicy.Window < 0 {
-		rt.batchPolicy.Window = 0
-	}
 	return rt
 }
 
 // Transport returns the runtime's message fabric (for partition/heal
 // injection and end-of-run settling).
 func (rt *Runtime) Transport() *transport.Fabric { return rt.fabric }
-
-// batchFrontEnd returns the live batching collector, or nil when
-// batching is disabled or the runtime is stopped.
-func (rt *Runtime) batchFrontEnd() *admitBatcher {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.batcher
-}
 
 // addDeliveredQoS folds a torn-down session's QoS-seconds into the
 // runtime total. Called from terminateLocked with s.mu held (the lock
@@ -693,11 +664,6 @@ func (rt *Runtime) Start() {
 		p.wg.Add(1)
 		go p.serve(p.ep, p.done)
 	}
-	if rt.batchPolicy.MaxBatch > 1 {
-		rt.batcher = newAdmitBatcher(rt, rt.batchPolicy)
-		rt.batcher.wg.Add(1)
-		go rt.batcher.run()
-	}
 }
 
 // Stop terminates every proxy goroutine, closes their endpoints (the
@@ -714,18 +680,11 @@ func (rt *Runtime) Stop() {
 		return
 	}
 	rt.started = false
-	batcher := rt.batcher
-	rt.batcher = nil
 	proxies := make([]*QoSProxy, 0, len(rt.proxies))
 	for _, p := range rt.proxies {
 		proxies = append(proxies, p)
 	}
 	rt.mu.Unlock()
-	if batcher != nil {
-		// The collector and its in-flight rounds finish against the
-		// still-running serve goroutines before those are torn down.
-		batcher.stop()
-	}
 	for _, p := range proxies {
 		close(p.done)
 		p.ep.Close()

@@ -325,6 +325,169 @@ func TestCrashBetweenPrepareAndCommit(t *testing.T) {
 	}
 }
 
+// TestCommitAfterPrepareLeaseSwept pins the classification of a commit
+// that lost its race against the lease sweep: the share is gone, the
+// reply carries the broker's ErrUnknownReservation, and nothing is held
+// afterwards.
+func TestCommitAfterPrepareLeaseSwept(t *testing.T) {
+	rt, clock, brokers := durableWorld(t, t.TempDir(), Options{LeaseTTL: 5})
+	rt.Start()
+	expiry := clock.Now() + 5
+	prepareOn(t, rt, "X#200", 7, expiry)
+	if n := brokers["cpu@Y"].ExpireLeases(expiry + 1); n != 1 {
+		t.Fatalf("sweep reclaimed %d holds, want the prepared one", n)
+	}
+	if err := commitOn(t, rt, "X#200", expiry+10); !errors.Is(err, broker.ErrUnknownReservation) {
+		t.Fatalf("commit after sweep: err = %v, want broker.ErrUnknownReservation", err)
+	}
+	if n := brokers["cpu@Y"].Reservations(); n != 0 {
+		t.Errorf("cpu@Y holds %d reservations after the failed commit", n)
+	}
+}
+
+// TestEstablishLosesHoldsBeforeLeasing covers the window between the
+// commit and the session's lease arming: a crash wiping a participant's
+// book there leaves the session nothing to own. Establish must report
+// ErrSessionLost, register nothing, and leave no hold behind.
+func TestEstablishLosesHoldsBeforeLeasing(t *testing.T) {
+	rt, clock, brokers := durableWorld(t, t.TempDir(), Options{LeaseTTL: 50})
+	rt.Start()
+	p := rt.proxies["Y"]
+	p.ep.SetHandler(msgCommit, func(d transport.Delivery) bool {
+		rep := p.handleCommit(d.Payload.(commitRequest))
+		brokers["cpu@Y"].Wipe(clock.Now())
+		d.Reply(rep)
+		return true
+	})
+	service, binding := pipelineService(t)
+	_, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}})
+	if !errors.Is(err, ErrSessionLost) {
+		t.Fatalf("establish err = %v, want ErrSessionLost", err)
+	}
+	if live := rt.LiveSessions(); live != 0 {
+		t.Errorf("%d live sessions after the lost establish", live)
+	}
+	for r, b := range brokers {
+		if n := b.Reservations(); n != 0 {
+			t.Errorf("%s keeps %d holds after the lost establish", r, n)
+		}
+	}
+}
+
+// linkWorld is durableWorld plus two end-to-end routes on host Y,
+// net:Y->Z and net:Y->W, sharing the link link:L1 (capacity 100).
+func linkWorld(t *testing.T, dir string) (rt *Runtime, link *broker.Local, nets map[string]*broker.Network) {
+	t.Helper()
+	rt, _, _ = durableWorld(t, dir, Options{LeaseTTL: 50})
+	link, err := broker.NewLocal("link:L1", 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets = map[string]*broker.Network{}
+	for _, r := range []string{"net:Y->Z", "net:Y->W"} {
+		nb, err := broker.NewNetwork(r, []*broker.Local{link})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Deploy("Y", nb); err != nil {
+			t.Fatal(err)
+		}
+		nets[r] = nb
+	}
+	return rt, link, nets
+}
+
+// admitOnY prepares and commits 10 units of resource on host Y under
+// request ID id, with lease expiry 50.
+func admitOnY(t *testing.T, rt *Runtime, id, resource string) {
+	t.Helper()
+	req := prepareRequest{id: id, expiry: 50, req: qos.ResourceVector{resource: 10}}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	resp, err := rt.Transport().Call(ctx, "test", transport.Addr("Y"), msgPrepare, req)
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := resp.(prepareReply); rep.err != nil {
+		t.Fatal(rep.err)
+	}
+	if err := commitOn(t, rt, id, 50); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCrashRestartReleasesStrandedLinkHolds is the regression for a
+// teardown racing a crash: the crash wipes the network-level hold, the
+// release finds nothing to free but still journals itself, and the link
+// holds — owned by no host, so untouched by the wipe — must not outlive
+// replay. A committed reservation that was not released keeps its links.
+func TestCrashRestartReleasesStrandedLinkHolds(t *testing.T) {
+	rt, link, nets := linkWorld(t, t.TempDir())
+	rt.Start()
+	admitOnY(t, rt, "X#300", "net:Y->Z")
+	admitOnY(t, rt, "X#301", "net:Y->Z")
+	// X#300's teardown journaled, but the crash beat it to the books.
+	if err := rt.appendWAL(wal.Record{Type: wal.TypeRelease, Host: "Y", ID: "X#300"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.CrashRestart("Y"); err != nil {
+		t.Fatal(err)
+	}
+	if n := nets["net:Y->Z"].Reservations(); n != 1 {
+		t.Errorf("network broker holds %d reservations after replay, want X#301's", n)
+	}
+	if n, r := link.Reservations(), link.Reserved(); n != 1 || r != 10 {
+		t.Errorf("link holds %d reservations (%g reserved), want X#301's one of 10", n, r)
+	}
+}
+
+// TestRecoverNeverReusesReleasedLinkIDs recovers fresh processes twice
+// over one log. The first process admits and releases a reservation on
+// one route. The second recovers, then admits on another route over the
+// same link. If recovery let that admission reuse the released link
+// hold's ID, the third recovery's stranded-link cleanup for the old
+// entry would free the live reservation's link hold.
+func TestRecoverNeverReusesReleasedLinkIDs(t *testing.T) {
+	dir := t.TempDir()
+
+	rt1, _, _ := linkWorld(t, dir)
+	rt1.Start()
+	admitOnY(t, rt1, "X#400", "net:Y->Z")
+	rt1.Stop()
+	st := rt1.proxies["Y"].pending["X#400"]
+	if err := st.res.Release(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt1.appendWAL(wal.Record{Type: wal.TypeRelease, Host: "Y", ID: "X#400"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt1.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	rt2, _, _ := linkWorld(t, dir)
+	if err := rt2.Recover(0); err != nil {
+		t.Fatal(err)
+	}
+	rt2.Start()
+	admitOnY(t, rt2, "X#401", "net:Y->W")
+	rt2.Stop()
+	if err := rt2.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	rt3, link, nets := linkWorld(t, dir)
+	if err := rt3.Recover(0); err != nil {
+		t.Fatal(err)
+	}
+	if n := nets["net:Y->W"].Reservations(); n != 1 {
+		t.Errorf("net:Y->W holds %d reservations after the second recovery, want X#401's", n)
+	}
+	if n, r := link.Reservations(), link.Reserved(); n != 1 || r != 10 {
+		t.Errorf("link holds %d reservations (%g reserved), want X#401's one of 10", n, r)
+	}
+}
+
 // TestRenegotiateCrashRecovery pins renegotiation against the WAL: a
 // crash between delta-prepare and commit reconciles the session to
 // exactly one of its two levels with the books matching that level.
@@ -434,52 +597,50 @@ func TestWALDisabledPaths(t *testing.T) {
 // decision that cannot be journaled aborts everywhere — and nothing may
 // be counted as appended.
 func TestUndurableDecisionIsNotAcknowledged(t *testing.T) {
-	for name, batch := range map[string]BatchPolicy{"serialized": {}, "batched": {MaxBatch: 4}} {
-		t.Run(name, func(t *testing.T) {
-			reg := obs.New()
-			rt, _, brokers := durableWorld(t, t.TempDir(), Options{
-				LeaseTTL: 50, Batch: batch, WALMetrics: obs.NewWALMetrics(reg),
-			})
-			rt.Start()
-			establishDurable(t, rt)
-			before := bookState(brokers)
-			appends := reg.Counter(obs.MetricWALAppends, "").Value()
-			if appends == 0 {
-				t.Fatal("the healthy admission journaled nothing")
-			}
-
-			if err := rt.wal.Close(); err != nil {
-				t.Fatal(err)
-			}
-			service, binding := pipelineService(t)
-			s, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}})
-			if err == nil {
-				t.Fatalf("establish acknowledged session %v with the log closed", s.Plan.PathLevels)
-			}
-			if errors.Is(err, broker.ErrInsufficient) {
-				t.Errorf("err = %v: a journal failure must be terminal, not a retryable refusal", err)
-			}
-			if got := bookState(brokers); !reflect.DeepEqual(got, before) {
-				t.Errorf("books moved under the failed admission:\n got %v\nwant %v", got, before)
-			}
-			if got := reg.Counter(obs.MetricWALAppends, "").Value(); got != appends {
-				t.Errorf("%s moved from %v to %v with the log closed", obs.MetricWALAppends, appends, got)
-			}
-			if live := rt.LiveSessions(); live != 1 {
-				t.Errorf("%d live sessions, want the one admitted before the log failed", live)
-			}
-
-			// The coordinator half on its own: a decision that could not be
-			// journaled is forgotten, so a recovering participant asking
-			// for its outcome is told to abort.
-			if err := rt.recordDecide("X", "X#undurable", 0); err == nil {
-				t.Error("recordDecide succeeded on a closed log")
-			}
-			if rt.lookupOutcome("X#undurable").commit {
-				t.Error("an undurable decision stayed in the decide table")
-			}
+	t.Run("serialized", func(t *testing.T) {
+		reg := obs.New()
+		rt, _, brokers := durableWorld(t, t.TempDir(), Options{
+			LeaseTTL: 50, WALMetrics: obs.NewWALMetrics(reg),
 		})
-	}
+		rt.Start()
+		establishDurable(t, rt)
+		before := bookState(brokers)
+		appends := reg.Counter(obs.MetricWALAppends, "").Value()
+		if appends == 0 {
+			t.Fatal("the healthy admission journaled nothing")
+		}
+
+		if err := rt.wal.Close(); err != nil {
+			t.Fatal(err)
+		}
+		service, binding := pipelineService(t)
+		s, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}})
+		if err == nil {
+			t.Fatalf("establish acknowledged session %v with the log closed", s.Plan.PathLevels)
+		}
+		if errors.Is(err, broker.ErrInsufficient) {
+			t.Errorf("err = %v: a journal failure must be terminal, not a retryable refusal", err)
+		}
+		if got := bookState(brokers); !reflect.DeepEqual(got, before) {
+			t.Errorf("books moved under the failed admission:\n got %v\nwant %v", got, before)
+		}
+		if got := reg.Counter(obs.MetricWALAppends, "").Value(); got != appends {
+			t.Errorf("%s moved from %v to %v with the log closed", obs.MetricWALAppends, appends, got)
+		}
+		if live := rt.LiveSessions(); live != 1 {
+			t.Errorf("%d live sessions, want the one admitted before the log failed", live)
+		}
+
+		// The coordinator half on its own: a decision that could not be
+		// journaled is forgotten, so a recovering participant asking for its
+		// outcome is told to abort.
+		if err := rt.recordDecide("X", "X#undurable", 0); err == nil {
+			t.Error("recordDecide succeeded on a closed log")
+		}
+		if rt.lookupOutcome("X#undurable").commit {
+			t.Error("an undurable decision stayed in the decide table")
+		}
+	})
 }
 
 // TestFailedDecideAbortsEverywhere drives the coordinator's half end to
@@ -488,66 +649,53 @@ func TestUndurableDecisionIsNotAcknowledged(t *testing.T) {
 // fail, the prepared holds must be aborted on both hosts, and no decide
 // record may exist for recovery to find.
 func TestFailedDecideAbortsEverywhere(t *testing.T) {
-	for name, batch := range map[string]BatchPolicy{"serialized": {}, "batched": {MaxBatch: 4}} {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			rt, _, brokers := durableWorld(t, dir, Options{LeaseTTL: 50, Batch: batch})
-			rt.Start()
-			before := bookState(brokers)
+	t.Run("serialized", func(t *testing.T) {
+		dir := t.TempDir()
+		rt, _, brokers := durableWorld(t, dir, Options{LeaseTTL: 50})
+		rt.Start()
+		before := bookState(brokers)
 
-			// Intercept prepares on the delivering goroutine: handle each
-			// as the serve loop would, and close the log once both hosts
-			// have journaled theirs — before either reply reaches the
-			// coordinator.
-			var prepared atomic.Int32
-			intercept := func(p *QoSProxy, prepare func(transport.Delivery) (interface{}, error)) func(transport.Delivery) bool {
-				return func(d transport.Delivery) bool {
-					rep, err := prepare(d)
-					if err != nil {
-						t.Errorf("prepare on %s: %v", p.host, err)
-					}
-					if prepared.Add(1) == 2 {
-						if err := rt.wal.Close(); err != nil {
-							t.Error(err)
-						}
-					}
-					d.Reply(rep)
-					return true
+		// Intercept prepares on the delivering goroutine: handle each as the
+		// serve loop would, and close the log once both hosts have journaled
+		// theirs — before either reply reaches the coordinator.
+		var prepared atomic.Int32
+		for _, h := range []topo.HostID{"X", "Y"} {
+			p := rt.proxies[h]
+			p.ep.SetHandler(msgPrepare, func(d transport.Delivery) bool {
+				rep := p.handlePrepare(d.Payload.(prepareRequest))
+				if rep.err != nil {
+					t.Errorf("prepare on %s: %v", p.host, rep.err)
 				}
-			}
-			for _, h := range []topo.HostID{"X", "Y"} {
-				p := rt.proxies[h]
-				p.ep.SetHandler(msgPrepare, intercept(p, func(d transport.Delivery) (interface{}, error) {
-					rep := p.handlePrepare(d.Payload.(prepareRequest))
-					return rep, rep.err
-				}))
-				p.ep.SetHandler(msgBatchPrepare, intercept(p, func(d transport.Delivery) (interface{}, error) {
-					rep := p.handleBatchPrepare(d.Payload.(batchPrepareRequest))
-					return rep, rep.results[0].err
-				}))
-			}
+				if prepared.Add(1) == 2 {
+					if err := rt.wal.Close(); err != nil {
+						t.Error(err)
+					}
+				}
+				d.Reply(rep)
+				return true
+			})
+		}
 
-			service, binding := pipelineService(t)
-			if _, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}}); err == nil {
-				t.Fatal("establish acknowledged a session whose commit decision was never journaled")
-			} else if errors.Is(err, broker.ErrInsufficient) {
-				t.Errorf("err = %v: a journal failure must be terminal, not a retryable refusal", err)
+		service, binding := pipelineService(t)
+		if _, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}}); err == nil {
+			t.Fatal("establish acknowledged a session whose commit decision was never journaled")
+		} else if errors.Is(err, broker.ErrInsufficient) {
+			t.Errorf("err = %v: a journal failure must be terminal, not a retryable refusal", err)
+		}
+		if n := prepared.Load(); n != 2 {
+			t.Fatalf("%d prepares handled, want one per host and no retry", n)
+		}
+		if got := bookState(brokers); !reflect.DeepEqual(got, before) {
+			t.Errorf("prepared holds survived the failed decision:\n got %v\nwant %v", got, before)
+		}
+		records, torn, err := wal.Replay(dir)
+		if err != nil || torn {
+			t.Fatalf("replay: torn=%v err=%v", torn, err)
+		}
+		for _, rec := range records {
+			if rec.Type == wal.TypeDecide {
+				t.Errorf("decide record %s is in the log", rec.ID)
 			}
-			if n := prepared.Load(); n != 2 {
-				t.Fatalf("%d prepares handled, want one per host and no retry", n)
-			}
-			if got := bookState(brokers); !reflect.DeepEqual(got, before) {
-				t.Errorf("prepared holds survived the failed decision:\n got %v\nwant %v", got, before)
-			}
-			records, torn, err := wal.Replay(dir)
-			if err != nil || torn {
-				t.Fatalf("replay: torn=%v err=%v", torn, err)
-			}
-			for _, rec := range records {
-				if rec.Type == wal.TypeDecide {
-					t.Errorf("decide record %s is in the log", rec.ID)
-				}
-			}
-		})
-	}
+		}
+	})
 }

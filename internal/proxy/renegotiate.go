@@ -193,13 +193,7 @@ func (s *Session) renegotiateLocked(ctx context.Context, level string) error {
 	if len(delta) > 0 {
 		// Phase 3, delta only: validate-at-commit across the owning
 		// proxies. Failure returns with the session byte-identical.
-		var deltaRes reservation
-		var derr error
-		if fe := rt.batchFrontEnd(); fe != nil {
-			deltaRes, derr = fe.commit(ctx, s.mainHost, delta)
-		} else {
-			deltaRes, derr = rt.commitPlan(ctx, s.mainHost, delta)
-		}
+		deltaRes, derr := rt.commitPlan(ctx, s.mainHost, delta)
 		if derr != nil {
 			root.EndStatus(admitStatus(derr))
 			return derr

@@ -243,10 +243,15 @@ func (rt *Runtime) EstablishContext(ctx context.Context, mainHost topo.HostID, s
 	}
 	s.adoptReservationLocked(res)
 	if err := rt.armLease(res); err != nil {
-		// A freshly committed hold cannot already be expired; failure
-		// here means a broker of the plan does not support leases.
+		// Either a broker of the plan does not support leases, or the
+		// holds vanished between commit and arming — a crash's amnesia
+		// window on a participant, or a sweep after the clock outran the
+		// commit's lease. The session never owned what it lost.
 		_ = res.Release(rt.clock.Now())
 		root.EndStatus("error")
+		if errors.Is(err, broker.ErrUnknownReservation) {
+			return nil, fmt.Errorf("proxy: establish on %s: %w: %v", mainHost, ErrSessionLost, err)
+		}
 		return nil, err
 	}
 	rt.register(s)
@@ -369,17 +374,10 @@ func (rt *Runtime) admitOnce(ctx context.Context, mainHost topo.HostID, spec Ses
 		}
 
 		// Phase 3: two-phase validate-at-commit across the plan's owning
-		// proxies — through the group-commit front end when batching is
-		// enabled, serialized otherwise. Either way a refusal leaves zero
-		// residual holds and is retried here against a fresh snapshot.
+		// proxies. A refusal leaves zero residual holds and is retried
+		// here against a fresh snapshot.
 		st = startStageSpan(stages.Reserve, root, obs.StageReserve, host)
-		rctx := obs.ContextWithSpan(ctx, st.span)
-		var res reservation
-		if fe := rt.batchFrontEnd(); fe != nil {
-			res, err = fe.commit(rctx, mainHost, plan.Requirement())
-		} else {
-			res, err = rt.commitPlan(rctx, mainHost, plan.Requirement())
-		}
+		res, err := rt.commitPlan(obs.ContextWithSpan(ctx, st.span), mainHost, plan.Requirement())
 		if err != nil && errors.Is(err, broker.ErrInsufficient) {
 			st.end(err, "refused")
 		} else {

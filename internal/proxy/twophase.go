@@ -474,3 +474,18 @@ func (rt *Runtime) commitPlan(ctx context.Context, mainHost topo.HostID, req qos
 	}
 	return rt.journal(&reservationSet{parts: parts}, id, hosts), nil
 }
+
+// hostOrder returns the map's hosts in a deterministic order so a
+// reservation's parts don't depend on map iteration.
+func hostOrder(m map[topo.HostID]*broker.MultiReservation) []topo.HostID {
+	out := make([]topo.HostID, 0, len(m))
+	for h := range m {
+		out = append(out, h)
+	}
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j] < out[j-1]; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	return out
+}

@@ -292,8 +292,8 @@ func (j *journaled) shrinkTo(now broker.Time, budget qos.ResourceVector) error {
 	err := shrinkReservation(j.inner, now, budget)
 	parts := j.hostParts()
 	if len(parts) != len(j.hosts) {
-		// Alignment lost (should not happen: commitPlan and commitBatch
-		// both emit parts in host order). Skip journaling rather than
+		// Alignment lost (should not happen: commitPlan emits parts in
+		// host order). Skip journaling rather than
 		// attribute holds to the wrong host — the lease sweep still
 		// bounds any replay overshoot.
 		return err
@@ -308,7 +308,7 @@ func (j *journaled) shrinkTo(now broker.Time, budget qos.ResourceVector) error {
 }
 
 // hostParts exposes the inner reservation's per-host shares, in the
-// order commitPlan/commitBatch aligned them with j.hosts.
+// order commitPlan aligned them with j.hosts.
 func (j *journaled) hostParts() []*broker.MultiReservation {
 	switch r := j.inner.(type) {
 	case *reservationSet:
@@ -349,8 +349,11 @@ func coordinatorOf(id string) (topo.HostID, bool) {
 
 // replayEntry is the per-request state reduced from one host's records.
 type replayEntry struct {
-	id        string
-	parts     []wal.Part
+	id    string
+	parts []wal.Part
+	// seen accumulates every part any prepare or shrink record named,
+	// for ID retirement and the stranded-link cleanup in restorePending.
+	seen      []wal.Part
 	expiry    broker.Time
 	committed bool
 	aborted   bool
@@ -385,6 +388,7 @@ func reduceHost(records []wal.Record, host string) (entries []*replayEntry, deci
 		case wal.TypePrepare:
 			e := get(rec.ID)
 			e.parts = rec.Parts
+			e.seen = append(e.seen, rec.Parts...)
 			e.expiry = broker.Time(rec.Expiry)
 		case wal.TypeCommit:
 			e := get(rec.ID)
@@ -407,6 +411,7 @@ func reduceHost(records []wal.Record, host string) (entries []*replayEntry, deci
 			// restoring phantom holds.
 			if e, ok := byID[rec.ID]; ok && !e.aborted && !e.released {
 				e.parts = rec.Parts
+				e.seen = append(e.seen, rec.Parts...)
 				if len(rec.Parts) == 0 {
 					e.released = true
 				}
@@ -453,6 +458,24 @@ func (p *QoSProxy) restorePending(now broker.Time, entries []*replayEntry) (indo
 			}
 		}
 		p.order = append(p.order, e.id)
+	}
+	// Retire every ID the log names before serving, so a fresh process
+	// never reuses one. Then free stranded link holds: a release or
+	// shrink that raced the crash found its network-level hold wiped and
+	// journaled a teardown it never carried out on the links, which live
+	// outside the host and survived. Replay restored no owner for them.
+	for _, e := range entries {
+		for _, ex := range exportsFromParts(e.seen, 0) {
+			switch b := p.brokers[ex.Resource].(type) {
+			case *broker.Local:
+				b.RetireID(ex.ID)
+			case *broker.Network:
+				b.RetireIDs(ex)
+				if len(ex.Links) > 0 {
+					b.ReleaseStranded(now, ex)
+				}
+			}
+		}
 	}
 	return indoubt, nil
 }

@@ -295,8 +295,10 @@ func (r *ChaosResult) String() string {
 // RunChaos drives the concurrent stress harness with fault injection,
 // session repair, and reservation leasing, and verifies the chaos
 // invariants. sc.Config.Faults selects the chaos parameters (nil uses
-// DefaultFaultsConfig); UseRuntime is implied.
-func RunChaos(sc StressConfig) (*ChaosResult, error) {
+// DefaultFaultsConfig); UseRuntime is implied. The run's write-ahead
+// log, if any, is closed before RunChaos returns; a failed close fails
+// the run.
+func RunChaos(sc StressConfig) (res *ChaosResult, err error) {
 	cfg := sc.Config
 	cfg.UseRuntime = true
 	if cfg.Faults == nil {
@@ -353,7 +355,15 @@ func RunChaos(sc StressConfig) (*ChaosResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer rt.Stop()
+	defer func() {
+		// Stop before closing the log: the serve loops journal until they
+		// exit. The log's open segment must be closed before the run's
+		// temporary WAL directory is removed.
+		rt.Stop()
+		if cerr := rt.CloseWAL(); cerr != nil && err == nil {
+			res, err = nil, fmt.Errorf("sim: chaos WAL close: %w", cerr)
+		}
+	}()
 
 	var (
 		mu       sync.Mutex
@@ -634,7 +644,7 @@ func RunChaos(sc StressConfig) (*ChaosResult, error) {
 				service := env.services[sh.service-1][sh.variant]
 				binding, _ := sessionResources(sh)
 				ctx, cancel := bound()
-				t0 := time.Now()
+				t0, began := time.Now(), clock.Now()
 				s, err := rt.EstablishContext(ctx, topo.ServerHost(sh.service), proxy.SessionSpec{
 					Service: service, Binding: binding, Planner: planner,
 				})
@@ -677,19 +687,29 @@ func RunChaos(sc StressConfig) (*ChaosResult, error) {
 					result.Shed++
 					mu.Unlock()
 				case crashOn && (errors.Is(err, transport.ErrClosed) ||
-					errors.Is(err, proxy.ErrAborted)):
-					// A crash/restart cut the protocol mid-flight: either a
+					errors.Is(err, proxy.ErrAborted) ||
+					errors.Is(err, proxy.ErrSessionLost)):
+					// A crash/restart cut the protocol mid-flight: a
 					// participant dropped off the fabric (its endpoint closed
-					// under the call) or recovery's presumed-abort beat the
-					// coordinator's commit. The 2PC aborted cleanly.
+					// under the call), recovery's presumed-abort beat the
+					// coordinator's commit, or the crash wiped the committed
+					// holds before the session could lease them. The
+					// admission aborted cleanly.
 					mu.Lock()
 					result.CrashAborted++
 					mu.Unlock()
 				case errors.Is(err, context.DeadlineExceeded),
-					errors.Is(err, transport.ErrCircuitOpen):
-					// Lost messages burned the deadline, or a breaker failed
-					// the route fast — either way the protocol aborted
-					// cleanly instead of hanging.
+					errors.Is(err, transport.ErrCircuitOpen),
+					(errors.Is(err, broker.ErrUnknownReservation) ||
+						errors.Is(err, proxy.ErrSessionLost)) &&
+						clock.Now() >= began+fc.LeaseTTL:
+					// Lost messages burned the deadline, a breaker failed the
+					// route fast, or the driver's clock ran a full lease out
+					// during the call and the sweep reclaimed the holds
+					// before the commit (or the session's lease arming)
+					// landed — either way the protocol aborted cleanly
+					// instead of hanging. Holds lost any sooner, with no
+					// crash to explain them, fail the run.
 					mu.Lock()
 					result.TimedOut++
 					mu.Unlock()

@@ -1,11 +1,15 @@
 package sim
 
 import (
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"qosres/internal/obs"
+	"qosres/internal/wal"
 )
 
 // TestChaosCrashCycles is the crash-amnesia acceptance test on a perfect
@@ -152,5 +156,64 @@ func TestChaosCrashValidation(t *testing.T) {
 	sc.Config.Faults = fc2
 	if _, err := RunChaos(sc); err == nil {
 		t.Error("crash probability 1.5 accepted")
+	}
+}
+
+// TestChaosCrashClosesWAL is the regression test for a leaked log: a
+// crash-cycle chaos run journaling into a caller-provided directory must
+// close its write-ahead log before returning, so no descriptor of this
+// process still points into the directory and the log replays to its
+// end with no torn tail.
+func TestChaosCrashClosesWAL(t *testing.T) {
+	dir := t.TempDir()
+	sc := DefaultStressConfig(67)
+	sc.Sessions = 4
+	sc.Iterations = 3
+	sc.Config.CapacityMin = 600
+	sc.Config.CapacityMax = 1200
+	fc := DefaultFaultsConfig()
+	fc.Random.CrashProb = 0.25
+	fc.WALDir = dir
+	sc.Config.Faults = fc
+
+	res, err := RunChaos(sc)
+	switch {
+	case err != nil && strings.Contains(err.Error(), "chaos invariants violated"):
+		// The standing invariants belong to TestChaosCrashCycles; this test
+		// pins only that the log is closed on every return path, a failed
+		// run's included.
+		t.Logf("chaos run: %v", err)
+	case err != nil:
+		t.Fatal(err)
+	case res.Crashed < 1:
+		t.Fatal("chaos run applied no crash/restart cycles")
+	}
+	records, torn, err := wal.Replay(dir)
+	if err != nil || torn {
+		t.Fatalf("replay after the run: torn=%v err=%v", torn, err)
+	}
+	if len(records) == 0 {
+		t.Fatal("the run journaled nothing into the caller's WAL directory")
+	}
+
+	if runtime.GOOS != "linux" {
+		t.Skip("open-descriptor check reads /proc/self/fd")
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	real, err := filepath.EvalSymlinks(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err != nil {
+			continue // the descriptor ReadDir itself used is gone by now
+		}
+		if strings.HasPrefix(target, real+string(filepath.Separator)) {
+			t.Errorf("descriptor %s still open on %s after RunChaos returned", fd.Name(), target)
+		}
 	}
 }

@@ -99,59 +99,6 @@ func TestChaosPartitioned(t *testing.T) {
 	}
 }
 
-// TestChaosPartitionedBatched reruns the partitioned-fabric chaos
-// acceptance with the group-commit admission front end enabled: batched
-// prepare/commit/abort messages cross the same lossy, duplicating,
-// partitioned fabric, and every PR-4/PR-5 invariant RunChaos asserts —
-// no over-commit, exact drain, zero zombies, no deadline overrun — must
-// hold on the batched path too. CI runs this under -race.
-func TestChaosPartitionedBatched(t *testing.T) {
-	reg := obs.New()
-	sc := DefaultStressConfig(47)
-	sc.Sessions = 6
-	sc.Iterations = 4
-	sc.Config.Obs = reg
-	sc.Config.CapacityMin = 600
-	sc.Config.CapacityMax = 1200
-	sc.Config.BatchAdmit = 8
-	fc := DefaultFaultsConfig()
-	fc.Random.FailProb = 0.15
-	fc.Random.ShrinkProb = 0.3
-	fc.Random.RecoverProb = 0.25
-	fc.Random.PartitionProb = 0.10
-	fc.Random.HealProb = 0.15
-	fc.Random.MaxPartitions = 1
-	fc.Transport = &TransportConfig{
-		Loss:             0.12,
-		Dup:              0.06,
-		Latency:          200 * time.Microsecond,
-		Deadline:         200 * time.Millisecond,
-		BreakerThreshold: 4,
-		BreakerCooldown:  50 * time.Millisecond,
-	}
-	sc.Config.Faults = fc
-
-	res, err := RunChaos(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log(res)
-
-	if got, want := res.Established+res.PlanInfeasible+res.AdmitRefused+
-		res.Shed+res.TimedOut, sc.Sessions*sc.Iterations; got != want {
-		t.Errorf("outcomes %d, want %d attempts", got, want)
-	}
-	var batches float64
-	for _, c := range reg.Snapshot().Counters {
-		if c.Name == obs.MetricAdmitBatches {
-			batches += c.Value
-		}
-	}
-	if batches == 0 {
-		t.Error("chaos run committed nothing through the batched front end")
-	}
-}
-
 // TestChaosTransportValidation pins the transport-chaos parameter
 // contracts.
 func TestChaosTransportValidation(t *testing.T) {

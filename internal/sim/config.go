@@ -10,7 +10,6 @@ package sim
 
 import (
 	"fmt"
-	"time"
 
 	"qosres/internal/broker"
 	"qosres/internal/obs"
@@ -125,20 +124,6 @@ type Config struct {
 	// UseRuntime and the concurrent chaos harness — use RunChaos; the
 	// deterministic Run refuses the combination.
 	Faults *FaultsConfig
-	// BatchAdmit, when > 1, enables the runtime's group-commit admission
-	// front end: concurrent commits coalesce into batched two-phase
-	// rounds of up to this many members (one prepare/commit message and
-	// one broker stripe sweep per host per round). Requires UseRuntime.
-	// 0 or 1 (the default) serializes commits member by member. The
-	// deterministic single-threaded Run is unaffected either way: its
-	// rounds always have exactly one member.
-	BatchAdmit int
-	// BatchWindow is how long a forming round waits (wall-clock) for
-	// stragglers after its first member. 0 (the default) coalesces only
-	// the commits already waiting, adding no latency. Only meaningful
-	// with BatchAdmit > 1; avoid with the deterministic Run, where every
-	// admission would idle out the full window alone.
-	BatchWindow time.Duration
 }
 
 // DefaultBaseScale calibrates the figure-10 requirement units against
@@ -237,18 +222,6 @@ func (c Config) Validate() error {
 		if err := c.Faults.validate(); err != nil {
 			return err
 		}
-	}
-	if c.BatchAdmit < 0 {
-		return fmt.Errorf("sim: negative admission batch bound %d", c.BatchAdmit)
-	}
-	if c.BatchAdmit > 1 && !c.UseRuntime {
-		return fmt.Errorf("sim: batched admission (BatchAdmit=%d) requires the QoSProxy runtime (UseRuntime)", c.BatchAdmit)
-	}
-	if c.BatchWindow < 0 {
-		return fmt.Errorf("sim: negative admission batch window %v", c.BatchWindow)
-	}
-	if c.BatchWindow > 0 && c.BatchAdmit <= 1 {
-		return fmt.Errorf("sim: batch window %v without batching (BatchAdmit=%d)", c.BatchWindow, c.BatchAdmit)
 	}
 	return nil
 }

@@ -54,13 +54,6 @@ func (env *environment) buildRuntime(cfg Config, clock proxy.Clock) (*proxy.Runt
 		// Reference runs rebuild every graph from scratch.
 		opts.Templates = proxy.NoTemplates
 	}
-	if cfg.BatchAdmit > 1 {
-		// Group-commit admission: concurrent commits coalesce into
-		// batched 2PC rounds. Single-threaded runs see one-member rounds
-		// and identical results; the stress/chaos harnesses see real
-		// coalescing.
-		opts.Batch = proxy.BatchPolicy{MaxBatch: cfg.BatchAdmit, Window: cfg.BatchWindow}
-	}
 	if cfg.Faults != nil {
 		// Chaos mode: lease every session's holds so a silent (orphaned)
 		// session can never strand capacity, and count repair outcomes

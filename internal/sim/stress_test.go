@@ -52,63 +52,6 @@ func TestConcurrentAdmissionStress(t *testing.T) {
 	}
 }
 
-// TestConcurrentAdmissionStressBatched reruns the stress harness with
-// the group-commit admission front end enabled: the same over-commit
-// and leak invariants must hold when concurrent commits share batched
-// 2PC rounds, and the batch counters must surface in the exposition.
-// CI runs it under -race.
-func TestConcurrentAdmissionStressBatched(t *testing.T) {
-	reg := obs.New()
-	sc := DefaultStressConfig(7)
-	sc.Config.Obs = reg
-	sc.Config.BatchAdmit = 16
-
-	res, err := RunStress(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("batched stress: %s", res)
-	if res.Established == 0 {
-		t.Fatal("no session established; the batched stress run exercised nothing")
-	}
-	if res.Rollbacks != res.StaleRejects {
-		t.Fatalf("rollbacks %.0f != stale rejects %.0f on the batched path",
-			res.Rollbacks, res.StaleRejects)
-	}
-
-	var batches, members float64
-	for _, c := range reg.Snapshot().Counters {
-		switch c.Name {
-		case obs.MetricAdmitBatches:
-			batches += c.Value
-		case obs.MetricAdmitBatchMembers:
-			members += c.Value
-		}
-	}
-	if batches == 0 || members == 0 {
-		t.Fatalf("batched run recorded no rounds (batches %g, members %g): the front end was bypassed", batches, members)
-	}
-	if members < batches {
-		t.Fatalf("batch members %g < rounds %g", members, batches)
-	}
-
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	text := b.String()
-	for _, name := range []string{
-		obs.MetricAdmitBatches,
-		obs.MetricAdmitBatchMembers,
-		obs.MetricAdmitBatchSize,
-		obs.MetricStripeLocks,
-	} {
-		if !strings.Contains(text, name) {
-			t.Errorf("metric %s missing from Prometheus exposition", name)
-		}
-	}
-}
-
 // TestStressFailFastPolicy pins the MaxAdmitRetries=0 contract: refusals
 // are still safe (no leaks, no over-commit — RunStress checks) and no
 // retry is ever counted.

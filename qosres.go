@@ -28,7 +28,6 @@ import (
 	"io"
 	"math/rand"
 
-	"qosres/internal/advance"
 	"qosres/internal/broker"
 	"qosres/internal/core"
 	"qosres/internal/proxy"
@@ -226,31 +225,6 @@ func NewWallClock(tuPerSecond float64) *WallClock { return proxy.NewWallClock(tu
 // NewRuntime creates a QoSProxy runtime over a clock with the default
 // configuration (proxy.Options{}).
 func NewRuntime(clock Clock) *Runtime { return proxy.NewRuntime(clock, proxy.Options{}) }
-
-// Advance reservations (the extension named in section 6).
-type (
-	// AdvanceBook is a single resource's advance-reservation ledger.
-	AdvanceBook = advance.Book
-	// AdvanceRegistry is the multi-resource advance ledger.
-	AdvanceRegistry = advance.Registry
-	// AdvanceBooking backs one advance end-to-end reservation plan.
-	AdvanceBooking = advance.MultiBooking
-	// AdvanceStep is one flat segment of an availability profile.
-	AdvanceStep = advance.Step
-	// BookingID identifies a booking within an AdvanceBook.
-	BookingID = advance.BookingID
-)
-
-// NewAdvanceRegistry creates an empty advance-reservation registry.
-func NewAdvanceRegistry() *AdvanceRegistry { return advance.NewRegistry() }
-
-// AdvanceAdmission plans and books advance sessions for one service
-// against an AdvanceRegistry, including earliest-feasible-window search.
-type AdvanceAdmission = advance.Admission
-
-// ErrNoWindow is returned when an earliest-feasible scan exhausts its
-// horizon.
-var ErrNoWindow = advance.ErrNoWindow
 
 // Simulation study (section 5).
 type (
