@@ -19,11 +19,20 @@
 // POST /establish accepts {"mainHost": "H1", "session": {...spec...}};
 // the session document's availability snapshot is advisory (the
 // three-phase protocol collects live availability over the fabric).
+// The document's service model is interned by its bytes (spec.Catalog),
+// so each distinct model is decoded, built and compiled once per
+// process however many sessions carry it.
+//
+// A session is named by the sequence number of the two-phase-commit
+// request that admitted it, which a -recover restart advances past
+// every logged request: an ID handed out before a crash never names a
+// session admitted after it.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,46 +47,46 @@ import (
 	"qosres/internal/adapt"
 	"qosres/internal/broker"
 	"qosres/internal/obs"
+	"qosres/internal/proxy"
 	"qosres/internal/sim"
 	"qosres/internal/spec"
+	"qosres/internal/svc"
 	"qosres/internal/topo"
 )
 
-// served is the HTTP front end's state: the deployment plus the table
-// of live sessions it handed out. The table is in-memory on purpose —
-// after a restart the recovered holds are leased-but-unowned, and the
-// lease sweep reclaims them unless their clients re-establish. That is
-// the amnesia contract: books survive a crash, client handles do not.
+// served is the HTTP front end's state: the deployment, the catalog of
+// service models it has built, and the table of live sessions it handed
+// out. The table is in-memory on purpose — after a restart the
+// recovered holds are leased-but-unowned, and the lease sweep reclaims
+// them unless their clients re-establish. That is the amnesia contract:
+// books survive a crash, client handles do not.
 type served struct {
-	env *sim.ServedEnv
+	env    *sim.ServedEnv
+	models *spec.Catalog
 
 	mu       sync.Mutex
-	nextID   int
-	sessions map[string]*liveEntry
+	sessions map[string]*proxy.Session
 }
 
-type liveEntry struct {
-	session  *sessionHandle
-	service  string
-	mainHost topo.HostID
+func newServed(env *sim.ServedEnv) *served {
+	return &served{env: env, models: spec.NewCatalog(), sessions: map[string]*proxy.Session{}}
 }
 
-// sessionHandle narrows *proxy.Session to what the front end needs; it
-// keeps main decoupled from the proxy package's surface. The plan is
-// read through a closure, not copied: a renegotiation — client-driven
-// via /renegotiate or controller-driven under -adapt — changes the
-// session's level mid-flight, and the handle must report the level the
-// books actually hold.
-type sessionHandle struct {
-	heartbeat   func() error
-	release     func() error
-	plan        func() (level string, rank int, psi float64)
-	renegotiate func(ctx context.Context, level string) error
+// planOf reports a session's live level. It is read from the session
+// each time, not copied at admission: a renegotiation — client-driven
+// via /renegotiate or controller-driven under -adapt — changes the level
+// mid-flight, and a reply must report the level the books hold.
+func planOf(sess *proxy.Session) (level string, rank int, psi float64) {
+	p := sess.CurrentPlan()
+	if p == nil {
+		return "", 0, 0
+	}
+	return p.EndToEnd.Name, p.Rank, p.Psi
 }
 
 type establishRequest struct {
-	MainHost string        `json:"mainHost"`
-	Session  *spec.Session `json:"session"`
+	MainHost string           `json:"mainHost"`
+	Session  *spec.RawSession `json:"session"`
 }
 
 type establishReply struct {
@@ -134,14 +143,16 @@ func (s *served) handleEstablish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var mainHost topo.HostID
-	var doc *spec.Session
+	var service *svc.Service
+	var binding svc.Binding
 	if len(body) == 0 {
+		// The environment's own model: no document to render or build.
 		offer, err := s.env.SampleSession()
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, "sample: %v", err)
 			return
 		}
-		mainHost, doc = offer.MainHost, offer.Doc
+		mainHost, service, binding = offer.MainHost, offer.Service, offer.Binding
 	} else {
 		var req establishRequest
 		if err := json.Unmarshal(body, &req); err != nil {
@@ -152,38 +163,33 @@ func (s *served) handleEstablish(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "need mainHost and session")
 			return
 		}
-		mainHost, doc = topo.HostID(req.MainHost), req.Session
+		mainHost = topo.HostID(req.MainHost)
+		service, binding, err = s.models.Build(req.Session)
+		var typeErr *json.UnmarshalTypeError
+		switch {
+		case errors.As(err, &typeErr):
+			httpError(w, http.StatusBadRequest, "parse: %v", err)
+			return
+		case err != nil:
+			httpError(w, http.StatusConflict, "establish: %v", err)
+			return
+		}
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), 10*time.Second)
 	defer cancel()
-	sess, err := s.env.Establish(ctx, mainHost, doc)
+	sess, err := s.env.EstablishModel(ctx, mainHost, service, binding)
 	if err != nil {
 		httpError(w, http.StatusConflict, "establish: %v", err)
 		return
 	}
-	h := &sessionHandle{
-		heartbeat: sess.Heartbeat,
-		release:   sess.Release,
-		plan: func() (string, int, float64) {
-			p := sess.CurrentPlan()
-			if p == nil {
-				return "", 0, 0
-			}
-			return p.EndToEnd.Name, p.Rank, p.Psi
-		},
-		renegotiate: func(ctx context.Context, level string) error {
-			return s.env.Renegotiate(ctx, sess, level)
-		},
-	}
+	id := fmt.Sprintf("s-%d", sess.AdmissionSeq())
 	s.mu.Lock()
-	s.nextID++
-	id := fmt.Sprintf("s-%d", s.nextID)
-	s.sessions[id] = &liveEntry{session: h, service: doc.Name, mainHost: mainHost}
+	s.sessions[id] = sess
 	s.mu.Unlock()
-	level, rank, psi := h.plan()
+	level, rank, psi := planOf(sess)
 	writeJSON(w, establishReply{
 		ID:       id,
-		Service:  doc.Name,
+		Service:  service.Name,
 		MainHost: string(mainHost),
 		Level:    level,
 		Rank:     rank,
@@ -217,20 +223,20 @@ func (s *served) handleRenegotiate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	e := s.sessions[req.Session]
+	sess := s.sessions[req.Session]
 	s.mu.Unlock()
-	if e == nil {
+	if sess == nil {
 		httpError(w, http.StatusNotFound, "unknown session %s", req.Session)
 		return
 	}
-	_, before, _ := e.session.plan()
+	_, before, _ := planOf(sess)
 	ctx, cancel := context.WithTimeout(r.Context(), 10*time.Second)
 	defer cancel()
-	if err := e.session.renegotiate(ctx, req.Level); err != nil {
+	if err := s.env.Renegotiate(ctx, sess, req.Level); err != nil {
 		httpError(w, http.StatusConflict, "renegotiate %s: %v", req.Session, err)
 		return
 	}
-	level, rank, _ := e.session.plan()
+	level, rank, _ := planOf(sess)
 	outcome := "unchanged"
 	switch {
 	case rank > before:
@@ -247,20 +253,20 @@ func (s *served) handleRenegotiate(w http.ResponseWriter, r *http.Request) {
 }
 
 // lookup pops nothing: the entry stays live until teardown.
-func (s *served) lookup(w http.ResponseWriter, r *http.Request) (string, *liveEntry) {
+func (s *served) lookup(w http.ResponseWriter, r *http.Request) (string, *proxy.Session) {
 	id := r.URL.Query().Get("id")
 	if id == "" {
 		httpError(w, http.StatusBadRequest, "need id")
 		return "", nil
 	}
 	s.mu.Lock()
-	e := s.sessions[id]
+	sess := s.sessions[id]
 	s.mu.Unlock()
-	if e == nil {
+	if sess == nil {
 		httpError(w, http.StatusNotFound, "unknown session %s", id)
 		return "", nil
 	}
-	return id, e
+	return id, sess
 }
 
 func (s *served) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -268,11 +274,11 @@ func (s *served) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	id, e := s.lookup(w, r)
-	if e == nil {
+	id, sess := s.lookup(w, r)
+	if sess == nil {
 		return
 	}
-	if err := e.session.heartbeat(); err != nil {
+	if err := sess.Heartbeat(); err != nil {
 		// The lease lapsed (or the host restarted) between heartbeats:
 		// the holds are gone, so the handle is dead — drop it.
 		s.mu.Lock()
@@ -289,14 +295,14 @@ func (s *served) handleTeardown(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	id, e := s.lookup(w, r)
-	if e == nil {
+	id, sess := s.lookup(w, r)
+	if sess == nil {
 		return
 	}
 	s.mu.Lock()
 	delete(s.sessions, id)
 	s.mu.Unlock()
-	if err := e.session.release(); err != nil {
+	if err := sess.Release(); err != nil {
 		httpError(w, http.StatusGone, "teardown %s: %v", id, err)
 		return
 	}
@@ -347,7 +353,7 @@ func main() {
 		log.Fatalf("qosserved: %v", err)
 	}
 
-	s := &served{env: env, sessions: map[string]*liveEntry{}}
+	s := newServed(env)
 	mux := obs.NewMux(reg)
 	mux.HandleFunc("/spec", s.handleSpec)
 	mux.HandleFunc("/establish", s.handleEstablish)

@@ -70,7 +70,7 @@ func newTestServer(t *testing.T, dir string, recov bool, clk *manualClock) (*ser
 	if err != nil {
 		t.Fatalf("NewServedEnv: %v", err)
 	}
-	s := &served{env: env, sessions: map[string]*liveEntry{}}
+	s := newServed(env)
 	mux := obs.NewMux(reg)
 	mux.HandleFunc("/spec", s.handleSpec)
 	mux.HandleFunc("/establish", s.handleEstablish)
@@ -126,7 +126,7 @@ func TestServedLifecycle(t *testing.T) {
 		t.Fatalf("incomplete offer: %+v", offer)
 	}
 
-	body, _ := json.Marshal(establishRequest{MainHost: offer.MainHost, Session: offer.Session})
+	body, _ := json.Marshal(map[string]any{"mainHost": offer.MainHost, "session": offer.Session})
 	code, reply := postJSON(t, srv.URL+"/establish", body)
 	if code != http.StatusOK {
 		t.Fatalf("establish: status %d: %s", code, reply)
@@ -208,18 +208,98 @@ func TestServedRestartRecovery(t *testing.T) {
 		t.Fatalf("recovery swept zero lapsed leases — pre-crash holds leaked or vanished")
 	}
 
-	// The session table did not survive: old handles are gone (the
-	// amnesia contract covers books, not client handles)...
-	if code, _ := postJSON(t, srv2.URL+"/heartbeat?id="+ids[0], nil); code != http.StatusNotFound {
-		t.Fatalf("heartbeat of pre-crash session: status %d, want 404", code)
-	}
-	// ...and the recovered deployment admits new sessions.
+	// The recovered deployment admits new sessions...
 	code, reply := postJSON(t, srv2.URL+"/establish", nil)
 	if code != http.StatusOK {
 		t.Fatalf("post-recovery establish: status %d: %s", code, reply)
 	}
+	var fresh establishReply
+	if err := json.Unmarshal(reply, &fresh); err != nil {
+		t.Fatalf("parse establish reply: %v", err)
+	}
+	// ...under IDs no pre-crash client holds: the session table did not
+	// survive (the amnesia contract covers books, not client handles),
+	// and a stale handle must never reach a session admitted since.
+	for _, id := range ids {
+		if id == fresh.ID {
+			t.Fatalf("post-recovery session reuses pre-crash ID %s", id)
+		}
+		if code, _ := postJSON(t, srv2.URL+"/heartbeat?id="+id, nil); code != http.StatusNotFound {
+			t.Fatalf("heartbeat of pre-crash session %s: status %d, want 404", id, code)
+		}
+		if code, _ := postJSON(t, srv2.URL+"/teardown?id="+id, nil); code != http.StatusNotFound {
+			t.Fatalf("teardown of pre-crash session %s: status %d, want 404", id, code)
+		}
+	}
+	if code, out := postJSON(t, srv2.URL+"/heartbeat?id="+fresh.ID, nil); code != http.StatusOK {
+		t.Fatalf("heartbeat of post-recovery session: status %d: %s", code, out)
+	}
 	if n := s2.env.SweepLeases(); n != 0 {
 		t.Fatalf("recovery left %d expired holds for the periodic sweep", n)
+	}
+}
+
+// daemon is the test binary re-executed as a qosserved process.
+type daemon struct {
+	cmd  *exec.Cmd
+	base string
+	logs *bytes.Buffer
+	done chan struct{} // closed once the process has exited
+	err  error         // its exit status, valid after done
+}
+
+// startDaemon runs qosserved with args on a free loopback port and
+// returns once an empty-body establish succeeds, with that admission's
+// reply; the admission also puts records in the log. The process is
+// killed when the test ends.
+func startDaemon(t *testing.T, args string) (*daemon, establishReply) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+
+	d := &daemon{cmd: exec.Command(os.Args[0]), base: "http://" + addr, logs: &bytes.Buffer{}, done: make(chan struct{})}
+	d.cmd.Env = append(os.Environ(), daemonArgsEnv+"=-addr "+addr+" "+args)
+	d.cmd.Stderr = d.logs
+	if err := d.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		d.err = d.cmd.Wait()
+		close(d.done)
+	}()
+	t.Cleanup(func() {
+		_ = d.cmd.Process.Kill()
+		<-d.done
+	})
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Post(d.base+"/establish", "application/json", nil)
+		if err == nil {
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("establish: status %d: %s (%v)", resp.StatusCode, body, err)
+			}
+			var est establishReply
+			if err := json.Unmarshal(body, &est); err != nil || est.ID == "" {
+				t.Fatalf("establish reply %s: %v", body, err)
+			}
+			return d, est
+		}
+		select {
+		case <-d.done:
+			t.Fatalf("daemon exited before serving: %v\n%s", d.err, d.logs.String())
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never served on %s: %v\n%s", addr, err, d.logs.String())
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 
@@ -229,59 +309,21 @@ func TestServedRestartRecovery(t *testing.T) {
 // end with no torn tail.
 func TestServedStopsCleanlyOnSIGTERM(t *testing.T) {
 	dir := t.TempDir()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
+	d, _ := startDaemon(t, "-wal "+dir+" -lease 30")
 
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), daemonArgsEnv+"=-addr "+addr+" -wal "+dir+" -lease 30")
-	var logs bytes.Buffer
-	cmd.Stderr = &logs
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
-	defer cmd.Process.Kill()
-
-	// Ready when an admission succeeds; it also puts records in the log.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Post("http://"+addr+"/establish", "application/json", nil)
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("establish: status %d", resp.StatusCode)
-			}
-			break
-		}
-		select {
-		case err := <-exited:
-			t.Fatalf("daemon exited before serving: %v\n%s", err, logs.String())
-		default:
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon never served on %s: %v\n%s", addr, err, logs.String())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case err := <-exited:
-		if err != nil {
-			t.Fatalf("daemon did not exit 0 on SIGTERM: %v\n%s", err, logs.String())
+	case <-d.done:
+		if d.err != nil {
+			t.Fatalf("daemon did not exit 0 on SIGTERM: %v\n%s", d.err, d.logs.String())
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatalf("daemon still running 10s after SIGTERM\n%s", logs.String())
+		t.Fatalf("daemon still running 10s after SIGTERM\n%s", d.logs.String())
 	}
-	if strings.Contains(logs.String(), "qosserved: close:") {
-		t.Errorf("shutdown reported a close error:\n%s", logs.String())
+	if strings.Contains(d.logs.String(), "qosserved: close:") {
+		t.Errorf("shutdown reported a close error:\n%s", d.logs.String())
 	}
 
 	records, torn, err := wal.Replay(dir)
@@ -290,5 +332,29 @@ func TestServedStopsCleanlyOnSIGTERM(t *testing.T) {
 	}
 	if len(records) == 0 {
 		t.Fatal("the admitted session left no record in the log")
+	}
+}
+
+// TestServedSessionIDsNeverRepeatAfterSIGKILL is the restart hazard of
+// a per-boot session counter: a daemon SIGKILLed and restarted with
+// -recover over the same log must never hand a pre-crash ID to a new
+// session, or a stale client's heartbeat or teardown would act on it.
+func TestServedSessionIDsNeverRepeatAfterSIGKILL(t *testing.T) {
+	args := "-wal " + t.TempDir() + " -lease 30"
+	d1, before := startDaemon(t, args)
+	if err := d1.cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	<-d1.done
+
+	d2, after := startDaemon(t, args+" -recover")
+	if after.ID == before.ID {
+		t.Fatalf("post-recovery session reuses pre-crash ID %s", before.ID)
+	}
+	if code, out := postJSON(t, d2.base+"/heartbeat?id="+before.ID, nil); code != http.StatusNotFound {
+		t.Fatalf("heartbeat of pre-crash session %s: status %d, want 404: %s", before.ID, code, out)
+	}
+	if code, out := postJSON(t, d2.base+"/heartbeat?id="+after.ID, nil); code != http.StatusOK {
+		t.Fatalf("heartbeat of post-recovery session %s: status %d: %s", after.ID, code, out)
 	}
 }

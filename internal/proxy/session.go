@@ -150,6 +150,7 @@ type Session struct {
 	runtime  *Runtime
 	mainHost topo.HostID
 	spec     SessionSpec
+	seq      uint64 // see AdmissionSeq
 
 	mu          sync.Mutex
 	state       SessionState
@@ -237,6 +238,7 @@ func (rt *Runtime) EstablishContext(ctx context.Context, mainHost topo.HostID, s
 		runtime:     rt,
 		mainHost:    mainHost,
 		spec:        spec,
+		seq:         admissionSeq(res),
 		plan:        plan,
 		reservation: res,
 		qosMarkAt:   rt.clock.Now(),
@@ -257,6 +259,26 @@ func (rt *Runtime) EstablishContext(ctx context.Context, mainHost topo.HostID, s
 	rt.register(s)
 	root.End()
 	return s, nil
+}
+
+// AdmissionSeq returns the sequence number of the two-phase-commit
+// request that admitted the session. It is unique within the runtime
+// and, over one write-ahead log, across restarts: Recover advances the
+// sequence past every request in the log. (A session that reserves
+// nothing commits nothing to the log, so only its number could recur
+// after a restart.) A serving front end can name sessions by it.
+func (s *Session) AdmissionSeq() uint64 { return s.seq }
+
+// admissionSeq reads the committing request's sequence number off a
+// freshly committed reservation.
+func admissionSeq(res reservation) uint64 {
+	switch r := res.(type) {
+	case *journaled:
+		return admissionSeq(r.inner)
+	case *reservationSet:
+		return r.seq
+	}
+	return 0
 }
 
 // admitStatus maps an admission error to a span status.

@@ -271,8 +271,10 @@ type reservation interface {
 }
 
 // reservationSet is the coordinator's handle on a committed plan: one
-// MultiReservation per participating host.
+// MultiReservation per participating host, committed by the request
+// with sequence number seq.
 type reservationSet struct {
+	seq   uint64
 	parts []*broker.MultiReservation
 }
 
@@ -328,11 +330,6 @@ func (rt *Runtime) splitByHost(req qos.ResourceVector) (map[topo.HostID]qos.Reso
 	return shares, nil
 }
 
-// reqID mints a unique two-phase-commit request ID.
-func (rt *Runtime) reqID(mainHost topo.HostID) string {
-	return fmt.Sprintf("%s#%d", mainHost, rt.nextReq.Add(1))
-}
-
 // commitPlan is the coordinator: it runs the idempotent two-phase
 // commit of a plan's requirement from the main proxy. On success the
 // returned reservation owns every created hold. On any failure every
@@ -345,12 +342,15 @@ func (rt *Runtime) commitPlan(ctx context.Context, mainHost topo.HostID, req qos
 	if err != nil {
 		return nil, err
 	}
+	// Every request gets a sequence number, even one with nothing to
+	// commit, so it can name the session it admits.
+	seq := rt.nextReq.Add(1)
 	if len(shares) == 0 {
-		return &reservationSet{}, nil
+		return &reservationSet{seq: seq}, nil
 	}
 	fabric := rt.fabric
 	from := transport.Addr(mainHost)
-	id := rt.reqID(mainHost)
+	id := fmt.Sprintf("%s#%d", mainHost, seq)
 	var expiry broker.Time
 	if rt.leaseTTL > 0 {
 		expiry = rt.clock.Now() + rt.leaseTTL
@@ -472,7 +472,7 @@ func (rt *Runtime) commitPlan(ctx context.Context, mainHost topo.HostID, req qos
 	for i, host := range hosts {
 		parts[i] = prepared[host]
 	}
-	return rt.journal(&reservationSet{parts: parts}, id, hosts), nil
+	return rt.journal(&reservationSet{seq: seq, parts: parts}, id, hosts), nil
 }
 
 // hostOrder returns the map's hosts in a deterministic order so a

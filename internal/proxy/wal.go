@@ -338,7 +338,7 @@ func (rt *Runtime) journal(res reservation, id string, hosts []topo.HostID) rese
 }
 
 // coordinatorOf parses the coordinating host out of a request ID
-// ("<mainHost>#<n>", minted by Runtime.reqID).
+// ("<mainHost>#<n>", minted by commitPlan).
 func coordinatorOf(id string) (topo.HostID, bool) {
 	i := strings.IndexByte(id, '#')
 	if i <= 0 {

@@ -24,6 +24,12 @@ const DefaultTemplateCacheSize = 4096
 // and bindings by a canonical fingerprint of their contents, since
 // callers commonly rebuild an identical binding map per session.
 //
+// Behind the serving daemon the pointer identity holds because
+// spec.Catalog interns each service model by its wire bytes. Before it
+// did, every request built a fresh *svc.Service from its document: the
+// cache never hit, and the leaked pointers filled it to its bound, which
+// was most of the daemon's resident memory.
+//
 // The cache is safe for concurrent use and bounded: at most maxEntries
 // templates stay resident, evicted least-recently-used. The bound
 // defends against key-space leaks (a churning catalogue of service

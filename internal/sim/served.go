@@ -13,6 +13,7 @@ import (
 	"qosres/internal/obs"
 	"qosres/internal/proxy"
 	"qosres/internal/spec"
+	"qosres/internal/svc"
 	"qosres/internal/topo"
 )
 
@@ -181,11 +182,16 @@ func (se *ServedEnv) Close() error {
 
 // SampledSession is one drawn session offer: the wire document, the
 // main QoSProxy that should coordinate it, and the paper-distributed
-// holding time a well-behaved client would keep it for.
+// holding time a well-behaved client would keep it for. Service and
+// Binding are the environment's own model and binding the document was
+// rendered from, for callers that establish the offer in-process
+// without building the document again.
 type SampledSession struct {
 	MainHost topo.HostID
 	Duration broker.Time
 	Doc      *spec.Session
+	Service  *svc.Service
+	Binding  svc.Binding
 }
 
 // SampleSession draws one paper-shaped session (domain, service,
@@ -211,6 +217,8 @@ func (se *ServedEnv) SampleSession() (*SampledSession, error) {
 		MainHost: topo.ServerHost(sh.service),
 		Duration: sh.duration,
 		Doc:      doc,
+		Service:  service,
+		Binding:  binding,
 	}, nil
 }
 
@@ -222,6 +230,15 @@ func (se *ServedEnv) Establish(ctx context.Context, mainHost topo.HostID, doc *s
 	if err != nil {
 		return nil, fmt.Errorf("sim: served establish: %w", err)
 	}
+	return se.EstablishModel(ctx, mainHost, service, binding)
+}
+
+// EstablishModel runs the three-phase protocol from mainHost for a
+// built, validated service model and binding. The runtime's compiled
+// templates are keyed on the service pointer, so a caller that admits
+// many sessions of one model should pass the same *svc.Service each
+// time (spec.Catalog interns models for exactly that).
+func (se *ServedEnv) EstablishModel(ctx context.Context, mainHost topo.HostID, service *svc.Service, binding svc.Binding) (*proxy.Session, error) {
 	return se.rt.EstablishContext(ctx, mainHost, proxy.SessionSpec{
 		Service: service,
 		Binding: binding,

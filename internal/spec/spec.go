@@ -1,8 +1,9 @@
 // Package spec defines a JSON document format for describing one
 // service session — the QoS-Resource Model of the service, the session's
 // resource binding, and the observed availability — and converts it into
-// the library's model types. It backs cmd/qosplan and gives downstream
-// tools a stable interchange format.
+// the library's model types. It backs cmd/qosplan and cmd/qosserved
+// (whose Catalog interns service models by content) and gives
+// downstream tools a stable interchange format.
 package spec
 
 import (
@@ -140,9 +141,8 @@ func (s *Session) Build() (*svc.Service, svc.Binding, *broker.Snapshot, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	binding := svc.Binding{}
-	for comp, m := range s.Binding {
-		binding[svc.ComponentID(comp)] = m
+	if err := checkAlpha(s.Availability, s.Alpha); err != nil {
+		return nil, nil, nil, err
 	}
 	snap := &broker.Snapshot{
 		Avail: qos.NewResourceVector(s.Availability),
@@ -152,12 +152,28 @@ func (s *Session) Build() (*svc.Service, svc.Binding, *broker.Snapshot, error) {
 		snap.Alpha[r] = 1
 	}
 	for r, a := range s.Alpha {
-		if _, known := s.Availability[r]; !known {
-			return nil, nil, nil, fmt.Errorf("spec: alpha names resource %q with no availability", r)
-		}
 		snap.Alpha[r] = a
 	}
-	return service, binding, snap, nil
+	return service, bindingOf(s.Binding), snap, nil
+}
+
+// bindingOf converts a document binding into the library's.
+func bindingOf(m map[string]map[string]string) svc.Binding {
+	binding := make(svc.Binding, len(m))
+	for comp, res := range m {
+		binding[svc.ComponentID(comp)] = res
+	}
+	return binding
+}
+
+// checkAlpha rejects an alpha entry for a resource with no availability.
+func checkAlpha(avail, alpha map[string]float64) error {
+	for r := range alpha {
+		if _, known := avail[r]; !known {
+			return fmt.Errorf("spec: alpha names resource %q with no availability", r)
+		}
+	}
+	return nil
 }
 
 // FromModel renders a library model back into a document, the inverse of
