@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -159,7 +160,7 @@ func TestRecoverColdStart(t *testing.T) {
 	reg := obs.New()
 	rt2, c2, brokers2 := durableWorld(t, dir, Options{LeaseTTL: 10, WALMetrics: obs.NewWALMetrics(reg)})
 	c2.Set(12)
-	if err := rt2.Recover(c2.Now()); err != nil {
+	if err := rt2.Recover(); err != nil {
 		t.Fatal(err)
 	}
 	rt2.Start()
@@ -220,7 +221,7 @@ func TestRecoverAfterCheckpoint(t *testing.T) {
 	}
 
 	rt2, _, brokers2 := durableWorld(t, dir, Options{LeaseTTL: 50})
-	if err := rt2.Recover(0); err != nil {
+	if err := rt2.Recover(); err != nil {
 		t.Fatal(err)
 	}
 	if got := bookState(brokers2); !reflect.DeepEqual(got, before) {
@@ -466,7 +467,7 @@ func TestRecoverNeverReusesReleasedLinkIDs(t *testing.T) {
 	}
 
 	rt2, _, _ := linkWorld(t, dir)
-	if err := rt2.Recover(0); err != nil {
+	if err := rt2.Recover(); err != nil {
 		t.Fatal(err)
 	}
 	rt2.Start()
@@ -477,7 +478,7 @@ func TestRecoverNeverReusesReleasedLinkIDs(t *testing.T) {
 	}
 
 	rt3, link, nets := linkWorld(t, dir)
-	if err := rt3.Recover(0); err != nil {
+	if err := rt3.Recover(); err != nil {
 		t.Fatal(err)
 	}
 	if n := nets["net:Y->W"].Reservations(); n != 1 {
@@ -493,9 +494,11 @@ func TestRecoverNeverReusesReleasedLinkIDs(t *testing.T) {
 // exactly one of its two levels with the books matching that level.
 // The undecided half (coordinator died before journaling a decision)
 // lands on the OLD level by presumed abort; a decided upgrade and a
-// journaled downgrade shrink both replay to exactly the NEW level.
+// journaled downgrade shrink both replay to exactly the NEW level, on a
+// crash-restarted host and in a fresh process alike.
 func TestRenegotiateCrashRecovery(t *testing.T) {
-	rt, clock, brokers := durableWorld(t, t.TempDir(), Options{LeaseTTL: 50})
+	dir := t.TempDir()
+	rt, clock, brokers := durableWorld(t, dir, Options{LeaseTTL: 50})
 	rt.Start()
 	service, binding := pipelineService(t)
 	s, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.AtLevel{Level: "ok"}})
@@ -566,6 +569,29 @@ func TestRenegotiateCrashRecovery(t *testing.T) {
 	}
 	auditAndHeartbeat("after downgrade crash", "ok")
 
+	// Cold start: a fresh process over the same log replays the delta's
+	// and the shrinks' records as well, to exactly the shrunk books, and
+	// the session's restored holds drain to zero once their lease lapses.
+	rt.Stop()
+	if err := rt.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	rt2, _, brokers2 := durableWorld(t, dir, Options{LeaseTTL: 50})
+	if err := rt2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if got := bookState(brokers2); !reflect.DeepEqual(got, shrunk) {
+		t.Fatalf("cold-start recovery diverged from the downgrade:\n got %v\nwant %v", got, shrunk)
+	}
+	for _, b := range brokers2 {
+		b.ExpireLeases(clock.Now() + 51)
+	}
+	for r, b := range brokers2 {
+		if b.Reservations() != 0 || b.Reserved() != 0 {
+			t.Errorf("%s did not drain after cold start: %d holds, %g reserved", r, b.Reservations(), b.Reserved())
+		}
+	}
+
 	if err := s.Release(); err != nil {
 		t.Fatal(err)
 	}
@@ -576,10 +602,76 @@ func TestRenegotiateCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestSessionLifecycleWALRecords pins the records one session's life
+// journals on the two-host fixture: establish, heartbeat, upgrade,
+// downgrade and release append exactly this stream — per 2PC request
+// and host, in this order — and the appends counter moves by its length.
+func TestSessionLifecycleWALRecords(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.New()
+	rt, clock, _ := durableWorld(t, dir, Options{LeaseTTL: 50, WALMetrics: obs.NewWALMetrics(reg)})
+	rt.Start()
+	service, binding := pipelineService(t)
+	s, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.AtLevel{Level: "ok"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(5)
+	if err := s.Heartbeat(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, level := range []string{"best", "ok"} {
+		if err := rt.Renegotiate(ctx, s, level); err != nil {
+			t.Fatalf("renegotiate to %s: %v", level, err)
+		}
+	}
+	if err := s.Release(); err != nil {
+		t.Fatal(err)
+	}
+	records, _, err := wal.Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for i, r := range records {
+		got = append(got, fmt.Sprintf("%s %s %s", r.Type, r.Host, r.ID))
+		// Participants journal prepares and commits concurrently, so a run
+		// of them is compared in host order.
+		for j := i; j > 0 && (r.Type == wal.TypePrepare || r.Type == wal.TypeCommit) &&
+			records[j-1].Type == r.Type && got[j] < got[j-1]; j-- {
+			got[j], got[j-1] = got[j-1], got[j]
+		}
+	}
+	want := []string{
+		// Establish at "ok": 2PC over both hosts, then the session lease.
+		"prepare X X#1", "prepare Y X#1", "decide X X#1", "commit X X#1", "commit Y X#1",
+		"lease X X#1", "lease Y X#1",
+		// Heartbeat.
+		"lease X X#1", "lease Y X#1",
+		// Upgrade to "best": the delta's 2PC on Y, every share shrunk to
+		// the new requirement, then leased.
+		"prepare Y X#2", "decide X X#2", "commit Y X#2",
+		"shrink X X#1", "shrink Y X#1", "shrink Y X#2",
+		"lease X X#1", "lease Y X#1", "lease Y X#2",
+		// Downgrade to "ok".
+		"shrink X X#1", "shrink Y X#1", "shrink Y X#2",
+		"lease X X#1", "lease Y X#1", "lease Y X#2",
+		// Release.
+		"release X X#1", "release Y X#1", "release Y X#2",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("journaled stream:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if appends := reg.Counter(obs.MetricWALAppends, "").Value(); appends != 27 {
+		t.Errorf("%s = %v, want 27", obs.MetricWALAppends, appends)
+	}
+}
+
 // TestWALDisabledPaths pins the guard rails of the durability surface.
 func TestWALDisabledPaths(t *testing.T) {
 	rt, _, _ := twoHostWorld(t, Options{})
-	if err := rt.Recover(0); err == nil {
+	if err := rt.Recover(); err == nil {
 		t.Error("Recover without WAL succeeded")
 	}
 	if err := rt.CrashRestart("X"); err == nil {

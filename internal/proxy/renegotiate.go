@@ -38,89 +38,6 @@ import (
 	"qosres/internal/topo"
 )
 
-// shrinkable is a reservation whose live holds can be reduced in place
-// to a per-resource budget. The budget drains in place: passing the
-// same vector through several reservations makes them share it.
-type shrinkable interface {
-	shrinkTo(now broker.Time, budget qos.ResourceVector) error
-}
-
-// shrinkReservation dispatches shrinkTo across the reservation
-// implementations (raw broker reservations included).
-func shrinkReservation(res reservation, now broker.Time, budget qos.ResourceVector) error {
-	switch r := res.(type) {
-	case shrinkable:
-		return r.shrinkTo(now, budget)
-	case *broker.MultiReservation:
-		return r.ShrinkTo(now, budget)
-	}
-	return fmt.Errorf("proxy: %T does not support shrink", res)
-}
-
-// shrinkTo implements shrinkable for the per-host reservation set; the
-// per-host shares drain one shared budget in host order. Shares are
-// never removed from the set (an emptied one keeps its slot), so the
-// journal shim's host alignment survives any number of downgrades.
-func (r *reservationSet) shrinkTo(now broker.Time, budget qos.ResourceVector) error {
-	var firstErr error
-	for _, part := range r.parts {
-		if err := part.ShrinkTo(now, budget); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// combined glues a session's kept reservation and its upgrade delta
-// into one reservation: the session layer leases, releases, and shrinks
-// them as a unit, and repeated renegotiations nest freely.
-type combined struct {
-	parts []reservation
-}
-
-func (c *combined) Release(now broker.Time) error {
-	var firstErr error
-	for _, p := range c.parts {
-		if err := p.Release(now); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-func (c *combined) SetLease(expiry broker.Time) error {
-	for _, p := range c.parts {
-		if err := p.SetLease(expiry); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (c *combined) Touches() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, p := range c.parts {
-		for _, r := range p.Touches() {
-			if !seen[r] {
-				seen[r] = true
-				out = append(out, r)
-			}
-		}
-	}
-	return out
-}
-
-func (c *combined) shrinkTo(now broker.Time, budget qos.ResourceVector) error {
-	var firstErr error
-	for _, p := range c.parts {
-		if err := shrinkReservation(p, now, budget); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
 // LevelAt returns the end-to-end level name at a paper-style rank
 // (RankOf's inverse: best level = highest rank), or "" when the rank is
 // out of range.
@@ -198,19 +115,18 @@ func (s *Session) renegotiateLocked(ctx context.Context, level string) error {
 			root.EndStatus(admitStatus(derr))
 			return derr
 		}
-		res = &combined{parts: []reservation{res, deltaRes}}
+		res.shares = append(res.shares, deltaRes.shares...)
 	}
 
 	// Release the surplus whole: shrink every hold down to the target
-	// requirement, the kept reservation and the delta draining one
-	// shared budget in that order. Shrinking cannot be refused, so from
-	// here the renegotiation cannot fail back to the old level.
+	// requirement, the kept shares and then the delta's draining one
+	// shared budget. Shrinking cannot be refused, so from here the
+	// renegotiation cannot fail back to the old level.
 	now := rt.clock.Now()
-	if err := shrinkReservation(res, now, newReq.Clone()); err != nil {
+	if err := res.shrinkTo(now, newReq.Clone()); err != nil {
 		// A hold that cannot shrink leaves the books matching no level at
 		// all; terminating through the single teardown path is the only
 		// exit that keeps holds and recorded level consistent.
-		s.reservation = res
 		_ = s.terminateLocked(StateFailed)
 		root.EndStatus("error")
 		return fmt.Errorf("proxy: renegotiate shrink: %w", err)
@@ -270,7 +186,7 @@ func (rt *Runtime) planOnly(ctx context.Context, mainHost topo.HostID, spec Sess
 // just ended accrues at its old rank, the touch set re-adopts, and the
 // new holds are leased. Lease failure (a sweep won the race) exits
 // through the single teardown path. Callers hold s.mu.
-func (s *Session) installLocked(now broker.Time, plan *core.Plan, res reservation) error {
+func (s *Session) installLocked(now broker.Time, plan *core.Plan, res *reservationSet) error {
 	s.qosAccrueLocked(now)
 	s.plan = plan
 	s.reservation = res
@@ -341,7 +257,7 @@ func (rt *Runtime) AuditSessions(tol float64) []string {
 		}
 		req := s.plan.Requirement()
 		got := make(qos.ResourceVector)
-		for _, ex := range reservationExports(s.reservation) {
+		for _, ex := range s.reservation.exports() {
 			got[ex.Resource] += ex.Amount
 		}
 		level := s.plan.EndToEnd.Name

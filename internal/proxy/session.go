@@ -155,7 +155,7 @@ type Session struct {
 	mu          sync.Mutex
 	state       SessionState
 	plan        *core.Plan // live plan; starts equal to Plan
-	reservation reservation
+	reservation *reservationSet
 	// touches is the set of concrete resources the live reservation
 	// holds capacity on (including route links of network resources);
 	// the repair layer matches failed resources against it.
@@ -238,7 +238,7 @@ func (rt *Runtime) EstablishContext(ctx context.Context, mainHost topo.HostID, s
 		runtime:     rt,
 		mainHost:    mainHost,
 		spec:        spec,
-		seq:         admissionSeq(res),
+		seq:         res.seq,
 		plan:        plan,
 		reservation: res,
 		qosMarkAt:   rt.clock.Now(),
@@ -268,18 +268,6 @@ func (rt *Runtime) EstablishContext(ctx context.Context, mainHost topo.HostID, s
 // nothing commits nothing to the log, so only its number could recur
 // after a restart.) A serving front end can name sessions by it.
 func (s *Session) AdmissionSeq() uint64 { return s.seq }
-
-// admissionSeq reads the committing request's sequence number off a
-// freshly committed reservation.
-func admissionSeq(res reservation) uint64 {
-	switch r := res.(type) {
-	case *journaled:
-		return admissionSeq(r.inner)
-	case *reservationSet:
-		return r.seq
-	}
-	return 0
-}
 
 // admitStatus maps an admission error to a span status.
 func admitStatus(err error) string {
@@ -338,7 +326,7 @@ func (st stageSpan) end(err error, status string) {
 // context carries the admission's root span (when tracing): each stage
 // hangs a child span under it, and the fabric calls of phases 1 and 3
 // parent under their stage's span in turn.
-func (rt *Runtime) admitOnce(ctx context.Context, mainHost topo.HostID, spec SessionSpec) (*core.Plan, reservation, error) {
+func (rt *Runtime) admitOnce(ctx context.Context, mainHost topo.HostID, spec SessionSpec) (*core.Plan, *reservationSet, error) {
 	resources, err := sessionResourceSet(spec)
 	if err != nil {
 		return nil, nil, err
@@ -549,13 +537,15 @@ func (rt *Runtime) collectAvailability(ctx context.Context, mainHost topo.HostID
 	return snap, nil
 }
 
-// adoptReservationLocked records a reservation's touch set on the
-// session. Callers either hold s.mu or own the session exclusively
-// (construction).
-func (s *Session) adoptReservationLocked(res reservation) {
+// adoptReservationLocked records the union of a reservation's shares'
+// touch sets on the session. Callers either hold s.mu or own the
+// session exclusively (construction).
+func (s *Session) adoptReservationLocked(res *reservationSet) {
 	s.touches = make(map[string]bool)
-	for _, r := range res.Touches() {
-		s.touches[r] = true
+	for _, sh := range res.shares {
+		for _, r := range sh.res.Touches() {
+			s.touches[r] = true
+		}
 	}
 }
 
@@ -660,7 +650,7 @@ func (s *Session) Heartbeat() error {
 
 // armLease leases a freshly admitted reservation when the runtime has a
 // TTL configured; without one the holds stay permanent.
-func (rt *Runtime) armLease(res reservation) error {
+func (rt *Runtime) armLease(res *reservationSet) error {
 	if rt.leaseTTL <= 0 {
 		return nil
 	}

@@ -262,52 +262,93 @@ func (p *QoSProxy) handleAbort(req abortRequest) abortReply {
 	return abortReply{}
 }
 
-// reservation abstracts what a session holds: a single MultiReservation
-// (in-process commit) or the per-host shares of a two-phase commit.
-type reservation interface {
-	Release(now broker.Time) error
-	SetLease(expiry broker.Time) error
-	Touches() []string
+// share is one participating host's part of a committed plan: the holds
+// the host prepared under two-phase-commit request id.
+type share struct {
+	host topo.HostID
+	id   string
+	res  *broker.MultiReservation
 }
 
-// reservationSet is the coordinator's handle on a committed plan: one
-// MultiReservation per participating host, committed by the request
-// with sequence number seq.
+// reservationSet is everything a session holds: the shares of the plan
+// it was admitted with, in host order, followed by the shares of each
+// upgrade delta since. The request with sequence number seq admitted
+// it. On a durable runtime the set journals its own lease renewals,
+// releases and shrinks: one record per share, stamped with the share's
+// request ID and host, so every host's replay is self-contained.
 type reservationSet struct {
-	seq   uint64
-	parts []*broker.MultiReservation
+	rt     *Runtime
+	seq    uint64
+	shares []share
 }
 
 // Release releases every share; the first error wins, but every share
-// is attempted.
+// is attempted and journaled — a part that failed to release was
+// already reclaimed by a lease sweep, so replaying the release can only
+// under-account, never resurrect a hold.
 func (s *reservationSet) Release(now broker.Time) error {
 	var firstErr error
-	for _, p := range s.parts {
-		if err := p.Release(now); err != nil && firstErr == nil {
+	for _, sh := range s.shares {
+		if err := sh.res.Release(now); err != nil && firstErr == nil {
 			firstErr = err
 		}
+		s.journal(wal.TypeRelease, sh, 0)
 	}
 	return firstErr
 }
 
-// SetLease arms every share's lease; the first error aborts (Heartbeat
-// interprets ErrUnknownReservation as lease loss).
+// SetLease arms and journals every share's lease; the first error
+// aborts (Heartbeat interprets ErrUnknownReservation as lease loss).
 func (s *reservationSet) SetLease(expiry broker.Time) error {
-	for _, p := range s.parts {
-		if err := p.SetLease(expiry); err != nil {
+	for _, sh := range s.shares {
+		if err := sh.res.SetLease(expiry); err != nil {
 			return err
 		}
+		s.journal(wal.TypeLease, sh, expiry)
 	}
 	return nil
 }
 
-// Touches returns the union of the shares' touch sets.
-func (s *reservationSet) Touches() []string {
-	var out []string
-	for _, p := range s.parts {
-		out = append(out, p.Touches()...)
+// shrinkTo shrinks the shares in place to a per-resource budget, which
+// they drain in order, so the kept holds go before an upgrade's delta.
+// Each share's surviving holds are journaled even on partial error: a
+// part a concurrent sweep already reclaimed can only under-account on
+// replay, never resurrect capacity. An emptied share keeps its slot and
+// journals an empty shrink, which replay reads as a release.
+func (s *reservationSet) shrinkTo(now broker.Time, budget qos.ResourceVector) error {
+	var firstErr error
+	for _, sh := range s.shares {
+		if err := sh.res.ShrinkTo(now, budget); err != nil && firstErr == nil {
+			firstErr = err
+		}
+		s.journal(wal.TypeShrink, sh, 0)
+	}
+	return firstErr
+}
+
+// exports flattens the shares' holds into journalable form.
+func (s *reservationSet) exports() []broker.HoldExport {
+	var out []broker.HoldExport
+	for _, sh := range s.shares {
+		out = append(out, sh.res.Export()...)
 	}
 	return out
+}
+
+// journal appends one session-layer record for a share; a shrink record
+// carries the share's current holds. A no-op when durability is off.
+// Losing a record is safe: replay then keeps an older (shorter) lease,
+// a released hold, or pre-downgrade amounts — all bounded by the lease
+// sweep.
+func (s *reservationSet) journal(typ string, sh share, expiry broker.Time) {
+	if s.rt.wal == nil {
+		return
+	}
+	rec := wal.Record{Type: typ, Host: string(sh.host), ID: sh.id, Expiry: float64(expiry)}
+	if typ == wal.TypeShrink {
+		rec.Parts = partsFromReservation(sh.res)
+	}
+	_ = s.rt.appendWAL(rec)
 }
 
 // splitByHost partitions a requirement vector into per-owning-host
@@ -337,7 +378,7 @@ func (rt *Runtime) splitByHost(req qos.ResourceVector) (map[topo.HostID]qos.Reso
 // the lease sweep) and no capacity is retained. A refusal because some
 // share no longer fits current availability is broker.ErrInsufficient
 // (retryable staleness); everything else is terminal for this attempt.
-func (rt *Runtime) commitPlan(ctx context.Context, mainHost topo.HostID, req qos.ResourceVector) (reservation, error) {
+func (rt *Runtime) commitPlan(ctx context.Context, mainHost topo.HostID, req qos.ResourceVector) (*reservationSet, error) {
 	shares, err := rt.splitByHost(req)
 	if err != nil {
 		return nil, err
@@ -346,7 +387,7 @@ func (rt *Runtime) commitPlan(ctx context.Context, mainHost topo.HostID, req qos
 	// commit, so it can name the session it admits.
 	seq := rt.nextReq.Add(1)
 	if len(shares) == 0 {
-		return &reservationSet{seq: seq}, nil
+		return &reservationSet{rt: rt, seq: seq}, nil
 	}
 	fabric := rt.fabric
 	from := transport.Addr(mainHost)
@@ -385,9 +426,9 @@ func (rt *Runtime) commitPlan(ctx context.Context, mainHost topo.HostID, req qos
 	// Prepare fan-out: every participating proxy validates and holds its
 	// share concurrently.
 	results := make(chan hostResult, len(shares))
-	for host, share := range shares {
-		go func(host topo.HostID, share qos.ResourceVector) {
-			resp, err := call(host, msgPrepare, prepareRequest{id: id, req: share, expiry: expiry})
+	for host, need := range shares {
+		go func(host topo.HostID, need qos.ResourceVector) {
+			resp, err := call(host, msgPrepare, prepareRequest{id: id, req: need, expiry: expiry})
 			if err != nil {
 				results <- hostResult{host: host, err: err}
 				return
@@ -398,15 +439,15 @@ func (rt *Runtime) commitPlan(ctx context.Context, mainHost topo.HostID, req qos
 				return
 			}
 			results <- hostResult{host: host, res: rep.res, err: rep.err}
-		}(host, share)
+		}(host, need)
 	}
-	prepared := make(map[topo.HostID]*broker.MultiReservation, len(shares))
+	prepared := make([]share, 0, len(shares))
 	var refusal, failure error
 	for range shares {
 		r := <-results
 		switch {
 		case r.err == nil:
-			prepared[r.host] = r.res
+			prepared = append(prepared, share{host: r.host, id: id, res: r.res})
 		case errors.Is(r.err, broker.ErrInsufficient):
 			if refusal == nil {
 				refusal = r.err
@@ -464,28 +505,12 @@ func (rt *Runtime) commitPlan(ctx context.Context, mainHost topo.HostID, req qos
 		abortAll()
 		return nil, commitErr
 	}
-	// Parts and hosts are emitted in the same (sorted) order so the
-	// journaled wrapper can attribute each share to its host — the
-	// per-host shrink records of a mid-session downgrade depend on it.
-	hosts := hostOrder(prepared)
-	parts := make([]*broker.MultiReservation, len(hosts))
-	for i, host := range hosts {
-		parts[i] = prepared[host]
-	}
-	return rt.journal(&reservationSet{seq: seq, parts: parts}, id, hosts), nil
-}
-
-// hostOrder returns the map's hosts in a deterministic order so a
-// reservation's parts don't depend on map iteration.
-func hostOrder(m map[topo.HostID]*broker.MultiReservation) []topo.HostID {
-	out := make([]topo.HostID, 0, len(m))
-	for h := range m {
-		out = append(out, h)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	// Host order, so neither the set's records nor the order a shrink
+	// budget drains in depends on which prepare replied first.
+	for i := 1; i < len(prepared); i++ {
+		for j := i; j > 0 && prepared[j].host < prepared[j-1].host; j-- {
+			prepared[j], prepared[j-1] = prepared[j-1], prepared[j]
 		}
 	}
-	return out
+	return &reservationSet{rt: rt, seq: seq, shares: prepared}, nil
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"qosres/internal/broker"
-	"qosres/internal/qos"
 	"qosres/internal/topo"
 	"qosres/internal/transport"
 	"qosres/internal/wal"
@@ -23,13 +22,14 @@ import (
 //   - The coordinator journals its commit point (a decide record) before
 //     any participant learns of it: recovery presumes abort for a
 //     prepare with no decide record.
-//   - Committed reservations are wrapped (journaled) so the session
-//     layer's lease renewals and teardowns also hit the log, one record
-//     per participating host — each host's replay is self-contained.
-//   - Recover rebuilds every book from a dead process's log;
-//     CrashRestart does the same for a single host while the rest of
-//     the runtime keeps serving, reconciling in-doubt prepares against
-//     coordinator outcome tables over the fabric.
+//   - A session's reservationSet journals its lease renewals, releases
+//     and shrinks itself, one record per share (request ID and host) —
+//     each host's replay is self-contained.
+//   - replayHost rebuilds one host's book from the log. Recover runs it
+//     for every host of a dead process; CrashRestart runs it for a
+//     single host while the rest of the runtime keeps serving,
+//     reconciling in-doubt prepares against coordinator outcome tables
+//     over the fabric.
 
 // msgOutcome asks a coordinator whether a request ID reached its commit
 // point; recovering participants send it to resolve in-doubt prepares.
@@ -217,124 +217,15 @@ func exportsFromParts(parts []wal.Part, expiry broker.Time) []broker.HoldExport 
 	return out
 }
 
-// reservationExports flattens any reservation implementation down to
-// broker hold exports (unwrapping the journal shim).
-func reservationExports(res reservation) []broker.HoldExport {
-	switch r := res.(type) {
-	case *journaled:
-		return reservationExports(r.inner)
-	case *combined:
-		var out []broker.HoldExport
-		for _, part := range r.parts {
-			out = append(out, reservationExports(part)...)
-		}
-		return out
-	case *reservationSet:
-		var out []broker.HoldExport
-		for _, part := range r.parts {
-			out = append(out, part.Export()...)
-		}
-		return out
-	case *broker.MultiReservation:
-		return r.Export()
-	}
-	return nil
-}
-
-// HoldExports snapshots the session's live holds in journalable form —
-// the serving front end checkpoints these into its own session log.
+// HoldExports snapshots the session's live holds in journalable form;
+// nil once the session is no longer active.
 func (s *Session) HoldExports() []broker.HoldExport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.state != StateActive || s.reservation == nil {
 		return nil
 	}
-	return reservationExports(s.reservation)
-}
-
-// journaled wraps a committed reservation so the session layer's direct
-// lease renewals and teardowns hit the write-ahead log: one lease or
-// release record per participating host, keyed by the 2PC request ID,
-// so every host's replay is self-contained.
-type journaled struct {
-	inner reservation
-	rt    *Runtime
-	id    string
-	hosts []topo.HostID
-}
-
-func (j *journaled) SetLease(expiry broker.Time) error {
-	if err := j.inner.SetLease(expiry); err != nil {
-		return err
-	}
-	j.append(wal.Record{Type: wal.TypeLease, ID: j.id, Expiry: float64(expiry)})
-	return nil
-}
-
-func (j *journaled) Release(now broker.Time) error {
-	err := j.inner.Release(now)
-	// Journal the release even on partial error: a part that failed to
-	// release was already reclaimed by a lease sweep, so replaying the
-	// release can only under-account, never resurrect a hold.
-	j.append(wal.Record{Type: wal.TypeRelease, ID: j.id})
-	return err
-}
-
-func (j *journaled) Touches() []string { return j.inner.Touches() }
-
-// shrinkTo shrinks the inner reservation to the per-resource budget and
-// journals the survivors: one TypeShrink record per participating host
-// carrying that host's post-shrink holds, so each host's replay ends up
-// with the downgraded amounts. Like Release, the journal runs even on
-// partial error — a part a concurrent sweep already reclaimed can only
-// under-account on replay, never resurrect capacity.
-func (j *journaled) shrinkTo(now broker.Time, budget qos.ResourceVector) error {
-	err := shrinkReservation(j.inner, now, budget)
-	parts := j.hostParts()
-	if len(parts) != len(j.hosts) {
-		// Alignment lost (should not happen: commitPlan emits parts in
-		// host order). Skip journaling rather than
-		// attribute holds to the wrong host — the lease sweep still
-		// bounds any replay overshoot.
-		return err
-	}
-	for i, part := range parts {
-		// A lost shrink record replays the pre-downgrade amounts: an
-		// overshoot the lease sweep bounds, never a lost hold.
-		_ = j.rt.appendWAL(wal.Record{Type: wal.TypeShrink, ID: j.id, Host: string(j.hosts[i]),
-			Parts: partsFromReservation(part)})
-	}
-	return err
-}
-
-// hostParts exposes the inner reservation's per-host shares, in the
-// order commitPlan aligned them with j.hosts.
-func (j *journaled) hostParts() []*broker.MultiReservation {
-	switch r := j.inner.(type) {
-	case *reservationSet:
-		return r.parts
-	case *broker.MultiReservation:
-		return []*broker.MultiReservation{r}
-	}
-	return nil
-}
-
-// append journals one lease or release record per participating host.
-// Losing one is safe: replay then keeps an older (shorter) lease or a
-// released hold, both of which the lease sweep reclaims.
-func (j *journaled) append(rec wal.Record) {
-	for _, h := range j.hosts {
-		rec.Host = string(h)
-		_ = j.rt.appendWAL(rec)
-	}
-}
-
-// journal wraps a freshly committed reservation when durability is on.
-func (rt *Runtime) journal(res reservation, id string, hosts []topo.HostID) reservation {
-	if rt.wal == nil {
-		return res
-	}
-	return &journaled{inner: res, rt: rt, id: id, hosts: hosts}
+	return s.reservation.exports()
 }
 
 // coordinatorOf parses the coordinating host out of a request ID
@@ -352,7 +243,7 @@ type replayEntry struct {
 	id    string
 	parts []wal.Part
 	// seen accumulates every part any prepare or shrink record named,
-	// for ID retirement and the stranded-link cleanup in restorePending.
+	// for ID retirement and the stranded-link cleanup in replayHost.
 	seen      []wal.Part
 	expiry    broker.Time
 	committed bool
@@ -425,11 +316,24 @@ func reduceHost(records []wal.Record, host string) (entries []*replayEntry, deci
 	return entries, decided, matched
 }
 
-// restorePending rebuilds this proxy's idempotency table and broker
-// books from reduced entries, with the exact pre-crash hold IDs. Must
-// run while the serve goroutine is down. Returns the in-doubt request
-// IDs: prepared, never committed, never aborted.
-func (p *QoSProxy) restorePending(now broker.Time, entries []*replayEntry) (indoubt []string, err error) {
+// replayHost rebuilds one host from the log — the single replay routine
+// behind Recover and CrashRestart. It reduces the host's records, merges
+// its commit decisions into the decide table (keeping any decision
+// already there), counts the records replayed, and restores the
+// idempotency table and broker books with the exact pre-crash hold IDs.
+// Must run while the host's serve goroutine is down. Returns the
+// in-doubt request IDs, in log order: prepared, never committed, never
+// aborted.
+func (rt *Runtime) replayHost(p *QoSProxy, records []wal.Record, now broker.Time) (indoubt []string, err error) {
+	entries, decided, matched := reduceHost(records, string(p.host))
+	rt.decideMu.Lock()
+	for id, exp := range decided {
+		if _, ok := rt.decided[id]; !ok {
+			rt.decided[id] = exp
+		}
+	}
+	rt.decideMu.Unlock()
+	rt.walMetrics.ReplayRecords.Add(float64(matched))
 	resolve := func(r string) (broker.Broker, bool) {
 		b, ok := p.brokers[r]
 		return b, ok
@@ -535,10 +439,12 @@ func recoverySweep(now broker.Time, brokers map[string]broker.Broker) int {
 }
 
 // reconcile resolves a recovered host's in-doubt prepares against their
-// coordinators' outcome tables: locally when this host coordinated the
-// request, over the fabric otherwise. An unreachable coordinator leaves
-// the prepare in doubt — its restored lease keeps the holds reclaimable
-// by the ordinary sweep, so nothing leaks even if no answer ever comes.
+// coordinators' outcome tables (locally when this host coordinated the
+// request or fabric is nil, over the fabric otherwise), then sweeps the
+// leases that lapsed while the host was down. An unreachable
+// coordinator leaves the prepare in doubt: its restored lease keeps the
+// holds reclaimable by the ordinary sweep, so nothing leaks even if no
+// answer ever comes.
 func (rt *Runtime) reconcile(p *QoSProxy, fabric *transport.Fabric, indoubt []string, now broker.Time) {
 	m := rt.walMetrics
 	for _, id := range indoubt {
@@ -569,6 +475,9 @@ func (rt *Runtime) reconcile(p *QoSProxy, fabric *transport.Fabric, indoubt []st
 		}
 		m.InDoubt(rt.resolveInDoubt(p, st, id, now, rep))
 	}
+	if swept := recoverySweep(now, p.brokers); swept > 0 {
+		m.LeasesSwept.Add(float64(swept))
+	}
 }
 
 // Recover rebuilds every host's book from the write-ahead log of a dead
@@ -577,8 +486,9 @@ func (rt *Runtime) reconcile(p *QoSProxy, fabric *transport.Fabric, indoubt []st
 // in-doubt prepares against the replayed coordinator decide tables
 // (all local — the whole process restarted together); then sweep every
 // lease that lapsed while down, exactly once, before Start can admit
-// anything new. Must be called after deployment and before Start.
-func (rt *Runtime) Recover(now broker.Time) error {
+// anything new. Must be called after deployment and before Start; the
+// runtime clock says how long the process was down.
+func (rt *Runtime) Recover() error {
 	rt.mu.Lock()
 	if rt.started {
 		rt.mu.Unlock()
@@ -589,11 +499,10 @@ func (rt *Runtime) Recover(now broker.Time) error {
 		proxies = append(proxies, p)
 	}
 	rt.mu.Unlock()
-	l, m := rt.wal, rt.walMetrics
-	if l == nil {
+	if rt.wal == nil {
 		return errors.New("proxy: WAL not enabled")
 	}
-	records, _, err := wal.Replay(l.Dir())
+	records, _, err := wal.Replay(rt.wal.Dir())
 	if err != nil {
 		return err
 	}
@@ -614,34 +523,17 @@ func (rt *Runtime) Recover(now broker.Time) error {
 	if maxSeq > rt.nextReq.Load() {
 		rt.nextReq.Store(maxSeq)
 	}
-	now = rt.clock.Now()
-	var swept int
-	for _, p := range proxies {
-		entries, decided, matched := reduceHost(records, string(p.host))
-		rt.decideMu.Lock()
-		for id, exp := range decided {
-			rt.decided[id] = exp
-		}
-		rt.decideMu.Unlock()
-		m.ReplayRecords.Add(float64(matched))
-		if _, err := p.restorePending(now, entries); err != nil {
+	now := rt.clock.Now()
+	indoubt := make([][]string, len(proxies))
+	for i, p := range proxies {
+		if indoubt[i], err = rt.replayHost(p, records, now); err != nil {
 			return err
 		}
 	}
 	// Reconcile after every host's decide records are merged: an
 	// in-doubt prepare may be coordinated by any host in the log.
-	for _, p := range proxies {
-		var indoubt []string
-		for id, st := range p.pending {
-			if !st.resolved() {
-				indoubt = append(indoubt, id)
-			}
-		}
-		rt.reconcile(p, nil, indoubt, now)
-		swept += recoverySweep(now, p.brokers)
-	}
-	if swept > 0 {
-		m.LeasesSwept.Add(float64(swept))
+	for i, p := range proxies {
+		rt.reconcile(p, nil, indoubt[i], now)
 	}
 	return nil
 }
@@ -671,8 +563,7 @@ func (rt *Runtime) CrashRestart(host topo.HostID) error {
 		return fmt.Errorf("proxy: no QoSProxy on host %s", host)
 	}
 	rt.mu.Unlock()
-	l, m, fabric := rt.wal, rt.walMetrics, rt.fabric
-	if l == nil {
+	if rt.wal == nil {
 		return errors.New("proxy: WAL not enabled")
 	}
 
@@ -697,27 +588,15 @@ func (rt *Runtime) CrashRestart(host topo.HostID) error {
 
 	// Recovery: replay the log into the book, reconcile, sweep — all
 	// before the proxy can serve a single new message.
-	records, _, err := wal.Replay(l.Dir())
+	records, _, err := wal.Replay(rt.wal.Dir())
 	if err != nil {
 		return err
 	}
-	entries, decided, matched := reduceHost(records, string(p.host))
-	rt.decideMu.Lock()
-	for id, exp := range decided {
-		if _, ok := rt.decided[id]; !ok {
-			rt.decided[id] = exp
-		}
-	}
-	rt.decideMu.Unlock()
-	m.ReplayRecords.Add(float64(matched))
-	indoubt, err := p.restorePending(now, entries)
+	indoubt, err := rt.replayHost(p, records, now)
 	if err != nil {
 		return err
 	}
-	rt.reconcile(p, fabric, indoubt, now)
-	if swept := recoverySweep(now, p.brokers); swept > 0 {
-		m.LeasesSwept.Add(float64(swept))
-	}
+	rt.reconcile(p, rt.fabric, indoubt, now)
 
 	// Rejoin the fabric: a fresh endpoint (the crashed one's queued
 	// deliveries died with the process) and a fresh serve loop.

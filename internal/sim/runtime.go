@@ -155,7 +155,7 @@ func (env *environment) buildRuntime(cfg Config, clock proxy.Clock) (*proxy.Runt
 		// Restart recovery: replay a surviving WAL into the freshly
 		// deployed books before the runtime starts serving, so a restarted
 		// deployment resumes with its pre-crash reservations intact.
-		if err := rt.Recover(clock.Now()); err != nil {
+		if err := rt.Recover(); err != nil {
 			return nil, err
 		}
 	}

@@ -65,11 +65,6 @@ const (
 	// shrunk away. Replay replaces the request's remembered parts whole,
 	// so a recovered book carries the post-downgrade amounts.
 	TypeShrink = "shrink"
-	// TypeSession and TypeSessionEnd journal serving-front-end session
-	// lifecycle (cmd/qosserved): the session's hold exports at establish
-	// time and its teardown.
-	TypeSession    = "session"
-	TypeSessionEnd = "session_end"
 )
 
 // Link identifies one per-link hold owned by a network reservation.
@@ -89,10 +84,9 @@ type Part struct {
 }
 
 // Record is one journaled event. Host names the proxy whose book the
-// record belongs to; ID is the 2PC request ID (or serving-session ID for
-// session records); Expiry is a broker.Time lease expiry; Outcome
-// carries the decide verdict; Parts carries hold detail for prepare and
-// session records.
+// record belongs to; ID is the 2PC request ID; Expiry is a broker.Time
+// lease expiry; Outcome carries the decide verdict; Parts carries hold
+// detail for prepare and shrink records.
 type Record struct {
 	Type    string  `json:"type"`
 	Host    string  `json:"host,omitempty"`
