@@ -7,8 +7,7 @@
 //
 //	simqos -alg basic -rate 100 -seed 1 [-duration 10800] [-stale 0]
 //	       [-scale 4] [-diversity 0]
-//	       [-metrics :9090] [-hold] [-trace run.jsonl] [-spans]
-//	       [-trace-sample 0.01]
+//	       [-metrics :9090] [-hold] [-trace run.jsonl] [-trace-sample 0.01]
 //	       [-chaos [-loss 0.1] [-dup 0.05] [-latency 1ms] [-partition 0.1]
 //	        [-deadline 250ms] [-max-inflight 0] [-crash 0.2]]
 //	simqos -server http://localhost:8080 [-rate 100] [-for 30s] [-seed 1]
@@ -86,7 +85,6 @@ func main() {
 		metrics    = flag.String("metrics", "", "serve /metrics, /snapshot and /debug/pprof on this address (e.g. :9090)")
 		hold       = flag.Bool("hold", false, "with -metrics: keep serving after the run until interrupted")
 		traceOut   = flag.String("trace", "", "write the event trace as JSON lines to this file (- for stdout)")
-		spans      = flag.Bool("spans", false, "with -trace: include planner stage span events")
 		traceSampl = flag.Float64("trace-sample", 0, "head-sampling probability of distributed trace trees (errored admissions always rescued); retained trees export to -trace as span_end/span_event lines")
 		chaos      = flag.Bool("chaos", false, "run the concurrent chaos harness (fault injection, session repair, reservation leases) instead of the deterministic simulation")
 		loss       = flag.Float64("loss", 0, "with -chaos: per-delivery probability that a protocol message (or reply) is lost in transit")
@@ -146,7 +144,6 @@ func main() {
 			}
 		}()
 		cfg.Tracer = sink
-		cfg.TraceSpans = *spans
 	}
 
 	if *metrics != "" {

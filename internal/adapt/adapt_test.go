@@ -116,7 +116,7 @@ func TestPolicyDefaults(t *testing.T) {
 func TestHysteresisUnderOscillatingLoad(t *testing.T) {
 	reg := obs.New()
 	metrics := obs.NewAdaptMetrics(reg)
-	rt, clock, brokers := world(t, proxy.Options{Adapt: metrics})
+	rt, clock, brokers := world(t, proxy.Options{Metrics: reg})
 
 	s1 := establish(t, rt, core.Basic{})
 	s2 := establish(t, rt, core.Basic{})

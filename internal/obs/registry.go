@@ -1,9 +1,8 @@
 // Package obs is a stdlib-only observability subsystem: a
 // concurrency-safe metrics registry (counters, gauges, fixed-bucket
 // histograms with quantile summaries), a Prometheus-text-format and
-// JSON exposition layer (see prom.go, snapshot.go, http.go), and
-// lightweight stage spans for instrumenting the planning hot path
-// (see span.go).
+// JSON exposition layer (see prom.go, snapshot.go, http.go), and one
+// stage timer for instrumenting the admission hot path (see span.go).
 //
 // The registry is designed so that a disabled ("Nop") registry costs
 // nothing on the hot path: a nil *Registry is a valid no-op registry,

@@ -114,10 +114,7 @@ func TestNopRegistryIsInert(t *testing.T) {
 	c.Inc()
 	g.Set(3)
 	h.Observe(1)
-	sp := StartSpan(h)
-	if d := sp.End(); d != 0 {
-		t.Fatalf("inert span measured %v", d)
-	}
+	BeginStage(h, ActiveSpan{}).End(nil, "")
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nop metrics recorded state")
 	}
@@ -138,11 +135,11 @@ func TestNopHotPathNoAllocs(t *testing.T) {
 	c := Nop().Counter("evs", "")
 	g := Nop().Gauge("g", "")
 	allocs := testing.AllocsPerRun(1000, func() {
-		sp := StartSpan(st.Plan)
+		sp := BeginStage(st.Plan, ActiveSpan{})
 		c.Inc()
 		g.Set(1)
 		st.Snapshot.Observe(2)
-		sp.End()
+		sp.End(nil, "")
 	})
 	if allocs != 0 {
 		t.Fatalf("nop hot path allocates %.1f per op", allocs)
@@ -212,9 +209,9 @@ func BenchmarkNopSpan(b *testing.B) {
 	c := Nop().Counter("evs", "")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := StartSpan(st.Plan)
+		sp := BeginStage(st.Plan, ActiveSpan{})
 		c.Inc()
-		sp.End()
+		sp.End(nil, "")
 	}
 }
 
@@ -222,8 +219,7 @@ func BenchmarkLiveSpan(b *testing.B) {
 	st := NewPlanStages(New())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := StartSpan(st.Plan)
-		sp.End()
+		BeginStage(st.Plan, ActiveSpan{}).End(nil, "")
 	}
 }
 

@@ -18,8 +18,9 @@ const (
 	// StageReserve is reservation dispatch (phase 3), including any
 	// rollback on refusal.
 	StageReserve = "reserve"
-	// StageEstablish is the whole three-phase protocol end to end; only
-	// emitted as a trace span by runtime-mode simulations.
+	// StageEstablish is the whole three-phase protocol end to end, timed
+	// by the runtime's Establish; it also names every admission trace's
+	// root span.
 	StageEstablish = "establish"
 )
 
@@ -68,7 +69,7 @@ func StageBuckets() []float64 { return ExpBuckets(1e-6, 2, 20) }
 
 // PlanStages bundles the stage-latency histograms of the planning hot
 // path. Obtained from NewPlanStages; with a nil registry every field is
-// nil and spans cost nothing.
+// nil and stages cost nothing.
 type PlanStages struct {
 	Snapshot  *Histogram
 	Build     *Histogram
@@ -92,30 +93,41 @@ func NewPlanStages(r *Registry) *PlanStages {
 	}
 }
 
-// Span measures one stage execution into a histogram. The zero Span
-// (and any span started against a nil histogram) is a no-op that never
-// reads the clock.
-type Span struct {
+// Stage times one admission stage: it couples one observation of the
+// stage's histogram (exemplared with the trace ID when the stage's span
+// is sampled) with ending that span. Inert — no clock read, no
+// allocation — when the histogram is nil and the span does not record.
+// Pass by value.
+type Stage struct {
 	h     *Histogram
+	span  ActiveSpan
+	tid   string
 	start time.Time
+	on    bool
 }
 
-// StartSpan begins timing a stage. With a nil histogram the returned
-// span is inert and free.
-func StartSpan(h *Histogram) Span {
-	if h == nil {
-		return Span{}
+// BeginStage starts timing a stage whose span the caller has just
+// opened: a child of the admission's root span, or the root itself.
+func BeginStage(h *Histogram, span ActiveSpan) Stage {
+	st := Stage{h: h, span: span}
+	if h != nil || span.Recording() {
+		st.tid = span.TraceID()
+		st.start = time.Now()
+		st.on = true
 	}
-	return Span{h: h, start: time.Now()}
+	return st
 }
 
-// End stops the span, records the elapsed time in seconds, and returns
-// the duration (0 for inert spans).
-func (s Span) End() time.Duration {
-	if s.h == nil {
-		return 0
+// Span returns the stage's span, for parenting the stage's own work
+// (fabric calls) under it.
+func (st Stage) Span() ActiveSpan { return st.span }
+
+// End records the stage latency and ends the span: StatusOK when err is
+// nil, status otherwise.
+func (st Stage) End(err error, status string) {
+	if !st.on {
+		return
 	}
-	d := time.Since(s.start)
-	s.h.Observe(d.Seconds())
-	return d
+	st.h.ObserveExemplar(time.Since(st.start).Seconds(), st.tid)
+	st.span.EndErr(err, status)
 }

@@ -255,7 +255,7 @@ func (p *stealPlanner) Plan(g *qrg.Graph) (*core.Plan, error) {
 func TestEstablishCommitRefusalRollsBackEverything(t *testing.T) {
 	reg := obs.New()
 	admit := obs.NewAdmitMetrics(reg)
-	rt, _, brokers := twoHostWorld(t, Options{AdmitPolicy: &AdmitPolicy{MaxRetries: 0}, Admission: admit})
+	rt, _, brokers := twoHostWorld(t, Options{AdmitPolicy: &AdmitPolicy{MaxRetries: 0}, Metrics: reg})
 	service, binding := pipelineService(t)
 
 	// The basic planner picks lo→best (cpu@X 10, cpu@Y 35, net 25, Ψ
@@ -305,7 +305,7 @@ func TestEstablishCommitRefusalRollsBackEverything(t *testing.T) {
 func TestEstablishRetriesWithFreshSnapshot(t *testing.T) {
 	reg := obs.New()
 	admit := obs.NewAdmitMetrics(reg)
-	rt, _, brokers := twoHostWorld(t, Options{AdmitPolicy: &AdmitPolicy{MaxRetries: 2}, Admission: admit})
+	rt, _, brokers := twoHostWorld(t, Options{AdmitPolicy: &AdmitPolicy{MaxRetries: 2}, Metrics: reg})
 	service, binding := pipelineService(t)
 
 	// Attempt 1 plans lo→best (net 25) and is refused: the steal leaves
@@ -354,7 +354,7 @@ func TestEstablishRetriesWithFreshSnapshot(t *testing.T) {
 func TestEstablishRetryExhaustionKeepsErrInsufficient(t *testing.T) {
 	reg := obs.New()
 	admit := obs.NewAdmitMetrics(reg)
-	rt, _, brokers := twoHostWorld(t, Options{AdmitPolicy: &AdmitPolicy{MaxRetries: 1}, Admission: admit})
+	rt, _, brokers := twoHostWorld(t, Options{AdmitPolicy: &AdmitPolicy{MaxRetries: 1}, Metrics: reg})
 	service, binding := pipelineService(t)
 
 	// Attempt 1 snapshots net=100 and plans lo→best (net 25); the drain

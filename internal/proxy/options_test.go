@@ -1,11 +1,15 @@
 package proxy
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
+	"qosres/internal/broker"
 	"qosres/internal/core"
+	"qosres/internal/obs"
+	"qosres/internal/transport"
 )
 
 // TestOptionsZeroValueIsDefaultRuntime pins what Options{} means: the
@@ -21,8 +25,9 @@ func TestOptionsZeroValueIsDefaultRuntime(t *testing.T) {
 	if rt.leaseTTL != 0 || rt.wal != nil || rt.tracer != nil {
 		t.Errorf("leaseTTL %v, wal %v, tracer %v; want none of them", rt.leaseTTL, rt.wal, rt.tracer)
 	}
-	if rt.stages == nil || rt.admit == nil || rt.faults == nil || rt.adapt == nil || rt.walMetrics == nil {
-		t.Fatal("a nil metric set survived normalisation")
+	if rt.stages.Establish != nil || rt.admit.Shed != nil || rt.faults.Repaired != nil ||
+		rt.adapt.Upgrades != nil || rt.walMetrics.Appends != nil {
+		t.Fatal("a runtime without a registry holds a recording metric")
 	}
 
 	// Unbounded gate: no number of concurrent holders is refused.
@@ -112,5 +117,56 @@ func TestRuntimeHasNoSetters(t *testing.T) {
 				t.Errorf("(*Runtime).%s: configure through Options instead", name)
 			}
 		}
+	}
+}
+
+// TestOptionsTakeOnlyARegistry keeps telemetry configuration to one
+// registry and one trace recorder: no options struct on the runtime's
+// path takes a pre-built metric set that callers must assemble from the
+// registry themselves.
+func TestOptionsTakeOnlyARegistry(t *testing.T) {
+	allowed := map[reflect.Type]bool{
+		reflect.TypeOf((*obs.Registry)(nil)):      true,
+		reflect.TypeOf((*obs.TraceRecorder)(nil)): true,
+	}
+	obsPkg := reflect.TypeOf(obs.Registry{}).PkgPath()
+	for _, opts := range []reflect.Type{reflect.TypeOf(Options{}), reflect.TypeOf(transport.Options{})} {
+		for i := 0; i < opts.NumField(); i++ {
+			f := opts.Field(i)
+			base := f.Type
+			for base.Kind() == reflect.Ptr || base.Kind() == reflect.Slice {
+				base = base.Elem()
+			}
+			if base.PkgPath() == obsPkg && !allowed[f.Type] {
+				t.Errorf("%s.%s has type %s; take *obs.Registry instead", opts, f.Name, f.Type)
+			}
+		}
+	}
+}
+
+// TestEstablishTimesItself pins that the runtime, not its caller, times
+// the establish stage: every Establish that reaches admission, admitted
+// or refused, is one observation of the registry's establish histogram.
+func TestEstablishTimesItself(t *testing.T) {
+	reg := obs.New()
+	rt, _, brokers := twoHostWorld(t, Options{Metrics: reg, AdmitPolicy: &AdmitPolicy{MaxRetries: 0}})
+	service, binding := pipelineService(t)
+
+	const admitted = 5
+	for i := 0; i < admitted; i++ {
+		s, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	planner := &stealPlanner{inner: core.Basic{}, target: brokers["net:X->Y"], amount: 80}
+	if _, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: planner}); !errors.Is(err, broker.ErrInsufficient) {
+		t.Fatalf("err = %v, want a commit-time refusal", err)
+	}
+	if got := obs.NewPlanStages(reg).Establish.Count(); got != admitted+1 {
+		t.Errorf("establish stage observed %d time(s), want %d", got, admitted+1)
 	}
 }

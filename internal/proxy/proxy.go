@@ -184,23 +184,28 @@ func (p *QoSProxy) serve(ep *transport.Endpoint, done chan struct{}) {
 	}
 }
 
-// handle dispatches one delivery. Replies cross the fabric back to the
-// caller (and suffer the route's chaos on the way).
-//
-// Tracing: the first copy of a traced delivery opens a participant span
-// causally parented under the caller's message span; the second copy of
+// participantSpan opens this proxy's span for a traced delivery,
+// causally parented under the caller's message span. The second copy of
 // a duplicated delivery is still processed (the idempotency layer
 // resolves it, and its reply covers a lost first reply) but annotates a
-// duplicate-suppressed event instead of opening a second span.
-func (p *QoSProxy) handle(d transport.Delivery) {
-	if d.Span.Sampled {
-		if d.Dup {
-			p.rt.tracer.EventOn(d.Span, obs.EventDuplicateSuppressed, d.Kind)
-		} else if d.Kind != "" {
-			sp := p.rt.tracer.ChildOf(d.Span, d.Kind, string(p.host))
-			defer sp.End()
-		}
+// duplicate-suppressed event instead of opening a second span. Inert
+// for untraced deliveries.
+func (p *QoSProxy) participantSpan(d transport.Delivery) obs.ActiveSpan {
+	if d.Dup {
+		p.rt.tracer.EventOn(d.Span, obs.EventDuplicateSuppressed, d.Kind)
+		return obs.ActiveSpan{}
 	}
+	if d.Kind == "" {
+		return obs.ActiveSpan{}
+	}
+	return p.rt.tracer.ChildOf(d.Span, d.Kind, string(p.host))
+}
+
+// handle dispatches one delivery under its participant span. Replies
+// cross the fabric back to the caller (and suffer the route's chaos on
+// the way).
+func (p *QoSProxy) handle(d transport.Delivery) {
+	defer p.participantSpan(d).End()
 	switch req := d.Payload.(type) {
 	case availabilityRequest:
 		d.Reply(p.handleAvailability(req))
@@ -226,26 +231,17 @@ func (p *QoSProxy) handle(d transport.Delivery) {
 
 // handleAvailabilityFast is the read fast lane: it answers availability
 // queries on the delivering goroutine with wait-free broker reads,
-// never touching the serve loop or any stripe lock. Tracing mirrors
-// handle: the first copy of a traced delivery opens a participant span,
-// a duplicate copy annotates a duplicate-suppressed event but is still
-// answered (its reply covers a lost first reply). While the proxy is
-// wedged (stall injection) the handler declines the delivery instead:
-// it falls back to the inbox and queues FIFO behind the stall, exactly
-// as every request did before the fast lane existed — answered once
-// the stall releases, or timing out on the caller's deadline first.
+// never touching the serve loop or any stripe lock, under the same
+// participant span handle opens. While the proxy is wedged (stall
+// injection) the handler declines the delivery instead: it falls back
+// to the inbox and queues FIFO behind the stall, exactly as every
+// request did before the fast lane existed — answered once the stall
+// releases, or timing out on the caller's deadline first.
 func (p *QoSProxy) handleAvailabilityFast(d transport.Delivery) bool {
 	if p.wedged.Load() {
 		return false
 	}
-	if d.Span.Sampled {
-		if d.Dup {
-			p.rt.tracer.EventOn(d.Span, obs.EventDuplicateSuppressed, d.Kind)
-		} else {
-			sp := p.rt.tracer.ChildOf(d.Span, d.Kind, string(p.host))
-			defer sp.End()
-		}
-	}
+	defer p.participantSpan(d).End()
 	req, ok := d.Payload.(availabilityRequest)
 	if !ok {
 		return false
@@ -270,8 +266,7 @@ func (p *QoSProxy) handleAvailability(req availabilityRequest) availabilityReply
 // Options configures a Runtime. It is read once, by NewRuntime; the
 // zero value is a complete configuration (each field documents what its
 // zero means), and nothing in it can be changed on a constructed
-// runtime. The five metric sets and the trace recorder are optional:
-// nil (or a set built from a nil registry) leaves the runtime
+// runtime. Metrics and Tracing are optional: nil leaves the runtime
 // unobserved at no cost.
 type Options struct {
 	// Transport is the message fabric every inter-proxy call crosses —
@@ -309,26 +304,16 @@ type Options struct {
 	// this log. The runtime owns it from here on (CloseWAL closes it).
 	// Pair with Recover to rebuild state from a previous process's log.
 	WAL *wal.Log
-	// Stages receives the per-phase latency of every Establish: phase-1
-	// availability collection, QRG build, planning, and phase-3 dispatch.
-	Stages *obs.PlanStages
-	// Admission counts commit-time refusals, rollbacks, replanning
-	// retries, and sheds.
-	Admission *obs.AdmitMetrics
-	// Faults counts every fault-driven session repair as repaired,
-	// degraded, or failed.
-	Faults *obs.FaultMetrics
-	// Adapt counts every successful renegotiation as an upgrade or a
-	// downgrade.
-	Adapt *obs.AdaptMetrics
+	// Metrics is the registry the runtime records into: the latency of
+	// every Establish and of each of its stages, commit-time refusals,
+	// retries and sheds, repair and renegotiation outcomes, and — only
+	// when WAL is set — log appends and recovery counters.
+	Metrics *obs.Registry
 	// Tracing records distributed traces: every Establish, renegotiation
 	// and repair sweep opens a trace whose spans follow the protocol
 	// across the fabric (stage children, per-message call spans, remote
 	// participant spans).
 	Tracing *obs.TraceRecorder
-	// WALMetrics counts log appends, replayed records, reconciliation
-	// outcomes, and recovery lease sweeps.
-	WALMetrics *obs.WALMetrics
 }
 
 // NoTemplates, passed as Options.Templates, disables the
@@ -341,8 +326,8 @@ var NoTemplates = new(qrg.TemplateCache)
 type Runtime struct {
 	// Configuration: set by NewRuntime from Options and never written
 	// again, so every path reads these fields without a lock. The metric
-	// sets are never nil (inert when unobserved); tracer may be nil, which
-	// is inert too.
+	// sets are never nil (inert without a registry); tracer may be nil,
+	// which is inert too.
 	clock  Clock
 	fabric *transport.Fabric
 	stages *obs.PlanStages
@@ -412,17 +397,17 @@ func NewRuntime(clock Clock, opts Options) *Runtime {
 	rt := &Runtime{
 		clock:      clock,
 		fabric:     opts.Transport,
-		stages:     opts.Stages,
-		admit:      opts.Admission,
-		faults:     opts.Faults,
-		adapt:      opts.Adapt,
+		stages:     obs.NewPlanStages(opts.Metrics),
+		admit:      obs.NewAdmitMetrics(opts.Metrics),
+		faults:     obs.NewFaultMetrics(opts.Metrics),
+		adapt:      obs.NewAdaptMetrics(opts.Metrics),
 		tracer:     opts.Tracing,
 		policy:     DefaultAdmitPolicy,
 		gate:       transport.NewGate(opts.MaxInFlight),
 		templates:  opts.Templates,
 		leaseTTL:   opts.LeaseTTL,
 		wal:        opts.WAL,
-		walMetrics: opts.WALMetrics,
+		walMetrics: &obs.WALMetrics{},
 
 		proxies:  make(map[topo.HostID]*QoSProxy),
 		owner:    make(map[string]topo.HostID),
@@ -430,23 +415,12 @@ func NewRuntime(clock Clock, opts Options) *Runtime {
 		reports:  make(map[string]broker.Report),
 		decided:  make(map[string]broker.Time),
 	}
+	if opts.WAL != nil {
+		// Only a durable runtime exports the log counters.
+		rt.walMetrics = obs.NewWALMetrics(opts.Metrics)
+	}
 	if rt.fabric == nil {
 		rt.fabric = transport.New(transport.Options{})
-	}
-	if rt.stages == nil {
-		rt.stages = &obs.PlanStages{}
-	}
-	if rt.admit == nil {
-		rt.admit = &obs.AdmitMetrics{}
-	}
-	if rt.faults == nil {
-		rt.faults = &obs.FaultMetrics{}
-	}
-	if rt.adapt == nil {
-		rt.adapt = &obs.AdaptMetrics{}
-	}
-	if rt.walMetrics == nil {
-		rt.walMetrics = &obs.WALMetrics{}
 	}
 	if opts.AdmitPolicy != nil {
 		rt.policy = *opts.AdmitPolicy

@@ -158,7 +158,7 @@ func TestRecoverColdStart(t *testing.T) {
 
 	// Second process, t=12: s2's lease lapsed during downtime.
 	reg := obs.New()
-	rt2, c2, brokers2 := durableWorld(t, dir, Options{LeaseTTL: 10, WALMetrics: obs.NewWALMetrics(reg)})
+	rt2, c2, brokers2 := durableWorld(t, dir, Options{LeaseTTL: 10, Metrics: reg})
 	c2.Set(12)
 	if err := rt2.Recover(); err != nil {
 		t.Fatal(err)
@@ -609,7 +609,7 @@ func TestRenegotiateCrashRecovery(t *testing.T) {
 func TestSessionLifecycleWALRecords(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.New()
-	rt, clock, _ := durableWorld(t, dir, Options{LeaseTTL: 50, WALMetrics: obs.NewWALMetrics(reg)})
+	rt, clock, _ := durableWorld(t, dir, Options{LeaseTTL: 50, Metrics: reg})
 	rt.Start()
 	service, binding := pipelineService(t)
 	s, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.AtLevel{Level: "ok"}})
@@ -692,7 +692,7 @@ func TestUndurableDecisionIsNotAcknowledged(t *testing.T) {
 	t.Run("serialized", func(t *testing.T) {
 		reg := obs.New()
 		rt, _, brokers := durableWorld(t, t.TempDir(), Options{
-			LeaseTTL: 50, WALMetrics: obs.NewWALMetrics(reg),
+			LeaseTTL: 50, Metrics: reg,
 		})
 		rt.Start()
 		establishDurable(t, rt)

@@ -33,7 +33,6 @@ import (
 	"qosres/internal/core"
 	"qosres/internal/obs"
 	"qosres/internal/qos"
-	"qosres/internal/qrg"
 	"qosres/internal/svc"
 	"qosres/internal/topo"
 )
@@ -88,11 +87,17 @@ func (s *Session) renegotiateLocked(ctx context.Context, level string) error {
 	// contention (it only returns capacity) and an upgrade needs
 	// headroom only for its delta. The delta's 2PC still validates real
 	// availability at commit, so the credit can waste a refusal but
-	// never over-commit.
+	// never over-commit. The phases run untimed and unspanned: only
+	// admissions feed the stage histograms and stage spans.
 	oldReq := s.plan.Requirement()
 	spec := s.spec
 	spec.Planner = core.AtLevel{Level: level}
-	plan, err := rt.planOnly(ctx, s.mainHost, spec, oldReq)
+	resources, err := sessionResourceSet(spec)
+	var plan *core.Plan
+	if err == nil {
+		plan, err = rt.planPhases(ctx, obs.ActiveSpan{}, obs.PlanStages{}, s.mainHost, spec,
+			rt.templateFor(spec), resources, oldReq)
+	}
 	if err != nil {
 		root.EndStatus(admitStatus(err))
 		return err
@@ -143,42 +148,6 @@ func (s *Session) renegotiateLocked(ctx context.Context, level string) error {
 	}
 	root.End()
 	return nil
-}
-
-// planOnly runs admission phases 1 and 2 — availability snapshot,
-// template instantiation, planning — without committing anything: the
-// planning half of Renegotiate. The credit (the caller's own live
-// holds) is added to the snapshot's availability before planning.
-func (rt *Runtime) planOnly(ctx context.Context, mainHost topo.HostID, spec SessionSpec, credit qos.ResourceVector) (*core.Plan, error) {
-	resources, err := sessionResourceSet(spec)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := rt.collectAvailability(ctx, mainHost, resources)
-	if err != nil {
-		return nil, err
-	}
-	for r, amt := range credit {
-		snap.Avail[r] += amt
-	}
-	tpl := rt.templateFor(spec)
-	var g *qrg.Graph
-	if tpl != nil {
-		g, err = tpl.Instantiate(snap)
-	} else {
-		g, err = qrg.Build(spec.Service, spec.Binding, snap)
-	}
-	if err != nil {
-		return nil, err
-	}
-	plan, err := spec.Planner.Plan(g)
-	if tpl != nil {
-		tpl.Recycle(g)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return plan, nil
 }
 
 // installLocked swaps a freshly admitted, repaired, or renegotiated

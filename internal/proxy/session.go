@@ -196,6 +196,8 @@ func (rt *Runtime) Establish(mainHost topo.HostID, spec SessionSpec) (*Session, 
 //
 // When the runtime bounds in-flight admissions (Options.MaxInFlight),
 // calls beyond the bound fail immediately with transport.ErrOverloaded.
+// Every call past the host checks, shed, refused or admitted, is timed
+// into the establish stage histogram of Options.Metrics.
 //
 // When the runtime has a lease TTL configured (Options.LeaseTTL), the new
 // session's holds are leased: they expire and are reclaimed unless the
@@ -212,10 +214,11 @@ func (rt *Runtime) EstablishContext(ctx context.Context, mainHost topo.HostID, s
 		return nil, fmt.Errorf("proxy: runtime not started")
 	}
 
-	// Trace root: one trace per admission attempt sequence. Every exit
-	// path below terminates it, so shed or refused sessions never leave
-	// an orphan root behind.
+	// Trace root and establish stage: one per admission attempt
+	// sequence. Every exit path below ends it, so shed or refused
+	// sessions are timed too and never leave an orphan root behind.
 	root := rt.tracer.Root(obs.StageEstablish, string(mainHost))
+	est := obs.BeginStage(rt.stages.Establish, root)
 	ctx = obs.ContextWithSpan(ctx, root)
 
 	// Overload protection: shed rather than queue when the runtime is
@@ -223,14 +226,14 @@ func (rt *Runtime) EstablishContext(ctx context.Context, mainHost topo.HostID, s
 	if err := rt.gate.TryAcquire(); err != nil {
 		rt.admit.Shed.Inc()
 		root.Event(obs.EventShed, string(mainHost))
-		root.EndStatus("shed")
+		est.End(err, "shed")
 		return nil, fmt.Errorf("proxy: establish on %s: %w", mainHost, err)
 	}
 	defer rt.gate.Release()
 
 	plan, res, err := rt.admitOnce(ctx, mainHost, spec)
 	if err != nil {
-		root.EndStatus(admitStatus(err))
+		est.End(err, admitStatus(err))
 		return nil, err
 	}
 	s := &Session{
@@ -250,14 +253,14 @@ func (rt *Runtime) EstablishContext(ctx context.Context, mainHost topo.HostID, s
 		// window on a participant, or a sweep after the clock outran the
 		// commit's lease. The session never owned what it lost.
 		_ = res.Release(rt.clock.Now())
-		root.EndStatus("error")
+		est.End(err, "error")
 		if errors.Is(err, broker.ErrUnknownReservation) {
 			return nil, fmt.Errorf("proxy: establish on %s: %w: %v", mainHost, ErrSessionLost, err)
 		}
 		return nil, err
 	}
 	rt.register(s)
-	root.End()
+	est.End(nil, "")
 	return s, nil
 }
 
@@ -287,39 +290,6 @@ func admitStatus(err error) string {
 	}
 }
 
-// stageSpan couples one admission stage's histogram observation (with a
-// trace-ID exemplar when the trace is sampled) with a child span of the
-// admission trace. Inert — no clock read, no allocation — when neither
-// metrics nor tracing is on.
-type stageSpan struct {
-	h     *obs.Histogram
-	span  obs.ActiveSpan
-	tid   string
-	start time.Time
-	on    bool
-}
-
-// startStageSpan begins one stage under the admission's root span.
-func startStageSpan(h *obs.Histogram, parent obs.ActiveSpan, name, scope string) stageSpan {
-	st := stageSpan{h: h, span: parent.Child(name, scope), tid: parent.TraceID()}
-	if st.h != nil || st.span.Recording() {
-		st.start = time.Now()
-		st.on = true
-	}
-	return st
-}
-
-// end records the stage latency (exemplared with the trace ID when
-// sampled) and terminates the child span: StatusOK when err is nil,
-// status otherwise.
-func (st stageSpan) end(err error, status string) {
-	if !st.on {
-		return
-	}
-	st.h.ObserveExemplar(time.Since(st.start).Seconds(), st.tid)
-	st.span.EndErr(err, status)
-}
-
 // admitOnce runs phases 1-3 (with the bounded replanning retry loop)
 // for one spec and returns the admitted plan and its reservation. It is
 // the shared admission engine of Establish and the repair layer. The
@@ -331,10 +301,9 @@ func (rt *Runtime) admitOnce(ctx context.Context, mainHost topo.HostID, spec Ses
 	if err != nil {
 		return nil, nil, err
 	}
-	stages, admit, policy := rt.stages, rt.admit, rt.policy
+	stages, admit, policy := *rt.stages, rt.admit, rt.policy
 	tpl := rt.templateFor(spec)
 	root := obs.SpanFromContext(ctx)
-	host := string(mainHost)
 
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -345,53 +314,23 @@ func (rt *Runtime) admitOnce(ctx context.Context, mainHost topo.HostID, spec Ses
 			}
 			return nil, nil, fmt.Errorf("proxy: admission abandoned at deadline: %w", err)
 		}
-		// Phase 1: collect availability from the owning proxies, in
-		// parallel. Each attempt takes a fresh snapshot: retrying against
-		// the stale one would just recompute the refused plan.
-		st := startStageSpan(stages.Snapshot, root, obs.StageSnapshot, host)
-		snap, err := rt.collectAvailability(obs.ContextWithSpan(ctx, st.span), mainHost, resources)
-		st.end(err, "error")
+		// Phases 1-2 against a fresh snapshot: retrying against the stale
+		// one would just recompute the refused plan. A planning failure
+		// against a fresh snapshot is not staleness; retrying cannot help.
+		plan, err := rt.planPhases(ctx, root, stages, mainHost, spec, tpl, resources, nil)
 		if err != nil {
-			return nil, nil, err
-		}
-
-		// Phase 2: local computation at the main proxy. The compiled
-		// template (shared by every attempt and every session of this
-		// (service, binding) pair) yields the same graph as qrg.Build.
-		st = startStageSpan(stages.Build, root, obs.StageBuild, host)
-		var g *qrg.Graph
-		if tpl != nil {
-			g, err = tpl.Instantiate(snap)
-		} else {
-			g, err = qrg.Build(spec.Service, spec.Binding, snap)
-		}
-		st.end(err, "error")
-		if err != nil {
-			return nil, nil, err
-		}
-		st = startStageSpan(stages.Plan, root, obs.StagePlan, host)
-		plan, err := spec.Planner.Plan(g)
-		st.end(err, "infeasible")
-		if tpl != nil {
-			// Plans own their data; recycle the graph buffers for the
-			// next instantiation.
-			tpl.Recycle(g)
-		}
-		if err != nil {
-			// Planning failure against a fresh snapshot is not staleness;
-			// retrying cannot help.
 			return nil, nil, err
 		}
 
 		// Phase 3: two-phase validate-at-commit across the plan's owning
 		// proxies. A refusal leaves zero residual holds and is retried
 		// here against a fresh snapshot.
-		st = startStageSpan(stages.Reserve, root, obs.StageReserve, host)
-		res, err := rt.commitPlan(obs.ContextWithSpan(ctx, st.span), mainHost, plan.Requirement())
+		st := obs.BeginStage(stages.Reserve, root.Child(obs.StageReserve, string(mainHost)))
+		res, err := rt.commitPlan(obs.ContextWithSpan(ctx, st.Span()), mainHost, plan.Requirement())
 		if err != nil && errors.Is(err, broker.ErrInsufficient) {
-			st.end(err, "refused")
+			st.End(err, "refused")
 		} else {
-			st.end(err, "error")
+			st.End(err, "error")
 		}
 		if err == nil {
 			return plan, res, nil
@@ -416,6 +355,51 @@ func (rt *Runtime) admitOnce(ctx context.Context, mainHost topo.HostID, spec Ses
 		}
 		policy.wait(ctx, attempt+1, rt.jitter)
 	}
+}
+
+// planPhases runs admission phases 1 and 2 once: collect availability
+// from the owning proxies in parallel (crediting the snapshot with
+// credit, a renegotiating session's own live holds), build the QRG —
+// from the compiled template when tpl is non-nil, which yields the same
+// graph as qrg.Build — and run the planner locally at the main proxy.
+// Each phase is timed into stages and spanned under root; renegotiation
+// passes inert ones.
+func (rt *Runtime) planPhases(ctx context.Context, root obs.ActiveSpan, stages obs.PlanStages,
+	mainHost topo.HostID, spec SessionSpec, tpl *qrg.Template, resources []string, credit qos.ResourceVector) (*core.Plan, error) {
+	host := string(mainHost)
+	st := obs.BeginStage(stages.Snapshot, root.Child(obs.StageSnapshot, host))
+	snap, err := rt.collectAvailability(obs.ContextWithSpan(ctx, st.Span()), mainHost, resources)
+	st.End(err, "error")
+	if err != nil {
+		return nil, err
+	}
+	for r, amt := range credit {
+		snap.Avail[r] += amt
+	}
+
+	st = obs.BeginStage(stages.Build, root.Child(obs.StageBuild, host))
+	var g *qrg.Graph
+	if tpl != nil {
+		g, err = tpl.Instantiate(snap)
+	} else {
+		g, err = qrg.Build(spec.Service, spec.Binding, snap)
+	}
+	st.End(err, "error")
+	if err != nil {
+		return nil, err
+	}
+	st = obs.BeginStage(stages.Plan, root.Child(obs.StagePlan, host))
+	plan, err := spec.Planner.Plan(g)
+	st.End(err, "infeasible")
+	if tpl != nil {
+		// Plans own their data; recycle the graph buffers for the next
+		// instantiation.
+		tpl.Recycle(g)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return plan, nil
 }
 
 // sessionResourceSet lists the concrete resources the session's QRG can

@@ -140,7 +140,7 @@ func TestEstablishDegradesToCachedReportsUnderPartition(t *testing.T) {
 // instead of repaired.
 func TestRepairAbandonsAtDeadline(t *testing.T) {
 	reg := obs.New()
-	rt, _, brokers := twoHostWorld(t, Options{Faults: obs.NewFaultMetrics(reg)})
+	rt, _, brokers := twoHostWorld(t, Options{Metrics: reg})
 	service, binding := pipelineService(t)
 	s, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}})
 	if err != nil {
@@ -282,7 +282,7 @@ func TestJitteredBackoffDivergesBySeedAndHoldsCap(t *testing.T) {
 func TestMaxInFlightShedsConcurrentAdmissions(t *testing.T) {
 	reg := obs.New()
 	rt, _, _ := unreliableWorld(t, transport.Options{}, Options{
-		Admission:   obs.NewAdmitMetrics(reg),
+		Metrics:     reg,
 		MaxInFlight: 1,
 	})
 	service, binding := pipelineService(t)

@@ -342,7 +342,7 @@ func RunChaos(sc StressConfig) (res *ChaosResult, err error) {
 	collector := &tracetree.Collector{}
 	var spanOut trace.Tracer = collector
 	if cfg.Tracer != nil {
-		spanOut = trace.Tee(collector, cfg.Tracer)
+		spanOut = trace.Multi{collector, cfg.Tracer}
 	}
 	env.tracerec = obs.NewTraceRecorder(cfg.Obs, obs.TraceOptions{
 		Sample:       1,

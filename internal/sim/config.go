@@ -82,10 +82,6 @@ type Config struct {
 	// utilization and α gauges, and the Ψ distribution of accepted plans
 	// (see package obs). A nil registry costs nothing on the hot path.
 	Obs *obs.Registry
-	// TraceSpans additionally emits planning-stage timings as
-	// trace.Span events to the Tracer (wall-clock durations). Useful
-	// only with a non-nil Tracer.
-	TraceSpans bool
 	// TraceSample enables causal distributed tracing of session
 	// admissions: each arrival's establishment rolls head sampling with
 	// this probability (errored admissions are always tail-rescued), and

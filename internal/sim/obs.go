@@ -2,7 +2,6 @@ package sim
 
 import (
 	"strconv"
-	"time"
 
 	"qosres/internal/broker"
 	"qosres/internal/core"
@@ -30,9 +29,6 @@ type instruments struct {
 	// faults carries the fault-injection and session-repair counters of
 	// chaos runs; inert without a registry.
 	faults *obs.FaultMetrics
-	// transport carries the message/drop/duplication/breaker counters of
-	// unreliable-messaging chaos runs; inert without a registry.
-	transport *obs.TransportMetrics
 	// adapt carries the mid-session adaptation counters (upgrades,
 	// downgrades, held ticks, suppressed flaps, delivered QoS-seconds);
 	// inert without a registry.
@@ -66,8 +62,11 @@ func newInstruments(r *obs.Registry) instruments {
 	in.simTime = r.Gauge(obs.MetricSimTime, "Current simulation clock in TUs.")
 	in.admit = obs.NewAdmitMetrics(r)
 	in.faults = obs.NewFaultMetrics(r)
-	in.transport = obs.NewTransportMetrics(r)
 	in.adapt = obs.NewAdaptMetrics(r)
+	// A chaos fabric fetches the transport set from the same registry;
+	// registering it here as well gives every run the same /metrics
+	// families whether or not its fabric records.
+	obs.NewTransportMetrics(r)
 	return in
 }
 
@@ -111,38 +110,5 @@ func (in instruments) sampleUtilization(pool *broker.Pool, resources []string) {
 			continue
 		}
 		in.reg.Gauge(obs.MetricUtilization, utilHelp, "resource", r).Set(1 - b.Available()/cap)
-	}
-}
-
-// stageTimer times one planning stage; inert when neither metrics nor
-// span tracing is enabled, in which case it never reads the clock.
-type stageTimer struct {
-	t0 time.Time
-	on bool
-}
-
-// startStage begins timing if the run observes stages at all.
-func (env *environment) startStage() stageTimer {
-	if !env.timed {
-		return stageTimer{}
-	}
-	return stageTimer{t0: time.Now(), on: true}
-}
-
-// endStage records the elapsed wall-clock time into the stage histogram
-// (exemplared with the distributed-trace ID when the arrival is
-// sampled) and, when span tracing is on, emits a trace.Span event.
-func (env *environment) endStage(st stageTimer, h *obs.Histogram, stage, tid string,
-	now broker.Time, sid uint64, service, class string) {
-	if !st.on {
-		return
-	}
-	d := time.Since(st.t0).Seconds()
-	h.ObserveExemplar(d, tid)
-	if env.traceSpans {
-		env.tracer.Trace(trace.Event{
-			At: now, Kind: trace.Span, Session: sid,
-			Service: service, Class: class, Stage: stage, Duration: d,
-		})
 	}
 }

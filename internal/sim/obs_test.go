@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"context"
+	"reflect"
+	"sort"
 	"testing"
 
 	"qosres/internal/obs"
@@ -105,7 +108,7 @@ func TestObsDoesNotPerturbResults(t *testing.T) {
 	}
 	cfg := quickConfig(AlgTradeoff, 150)
 	cfg.Obs = obs.New()
-	cfg.TraceSpans = true
+	cfg.TraceSample = 1
 	cfg.Tracer = trace.NewCounter()
 	instrumented, err := Run(cfg)
 	if err != nil {
@@ -147,47 +150,6 @@ func TestRuntimeTraceParity(t *testing.T) {
 					alg, k, dCounts[k], rCounts[k])
 			}
 		}
-	}
-}
-
-// TestTraceSpansEmitted checks the opt-in Span event stream: spans
-// carry a stage name and a positive duration, and stay absent by
-// default.
-func TestTraceSpansEmitted(t *testing.T) {
-	cfg := quickConfig(AlgBasic, 120)
-	cfg.Duration = 300
-	ring := trace.NewRing(4096)
-	cfg.Tracer = ring
-	cfg.TraceSpans = true
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	stages := map[string]int{}
-	for _, ev := range ring.Events() {
-		if ev.Kind != trace.Span {
-			continue
-		}
-		if ev.Stage == "" || ev.Duration < 0 {
-			t.Fatalf("malformed span event %+v", ev)
-		}
-		stages[ev.Stage]++
-	}
-	for _, want := range []string{"snapshot", "qrg_build", "plan"} {
-		if stages[want] == 0 {
-			t.Errorf("no span events for stage %s (got %v)", want, stages)
-		}
-	}
-
-	// Default: no span events.
-	cfg2 := quickConfig(AlgBasic, 120)
-	cfg2.Duration = 300
-	c := trace.NewCounter()
-	cfg2.Tracer = c
-	if _, err := Run(cfg2); err != nil {
-		t.Fatal(err)
-	}
-	if c.Count(trace.Span) != 0 {
-		t.Fatalf("span events emitted without TraceSpans: %d", c.Count(trace.Span))
 	}
 }
 
@@ -250,5 +212,95 @@ func TestRuntimeSpanTreeParity(t *testing.T) {
 		if _, ok := direct[sig]; !ok {
 			t.Errorf("signature %q: runtime-only (%d trace(s))", sig, n)
 		}
+	}
+}
+
+// TestServedMetricFamilies pins the /metrics family set of a served
+// deployment after one establish and release, without and with a WAL:
+// the runtime registers its sets from the registry it is handed, and
+// only a durable runtime adds the log counters.
+func TestServedMetricFamilies(t *testing.T) {
+	common := []string{
+		"qosres_adapt_downgrades_total",
+		"qosres_adapt_flaps_suppressed_total",
+		"qosres_adapt_held_total",
+		"qosres_adapt_upgrades_total",
+		"qosres_admission_shed_total",
+		"qosres_admit_retries_total",
+		"qosres_admit_stale_rejections_total",
+		"qosres_delivered_qos_seconds",
+		"qosres_leases_expired_total",
+		"qosres_plan_psi",
+		"qosres_plan_stage_seconds",
+		"qosres_qrg_template_evictions_total",
+		"qosres_qrg_template_hits_total",
+		"qosres_qrg_template_misses_total",
+		"qosres_qrg_templates_cached",
+		"qosres_repair_deadline_abandoned_total",
+		"qosres_reservation_rollbacks_total",
+		"qosres_session_events_total",
+		"qosres_sessions_degraded_total",
+		"qosres_sessions_repair_failed_total",
+		"qosres_sessions_repaired_total",
+		"qosres_sim_time_tus",
+		"qosres_transport_breaker_fastfail_total",
+		"qosres_transport_call_timeouts_total",
+		"qosres_transport_duplicated_total",
+	}
+	durable := append(append([]string{}, common...),
+		"qosres_recovery_leases_swept_total",
+		"qosres_wal_appends_total",
+		"qosres_wal_replay_records_total",
+	)
+	sort.Strings(durable)
+
+	for _, tc := range []struct {
+		name string
+		wal  bool
+		want []string
+	}{{"memory", false, common}, {"wal", true, durable}} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.New()
+			opts := ServedOptions{Seed: 1, LeaseTTL: 600, Registry: reg}
+			if tc.wal {
+				opts.WALDir = t.TempDir()
+			}
+			se, err := NewServedEnv(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer se.Close()
+			offer, err := se.SampleSession()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := se.EstablishModel(context.Background(), offer.MainHost, offer.Service, offer.Binding)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Release(); err != nil {
+				t.Fatal(err)
+			}
+
+			seen := map[string]bool{}
+			snap := reg.Snapshot()
+			for _, c := range snap.Counters {
+				seen[c.Name] = true
+			}
+			for _, g := range snap.Gauges {
+				seen[g.Name] = true
+			}
+			for _, h := range snap.Histograms {
+				seen[h.Name] = true
+			}
+			got := make([]string, 0, len(seen))
+			for n := range seen {
+				got = append(got, n)
+			}
+			sort.Strings(got)
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("families:\n got %q\nwant %q", got, tc.want)
+			}
+		})
 	}
 }

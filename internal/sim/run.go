@@ -148,11 +148,6 @@ type environment struct {
 	tracer      trace.Tracer
 	// ins holds the run's metric handles; inert when Config.Obs is nil.
 	ins instruments
-	// traceSpans emits planning-stage Span events to the tracer.
-	traceSpans bool
-	// timed is true when either metrics or span tracing needs stage
-	// wall-clock timings.
-	timed bool
 	// tracerec records causal distributed-trace span trees of session
 	// establishments; nil (TraceSample 0) costs the hot path nothing.
 	tracerec *obs.TraceRecorder
@@ -178,8 +173,6 @@ func buildEnvironment(cfg Config, rng *rand.Rand) (*environment, error) {
 	if cfg.TemplateCache {
 		env.templates = qrg.NewTemplateCache(cfg.Obs)
 	}
-	env.traceSpans = cfg.TraceSpans && cfg.Tracer != nil
-	env.timed = env.ins.enabled() || env.traceSpans
 	if cfg.TraceSample > 0 {
 		// Distributed tracing: head-sample admissions into span trees,
 		// rescue errored ones, and export retained trees to the Tracer
@@ -369,17 +362,17 @@ func (env *environment) handleArrival(cfg Config, rng *rand.Rand, planner core.P
 		Service: service.Name, Class: class.String(),
 	})
 
-	// Distributed-trace root for this arrival's establishment. The stage
-	// children mirror the runtime path's span names so both execution
-	// modes produce comparable trees; every exit path below ends the
-	// root. All of it is inert (no lock, no clock, no allocation) when
-	// the arrival is not sampled.
+	// Distributed-trace root for this arrival's establishment. The stages
+	// are timed exactly as the runtime path times them, under the same
+	// span names, so both execution modes produce comparable histograms
+	// and trees; every exit path below ends the root. All of it is inert
+	// (no lock, no clock, no allocation) when the run records no metrics
+	// and the arrival is not sampled.
 	host := string(topo.ServerHost(sh.service))
 	root := env.tracerec.Root(obs.StageEstablish, host)
-	tid := root.TraceID()
+	stages := env.ins.stages
 
-	stSnap := env.startStage()
-	spSnap := root.Child(obs.StageSnapshot, host)
+	st := obs.BeginStage(stages.Snapshot, root.Child(obs.StageSnapshot, host))
 	var snap *broker.Snapshot
 	var err error
 	if cfg.StaleE > 0 {
@@ -395,17 +388,14 @@ func (env *environment) handleArrival(cfg Config, rng *rand.Rand, planner core.P
 	} else {
 		snap, err = env.pool.Snapshot(now, resources)
 	}
+	st.End(err, "error")
 	if err != nil {
-		spSnap.EndStatus("error")
 		root.EndStatus("error")
 		return err
 	}
-	spSnap.End()
-	env.endStage(stSnap, env.ins.stages.Snapshot, obs.StageSnapshot, tid, now, sid, service.Name, class.String())
 	env.ins.sampleAlpha(snap)
 
-	stBuild := env.startStage()
-	spBuild := root.Child(obs.StageBuild, host)
+	st = obs.BeginStage(stages.Build, root.Child(obs.StageBuild, host))
 	contention, _ := qrg.ContentionByName(cfg.Contention)
 	var g *qrg.Graph
 	var tpl *qrg.Template
@@ -420,19 +410,15 @@ func (env *environment) handleArrival(cfg Config, rng *rand.Rand, planner core.P
 	} else {
 		g, err = qrg.BuildWithOptions(service, binding, snap, qrg.BuildOptions{Contention: contention})
 	}
+	st.End(err, "error")
 	if err != nil {
-		spBuild.EndStatus("error")
 		root.EndStatus("error")
 		return err
 	}
-	spBuild.End()
-	env.endStage(stBuild, env.ins.stages.Build, obs.StageBuild, tid, now, sid, service.Name, class.String())
 
-	stPlan := env.startStage()
-	spPlan := root.Child(obs.StagePlan, host)
+	st = obs.BeginStage(stages.Plan, root.Child(obs.StagePlan, host))
 	plan, err := planner.Plan(g)
-	spPlan.EndErr(err, "infeasible")
-	env.endStage(stPlan, env.ins.stages.Plan, obs.StagePlan, tid, now, sid, service.Name, class.String())
+	st.End(err, "infeasible")
 	if tpl != nil {
 		// The plan owns all its data; the graph's buffers can go back
 		// to the template pool for the next arrival.
@@ -467,15 +453,13 @@ func (env *environment) handleArrival(cfg Config, rng *rand.Rand, planner core.P
 		Psi: plan.Psi, Bottleneck: plan.Bottleneck, Path: plan.PathLevels,
 	})
 
-	stRes := env.startStage()
-	spRes := root.Child(obs.StageReserve, host)
+	st = obs.BeginStage(stages.Reserve, root.Child(obs.StageReserve, host))
 	res, err := env.pool.ReserveAll(now, plan.Requirement())
 	if errors.Is(err, broker.ErrInsufficient) {
-		spRes.EndStatus("refused")
+		st.End(err, "refused")
 	} else {
-		spRes.EndErr(err, "error")
+		st.End(err, "error")
 	}
-	env.endStage(stRes, env.ins.stages.Reserve, obs.StageReserve, tid, now, sid, service.Name, class.String())
 	if err != nil {
 		if !errors.Is(err, broker.ErrInsufficient) {
 			root.EndStatus("error")

@@ -6,7 +6,6 @@ import (
 
 	"qosres/internal/broker"
 	"qosres/internal/core"
-	"qosres/internal/obs"
 	"qosres/internal/proxy"
 	"qosres/internal/stats"
 	"qosres/internal/topo"
@@ -44,6 +43,10 @@ func (env *environment) buildRuntime(cfg Config, clock proxy.Clock) (*proxy.Runt
 		// Share the run's template cache (instrumented into the run
 		// registry) so hit/miss counters cover both execution modes.
 		Templates: env.templates,
+		// The runtime records into the run's registry, sharing the stage
+		// histograms and counters of the direct path, so both execution
+		// modes have one latency and admission vocabulary.
+		Metrics: cfg.Obs,
 		// Distributed tracing gates itself on TraceSample, not on the
 		// metrics registry: the runtime roots one trace per Establish,
 		// stage spans and fabric-call spans nest under it, and remote
@@ -56,10 +59,8 @@ func (env *environment) buildRuntime(cfg Config, clock proxy.Clock) (*proxy.Runt
 	}
 	if cfg.Faults != nil {
 		// Chaos mode: lease every session's holds so a silent (orphaned)
-		// session can never strand capacity, and count repair outcomes
-		// into the run's registry.
+		// session can never strand capacity.
 		opts.LeaseTTL = cfg.Faults.LeaseTTL
-		opts.Faults = env.ins.faults
 		if cfg.Faults.WALDir != "" {
 			// Durable chaos: journal every 2PC transition so crash/restart
 			// injection can replay the books.
@@ -68,9 +69,6 @@ func (env *environment) buildRuntime(cfg Config, clock proxy.Clock) (*proxy.Runt
 				return nil, err
 			}
 			opts.WAL = log
-			if env.ins.enabled() {
-				opts.WALMetrics = obs.NewWALMetrics(env.ins.reg)
-			}
 		}
 		if tc := cfg.Faults.Transport; tc != nil {
 			// Unreliable-messaging mode: replace the default perfect fabric
@@ -96,19 +94,10 @@ func (env *environment) buildRuntime(cfg Config, clock proxy.Clock) (*proxy.Runt
 					Dup:     tc.Dup,
 				},
 				Breaker: bc,
-				Metrics: env.ins.transport,
+				Metrics: cfg.Obs,
 			})
 			opts.MaxInFlight = tc.MaxInFlight
 		}
-	}
-	if env.ins.enabled() {
-		// The three-phase protocol records into the same stage
-		// histograms as the direct path, so both execution modes share
-		// one latency vocabulary, and admission retries/rollbacks land in
-		// the run's registry.
-		opts.Stages = env.ins.stages
-		opts.Admission = env.ins.admit
-		opts.Adapt = env.ins.adapt
 	}
 	rt := proxy.NewRuntime(clock, opts)
 	for _, h := range env.topology.Hosts() {
@@ -183,14 +172,10 @@ func (env *environment) handleArrivalRuntime(cfg Config, rt *proxy.Runtime,
 		Service: service.Name, Class: class.String(),
 	})
 
-	// The per-phase stage histograms are recorded inside Establish (see
-	// Options.Stages in buildRuntime); the sim layer only times the
-	// protocol end to end.
-	stEst := env.startStage()
+	// Establish records every stage histogram itself, establish included.
 	session, err := rt.Establish(topo.ServerHost(sh.service), proxy.SessionSpec{
 		Service: service, Binding: binding, Planner: planner,
 	})
-	env.endStage(stEst, env.ins.stages.Establish, obs.StageEstablish, "", now, sid, service.Name, class.String())
 	if errors.Is(err, core.ErrInfeasible) {
 		env.ins.planFailed.Inc()
 		metrics.PlanFailures++

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"qosres/internal/adapt"
 	"qosres/internal/broker"
@@ -23,21 +22,6 @@ import (
 // establish/heartbeat/teardown requests instead of a discrete-event
 // scheduler. The WAL makes it restartable — a ServedEnv opened with
 // Recover over a surviving log replays the books before serving.
-
-// WallClock is a proxy.Clock running on real time, in seconds since the
-// instant it was created. One TU of the simulated world maps to one
-// second of the served world, so lease TTLs keep their meaning.
-type WallClock struct {
-	start time.Time
-}
-
-// NewWallClock returns a clock whose time zero is now.
-func NewWallClock() *WallClock { return &WallClock{start: time.Now()} }
-
-// Now implements proxy.Clock.
-func (c *WallClock) Now() broker.Time {
-	return broker.Time(time.Since(c.start).Seconds())
-}
 
 // ServedOptions configures a serving environment.
 type ServedOptions struct {
@@ -65,7 +49,8 @@ type ServedOptions struct {
 	// Registry, when non-nil, receives runtime metrics (also WAL and
 	// recovery counters); serve it over /metrics with obs.NewMux.
 	Registry *obs.Registry
-	// Clock overrides the runtime clock; nil uses a fresh WallClock.
+	// Clock overrides the runtime clock; nil uses a fresh wall clock at
+	// one TU per second, so lease TTLs keep their meaning.
 	// Tests substitute a manual clock to force lease expiry.
 	Clock proxy.Clock
 	// Adapt, when non-nil, arms the mid-session adaptation controller
@@ -110,7 +95,7 @@ func NewServedEnv(opts ServedOptions) (*ServedEnv, error) {
 	}
 	clock := opts.Clock
 	if clock == nil {
-		clock = NewWallClock()
+		clock = proxy.NewWallClock(1)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	env, err := buildEnvironment(cfg, rng)

@@ -12,7 +12,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 		{At: 1, Kind: Arrival, Session: 1, Service: "S1", Class: "Norm.-short"},
 		{At: 1.25, Kind: Planned, Session: 1, Service: "S1", Class: "Norm.-short",
 			Level: "Qp", Rank: 3, Psi: 0.25, Bottleneck: `cpu@H1`, Path: "Qa-Qb,c"},
-		{At: 1.25, Kind: Span, Session: 1, Service: "S1", Stage: "plan", Duration: 12.5e-6},
+		{At: 1.25, Kind: SpanEnd, Stage: "plan", Duration: 12.5e-6,
+			TraceID: "0000000000000001", SpanID: "2", ParentID: "1", Scope: "H1", Status: "ok"},
 		{At: 2, Kind: Reserved, Session: 1, Service: "S1", Class: "Norm.-short",
 			Level: "Qp", Rank: 3, Psi: 0.25, Bottleneck: `cpu@H1`},
 		{At: 9, Kind: Released, Session: 1, Service: "S1", Class: "Norm.-short"},

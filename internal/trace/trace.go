@@ -33,9 +33,6 @@ const (
 	ReserveFailed
 	// Released is a completed session returning its resources.
 	Released
-	// Span is a planning-stage timing observation (see the Stage and
-	// Duration event fields); emitted only when span tracing is enabled.
-	Span
 	// SpanEnd is one completed span of a distributed trace tree (see
 	// the Trace/Span/Parent/Scope/Status fields); emitted at trace
 	// completion when distributed tracing is enabled.
@@ -61,8 +58,6 @@ func (k Kind) String() string {
 		return "reserve_failed"
 	case Released:
 		return "released"
-	case Span:
-		return "span"
 	case SpanEnd:
 		return "span_end"
 	case SpanEvent:
@@ -74,7 +69,7 @@ func (k Kind) String() string {
 // Kinds lists every event kind in lifecycle order.
 func Kinds() []Kind {
 	return []Kind{Arrival, Planned, PlanFailed, Reserved, ReserveFailed, Released,
-		Span, SpanEnd, SpanEvent}
+		SpanEnd, SpanEvent}
 }
 
 // KindFromString parses a Kind's String rendering.
@@ -126,13 +121,12 @@ type Event struct {
 	Bottleneck string `json:"bottleneck,omitempty"`
 	// Path is the dash-joined selected path (chain services).
 	Path string `json:"path,omitempty"`
-	// Stage names the planning stage of a Span event (see package obs
-	// for the stage vocabulary); for SpanEnd/SpanEvent events it names
-	// the span (establish, snapshot, prepare, ...) or the event type.
+	// Stage names the span of a SpanEnd event (establish, snapshot,
+	// prepare, ...; see package obs for the stage vocabulary) or the
+	// event type of a SpanEvent.
 	Stage string `json:"stage,omitempty"`
-	// Duration is the wall-clock seconds a Span event's stage took; for
-	// SpanEnd events, the span's duration; for SpanEvent events, the
-	// event's offset from its span's start.
+	// Duration is the wall-clock seconds a SpanEnd event's span took, or
+	// a SpanEvent's offset from its span's start.
 	Duration float64 `json:"duration,omitempty"`
 	// TraceID is the distributed trace identifier (fixed-width hex) of
 	// SpanEnd/SpanEvent events.
@@ -162,28 +156,6 @@ type Nop struct{}
 
 // Trace implements Tracer.
 func (Nop) Trace(Event) {}
-
-// Tee fans every event out to each of the given tracers in order (nil
-// entries are skipped). Concurrency-safety is whatever the slowest
-// member provides.
-func Tee(ts ...Tracer) Tracer {
-	live := make(tee, 0, len(ts))
-	for _, t := range ts {
-		if t != nil {
-			live = append(live, t)
-		}
-	}
-	return live
-}
-
-type tee []Tracer
-
-// Trace implements Tracer.
-func (t tee) Trace(ev Event) {
-	for _, x := range t {
-		x.Trace(ev)
-	}
-}
 
 // Ring keeps the last N events in memory.
 type Ring struct {

@@ -80,7 +80,7 @@ func TestSettleExcludesClosedEndpoints(t *testing.T) {
 // both are settled when Settle returns.
 func TestFastLaneParity(t *testing.T) {
 	reg := obs.New()
-	f := New(Options{Metrics: obs.NewTransportMetrics(reg)})
+	f := New(Options{Metrics: reg})
 	fast := f.Endpoint("F", 4)
 	fast.SetHandler("probe", func(d Delivery) bool {
 		d.Reply("fast")

@@ -84,9 +84,9 @@ type Options struct {
 	// route.
 	Breaker *BreakerConfig
 	// Metrics, when non-nil, receives message/drop/dup/timeout/breaker
-	// counters. A nil value (or one built from a nil registry) records
-	// nothing at no cost.
-	Metrics *obs.TransportMetrics
+	// counters and per-route call latency. nil records nothing at no
+	// cost.
+	Metrics *obs.Registry
 }
 
 // pair is an unordered endpoint pair, the key of route state.
@@ -258,10 +258,6 @@ type Fabric struct {
 // New creates a fabric. With zero Options the fabric is perfect: every
 // call is delivered instantly, exactly once, with no breaker in the way.
 func New(opts Options) *Fabric {
-	m := opts.Metrics
-	if m == nil {
-		m = &obs.TransportMetrics{}
-	}
 	return &Fabric{
 		rng:         rand.New(rand.NewSource(opts.Seed)),
 		defaults:    opts.Defaults,
@@ -270,7 +266,7 @@ func New(opts Options) *Fabric {
 		partitioned: make(map[pair]bool),
 		breakerCfg:  opts.Breaker,
 		breakers:    make(map[[2]Addr]*Breaker),
-		metrics:     m,
+		metrics:     obs.NewTransportMetrics(opts.Metrics),
 	}
 }
 
