@@ -10,7 +10,6 @@
 //	       [-metrics :9090] [-hold] [-trace run.jsonl] [-trace-sample 0.01]
 //	       [-chaos [-loss 0.1] [-dup 0.05] [-latency 1ms] [-partition 0.1]
 //	        [-deadline 250ms] [-max-inflight 0] [-crash 0.2]]
-//	simqos -server http://localhost:8080 [-rate 100] [-for 30s] [-seed 1]
 //
 // With -trace-sample, sessions are head-sampled into causal distributed
 // trace trees (errored admissions always rescued) exported to the
@@ -29,12 +28,6 @@
 // log, and the run's invariants (no over-commit, exact drain, zero
 // zombies) are asserted across the restarts.
 //
-// With -server URL, simqos does not simulate at all: it drives a running
-// qosserved instance with open-loop Poisson load over HTTP — sampling
-// session offers from GET /spec, establishing them, heartbeating while
-// they hold, and tearing them down after their sampled duration — for
-// -for of wall-clock time at -rate sessions per 60 seconds.
-//
 // With -metrics the process serves a live exposition endpoint while the
 // simulation runs (and, with -hold, after it finishes):
 //
@@ -44,20 +37,13 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"sort"
-	"strings"
-	"sync"
-	"time"
 
 	"qosres/internal/adapt"
 	"qosres/internal/broker"
@@ -79,7 +65,6 @@ func main() {
 		paths      = flag.Bool("paths", false, "print selected-path histograms")
 		contention = flag.String("contention", "ratio", "contention index: ratio, headroom, or log")
 		useRuntime = flag.Bool("runtime", false, "route sessions through the QoSProxy runtime architecture")
-		tplCache   = flag.Bool("template-cache", true, "serve QRGs from compiled per-(service, binding) templates; false rebuilds every graph from scratch (reference path)")
 		admitRetry = flag.Int("admit-retries", 3, "with -runtime: max replanning retries after a commit-time refusal")
 		timeline   = flag.Float64("timeline", 0, "print a success-rate timeline with this window width (TUs)")
 		metrics    = flag.String("metrics", "", "serve /metrics, /snapshot and /debug/pprof on this address (e.g. :9090)")
@@ -98,17 +83,8 @@ func main() {
 		adaptOn    = flag.Bool("adapt", false, "with -chaos: run the mid-session adaptation controller (brownout/upgrade renegotiations) concurrently with the faults")
 		adaptHigh  = flag.Float64("adapt-high", 0.85, "with -adapt: utilization at or above which brownout downgrades run")
 		adaptLow   = flag.Float64("adapt-low", 0.55, "with -adapt: utilization below which upgrades run")
-		server     = flag.String("server", "", "drive a running qosserved at this base URL with open-loop Poisson load instead of simulating (uses -rate, -for, -seed)")
-		serverFor  = flag.Duration("for", 30*time.Second, "with -server: wall-clock length of the load run")
 	)
 	flag.Parse()
-
-	if *server != "" {
-		if err := runServerLoad(*server, *rate, *serverFor, *seed); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	cfg := sim.DefaultConfig(sim.Algorithm(*alg), *rate, *seed)
 	cfg.Duration = broker.Time(*duration)
@@ -117,7 +93,6 @@ func main() {
 	cfg.Workload.DiversityRatio = *diversity
 	cfg.Contention = *contention
 	cfg.UseRuntime = *useRuntime
-	cfg.TemplateCache = *tplCache
 	cfg.MaxAdmitRetries = *admitRetry
 	cfg.TimelineWindow = *timeline
 	cfg.TraceSample = *traceSampl
@@ -164,7 +139,6 @@ func main() {
 		// verifies the over-commit, leak, and drain invariants itself.
 		sc := sim.DefaultStressConfig(*seed)
 		sc.Config.Algorithm = sim.Algorithm(*alg)
-		sc.Config.TemplateCache = *tplCache
 		sc.Config.MaxAdmitRetries = *admitRetry
 		sc.Config.Obs = reg
 		// Chaos always traces at sample 1.0 (the harness asserts trace
@@ -359,8 +333,7 @@ func printAdmission(reg *obs.Registry) {
 // printTemplateCache summarizes the compiled-template fast lane: how
 // many QRG constructions were served from a compiled template versus
 // compiled fresh, and how many templates stayed resident. Silent when
-// the cache is disabled (-template-cache=false leaves every counter at
-// zero).
+// no graph was built.
 func printTemplateCache(reg *obs.Registry) {
 	snap := reg.Snapshot()
 	value := func(name string) float64 {
@@ -569,168 +542,7 @@ func printUtilization(reg *obs.Registry) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "simqos:", err)
 	os.Exit(1)
-}
-
-// serverOffer mirrors qosserved's GET /spec reply; the session document
-// is relayed opaquely, so simqos needs no spec types of its own.
-type serverOffer struct {
-	MainHost string          `json:"mainHost"`
-	Duration float64         `json:"duration"`
-	Session  json.RawMessage `json:"session"`
-}
-
-type serverSession struct {
-	ID      string `json:"id"`
-	Service string `json:"service"`
-	Level   string `json:"level"`
-	Rank    int    `json:"rank"`
-}
-
-// runServerLoad drives a qosserved instance with open-loop Poisson
-// arrivals: sample an offer, establish it, heartbeat while holding it
-// for its sampled duration (capped to the run window), then tear it
-// down. Open-loop means arrivals never wait for completions — exactly
-// the load shape that exposes a slow or amnesiac server.
-func runServerLoad(base string, rate float64, dur time.Duration, seed int64) error {
-	if rate <= 0 {
-		return fmt.Errorf("server load needs a positive -rate, got %g", rate)
-	}
-	base = strings.TrimRight(base, "/")
-	client := &http.Client{Timeout: 15 * time.Second}
-	rng := rand.New(rand.NewSource(seed))
-	deadline := time.Now().Add(dur)
-
-	var (
-		mu          sync.Mutex
-		arrivals    int
-		established int
-		refused     int
-		torndown    int
-		heartbeats  int
-		failed      int
-	)
-	count := func(c *int) { mu.Lock(); *c++; mu.Unlock() }
-
-	var wg sync.WaitGroup
-	drive := func(offer serverOffer) {
-		defer wg.Done()
-		body, err := json.Marshal(map[string]any{
-			"mainHost": offer.MainHost,
-			"session":  offer.Session,
-		})
-		if err != nil {
-			count(&failed)
-			return
-		}
-		resp, err := client.Post(base+"/establish", "application/json", bytes.NewReader(body))
-		if err != nil {
-			count(&failed)
-			return
-		}
-		reply, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			count(&failed)
-			return
-		}
-		if resp.StatusCode != http.StatusOK {
-			// Admission refusals (plan infeasible, commit refused, shed)
-			// are an expected outcome of open-loop load, not an error.
-			count(&refused)
-			return
-		}
-		var sess serverSession
-		if err := json.Unmarshal(reply, &sess); err != nil {
-			count(&failed)
-			return
-		}
-		count(&established)
-
-		hold := time.Duration(offer.Duration * float64(time.Second))
-		if remain := time.Until(deadline); hold > remain {
-			hold = remain
-		}
-		holdUntil := time.Now().Add(hold)
-		for time.Now().Before(holdUntil) {
-			gap := 5 * time.Second
-			if remain := time.Until(holdUntil); remain < gap {
-				gap = remain
-			}
-			time.Sleep(gap)
-			resp, err := client.Post(base+"/heartbeat?id="+sess.ID, "", nil)
-			if err != nil {
-				count(&failed)
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				// Lease lapsed or the server restarted: the session is
-				// gone, there is nothing left to tear down.
-				count(&failed)
-				return
-			}
-			count(&heartbeats)
-		}
-		resp, err = client.Post(base+"/teardown?id="+sess.ID, "", nil)
-		if err != nil {
-			count(&failed)
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			count(&failed)
-			return
-		}
-		count(&torndown)
-	}
-
-	fmt.Fprintf(os.Stderr, "simqos: driving %s at %g sessions/60s for %v\n", base, rate, dur)
-	for time.Now().Before(deadline) {
-		gap := time.Duration(rng.ExpFloat64() * 60 / rate * float64(time.Second))
-		if remain := time.Until(deadline); gap > remain {
-			break
-		}
-		time.Sleep(gap)
-		resp, err := client.Get(base + "/spec")
-		if err != nil {
-			count(&failed)
-			continue
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			count(&failed)
-			continue
-		}
-		var offer serverOffer
-		if err := json.Unmarshal(body, &offer); err != nil {
-			count(&failed)
-			continue
-		}
-		mu.Lock()
-		arrivals++
-		mu.Unlock()
-		wg.Add(1)
-		go drive(offer)
-	}
-	wg.Wait()
-
-	fmt.Printf("server load: arrivals=%d established=%d refused=%d torndown=%d heartbeats=%d errors=%d\n",
-		arrivals, established, refused, torndown, heartbeats, failed)
-	if failed > 0 {
-		return fmt.Errorf("%d request errors against %s", failed, base)
-	}
-	return nil
 }

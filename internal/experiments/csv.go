@@ -4,19 +4,15 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
-
-	"qosres/internal/sim"
 )
 
 // CSV writers for every experiment, for external plotting pipelines.
 // Each writer emits a header row and one record per data point.
 
-// WriteFig11CSV emits rate, algorithm, success_rate, avg_qos rows plus
-// the run's planning-stage latency percentiles in microseconds.
+// WriteFig11CSV emits rate, algorithm, success_rate, avg_qos rows.
 func WriteFig11CSV(w io.Writer, rows []Fig11Row) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"rate", "algorithm", "success_rate", "avg_qos", "plan_p50_us", "plan_p99_us"}); err != nil {
+	if err := cw.Write([]string{"rate", "algorithm", "success_rate", "avg_qos"}); err != nil {
 		return err
 	}
 	for _, r := range rows {
@@ -25,8 +21,6 @@ func WriteFig11CSV(w io.Writer, rows []Fig11Row) error {
 			string(r.Algorithm),
 			fmt.Sprintf("%.6f", r.SuccessRate),
 			fmt.Sprintf("%.6f", r.AvgQoS),
-			fmt.Sprintf("%.1f", 1e6*r.PlanP50),
-			fmt.Sprintf("%.1f", 1e6*r.PlanP99),
 		})
 	}
 	cw.Flush()
@@ -83,86 +77,4 @@ func WriteFig12CSV(w io.Writer, rows []Fig12Row) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// Fig11Averaged runs figure 11 over reps independent replications
-// (different derived seeds) and returns per-point means plus the
-// standard error of the success rate, tightening the noisy points of
-// single runs.
-type Fig11AveragedRow struct {
-	Fig11Row
-	// SuccessStdErr is the standard error of the mean success rate.
-	SuccessStdErr float64
-	Reps          int
-}
-
-// Fig11Averaged replicates the figure-11 sweep.
-func Fig11Averaged(opts Opts, reps int) ([]Fig11AveragedRow, error) {
-	if reps <= 0 {
-		reps = 3
-	}
-	type acc struct {
-		succ []float64
-		qos  []float64
-	}
-	accs := map[string]*acc{}
-	key := func(rate float64, alg sim.Algorithm) string {
-		return fmt.Sprintf("%g/%s", rate, alg)
-	}
-	for rep := 0; rep < reps; rep++ {
-		repOpts := opts
-		repOpts.Seed = opts.Seed + int64(rep)*7919
-		rows, err := Fig11(repOpts)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range rows {
-			k := key(r.Rate, r.Algorithm)
-			if accs[k] == nil {
-				accs[k] = &acc{}
-			}
-			accs[k].succ = append(accs[k].succ, r.SuccessRate)
-			accs[k].qos = append(accs[k].qos, r.AvgQoS)
-		}
-	}
-	var out []Fig11AveragedRow
-	for _, rate := range Fig11Rates {
-		for _, alg := range Algorithms {
-			a := accs[key(rate, alg)]
-			if a == nil {
-				continue
-			}
-			m, se := meanStderr(a.succ)
-			qm, _ := meanStderr(a.qos)
-			out = append(out, Fig11AveragedRow{
-				Fig11Row: Fig11Row{
-					Rate: rate, Algorithm: alg,
-					SuccessRate: m, AvgQoS: qm,
-				},
-				SuccessStdErr: se,
-				Reps:          reps,
-			})
-		}
-	}
-	return out, nil
-}
-
-func meanStderr(xs []float64) (mean, stderr float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	if len(xs) < 2 {
-		return mean, 0
-	}
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	variance := ss / float64(len(xs)-1)
-	return mean, math.Sqrt(variance / float64(len(xs)))
 }

@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"qosres/internal/broker"
-	"qosres/internal/obs"
 	"qosres/internal/sim"
 	"qosres/internal/stats"
 )
@@ -60,10 +59,6 @@ type Fig11Row struct {
 	Algorithm   sim.Algorithm
 	SuccessRate float64
 	AvgQoS      float64
-	// PlanP50 and PlanP99 are the planning-stage (min-max Dijkstra /
-	// tradeoff pass) latency percentiles of the run, in seconds.
-	PlanP50 float64
-	PlanP99 float64
 }
 
 // Fig11 regenerates figure 11 (both panels) over the rate sweep.
@@ -79,22 +74,15 @@ func fig11With(opts Opts, rates []float64, diversity float64) ([]Fig11Row, error
 		for _, alg := range Algorithms {
 			cfg := opts.config(alg, rate, int64(rate))
 			cfg.Workload.DiversityRatio = diversity
-			// A per-run registry isolates each (rate, algorithm) point's
-			// stage latencies from its neighbours.
-			reg := obs.New()
-			cfg.Obs = reg
 			res, err := sim.Run(cfg)
 			if err != nil {
 				return nil, err
 			}
-			stages := obs.NewPlanStages(reg)
 			rows = append(rows, Fig11Row{
 				Rate:        rate,
 				Algorithm:   alg,
 				SuccessRate: res.Metrics.Overall.SuccessRate(),
 				AvgQoS:      res.Metrics.Overall.AvgQoS(),
-				PlanP50:     stages.Plan.Quantile(0.5),
-				PlanP99:     stages.Plan.Quantile(0.99),
 			})
 		}
 	}
@@ -174,18 +162,8 @@ func PrintFig11(w io.Writer, title string, rows []Fig11Row) {
 			fmt.Sprintf("%.2f", m[sim.AlgTradeoff].AvgQoS),
 			fmt.Sprintf("%.2f", m[sim.AlgRandom].AvgQoS))
 	}
-	lat := &stats.Table{Header: []string{"rate", "basic", "tradeoff", "random"}}
-	latCell := func(r Fig11Row) string {
-		return fmt.Sprintf("%.0f/%.0f", 1e6*r.PlanP50, 1e6*r.PlanP99)
-	}
-	for _, rate := range rates {
-		m := byRate[rate]
-		lat.AddRow(fmt.Sprintf("%g", rate),
-			latCell(m[sim.AlgBasic]), latCell(m[sim.AlgTradeoff]), latCell(m[sim.AlgRandom]))
-	}
 	fmt.Fprintf(w, "%s (a): overall reservation success rate\n%s\n", title, succ)
-	fmt.Fprintf(w, "%s (b): average end-to-end QoS level\n%s\n", title, qos)
-	fmt.Fprintf(w, "%s: planning latency p50/p99 (µs)\n%s", title, lat)
+	fmt.Fprintf(w, "%s (b): average end-to-end QoS level\n%s", title, qos)
 }
 
 // Tables12Rate is the arrival rate of the path-selection study

@@ -250,47 +250,6 @@ func TestCSVWriters(t *testing.T) {
 	}
 }
 
-func TestFig11AveragedTightensEstimates(t *testing.T) {
-	if testing.Short() {
-		t.Skip("replicated sweep")
-	}
-	rows, err := Fig11Averaged(Opts{Seed: 1, Duration: 600}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(Fig11Rates)*len(Algorithms) {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Reps != 3 {
-			t.Fatalf("reps = %d", r.Reps)
-		}
-		if r.SuccessRate < 0 || r.SuccessRate > 1 {
-			t.Fatalf("mean out of range: %+v", r)
-		}
-		if r.SuccessStdErr < 0 || r.SuccessStdErr > 0.5 {
-			t.Fatalf("stderr out of range: %+v", r)
-		}
-	}
-}
-
-func TestMeanStderr(t *testing.T) {
-	m, se := meanStderr([]float64{2, 4, 6})
-	if m != 4 {
-		t.Fatalf("mean = %v", m)
-	}
-	// sample variance = 4, stderr = sqrt(4/3).
-	if se < 1.15 || se > 1.16 {
-		t.Fatalf("stderr = %v", se)
-	}
-	if m, se := meanStderr(nil); m != 0 || se != 0 {
-		t.Fatal("empty input must be zeros")
-	}
-	if _, se := meanStderr([]float64{5}); se != 0 {
-		t.Fatal("single sample must have zero stderr")
-	}
-}
-
 func TestPlotHelpersRender(t *testing.T) {
 	rows := []Fig11Row{
 		{Rate: 60, Algorithm: sim.AlgBasic, SuccessRate: 0.99, AvgQoS: 2.99},

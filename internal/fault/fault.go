@@ -1,7 +1,7 @@
 // Package fault injects failures into a reservation-enabled environment:
 // it can fail and recover link brokers, local brokers, and whole hosts,
-// and shrink and restore broker capacities, either on an explicit
-// schedule or as a seeded random walk. The injector mutates broker state
+// and shrink and restore broker capacities, one call at a time or as a
+// seeded random walk. The injector mutates broker state
 // only through the failure surface of package broker (Fail, Recover,
 // SetCapacity), so the invariants of that surface hold under injection:
 // a failed resource reports zero availability and refuses new

@@ -176,47 +176,6 @@ func TestRecoverAllRestoresOriginalShape(t *testing.T) {
 	}
 }
 
-func TestScheduleFiresInOrder(t *testing.T) {
-	pool, tp := world(t)
-	in := New(pool, tp)
-	sched := NewSchedule([]Step{
-		{At: 5, Kind: KindRecover, Target: "cpu@A"},
-		{At: 2, Kind: KindResourceDown, Target: "cpu@A"},
-		{At: 3, Kind: KindCapacityShrink, Target: "link:L1", Factor: 0.5},
-	})
-	if got := sched.Due(1); len(got) != 0 {
-		t.Fatalf("premature steps: %v", got)
-	}
-	due := sched.Due(3)
-	if len(due) != 2 || due[0].Kind != KindResourceDown || due[1].Kind != KindCapacityShrink {
-		t.Fatalf("due(3) = %v", due)
-	}
-	for _, st := range due {
-		if err := in.Apply(3, st); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := avail(t, pool, "cpu@A"); got != 0 {
-		t.Fatalf("cpu@A available %g", got)
-	}
-	if got := avail(t, pool, "link:L1"); got != 50 {
-		t.Fatalf("link:L1 available %g", got)
-	}
-	due = sched.Due(10)
-	if len(due) != 1 || due[0].Kind != KindRecover {
-		t.Fatalf("due(10) = %v", due)
-	}
-	if err := in.Apply(10, due[0]); err != nil {
-		t.Fatal(err)
-	}
-	if got := avail(t, pool, "cpu@A"); got != 100 {
-		t.Fatalf("cpu@A available %g after recover", got)
-	}
-	if sched.Remaining() != 0 {
-		t.Fatalf("remaining = %d", sched.Remaining())
-	}
-}
-
 func TestRandomWalkIsSeededAndBounded(t *testing.T) {
 	cfg := DefaultRandomConfig()
 	run := func(seed int64) ([]Event, int) {

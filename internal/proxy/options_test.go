@@ -79,33 +79,6 @@ func TestOptionsZeroValueIsDefaultRuntime(t *testing.T) {
 	}
 }
 
-// TestNoTemplatesIsTheReferencePath pins the one non-nil value of
-// Options.Templates with a special meaning: NoTemplates switches the
-// fast lane off, and the qrg.Build path admits the same plan the
-// compiled template does.
-func TestNoTemplatesIsTheReferencePath(t *testing.T) {
-	service, binding := pipelineService(t)
-	spec := SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}}
-
-	ref, _, _ := twoHostWorld(t, Options{Templates: NoTemplates})
-	if ref.templates != nil {
-		t.Fatal("NoTemplates left a template cache in place")
-	}
-	fast, _, _ := twoHostWorld(t, Options{})
-	sr, err := ref.Establish("X", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf, err := fast.Establish("X", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.Plan.PathLevels != sf.Plan.PathLevels || !reflect.DeepEqual(sr.Plan.Requirement(), sf.Plan.Requirement()) {
-		t.Errorf("reference path planned %s %v, template path %s %v",
-			sr.Plan.PathLevels, sr.Plan.Requirement(), sf.Plan.PathLevels, sf.Plan.Requirement())
-	}
-}
-
 // TestRuntimeHasNoSetters keeps configuration in Options: a started
 // runtime offers no method that could change it.
 func TestRuntimeHasNoSetters(t *testing.T) {

@@ -288,8 +288,7 @@ type Options struct {
 	LeaseTTL broker.Time
 	// Templates is the compiled-template cache Establish draws QRG graphs
 	// from — pass one built over a live registry to count hits and
-	// misses. nil is an unobserved cache; NoTemplates turns the fast lane
-	// off.
+	// misses. nil is an unobserved cache.
 	Templates *qrg.TemplateCache
 	// AdmitPolicy bounds the validate-at-commit retry loop of Establish;
 	// nil is DefaultAdmitPolicy. Negative MaxRetries is treated as zero (a
@@ -316,11 +315,6 @@ type Options struct {
 	Tracing *obs.TraceRecorder
 }
 
-// NoTemplates, passed as Options.Templates, disables the
-// compiled-template fast lane: every graph is rebuilt from scratch with
-// qrg.Build, the reference path the parity tests compare against.
-var NoTemplates = new(qrg.TemplateCache)
-
 // Runtime is a deployment of QoSProxies over a set of hosts, plus the
 // registry mapping each resource to its owning host.
 type Runtime struct {
@@ -343,8 +337,7 @@ type Runtime struct {
 	// gate bounds concurrent admissions; excess Establish calls are shed
 	// with transport.ErrOverloaded.
 	gate *transport.Gate
-	// templates serves compiled QRG templates to Establish; nil builds
-	// every graph from scratch.
+	// templates serves compiled QRG templates to Establish; never nil.
 	templates *qrg.TemplateCache
 	// leaseTTL, when positive, leases every new session's holds.
 	leaseTTL broker.Time
@@ -431,11 +424,8 @@ func NewRuntime(clock Clock, opts Options) *Runtime {
 	if rt.policy.Jitter {
 		rt.jitter = newLockedRand(rt.policy.JitterSeed)
 	}
-	switch rt.templates {
-	case nil:
+	if rt.templates == nil {
 		rt.templates = qrg.NewTemplateCache(nil)
-	case NoTemplates:
-		rt.templates = nil
 	}
 	if rt.leaseTTL < 0 {
 		rt.leaseTTL = 0
@@ -506,13 +496,10 @@ func (rt *Runtime) LiveSessions() int {
 	return len(rt.sessions)
 }
 
-// templateFor returns the session's compiled template, or nil when the
-// fast lane is disabled or compilation fails (Establish then falls back
-// to qrg.Build, which reports errors with its own lazier semantics).
+// templateFor returns the session's compiled template, or nil when
+// compilation fails (Establish then falls back to qrg.Build, which
+// reports errors with its own lazier semantics).
 func (rt *Runtime) templateFor(spec SessionSpec) *qrg.Template {
-	if rt.templates == nil {
-		return nil
-	}
 	tpl, err := rt.templates.Get(spec.Service, spec.Binding)
 	if err != nil {
 		return nil

@@ -184,29 +184,11 @@ func (v Vector) Equal(o Vector) bool {
 	return err == nil && ord == Equal
 }
 
-// Concat concatenates two QoS vectors, as required for the Qin of a
-// fan-in service component (section 4.3.2): the Qin of a fan-in component
-// is the concatenation of the Qout of each upstream component. Parameter
-// names are prefixed with the given labels to keep them distinct.
-func Concat(labelA string, a Vector, labelB string, b Vector) Vector {
-	params := make([]Param, 0, len(a.params)+len(b.params))
-	for _, p := range a.params {
-		params = append(params, Param{Name: labelA + "." + p.Name, Value: p.Value})
-	}
-	for _, p := range b.params {
-		params = append(params, Param{Name: labelB + "." + p.Name, Value: p.Value})
-	}
-	v, err := NewVector(params...)
-	if err != nil {
-		// Labels are expected to be distinct; collisions indicate caller bug.
-		panic(err)
-	}
-	return v
-}
-
-// ConcatAll concatenates any number of QoS vectors with per-vector label
-// prefixes, generalizing Concat to fan-in components with more than two
-// upstream components. labels and vs must have equal length.
+// ConcatAll concatenates QoS vectors, as required for the Qin of a
+// fan-in service component (section 4.3.2): the Qin of a fan-in
+// component is the concatenation of the Qout of each upstream component.
+// Parameter names are prefixed with the per-vector labels to keep them
+// distinct; labels and vs must have equal length.
 func ConcatAll(labels []string, vs []Vector) Vector {
 	if len(labels) != len(vs) {
 		panic(fmt.Sprintf("qos: ConcatAll with %d labels for %d vectors", len(labels), len(vs)))

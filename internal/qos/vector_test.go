@@ -92,21 +92,6 @@ func TestVectorLeq(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := MustVector(P("rate", 30))
-	b := MustVector(P("rate", 25), P("size", 3))
-	c := Concat("x", a, "y", b)
-	if c.Len() != 3 {
-		t.Fatalf("Concat len = %d", c.Len())
-	}
-	if got, _ := c.Get("x.rate"); got != 30 {
-		t.Fatalf("x.rate = %v", got)
-	}
-	if got, _ := c.Get("y.size"); got != 3 {
-		t.Fatalf("y.size = %v", got)
-	}
-}
-
 func TestConcatAll(t *testing.T) {
 	a := MustVector(P("q", 1))
 	b := MustVector(P("q", 2))

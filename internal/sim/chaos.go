@@ -19,25 +19,70 @@ import (
 	"qosres/internal/trace"
 	"qosres/internal/tracetree"
 	"qosres/internal/transport"
+	"qosres/internal/wal"
 )
 
-// This file is the chaos harness: the concurrent admission stress of
-// stress.go with a seeded fault-injection walk running against the
-// environment while the clients churn. Every injected fault triggers the
-// runtime's session-repair protocol, every session's holds are leased,
-// and a lease sweep reclaims whatever silent (orphaned) sessions strand.
-// On top of the stress harness's two admission-safety invariants the
-// chaos run checks the failure-mode ones:
+// This file is the concurrent harness. The discrete-event simulator is
+// single-threaded by construction, so it can never exercise the
+// snapshot→reserve race; RunChaos instead drives one proxy.Runtime from
+// many goroutine "clients", each establishing, heartbeating and
+// releasing sessions drawn from the figure-9 workload, while a driver
+// paces a seeded fault-injection walk against the environment. Every
+// injected fault triggers the runtime's session-repair protocol, and a
+// lease sweep reclaims whatever silent (orphaned) sessions strand. The
+// run checks:
 //
 //  1. no broker's reserved total ever exceeds its ORIGINAL capacity —
 //     capacity shrinks may push availability negative (holds are never
 //     evicted), but admission must never commit into the overhang;
 //  2. after the clients drain, faults recover, and the final lease sweep
 //     runs, every broker is back to its exact original shape with zero
-//     live holds — orphaned sessions included;
+//     live holds — failed admissions and orphaned sessions included;
 //  3. every session ends accounted for: released by its client, repaired
 //     or degraded in place, terminated by a failed repair, or reclaimed
 //     by lease expiry. No zombie stays registered with the runtime.
+//
+// A fault-free stress run is the degenerate configuration
+// FaultsConfig{Steps: 1, StepEvery: 1}: no walk probabilities, no
+// leases, no orphans; once the driver's single step is done the clients
+// run free.
+
+// StressConfig parameterizes one RunChaos call. The zero value is not
+// valid; start from DefaultStressConfig.
+type StressConfig struct {
+	// Seed drives capacity draws and every client's session stream.
+	Seed int64
+	// Sessions is the number of concurrent client goroutines.
+	Sessions int
+	// Iterations is the number of Establish attempts per client.
+	Iterations int
+	// Config is the underlying run configuration (algorithm, workload
+	// shape, capacities, MaxAdmitRetries, Obs registry, Faults).
+	// UseRuntime is implied.
+	Config Config
+}
+
+// DefaultStressConfig returns a configuration that contends hard: the
+// figure-9 environment is drawn with capacities well below the paper's
+// 1000..4000 so concurrent sessions constantly race for the same
+// brokers and commit-time refusals actually occur.
+func DefaultStressConfig(seed int64) StressConfig {
+	cfg := DefaultConfig(AlgBasic, 120, seed)
+	cfg.UseRuntime = true
+	cfg.CapacityMin = 150
+	cfg.CapacityMax = 300
+	return StressConfig{
+		Seed:       seed,
+		Sessions:   32,
+		Iterations: 8,
+		Config:     cfg,
+	}
+}
+
+// overcommitTolerance absorbs the per-reservation availEpsilon slack of
+// many concurrent holds; a genuine over-commit overshoots by a session's
+// whole requirement, orders of magnitude larger.
+const overcommitTolerance = 1e-6
 
 // FaultsConfig parameterizes chaos mode (Config.Faults, simqos -chaos).
 type FaultsConfig struct {
@@ -73,12 +118,6 @@ type FaultsConfig struct {
 	// (Random.CrashProb). Empty with CrashProb > 0 makes RunChaos journal
 	// into a per-run temporary directory, removed when the run returns.
 	WALDir string
-	// RecoverWAL replays an existing WAL in WALDir into the freshly built
-	// runtime before it starts: books, lease expiries and decided
-	// outcomes are reconstructed, and leases that lapsed while down are
-	// swept once. This is how a serving deployment (cmd/qosserved)
-	// survives a restart; it requires WALDir.
-	RecoverWAL bool
 	// Adapt, when non-nil, runs the mid-session adaptation controller
 	// (package adapt) concurrently with the faults: one controller tick
 	// per injection step, brownout downgrades above the high watermark,
@@ -197,9 +236,6 @@ func (fc *FaultsConfig) validate() error {
 	if fc.Random.CrashProb > 0 && fc.LeaseTTL <= 0 {
 		return fmt.Errorf("sim: crash/restart injection needs a lease TTL — a release or abort that races the amnesia window strands holds that only the sweep can reclaim")
 	}
-	if fc.RecoverWAL && fc.WALDir == "" {
-		return fmt.Errorf("sim: RecoverWAL needs a WAL directory to replay")
-	}
 	if ap := fc.Adapt; ap != nil {
 		if ap.HighWater < 0 || ap.HighWater > 1 || ap.LowWater < 0 || ap.LowWater > 1 {
 			return fmt.Errorf("sim: adaptation watermarks %g/%g out of [0,1]", ap.LowWater, ap.HighWater)
@@ -218,8 +254,10 @@ func (fc *FaultsConfig) validate() error {
 // + AdmitRefused equals Sessions × Iterations; Orphaned and Lost are
 // subsets of Established.
 type ChaosResult struct {
-	// Established, PlanInfeasible, AdmitRefused partition the admission
-	// attempts as in StressResult.
+	// Established counts sessions that committed their reservations,
+	// PlanInfeasible those whose planning found no feasible path against
+	// their snapshot, AdmitRefused those refused at commit time after
+	// exhausting the retry budget.
 	Established    int
 	PlanInfeasible int
 	AdmitRefused   int
@@ -292,12 +330,13 @@ func (r *ChaosResult) String() string {
 	return s
 }
 
-// RunChaos drives the concurrent stress harness with fault injection,
-// session repair, and reservation leasing, and verifies the chaos
-// invariants. sc.Config.Faults selects the chaos parameters (nil uses
-// DefaultFaultsConfig); UseRuntime is implied. The run's write-ahead
-// log, if any, is closed before RunChaos returns; a failed close fails
-// the run.
+// RunChaos drives Sessions concurrent clients through the proxy
+// runtime's three-phase protocol under the fault walk of
+// sc.Config.Faults (nil uses DefaultFaultsConfig) and verifies the
+// invariants above; UseRuntime is implied. Any invariant violation, or
+// any Establish failure the configuration cannot explain, is returned
+// as an error. The run's write-ahead log, if any, is closed before
+// RunChaos returns; a failed close fails the run.
 func RunChaos(sc StressConfig) (res *ChaosResult, err error) {
 	cfg := sc.Config
 	cfg.UseRuntime = true
@@ -313,7 +352,8 @@ func RunChaos(sc StressConfig) (res *ChaosResult, err error) {
 			sc.Sessions, sc.Iterations)
 	}
 	crashOn := fc.Random.CrashProb > 0
-	if crashOn && fc.WALDir == "" {
+	walDir := fc.WALDir
+	if crashOn && walDir == "" {
 		// Crash cycles replay from the WAL; without a caller-provided
 		// directory the journal lives (and dies) with the run.
 		dir, err := os.MkdirTemp("", "qosres-chaos-wal-")
@@ -321,8 +361,7 @@ func RunChaos(sc StressConfig) (res *ChaosResult, err error) {
 			return nil, fmt.Errorf("sim: chaos WAL dir: %w", err)
 		}
 		defer os.RemoveAll(dir)
-		fc.WALDir = dir
-		defer func() { fc.WALDir = "" }()
+		walDir = dir
 	}
 
 	rng := rand.New(rand.NewSource(sc.Seed))
@@ -350,11 +389,52 @@ func RunChaos(sc StressConfig) (res *ChaosResult, err error) {
 		Seed:         sc.Seed + 6700417,
 		Sink:         tracetree.NewSink(spanOut),
 	})
+	// Lease every session's holds so a silent (orphaned) session can
+	// never strand capacity.
+	opts := proxy.Options{LeaseTTL: fc.LeaseTTL}
+	if walDir != "" {
+		// Durable chaos: journal every 2PC transition so crash/restart
+		// injection can replay the books.
+		log, err := wal.Open(wal.Options{Dir: walDir})
+		if err != nil {
+			return nil, err
+		}
+		opts.WAL = log
+	}
+	if tc := fc.Transport; tc != nil {
+		// Unreliable-messaging mode: replace the default perfect fabric
+		// with one that delays, loses, and duplicates per the config,
+		// optionally guarded by per-route circuit breakers, and bound the
+		// number of concurrently admitted sessions.
+		seed := tc.Seed
+		if seed == 0 {
+			seed = cfg.Seed + 15485863
+		}
+		var bc *transport.BreakerConfig
+		if tc.BreakerThreshold > 0 {
+			bc = &transport.BreakerConfig{
+				Threshold: tc.BreakerThreshold,
+				Cooldown:  tc.BreakerCooldown,
+			}
+		}
+		opts.Transport = transport.New(transport.Options{
+			Seed: seed,
+			Defaults: transport.RouteConfig{
+				Latency: tc.Latency,
+				Loss:    tc.Loss,
+				Dup:     tc.Dup,
+			},
+			Breaker: bc,
+			Metrics: cfg.Obs,
+		})
+		opts.MaxInFlight = tc.MaxInFlight
+	}
 	clock := &proxy.ManualClock{}
-	rt, err := env.buildRuntime(cfg, clock)
+	rt, err := env.buildRuntime(cfg, clock, opts)
 	if err != nil {
 		return nil, err
 	}
+	rt.Start()
 	defer func() {
 		// Stop before closing the log: the serve loops journal until they
 		// exit. The log's open segment must be closed before the run's
@@ -380,7 +460,7 @@ func RunChaos(sc StressConfig) (res *ChaosResult, err error) {
 	}
 	locals := env.pool.LocalBrokers()
 
-	// Transport chaos: with fc.Transport set, buildRuntime rebased the
+	// Transport chaos: with fc.Transport set, the runtime runs the
 	// protocol on an unreliable fabric; every Establish and every repair
 	// sweep is then bounded by the configured deadline, and the harness
 	// asserts nothing overruns it (plus generous scheduling grace — the
@@ -509,10 +589,10 @@ func RunChaos(sc StressConfig) (res *ChaosResult, err error) {
 			mu.Lock()
 			cold := result.Injected == 0
 			mu.Unlock()
-			if i == 1 && cold {
-				// Guarantee the run exercises the failure path even when
-				// the walk's dice stay cold: fail one deterministic
-				// resource (the walk may recover it later).
+			if i == 1 && cold && fc.Random.FailProb > 0 {
+				// Guarantee a failing walk exercises the failure path even
+				// when its dice stay cold: fail one deterministic resource
+				// (the walk may recover it later).
 				_ = inj.FailResource(now, locals[0].Resource())
 			}
 			if crashOn && i == 2 {

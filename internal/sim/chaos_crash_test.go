@@ -159,6 +159,37 @@ func TestChaosCrashValidation(t *testing.T) {
 	}
 }
 
+// TestChaosCrashSharedFaultsConfig runs two crash-cycle chaos runs
+// concurrently over one *FaultsConfig with no WAL directory. Each run
+// must journal into a temporary directory of its own and leave the
+// caller's config untouched: -race reports any write to it, and two
+// runs replaying one shared log would break each other's books.
+func TestChaosCrashSharedFaultsConfig(t *testing.T) {
+	fc := DefaultFaultsConfig()
+	fc.Random.CrashProb = 0.25
+	errs := make(chan error, 2)
+	for _, seed := range []int64{67, 71} {
+		sc := DefaultStressConfig(seed)
+		sc.Sessions = 4
+		sc.Iterations = 3
+		sc.Config.CapacityMin = 600
+		sc.Config.CapacityMax = 1200
+		sc.Config.Faults = fc
+		go func() {
+			_, err := RunChaos(sc)
+			errs <- err
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if fc.WALDir != "" {
+		t.Errorf("RunChaos left WALDir %q in the caller's config", fc.WALDir)
+	}
+}
+
 // TestChaosCrashClosesWAL is the regression test for a leaked log: a
 // crash-cycle chaos run journaling into a caller-provided directory must
 // close its write-ahead log before returning, so no descriptor of this

@@ -108,12 +108,6 @@ type Config struct {
 	// Single-threaded simulation runs never trigger a retry, so the
 	// value does not perturb deterministic results.
 	MaxAdmitRetries int
-	// TemplateCache serves QRG construction from compiled per-(service,
-	// binding) templates instead of rebuilding each graph from scratch
-	// (the plan-path fast lane). Results are identical either way — the
-	// template replay is proven plan-for-plan equivalent to qrg.Build —
-	// so the knob exists for benchmarking the reference path.
-	TemplateCache bool
 	// Faults, when non-nil, enables chaos mode: a seeded fault-injection
 	// walk runs against the environment while sessions are established,
 	// failed reservations are repaired, and holds are leased. Requires
@@ -149,7 +143,6 @@ func DefaultConfig(alg Algorithm, rate float64, seed int64) Config {
 		DurationSplit:      60,
 		DurationMax:        600,
 		MaxAdmitRetries:    3,
-		TemplateCache:      true,
 	}
 }
 

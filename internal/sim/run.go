@@ -60,10 +60,11 @@ func Run(cfg Config) (*Result, error) {
 	sched := newScheduler()
 	var rt *proxy.Runtime
 	if cfg.UseRuntime {
-		rt, err = env.buildRuntime(cfg, simClock{sched: sched})
+		rt, err = env.buildRuntime(cfg, simClock{sched: sched}, proxy.Options{})
 		if err != nil {
 			return nil, err
 		}
+		rt.Start()
 		defer rt.Stop()
 	}
 	sched.at(env.nextArrivalGap(rng), evArrival, nil)
@@ -151,8 +152,7 @@ type environment struct {
 	// tracerec records causal distributed-trace span trees of session
 	// establishments; nil (TraceSample 0) costs the hot path nothing.
 	tracerec *obs.TraceRecorder
-	// templates serves compiled QRG templates when Config.TemplateCache
-	// is set; nil keeps the from-scratch reference path.
+	// templates serves compiled QRG templates to both execution modes.
 	templates *qrg.TemplateCache
 }
 
@@ -170,9 +170,7 @@ func buildEnvironment(cfg Config, rng *rand.Rand) (*environment, error) {
 		env.tracer = trace.Nop{}
 	}
 	env.ins = newInstruments(cfg.Obs)
-	if cfg.TemplateCache {
-		env.templates = qrg.NewTemplateCache(cfg.Obs)
-	}
+	env.templates = qrg.NewTemplateCache(cfg.Obs)
 	if cfg.TraceSample > 0 {
 		// Distributed tracing: head-sample admissions into span trees,
 		// rescue errored ones, and export retained trees to the Tracer
@@ -397,18 +395,12 @@ func (env *environment) handleArrival(cfg Config, rng *rand.Rand, planner core.P
 
 	st = obs.BeginStage(stages.Build, root.Child(obs.StageBuild, host))
 	contention, _ := qrg.ContentionByName(cfg.Contention)
+	// Instantiate the compiled (service, binding) template against this
+	// snapshot; plan-for-plan identical to a from-scratch qrg.Build.
 	var g *qrg.Graph
-	var tpl *qrg.Template
-	if env.templates != nil {
-		// Fast lane: instantiate the compiled (service, binding)
-		// template against this snapshot; plan-for-plan identical to
-		// the from-scratch build below.
-		tpl, err = env.templates.Get(service, binding)
-		if err == nil {
-			g, err = tpl.InstantiateWithOptions(snap, qrg.BuildOptions{Contention: contention})
-		}
-	} else {
-		g, err = qrg.BuildWithOptions(service, binding, snap, qrg.BuildOptions{Contention: contention})
+	tpl, err := env.templates.Get(service, binding)
+	if err == nil {
+		g, err = tpl.InstantiateWithOptions(snap, qrg.BuildOptions{Contention: contention})
 	}
 	st.End(err, "error")
 	if err != nil {
@@ -419,11 +411,9 @@ func (env *environment) handleArrival(cfg Config, rng *rand.Rand, planner core.P
 	st = obs.BeginStage(stages.Plan, root.Child(obs.StagePlan, host))
 	plan, err := planner.Plan(g)
 	st.End(err, "infeasible")
-	if tpl != nil {
-		// The plan owns all its data; the graph's buffers can go back
-		// to the template pool for the next arrival.
-		tpl.Recycle(g)
-	}
+	// The plan owns all its data; the graph's buffers can go back to the
+	// template pool for the next arrival.
+	tpl.Recycle(g)
 	// Planning is done and the graph is dead past this point: the
 	// snapshot's maps go back to the pool for the next arrival.
 	env.pool.RecycleSnapshot(snap)

@@ -10,8 +10,6 @@ import (
 	"qosres/internal/stats"
 	"qosres/internal/topo"
 	"qosres/internal/trace"
-	"qosres/internal/transport"
-	"qosres/internal/wal"
 	"qosres/internal/workload"
 )
 
@@ -33,72 +31,27 @@ type simClock struct {
 func (c simClock) Now() broker.Time { return c.sched.now }
 
 // buildRuntime deploys a QoSProxy per figure-9 host and registers every
-// broker of the environment with its owning host's proxy.
-func (env *environment) buildRuntime(cfg Config, clock proxy.Clock) (*proxy.Runtime, error) {
-	opts := proxy.Options{
-		// Admission retries are bounded by the run config; no backoff
-		// sleep, since a simulated run must never block on wall-clock
-		// time.
-		AdmitPolicy: &proxy.AdmitPolicy{MaxRetries: cfg.MaxAdmitRetries},
-		// Share the run's template cache (instrumented into the run
-		// registry) so hit/miss counters cover both execution modes.
-		Templates: env.templates,
-		// The runtime records into the run's registry, sharing the stage
-		// histograms and counters of the direct path, so both execution
-		// modes have one latency and admission vocabulary.
-		Metrics: cfg.Obs,
-		// Distributed tracing gates itself on TraceSample, not on the
-		// metrics registry: the runtime roots one trace per Establish,
-		// stage spans and fabric-call spans nest under it, and remote
-		// participants parent their spans via the propagated context.
-		Tracing: env.tracerec,
-	}
-	if env.templates == nil {
-		// Reference runs rebuild every graph from scratch.
-		opts.Templates = proxy.NoTemplates
-	}
-	if cfg.Faults != nil {
-		// Chaos mode: lease every session's holds so a silent (orphaned)
-		// session can never strand capacity.
-		opts.LeaseTTL = cfg.Faults.LeaseTTL
-		if cfg.Faults.WALDir != "" {
-			// Durable chaos: journal every 2PC transition so crash/restart
-			// injection can replay the books.
-			log, err := wal.Open(wal.Options{Dir: cfg.Faults.WALDir})
-			if err != nil {
-				return nil, err
-			}
-			opts.WAL = log
-		}
-		if tc := cfg.Faults.Transport; tc != nil {
-			// Unreliable-messaging mode: replace the default perfect fabric
-			// with one that delays, loses, and duplicates per the config,
-			// optionally guarded by per-route circuit breakers, and bound
-			// the number of concurrently admitted sessions.
-			seed := tc.Seed
-			if seed == 0 {
-				seed = cfg.Seed + 15485863
-			}
-			var bc *transport.BreakerConfig
-			if tc.BreakerThreshold > 0 {
-				bc = &transport.BreakerConfig{
-					Threshold: tc.BreakerThreshold,
-					Cooldown:  tc.BreakerCooldown,
-				}
-			}
-			opts.Transport = transport.New(transport.Options{
-				Seed: seed,
-				Defaults: transport.RouteConfig{
-					Latency: tc.Latency,
-					Loss:    tc.Loss,
-					Dup:     tc.Dup,
-				},
-				Breaker: bc,
-				Metrics: cfg.Obs,
-			})
-			opts.MaxInFlight = tc.MaxInFlight
-		}
-	}
+// broker of the environment with its owning host's proxy. opts carries
+// the deployment's own choices (lease TTL, WAL, fabric, in-flight
+// bound); buildRuntime adds what every deployment of the environment
+// shares. The caller starts the returned runtime, after recovering it
+// from its WAL if it must.
+func (env *environment) buildRuntime(cfg Config, clock proxy.Clock, opts proxy.Options) (*proxy.Runtime, error) {
+	// Admission retries are bounded by the run config; no backoff sleep,
+	// since a simulated run must never block on wall-clock time.
+	opts.AdmitPolicy = &proxy.AdmitPolicy{MaxRetries: cfg.MaxAdmitRetries}
+	// Share the run's template cache (instrumented into the run registry)
+	// so hit/miss counters cover both execution modes.
+	opts.Templates = env.templates
+	// The runtime records into the run's registry, sharing the stage
+	// histograms and counters of the direct path, so both execution modes
+	// have one latency and admission vocabulary.
+	opts.Metrics = cfg.Obs
+	// Distributed tracing gates itself on TraceSample, not on the metrics
+	// registry: the runtime roots one trace per Establish, stage spans and
+	// fabric-call spans nest under it, and remote participants parent
+	// their spans via the propagated context.
+	opts.Tracing = env.tracerec
 	rt := proxy.NewRuntime(clock, opts)
 	for _, h := range env.topology.Hosts() {
 		if _, err := rt.AddHost(h); err != nil {
@@ -140,15 +93,6 @@ func (env *environment) buildRuntime(cfg Config, clock proxy.Clock) (*proxy.Runt
 			return nil, err
 		}
 	}
-	if cfg.Faults != nil && cfg.Faults.RecoverWAL {
-		// Restart recovery: replay a surviving WAL into the freshly
-		// deployed books before the runtime starts serving, so a restarted
-		// deployment resumes with its pre-crash reservations intact.
-		if err := rt.Recover(); err != nil {
-			return nil, err
-		}
-	}
-	rt.Start()
 	return rt, nil
 }
 
@@ -189,9 +133,8 @@ func (env *environment) handleArrivalRuntime(cfg Config, rt *proxy.Runtime,
 	}
 	if errors.Is(err, broker.ErrInsufficient) {
 		// The plan fit its snapshot but was refused at commit time and the
-		// retry budget ran out — only possible under concurrent admission
-		// (the stress harness); single-threaded runs always commit what
-		// they plan. Book it as a reservation failure, like the direct
+		// retry budget ran out — only possible under concurrent admission;
+		// single-threaded runs always commit what they plan. Book it as a reservation failure, like the direct
 		// path under stale observations. (The rollback counter was already
 		// advanced inside Establish, once per refused commit attempt.)
 		env.ins.reserveFailed.Inc()

@@ -14,6 +14,7 @@ import (
 	"qosres/internal/spec"
 	"qosres/internal/svc"
 	"qosres/internal/topo"
+	"qosres/internal/wal"
 )
 
 // This file adapts the figure-9 environment into a long-lived serving
@@ -80,19 +81,15 @@ func NewServedEnv(opts ServedOptions) (*ServedEnv, error) {
 	if rate <= 0 {
 		rate = 60
 	}
+	if opts.LeaseTTL < 0 {
+		return nil, fmt.Errorf("sim: negative lease TTL %g", float64(opts.LeaseTTL))
+	}
+	if opts.Recover && opts.WALDir == "" {
+		return nil, fmt.Errorf("sim: Recover needs a WAL directory to replay")
+	}
 	cfg := DefaultConfig(AlgBasic, rate, opts.Seed)
 	cfg.UseRuntime = true
 	cfg.Obs = opts.Registry
-	cfg.Faults = &FaultsConfig{
-		Steps:      1,
-		StepEvery:  1,
-		LeaseTTL:   opts.LeaseTTL,
-		WALDir:     opts.WALDir,
-		RecoverWAL: opts.Recover,
-	}
-	if err := cfg.Faults.validate(); err != nil {
-		return nil, err
-	}
 	clock := opts.Clock
 	if clock == nil {
 		clock = proxy.NewWallClock(1)
@@ -106,10 +103,26 @@ func NewServedEnv(opts ServedOptions) (*ServedEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt, err := env.buildRuntime(cfg, clock)
+	deploy := proxy.Options{LeaseTTL: opts.LeaseTTL}
+	if opts.WALDir != "" {
+		if deploy.WAL, err = wal.Open(wal.Options{Dir: opts.WALDir}); err != nil {
+			return nil, err
+		}
+	}
+	rt, err := env.buildRuntime(cfg, clock, deploy)
 	if err != nil {
 		return nil, err
 	}
+	if opts.Recover {
+		// Replay the surviving WAL into the freshly deployed books before
+		// the runtime starts serving, so a restarted deployment resumes
+		// with its pre-crash reservations intact.
+		if err := rt.Recover(); err != nil {
+			rt.CloseWAL()
+			return nil, err
+		}
+	}
+	rt.Start()
 	var ctrl *adapt.Controller
 	if opts.Adapt != nil {
 		locals := env.pool.LocalBrokers()

@@ -7,10 +7,18 @@ import (
 	"qosres/internal/obs"
 )
 
+// runStress is a fault-free RunChaos: one driver step, no walk, no
+// leases, no orphans — the concurrent clients alone against the
+// validate-at-commit protocol.
+func runStress(sc StressConfig) (*ChaosResult, error) {
+	sc.Config.Faults = &FaultsConfig{Steps: 1, StepEvery: 1}
+	return RunChaos(sc)
+}
+
 // TestConcurrentAdmissionStress is the tentpole invariant test: 32
 // goroutines hammer one proxy.Runtime with establish/release traffic
 // against a deliberately under-provisioned figure-9 environment.
-// RunStress itself asserts that no broker is ever over-committed and
+// RunChaos itself asserts that no broker is ever over-committed and
 // that no failed admission leaks holds; the test additionally checks
 // that the admission counters surface in the Prometheus exposition.
 // CI runs it under -race.
@@ -19,21 +27,23 @@ func TestConcurrentAdmissionStress(t *testing.T) {
 	sc := DefaultStressConfig(7)
 	sc.Config.Obs = reg
 
-	res, err := RunStress(sc)
+	res, err := runStress(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("stress: %s", res)
+	adm := obs.NewAdmitMetrics(reg)
+	retries, rollbacks, stale := adm.Retries.Value(), adm.Rollbacks.Value(), adm.StaleRejects.Value()
+	t.Logf("stress: %s (retries %.0f, rollbacks %.0f, stale-rejects %.0f)", res, retries, rollbacks, stale)
 	if res.Established == 0 {
 		t.Fatal("no session established; the stress run exercised nothing")
 	}
-	if res.Rollbacks != res.StaleRejects {
+	if rollbacks != stale {
 		t.Fatalf("rollbacks %.0f != stale rejects %.0f: the runtime path books exactly one rollback per commit refusal",
-			res.Rollbacks, res.StaleRejects)
+			rollbacks, stale)
 	}
-	if res.Retries > res.StaleRejects {
+	if retries > stale {
 		t.Fatalf("retries %.0f > stale rejects %.0f: every retry must follow a refusal",
-			res.Retries, res.StaleRejects)
+			retries, stale)
 	}
 
 	var b strings.Builder
@@ -53,7 +63,7 @@ func TestConcurrentAdmissionStress(t *testing.T) {
 }
 
 // TestStressFailFastPolicy pins the MaxAdmitRetries=0 contract: refusals
-// are still safe (no leaks, no over-commit — RunStress checks) and no
+// are still safe (no leaks, no over-commit — RunChaos checks) and no
 // retry is ever counted.
 func TestStressFailFastPolicy(t *testing.T) {
 	reg := obs.New()
@@ -61,24 +71,23 @@ func TestStressFailFastPolicy(t *testing.T) {
 	sc.Config.Obs = reg
 	sc.Config.MaxAdmitRetries = 0
 
-	res, err := RunStress(sc)
-	if err != nil {
+	if _, err := runStress(sc); err != nil {
 		t.Fatal(err)
 	}
-	if res.Retries != 0 {
-		t.Fatalf("fail-fast policy retried %.0f times", res.Retries)
+	if retries := obs.NewAdmitMetrics(reg).Retries.Value(); retries != 0 {
+		t.Fatalf("fail-fast policy retried %.0f times", retries)
 	}
 }
 
 func TestStressConfigValidation(t *testing.T) {
 	sc := DefaultStressConfig(1)
 	sc.Sessions = 0
-	if _, err := RunStress(sc); err == nil {
+	if _, err := runStress(sc); err == nil {
 		t.Fatal("zero sessions accepted")
 	}
 	sc = DefaultStressConfig(1)
 	sc.Config.MaxAdmitRetries = -1
-	if _, err := RunStress(sc); err == nil {
+	if _, err := runStress(sc); err == nil {
 		t.Fatal("negative retry bound accepted")
 	}
 }

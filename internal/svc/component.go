@@ -10,7 +10,6 @@ package svc
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"qosres/internal/qos"
 )
@@ -25,13 +24,6 @@ type Level struct {
 	Name   string
 	Vector qos.Vector
 }
-
-// ConcatLevelName builds the canonical name of a fan-in input level formed
-// by concatenating upstream output levels, e.g. "Qn||Qp".
-func ConcatLevelName(parts ...string) string { return strings.Join(parts, "||") }
-
-// SplitConcatLevelName splits a fan-in level name into its upstream parts.
-func SplitConcatLevelName(name string) []string { return strings.Split(name, "||") }
 
 // TranslationFunc is the component developer's "plug-in" translation
 // function T_c. Given an input QoS level and a desired output QoS level it

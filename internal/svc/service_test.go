@@ -342,17 +342,6 @@ func TestTranslationTableScaleAndPairs(t *testing.T) {
 	}
 }
 
-func TestConcatLevelNames(t *testing.T) {
-	name := ConcatLevelName("Qn", "Qp")
-	if name != "Qn||Qp" {
-		t.Fatalf("name = %q", name)
-	}
-	parts := SplitConcatLevelName(name)
-	if len(parts) != 2 || parts[0] != "Qn" || parts[1] != "Qp" {
-		t.Fatalf("parts = %v", parts)
-	}
-}
-
 func TestSuccsPreds(t *testing.T) {
 	s := chain3(t)
 	if got := s.Succs("a"); len(got) != 1 || got[0] != "b" {
