@@ -11,17 +11,25 @@ import "math"
 // smallWindow additions per eviction.
 const smallWindow = 64
 
+// windowChunk is the window's unit of storage, in samples. Samples are
+// written into fixed-size chunks and a chunk is let go once every sample
+// in it has been evicted, so no sample is ever copied and storage stays
+// within two chunks of the live count.
+const windowChunk = 32
+
+type sampleChunk [windowChunk]availSample
+
 // reportWindow is the sliding window of past reports behind the
 // availability change index α = r_avail / r_avg of equation (5), shared
 // by Local and Network brokers. It averages over reports, not over time:
 // every Report in the past span counts once.
 //
-// Samples stay in arrival order behind a head index. A sample leaves the
-// window when its time is at or before now-span: the head steps over it
-// and its value is subtracted from the running sum, so a feed costs O(1)
-// amortised however many samples are live. The dead prefix is reclaimed,
-// and the sum recomputed left to right, only when that is paid for — the
-// prefix is at least as long as the live part — or cheap, at most
+// Samples stay in arrival order in a queue of chunks. A sample leaves
+// the window when its time is at or before now-span: the head steps over
+// it and its value is subtracted from the running sum, so a feed costs
+// O(1) amortised however many samples are live. The sum is recomputed
+// left to right only when that is paid for — at least as many samples
+// were evicted since the last recompute as are live — or cheap, at most
 // smallWindow live samples — or needed: the sum has fallen to a quarter
 // of its peak since the last recompute, so the rounding left behind by
 // the mass subtracted since is no longer small beside it (a window that
@@ -29,32 +37,67 @@ const smallWindow = 64
 // It is not safe for concurrent use.
 type reportWindow struct {
 	span Time
-	// buf[head:] are the live samples, non-decreasing in time (push
-	// clamps); buf[:head] is the dead prefix.
-	buf  []availSample
-	head int
+	// chunks[first:] hold the samples, non-decreasing in time (push
+	// clamps). The live ones run from offset head of chunks[first] to
+	// offset tail, exclusive, of the last chunk; live counts them.
+	chunks            []*sampleChunk
+	first, head, tail int
+	live              int
+	// spare is an emptied chunk held for the next push that needs one.
+	// It is kept only while head <= tail, which keeps the storage within
+	// two chunks of the live count; a steady feed then never allocates.
+	spare *sampleChunk
+	// evicted counts the samples evicted since the sum was recomputed.
+	evicted int
 	// sum is the running sum of the live samples' avail; peak is the
 	// largest |sum| since it was last recomputed.
 	sum, peak float64
 }
+
+// size returns the number of live samples.
+func (w *reportWindow) size() int { return w.live }
 
 // feed evicts the samples outside (now-span, now], computes α for avail
 // against the mean of those that remain — 1.0 when none do or the mean
 // is not positive — and then records (now, avail) as a sample.
 func (w *reportWindow) feed(now Time, avail float64) float64 {
 	cutoff := now - w.span
-	head := w.head
-	for w.head < len(w.buf) && w.buf[w.head].at <= cutoff {
-		w.sum -= w.buf[w.head].avail
+	evicted := 0
+	for w.live > 0 {
+		s := &w.chunks[w.first][w.head]
+		if s.at > cutoff {
+			break
+		}
+		w.sum -= s.avail
 		w.head++
+		w.live--
+		evicted++
+		if w.head == windowChunk && w.first < len(w.chunks)-1 {
+			// The front chunk is all dead and is not the one being
+			// written: let it go.
+			if w.spare == nil {
+				w.spare = w.chunks[w.first]
+			}
+			w.chunks[w.first] = nil
+			w.first++
+			w.head = 0
+		}
 	}
-	if live := len(w.buf) - w.head; w.head != head &&
-		(live <= smallWindow || w.head >= live || math.Abs(w.sum) < w.peak/4) {
-		w.compact()
+	if evicted > 0 {
+		if w.live == 0 {
+			// Everything left: write the remaining chunk from its start.
+			w.head, w.tail = 0, 0
+		}
+		if w.head > w.tail {
+			w.spare = nil
+		}
+		if w.evicted += evicted; w.live <= smallWindow || w.evicted >= w.live || math.Abs(w.sum) < w.peak/4 {
+			w.resum()
+		}
 	}
 	alpha := 1.0
-	if live := len(w.buf) - w.head; live > 0 {
-		if avg := w.sum / float64(live); avg > 0 {
+	if w.live > 0 {
+		if avg := w.sum / float64(w.live); avg > 0 {
 			alpha = avail / avg
 		}
 	}
@@ -62,38 +105,57 @@ func (w *reportWindow) feed(now Time, avail float64) float64 {
 	return alpha
 }
 
-// compact moves the live samples to the front of the backing array and
-// recomputes their sum left to right, discarding whatever rounding the
-// subtractions had accumulated.
-func (w *reportWindow) compact() {
-	n := copy(w.buf, w.buf[w.head:])
-	w.buf, w.head = w.buf[:n], 0
+// resum recomputes the live samples' sum left to right, discarding
+// whatever rounding the subtractions had accumulated.
+func (w *reportWindow) resum() {
 	var sum float64
-	for _, s := range w.buf {
-		sum += s.avail
+	c, off := w.first, w.head
+	for i := 0; i < w.live; i++ {
+		if off == windowChunk {
+			c, off = c+1, 0
+		}
+		sum += w.chunks[c][off].avail
+		off++
 	}
-	w.sum, w.peak = sum, math.Abs(sum)
+	w.sum, w.peak, w.evicted = sum, math.Abs(sum), 0
 }
 
 // push appends one sample. Callers read their clock before taking the
 // window's lock, so two of them can arrive out of time order; the sample
 // time is clamped to the previous one's to keep the window sorted, which
-// is what lets eviction stop at the first live sample. A full backing
-// array is replaced by one sized from the live part alone, so it never
-// exceeds twice the peak live count plus smallWindow.
+// is what lets eviction stop at the first live sample.
 func (w *reportWindow) push(at Time, avail float64) {
-	if n := len(w.buf); n > 0 && at < w.buf[n-1].at {
-		at = w.buf[n-1].at
+	if w.live > 0 {
+		if last := w.chunks[len(w.chunks)-1][w.tail-1].at; at < last {
+			at = last
+		}
 	}
-	if len(w.buf) == cap(w.buf) {
-		live := w.buf[w.head:]
-		grown := make([]availSample, len(live), 2*len(live)+smallWindow)
-		copy(grown, live)
-		w.buf, w.head = grown, 0
+	if len(w.chunks) == 0 || w.tail == windowChunk {
+		w.grow()
 	}
-	w.buf = append(w.buf, availSample{at: at, avail: avail})
+	w.chunks[len(w.chunks)-1][w.tail] = availSample{at: at, avail: avail}
+	w.tail++
+	w.live++
 	w.sum += avail
 	if a := math.Abs(w.sum); a > w.peak {
 		w.peak = a
 	}
+}
+
+// grow appends an empty chunk, the spare if there is one. The chunk
+// pointers are moved down over the released front once it is at least
+// half of them, so their slice follows the live count too.
+func (w *reportWindow) grow() {
+	c := w.spare
+	w.spare = nil
+	if c == nil {
+		c = new(sampleChunk)
+	}
+	if n := len(w.chunks); n == cap(w.chunks) && w.first > 0 && 2*w.first >= n {
+		m := copy(w.chunks, w.chunks[w.first:])
+		clear(w.chunks[m:])
+		w.chunks, w.first = w.chunks[:m], 0
+	}
+	w.chunks = append(w.chunks, c)
+	w.tail = 0
 }

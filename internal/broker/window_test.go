@@ -73,9 +73,33 @@ func checkFeed(t *testing.T, w *reportWindow, ref *refWindow, now Time, avail fl
 		checkAlpha(t, "feed", now, len(live), got, ref.alpha(live, avail))
 	}
 	ref.push(now, avail)
-	if got, want := len(w.buf)-w.head, len(live)+1; got != want {
+	if got, want := w.size(), len(live)+1; got != want {
 		t.Fatalf("feed(%v, %v): %d live samples, want %d", now, avail, got, want)
 	}
+}
+
+// storage returns the number of sample slots the window holds,
+// including the spare chunk.
+func (w *reportWindow) storage() int {
+	n := (len(w.chunks) - w.first) * windowChunk
+	if w.spare != nil {
+		n += windowChunk
+	}
+	return n
+}
+
+// windowSamples copies the live samples out of a window, oldest first.
+func windowSamples(w *reportWindow) []availSample {
+	out := make([]availSample, 0, w.size())
+	c, off := w.first, w.head
+	for len(out) < w.size() {
+		if off == windowChunk {
+			c, off = c+1, 0
+		}
+		out = append(out, w.chunks[c][off])
+		off++
+	}
+	return out
 }
 
 func TestReportWindowMatchesReference(t *testing.T) {
@@ -180,7 +204,7 @@ func TestReportWindowMatchesReferenceAtServedScale(t *testing.T) {
 	for i := 0; i < 400000; i++ {
 		now += Time(rng.ExpFloat64() * 3 / 100000)
 		checkFeed(t, w, ref, now, 4000*rng.Float64(), i%1000 == 0)
-		if live := len(w.buf) - w.head; live > peak {
+		if live := w.size(); live > peak {
 			peak = live
 		}
 	}
@@ -191,12 +215,12 @@ func TestReportWindowMatchesReferenceAtServedScale(t *testing.T) {
 		now += Time(rng.ExpFloat64() * 0.05)
 		checkFeed(t, w, ref, now, 4000*rng.Float64(), true)
 	}
-	if live := len(w.buf) - w.head; live > smallWindow {
+	if live := w.size(); live > smallWindow {
 		t.Fatalf("%d live samples after the rate collapsed, want a drained window", live)
 	}
 	now += 10
 	checkFeed(t, w, ref, now, 1, true)
-	if live := len(w.buf) - w.head; live != 1 || w.sum != 1 {
+	if live := w.size(); live != 1 || w.sum != 1 {
 		t.Fatalf("after an idle gap: %d live, sum %v; want the one new sample", live, w.sum)
 	}
 }
@@ -240,10 +264,10 @@ func TestAlphaReportMatchesReference(t *testing.T) {
 			b.ref.push(now, avail)
 		}
 	}
-	if got, want := len(link.window.buf)-link.window.head, len(refLink.live(now)); got != want {
+	if got, want := link.window.size(), len(refLink.live(now)); got != want {
 		t.Fatalf("local window holds %d samples, reference %d", got, want)
 	}
-	if got, want := len(net.window.buf)-net.window.head, len(refNet.live(now)); got != want {
+	if got, want := net.window.size(), len(refNet.live(now)); got != want {
 		t.Fatalf("network window holds %d samples, reference %d", got, want)
 	}
 }
@@ -277,18 +301,18 @@ func TestBackdatedSamplesKeepLogsSorted(t *testing.T) {
 		b.Report(now)
 		b.Report(clock - Time(rng.Float64()*skew))
 
-		if oldest := b.window.buf[b.window.head].at; oldest <= now-b.window.span-skew {
+		if oldest := b.window.chunks[b.window.first][b.window.head].at; oldest <= now-b.window.span-skew {
 			t.Fatalf("feed at %v: sample at %v outlived the window by more than the skew", now, oldest)
 		}
 		if i%1000 == 0 {
-			sorted("α window", b.window.buf[b.window.head:])
+			sorted("α window", windowSamples(&b.window))
 			sorted("change log", b.log.buf[b.log.head:])
 		}
 		if p := b.published(); p.at != b.log.buf[len(b.log.buf)-1].at || b.AvailableAt(p.at) != p.avail {
 			t.Fatalf("published record (at %v, avail %v) disagrees with the change log", p.at, p.avail)
 		}
 	}
-	sorted("α window", b.window.buf[b.window.head:])
+	sorted("α window", windowSamples(&b.window))
 	sorted("change log", b.log.buf[b.log.head:])
 	if got := b.Available(); got != 1000 {
 		t.Fatalf("available after balanced churn = %v, want 1000", got)
@@ -368,9 +392,10 @@ func TestChangeLogBoundedAtRuntimeHorizon(t *testing.T) {
 }
 
 func TestReportWindowBackingArrayBounded(t *testing.T) {
-	// The backing array follows the live count, not the number of
-	// samples ever fed: through ramps, plateaus and drains it never
-	// exceeds twice the peak live count plus smallWindow.
+	// Storage follows the live count, not the number of samples ever
+	// fed: through ramps, plateaus and drains it never exceeds twice the
+	// peak live count plus smallWindow, nor the live count plus two
+	// chunks.
 	rng := rand.New(rand.NewSource(6))
 	w := &reportWindow{span: 3}
 	now := Time(0)
@@ -379,11 +404,14 @@ func TestReportWindowBackingArrayBounded(t *testing.T) {
 		rate := []float64{50, 20000, 3000, 20000, 1, 8000}[i/100000]
 		now += Time(rng.ExpFloat64() / rate)
 		w.feed(now, 1000)
-		if live := len(w.buf) - w.head; live > peak {
+		if live := w.size(); live > peak {
 			peak = live
 		}
-		if cap(w.buf) > 2*peak+smallWindow {
-			t.Fatalf("feed %d: backing array %d with peak live count %d", i, cap(w.buf), peak)
+		if w.storage() > 2*peak+smallWindow {
+			t.Fatalf("feed %d: storage %d with peak live count %d", i, w.storage(), peak)
+		}
+		if w.storage() > w.size()+2*windowChunk {
+			t.Fatalf("feed %d: storage %d with %d live samples, want at most two chunks more", i, w.storage(), w.size())
 		}
 	}
 	if peak < 50000 {

@@ -278,10 +278,10 @@ func (r *TraceRecorder) event(s ActiveSpan, typ, detail string) {
 		SpanEventRecord{At: time.Now(), Type: typ, Detail: detail})
 }
 
-// endSpan completes a span. When the root has ended and no spans
+// endSpan completes a span at end. When the root has ended and no spans
 // remain open, the trace is flushed: exported to the sink (if
 // retained) and moved into the bounded completed store.
-func (r *TraceRecorder) endSpan(s ActiveSpan, status string) {
+func (r *TraceRecorder) endSpan(s ActiveSpan, status string, end time.Time) {
 	var flushed *traceBuf
 	r.mu.Lock()
 	buf := r.building[s.trace]
@@ -292,7 +292,7 @@ func (r *TraceRecorder) endSpan(s ActiveSpan, status string) {
 	rec := SpanRecord{
 		Trace: s.trace, Span: s.span, Parent: s.parent,
 		Name: s.name, Scope: s.scope,
-		Start: s.start, Dur: time.Since(s.start), Status: status,
+		Start: s.start, Dur: end.Sub(s.start), Status: status,
 		Events: buf.openEvents[s.span],
 	}
 	delete(buf.openEvents, s.span)
@@ -421,7 +421,7 @@ func (s ActiveSpan) End() {
 	if s.rec == nil {
 		return
 	}
-	s.rec.endSpan(s, StatusOK)
+	s.rec.endSpan(s, StatusOK, time.Now())
 }
 
 // EndStatus completes the span with an explicit status; anything other
@@ -430,10 +430,20 @@ func (s ActiveSpan) EndStatus(status string) {
 	if s.rec == nil {
 		return
 	}
+	s.EndStatusAt(status, time.Now())
+}
+
+// EndStatusAt is EndStatus for a span whose work ended at an earlier
+// instant than its caller got round to ending it — a fabric call whose
+// reply arrived while the caller was still waiting on another.
+func (s ActiveSpan) EndStatusAt(status string, end time.Time) {
+	if s.rec == nil {
+		return
+	}
 	if status == "" {
 		status = StatusOK
 	}
-	s.rec.endSpan(s, status)
+	s.rec.endSpan(s, status, end)
 }
 
 // EndErr completes the span: StatusOK when err is nil, otherwise the
@@ -443,13 +453,13 @@ func (s ActiveSpan) EndErr(err error, status string) {
 		return
 	}
 	if err == nil {
-		s.rec.endSpan(s, StatusOK)
+		s.rec.endSpan(s, StatusOK, time.Now())
 		return
 	}
 	if status == "" {
 		status = "error"
 	}
-	s.rec.endSpan(s, status)
+	s.rec.endSpan(s, status, time.Now())
 }
 
 // spanCtxKey keys the active span in a context.

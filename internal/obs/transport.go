@@ -1,5 +1,10 @@
 package obs
 
+import (
+	"sync"
+	"sync/atomic"
+)
+
 // Transport metric names: the message-fabric visibility surface.
 // Documented in README.md ("Observability").
 const (
@@ -33,7 +38,9 @@ const (
 )
 
 // TransportMetrics bundles the message-fabric counters. The zero value
-// (or one built from a nil registry) is fully inert.
+// (or one built from a nil registry) is fully inert. Labelled series
+// are resolved once per label value and then read without a lock, so a
+// message costs no label rendering.
 type TransportMetrics struct {
 	reg *Registry
 
@@ -43,6 +50,70 @@ type TransportMetrics struct {
 	CallTimeouts *Counter
 	// BreakerFastFails counts calls refused by an open breaker.
 	BreakerFastFails *Counter
+
+	sent    labelled[string, *Counter]
+	dropped labelled[string, *Counter]
+	calls   labelled[[2]string, *Histogram]
+	breaker labelled[string, *Gauge]
+}
+
+// labelled memoises the children of one labelled family by label
+// values: the first use of a key resolves it in the registry, later
+// uses read a copy-on-write map.
+type labelled[K comparable, M any] struct {
+	mu sync.Mutex
+	m  atomic.Pointer[map[K]M]
+}
+
+// get returns the child for k, resolving it with resolve on first use.
+// resolve takes the registry and key as arguments so callers pass a
+// plain function and nothing is allocated per call.
+func (l *labelled[K, M]) get(r *Registry, k K, resolve func(*Registry, K) M) M {
+	if m := l.m.Load(); m != nil {
+		if v, ok := (*m)[k]; ok {
+			return v
+		}
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	old := l.m.Load()
+	if old != nil {
+		if v, ok := (*old)[k]; ok {
+			return v
+		}
+	}
+	next := make(map[K]M, 1)
+	if old != nil {
+		for key, v := range *old {
+			next[key] = v
+		}
+	}
+	v := resolve(r, k)
+	next[k] = v
+	l.m.Store(&next)
+	return v
+}
+
+func sentCounter(r *Registry, kind string) *Counter {
+	return r.Counter(MetricTransportMessages,
+		"Messages sent over the transport fabric, by kind.", "kind", kind)
+}
+
+func droppedCounter(r *Registry, reason string) *Counter {
+	return r.Counter(MetricTransportDropped,
+		"Fabric deliveries dropped, by reason.", "reason", reason)
+}
+
+func callHistogram(r *Registry, rk [2]string) *Histogram {
+	return r.Histogram(MetricTransportCallSeconds,
+		"Fabric call latency in seconds, by route and message kind.",
+		StageBuckets(), "route", rk[0], "kind", rk[1])
+}
+
+func breakerGauge(r *Registry, route string) *Gauge {
+	return r.Gauge(MetricTransportBreakerState,
+		"Per-route circuit breaker state (0 closed, 1 half-open, 2 open).",
+		"route", route)
 }
 
 // NewTransportMetrics registers (or re-fetches) the transport counters.
@@ -66,21 +137,19 @@ func (m *TransportMetrics) Enabled() bool { return m != nil && m.reg != nil }
 // Sent counts one message of the given kind. Safe on a nil receiver or
 // one built from a nil registry.
 func (m *TransportMetrics) Sent(kind string) {
-	if m == nil {
+	if !m.Enabled() {
 		return
 	}
-	m.reg.Counter(MetricTransportMessages,
-		"Messages sent over the transport fabric, by kind.", "kind", kind).Inc()
+	m.sent.get(m.reg, kind, sentCounter).Inc()
 }
 
 // Dropped counts one delivery dropped for the given reason (loss,
 // partition, closed). Safe on a nil receiver.
 func (m *TransportMetrics) Dropped(reason string) {
-	if m == nil {
+	if !m.Enabled() {
 		return
 	}
-	m.reg.Counter(MetricTransportDropped,
-		"Fabric deliveries dropped, by reason.", "reason", reason).Inc()
+	m.dropped.get(m.reg, reason, droppedCounter).Inc()
 }
 
 // Duplicate counts one duplicated delivery. Safe on a nil receiver.
@@ -111,21 +180,17 @@ func (m *TransportMetrics) FastFail() {
 // Call records one fabric call's end-to-end latency in seconds for a
 // route ("from->to") and message kind. Safe on a nil receiver.
 func (m *TransportMetrics) Call(route, kind string, seconds float64) {
-	if m == nil {
+	if !m.Enabled() {
 		return
 	}
-	m.reg.Histogram(MetricTransportCallSeconds,
-		"Fabric call latency in seconds, by route and message kind.",
-		StageBuckets(), "route", route, "kind", kind).Observe(seconds)
+	m.calls.get(m.reg, [2]string{route, kind}, callHistogram).Observe(seconds)
 }
 
 // BreakerState gauges one route's breaker position (0 closed, 1
 // half-open, 2 open). Safe on a nil receiver.
 func (m *TransportMetrics) BreakerState(route string, state float64) {
-	if m == nil {
+	if !m.Enabled() {
 		return
 	}
-	m.reg.Gauge(MetricTransportBreakerState,
-		"Per-route circuit breaker state (0 closed, 1 half-open, 2 open).",
-		"route", route).Set(state)
+	m.breaker.get(m.reg, route, breakerGauge).Set(state)
 }

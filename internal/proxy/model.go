@@ -57,7 +57,7 @@ func (rt *Runtime) StoreComponent(host topo.HostID, service string, comp *svc.Co
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.started {
+	if rt.live.Load() != nil {
 		return fmt.Errorf("proxy: runtime already started")
 	}
 	p, ok := rt.proxies[host]
@@ -88,7 +88,7 @@ func (rt *Runtime) StoreSkeleton(mainHost topo.HostID, sk Skeleton) error {
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.started {
+	if rt.live.Load() != nil {
 		return fmt.Errorf("proxy: runtime already started")
 	}
 	p, ok := rt.proxies[mainHost]
@@ -110,7 +110,7 @@ func (rt *Runtime) StoreSkeleton(mainHost topo.HostID, sk Skeleton) error {
 	return nil
 }
 
-// handleModel serves a model request from the proxy goroutine.
+// handleModel serves a model request from the proxy's serve goroutine.
 func (p *QoSProxy) handleModel(req modelRequest) modelReply {
 	store := p.models[req.service]
 	if store == nil {
@@ -128,8 +128,9 @@ func (p *QoSProxy) handleModel(req modelRequest) modelReply {
 }
 
 // assembleService is phase 0 of the distributed protocol: the main proxy
-// fetches every component definition from the owning proxies (in
-// parallel over the fabric) and assembles the validated service model.
+// fetches every component definition from the owning proxies (every
+// request sent before the first reply is awaited) and assembles the
+// validated service model.
 func (rt *Runtime) assembleService(ctx context.Context, mainHost topo.HostID, sk Skeleton) (*svc.Service, error) {
 	// Group components by owning host.
 	byHost := make(map[topo.HostID][]svc.ComponentID)
@@ -139,39 +140,26 @@ func (rt *Runtime) assembleService(ctx context.Context, mainHost topo.HostID, sk
 	for _, comps := range byHost {
 		sort.Slice(comps, func(i, j int) bool { return comps[i] < comps[j] })
 	}
-	fabric := rt.fabric
 	from := transport.Addr(mainHost)
-	type result struct {
-		comps []*svc.Component
-		err   error
-	}
-	results := make(chan result, len(byHost))
+	calls := make([]*transport.Pending, 0, len(byHost))
 	for host, comps := range byHost {
-		go func(host topo.HostID, comps []svc.ComponentID) {
-			resp, err := fabric.Call(ctx, from, transport.Addr(host), msgModel, modelRequest{service: sk.Name, comps: comps})
-			if err != nil {
-				results <- result{err: err}
-				return
-			}
-			rep, ok := resp.(modelReply)
-			if !ok {
-				results <- result{err: fmt.Errorf("proxy: unexpected model reply %T", resp)}
-				return
-			}
-			results <- result{comps: rep.comps, err: rep.err}
-		}(host, comps)
+		calls = append(calls, rt.fabric.Go(ctx, from, transport.Addr(host), msgModel, modelRequest{service: sk.Name, comps: comps}))
 	}
 	var all []*svc.Component
 	var firstErr error
-	for range byHost {
-		res := <-results
-		if res.err != nil {
-			if firstErr == nil {
-				firstErr = res.err
+	for _, c := range calls {
+		resp, err := c.Wait()
+		if err == nil {
+			if rep, ok := resp.(modelReply); !ok {
+				err = fmt.Errorf("proxy: unexpected model reply %T", resp)
+			} else {
+				all = append(all, rep.comps...)
+				err = rep.err
 			}
-			continue
 		}
-		all = append(all, res.comps...)
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
 	if firstErr != nil {
 		return nil, firstErr
@@ -191,10 +179,7 @@ func (rt *Runtime) EstablishDistributed(mainHost topo.HostID, serviceName string
 // context: both the phase-0 model fetch and the three-phase protocol
 // observe the deadline.
 func (rt *Runtime) EstablishDistributedContext(ctx context.Context, mainHost topo.HostID, serviceName string, binding svc.Binding, planner core.Planner) (*Session, error) {
-	rt.mu.Lock()
-	main, ok := rt.proxies[mainHost]
-	started := rt.started
-	rt.mu.Unlock()
+	main, ok, started := rt.proxyOn(mainHost)
 	if !ok {
 		return nil, fmt.Errorf("proxy: no QoSProxy on main host %s", mainHost)
 	}

@@ -122,9 +122,13 @@ type QoSProxy struct {
 	// QoSProxy) plans from.
 	skeletons map[string]Skeleton
 
+	// mu serialises the two-phase-commit participant: the prepare,
+	// commit and abort handlers, whether they run on the fast lane or on
+	// the serve loop, and the crash that wipes and replays what they
+	// guard. It guards pending and order.
+	mu sync.Mutex
 	// pending is the idempotency table of the two-phase commit
-	// participant (see twophase.go). It is owned by the serve goroutine:
-	// only message handlers touch it, so it needs no lock.
+	// participant (see twophase.go).
 	pending map[string]*prepState
 	// order remembers pending insertion order for bounded GC.
 	order []string
@@ -135,10 +139,10 @@ type QoSProxy struct {
 	done chan struct{}
 	wg   sync.WaitGroup
 
-	// wedged mirrors an injected stall (stallRequest) for the read fast
-	// lane: while set, availability handlers drop requests unanswered so
-	// callers observe the same wedged-proxy symptoms (deadline expiry)
-	// the serve loop exhibits.
+	// wedged mirrors an injected stall (stallRequest) for the fast lane:
+	// while set, its handlers decline, so deliveries queue behind the
+	// stall and callers observe the same wedged-proxy symptoms (deadline
+	// expiry) the serve loop exhibits.
 	wedged atomic.Bool
 }
 
@@ -169,8 +173,42 @@ func (p *QoSProxy) Resources() []string {
 	return out
 }
 
-// serve is the proxy goroutine: it owns all broker interactions of its
-// host, driven by fabric deliveries.
+// listen registers the proxy's fabric endpoint with its fast lane and
+// launches its serve goroutine, for one Start..Stop cycle or one
+// restart. Availability queries are wait-free broker reads; prepare,
+// commit and abort run under p.mu. Both are answered on the delivering
+// goroutine, so an admission on a perfect fabric never waits on the
+// serve loop, which is left the deliveries a handler declined and the
+// message kinds without one.
+func (p *QoSProxy) listen() {
+	ep := p.rt.fabric.Endpoint(p.addr(), 16)
+	ep.SetHandler(msgAvailability, p.handleAvailabilityFast)
+	twoPhase := func(d transport.Delivery) bool { return p.handleTwoPhaseFast(ep, d) }
+	for _, kind := range []string{msgPrepare, msgCommit, msgAbort} {
+		ep.SetHandler(kind, twoPhase)
+	}
+	p.ep = ep
+	p.done = make(chan struct{})
+	p.wg.Add(1)
+	go p.serve(p.ep, p.done)
+}
+
+// halt stops the serve goroutine and drops the proxy off the fabric.
+// It returns once no handler can touch the participant state: the serve
+// loop has exited and every fast-lane handler that got p.mu before the
+// endpoint closed has finished — later ones find it closed and drop
+// their delivery, so a crash lands on a message boundary.
+func (p *QoSProxy) halt() {
+	close(p.done)
+	p.ep.Close()
+	p.wg.Wait()
+	// An empty critical section: a barrier behind the handler in flight.
+	p.mu.Lock()
+	p.mu.Unlock()
+}
+
+// serve is the proxy goroutine: it handles the deliveries that reach
+// the inbox.
 func (p *QoSProxy) serve(ep *transport.Endpoint, done chan struct{}) {
 	defer p.wg.Done()
 	for {
@@ -211,12 +249,10 @@ func (p *QoSProxy) handle(d transport.Delivery) {
 		d.Reply(p.handleAvailability(req))
 	case modelRequest:
 		d.Reply(p.handleModel(req))
-	case prepareRequest:
-		d.Reply(p.handlePrepare(req))
-	case commitRequest:
-		d.Reply(p.handleCommit(req))
-	case abortRequest:
-		d.Reply(p.handleAbort(req))
+	case prepareRequest, commitRequest, abortRequest:
+		p.mu.Lock()
+		p.handleTwoPhase(d)
+		p.mu.Unlock()
 	case outcomeRequest:
 		d.Reply(p.handleOutcome(req))
 	case stallRequest:
@@ -227,6 +263,39 @@ func (p *QoSProxy) handle(d transport.Delivery) {
 		<-req.release
 		p.wedged.Store(false)
 	}
+}
+
+// handleTwoPhase answers a prepare, commit or abort. Callers hold p.mu.
+func (p *QoSProxy) handleTwoPhase(d transport.Delivery) {
+	switch req := d.Payload.(type) {
+	case prepareRequest:
+		d.Reply(p.handlePrepare(req))
+	case commitRequest:
+		d.Reply(p.handleCommit(req))
+	case abortRequest:
+		d.Reply(p.handleAbort(req))
+	}
+}
+
+// handleTwoPhaseFast is the participant's fast lane on endpoint ep: the
+// handler runs on the coordinator's goroutine under p.mu. Like the
+// availability lane it declines while the proxy is wedged. A delivery
+// that gets p.mu only after ep closed is dropped unanswered: the host
+// crashed or stopped under it, and the caller observes the closure.
+func (p *QoSProxy) handleTwoPhaseFast(ep *transport.Endpoint, d transport.Delivery) bool {
+	if p.wedged.Load() {
+		return false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	select {
+	case <-ep.Done():
+		return true
+	default:
+	}
+	defer p.participantSpan(d).End()
+	p.handleTwoPhase(d)
+	return true
 }
 
 // handleAvailabilityFast is the read fast lane: it answers availability
@@ -354,7 +423,11 @@ type Runtime struct {
 	mu      sync.Mutex
 	proxies map[topo.HostID]*QoSProxy
 	owner   map[string]topo.HostID
-	started bool
+	// live is the deployment of a started runtime: a frozen copy of
+	// proxies and owner that Start publishes (under mu) and Stop
+	// withdraws, so the admission path routes without a lock. nil means
+	// not started.
+	live atomic.Pointer[deployment]
 	// sessions is the registry of live sessions, the set the repair
 	// layer walks when a fault invalidates reservations.
 	sessions map[*Session]struct{}
@@ -544,26 +617,58 @@ func (rt *Runtime) storeReports(reports []broker.Report) {
 	}
 }
 
-// brokerFor resolves a resource to its deployed broker. The owner and
-// per-proxy broker maps are frozen once Start has been called (Deploy
-// refuses afterwards), so reading them here cannot race with the proxy
-// goroutines.
-func (rt *Runtime) brokerFor(resource string) (broker.Broker, bool) {
+// deployment routes resources to hosts and hosts to proxies.
+type deployment struct {
+	proxies map[topo.HostID]*QoSProxy
+	owner   map[string]topo.HostID
+}
+
+// owning resolves a resource to its host and that host's proxy. A
+// started runtime reads the snapshot Start published, without a lock.
+func (rt *Runtime) owning(resource string) (topo.HostID, *QoSProxy, bool) {
+	if d := rt.live.Load(); d != nil {
+		h, ok := d.owner[resource]
+		return h, d.proxies[h], ok
+	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	host, ok := rt.owner[resource]
-	if !ok {
-		return nil, false
+	h, ok := rt.owner[resource]
+	return h, rt.proxies[h], ok
+}
+
+// proxyOn returns the proxy on a host and whether the runtime is
+// started, reading the published snapshot when it is.
+func (rt *Runtime) proxyOn(host topo.HostID) (p *QoSProxy, ok, started bool) {
+	if d := rt.live.Load(); d != nil {
+		p, ok = d.proxies[host]
+		return p, ok, true
 	}
-	b, ok := rt.proxies[host].brokers[resource]
-	return b, ok
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	p, ok = rt.proxies[host]
+	return p, ok, false
+}
+
+// copyDeploymentLocked copies the deployment maps. Callers hold rt.mu.
+func (rt *Runtime) copyDeploymentLocked() *deployment {
+	d := &deployment{
+		proxies: make(map[topo.HostID]*QoSProxy, len(rt.proxies)),
+		owner:   make(map[string]topo.HostID, len(rt.owner)),
+	}
+	for h, p := range rt.proxies {
+		d.proxies[h] = p
+	}
+	for r, h := range rt.owner {
+		d.owner[r] = h
+	}
+	return d
 }
 
 // AddHost deploys a QoSProxy on a host. It must be called before Start.
 func (rt *Runtime) AddHost(host topo.HostID) (*QoSProxy, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.started {
+	if rt.live.Load() != nil {
 		return nil, errors.New("proxy: runtime already started")
 	}
 	if _, dup := rt.proxies[host]; dup {
@@ -580,7 +685,7 @@ func (rt *Runtime) AddHost(host topo.HostID) (*QoSProxy, error) {
 func (rt *Runtime) Deploy(host topo.HostID, b broker.Broker) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.started {
+	if rt.live.Load() != nil {
 		return errors.New("proxy: runtime already started")
 	}
 	p, ok := rt.proxies[host]
@@ -598,9 +703,7 @@ func (rt *Runtime) Deploy(host topo.HostID, b broker.Broker) error {
 
 // Owner returns the host whose proxy owns a resource.
 func (rt *Runtime) Owner(resource string) (topo.HostID, bool) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	h, ok := rt.owner[resource]
+	h, _, ok := rt.owning(resource)
 	return h, ok
 }
 
@@ -610,21 +713,13 @@ func (rt *Runtime) Owner(resource string) (topo.HostID, bool) {
 func (rt *Runtime) Start() {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.started {
+	if rt.live.Load() != nil {
 		return
 	}
-	rt.started = true
 	for _, p := range rt.proxies {
-		p.ep = rt.fabric.Endpoint(p.addr(), 16)
-		p.done = make(chan struct{})
-		// Availability queries take the read fast lane: wait-free broker
-		// reads answered on the delivering goroutine, bypassing the serve
-		// loop entirely. The serve loop keeps its availabilityRequest case
-		// as a fallback for deliveries raced ahead of this registration.
-		p.ep.SetHandler(msgAvailability, p.handleAvailabilityFast)
-		p.wg.Add(1)
-		go p.serve(p.ep, p.done)
+		p.listen()
 	}
+	rt.live.Store(rt.copyDeploymentLocked())
 }
 
 // Stop terminates every proxy goroutine, closes their endpoints (the
@@ -636,41 +731,29 @@ func (rt *Runtime) Stop() {
 	rt.crashMu.Lock()
 	defer rt.crashMu.Unlock()
 	rt.mu.Lock()
-	if !rt.started {
-		rt.mu.Unlock()
+	d := rt.live.Load()
+	rt.live.Store(nil)
+	rt.mu.Unlock()
+	if d == nil {
 		return
 	}
-	rt.started = false
-	proxies := make([]*QoSProxy, 0, len(rt.proxies))
-	for _, p := range rt.proxies {
-		proxies = append(proxies, p)
-	}
-	rt.mu.Unlock()
-	for _, p := range proxies {
-		close(p.done)
-		p.ep.Close()
-	}
-	for _, p := range proxies {
-		p.wg.Wait()
+	for _, p := range d.proxies {
+		p.halt()
 	}
 }
 
 // proxyFor returns the proxy owning a resource.
 func (rt *Runtime) proxyFor(resource string) (*QoSProxy, error) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	host, ok := rt.owner[resource]
+	_, p, ok := rt.owning(resource)
 	if !ok {
 		return nil, fmt.Errorf("proxy: resource %s deployed nowhere", resource)
 	}
-	return rt.proxies[host], nil
+	return p, nil
 }
 
 // hostFor returns the host owning a resource.
 func (rt *Runtime) hostFor(resource string) (topo.HostID, error) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	host, ok := rt.owner[resource]
+	host, _, ok := rt.owning(resource)
 	if !ok {
 		return "", fmt.Errorf("proxy: resource %s deployed nowhere", resource)
 	}

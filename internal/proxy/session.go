@@ -203,10 +203,7 @@ func (rt *Runtime) Establish(mainHost topo.HostID, spec SessionSpec) (*Session, 
 // session's holds are leased: they expire and are reclaimed unless the
 // session heartbeats (Heartbeat) before the TTL elapses.
 func (rt *Runtime) EstablishContext(ctx context.Context, mainHost topo.HostID, spec SessionSpec) (*Session, error) {
-	rt.mu.Lock()
-	_, ok := rt.proxies[mainHost]
-	started := rt.started
-	rt.mu.Unlock()
+	_, ok, started := rt.proxyOn(mainHost)
 	if !ok {
 		return nil, fmt.Errorf("proxy: no QoSProxy on main host %s", mainHost)
 	}
@@ -424,9 +421,9 @@ func sessionResourceSet(spec SessionSpec) ([]string, error) {
 	return out, nil
 }
 
-// collectAvailability is phase 1: group the resources by owning host and
-// query all owning proxies concurrently over the fabric from the main
-// proxy's address.
+// collectAvailability is phase 1: group the resources by owning host,
+// send every owning proxy its query over the fabric from the main
+// proxy's address, then collect the replies.
 //
 // Degradation ladder: a group whose proxy replies in time contributes
 // fresh reports (which also refresh the runtime's availability cache). A
@@ -447,30 +444,16 @@ func (rt *Runtime) collectAvailability(ctx context.Context, mainHost topo.HostID
 		}
 		groups[host] = append(groups[host], r)
 	}
-	fabric := rt.fabric
 	from := transport.Addr(mainHost)
-	type result struct {
-		host    topo.HostID
-		rs      []string
-		reports []broker.Report
-		err     error // handler error (terminal)
-		degrade bool  // transport failure: fall back to the cache
+	type leg struct {
+		host topo.HostID
+		rs   []string
+		call *transport.Pending
 	}
-	results := make(chan result, len(groups))
+	legs := make([]leg, 0, len(groups))
 	for host, rs := range groups {
-		go func(host topo.HostID, rs []string) {
-			resp, err := fabric.Call(ctx, from, transport.Addr(host), msgAvailability, availabilityRequest{resources: rs})
-			if err != nil {
-				results <- result{host: host, rs: rs, degrade: true}
-				return
-			}
-			rep, ok := resp.(availabilityReply)
-			if !ok {
-				results <- result{host: host, rs: rs, err: fmt.Errorf("proxy: unexpected availability reply %T", resp)}
-				return
-			}
-			results <- result{host: host, rs: rs, reports: rep.reports, err: rep.err}
-		}(host, rs)
+		legs = append(legs, leg{host: host, rs: rs,
+			call: rt.fabric.Go(ctx, from, transport.Addr(host), msgAvailability, availabilityRequest{resources: rs})})
 	}
 	snap := &broker.Snapshot{
 		At:    rt.clock.Now(),
@@ -479,11 +462,12 @@ func (rt *Runtime) collectAvailability(ctx context.Context, mainHost topo.HostID
 	}
 	span := obs.SpanFromContext(ctx)
 	var firstErr error
-	for range groups {
-		res := <-results
-		if res.degrade {
-			span.Event(obs.EventDegradedToCached, string(res.host))
-			for _, r := range res.rs {
+	for _, l := range legs {
+		resp, err := l.call.Wait()
+		if err != nil {
+			// Transport failure: degrade to the cache.
+			span.Event(obs.EventDegradedToCached, string(l.host))
+			for _, r := range l.rs {
 				if cached, ok := rt.cachedReport(r); ok {
 					age := cached.Alpha
 					if age > 1 {
@@ -502,6 +486,10 @@ func (rt *Runtime) collectAvailability(ctx context.Context, mainHost topo.HostID
 				}
 			}
 			continue
+		}
+		res, ok := resp.(availabilityReply)
+		if !ok {
+			res.err = fmt.Errorf("proxy: unexpected availability reply %T", resp)
 		}
 		if res.err != nil {
 			if firstErr == nil {

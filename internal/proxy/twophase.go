@@ -41,7 +41,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"qosres/internal/broker"
@@ -112,7 +111,7 @@ func (st *prepState) resolved() bool {
 const maxPendingResolved = 1024
 
 // gcPending prunes the oldest resolved entries beyond the bound. Runs
-// on the serve goroutine. The sweep is amortized: it triggers only once
+// under p.mu. The sweep is amortized: it triggers only once
 // the table doubles past the bound, so each protocol message pays O(1)
 // on average instead of rescanning ~maxPendingResolved entries per
 // message — resolved entries are kept at least as long as a per-message
@@ -152,7 +151,7 @@ var errUnknownPrepare = errors.New("proxy: unknown prepare ID")
 // admission fails cleanly instead of half-committing.
 var ErrAborted = errors.New("proxy: prepare aborted")
 
-// handlePrepare runs on the participant's serve goroutine.
+// handlePrepare runs under the participant's p.mu.
 func (p *QoSProxy) handlePrepare(req prepareRequest) prepareReply {
 	if st, ok := p.pending[req.id]; ok {
 		// Duplicate (or post-abort straggler): replay the recorded
@@ -201,7 +200,7 @@ func (p *QoSProxy) journalPrepare(id string, expiry broker.Time, st *prepState) 
 	return &prepState{prepErr: fmt.Errorf("proxy %s: journal prepare %s: %w", p.host, id, err)}
 }
 
-// handleCommit runs on the participant's serve goroutine.
+// handleCommit runs under the participant's p.mu.
 func (p *QoSProxy) handleCommit(req commitRequest) commitReply {
 	st, ok := p.pending[req.id]
 	if ok && st.aborted {
@@ -234,7 +233,7 @@ func (p *QoSProxy) handleCommit(req commitRequest) commitReply {
 	return commitReply{}
 }
 
-// handleAbort runs on the participant's serve goroutine. Aborting is
+// handleAbort runs under the participant's p.mu. Aborting is
 // idempotent and total: unknown IDs leave a tombstone (so a delayed
 // prepare cannot land after its abort), committed prepares roll back.
 // A lost abort record is harmless: recovery presumes abort for a
@@ -397,14 +396,6 @@ func (rt *Runtime) commitPlan(ctx context.Context, mainHost topo.HostID, req qos
 		expiry = rt.clock.Now() + rt.leaseTTL
 	}
 
-	type hostResult struct {
-		host topo.HostID
-		res  *broker.MultiReservation
-		err  error
-	}
-	call := func(host topo.HostID, kind string, payload interface{}) (interface{}, error) {
-		return fabric.Call(ctx, from, transport.Addr(host), kind, payload)
-	}
 	abortAll := func() {
 		// Detached context: cleanup must proceed even when the caller's
 		// deadline already expired, but stay bounded. The caller's trace
@@ -412,49 +403,49 @@ func (rt *Runtime) commitPlan(ctx context.Context, mainHost topo.HostID, req qos
 		actx, cancel := context.WithTimeout(context.Background(), abortTimeout)
 		defer cancel()
 		actx = obs.ContextWithSpan(actx, obs.SpanFromContext(ctx))
-		var wg sync.WaitGroup
+		calls := make([]*transport.Pending, 0, len(shares))
 		for host := range shares {
-			wg.Add(1)
-			go func(host topo.HostID) {
-				defer wg.Done()
-				_, _ = fabric.Call(actx, from, transport.Addr(host), msgAbort, abortRequest{id: id})
-			}(host)
+			calls = append(calls, fabric.Go(actx, from, transport.Addr(host), msgAbort, abortRequest{id: id}))
 		}
-		wg.Wait()
+		for _, c := range calls {
+			_, _ = c.Wait()
+		}
 	}
 
 	// Prepare fan-out: every participating proxy validates and holds its
-	// share concurrently.
-	results := make(chan hostResult, len(shares))
+	// share; the requests all go out before the first reply is awaited.
+	type leg struct {
+		host topo.HostID
+		call *transport.Pending
+	}
+	legs := make([]leg, 0, len(shares))
 	for host, need := range shares {
-		go func(host topo.HostID, need qos.ResourceVector) {
-			resp, err := call(host, msgPrepare, prepareRequest{id: id, req: need, expiry: expiry})
-			if err != nil {
-				results <- hostResult{host: host, err: err}
-				return
-			}
-			rep, ok := resp.(prepareReply)
-			if !ok {
-				results <- hostResult{host: host, err: fmt.Errorf("proxy: unexpected prepare reply %T", resp)}
-				return
-			}
-			results <- hostResult{host: host, res: rep.res, err: rep.err}
-		}(host, need)
+		legs = append(legs, leg{host: host,
+			call: fabric.Go(ctx, from, transport.Addr(host), msgPrepare, prepareRequest{id: id, req: need, expiry: expiry})})
 	}
 	prepared := make([]share, 0, len(shares))
 	var refusal, failure error
-	for range shares {
-		r := <-results
+	for _, l := range legs {
+		var rep prepareReply
+		resp, err := l.call.Wait()
+		if err == nil {
+			var ok bool
+			if rep, ok = resp.(prepareReply); !ok {
+				err = fmt.Errorf("proxy: unexpected prepare reply %T", resp)
+			} else {
+				err = rep.err
+			}
+		}
 		switch {
-		case r.err == nil:
-			prepared = append(prepared, share{host: r.host, id: id, res: r.res})
-		case errors.Is(r.err, broker.ErrInsufficient):
+		case err == nil:
+			prepared = append(prepared, share{host: l.host, id: id, res: rep.res})
+		case errors.Is(err, broker.ErrInsufficient):
 			if refusal == nil {
-				refusal = r.err
+				refusal = err
 			}
 		default:
 			if failure == nil {
-				failure = r.err
+				failure = err
 			}
 		}
 	}
@@ -476,25 +467,20 @@ func (rt *Runtime) commitPlan(ctx context.Context, mainHost topo.HostID, req qos
 	}
 
 	// Commit fan-out: transfer ownership of every prepared share.
-	commits := make(chan error, len(shares))
-	for host := range shares {
-		go func(host topo.HostID) {
-			resp, err := call(host, msgCommit, commitRequest{id: id, expiry: expiry})
-			if err != nil {
-				commits <- err
-				return
-			}
-			rep, ok := resp.(commitReply)
-			if !ok {
-				commits <- fmt.Errorf("proxy: unexpected commit reply %T", resp)
-				return
-			}
-			commits <- rep.err
-		}(host)
+	for i, l := range legs {
+		legs[i].call = fabric.Go(ctx, from, transport.Addr(l.host), msgCommit, commitRequest{id: id, expiry: expiry})
 	}
 	var commitErr error
-	for range shares {
-		if err := <-commits; err != nil && commitErr == nil {
+	for _, l := range legs {
+		resp, err := l.call.Wait()
+		if err == nil {
+			if rep, ok := resp.(commitReply); !ok {
+				err = fmt.Errorf("proxy: unexpected commit reply %T", resp)
+			} else {
+				err = rep.err
+			}
+		}
+		if err != nil && commitErr == nil {
 			commitErr = err
 		}
 	}

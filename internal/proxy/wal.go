@@ -59,15 +59,15 @@ func (rt *Runtime) CloseWAL() error {
 // CheckpointWAL compacts the log: the live book state — every pending
 // entry on every host plus the coordinator decide table — is rewritten
 // as a fresh snapshot segment and older segments are pruned, so replay
-// cost tracks live state, not history. The pending tables are owned by
-// the serve goroutines, so checkpointing requires a stopped (or
+// cost tracks live state, not history. The pending tables change under
+// every admission, so checkpointing requires a stopped (or
 // not-yet-started) runtime — e.g. right after Recover, before Start.
 func (rt *Runtime) CheckpointWAL() error {
 	if rt.wal == nil {
 		return errors.New("proxy: WAL not enabled")
 	}
 	rt.mu.Lock()
-	started := rt.started
+	started := rt.live.Load() != nil
 	proxies := make([]*QoSProxy, 0, len(rt.proxies))
 	for _, p := range rt.proxies {
 		proxies = append(proxies, p)
@@ -321,7 +321,8 @@ func reduceHost(records []wal.Record, host string) (entries []*replayEntry, deci
 // its commit decisions into the decide table (keeping any decision
 // already there), counts the records replayed, and restores the
 // idempotency table and broker books with the exact pre-crash hold IDs.
-// Must run while the host's serve goroutine is down. Returns the
+// Must run while no handler can reach the host's participant state:
+// before Start, or under p.mu with the endpoint closed. Returns the
 // in-doubt request IDs, in log order: prepared, never committed, never
 // aborted.
 func (rt *Runtime) replayHost(p *QoSProxy, records []wal.Record, now broker.Time) (indoubt []string, err error) {
@@ -490,7 +491,7 @@ func (rt *Runtime) reconcile(p *QoSProxy, fabric *transport.Fabric, indoubt []st
 // runtime clock says how long the process was down.
 func (rt *Runtime) Recover() error {
 	rt.mu.Lock()
-	if rt.started {
+	if rt.live.Load() != nil {
 		rt.mu.Unlock()
 		return errors.New("proxy: Recover after Start")
 	}
@@ -546,31 +547,50 @@ func (rt *Runtime) Recover() error {
 // their coordinators' outcome tables over the fabric, leases that
 // lapsed while down are swept once, and the proxy rejoins the fabric on
 // a fresh endpoint. The crash lands at a message boundary — the serve
-// goroutine finishes its current handler before dying — so books never
-// tear mid-handler; the WAL's torn-tail handling covers the mid-append
-// window.
+// goroutine and every fast-lane handler already past the endpoint check
+// finish their message before the wipe, and later ones drop theirs — so
+// books never tear mid-handler; the WAL's torn-tail handling covers the
+// mid-append window.
 func (rt *Runtime) CrashRestart(host topo.HostID) error {
 	rt.crashMu.Lock()
 	defer rt.crashMu.Unlock()
-	rt.mu.Lock()
-	if !rt.started {
-		rt.mu.Unlock()
+	p, ok, started := rt.proxyOn(host)
+	if !started {
 		return errors.New("proxy: runtime not started")
 	}
-	p, ok := rt.proxies[host]
 	if !ok {
-		rt.mu.Unlock()
 		return fmt.Errorf("proxy: no QoSProxy on host %s", host)
 	}
-	rt.mu.Unlock()
 	if rt.wal == nil {
 		return errors.New("proxy: WAL not enabled")
 	}
 
 	// Crash: stop serving and drop off the fabric.
-	close(p.done)
-	p.ep.Close()
-	p.wg.Wait()
+	p.halt()
+	if err := rt.recoverHost(p); err != nil {
+		return err
+	}
+
+	// Rejoin the fabric: a fresh endpoint (the crashed one's queued
+	// deliveries died with the process) and a fresh serve loop.
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if rt.live.Load() == nil {
+		return nil // the runtime stopped underneath the restart
+	}
+	p.listen()
+	return nil
+}
+
+// recoverHost is the restart half of CrashRestart: wipe the host's book
+// and idempotency table, replay the log, reconcile and sweep. It holds
+// p.mu throughout, so a fast-lane handler of the crashed endpoint that
+// was still waiting for it finds the endpoint closed and drops its
+// delivery. Outcome queries to other hosts read their decide tables and
+// never take a proxy's mu, so reconciling under it cannot deadlock.
+func (rt *Runtime) recoverHost(p *QoSProxy) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 
 	// Amnesia: the process forgets its book and its idempotency table.
 	// Link brokers are owned by no host and keep their holds.
@@ -597,18 +617,5 @@ func (rt *Runtime) CrashRestart(host topo.HostID) error {
 		return err
 	}
 	rt.reconcile(p, rt.fabric, indoubt, now)
-
-	// Rejoin the fabric: a fresh endpoint (the crashed one's queued
-	// deliveries died with the process) and a fresh serve loop.
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if !rt.started {
-		return nil // the runtime stopped underneath the restart
-	}
-	p.ep = rt.fabric.Endpoint(p.addr(), 16)
-	p.ep.SetHandler(msgAvailability, p.handleAvailabilityFast)
-	p.done = make(chan struct{})
-	p.wg.Add(1)
-	go p.serve(p.ep, p.done)
 	return nil
 }

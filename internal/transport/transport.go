@@ -25,6 +25,13 @@
 // Loopback calls (from == to) model the proxy talking to itself and
 // never cross the simulated network: they are delivered reliably with no
 // loss, latency, duplication, or breaker accounting.
+//
+// A call is Go, which hands the request over, followed by Wait, which
+// collects the reply; a caller fans out by calling Go for every
+// destination before it waits on the first. While the fabric is unarmed
+// — nothing configured that could happen to a message — every route
+// behaves like loopback, and a message to a fast-lane handler (see
+// Endpoint.SetHandler) costs a function call.
 package transport
 
 import (
@@ -116,8 +123,12 @@ type Delivery struct {
 	Dup bool
 	// Payload is the message body.
 	Payload interface{}
-	reply   func(interface{})
-	ack     *doneHook
+	// pend is the call of a delivery that crosses no injectable route
+	// (see Fabric.Go); its reply is handed straight back. Routed
+	// deliveries reply through reply instead.
+	pend  *Pending
+	reply func(interface{})
+	ack   *doneHook
 }
 
 // doneHook is the once-only completion callback of an inbox-queued
@@ -143,7 +154,10 @@ func (d Delivery) Done() {
 // reply crosses the same route as the request, so it too can be lost,
 // delayed, or duplicated. Replying to a one-way message is a no-op.
 func (d Delivery) Reply(payload interface{}) {
-	if d.reply != nil {
+	switch {
+	case d.pend != nil:
+		d.pend.deliver(payload)
+	case d.reply != nil:
 		d.reply(payload)
 	}
 }
@@ -186,18 +200,17 @@ func (e *Endpoint) Close() {
 // through the inbox and the owner's serve goroutine. The fabric's chaos
 // (partition, loss, duplication, latency) is applied before dispatch,
 // so a fast-lane message suffers exactly the adversities an inbox
-// message would.
+// message would; on a route with nothing to inject the delivery is a
+// plain function call (see Fabric.Go).
 //
 // The contract is strict: h runs on the DELIVERING goroutine — the
 // caller's own goroutine for zero-latency routes and loopback — so it
-// must never block and must be safe for concurrent invocation. h
-// returns true when it consumed the delivery (replied or deliberately
-// dropped it) and false to decline: a declined delivery falls back to
-// the inbox path and queues for the owner's serve goroutine exactly as
-// if no handler were registered, preserving FIFO ordering behind
-// whatever the serve loop is doing. Handlers are meant for read-mostly
-// request kinds whose work is wait-free (availability queries); state
-// mutations stay on the serve loop.
+// must be safe for concurrent invocation, must not wait on anything
+// but short critical sections, and must reply, if at all, before it
+// returns. h returns true when it consumed the delivery (replied or
+// deliberately dropped it) and false to decline: a declined delivery
+// falls back to the inbox path and queues for the owner's serve
+// goroutine exactly as if no handler were registered.
 func (e *Endpoint) SetHandler(kind string, h func(Delivery) bool) {
 	e.hmu.Lock()
 	defer e.hmu.Unlock()
@@ -237,15 +250,22 @@ func (e *Endpoint) dispatch(d Delivery) bool {
 // Fabric routes messages between endpoints with injectable per-route
 // unreliability. Safe for concurrent use.
 type Fabric struct {
-	mu          sync.Mutex
-	rng         *rand.Rand
-	defaults    RouteConfig
-	endpoints   map[Addr]*Endpoint
+	mu       sync.Mutex
+	rng      *rand.Rand
+	defaults RouteConfig
+	// endpoints is a copy-on-write snapshot: Endpoint replaces the map
+	// under mu, and every send reads it without a lock.
+	endpoints   atomic.Pointer[map[Addr]*Endpoint]
 	routes      map[pair]RouteConfig
 	partitioned map[pair]bool
 	breakerCfg  *BreakerConfig
 	breakers    map[[2]Addr]*Breaker // keyed by ordered (from, to)
 	metrics     *obs.TransportMetrics
+	// armed is set while anything can happen to a message in transit: a
+	// non-zero default route, a route override, a partition, or a
+	// breaker. rearmLocked recomputes it after each of those changes.
+	// While it is clear, Go delivers as a direct call.
+	armed atomic.Bool
 	// pending counts asynchronous (delayed or duplicated) deliveries in
 	// flight; settleCh, when non-nil, is closed as pending hits zero so
 	// Settle can wait for the fabric to drain. A plain WaitGroup cannot
@@ -258,16 +278,25 @@ type Fabric struct {
 // New creates a fabric. With zero Options the fabric is perfect: every
 // call is delivered instantly, exactly once, with no breaker in the way.
 func New(opts Options) *Fabric {
-	return &Fabric{
+	f := &Fabric{
 		rng:         rand.New(rand.NewSource(opts.Seed)),
 		defaults:    opts.Defaults,
-		endpoints:   make(map[Addr]*Endpoint),
 		routes:      make(map[pair]RouteConfig),
 		partitioned: make(map[pair]bool),
 		breakerCfg:  opts.Breaker,
 		breakers:    make(map[[2]Addr]*Breaker),
 		metrics:     obs.NewTransportMetrics(opts.Metrics),
 	}
+	f.endpoints.Store(&map[Addr]*Endpoint{})
+	f.rearmLocked()
+	return f
+}
+
+// rearmLocked recomputes the armed flag from the fabric's
+// configuration. Callers hold f.mu (or own f exclusively).
+func (f *Fabric) rearmLocked() {
+	f.armed.Store(f.defaults != (RouteConfig{}) || len(f.routes) > 0 ||
+		len(f.partitioned) > 0 || f.breakerCfg != nil)
 }
 
 // Endpoint registers (or re-registers) the address and returns its
@@ -284,17 +313,15 @@ func (f *Fabric) Endpoint(addr Addr, depth int) *Endpoint {
 		done:  make(chan struct{}),
 	}
 	f.mu.Lock()
-	f.endpoints[addr] = ep
+	old := *f.endpoints.Load()
+	next := make(map[Addr]*Endpoint, len(old)+1)
+	for a, e := range old {
+		next[a] = e
+	}
+	next[addr] = ep
+	f.endpoints.Store(&next)
 	f.mu.Unlock()
 	return ep
-}
-
-// endpoint resolves an address.
-func (f *Fabric) endpoint(addr Addr) (*Endpoint, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ep, ok := f.endpoints[addr]
-	return ep, ok
 }
 
 // SetRoute overrides the route config of the unordered pair (a, b).
@@ -302,6 +329,7 @@ func (f *Fabric) SetRoute(a, b Addr, cfg RouteConfig) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.routes[norm(a, b)] = cfg
+	f.rearmLocked()
 }
 
 // Route returns the effective config of the route (a, b).
@@ -324,6 +352,7 @@ func (f *Fabric) ClearRoutes() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.routes = make(map[pair]RouteConfig)
+	f.rearmLocked()
 }
 
 // Partition cuts the route between a and b in both directions: every
@@ -332,6 +361,7 @@ func (f *Fabric) Partition(a, b Addr) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.partitioned[norm(a, b)] = true
+	f.rearmLocked()
 }
 
 // Heal removes the partition between a and b.
@@ -339,6 +369,7 @@ func (f *Fabric) Heal(a, b Addr) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	delete(f.partitioned, norm(a, b))
+	f.rearmLocked()
 }
 
 // HealAll removes every partition.
@@ -346,6 +377,7 @@ func (f *Fabric) HealAll() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.partitioned = make(map[pair]bool)
+	f.rearmLocked()
 }
 
 // Partitioned reports whether the route between a and b is cut.
@@ -409,8 +441,9 @@ func (f *Fabric) BreakerState(from, to Addr) BreakerState {
 // inbox-queued delivery on an open endpoint has been handled to
 // completion (its consumer called Done), looping until both counts are
 // stably zero (a landing delivery's reply may start new asynchronous
-// sends). Handler-answered fast-lane calls complete synchronously
-// inside the delivering send, so they are covered by the same barrier.
+// sends). Handler-answered fast-lane deliveries complete synchronously
+// inside the delivery that hands them over, so they are covered by the
+// same barrier.
 // Deliveries stranded in a closed endpoint's inbox died with its host
 // and are excluded. Chaos harnesses call Settle before checking drain
 // invariants so no straggler handler can mutate the books after they
@@ -444,7 +477,7 @@ func (f *Fabric) drainedLocked() bool {
 	if f.pending != 0 {
 		return false
 	}
-	for _, ep := range f.endpoints {
+	for _, ep := range *f.endpoints.Load() {
 		select {
 		case <-ep.done:
 			continue
@@ -493,177 +526,280 @@ func (f *Fabric) queueHook(ep *Endpoint) *doneHook {
 	}}
 }
 
+// Pending is one request in flight, started by Go and collected by
+// Wait. Wait must be called exactly once.
+type Pending struct {
+	f        *Fabric
+	ctx      context.Context
+	ep       *Endpoint
+	from, to Addr
+	kind     string
+	// err, when set, is the call's result decided before anything was
+	// delivered: no endpoint, or an open breaker.
+	err error
+	// resp and replied hold a direct delivery's reply, written by the
+	// fast-lane handler on Go's own goroutine. replyCh carries the reply
+	// of every other delivery; nil while the call was direct.
+	resp    interface{}
+	replied bool
+	replyCh chan reply
+	// br guards a routed call; reqDrop is why its request leg was
+	// dropped before any copy departed.
+	br      *Breaker
+	reqDrop string
+	// Call span and latency: the route string and clock read exist only
+	// when the caller's trace records or call metrics are on.
+	cs    obs.ActiveSpan
+	route string
+	start time.Time
+	timed bool
+}
+
+// reply is a response in transit back to its caller, stamped with its
+// arrival when the call is timed: the caller may collect it later,
+// while it waits on other calls, and the call's span and latency end
+// at the arrival.
+type reply struct {
+	resp interface{}
+	at   time.Time
+}
+
 // Call sends payload from one endpoint to another and waits for the
-// reply or the context. The request and the reply each independently
-// suffer the route's latency, loss, and duplication; a partitioned or
-// lossy route therefore surfaces as ctx expiry, never as an unbounded
-// block — which is why every caller must bound ctx when the fabric is
-// imperfect. kind labels the message family in the metrics.
+// reply or the context: Go followed by Wait. The request and the reply
+// each independently suffer the route's latency, loss, and duplication;
+// a partitioned or lossy route therefore surfaces as ctx expiry, never
+// as an unbounded block — which is why every caller must bound ctx when
+// the fabric is imperfect. kind labels the message family in the
+// metrics.
 func (f *Fabric) Call(ctx context.Context, from, to Addr, kind string, payload interface{}) (interface{}, error) {
-	ep, ok := f.endpoint(to)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoEndpoint, to)
+	return f.Go(ctx, from, to, kind, payload).Wait()
+}
+
+// Go hands payload to the fabric and returns without waiting for the
+// reply, so a caller can send to many endpoints and then Wait on each.
+//
+// A message on a route with nothing to inject — loopback, or any route
+// while the fabric is unarmed (zero Defaults, no route override, no
+// partition, no breaker) — is a direct call: a registered fast-lane
+// handler runs on this goroutine and its reply is in hand when Go
+// returns, with no fabric lock, no random draw and no reply channel.
+// Without a handler, or when the handler declines, the delivery queues
+// through the destination's inbox. Every other route takes the chaos
+// path: breaker, loss, duplication and latency, each leg drawn from the
+// fabric's seeded source.
+//
+// Go never blocks on a full inbox: the delivery then waits for room on
+// its own goroutine, bounded by ctx, so one stalled destination cannot
+// hold up the caller's other messages.
+func (f *Fabric) Go(ctx context.Context, from, to Addr, kind string, payload interface{}) *Pending {
+	ep := (*f.endpoints.Load())[to]
+	if ep == nil {
+		return &Pending{err: fmt.Errorf("%w: %s", ErrNoEndpoint, to)}
 	}
 	f.metrics.Sent(kind)
-
+	pd := &Pending{f: f, ctx: ctx, ep: ep, from: from, to: to, kind: kind}
 	// Per-call tracing and latency: both are inert (no clock read, no
 	// route-string allocation) unless the caller's trace is recorded or
 	// call-latency metrics are on.
 	caller := obs.SpanFromContext(ctx)
-	timed := caller.Recording() || f.metrics.Enabled()
-	var route string
-	var start time.Time
-	if timed {
-		route = string(from) + "->" + string(to)
-		start = time.Now()
+	if caller.Recording() || f.metrics.Enabled() {
+		pd.timed = true
+		pd.route = string(from) + "->" + string(to)
+		pd.start = time.Now()
 	}
-	cs := caller.Child(kind, route)
-	finish := func(status string) {
-		if timed {
-			f.metrics.Call(route, kind, time.Since(start).Seconds())
-		}
-		cs.EndStatus(status)
+	pd.cs = caller.Child(kind, pd.route)
+	if from == to || !f.armed.Load() {
+		pd.direct(payload)
+	} else {
+		pd.routed(payload)
 	}
+	return pd
+}
 
-	if from == to {
-		// Loopback: the proxy talking to itself never crosses the
-		// network. Reliable, instant, breaker-free. A registered fast
-		// lane handler runs inline on this goroutine; otherwise the
-		// delivery queues through the inbox.
-		replyCh := make(chan interface{}, 1)
-		d := Delivery{From: from, Kind: kind, Span: cs.Context(), Payload: payload,
-			reply: func(resp interface{}) {
-				select {
-				case replyCh <- resp:
-				default:
-				}
-			}}
-		if !ep.dispatch(d) {
-			d.ack = f.queueHook(ep)
-			select {
-			case ep.inbox <- d:
-			case <-ep.done:
-				d.Done()
-				finish("closed")
-				return nil, fmt.Errorf("transport: %s: %w", to, ErrClosed)
-			case <-ctx.Done():
-				d.Done()
-				f.metrics.Timeout()
-				finish("timeout")
-				return nil, fmt.Errorf("transport: call %s->%s (%s): %w", from, to, kind, ctx.Err())
-			}
+// direct delivers over a route that cannot lose, delay or duplicate:
+// the fast-lane handler answers in place, and anything it leaves goes
+// through the inbox with a one-slot reply channel.
+func (pd *Pending) direct(payload interface{}) {
+	d := Delivery{From: pd.from, Kind: pd.kind, Span: pd.cs.Context(), Payload: payload, pend: pd}
+	if pd.ep.dispatch(d) {
+		if pd.replied {
+			pd.finish(obs.StatusOK, time.Time{})
 		}
-		select {
-		case resp := <-replyCh:
-			finish(obs.StatusOK)
-			return resp, nil
-		case <-ep.done:
-			// The endpoint crashed under the call. A reply that raced the
-			// close still counts; otherwise the queued delivery died with
-			// the process and no answer will ever come.
-			select {
-			case resp := <-replyCh:
-				finish(obs.StatusOK)
-				return resp, nil
-			default:
-			}
-			finish("closed")
-			return nil, fmt.Errorf("transport: %s: %w", to, ErrClosed)
-		case <-ctx.Done():
-			f.metrics.Timeout()
-			finish("timeout")
-			return nil, fmt.Errorf("transport: call %s->%s (%s): %w", from, to, kind, ctx.Err())
-		}
+		return
 	}
+	pd.replyCh = make(chan reply, 1)
+	pd.f.enqueue(pd.ctx, pd.ep, d)
+}
 
-	br := f.breaker(from, to)
-	if br != nil && !br.Allow() {
+// deliver records the reply to a direct delivery. The first reply wins.
+func (pd *Pending) deliver(resp interface{}) {
+	if pd.replyCh == nil {
+		if !pd.replied {
+			pd.resp, pd.replied = resp, true
+		}
+		return
+	}
+	select {
+	case pd.replyCh <- pd.stamp(resp):
+	default:
+	}
+}
+
+// stamp wraps a reply, with its arrival time when the call is timed.
+func (pd *Pending) stamp(resp interface{}) reply {
+	if !pd.timed {
+		return reply{resp: resp}
+	}
+	return reply{resp: resp, at: time.Now()}
+}
+
+// routed sends over an armed route: the breaker may fail the call fast,
+// and the request and its reply each cross send's chaos.
+func (pd *Pending) routed(payload interface{}) {
+	f, ep, cs := pd.f, pd.ep, pd.cs
+	pd.br = f.breaker(pd.from, pd.to)
+	if pd.br != nil && !pd.br.Allow() {
 		f.metrics.FastFail()
 		// The refused call still records a terminated child span so the
 		// trace tree stays complete (no orphan roots on shed sessions).
-		cs.Event(obs.EventBreakerFastFail, route)
-		finish("circuit_open")
-		return nil, fmt.Errorf("transport: %s->%s: %w", from, to, ErrCircuitOpen)
+		cs.Event(obs.EventBreakerFastFail, pd.route)
+		pd.finish("circuit_open", time.Time{})
+		pd.err = fmt.Errorf("transport: %s->%s: %w", pd.from, pd.to, ErrCircuitOpen)
+		return
 	}
-
 	// The reply channel holds two slots so a duplicated reply never
-	// blocks the replier; Call consumes the first copy.
-	replyCh := make(chan interface{}, 2)
-	d := Delivery{From: from, Kind: kind, Span: cs.Context(), Payload: payload,
+	// blocks the replier; Wait consumes the first copy.
+	replyCh := make(chan reply, 2)
+	pd.replyCh = replyCh
+	from, to := pd.from, pd.to
+	d := Delivery{From: from, Kind: pd.kind, Span: cs.Context(), Payload: payload,
 		reply: func(resp interface{}) {
-			if reason := f.send(to, from, func(bool) bool {
+			if reason := f.send(to, from, func(bool) {
 				select {
-				case replyCh <- resp:
+				case replyCh <- pd.stamp(resp):
 				default:
 				}
-				return true
 			}); reason != "" {
 				cs.Event(dropEvent(reason), "reply")
 			}
 		}}
-	reqDrop := f.send(from, to, func(dup bool) bool {
+	pd.reqDrop = f.send(from, to, func(dup bool) {
 		dd := d
 		dd.Dup = dup
 		// Fast lane first: the route's chaos has already been applied
 		// by send, so a handler sees exactly the deliveries (and
 		// duplicate copies) the inbox would have.
 		if ep.dispatch(dd) {
-			return true
+			return
 		}
-		dd.ack = f.queueHook(ep)
-		select {
-		case ep.inbox <- dd:
-			return true
-		case <-ep.done:
-			dd.Done()
-			return false
-		}
+		f.enqueue(pd.ctx, ep, dd)
 	})
-	if reqDrop != "" {
-		cs.Event(dropEvent(reqDrop), "request")
+	if pd.reqDrop != "" {
+		cs.Event(dropEvent(pd.reqDrop), "request")
 	}
+}
 
+// enqueue queues d on ep's inbox, charged to the drain barrier until
+// its consumer calls Done. A full inbox does not hold up the sender:
+// the delivery waits for room on its own goroutine and is dropped, its
+// ack run, once the endpoint closes or ctx ends — the caller's Wait
+// then reports the closure or the timeout.
+func (f *Fabric) enqueue(ctx context.Context, ep *Endpoint, d Delivery) {
+	d.ack = f.queueHook(ep)
 	select {
-	case resp := <-replyCh:
-		if br != nil {
-			br.Success()
-		}
-		finish(obs.StatusOK)
-		return resp, nil
+	case ep.inbox <- d:
+		return
 	case <-ep.done:
+		d.Done()
+		f.metrics.Dropped("closed")
+		return
+	default:
+	}
+	go func() {
+		select {
+		case ep.inbox <- d:
+		case <-ep.done:
+			d.Done()
+			f.metrics.Dropped("closed")
+		case <-ctx.Done():
+			d.Done()
+		}
+	}()
+}
+
+// Wait returns the reply, or the call's failure: ErrNoEndpoint,
+// ErrCircuitOpen, ErrClosed when the destination closed before
+// answering, or the context's error once it ends first.
+func (pd *Pending) Wait() (interface{}, error) {
+	if pd.err != nil {
+		return nil, pd.err
+	}
+	if pd.replied {
+		// Answered in place: Go already finished the call.
+		return pd.resp, nil
+	}
+	// A reply already in hand wins over a deadline that expired while
+	// the caller was waiting on other calls.
+	select {
+	case r := <-pd.replyCh:
+		return pd.ok(r)
+	default:
+	}
+	select {
+	case r := <-pd.replyCh:
+		return pd.ok(r)
+	case <-pd.ep.done:
 		// The destination crashed under the call: its queue died with
 		// the process, so without a caller deadline the reply would
 		// never come. A reply that raced the close still counts.
 		select {
-		case resp := <-replyCh:
-			if br != nil {
-				br.Success()
-			}
-			finish(obs.StatusOK)
-			return resp, nil
+		case r := <-pd.replyCh:
+			return pd.ok(r)
 		default:
 		}
-		if br != nil {
-			br.Failure()
+		if pd.br != nil {
+			pd.br.Failure()
 		}
-		finish("closed")
-		return nil, fmt.Errorf("transport: %s: %w", to, ErrClosed)
-	case <-ctx.Done():
-		if br != nil {
-			br.Failure()
+		pd.finish("closed", time.Time{})
+		return nil, fmt.Errorf("transport: %s: %w", pd.to, ErrClosed)
+	case <-pd.ctx.Done():
+		if pd.br != nil {
+			pd.br.Failure()
 		}
-		f.metrics.Timeout()
+		pd.f.metrics.Timeout()
 		// Terminate the span with the most specific known cause: a
 		// request leg dropped by a partition or the loss knob explains
 		// the missing reply better than a bare timeout.
-		switch reqDrop {
+		switch pd.reqDrop {
 		case "partition", "loss":
-			finish(reqDrop)
+			pd.finish(pd.reqDrop, time.Time{})
 		default:
-			finish("timeout")
+			pd.finish("timeout", time.Time{})
 		}
-		return nil, fmt.Errorf("transport: call %s->%s (%s): %w", from, to, kind, ctx.Err())
+		return nil, fmt.Errorf("transport: call %s->%s (%s): %w", pd.from, pd.to, pd.kind, pd.ctx.Err())
 	}
+}
+
+// ok completes a call that got its reply.
+func (pd *Pending) ok(r reply) (interface{}, error) {
+	if pd.br != nil {
+		pd.br.Success()
+	}
+	pd.finish(obs.StatusOK, r.at)
+	return r.resp, nil
+}
+
+// finish records the call's latency and ends its span, as of end or,
+// when end is zero, now. Untimed calls have neither.
+func (pd *Pending) finish(status string, end time.Time) {
+	if !pd.timed {
+		return
+	}
+	if end.IsZero() {
+		end = time.Now()
+	}
+	pd.f.metrics.Call(pd.route, pd.kind, end.Sub(pd.start).Seconds())
+	pd.cs.EndStatusAt(status, end)
 }
 
 // dropEvent maps a send drop reason to its span event type.
@@ -678,14 +814,12 @@ func dropEvent(reason string) string {
 }
 
 // send applies the route's chaos to one delivery attempt and hands every
-// surviving copy to enq. enq receives whether the copy is the duplicate
-// (second) copy and reports whether the destination accepted it (false =
-// endpoint closed). Zero-latency single copies are enqueued inline (the
-// common perfect-fabric path costs no goroutine); delayed and duplicated
-// copies are delivered asynchronously and tracked for Settle. The
-// returned reason is non-empty ("partition", "loss") when the delivery
-// was dropped synchronously before any copy could depart.
-func (f *Fabric) send(from, to Addr, enq func(dup bool) bool) string {
+// surviving copy to enq, telling it whether the copy is the duplicate
+// (second) one. Zero-latency single copies are handed over inline;
+// delayed and duplicated copies are delivered asynchronously and
+// tracked for Settle. The returned reason is non-empty ("partition",
+// "loss") when the delivery was dropped before any copy could depart.
+func (f *Fabric) send(from, to Addr, enq func(dup bool)) string {
 	f.mu.Lock()
 	if f.partitioned[norm(from, to)] {
 		f.mu.Unlock()
@@ -700,29 +834,24 @@ func (f *Fabric) send(from, to Addr, enq func(dup bool) bool) string {
 		f.metrics.Dropped("loss")
 		return "loss"
 	}
+	if !duplicated && cfg.Latency == 0 {
+		enq(false)
+		return ""
+	}
 	copies := 1
 	if duplicated {
 		copies = 2
 		f.metrics.Duplicate()
-	}
-	deliver := func(dup bool) {
-		if cfg.Latency > 0 {
-			time.Sleep(cfg.Latency)
-		}
-		if !enq(dup) {
-			f.metrics.Dropped("closed")
-		}
-	}
-	if copies == 1 && cfg.Latency == 0 {
-		deliver(false)
-		return ""
 	}
 	for i := 0; i < copies; i++ {
 		f.track()
 		dup := i > 0
 		go func() {
 			defer f.untrack()
-			deliver(dup)
+			if cfg.Latency > 0 {
+				time.Sleep(cfg.Latency)
+			}
+			enq(dup)
 		}()
 	}
 	return ""
