@@ -19,9 +19,10 @@
 // POST /establish accepts {"mainHost": "H1", "session": {...spec...}};
 // the session document's availability snapshot is advisory (the
 // three-phase protocol collects live availability over the fabric).
-// The document's service model is interned by its bytes (spec.Catalog),
-// so each distinct model is decoded, built and compiled once per
-// process however many sessions carry it.
+// The document's service model and binding are interned by their bytes
+// (spec.Catalog), so each distinct model is decoded, built and compiled
+// once per process however many sessions carry it. A request body over
+// 1 MiB is refused with 413. Replies are compact JSON.
 //
 // A session is named by the sequence number of the two-phase-commit
 // request that admitted it, which a -recover restart advances past
@@ -30,16 +31,17 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"sync"
 	"syscall"
 	"time"
@@ -98,6 +100,12 @@ type establishReply struct {
 	Psi      float64 `json:"psi"`
 }
 
+// statusReply answers heartbeat and teardown.
+type statusReply struct {
+	ID     string `json:"id"`
+	Status string `json:"status"`
+}
+
 type specReply struct {
 	MainHost string        `json:"mainHost"`
 	Duration float64       `json:"duration"`
@@ -108,11 +116,69 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	http.Error(w, fmt.Sprintf(format, args...), code)
 }
 
+// maxBody caps a request body; maxPooledBuf is the largest buffer a
+// pool takes back, so one outsized body does not pin its memory.
+const (
+	maxBody      = 1 << 20
+	maxPooledBuf = 64 << 10
+)
+
+// bodies recycles request-body buffers and replies encoded-reply
+// buffers. They are two pools so that a small reply buffer is never
+// handed out for a session document and grown again.
+var bodies, replies bufPool
+
+type bufPool struct{ pool sync.Pool }
+
+func (p *bufPool) get() *bytes.Buffer {
+	if buf, ok := p.pool.Get().(*bytes.Buffer); ok {
+		buf.Reset()
+		return buf
+	}
+	return new(bytes.Buffer)
+}
+
+func (p *bufPool) put(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBuf {
+		p.pool.Put(buf)
+	}
+}
+
+// readBody reads r's body, capped at maxBody, into a pooled buffer
+// presized from Content-Length; the caller returns it with bodies.put.
+// On failure it has answered 413 for an oversized body and 400
+// otherwise.
+func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
+	buf := bodies.get()
+	if n := r.ContentLength; n > 0 && n <= maxBody {
+		// ReadFrom wants bytes.MinRead free before each read, the last
+		// one that sees EOF included.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
+		bodies.put(buf)
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, "read body: %v", err)
+		} else {
+			httpError(w, http.StatusBadRequest, "read body: %v", err)
+		}
+		return nil, false
+	}
+	return buf, true
+}
+
+// writeJSON encodes v compactly into a pooled buffer and sends it with
+// one Write.
 func writeJSON(w http.ResponseWriter, v any) {
+	buf := replies.get()
+	defer replies.put(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		httpError(w, http.StatusInternalServerError, "encode: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 func (s *served) handleSpec(w http.ResponseWriter, r *http.Request) {
@@ -137,15 +203,15 @@ func (s *served) handleEstablish(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
+	defer bodies.put(body)
 	var mainHost topo.HostID
 	var service *svc.Service
 	var binding svc.Binding
-	if len(body) == 0 {
+	if body.Len() == 0 {
 		// The environment's own model: no document to render or build.
 		offer, err := s.env.SampleSession()
 		if err != nil {
@@ -155,7 +221,7 @@ func (s *served) handleEstablish(w http.ResponseWriter, r *http.Request) {
 		mainHost, service, binding = offer.MainHost, offer.Service, offer.Binding
 	} else {
 		var req establishRequest
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := json.Unmarshal(body.Bytes(), &req); err != nil {
 			httpError(w, http.StatusBadRequest, "parse: %v", err)
 			return
 		}
@@ -164,14 +230,15 @@ func (s *served) handleEstablish(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		mainHost = topo.HostID(req.MainHost)
+		var err error
 		service, binding, err = s.models.Build(req.Session)
-		var typeErr *json.UnmarshalTypeError
-		switch {
-		case errors.As(err, &typeErr):
-			httpError(w, http.StatusBadRequest, "parse: %v", err)
-			return
-		case err != nil:
-			httpError(w, http.StatusConflict, "establish: %v", err)
+		if err != nil {
+			var typeErr *json.UnmarshalTypeError
+			if errors.As(err, &typeErr) {
+				httpError(w, http.StatusBadRequest, "parse: %v", err)
+			} else {
+				httpError(w, http.StatusConflict, "establish: %v", err)
+			}
 			return
 		}
 	}
@@ -182,7 +249,7 @@ func (s *served) handleEstablish(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "establish: %v", err)
 		return
 	}
-	id := fmt.Sprintf("s-%d", sess.AdmissionSeq())
+	id := "s-" + strconv.FormatUint(sess.AdmissionSeq(), 10)
 	s.mu.Lock()
 	s.sessions[id] = sess
 	s.mu.Unlock()
@@ -208,13 +275,13 @@ func (s *served) handleRenegotiate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
+	defer bodies.put(body)
 	var req spec.RenegotiateRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := json.Unmarshal(body.Bytes(), &req); err != nil {
 		httpError(w, http.StatusBadRequest, "parse: %v", err)
 		return
 	}
@@ -287,7 +354,7 @@ func (s *served) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusGone, "heartbeat %s: %v", id, err)
 		return
 	}
-	writeJSON(w, map[string]string{"id": id, "status": "ok"})
+	writeJSON(w, statusReply{ID: id, Status: "ok"})
 }
 
 func (s *served) handleTeardown(w http.ResponseWriter, r *http.Request) {
@@ -306,7 +373,7 @@ func (s *served) handleTeardown(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusGone, "teardown %s: %v", id, err)
 		return
 	}
-	writeJSON(w, map[string]string{"id": id, "status": "released"})
+	writeJSON(w, statusReply{ID: id, Status: "released"})
 }
 
 func main() {

@@ -358,3 +358,44 @@ func TestServedSessionIDsNeverRepeatAfterSIGKILL(t *testing.T) {
 		t.Fatalf("heartbeat of post-recovery session %s: status %d: %s", after.ID, code, out)
 	}
 }
+
+// failingReader stands in for a client connection that breaks mid-body.
+type failingReader struct{}
+
+func (failingReader) Read([]byte) (int, error) { return 0, io.ErrUnexpectedEOF }
+
+// TestServedBodyLimits: a body over the 1 MiB cap is refused with 413 by
+// both endpoints that read one, whether or not the request declared its
+// length; a body that fails to arrive is still a 400.
+func TestServedBodyLimits(t *testing.T) {
+	env, err := sim.NewServedEnv(sim.ServedOptions{Seed: 1, LeaseTTL: 600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	s := newServed(env)
+	oversized := bytes.Repeat([]byte(" "), maxBody+1)
+	for _, ep := range []struct {
+		path    string
+		handler http.HandlerFunc
+	}{
+		{"/establish", s.handleEstablish},
+		{"/renegotiate", s.handleRenegotiate},
+	} {
+		for _, tc := range []struct {
+			name string
+			body io.Reader
+			want int
+		}{
+			{"declared length", bytes.NewReader(oversized), http.StatusRequestEntityTooLarge},
+			{"undeclared length", io.MultiReader(bytes.NewReader(oversized)), http.StatusRequestEntityTooLarge},
+			{"broken body", failingReader{}, http.StatusBadRequest},
+		} {
+			rec := httptest.NewRecorder()
+			ep.handler(rec, httptest.NewRequest(http.MethodPost, ep.path, tc.body))
+			if rec.Code != tc.want {
+				t.Errorf("%s, %s: status %d, want %d: %s", ep.path, tc.name, rec.Code, tc.want, rec.Body)
+			}
+		}
+	}
+}

@@ -18,30 +18,40 @@ import (
 // every later document that carries the same bytes gets the same
 // *svc.Service — which is also what keeps qrg.TemplateCache, keyed on
 // that pointer, hitting.
+//
+// Bindings repeat too: a deployment places each model on a few hosts,
+// so the same binding bytes arrive again and again (the seed-1 figure-9
+// deployment draws 24 distinct bindings in 1,024 offers). The Catalog
+// interns them the same way, in a second table. The availability
+// snapshot and alpha are per-session observations and are decoded and
+// checked on every request.
 
-// catalogSize bounds the models a Catalog keeps. A deployment serves a
-// handful of models (the figure-9 environment has twelve); the bound
-// only stops a client that invents models from growing the table.
+// catalogSize bounds the models a Catalog keeps, and separately the
+// bindings. A deployment serves a handful of models (the figure-9
+// environment has twelve); the bound only stops a client that invents
+// models or bindings from growing the tables.
 const catalogSize = 256
 
 // RawSession is the wire form of a Session whose model members — name,
-// components, edges and ranking — are kept as the bytes received, so a
-// Catalog can recognise a model it has already built without decoding
-// it again. The session members decode as in Session.
+// components, edges and ranking — and binding are kept as the bytes
+// received, so a Catalog can recognise a model or binding it has
+// already built without decoding it again. Availability and alpha
+// decode as in Session.
 type RawSession struct {
-	Name         RawMember                    `json:"name"`
-	Components   RawMember                    `json:"components"`
-	Edges        RawMember                    `json:"edges"`
-	Ranking      RawMember                    `json:"ranking"`
-	Binding      map[string]map[string]string `json:"binding"`
-	Availability map[string]float64           `json:"availability"`
-	Alpha        map[string]float64           `json:"alpha,omitempty"`
+	Name         RawMember          `json:"name"`
+	Components   RawMember          `json:"components"`
+	Edges        RawMember          `json:"edges"`
+	Ranking      RawMember          `json:"ranking"`
+	Binding      RawMember          `json:"binding"`
+	Availability map[string]float64 `json:"availability"`
+	Alpha        map[string]float64 `json:"alpha,omitempty"`
 }
 
-// RawMember is one model member of a document as received. A key that
-// occurs more than once keeps every occurrence in order: encoding/json
-// decodes repeated keys into the same field one after another, merging
-// them, and a Catalog must build exactly what Parse builds.
+// RawMember is one member of a document, a model member or the binding,
+// as received. A key that occurs more than once keeps every occurrence
+// in order: encoding/json decodes repeated keys into the same field one
+// after another, merging them, and a Catalog must build exactly what
+// Parse builds.
 type RawMember struct {
 	first json.RawMessage
 	more  []json.RawMessage
@@ -91,24 +101,9 @@ func (m *RawMember) appendKey(key []byte) []byte {
 	return key
 }
 
-// size bounds the bytes appendKey appends.
-func (m *RawMember) size() int {
-	n := 2*binary.MaxVarintLen64 + len(m.first)
-	for _, b := range m.more {
-		n += binary.MaxVarintLen64 + len(b)
-	}
-	return n
-}
-
-// modelKey is the identity of the document's model.
-func (r *RawSession) modelKey() []byte {
-	members := [...]*RawMember{&r.Name, &r.Components, &r.Edges, &r.Ranking}
-	n := 0
-	for _, m := range members {
-		n += m.size()
-	}
-	key := make([]byte, 0, n)
-	for _, m := range members {
+// appendModelKey appends the identity of the document's model to key.
+func (r *RawSession) appendModelKey(key []byte) []byte {
+	for _, m := range [...]*RawMember{&r.Name, &r.Components, &r.Edges, &r.Ranking} {
 		key = m.appendKey(key)
 	}
 	return key
@@ -116,12 +111,13 @@ func (r *RawSession) modelKey() []byte {
 
 // session decodes the document in full.
 func (r *RawSession) session() (*Session, error) {
-	s := &Session{Binding: r.Binding, Availability: r.Availability, Alpha: r.Alpha}
+	s := &Session{Availability: r.Availability, Alpha: r.Alpha}
 	for _, err := range [...]error{
 		r.Name.decode(&s.Name),
 		r.Components.decode(&s.Components),
 		r.Edges.decode(&s.Edges),
 		r.Ranking.decode(&s.Ranking),
+		r.Binding.decode(&s.Binding),
 	} {
 		if err != nil {
 			return nil, fmt.Errorf("spec: %w", err)
@@ -130,62 +126,108 @@ func (r *RawSession) session() (*Session, error) {
 	return s, nil
 }
 
-// Catalog interns service models by the exact bytes of their wire
-// members. It is safe for concurrent use and holds at most catalogSize
-// models; storing one more evicts an arbitrary other.
+// keyBufs recycles the buffers Build assembles its lookup keys in: a map
+// lookup by string(key) does not allocate, so only a stored key is
+// copied. A buffer grown past maxPooledKey by an outsized document is
+// left to the collector rather than pinned in the pool.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledKey = 64 << 10
+
+// Catalog interns service models and bindings by the exact bytes of
+// their wire members. It is safe for concurrent use and holds at most
+// catalogSize models and catalogSize bindings; storing one more evicts
+// an arbitrary other of its kind.
 type Catalog struct {
 	mu       sync.RWMutex
 	services map[string]*svc.Service
+	bindings map[string]svc.Binding
 }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{services: make(map[string]*svc.Service)}
+	return &Catalog{services: make(map[string]*svc.Service), bindings: make(map[string]svc.Binding)}
 }
 
 // Build returns the document's service model and binding, accepting and
 // rejecting exactly what Parse followed by Session.Build does. A model
 // whose bytes the catalog holds is returned without being decoded; any
-// other is decoded and built, and stored only if Build succeeds. The
-// session members are checked on every call, hit or miss: alpha may
-// only name resources that have availability.
+// other is decoded and built, and stored only if Build succeeds. A
+// binding is interned the same way, and the returned binding is shared
+// by every document with the same binding bytes: callers must not
+// modify it. Availability and alpha are checked on every call, hit or
+// miss: alpha may only name resources that have availability.
 //
-// A model member that is valid JSON of the wrong type fails with its
+// A member that is valid JSON of the wrong type fails with its
 // *json.UnmarshalTypeError wrapped, the error Parse would have returned.
 func (c *Catalog) Build(doc *RawSession) (*svc.Service, svc.Binding, error) {
-	key := doc.modelKey()
+	buf := keyBufs.Get().(*[]byte)
+	key := doc.appendModelKey((*buf)[:0])
+	split := len(key)
+	key = doc.Binding.appendKey(key)
+	defer func() {
+		if cap(key) <= maxPooledKey {
+			*buf = key[:0]
+			keyBufs.Put(buf)
+		}
+	}()
+	modelKey, bindingKey := key[:split], key[split:]
+
 	c.mu.RLock()
-	service := c.services[string(key)]
+	service := c.services[string(modelKey)]
+	binding := c.bindings[string(bindingKey)]
 	c.mu.RUnlock()
-	if service != nil {
+	hit := service != nil && binding != nil
+	if service == nil {
+		s, err := doc.session()
+		if err != nil {
+			return nil, nil, err
+		}
+		var built svc.Binding
+		if service, built, _, err = s.Build(); err != nil {
+			return nil, nil, err
+		}
+		if binding == nil {
+			binding = built
+		}
+	} else {
+		if binding == nil {
+			// A known model with a new binding: decode only the binding.
+			var m map[string]map[string]string
+			if err := doc.Binding.decode(&m); err != nil {
+				return nil, nil, fmt.Errorf("spec: %w", err)
+			}
+			binding = bindingOf(m)
+		}
 		if err := checkAlpha(doc.Availability, doc.Alpha); err != nil {
 			return nil, nil, err
 		}
-		return service, bindingOf(doc.Binding), nil
 	}
-	s, err := doc.session()
-	if err != nil {
-		return nil, nil, err
-	}
-	service, binding, _, err := s.Build()
-	if err != nil {
-		return nil, nil, err
+	if hit {
+		return service, binding, nil
 	}
 	c.mu.Lock()
-	if prior := c.services[string(key)]; prior != nil {
-		// A concurrent miss stored the model first; share its pointer.
-		service = prior
-	} else {
-		if len(c.services) >= catalogSize {
-			for k := range c.services {
-				delete(c.services, k)
-				break
-			}
-		}
-		c.services[string(key)] = service
-	}
+	// A concurrent miss may have stored either first; share its value.
+	service = intern(c.services, modelKey, service)
+	binding = intern(c.bindings, bindingKey, binding)
 	c.mu.Unlock()
 	return service, binding, nil
+}
+
+// intern returns the value table holds under key, storing v there first
+// if it holds none; a full table evicts an arbitrary entry to make room.
+func intern[V any](table map[string]V, key []byte, v V) V {
+	if prior, ok := table[string(key)]; ok {
+		return prior
+	}
+	if len(table) >= catalogSize {
+		for k := range table {
+			delete(table, k)
+			break
+		}
+	}
+	table[string(key)] = v
+	return v
 }
 
 // Len returns the number of models the catalog holds.

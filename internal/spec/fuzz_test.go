@@ -3,6 +3,8 @@ package spec
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"reflect"
 	"testing"
 
 	"qosres/internal/svc"
@@ -40,7 +42,10 @@ func FuzzParseBuild(f *testing.F) {
 // FuzzCatalogBuild holds the catalog to Parse + Build on any body: both
 // accept or both reject, an accepted body yields the same model (equal
 // FromModel encodings) and the same binding either way, and the same
-// bytes a second time return the identical interned service.
+// bytes a second time return the identical interned service and
+// binding. The accepted body with one more binding occurrence appended
+// keeps its service and gets a binding of its own, and with a mistyped
+// binding appended is rejected as a type error.
 func FuzzCatalogBuild(f *testing.F) {
 	f.Add([]byte(exampleDoc))
 	f.Add([]byte(`{}`))
@@ -50,6 +55,8 @@ func FuzzCatalogBuild(f *testing.F) {
 	f.Add([]byte(`{"name":"x","components":[{"id":"a","in":{"i":{"q":1}},"out":{"o":{"q":2}},"table":{"i":{"o":{"r":1}}},"resources":["r"]}],"components":[{"out":{"p":{"q":3}}}],"ranking":["o","p"]}`))
 	f.Add([]byte(`{"name":"x","components":5}`))
 	f.Add([]byte(`{"alpha":{"ghost":1}}`))
+	f.Add([]byte(`{"name":"x","components":[{"id":"a","in":{"i":{"q":1}},"out":{"o":{"q":2}},"table":{"i":{"o":{"r":1}}},"resources":["r"]}],"ranking":["o"],"binding":{"a":{"r":"ra"}},"binding":null}`))
+	f.Add([]byte(`{"name":"x","components":[{"id":"a","in":{"i":{"q":1}},"out":{"o":{"q":2}},"table":{"i":{"o":{"r":1}}},"resources":["r"]}],"ranking":["o"],"binding":{"a":{"r":7}}}`))
 	f.Add([]byte(`not json at all`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var want *svc.Service
@@ -59,14 +66,14 @@ func FuzzCatalogBuild(f *testing.F) {
 			want, wantBinding, _, wantErr = doc.Build()
 		}
 		c := NewCatalog()
-		build := func() (*svc.Service, svc.Binding, error) {
+		build := func(data []byte) (*svc.Service, svc.Binding, error) {
 			var raw RawSession
 			if err := json.Unmarshal(data, &raw); err != nil {
 				return nil, nil, err
 			}
 			return c.Build(&raw)
 		}
-		got, gotBinding, err := build()
+		got, gotBinding, err := build(data)
 		if (wantErr == nil) != (err == nil) {
 			t.Fatalf("Parse+Build error %v, catalog error %v", wantErr, err)
 		}
@@ -79,11 +86,53 @@ func FuzzCatalogBuild(f *testing.F) {
 		if a, b := encodeModel(t, want, wantBinding), encodeModel(t, got, gotBinding); !bytes.Equal(a, b) {
 			t.Fatalf("catalog built a different model:\n%s\nParse+Build:\n%s", b, a)
 		}
-		again, _, err := build()
+		again, againBinding, err := build(data)
 		if err != nil || again != got {
 			t.Fatalf("same bytes again: service %p (err %v), first %p", again, err, got)
 		}
+		if !sameMap(againBinding, gotBinding) {
+			t.Fatal("same bytes again: a second binding map")
+		}
+
+		// An accepted body is a JSON object: close it with one more
+		// binding occurrence, which Parse merges into the binding.
+		withBinding := func(member string) []byte {
+			body := bytes.TrimRight(data, " \t\r\n")
+			body = bytes.TrimRight(body[:len(body)-1], " \t\r\n")
+			sep := ","
+			if body[len(body)-1] == '{' {
+				sep = ""
+			}
+			return append(append([]byte{}, body...), sep+`"binding":`+member+`}`...)
+		}
+		other := withBinding(`{"fuzz-extra":{"r":"x"}}`)
+		doc, wantErr = Parse(other)
+		if wantErr == nil {
+			want, wantBinding, _, wantErr = doc.Build()
+		}
+		otherService, otherBinding, err := build(other)
+		if wantErr != nil || err != nil {
+			t.Fatalf("another binding: Parse+Build error %v, catalog error %v", wantErr, err)
+		}
+		if otherService != got {
+			t.Fatalf("another binding: service %p, the model's %p", otherService, got)
+		}
+		if sameMap(otherBinding, gotBinding) {
+			t.Fatal("another binding's bytes returned the first binding")
+		}
+		if a, b := encodeModel(t, want, wantBinding), encodeModel(t, otherService, otherBinding); !bytes.Equal(a, b) {
+			t.Fatalf("another binding: catalog built\n%s\nParse+Build:\n%s", b, a)
+		}
+		var typeErr *json.UnmarshalTypeError
+		if _, _, err := build(withBinding(`5`)); !errors.As(err, &typeErr) {
+			t.Fatalf("mistyped binding: error %v, want a wrapped *json.UnmarshalTypeError", err)
+		}
 	})
+}
+
+// sameMap reports whether a and b are the same map, not merely equal.
+func sameMap(a, b svc.Binding) bool {
+	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
 }
 
 // encodeModel renders a model and binding with no availability.

@@ -2,7 +2,7 @@
 // service session — the QoS-Resource Model of the service, the session's
 // resource binding, and the observed availability — and converts it into
 // the library's model types. It backs cmd/qosplan and cmd/qosserved
-// (whose Catalog interns service models by content) and gives
+// (whose Catalog interns service models and bindings by content) and gives
 // downstream tools a stable interchange format.
 package spec
 

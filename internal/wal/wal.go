@@ -10,13 +10,18 @@
 //
 //	[4B big-endian payload length][4B big-endian CRC32(payload)][payload]
 //
+// The payload is a Record's JSON encoding, written by an in-place
+// encoder pinned byte-identical to json.Marshal (see appendRecord), and
+// Append frames it into a buffer the Log owns, so a record allocates
+// nothing in steady state.
+//
 // Append fsyncs before returning (unless Options.NoSync, for tests), so
 // a record returned as appended survives a crash. A crash during append
 // leaves a torn tail — a truncated frame or a CRC mismatch at the end of
 // the newest segment — which Replay tolerates by returning every record
-// up to the last complete one. Corruption anywhere else (a bad frame in
-// the middle of a segment, or in an older segment) is an error, not a
-// torn tail.
+// up to the last complete one, and which Open cuts off before appending
+// behind it. Corruption anywhere else (a bad frame in the middle of a
+// segment, or in an older segment) is an error, not a torn tail.
 //
 // Checkpoint rotates to a fresh segment seeded with a caller-provided
 // snapshot of live state and deletes the older segments, bounding replay
@@ -129,10 +134,15 @@ type Log struct {
 	f    *os.File
 	seq  int
 	size int64
+	buf  []byte // frame scratch, reused by every append
 }
 
 // Open opens (or creates) the log in opts.Dir and positions appends at
-// the end of the newest segment.
+// the end of the newest segment's last complete record. A torn tail — a
+// crash mid-append — is truncated away (and the truncation fsynced
+// unless NoSync) first: a record appended behind it would be invisible
+// to Replay, which stops at the first bad frame, and once the segment
+// rotated the log would no longer replay at all.
 func Open(opts Options) (*Log, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("wal: empty directory")
@@ -151,16 +161,29 @@ func Open(opts Options) (*Log, error) {
 	if len(segs) > 0 {
 		l.seq = segs[len(segs)-1]
 	}
-	f, err := os.OpenFile(l.segmentPath(l.seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	path := l.segmentPath(l.seq)
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	_, end := decodeStream(data)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: %w", err)
+	if end < len(data) {
+		if err := f.Truncate(int64(end)); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
+		}
+		if !opts.NoSync {
+			if err := f.Sync(); err != nil {
+				f.Close()
+				return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
+			}
+		}
 	}
-	l.f, l.size = f, st.Size()
+	l.f, l.size = f, int64(end)
 	return l, nil
 }
 
@@ -196,36 +219,46 @@ func segments(dir string) ([]int, error) {
 	return out, nil
 }
 
-// frame encodes one record as [len][crc][payload].
-func frame(rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
+// appendFrame appends rec to dst as one [len][crc][payload] frame.
+func appendFrame(dst []byte, rec *Record) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
+	dst, err := appendRecord(dst, rec)
 	if err != nil {
-		return nil, fmt.Errorf("wal: encode: %w", err)
+		return dst[:start], err
 	}
-	buf := make([]byte, 8+len(payload))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[8:], payload)
-	return buf, nil
+	payload := dst[start+8:]
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst, nil
+}
+
+// writeFrameLocked frames rec into the Log's buffer and writes it.
+func (l *Log) writeFrameLocked(rec *Record) error {
+	buf, err := appendFrame(l.buf[:0], rec)
+	l.buf = buf
+	if err != nil {
+		return err
+	}
+	if _, err := l.f.Write(buf); err != nil {
+		return err
+	}
+	l.size += int64(len(buf))
+	return nil
 }
 
 // Append journals one record: frame, write, fsync (unless NoSync),
 // rotate when the segment has grown past the threshold. When Append
 // returns nil the record is durable in log order.
 func (l *Log) Append(rec Record) error {
-	buf, err := frame(rec)
-	if err != nil {
-		return err
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return fmt.Errorf("wal: log closed")
 	}
-	if _, err := l.f.Write(buf); err != nil {
+	if err := l.writeFrameLocked(&rec); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	l.size += int64(len(buf))
 	if !l.opts.NoSync {
 		if err := l.f.Sync(); err != nil {
 			return fmt.Errorf("wal: sync: %w", err)
@@ -266,15 +299,10 @@ func (l *Log) Checkpoint(snapshot []Record) error {
 	if err := l.rotateLocked(); err != nil {
 		return err
 	}
-	for _, rec := range snapshot {
-		buf, err := frame(rec)
-		if err != nil {
-			return err
-		}
-		if _, err := l.f.Write(buf); err != nil {
+	for i := range snapshot {
+		if err := l.writeFrameLocked(&snapshot[i]); err != nil {
 			return fmt.Errorf("wal: checkpoint: %w", err)
 		}
-		l.size += int64(len(buf))
 	}
 	if !l.opts.NoSync {
 		if err := l.f.Sync(); err != nil {
@@ -341,7 +369,8 @@ func replaySegment(path string) ([]Record, bool, error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("wal: %w", err)
 	}
-	return decodeStream(data)
+	recs, end := decodeStream(data)
+	return recs, end < len(data), nil
 }
 
 // ReadAll is Replay plus an io.Reader form used by tests: it decodes a
@@ -351,32 +380,33 @@ func ReadAll(r io.Reader) ([]Record, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	return decodeStream(data)
+	recs, end := decodeStream(data)
+	return recs, end < len(data), nil
 }
 
-// decodeStream decodes a framed byte stream with torn-tail tolerance.
-func decodeStream(data []byte) ([]Record, bool, error) {
-	var out []Record
-	off := 0
-	for off < len(data) {
-		if len(data)-off < 8 {
-			return out, true, nil
+// decodeStream decodes a framed byte stream up to its first truncated or
+// corrupt frame. end is the offset just past the last complete record:
+// a stream with a torn tail has end < len(data).
+func decodeStream(data []byte) (out []Record, end int) {
+	for end < len(data) {
+		if len(data)-end < 8 {
+			return out, end
 		}
-		n := int(binary.BigEndian.Uint32(data[off : off+4]))
-		sum := binary.BigEndian.Uint32(data[off+4 : off+8])
-		if n > maxRecordBytes || len(data)-off-8 < n {
-			return out, true, nil
+		n := int(binary.BigEndian.Uint32(data[end : end+4]))
+		sum := binary.BigEndian.Uint32(data[end+4 : end+8])
+		if n > maxRecordBytes || len(data)-end-8 < n {
+			return out, end
 		}
-		payload := data[off+8 : off+8+n]
+		payload := data[end+8 : end+8+n]
 		if crc32.ChecksumIEEE(payload) != sum {
-			return out, true, nil
+			return out, end
 		}
 		var rec Record
 		if err := json.Unmarshal(payload, &rec); err != nil {
-			return out, true, nil
+			return out, end
 		}
 		out = append(out, rec)
-		off += 8 + n
+		end += 8 + n
 	}
-	return out, false, nil
+	return out, end
 }

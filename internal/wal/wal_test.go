@@ -292,12 +292,122 @@ func TestReplayMissingDir(t *testing.T) {
 // TestReadAllStream exercises the reader-based decoder used by the fuzz
 // harness.
 func TestReadAllStream(t *testing.T) {
-	buf, err := frame(Record{Type: TypeAbort, ID: "z"})
+	buf, err := appendFrame(nil, &Record{Type: TypeAbort, ID: "z"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, torn, err := ReadAll(bytes.NewReader(buf))
 	if err != nil || torn || len(got) != 1 || got[0].ID != "z" {
 		t.Fatalf("got %+v torn=%v err=%v", got, torn, err)
+	}
+}
+
+// TestOpenTruncatesTornTail: a crash mid-append leaves half a frame at
+// the end of the newest segment. Reopening the log must cut it off
+// before appending, so the next record is not written behind the torn
+// frame — where Replay, stopping at the first bad frame, would never
+// reach it, and where, once the segment rotated, the log would not
+// replay at all.
+func TestOpenTruncatesTornTail(t *testing.T) {
+	first := Record{Type: TypeCommit, Host: "H1", ID: "H1/1", Expiry: 5}
+	second := Record{Type: TypeCommit, Host: "H1", ID: "H1/2", Expiry: 6}
+	third := Record{Type: TypeCommit, Host: "H1", ID: "H1/3", Expiry: 7}
+	half, err := appendFrame(nil, &Record{Type: TypePrepare, Host: "H1", ID: "H1/torn",
+		Parts: []Part{{Resource: "cpu@H1", ID: 1, Amount: 2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	half = half[:len(half)/2]
+	crash := func(t *testing.T, dir string) {
+		t.Helper()
+		l, err := Open(Options{Dir: dir, NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append(first); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		f, err := os.OpenFile(filepath.Join(dir, "wal-00000001.log"), os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(half); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("append after torn tail", func(t *testing.T) {
+		dir := t.TempDir()
+		crash(t, dir)
+		l, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append(second); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		got, torn, err := Replay(dir)
+		if err != nil || torn {
+			t.Fatalf("replay: torn=%v err=%v", torn, err)
+		}
+		if want := []Record{first, second}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("replay after reopen:\n got %+v\nwant %+v", got, want)
+		}
+	})
+
+	t.Run("rotation after torn tail", func(t *testing.T) {
+		dir := t.TempDir()
+		crash(t, dir)
+		// A one-byte threshold rotates after every append, sealing the
+		// segment that held the torn tail.
+		l, err := Open(Options{Dir: dir, SegmentBytes: 1, NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range []Record{second, third} {
+			if err := l.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.Close()
+		got, torn, err := Replay(dir)
+		if err != nil || torn {
+			t.Fatalf("replay: torn=%v err=%v", torn, err)
+		}
+		if want := []Record{first, second, third}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("replay after rotation:\n got %+v\nwant %+v", got, want)
+		}
+	})
+}
+
+// TestAppendAllocs: the log frames every record into a buffer it owns,
+// so a warmed log appends a prepare record of three parts with links
+// without allocating.
+func TestAppendAllocs(t *testing.T) {
+	l, err := Open(Options{Dir: t.TempDir(), NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rec := Record{Type: TypePrepare, Host: "H1", ID: "H1#42", Expiry: 612.5, Parts: []Part{
+		{Resource: "cpu@H1", ID: 11, Amount: 1.25},
+		{Resource: "net:H1->D1", ID: 12, Amount: 104, Links: []Link{{Resource: "link:L1", ID: 13}, {Resource: "link:L2", ID: 14}}},
+		{Resource: "disk@D1", ID: 15, Amount: 0.5},
+	}}
+	if err := l.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per append, want 0", allocs)
 	}
 }
