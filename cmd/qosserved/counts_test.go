@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 
 	"qosres/internal/obs"
 	"qosres/internal/sim"
+	"qosres/internal/spec"
 )
 
 // servedCycle establishes body through the handler and tears the
@@ -95,7 +97,7 @@ func TestServedCountRatchet(t *testing.T) {
 
 	// The race detector instruments allocations, so the ceiling is only
 	// meaningful in a plain build.
-	const ceiling = 277
+	const ceiling = 231
 	if allocs > ceiling && !raceEnabled {
 		t.Errorf("%.0f allocations per establish+teardown cycle, ceiling %d", allocs, ceiling)
 	}
@@ -108,6 +110,66 @@ func TestServedCountRatchet(t *testing.T) {
 	if n := s.models.Len(); n != 12 {
 		t.Errorf("catalog holds %d service models, want the deployment's 12", n)
 	}
+}
+
+// TestEstablishDecodeAllocs: on a warm catalog, decoding a session
+// request and building its model and binding allocates nothing, over
+// every one of the 1,024 offers GET /spec hands out on the seed-1
+// deployment.
+func TestEstablishDecodeAllocs(t *testing.T) {
+	env, err := sim.NewServedEnv(sim.ServedOptions{Seed: 1, LeaseTTL: 600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	const offers = 1024
+	bodies := make([][]byte, offers)
+	for i := range bodies {
+		o, err := env.SampleSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bodies[i], err = json.Marshal(map[string]any{"mainHost": o.MainHost, "session": o.Doc}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	catalog := spec.NewCatalog()
+	req := establishes.Get().(*spec.EstablishRequest)
+	defer putEstablish(req)
+	next := 0
+	decodeBuild := func() {
+		if err := req.Decode(bodies[next%offers]); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := catalog.Build(req.Session); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for range bodies {
+		decodeBuild()
+	}
+	if allocs := testing.AllocsPerRun(offers, decodeBuild); allocs != 0 && !raceEnabled {
+		t.Errorf("%.2f allocations per warm decode + Build, want 0", allocs)
+	}
+}
+
+// FuzzSessionIDQuery holds sessionID to url.ParseQuery(q).Get("id").
+func FuzzSessionIDQuery(f *testing.F) {
+	for _, seed := range []string{
+		"", "id=s-1", "id=s-1&id=s-2", "x=1&id=s-2", "id", "id=", "=s-1",
+		"id=s%2D1", "i%64=s-1", "id=a+b", "id=%zz&id=s-2", "%zz=1&id=s-3",
+		"id=s-1;x=2&id=s-2", "id=%", "&&id=s-4&", "id=s-5=6", "ID=s-6",
+		"id=%E2%82%AC", "id=%2", "x=%zz",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, q string) {
+		values, _ := url.ParseQuery(q)
+		if got, want := sessionID(q), values.Get("id"); got != want {
+			t.Fatalf("sessionID(%q) = %q, url.ParseQuery gives %q", q, got, want)
+		}
+	})
 }
 
 // TestServedSampledEstablishSharesTemplates: an empty-body establish

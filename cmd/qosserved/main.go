@@ -19,10 +19,12 @@
 // POST /establish accepts {"mainHost": "H1", "session": {...spec...}};
 // the session document's availability snapshot is advisory (the
 // three-phase protocol collects live availability over the fabric).
-// The document's service model and binding are interned by their bytes
-// (spec.Catalog), so each distinct model is decoded, built and compiled
-// once per process however many sessions carry it. A request body over
-// 1 MiB is refused with 413. Replies are compact JSON.
+// The body is decoded in one pass by spec.EstablishRequest, which keeps
+// the service model and binding as sub-slices of the body; they are
+// interned by their bytes (spec.Catalog), so each distinct model is
+// decoded, built and compiled once per process however many sessions
+// carry it. A request body over 1 MiB is refused with 413. Replies are
+// compact JSON.
 //
 // A session is named by the sequence number of the two-phase-commit
 // request that admitted it, which a -recover restart advances past
@@ -39,9 +41,11 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -86,11 +90,6 @@ func planOf(sess *proxy.Session) (level string, rank int, psi float64) {
 	return p.EndToEnd.Name, p.Rank, p.Psi
 }
 
-type establishRequest struct {
-	MainHost string           `json:"mainHost"`
-	Session  *spec.RawSession `json:"session"`
-}
-
 type establishReply struct {
 	ID       string  `json:"id"`
 	Service  string  `json:"service"`
@@ -127,6 +126,16 @@ const (
 // buffers. They are two pools so that a small reply buffer is never
 // handed out for a session document and grown again.
 var bodies, replies bufPool
+
+// establishes recycles decoded session requests. A decoded request
+// aliases its body, so it goes back to its pool, reset, before the body
+// goes back to bodies.
+var establishes = sync.Pool{New: func() any { return new(spec.EstablishRequest) }}
+
+func putEstablish(req *spec.EstablishRequest) {
+	req.Reset()
+	establishes.Put(req)
+}
 
 type bufPool struct{ pool sync.Pool }
 
@@ -220,12 +229,13 @@ func (s *served) handleEstablish(w http.ResponseWriter, r *http.Request) {
 		}
 		mainHost, service, binding = offer.MainHost, offer.Service, offer.Binding
 	} else {
-		var req establishRequest
-		if err := json.Unmarshal(body.Bytes(), &req); err != nil {
+		req := establishes.Get().(*spec.EstablishRequest)
+		defer putEstablish(req)
+		if err := req.Decode(body.Bytes()); err != nil {
 			httpError(w, http.StatusBadRequest, "parse: %v", err)
 			return
 		}
-		if req.Session == nil || req.MainHost == "" {
+		if req.Session == nil || len(req.MainHost) == 0 {
 			httpError(w, http.StatusBadRequest, "need mainHost and session")
 			return
 		}
@@ -281,7 +291,7 @@ func (s *served) handleRenegotiate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer bodies.put(body)
 	var req spec.RenegotiateRequest
-	if err := json.Unmarshal(body.Bytes(), &req); err != nil {
+	if err := req.Decode(body.Bytes()); err != nil {
 		httpError(w, http.StatusBadRequest, "parse: %v", err)
 		return
 	}
@@ -319,9 +329,32 @@ func (s *served) handleRenegotiate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// sessionID returns the first id value of a raw query, exactly as
+// url.ParseQuery(query).Get("id") does but without building the
+// url.Values: a part holding a semicolon, or whose key or value does
+// not unescape, is skipped, and '+' is a space. It allocates only to
+// unescape.
+func sessionID(query string) string {
+	for query != "" {
+		var part string
+		part, query, _ = strings.Cut(query, "&")
+		if strings.Contains(part, ";") {
+			continue
+		}
+		key, value, _ := strings.Cut(part, "=")
+		if key, err := url.QueryUnescape(key); err != nil || key != "id" {
+			continue
+		}
+		if value, err := url.QueryUnescape(value); err == nil {
+			return value
+		}
+	}
+	return ""
+}
+
 // lookup pops nothing: the entry stays live until teardown.
 func (s *served) lookup(w http.ResponseWriter, r *http.Request) (string, *proxy.Session) {
-	id := r.URL.Query().Get("id")
+	id := sessionID(r.URL.RawQuery)
 	if id == "" {
 		httpError(w, http.StatusBadRequest, "need id")
 		return "", nil

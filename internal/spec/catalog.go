@@ -35,16 +35,18 @@ const catalogSize = 256
 // RawSession is the wire form of a Session whose model members — name,
 // components, edges and ranking — and binding are kept as the bytes
 // received, so a Catalog can recognise a model or binding it has
-// already built without decoding it again. Availability and alpha
-// decode as in Session.
+// already built without decoding it again. Of availability and alpha it
+// keeps only the keys, to check that alpha names no resource without
+// availability; the amounts are type-checked as it is decoded
+// (EstablishRequest.Decode) and then dropped.
 type RawSession struct {
-	Name         RawMember          `json:"name"`
-	Components   RawMember          `json:"components"`
-	Edges        RawMember          `json:"edges"`
-	Ranking      RawMember          `json:"ranking"`
-	Binding      RawMember          `json:"binding"`
-	Availability map[string]float64 `json:"availability"`
-	Alpha        map[string]float64 `json:"alpha,omitempty"`
+	Name, Components, Edges, Ranking, Binding RawMember
+
+	// availability and alpha hold every key defined since the member's
+	// last null; alphaErr reports the first alpha key with no
+	// availability once the document is complete.
+	availability, alpha [][]byte
+	alphaErr            error
 }
 
 // RawMember is one member of a document, a model member or the binding,
@@ -52,20 +54,30 @@ type RawSession struct {
 // in order: encoding/json decodes repeated keys into the same field one
 // after another, merging them, and a Catalog must build exactly what
 // Parse builds.
+//
+// Each occurrence is a sub-slice of the body the document was decoded
+// from, not a copy, so a catalog hit copies nothing. A RawMember is
+// therefore valid only while that body is unchanged, and nothing may
+// keep one past it: the Catalog copies a member's bytes only into a key
+// it stores, and decodes a member it builds into fresh values.
 type RawMember struct {
-	first json.RawMessage
-	more  []json.RawMessage
+	first []byte
+	more  [][]byte
 }
 
-// UnmarshalJSON records one occurrence of the member.
-func (m *RawMember) UnmarshalJSON(b []byte) error {
-	b = append(json.RawMessage(nil), b...)
+// add records one occurrence of the member.
+func (m *RawMember) add(b []byte) {
 	if m.first == nil {
 		m.first = b
 	} else {
 		m.more = append(m.more, b)
 	}
-	return nil
+}
+
+func (m *RawMember) reset() {
+	m.first = nil
+	clear(m.more[:cap(m.more)])
+	m.more = m.more[:0]
 }
 
 // decode replays every occurrence into dst, as Parse would have.
@@ -109,9 +121,9 @@ func (r *RawSession) appendModelKey(key []byte) []byte {
 	return key
 }
 
-// session decodes the document in full.
+// session decodes the document's model members and binding.
 func (r *RawSession) session() (*Session, error) {
-	s := &Session{Availability: r.Availability, Alpha: r.Alpha}
+	s := &Session{}
 	for _, err := range [...]error{
 		r.Name.decode(&s.Name),
 		r.Components.decode(&s.Components),
@@ -155,8 +167,8 @@ func NewCatalog() *Catalog {
 // other is decoded and built, and stored only if Build succeeds. A
 // binding is interned the same way, and the returned binding is shared
 // by every document with the same binding bytes: callers must not
-// modify it. Availability and alpha are checked on every call, hit or
-// miss: alpha may only name resources that have availability.
+// modify it. Alpha is checked on every call, hit or miss: it may only
+// name resources that have availability.
 //
 // A member that is valid JSON of the wrong type fails with its
 // *json.UnmarshalTypeError wrapped, the error Parse would have returned.
@@ -190,18 +202,16 @@ func (c *Catalog) Build(doc *RawSession) (*svc.Service, svc.Binding, error) {
 		if binding == nil {
 			binding = built
 		}
-	} else {
-		if binding == nil {
-			// A known model with a new binding: decode only the binding.
-			var m map[string]map[string]string
-			if err := doc.Binding.decode(&m); err != nil {
-				return nil, nil, fmt.Errorf("spec: %w", err)
-			}
-			binding = bindingOf(m)
+	} else if binding == nil {
+		// A known model with a new binding: decode only the binding.
+		var m map[string]map[string]string
+		if err := doc.Binding.decode(&m); err != nil {
+			return nil, nil, fmt.Errorf("spec: %w", err)
 		}
-		if err := checkAlpha(doc.Availability, doc.Alpha); err != nil {
-			return nil, nil, err
-		}
+		binding = bindingOf(m)
+	}
+	if doc.alphaErr != nil {
+		return nil, nil, doc.alphaErr
 	}
 	if hit {
 		return service, binding, nil

@@ -10,6 +10,28 @@ import (
 	"qosres/internal/svc"
 )
 
+// decodeRaw decodes a session document on its own, as the scanner
+// decodes the session member of a request and as encoding/json decodes
+// a document into a RawSession: null leaves it empty, and anything but
+// an object or null is an error.
+func decodeRaw(doc []byte) (*RawSession, error) {
+	var r RawSession
+	s := scanner{data: doc}
+	switch s.peek() {
+	case '{':
+		r.object(&s, 1)
+	case 'n':
+		s.literal("null")
+	default:
+		s.mistyped(0, "session", "object")
+	}
+	if s.end(); s.err != nil {
+		return nil, s.err
+	}
+	r.settle()
+	return &r, nil
+}
+
 // rawDoc renders exampleDoc after edit as the wire form /establish
 // decodes.
 func rawDoc(t *testing.T, edit func(*Session)) *RawSession {
@@ -25,11 +47,11 @@ func rawDoc(t *testing.T, edit func(*Session)) *RawSession {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var raw RawSession
-	if err := json.Unmarshal(data, &raw); err != nil {
+	raw, err := decodeRaw(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return &raw
+	return raw
 }
 
 func TestCatalogSharesModelAcrossSessions(t *testing.T) {
@@ -85,12 +107,12 @@ func TestCatalogNeverStoresInvalidModel(t *testing.T) {
 	if n := c.Len(); n != 0 {
 		t.Fatalf("catalog holds %d models after rejecting every document", n)
 	}
-	var wrongType RawSession
-	if err := json.Unmarshal([]byte(`{"name":"x","components":5}`), &wrongType); err != nil {
+	wrongType, err := decodeRaw([]byte(`{"name":"x","components":5}`))
+	if err != nil {
 		t.Fatal(err)
 	}
 	var typeErr *json.UnmarshalTypeError
-	if _, _, err := c.Build(&wrongType); !errors.As(err, &typeErr) {
+	if _, _, err := c.Build(wrongType); !errors.As(err, &typeErr) {
 		t.Fatalf("mistyped member: error %v, want a wrapped *json.UnmarshalTypeError", err)
 	}
 }
