@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -18,6 +19,7 @@ import (
 	"qosres/internal/broker"
 	"qosres/internal/obs"
 	"qosres/internal/sim"
+	"qosres/internal/spec"
 	"qosres/internal/wal"
 )
 
@@ -397,5 +399,85 @@ func TestServedBodyLimits(t *testing.T) {
 				t.Errorf("%s, %s: status %d, want %d: %s", ep.path, tc.name, rec.Code, tc.want, rec.Body)
 			}
 		}
+	}
+}
+
+// wideFanInBody is an establish request of a few KB, placed on the
+// offered main host and its resources, whose service is valid but joins
+// five parallel components of sixteen output levels each in one fan-in:
+// a million combinations of upstream levels.
+func wideFanInBody(t *testing.T, offer specReply) []byte {
+	t.Helper()
+	var resource string
+	for _, res := range offer.Session.Binding {
+		for _, concrete := range res {
+			resource = concrete
+		}
+	}
+	cpu := map[string]float64{"cpu": 1}
+	doc := &spec.Session{
+		Name:         "wide",
+		Ranking:      []string{"out"},
+		Binding:      map[string]map[string]string{},
+		Availability: map[string]float64{resource: 100},
+		Components: []spec.Component{{
+			ID: "src", In: map[string]map[string]float64{"raw": {"q": 0}},
+			Out:       map[string]map[string]float64{"s": {"q": 0}},
+			Table:     map[string]map[string]map[string]float64{"raw": {"s": cpu}},
+			Resources: []string{"cpu"},
+		}},
+	}
+	joined := map[string]float64{}
+	for p := 0; p < 5; p++ {
+		id := "p" + strconv.Itoa(p)
+		out := map[string]map[string]float64{}
+		row := map[string]map[string]float64{}
+		for j := 0; j < 16; j++ {
+			out["L"+strconv.Itoa(j)] = map[string]float64{"q": float64(j)}
+			row["L"+strconv.Itoa(j)] = cpu
+		}
+		doc.Components = append(doc.Components, spec.Component{
+			ID: id, In: map[string]map[string]float64{"s": {"q": 0}}, Out: out,
+			Table: map[string]map[string]map[string]float64{"s": row}, Resources: []string{"cpu"},
+		})
+		doc.Edges = append(doc.Edges, spec.Edge{From: "src", To: id}, spec.Edge{From: id, To: "sink"})
+		joined[id+".q"] = 0
+	}
+	doc.Components = append(doc.Components, spec.Component{
+		ID: "sink", In: map[string]map[string]float64{"all": joined},
+		Out:   map[string]map[string]float64{"out": {"q": 0}},
+		Table: map[string]map[string]map[string]float64{"all": {"out": cpu}}, Resources: []string{"cpu"},
+	})
+	for _, c := range doc.Components {
+		doc.Binding[c.ID] = map[string]string{"cpu": resource}
+	}
+	body, err := json.Marshal(map[string]any{"mainHost": offer.MainHost, "session": doc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestServedRefusesWideFanIn posts a small document whose fan-in would
+// cost the QRG compiler a million-cell table: the daemon refuses it
+// with 409 at once instead of stalling.
+func TestServedRefusesWideFanIn(t *testing.T) {
+	s, srv, _ := newTestServer(t, t.TempDir(), false, &manualClock{})
+	defer srv.Close()
+	defer s.env.Close()
+
+	var offer specReply
+	if err := json.Unmarshal([]byte(getBody(t, srv.URL+"/spec")), &offer); err != nil {
+		t.Fatalf("parse /spec: %v", err)
+	}
+	body := wideFanInBody(t, offer)
+	start := time.Now()
+	code, reply := postJSON(t, srv.URL+"/establish", body)
+	took := time.Since(start)
+	if code != http.StatusConflict || !strings.Contains(string(reply), "fan-in component sink") {
+		t.Fatalf("%d-byte wide fan-in: status %d: %s", len(body), code, reply)
+	}
+	if took > time.Second {
+		t.Fatalf("%d-byte wide fan-in refused after %v, want under 1s", len(body), took)
 	}
 }

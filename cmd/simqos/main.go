@@ -330,10 +330,9 @@ func printAdmission(reg *obs.Registry) {
 	fmt.Printf("\nadmission (validate-at-commit):\n%s", tbl)
 }
 
-// printTemplateCache summarizes the compiled-template fast lane: how
-// many QRG constructions were served from a compiled template versus
-// compiled fresh, and how many templates stayed resident. Silent when
-// no graph was built.
+// printTemplateCache summarizes QRG construction: how many graphs were
+// instantiated from a cached template versus compiled fresh, and how
+// many templates stayed resident. Silent when no graph was built.
 func printTemplateCache(reg *obs.Registry) {
 	snap := reg.Snapshot()
 	value := func(name string) float64 {
@@ -359,7 +358,7 @@ func printTemplateCache(reg *obs.Registry) {
 	tbl.AddRow("hits", fmt.Sprintf("%.0f", hits))
 	tbl.AddRow("misses (compilations)", fmt.Sprintf("%.0f", misses))
 	tbl.AddRow("templates resident", fmt.Sprintf("%.0f", value(obs.MetricTemplatesCached)))
-	fmt.Printf("\nQRG construction (compiled-template fast lane):\n%s", tbl)
+	fmt.Printf("\nQRG construction (compiled templates):\n%s", tbl)
 }
 
 // printFaults summarizes the fault-injection and session-repair

@@ -49,9 +49,8 @@ func HeuristicQuality(seed int64, trials int) (*HeuristicQualityResult, error) {
 	var gapSum float64
 	for i := 0; i < trials; i++ {
 		service, binding, snap := randomDiamond(rng)
-		// The study rides the compiled-template fast lane: identical
-		// graphs to qrg.Build (the randomized equivalence tests in
-		// internal/core prove it), exercising the production code path.
+		// Each diamond is a fresh (service, binding) pair: compile it and
+		// instantiate it once, the construction admissions use.
 		tpl, err := qrg.Compile(service, binding)
 		if err != nil {
 			return nil, err

@@ -13,8 +13,8 @@ import (
 )
 
 // TestOptionsZeroValueIsDefaultRuntime pins what Options{} means: the
-// default admission policy (three replanning retries, no backoff), the
-// compiled-template fast lane on, a perfect fabric, an unbounded
+// default admission policy (three replanning retries, no backoff), a
+// fresh template cache, a perfect fabric, an unbounded
 // admission gate, no leasing, no durability, and inert instrumentation.
 func TestOptionsZeroValueIsDefaultRuntime(t *testing.T) {
 	rt, clock, brokers := twoHostWorld(t, Options{})

@@ -569,17 +569,6 @@ func (rt *Runtime) LiveSessions() int {
 	return len(rt.sessions)
 }
 
-// templateFor returns the session's compiled template, or nil when
-// compilation fails (Establish then falls back to qrg.Build, which
-// reports errors with its own lazier semantics).
-func (rt *Runtime) templateFor(spec SessionSpec) *qrg.Template {
-	tpl, err := rt.templates.Get(spec.Service, spec.Binding)
-	if err != nil {
-		return nil
-	}
-	return tpl
-}
-
 // lockedRand is a mutex-guarded rand.Rand shared by concurrent
 // admission retries.
 type lockedRand struct {

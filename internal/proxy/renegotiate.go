@@ -4,11 +4,12 @@ package proxy
 // end-to-end QoS level without ever passing through a released state.
 //
 //   - The target level is planned through the same phase-1/phase-2
-//     machinery as admission (template fast path) with the AtLevel
-//     planner, which either returns the cheapest feasible plan at
-//     exactly that level or ErrInfeasible. The snapshot is credited
-//     with the session's own live holds — what it holds it keeps — so
-//     a brownout downgrade stays plannable under full contention.
+//     machinery as admission, on the session's compiled QRG template,
+//     with the AtLevel planner, which either returns the cheapest
+//     feasible plan at exactly that level or ErrInfeasible. The
+//     snapshot is credited with the session's own live holds — what it
+//     holds it keeps — so a brownout downgrade stays plannable under
+//     full contention.
 //   - An upgrade reserves only the DELTA between the target requirement
 //     and the current holds, as a fresh hold through the idempotent
 //     two-phase validate-at-commit path (and the WAL, when durability
@@ -33,6 +34,7 @@ import (
 	"qosres/internal/core"
 	"qosres/internal/obs"
 	"qosres/internal/qos"
+	"qosres/internal/qrg"
 	"qosres/internal/svc"
 	"qosres/internal/topo"
 )
@@ -93,10 +95,13 @@ func (s *Session) renegotiateLocked(ctx context.Context, level string) error {
 	spec := s.spec
 	spec.Planner = core.AtLevel{Level: level}
 	resources, err := sessionResourceSet(spec)
+	var tpl *qrg.Template
+	if err == nil {
+		tpl, err = rt.templates.Get(spec.Service, spec.Binding)
+	}
 	var plan *core.Plan
 	if err == nil {
-		plan, err = rt.planPhases(ctx, obs.ActiveSpan{}, obs.PlanStages{}, s.mainHost, spec,
-			rt.templateFor(spec), resources, oldReq)
+		plan, err = rt.planPhases(ctx, obs.ActiveSpan{}, obs.PlanStages{}, s.mainHost, spec, tpl, resources, oldReq)
 	}
 	if err != nil {
 		root.EndStatus(admitStatus(err))

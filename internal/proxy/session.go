@@ -298,8 +298,11 @@ func (rt *Runtime) admitOnce(ctx context.Context, mainHost topo.HostID, spec Ses
 	if err != nil {
 		return nil, nil, err
 	}
+	tpl, err := rt.templates.Get(spec.Service, spec.Binding)
+	if err != nil {
+		return nil, nil, err
+	}
 	stages, admit, policy := *rt.stages, rt.admit, rt.policy
-	tpl := rt.templateFor(spec)
 	root := obs.SpanFromContext(ctx)
 
 	var lastErr error
@@ -356,9 +359,9 @@ func (rt *Runtime) admitOnce(ctx context.Context, mainHost topo.HostID, spec Ses
 
 // planPhases runs admission phases 1 and 2 once: collect availability
 // from the owning proxies in parallel (crediting the snapshot with
-// credit, a renegotiating session's own live holds), build the QRG —
-// from the compiled template when tpl is non-nil, which yields the same
-// graph as qrg.Build — and run the planner locally at the main proxy.
+// credit, a renegotiating session's own live holds), instantiate the
+// session's compiled QRG template, and run the planner locally at the
+// main proxy.
 // Each phase is timed into stages and spanned under root; renegotiation
 // passes inert ones.
 func (rt *Runtime) planPhases(ctx context.Context, root obs.ActiveSpan, stages obs.PlanStages,
@@ -375,12 +378,7 @@ func (rt *Runtime) planPhases(ctx context.Context, root obs.ActiveSpan, stages o
 	}
 
 	st = obs.BeginStage(stages.Build, root.Child(obs.StageBuild, host))
-	var g *qrg.Graph
-	if tpl != nil {
-		g, err = tpl.Instantiate(snap)
-	} else {
-		g, err = qrg.Build(spec.Service, spec.Binding, snap)
-	}
+	g, err := tpl.Instantiate(snap)
 	st.End(err, "error")
 	if err != nil {
 		return nil, err
@@ -388,11 +386,9 @@ func (rt *Runtime) planPhases(ctx context.Context, root obs.ActiveSpan, stages o
 	st = obs.BeginStage(stages.Plan, root.Child(obs.StagePlan, host))
 	plan, err := spec.Planner.Plan(g)
 	st.End(err, "infeasible")
-	if tpl != nil {
-		// Plans own their data; recycle the graph buffers for the next
-		// instantiation.
-		tpl.Recycle(g)
-	}
+	// Plans own their data; recycle the graph buffers for the next
+	// instantiation.
+	tpl.Recycle(g)
 	if err != nil {
 		return nil, err
 	}

@@ -127,11 +127,15 @@ func buildContentionPair(t *testing.T) (*Graph, *Graph) {
 	service := svc.MustService("s", []*svc.Component{a}, nil, []string{"hi", "lo"})
 	binding := svc.Binding{"a": {"r": "ra"}}
 	snap := &broker.Snapshot{Avail: qos.ResourceVector{"ra": 100}, Alpha: map[string]float64{"ra": 1}}
-	g1, err := Build(service, binding, snap)
+	tpl, err := Compile(service, binding)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := BuildWithOptions(service, binding, snap, BuildOptions{Contention: HeadroomContention})
+	g1, err := tpl.Instantiate(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := tpl.InstantiateWithOptions(snap, BuildOptions{Contention: HeadroomContention})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +148,5 @@ func TestNodeEdgeKindStrings(t *testing.T) {
 	}
 	if Translation.String() != "translation" || Equivalence.String() != "equivalence" {
 		t.Fatal("EdgeKind strings wrong")
-	}
-}
-
-func TestBestSinkEmpty(t *testing.T) {
-	g := &Graph{}
-	if _, ok := g.BestSink(); ok {
-		t.Fatal("empty graph reported a sink")
 	}
 }

@@ -10,9 +10,7 @@
 package qrg
 
 import (
-	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"qosres/internal/broker"
@@ -112,10 +110,8 @@ type Graph struct {
 	// Snapshot is the availability snapshot the graph was built from.
 	Snapshot *broker.Snapshot
 
-	// outFlat/inFlat back the OutEdges/InEdges slices of
-	// template-instantiated graphs (CSR layout), letting Recycle reuse
-	// the whole adjacency across instantiations. Nil for graphs built
-	// from scratch, whose adjacency grows edge by edge.
+	// outFlat/inFlat back the OutEdges/InEdges slices (CSR layout),
+	// letting Recycle reuse the whole adjacency across instantiations.
 	outFlat []int
 	inFlat  []int
 }
@@ -126,82 +122,20 @@ func (g *Graph) NodeCount() int { return len(g.Nodes) }
 // EdgeCount returns the number of edges.
 func (g *Graph) EdgeCount() int { return len(g.Edges) }
 
-// BestSink returns the highest-ranked sink node, or ok=false when the
-// graph has no sink nodes at all.
-func (g *Graph) BestSink() (Sink, bool) {
-	if len(g.Sinks) == 0 {
-		return Sink{}, false
-	}
-	return g.Sinks[0], true
-}
-
-// TranslationEdges returns the IDs of all translation edges.
-func (g *Graph) TranslationEdges() []int {
-	var out []int
-	for _, e := range g.Edges {
-		if e.Kind == Translation {
-			out = append(out, e.ID)
-		}
-	}
-	return out
-}
-
-// addNode appends a node and returns its ID.
-func (g *Graph) addNode(n Node) int {
-	n.ID = len(g.Nodes)
-	g.Nodes = append(g.Nodes, n)
-	g.OutEdges = append(g.OutEdges, nil)
-	g.InEdges = append(g.InEdges, nil)
-	return n.ID
-}
-
-// addEdge appends an edge and wires adjacency.
-func (g *Graph) addEdge(e Edge) int {
-	e.ID = len(g.Edges)
-	g.Edges = append(g.Edges, e)
-	g.OutEdges[e.From] = append(g.OutEdges[e.From], e.ID)
-	g.InEdges[e.To] = append(g.InEdges[e.To], e.ID)
-	return e.ID
-}
-
 // Weight computes the contention index Ψ of a bound requirement vector
 // against an availability vector: the maximum over resources of
 // r^req / r^avail (equation 3), together with the bottleneck resource.
 // feasible is false when some positive requirement exceeds availability
 // (equation 2's precondition r^req <= r^avail fails) or names an unknown
 // resource.
-func Weight(req, avail qos.ResourceVector) (psi float64, bottleneck string, feasible bool) {
-	return WeightWith(req, avail, RatioContention)
-}
-
-// WeightWith is Weight under an alternative per-resource contention
-// definition (footnote 2 of the paper).
 //
 // A zero requirement contributes Ψ = 0 and never affects feasibility,
 // even when the resource's availability is also zero (or the resource
 // is unknown): demanding nothing of an exhausted resource is trivially
 // satisfiable, and skipping the term keeps the 0/0 contention ratio
 // from injecting NaN into the max-plus Dijkstra edge weights.
-func WeightWith(req, avail qos.ResourceVector, f ContentionFunc) (psi float64, bottleneck string, feasible bool) {
-	psi = 0
-	feasible = true
-	// Iterate deterministically so bottleneck ties resolve stably.
-	for _, r := range req.Names() {
-		need := req[r]
-		if need == 0 {
-			continue
-		}
-		have, ok := avail[r]
-		if !ok || need > have {
-			return 0, r, false
-		}
-		c := f(need, have)
-		if c > psi {
-			psi = c
-			bottleneck = r
-		}
-	}
-	return psi, bottleneck, feasible
+func Weight(req, avail qos.ResourceVector) (psi float64, bottleneck string, feasible bool) {
+	return newBoundReq(req).weight(avail, RatioContention)
 }
 
 // reqEntry is one positive requirement of a bound vector, kept in
@@ -213,19 +147,19 @@ type reqEntry struct {
 }
 
 // boundReq is a binding-resolved translation requirement with its
-// entries pre-sorted by resource name. WeightWith allocates and sorts
-// req.Names() on every call; weight over the cached entries does
-// neither, which matters because every QRG rebuild re-evaluates every
-// candidate translation edge.
+// entries pre-sorted by resource name, so every QRG instantiation
+// re-evaluates every candidate translation edge without allocating or
+// sorting. err holds the pair's binding failure instead: Instantiate
+// reports it only when the pair is evaluated from a live input node.
 type boundReq struct {
 	vec     qos.ResourceVector
 	entries []reqEntry
+	err     error
 }
 
 // newBoundReq caches the sorted positive entries of a bound vector.
-// Zero requirements are dropped up front: WeightWith skips them before
-// its feasibility check, so they can never contribute Ψ, infeasibility,
-// or a bottleneck name.
+// Zero requirements are dropped up front: they can never contribute Ψ,
+// infeasibility, or a bottleneck name.
 func newBoundReq(vec qos.ResourceVector) *boundReq {
 	br := &boundReq{vec: vec}
 	names := vec.Names()
@@ -238,25 +172,21 @@ func newBoundReq(vec qos.ResourceVector) *boundReq {
 	return br
 }
 
-// weight is WeightWith over the pre-sorted entries; the semantics are
-// identical (same iteration order, same feasibility rule, same
-// bottleneck ties).
+// weight evaluates Ψ under contention f: the entries iterate in
+// resource-name order, so bottleneck ties resolve to the first name.
 func (b *boundReq) weight(avail qos.ResourceVector, f ContentionFunc) (psi float64, bottleneck string, feasible bool) {
-	psi = 0
-	feasible = true
 	for i := range b.entries {
 		en := &b.entries[i]
 		have, ok := avail[en.res]
 		if !ok || en.need > have {
 			return 0, en.res, false
 		}
-		c := f(en.need, have)
-		if c > psi {
+		if c := f(en.need, have); c > psi {
 			psi = c
 			bottleneck = en.res
 		}
 	}
-	return psi, bottleneck, feasible
+	return psi, bottleneck, true
 }
 
 // BuildOptions customizes QRG construction.
@@ -268,228 +198,16 @@ type BuildOptions struct {
 
 // Build constructs the QRG for one service session: the service model,
 // the session's resource binding (component-local resource names to
-// concrete environment resource IDs), and the availability snapshot.
-//
-// The construction handles chains, fan-out, and fan-in (DAG) dependency
-// graphs uniformly. Equivalence between an upstream Qout level and a
-// downstream Qin level is established by QoS vector equality; for fan-in
-// components the upstream Qout vectors are concatenated (labelled by
-// upstream component ID, in sorted order) before matching, as defined in
-// section 4.3.2.
+// concrete environment resource IDs), and the availability snapshot. It
+// compiles the pair's template and instantiates it once; callers that
+// build the same pair against many snapshots keep the Template (or a
+// TemplateCache) instead.
 func Build(service *svc.Service, binding svc.Binding, snap *broker.Snapshot) (*Graph, error) {
-	return BuildWithOptions(service, binding, snap, BuildOptions{})
-}
-
-// BuildWithOptions is Build with non-default options.
-func BuildWithOptions(service *svc.Service, binding svc.Binding, snap *broker.Snapshot, opts BuildOptions) (*Graph, error) {
-	if service == nil {
-		return nil, fmt.Errorf("qrg: nil service")
-	}
-	if snap == nil {
-		return nil, fmt.Errorf("qrg: nil snapshot")
-	}
-	contention := opts.Contention
-	if contention == nil {
-		contention = RatioContention
-	}
-	order, err := service.TopoOrder()
+	tpl, err := Compile(service, binding)
 	if err != nil {
 		return nil, err
 	}
-	// Capacity estimates: every declared level can become at most one
-	// node (fan-in combinations can exceed this; append then grows),
-	// and each component contributes at most |In|·|Out| translation
-	// edges plus one equivalence edge per Qout node.
-	nodeCap, edgeCap := 0, 0
-	for _, cid := range order {
-		comp := service.Components[cid]
-		nodeCap += len(comp.In) + len(comp.Out)
-		edgeCap += len(comp.In)*len(comp.Out) + len(comp.Out)
-	}
-	g := &Graph{
-		Service:  service,
-		Source:   -1,
-		Snapshot: snap,
-		Nodes:    make([]Node, 0, nodeCap),
-		Edges:    make([]Edge, 0, edgeCap),
-		OutEdges: make([][]int, 0, nodeCap),
-		InEdges:  make([][]int, 0, nodeCap),
-	}
-
-	// outNodes[comp] lists the Qout node IDs created for comp, in the
-	// component's declared level order.
-	outNodes := make(map[svc.ComponentID][]int, len(order))
-
-	for _, cid := range order {
-		comp := service.Components[cid]
-		preds := service.Preds(cid)
-		sort.Slice(preds, func(i, j int) bool { return preds[i] < preds[j] })
-
-		// 1. Create the component's Qin nodes plus incoming equivalence
-		// edges.
-		var inIDs []int
-		switch len(preds) {
-		case 0:
-			// Source component: single Qin node, the source data quality.
-			id := g.addNode(Node{Comp: cid, Kind: In, Level: comp.In[0]})
-			if g.Source != -1 {
-				return nil, fmt.Errorf("qrg: service %s has multiple source components", service.Name)
-			}
-			g.Source = id
-			inIDs = append(inIDs, id)
-		case 1:
-			// Chain / fan-out upstream: one Qin node per distinct matched
-			// input level; equivalence edges from every upstream Qout node
-			// whose vector equals it.
-			byLevel := make(map[string]int)
-			for _, up := range outNodes[preds[0]] {
-				upNode := g.Nodes[up]
-				lvl, ok := matchInLevel(comp, upNode.Level.Vector)
-				if !ok {
-					continue // dead-end upstream level; no equivalence
-				}
-				id, exists := byLevel[lvl.Name]
-				if !exists {
-					id = g.addNode(Node{Comp: cid, Kind: In, Level: lvl})
-					byLevel[lvl.Name] = id
-					inIDs = append(inIDs, id)
-				}
-				g.addEdge(Edge{From: up, To: id, Kind: Equivalence})
-			}
-		default:
-			// Fan-in: one Qin node per combination of upstream Qout
-			// nodes; the Qin vector is the labelled concatenation of the
-			// upstream Qout vectors.
-			combos := crossProduct(preds, outNodes)
-			for _, combo := range combos {
-				labels := make([]string, len(preds))
-				vectors := make([]qos.Vector, len(preds))
-				parts := make(map[svc.ComponentID]int, len(preds))
-				for i, p := range preds {
-					labels[i] = string(p)
-					vectors[i] = g.Nodes[combo[i]].Level.Vector
-					parts[p] = combo[i]
-				}
-				concat := qos.ConcatAll(labels, vectors)
-				lvl, ok := matchInLevel(comp, concat)
-				if !ok {
-					continue
-				}
-				id := g.addNode(Node{Comp: cid, Kind: In, Level: lvl, Parts: parts})
-				inIDs = append(inIDs, id)
-				for _, up := range combo {
-					g.addEdge(Edge{From: up, To: id, Kind: Equivalence})
-				}
-			}
-		}
-
-		// 2. Create Qout nodes and translation edges for every feasible
-		// (Qin, Qout) pair. The bound requirement of a pair depends only
-		// on the level pair, so fan-in graphs — where many Qin nodes
-		// share one declared level — bind and sort each pair once. The
-		// memo'd vector is shared by every edge of the pair; planners
-		// clone Edge.Req before mutating (see core.planFromPath).
-		outByLevel := make(map[string]int, len(comp.Out))
-		reqMemo := make(map[[2]string]*boundReq, len(comp.In)*len(comp.Out))
-		for _, lvl := range comp.Out {
-			for _, inID := range inIDs {
-				inLvl := g.Nodes[inID].Level
-				key := [2]string{inLvl.Name, lvl.Name}
-				br, seen := reqMemo[key]
-				if !seen {
-					if req, ok := comp.Translate(inLvl, lvl); ok {
-						bound, err := binding.Bind(cid, req)
-						if err != nil {
-							return nil, fmt.Errorf("qrg: service %s: %v", service.Name, err)
-						}
-						br = newBoundReq(bound)
-					}
-					reqMemo[key] = br
-				}
-				if br == nil {
-					continue // unsupported translation pair
-				}
-				psi, bottleneck, feasible := br.weight(snap.Avail, contention)
-				if !feasible {
-					continue
-				}
-				outID, exists := outByLevel[lvl.Name]
-				if !exists {
-					outID = g.addNode(Node{Comp: cid, Kind: Out, Level: lvl})
-					outByLevel[lvl.Name] = outID
-				}
-				g.addEdge(Edge{
-					From:       inID,
-					To:         outID,
-					Kind:       Translation,
-					Weight:     psi,
-					Req:        br.vec,
-					Bottleneck: bottleneck,
-					Alpha:      snap.Alpha[bottleneck],
-				})
-			}
-		}
-		// Record out nodes in declared level order for determinism.
-		for _, lvl := range comp.Out {
-			if id, ok := outByLevel[lvl.Name]; ok {
-				outNodes[cid] = append(outNodes[cid], id)
-			}
-		}
-	}
-
-	if g.Source == -1 {
-		return nil, fmt.Errorf("qrg: service %s produced no source node", service.Name)
-	}
-
-	// 3. Rank the sink component's Qout nodes best-first.
-	sinkComp, err := service.Sink()
-	if err != nil {
-		return nil, err
-	}
-	byName := make(map[string]int)
-	for _, id := range outNodes[sinkComp.ID] {
-		byName[g.Nodes[id].Level.Name] = id
-	}
-	for _, name := range service.EndToEndRanking {
-		if id, ok := byName[name]; ok {
-			g.Sinks = append(g.Sinks, Sink{Node: id, Rank: service.RankOf(name)})
-		}
-	}
-	return g, nil
-}
-
-// matchInLevel finds the component's declared input level whose vector
-// equals v.
-func matchInLevel(comp *svc.Component, v qos.Vector) (svc.Level, bool) {
-	for _, lvl := range comp.In {
-		if lvl.Vector.Equal(v) {
-			return lvl, true
-		}
-	}
-	return svc.Level{}, false
-}
-
-// crossProduct enumerates every combination choosing one Qout node per
-// upstream component, preserving pred order.
-func crossProduct(preds []svc.ComponentID, outNodes map[svc.ComponentID][]int) [][]int {
-	combos := [][]int{nil}
-	for _, p := range preds {
-		outs := outNodes[p]
-		if len(outs) == 0 {
-			return nil // some upstream component has no feasible output
-		}
-		next := make([][]int, 0, len(combos)*len(outs))
-		for _, c := range combos {
-			for _, o := range outs {
-				nc := make([]int, len(c)+1)
-				copy(nc, c)
-				nc[len(c)] = o
-				next = append(next, nc)
-			}
-		}
-		combos = next
-	}
-	return combos
+	return tpl.Instantiate(snap)
 }
 
 // Infinity is the distance of unreachable nodes in plan computations.

@@ -10,26 +10,25 @@ import (
 	"qosres/internal/svc"
 )
 
-// This file implements the compiled-template fast path for QRG
-// construction. Everything about the graph that depends only on the
-// (service, binding) pair — topological order, level matching between
-// upstream Qout and downstream Qin vectors, fan-in cross-product
-// combinations, and the binding-resolved requirement vector of every
-// supported translation pair (with its resource names pre-sorted) — is
-// computed once by Compile. Instantiate then replays Build's exact
-// construction order against one availability snapshot, re-evaluating
-// only edge feasibility, Ψ, and α.
+// This file is the one QRG construction. Everything about the graph
+// that depends only on the (service, binding) pair — topological order,
+// level matching between upstream Qout and downstream Qin vectors, fan-in
+// cross-product combinations, and the binding-resolved requirement vector
+// of every supported translation pair (with its resource names
+// pre-sorted) — is computed once by Compile. Instantiate then builds the
+// graph against one availability snapshot, re-evaluating only edge
+// feasibility, Ψ, and α.
 //
-// The replay matters: feasibility pruning makes the node/edge *set*
-// snapshot-dependent (a Qout node exists only when some translation
-// into it is feasible, which cascades into downstream Qin creation), so
-// the template cannot pre-enumerate the final graph. What it can do is
-// remove every allocation, sort, map lookup, and vector comparison from
-// the per-snapshot loop. Because the replay preserves Build's node and
-// edge creation order, an instantiated graph is structurally identical
-// to Build's output — same IDs, same adjacency order — and every
-// planner therefore produces byte-for-byte identical plans
-// (TestTemplateEquivalenceRandomized in internal/core).
+// Feasibility pruning makes the node/edge *set* snapshot-dependent (a
+// Qout node exists only when some translation into it is feasible, which
+// cascades into downstream Qin creation), so the template cannot
+// pre-enumerate the final graph. What it can do is remove every
+// allocation, sort, map lookup, and vector comparison from the
+// per-snapshot loop. Node and edge IDs follow a fixed creation order
+// (topological, then declared level order), which the planners' ID-based
+// tie-breaks rely on. FuzzTemplateMatchesReference pins every
+// instantiation to a straightforward reference builder kept beside the
+// tests: same graph, field for field, and the same plans.
 
 // tmplComp is the compiled form of one component, in topological order.
 type tmplComp struct {
@@ -45,12 +44,12 @@ type tmplComp struct {
 	// fanMatch flattens the cross product of the upstream components'
 	// declared output-level indices: cell Σ idx[i]·fanStrides[i] holds
 	// the comp.In index matching that combination's labelled
-	// concatenation, or -1. The last upstream varies fastest, mirroring
-	// Build's crossProduct enumeration order.
+	// concatenation, or -1. The last upstream varies fastest.
 	fanMatch   []int
 	fanStrides []int
 	// reqs[i·len(comp.Out)+j] is the bound requirement of the
-	// translation comp.In[i] -> comp.Out[j]; nil when unsupported.
+	// translation comp.In[i] -> comp.Out[j], or its binding error; nil
+	// when unsupported.
 	reqs []*boundReq
 }
 
@@ -93,8 +92,7 @@ type instScratch struct {
 // reuse its buffers.
 type Template struct {
 	service *svc.Service
-	order   []svc.ComponentID
-	comps   []tmplComp
+	comps   []tmplComp // in topological order
 	// sinkComp indexes the sink component in comps; sinks lists the
 	// ranking entries resolvable to declared sink output levels.
 	sinkComp int
@@ -106,14 +104,28 @@ type Template struct {
 	scratch sync.Pool // *instScratch
 }
 
-// Service returns the compiled service.
-func (t *Template) Service() *svc.Service { return t.service }
+// maxFanInCells bounds a fan-in component's match table: the product of
+// its upstream components' declared output-level counts. The table is
+// built before any snapshot prunes it, so without the bound a small
+// document (five upstreams of sixteen levels each) costs a million
+// cells, seconds and most of a gigabyte. Every fan-in this repository
+// models has four cells.
+const maxFanInCells = 4096
 
 // Compile builds the snapshot-independent template of a (service,
-// binding) pair. Unlike Build — which binds a translation pair only
-// when an input node materializes — Compile eagerly resolves every
-// supported pair, so a binding that is missing resources for a pair
-// Build never happened to evaluate fails here instead.
+// binding) pair.
+//
+// Equivalence between an upstream Qout level and a downstream Qin level
+// is QoS vector equality; for fan-in components the upstream Qout
+// vectors are concatenated (labelled by upstream component ID, in sorted
+// order) before matching, as defined in section 4.3.2. A fan-in whose
+// upstream output levels combine into more than maxFanInCells cells is
+// refused.
+//
+// A translation pair whose requirement the binding cannot resolve does
+// not fail Compile: the pair keeps its error, and Instantiate returns it
+// only when it evaluates the pair from a live input node. A level that
+// nothing upstream produces therefore needs no binding.
 func Compile(service *svc.Service, binding svc.Binding) (*Template, error) {
 	if service == nil {
 		return nil, fmt.Errorf("qrg: nil service")
@@ -122,7 +134,7 @@ func Compile(service *svc.Service, binding svc.Binding) (*Template, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Template{service: service, order: order, sinkComp: -1}
+	t := &Template{service: service}
 	compIdx := make(map[svc.ComponentID]int, len(order))
 	sources := 0
 	for k, cid := range order {
@@ -149,15 +161,18 @@ func Compile(service *svc.Service, binding svc.Binding) (*Template, error) {
 				tc.singleMatch[j] = matchInLevelIdx(comp, lvl.Vector)
 			}
 		default:
-			dims := make([]int, len(preds))
-			for i, p := range preds {
-				dims[i] = len(service.Components[p].Out)
-			}
+			// Strides are computed last predecessor first; the size check
+			// divides before it multiplies, so it cannot overflow.
 			strides := make([]int, len(preds))
 			size := 1
 			for i := len(preds) - 1; i >= 0; i-- {
 				strides[i] = size
-				size *= dims[i]
+				d := len(service.Components[preds[i]].Out)
+				if d > 0 && size > maxFanInCells/d {
+					return nil, fmt.Errorf("qrg: service %s: fan-in component %s has more than %d combinations of upstream output levels",
+						service.Name, cid, maxFanInCells)
+				}
+				size *= d
 			}
 			tc.fanStrides = strides
 			tc.fanMatch = make([]int, size)
@@ -184,7 +199,8 @@ func Compile(service *svc.Service, binding svc.Binding) (*Template, error) {
 				}
 				bound, err := binding.Bind(cid, req)
 				if err != nil {
-					return nil, fmt.Errorf("qrg: service %s: %v", service.Name, err)
+					tc.reqs[i*len(comp.Out)+j] = &boundReq{err: fmt.Errorf("qrg: service %s: %v", service.Name, err)}
+					continue
 				}
 				tc.reqs[i*len(comp.Out)+j] = newBoundReq(bound)
 			}
@@ -214,8 +230,8 @@ func Compile(service *svc.Service, binding svc.Binding) (*Template, error) {
 	return t, nil
 }
 
-// matchInLevelIdx is matchInLevel returning the declared input-level
-// index instead of the level, -1 when nothing matches.
+// matchInLevelIdx returns the index of the component's declared input
+// level whose vector equals v, or -1.
 func matchInLevelIdx(comp *svc.Component, v qos.Vector) int {
 	for i, lvl := range comp.In {
 		if lvl.Vector.Equal(v) {
@@ -226,7 +242,7 @@ func matchInLevelIdx(comp *svc.Component, v qos.Vector) int {
 }
 
 // Instantiate evaluates the template against one availability snapshot
-// and returns a graph identical to Build(service, binding, snap).
+// and returns the session's QRG.
 func (t *Template) Instantiate(snap *broker.Snapshot) (*Graph, error) {
 	return t.InstantiateWithOptions(snap, BuildOptions{})
 }
@@ -261,8 +277,7 @@ func (t *Template) InstantiateWithOptions(snap *broker.Snapshot, opts BuildOptio
 		sc.inIDs = sc.inIDs[:0]
 		sc.inLvl = sc.inLvl[:0]
 
-		// 1. Qin nodes plus incoming equivalence edges, replaying the
-		// same creation order as Build.
+		// 1. Qin nodes plus incoming equivalence edges.
 		switch len(tc.preds) {
 		case 0:
 			id := instAddNode(g, Node{Comp: tc.id, Kind: In, Level: comp.In[0]})
@@ -289,7 +304,7 @@ func (t *Template) InstantiateWithOptions(snap *broker.Snapshot, opts BuildOptio
 			}
 		default:
 			// Fan-in: odometer over the live Qout nodes of each upstream
-			// component, last component fastest (crossProduct's order).
+			// component, last component fastest.
 			n := len(tc.preds)
 			empty := false
 			for _, p := range tc.preds {
@@ -346,6 +361,11 @@ func (t *Template) InstantiateWithOptions(snap *broker.Snapshot, opts BuildOptio
 				if br == nil {
 					continue
 				}
+				if br.err != nil {
+					t.scratch.Put(sc)
+					t.Recycle(g)
+					return nil, br.err
+				}
 				psi, bottleneck, feasible := br.weight(snap.Avail, contention)
 				if !feasible {
 					continue
@@ -374,11 +394,6 @@ func (t *Template) InstantiateWithOptions(snap *broker.Snapshot, opts BuildOptio
 				sc.outLvl[k] = append(sc.outLvl[k], j)
 			}
 		}
-	}
-
-	if g.Source == -1 {
-		t.scratch.Put(sc)
-		return nil, fmt.Errorf("qrg: service %s produced no source node", t.service.Name)
 	}
 
 	// 3. Sinks best-first, restricted to levels that survived pruning.
@@ -426,7 +441,7 @@ func instAddEdge(g *Graph, e Edge) int {
 // buildAdjacency fills g.OutEdges/g.InEdges CSR-style: per-node slices
 // share two flat arrays owned by the graph, so the whole adjacency
 // costs two allocations at steady state (none once recycled). Filling
-// in ascending edge-ID order reproduces addEdge's append order exactly.
+// in ascending edge-ID order keeps each node's edges in creation order.
 func buildAdjacency(g *Graph, sc *instScratch) {
 	n, m := len(g.Nodes), len(g.Edges)
 	outDeg := resizeInts(&sc.outDeg, n)
@@ -465,7 +480,7 @@ func buildAdjacency(g *Graph, sc *instScratch) {
 		inDeg[e.To]++
 	}
 	// Second pass: cursors now hold end offsets; slice the flat arrays.
-	// Zero-degree nodes get nil to match addNode's initial value.
+	// Zero-degree nodes get nil.
 	prevOut, prevIn := 0, 0
 	for v := 0; v < n; v++ {
 		if end := outDeg[v]; end == prevOut {

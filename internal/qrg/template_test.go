@@ -1,91 +1,162 @@
 package qrg
 
 import (
-	"reflect"
+	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"qosres/internal/broker"
 	"qosres/internal/obs"
+	"qosres/internal/qos"
 	"qosres/internal/svc"
 	"qosres/internal/workload"
 )
 
-// requireSameGraph compares every observable field of a from-scratch
-// build against a template instantiation.
-func requireSameGraph(t *testing.T, label string, want, got *Graph) {
+// gpuChain is a two-component chain whose c2 declares an input level,
+// "orphan", that c1 never produces, and whose translation from it needs
+// a "gpu" the binding leaves unbound. No live node ever reaches that
+// pair, so the service needs no gpu.
+func gpuChain() (*svc.Service, svc.Binding, *broker.Snapshot) {
+	c1 := &svc.Component{
+		ID: "c1", In: []svc.Level{lvl("src", 0)},
+		Out:       []svc.Level{lvl("hi", 1)},
+		Translate: svc.TranslationTable{"src": {"hi": {"cpu": 10}}}.Func(),
+		Resources: []string{"cpu"},
+	}
+	c2 := &svc.Component{
+		ID: "c2", In: []svc.Level{lvl("in-hi", 1), lvl("orphan", 7)},
+		Out: []svc.Level{lvl("best", 10)},
+		Translate: svc.TranslationTable{
+			"in-hi":  {"best": {"cpu": 10}},
+			"orphan": {"best": {"gpu": 1}},
+		}.Func(),
+		Resources: []string{"cpu", "gpu"},
+	}
+	service := svc.MustService("gpu-chain", []*svc.Component{c1, c2},
+		[]svc.Edge{{From: "c1", To: "c2"}}, []string{"best"})
+	binding := svc.Binding{"c1": {"cpu": "h1/cpu"}, "c2": {"cpu": "h2/cpu"}}
+	snap := &broker.Snapshot{
+		Avail: qos.ResourceVector{"h1/cpu": 100, "h2/cpu": 100},
+		Alpha: map[string]float64{"h1/cpu": 1, "h2/cpu": 1},
+	}
+	return service, binding, snap
+}
+
+// TestCompileBindsLazily pins the binding rule: a pair the binding
+// cannot resolve fails an instantiation only when a live input node
+// evaluates it, exactly where the reference builder fails.
+func TestCompileBindsLazily(t *testing.T) {
+	service, binding, snap := gpuChain()
+	tpl, err := Compile(service, binding)
+	if err != nil {
+		t.Fatalf("compile refused an unreachable unbound pair: %v", err)
+	}
+	g, err := tpl.Instantiate(snap)
+	if err != nil {
+		t.Fatalf("instantiate: %v", err)
+	}
+	if len(g.Sinks) != 1 || g.NodeCount() != 4 {
+		t.Fatalf("graph has %d nodes and sinks %v, want 4 nodes and one sink", g.NodeCount(), g.Sinks)
+	}
+
+	// Make the orphan level reachable: c1 now also produces it, and the
+	// unbound gpu pair is evaluated from a live node.
+	c1 := service.Components["c1"]
+	c1.Out = append(c1.Out, lvl("lo", 7))
+	c1.Translate = svc.TranslationTable{"src": {"hi": {"cpu": 10}, "lo": {"cpu": 5}}}.Func()
+	if _, err := referenceBuild(service, binding, snap, BuildOptions{}); err == nil {
+		t.Fatal("reference builder accepted a live unbound pair")
+	}
+	tpl, err = Compile(service, binding)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if _, err := tpl.Instantiate(snap); err == nil || !strings.Contains(err.Error(), `"gpu"`) {
+		t.Fatalf("instantiate error = %v, want the gpu binding error", err)
+	}
+	// Drained, the live node reaching the pair is pruned and the error
+	// goes with it, as in the reference builder.
+	drained := &broker.Snapshot{Avail: qos.ResourceVector{}, Alpha: map[string]float64{}}
+	if _, err := referenceBuild(service, binding, drained, BuildOptions{}); err != nil {
+		t.Fatalf("reference builder on drained snapshot: %v", err)
+	}
+	if _, err := tpl.Instantiate(drained); err != nil {
+		t.Fatalf("instantiate on drained snapshot: %v", err)
+	}
+}
+
+// fanInService builds a source feeding preds parallel components of
+// levels output levels each, all joined by one fan-in sink.
+func fanInService(t *testing.T, preds, levels int) (*svc.Service, svc.Binding) {
 	t.Helper()
-	if !reflect.DeepEqual(want.Nodes, got.Nodes) {
-		t.Fatalf("%s: nodes differ\nbuild:       %+v\ninstantiate: %+v", label, want.Nodes, got.Nodes)
+	src := &svc.Component{
+		ID: "src", In: []svc.Level{lvl("raw", 0)}, Out: []svc.Level{lvl("s", 0)},
+		Translate: svc.TranslationTable{"raw": {"s": {"r": 1}}}.Func(), Resources: []string{"r"},
 	}
-	if !reflect.DeepEqual(want.Edges, got.Edges) {
-		t.Fatalf("%s: edges differ\nbuild:       %+v\ninstantiate: %+v", label, want.Edges, got.Edges)
+	comps := []*svc.Component{src}
+	var edges []svc.Edge
+	binding := svc.Binding{"src": {"r": "r"}, "sink": {"r": "r"}}
+	var labels []string
+	var vectors []qos.Vector
+	for p := 0; p < preds; p++ {
+		id := svc.ComponentID(fmt.Sprintf("p%02d", p))
+		out := make([]svc.Level, levels)
+		row := map[string]qos.ResourceVector{}
+		for j := range out {
+			out[j] = lvl(fmt.Sprintf("L%d", j), float64(j))
+			row[out[j].Name] = qos.ResourceVector{"r": 1}
+		}
+		comps = append(comps, &svc.Component{
+			ID: id, In: []svc.Level{lvl("s", 0)}, Out: out,
+			Translate: svc.TranslationTable{"s": row}.Func(), Resources: []string{"r"},
+		})
+		edges = append(edges, svc.Edge{From: "src", To: id}, svc.Edge{From: id, To: "sink"})
+		binding[id] = map[string]string{"r": "r"}
+		labels = append(labels, string(id))
+		vectors = append(vectors, out[0].Vector)
 	}
-	if !reflect.DeepEqual(want.OutEdges, got.OutEdges) {
-		t.Fatalf("%s: out-adjacency differs: %v vs %v", label, want.OutEdges, got.OutEdges)
-	}
-	if !reflect.DeepEqual(want.InEdges, got.InEdges) {
-		t.Fatalf("%s: in-adjacency differs: %v vs %v", label, want.InEdges, got.InEdges)
-	}
-	if want.Source != got.Source {
-		t.Fatalf("%s: source %d vs %d", label, want.Source, got.Source)
-	}
-	if !reflect.DeepEqual(want.Sinks, got.Sinks) {
-		t.Fatalf("%s: sinks differ: %v vs %v", label, want.Sinks, got.Sinks)
-	}
+	joined := svc.Level{Name: "all-L0", Vector: qos.ConcatAll(labels, vectors)}
+	comps = append(comps, &svc.Component{
+		ID: "sink", In: []svc.Level{joined}, Out: []svc.Level{lvl("out", 0)},
+		Translate: svc.TranslationTable{"all-L0": {"out": {"r": 1}}}.Func(), Resources: []string{"r"},
+	})
+	return svc.MustService("wide", comps, edges, []string{"out"}), binding
 }
 
-// templateFixtures are the repo's canonical workloads: the video chain,
-// the fan-in DAG, and a synthetic deep chain.
-func templateFixtures() []struct {
-	name    string
-	service *svc.Service
-	binding svc.Binding
-	snap    *broker.Snapshot
-} {
-	synthSvc, synthBind, synthSnap := workload.SyntheticChain(6, 4)
-	return []struct {
-		name    string
-		service *svc.Service
-		binding svc.Binding
-		snap    *broker.Snapshot
-	}{
-		{"video", workload.VideoService(), workload.VideoBinding(), workload.VideoSnapshot()},
-		{"dag", workload.DagService(), workload.DagBinding(), workload.DagSnapshot()},
-		{"synthetic", synthSvc, synthBind, synthSnap},
+// TestCompileRefusesWideFanIn pins the fan-in bound: a fan-in whose
+// upstream output levels combine into more than maxFanInCells cells is
+// refused before its table is allocated — including a product that
+// overflows int — while one at the bound compiles and plans.
+func TestCompileRefusesWideFanIn(t *testing.T) {
+	for _, tc := range []struct{ preds, levels int }{{5, 16}, {64, 2}} {
+		service, binding := fanInService(t, tc.preds, tc.levels)
+		var err error
+		took := time.Hour
+		for i := 0; i < 3; i++ { // best of three: a refusal is cheap, a stall is not
+			start := time.Now()
+			_, err = Compile(service, binding)
+			took = min(took, time.Since(start))
+		}
+		if err == nil || !strings.Contains(err.Error(), "wide") || !strings.Contains(err.Error(), "sink") {
+			t.Fatalf("%d×%d fan-in: err = %v, want a refusal naming the service and component", tc.preds, tc.levels, err)
+		}
+		if !raceEnabled && took > time.Millisecond {
+			t.Fatalf("%d×%d fan-in refused after %v, want under 1ms", tc.preds, tc.levels, took)
+		}
 	}
-}
-
-// TestTemplateMatchesBuildOnWorkloads pins the template replay to the
-// reference builder on the canonical fixtures, across repeated
-// recycled instantiations and all contention functions.
-func TestTemplateMatchesBuildOnWorkloads(t *testing.T) {
-	for _, f := range templateFixtures() {
-		tpl, err := Compile(f.service, f.binding)
-		if err != nil {
-			t.Fatalf("%s: compile: %v", f.name, err)
-		}
-		if tpl.Service() != f.service {
-			t.Fatalf("%s: Service() does not round-trip", f.name)
-		}
-		for _, cname := range []string{"ratio", "headroom", "log"} {
-			cf, ok := ContentionByName(cname)
-			if !ok {
-				t.Fatalf("unknown contention %q", cname)
-			}
-			opts := BuildOptions{Contention: cf}
-			want, err := BuildWithOptions(f.service, f.binding, f.snap, opts)
-			if err != nil {
-				t.Fatalf("%s/%s: build: %v", f.name, cname, err)
-			}
-			for round := 0; round < 3; round++ {
-				got, err := tpl.InstantiateWithOptions(f.snap, opts)
-				if err != nil {
-					t.Fatalf("%s/%s: instantiate: %v", f.name, cname, err)
-				}
-				requireSameGraph(t, f.name+"/"+cname, want, got)
-				tpl.Recycle(got)
-			}
-		}
+	service, binding := fanInService(t, 3, 16) // 4,096 cells
+	tpl, err := Compile(service, binding)
+	if err != nil {
+		t.Fatalf("fan-in at the bound: %v", err)
+	}
+	snap := &broker.Snapshot{Avail: qos.ResourceVector{"r": 100}, Alpha: map[string]float64{"r": 1}}
+	g, err := tpl.Instantiate(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Sinks) != 1 {
+		t.Fatalf("sinks = %v, want the one joined level", g.Sinks)
 	}
 }
 
@@ -136,9 +207,9 @@ func TestTemplateCacheCounters(t *testing.T) {
 	}
 }
 
-// TestInstantiateAllocsRegression is the satellite allocation guard:
-// instantiating from a compiled template must allocate at least 5x less
-// than the from-scratch build, and the template's weight evaluation
+// TestInstantiateAllocsRegression is the allocation guard: instantiating
+// from a compiled template must allocate at least 5x less than the
+// reference builder, and the template's weight evaluation
 // (pre-sorted entries, shared Req maps, pooled scratch) must stay in
 // the single-digit range for the video chain.
 func TestInstantiateAllocsRegression(t *testing.T) {
@@ -165,13 +236,13 @@ func TestInstantiateAllocsRegression(t *testing.T) {
 		tpl.Recycle(g)
 	})
 	buildAllocs := testing.AllocsPerRun(200, func() {
-		if _, err := Build(service, binding, snap); err != nil {
+		if _, err := referenceBuild(service, binding, snap, BuildOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("allocs/op: instantiate %.1f, build %.1f", instAllocs, buildAllocs)
+	t.Logf("allocs/op: instantiate %.1f, reference build %.1f", instAllocs, buildAllocs)
 	if instAllocs*5 > buildAllocs {
-		t.Fatalf("instantiate allocates %.1f/op vs build %.1f/op; want >= 5x fewer", instAllocs, buildAllocs)
+		t.Fatalf("instantiate allocates %.1f/op vs reference build %.1f/op; want >= 5x fewer", instAllocs, buildAllocs)
 	}
 	// The race detector randomizes sync.Pool reuse, so the absolute
 	// steady-state bound only holds on uninstrumented builds.

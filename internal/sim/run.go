@@ -396,7 +396,7 @@ func (env *environment) handleArrival(cfg Config, rng *rand.Rand, planner core.P
 	st = obs.BeginStage(stages.Build, root.Child(obs.StageBuild, host))
 	contention, _ := qrg.ContentionByName(cfg.Contention)
 	// Instantiate the compiled (service, binding) template against this
-	// snapshot; plan-for-plan identical to a from-scratch qrg.Build.
+	// snapshot.
 	var g *qrg.Graph
 	tpl, err := env.templates.Get(service, binding)
 	if err == nil {

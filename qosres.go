@@ -108,7 +108,8 @@ type (
 var ErrInfeasible = core.ErrInfeasible
 
 // BuildQRG constructs the QoS-Resource Graph of one service session
-// (section 4.1.1).
+// (section 4.1.1): it compiles the (service, binding) pair's template and
+// instantiates it against snap, the construction every admission uses.
 func BuildQRG(service *Service, binding Binding, snap *Snapshot) (*Graph, error) {
 	return qrg.Build(service, binding, snap)
 }
