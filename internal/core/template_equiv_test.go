@@ -10,16 +10,17 @@ import (
 	"qosres/internal/broker"
 	"qosres/internal/qos"
 	"qosres/internal/qrg"
+	"qosres/internal/qrg/qrgtest"
 	"qosres/internal/svc"
 )
 
-// This file proves the compiled-template fast lane is indistinguishable
-// from the reference builder: for hundreds of seeded random services,
-// bindings, and snapshots — chains, fan-in DAGs, and infeasible
-// availability included — Compile+Instantiate must produce a graph
-// structurally identical to qrg.Build (same node/edge IDs, adjacency,
-// sinks) and every planner must produce byte-for-byte identical plans
-// (path, Ψ, α, rank, tie-breaks) on both.
+// This file proves the compiled template is indistinguishable from the
+// reference builder of package qrgtest: for hundreds of seeded random
+// services, bindings, and snapshots — chains, fan-in DAGs, and
+// infeasible availability included — Compile+Instantiate must produce a
+// graph identical to qrgtest.ReferenceBuild (same node/edge IDs,
+// adjacency, sinks) and every planner must produce byte-for-byte
+// identical plans (path, Ψ, α, rank, tie-breaks) on both.
 
 // zeroSnapshot drains a snapshot's availability below any generated
 // requirement (generators draw needs >= 1), pruning every translation
@@ -36,23 +37,8 @@ func zeroSnapshot(snap *broker.Snapshot) *broker.Snapshot {
 // graphs.
 func assertGraphsIdentical(t *testing.T, label string, want, got *qrg.Graph) {
 	t.Helper()
-	if !reflect.DeepEqual(want.Nodes, got.Nodes) {
-		t.Fatalf("%s: nodes differ\nbuild:       %+v\ninstantiate: %+v", label, want.Nodes, got.Nodes)
-	}
-	if !reflect.DeepEqual(want.Edges, got.Edges) {
-		t.Fatalf("%s: edges differ\nbuild:       %+v\ninstantiate: %+v", label, want.Edges, got.Edges)
-	}
-	if !reflect.DeepEqual(want.OutEdges, got.OutEdges) {
-		t.Fatalf("%s: out-adjacency differs\nbuild:       %v\ninstantiate: %v", label, want.OutEdges, got.OutEdges)
-	}
-	if !reflect.DeepEqual(want.InEdges, got.InEdges) {
-		t.Fatalf("%s: in-adjacency differs\nbuild:       %v\ninstantiate: %v", label, want.InEdges, got.InEdges)
-	}
-	if want.Source != got.Source {
-		t.Fatalf("%s: source %d vs %d", label, want.Source, got.Source)
-	}
-	if !reflect.DeepEqual(want.Sinks, got.Sinks) {
-		t.Fatalf("%s: sinks differ: %v vs %v", label, want.Sinks, got.Sinks)
+	if diff := qrgtest.GraphDiff(want, got); diff != "" {
+		t.Fatalf("%s: %s", label, diff)
 	}
 }
 
@@ -61,19 +47,19 @@ func assertGraphsIdentical(t *testing.T, label string, want, got *qrg.Graph) {
 func assertPlansIdentical(t *testing.T, label string, pWant *Plan, errWant error, pGot *Plan, errGot error) {
 	t.Helper()
 	if (errWant == nil) != (errGot == nil) {
-		t.Fatalf("%s: error mismatch: build %v, instantiate %v", label, errWant, errGot)
+		t.Fatalf("%s: error mismatch: reference %v, template %v", label, errWant, errGot)
 	}
 	if errWant != nil {
 		if errors.Is(errWant, ErrInfeasible) != errors.Is(errGot, ErrInfeasible) {
-			t.Fatalf("%s: error class mismatch: build %v, instantiate %v", label, errWant, errGot)
+			t.Fatalf("%s: error class mismatch: reference %v, template %v", label, errWant, errGot)
 		}
 		return
 	}
 	if !reflect.DeepEqual(pWant, pGot) {
-		t.Fatalf("%s: plans differ\nbuild:       %+v\ninstantiate: %+v", label, pWant, pGot)
+		t.Fatalf("%s: plans differ\nreference: %+v\ntemplate:  %+v", label, pWant, pGot)
 	}
 	if sw, sg := fmt.Sprintf("%+v", pWant), fmt.Sprintf("%+v", pGot); sw != sg {
-		t.Fatalf("%s: plan renderings differ\nbuild:       %s\ninstantiate: %s", label, sw, sg)
+		t.Fatalf("%s: plan renderings differ\nreference: %s\ntemplate:  %s", label, sw, sg)
 	}
 }
 
@@ -82,21 +68,21 @@ func assertPlansIdentical(t *testing.T, label string, pWant *Plan, errWant error
 // lockstep across the two graphs.
 func equivPlanners(seed int64) []struct {
 	name       string
-	forBuild   Planner
+	forRef     Planner
 	forInst    Planner
 	chainsOnly bool
 } {
 	return []struct {
 		name       string
-		forBuild   Planner
+		forRef     Planner
 		forInst    Planner
 		chainsOnly bool
 	}{
-		{name: "basic", forBuild: Basic{}, forInst: Basic{}},
-		{name: "basic-no-tiebreak", forBuild: Basic{NoTieBreak: true}, forInst: Basic{NoTieBreak: true}},
-		{name: "tradeoff", forBuild: Tradeoff{}, forInst: Tradeoff{}},
-		{name: "twopass", forBuild: TwoPass{}, forInst: TwoPass{}},
-		{name: "random", forBuild: NewRandom(seed), forInst: NewRandom(seed), chainsOnly: true},
+		{name: "basic", forRef: Basic{}, forInst: Basic{}},
+		{name: "basic-no-tiebreak", forRef: Basic{NoTieBreak: true}, forInst: Basic{NoTieBreak: true}},
+		{name: "tradeoff", forRef: Tradeoff{}, forInst: Tradeoff{}},
+		{name: "twopass", forRef: TwoPass{}, forInst: TwoPass{}},
+		{name: "random", forRef: NewRandom(seed), forInst: NewRandom(seed), chainsOnly: true},
 	}
 }
 
@@ -105,14 +91,14 @@ func equivPlanners(seed int64) []struct {
 // after recycling to prove pooled buffers do not leak state.
 func checkEquivalence(t *testing.T, label string, service *svc.Service, binding svc.Binding, snap *broker.Snapshot, seed int64) {
 	t.Helper()
-	gWant, errW := qrg.Build(service, binding, snap)
+	gWant, errW := qrgtest.ReferenceBuild(service, binding, snap, qrg.BuildOptions{})
 	tpl, errC := qrg.Compile(service, binding)
 	if errC != nil {
 		t.Fatalf("%s: compile failed: %v", label, errC)
 	}
 	gGot, errI := tpl.Instantiate(snap)
 	if (errW == nil) != (errI == nil) {
-		t.Fatalf("%s: build err %v, instantiate err %v", label, errW, errI)
+		t.Fatalf("%s: reference err %v, template err %v", label, errW, errI)
 	}
 	if errW != nil {
 		return
@@ -124,7 +110,7 @@ func checkEquivalence(t *testing.T, label string, service *svc.Service, binding 
 		if pp.chainsOnly && !isChain {
 			continue
 		}
-		pW, eW := pp.forBuild.Plan(gWant)
+		pW, eW := pp.forRef.Plan(gWant)
 		pG, eG := pp.forInst.Plan(gGot)
 		assertPlansIdentical(t, label+"/"+pp.name, pW, eW, pG, eG)
 	}
@@ -142,11 +128,12 @@ func checkEquivalence(t *testing.T, label string, service *svc.Service, binding 
 	tpl.Recycle(gGot2)
 }
 
-// TestTemplateEquivalenceRandomized is the acceptance test of the fast
-// lane: >= 200 seeded scenarios (random chains, fan-in DAGs, and their
-// infeasible-snapshot variants) with plan-for-plan identity between
-// Compile+Instantiate and qrg.Build under basic (with and without
-// tie-break), tradeoff, random (same seed), and two-pass planners.
+// TestTemplateEquivalenceRandomized is the acceptance test of the
+// compiled template: >= 200 seeded scenarios (random chains, fan-in
+// DAGs, and their infeasible-snapshot variants) with plan-for-plan
+// identity between Compile+Instantiate and the reference builder under
+// basic (with and without tie-break), tradeoff, random (same seed), and
+// two-pass planners.
 func TestTemplateEquivalenceRandomized(t *testing.T) {
 	scenarios := 0
 
@@ -197,10 +184,10 @@ func TestTemplateEquivalenceAcrossSnapshots(t *testing.T) {
 			avail[r] = float64(step) * 4
 		}
 		s := &broker.Snapshot{Avail: avail, Alpha: snap.Alpha}
-		gWant, errW := qrg.Build(service, binding, s)
+		gWant, errW := qrgtest.ReferenceBuild(service, binding, s, qrg.BuildOptions{})
 		gGot, errI := tpl.Instantiate(s)
 		if (errW == nil) != (errI == nil) {
-			t.Fatalf("step %d: build err %v, instantiate err %v", step, errW, errI)
+			t.Fatalf("step %d: reference err %v, template err %v", step, errW, errI)
 		}
 		if errW != nil {
 			continue

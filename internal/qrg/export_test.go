@@ -1,9 +1,5 @@
 package qrg
 
-// ReferenceBuild exposes the differential oracle to the external test
-// package, which may import the planners of internal/core.
-var ReferenceBuild = referenceBuild
-
-// GPUChain is the fixture whose unreachable input level needs an
-// unbound resource.
-var GPUChain = gpuChain
+// RaceEnabled tells the external test package whether the race detector
+// instruments this build.
+const RaceEnabled = raceEnabled

@@ -11,6 +11,7 @@ import (
 	"qosres/internal/core"
 	"qosres/internal/qos"
 	"qosres/internal/qrg"
+	"qosres/internal/qrg/qrgtest"
 	"qosres/internal/svc"
 	"qosres/internal/workload"
 )
@@ -41,7 +42,7 @@ var fixtures = []func() (*svc.Service, svc.Binding, *broker.Snapshot){
 		return workload.DagService(), workload.DagBinding(), workload.DagSnapshot()
 	},
 	func() (*svc.Service, svc.Binding, *broker.Snapshot) { return workload.SyntheticChain(6, 4) },
-	qrg.GPUChain,
+	gpuChain,
 }
 
 // genService draws a service, binding and availability snapshot.
@@ -196,33 +197,11 @@ func scaled(snap *broker.Snapshot, f float64) *broker.Snapshot {
 	return &broker.Snapshot{At: snap.At, Avail: avail, Alpha: snap.Alpha}
 }
 
-// sameSlice is reflect.DeepEqual that lets nil equal empty: the
-// reference builder grows its slices from nil, instantiation reuses
-// pooled ones.
-func sameSlice(a, b interface{}) bool {
-	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
-	if va.Len() == 0 && vb.Len() == 0 {
-		return true
-	}
-	return reflect.DeepEqual(a, b)
-}
-
 // requireSameGraph compares every observable field of the two graphs.
 func requireSameGraph(t *testing.T, label string, want, got *qrg.Graph) {
 	t.Helper()
-	switch {
-	case !sameSlice(want.Nodes, got.Nodes):
-		t.Fatalf("%s: nodes differ\nreference: %+v\ntemplate:  %+v", label, want.Nodes, got.Nodes)
-	case !sameSlice(want.Edges, got.Edges):
-		t.Fatalf("%s: edges differ\nreference: %+v\ntemplate:  %+v", label, want.Edges, got.Edges)
-	case !sameSlice(want.OutEdges, got.OutEdges):
-		t.Fatalf("%s: out-adjacency differs\nreference: %v\ntemplate:  %v", label, want.OutEdges, got.OutEdges)
-	case !sameSlice(want.InEdges, got.InEdges):
-		t.Fatalf("%s: in-adjacency differs\nreference: %v\ntemplate:  %v", label, want.InEdges, got.InEdges)
-	case want.Source != got.Source:
-		t.Fatalf("%s: source %d vs %d", label, want.Source, got.Source)
-	case !sameSlice(want.Sinks, got.Sinks):
-		t.Fatalf("%s: sinks differ: %v vs %v", label, want.Sinks, got.Sinks)
+	if diff := qrgtest.GraphDiff(want, got); diff != "" {
+		t.Fatalf("%s: %s", label, diff)
 	}
 }
 
@@ -286,7 +265,7 @@ func FuzzTemplateMatchesReference(f *testing.F) {
 		tpl, errC := qrg.Compile(service, binding)
 		for round, s := range []*broker.Snapshot{snap, scaled(snap, 0.5), scaled(snap, 0.25), scaled(snap, 0)} {
 			label := fmt.Sprintf("round %d", round)
-			want, errW := qrg.ReferenceBuild(service, binding, s, opts)
+			want, errW := qrgtest.ReferenceBuild(service, binding, s, opts)
 			if errC != nil {
 				if errW == nil {
 					t.Fatalf("%s: compile refused what the reference builds: %v", label, errC)

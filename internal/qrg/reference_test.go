@@ -1,204 +1,173 @@
-package qrg
+package qrg_test
 
 import (
 	"fmt"
-	"sort"
+	"strings"
+	"testing"
 
 	"qosres/internal/broker"
 	"qosres/internal/qos"
+	"qosres/internal/qrg"
+	"qosres/internal/qrg/qrgtest"
 	"qosres/internal/svc"
+	"qosres/internal/workload"
 )
 
-// referenceBuild is the differential oracle for Compile + Instantiate:
-// the QRG of section 4.1.1 built directly, one component at a time,
-// with no precomputation. It binds a translation pair when it first
-// evaluates it from a live input node, grows adjacency edge by edge, and
-// enumerates fan-in combinations of the live upstream Qout nodes only.
-// The template must produce the same graph, field for field, and refuse
-// exactly what this refuses (FuzzTemplateMatchesReference).
-func referenceBuild(service *svc.Service, binding svc.Binding, snap *broker.Snapshot, opts BuildOptions) (*Graph, error) {
-	if service == nil {
-		return nil, fmt.Errorf("qrg: nil service")
+// The tests here pin Compile + Instantiate to the reference builder of
+// package qrgtest on fixed services; FuzzTemplateMatchesReference does
+// the same on generated ones.
+
+func lvl(name string, q float64) svc.Level {
+	return svc.Level{Name: name, Vector: qos.MustVector(qos.P("q", q))}
+}
+
+// gpuChain is a two-component chain whose c2 declares an input level,
+// "orphan", that c1 never produces, and whose translation from it needs
+// a "gpu" the binding leaves unbound. No live node ever reaches that
+// pair, so the service needs no gpu.
+func gpuChain() (*svc.Service, svc.Binding, *broker.Snapshot) {
+	c1 := &svc.Component{
+		ID: "c1", In: []svc.Level{lvl("src", 0)},
+		Out:       []svc.Level{lvl("hi", 1)},
+		Translate: svc.TranslationTable{"src": {"hi": {"cpu": 10}}}.Func(),
+		Resources: []string{"cpu"},
 	}
-	if snap == nil {
-		return nil, fmt.Errorf("qrg: nil snapshot")
+	c2 := &svc.Component{
+		ID: "c2", In: []svc.Level{lvl("in-hi", 1), lvl("orphan", 7)},
+		Out: []svc.Level{lvl("best", 10)},
+		Translate: svc.TranslationTable{
+			"in-hi":  {"best": {"cpu": 10}},
+			"orphan": {"best": {"gpu": 1}},
+		}.Func(),
+		Resources: []string{"cpu", "gpu"},
 	}
-	contention := opts.Contention
-	if contention == nil {
-		contention = RatioContention
+	service := svc.MustService("gpu-chain", []*svc.Component{c1, c2},
+		[]svc.Edge{{From: "c1", To: "c2"}}, []string{"best"})
+	binding := svc.Binding{"c1": {"cpu": "h1/cpu"}, "c2": {"cpu": "h2/cpu"}}
+	snap := &broker.Snapshot{
+		Avail: qos.ResourceVector{"h1/cpu": 100, "h2/cpu": 100},
+		Alpha: map[string]float64{"h1/cpu": 1, "h2/cpu": 1},
 	}
-	order, err := service.TopoOrder()
+	return service, binding, snap
+}
+
+// TestCompileBindsLazily pins the binding rule: a pair the binding
+// cannot resolve fails an instantiation only when a live input node
+// evaluates it, exactly where the reference builder fails.
+func TestCompileBindsLazily(t *testing.T) {
+	service, binding, snap := gpuChain()
+	tpl, err := qrg.Compile(service, binding)
 	if err != nil {
-		return nil, err
+		t.Fatalf("compile refused an unreachable unbound pair: %v", err)
 	}
-	g := &Graph{Service: service, Source: -1, Snapshot: snap}
+	g, err := tpl.Instantiate(snap)
+	if err != nil {
+		t.Fatalf("instantiate: %v", err)
+	}
+	if len(g.Sinks) != 1 || g.NodeCount() != 4 {
+		t.Fatalf("graph has %d nodes and sinks %v, want 4 nodes and one sink", g.NodeCount(), g.Sinks)
+	}
 
-	// outNodes[comp] lists the Qout node IDs created for comp, in the
-	// component's declared level order.
-	outNodes := make(map[svc.ComponentID][]int, len(order))
+	// Make the orphan level reachable: c1 now also produces it, and the
+	// unbound gpu pair is evaluated from a live node.
+	c1 := service.Components["c1"]
+	c1.Out = append(c1.Out, lvl("lo", 7))
+	c1.Translate = svc.TranslationTable{"src": {"hi": {"cpu": 10}, "lo": {"cpu": 5}}}.Func()
+	if _, err := qrgtest.ReferenceBuild(service, binding, snap, qrg.BuildOptions{}); err == nil {
+		t.Fatal("reference builder accepted a live unbound pair")
+	}
+	tpl, err = qrg.Compile(service, binding)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if _, err := tpl.Instantiate(snap); err == nil || !strings.Contains(err.Error(), `"gpu"`) {
+		t.Fatalf("instantiate error = %v, want the gpu binding error", err)
+	}
+	// Drained, the live node reaching the pair is pruned and the error
+	// goes with it, as in the reference builder.
+	drained := &broker.Snapshot{Avail: qos.ResourceVector{}, Alpha: map[string]float64{}}
+	if _, err := qrgtest.ReferenceBuild(service, binding, drained, qrg.BuildOptions{}); err != nil {
+		t.Fatalf("reference builder on drained snapshot: %v", err)
+	}
+	if _, err := tpl.Instantiate(drained); err != nil {
+		t.Fatalf("instantiate on drained snapshot: %v", err)
+	}
+}
 
-	for _, cid := range order {
-		comp := service.Components[cid]
-		preds := service.Preds(cid)
-		sort.Slice(preds, func(i, j int) bool { return preds[i] < preds[j] })
-
-		// 1. The component's Qin nodes plus incoming equivalence edges.
-		var inIDs []int
-		switch len(preds) {
-		case 0:
-			// Source component: single Qin node, the source data quality.
-			if g.Source != -1 {
-				return nil, fmt.Errorf("qrg: service %s has multiple source components", service.Name)
-			}
-			g.Source = g.addNode(Node{Comp: cid, Kind: In, Level: comp.In[0]})
-			inIDs = append(inIDs, g.Source)
-		case 1:
-			// Chain / fan-out upstream: one Qin node per distinct matched
-			// input level; equivalence edges from every upstream Qout node
-			// whose vector equals it.
-			byLevel := make(map[string]int)
-			for _, up := range outNodes[preds[0]] {
-				lvl, ok := matchInLevel(comp, g.Nodes[up].Level.Vector)
-				if !ok {
-					continue // dead-end upstream level; no equivalence
-				}
-				id, exists := byLevel[lvl.Name]
-				if !exists {
-					id = g.addNode(Node{Comp: cid, Kind: In, Level: lvl})
-					byLevel[lvl.Name] = id
-					inIDs = append(inIDs, id)
-				}
-				g.addEdge(Edge{From: up, To: id, Kind: Equivalence})
-			}
-		default:
-			// Fan-in: one Qin node per combination of upstream Qout
-			// nodes; the Qin vector is the labelled concatenation of the
-			// upstream Qout vectors.
-			for _, combo := range crossProduct(preds, outNodes) {
-				labels := make([]string, len(preds))
-				vectors := make([]qos.Vector, len(preds))
-				parts := make(map[svc.ComponentID]int, len(preds))
-				for i, p := range preds {
-					labels[i] = string(p)
-					vectors[i] = g.Nodes[combo[i]].Level.Vector
-					parts[p] = combo[i]
-				}
-				lvl, ok := matchInLevel(comp, qos.ConcatAll(labels, vectors))
-				if !ok {
-					continue
-				}
-				id := g.addNode(Node{Comp: cid, Kind: In, Level: lvl, Parts: parts})
-				inIDs = append(inIDs, id)
-				for _, up := range combo {
-					g.addEdge(Edge{From: up, To: id, Kind: Equivalence})
-				}
-			}
+// TestTemplateMatchesBuildOnWorkloads pins the template to the
+// reference builder on every fixture (the video chain, the figure-6 DAG,
+// a synthetic chain and the gpu chain) under each contention function,
+// across three instantiations on recycled buffers.
+func TestTemplateMatchesBuildOnWorkloads(t *testing.T) {
+	for i, fixture := range fixtures {
+		service, binding, snap := fixture()
+		tpl, err := qrg.Compile(service, binding)
+		if err != nil {
+			t.Fatalf("fixture %d: compile: %v", i, err)
 		}
-
-		// 2. Qout nodes and translation edges for every feasible
-		// (Qin, Qout) pair.
-		outByLevel := make(map[string]int, len(comp.Out))
-		for _, lvl := range comp.Out {
-			for _, inID := range inIDs {
-				req, ok := comp.Translate(g.Nodes[inID].Level, lvl)
-				if !ok {
-					continue // unsupported translation pair
-				}
-				bound, err := binding.Bind(cid, req)
+		for _, cname := range []string{"ratio", "headroom", "log"} {
+			cf, ok := qrg.ContentionByName(cname)
+			if !ok {
+				t.Fatalf("unknown contention %q", cname)
+			}
+			label := fmt.Sprintf("fixture %d/%s", i, cname)
+			opts := qrg.BuildOptions{Contention: cf}
+			want, err := qrgtest.ReferenceBuild(service, binding, snap, opts)
+			if err != nil {
+				t.Fatalf("%s: reference build: %v", label, err)
+			}
+			for round := 0; round < 3; round++ {
+				got, err := tpl.InstantiateWithOptions(snap, opts)
 				if err != nil {
-					return nil, fmt.Errorf("qrg: service %s: %v", service.Name, err)
+					t.Fatalf("%s: instantiate: %v", label, err)
 				}
-				psi, bottleneck, feasible := newBoundReq(bound).weight(snap.Avail, contention)
-				if !feasible {
-					continue
-				}
-				outID, exists := outByLevel[lvl.Name]
-				if !exists {
-					outID = g.addNode(Node{Comp: cid, Kind: Out, Level: lvl})
-					outByLevel[lvl.Name] = outID
-				}
-				g.addEdge(Edge{
-					From:       inID,
-					To:         outID,
-					Kind:       Translation,
-					Weight:     psi,
-					Req:        bound,
-					Bottleneck: bottleneck,
-					Alpha:      snap.Alpha[bottleneck],
-				})
-			}
-		}
-		for _, lvl := range comp.Out {
-			if id, ok := outByLevel[lvl.Name]; ok {
-				outNodes[cid] = append(outNodes[cid], id)
+				requireSameGraph(t, label, want, got)
+				tpl.Recycle(got)
 			}
 		}
 	}
-	if g.Source == -1 {
-		return nil, fmt.Errorf("qrg: service %s produced no source node", service.Name)
-	}
+}
 
-	// 3. Rank the sink component's Qout nodes best-first.
-	sinkComp, err := service.Sink()
+// TestInstantiateAllocsRegression is the allocation guard: instantiating
+// from a compiled template must allocate at least 5x less than the
+// reference builder, and the template's weight evaluation
+// (pre-sorted entries, shared Req maps, pooled scratch) must stay in
+// the single-digit range for the video chain.
+func TestInstantiateAllocsRegression(t *testing.T) {
+	service := workload.VideoService()
+	binding := workload.VideoBinding()
+	snap := workload.VideoSnapshot()
+	tpl, err := qrg.Compile(service, binding)
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	byName := make(map[string]int)
-	for _, id := range outNodes[sinkComp.ID] {
-		byName[g.Nodes[id].Level.Name] = id
-	}
-	for _, name := range service.EndToEndRanking {
-		if id, ok := byName[name]; ok {
-			g.Sinks = append(g.Sinks, Sink{Node: id, Rank: service.RankOf(name)})
+	// Warm the pools before measuring steady state.
+	for i := 0; i < 4; i++ {
+		g, err := tpl.Instantiate(snap)
+		if err != nil {
+			t.Fatal(err)
 		}
+		tpl.Recycle(g)
 	}
-	return g, nil
-}
-
-// matchInLevel finds the component's declared input level whose vector
-// equals v.
-func matchInLevel(comp *svc.Component, v qos.Vector) (svc.Level, bool) {
-	for _, lvl := range comp.In {
-		if lvl.Vector.Equal(v) {
-			return lvl, true
+	instAllocs := testing.AllocsPerRun(200, func() {
+		g, err := tpl.Instantiate(snap)
+		if err != nil {
+			t.Fatal(err)
 		}
+		tpl.Recycle(g)
+	})
+	buildAllocs := testing.AllocsPerRun(200, func() {
+		if _, err := qrgtest.ReferenceBuild(service, binding, snap, qrg.BuildOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs/op: instantiate %.1f, reference build %.1f", instAllocs, buildAllocs)
+	if instAllocs*5 > buildAllocs {
+		t.Fatalf("instantiate allocates %.1f/op vs reference build %.1f/op; want >= 5x fewer", instAllocs, buildAllocs)
 	}
-	return svc.Level{}, false
-}
-
-// crossProduct enumerates every combination choosing one Qout node per
-// upstream component, preserving pred order (last upstream fastest).
-func crossProduct(preds []svc.ComponentID, outNodes map[svc.ComponentID][]int) [][]int {
-	combos := [][]int{nil}
-	for _, p := range preds {
-		outs := outNodes[p]
-		if len(outs) == 0 {
-			return nil // some upstream component has no feasible output
-		}
-		next := make([][]int, 0, len(combos)*len(outs))
-		for _, c := range combos {
-			for _, o := range outs {
-				next = append(next, append(append([]int(nil), c...), o))
-			}
-		}
-		combos = next
+	// The race detector randomizes sync.Pool reuse, so the absolute
+	// steady-state bound only holds on uninstrumented builds.
+	if !qrg.RaceEnabled && instAllocs > 8 {
+		t.Fatalf("instantiate allocates %.1f/op at steady state, want single digits", instAllocs)
 	}
-	return combos
-}
-
-// addNode appends a node and returns its ID.
-func (g *Graph) addNode(n Node) int {
-	n.ID = len(g.Nodes)
-	g.Nodes = append(g.Nodes, n)
-	g.OutEdges = append(g.OutEdges, nil)
-	g.InEdges = append(g.InEdges, nil)
-	return n.ID
-}
-
-// addEdge appends an edge and wires adjacency.
-func (g *Graph) addEdge(e Edge) {
-	e.ID = len(g.Edges)
-	g.Edges = append(g.Edges, e)
-	g.OutEdges[e.From] = append(g.OutEdges[e.From], e.ID)
-	g.InEdges[e.To] = append(g.InEdges[e.To], e.ID)
 }

@@ -27,8 +27,9 @@ import (
 // per-snapshot loop. Node and edge IDs follow a fixed creation order
 // (topological, then declared level order), which the planners' ID-based
 // tie-breaks rely on. FuzzTemplateMatchesReference pins every
-// instantiation to a straightforward reference builder kept beside the
-// tests: same graph, field for field, and the same plans.
+// instantiation to a straightforward reference builder, which only tests
+// import (package qrgtest): same graph, field for field, and the same
+// plans.
 
 // tmplComp is the compiled form of one component, in topological order.
 type tmplComp struct {
