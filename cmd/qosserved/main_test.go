@@ -458,6 +458,69 @@ func wideFanInBody(t *testing.T, offer specReply) []byte {
 	return body
 }
 
+// wideComponentBody is an /establish body whose second component
+// declares 100 input and 100 output levels: 10,000 requirement cells
+// for the QRG compiler.
+func wideComponentBody(t *testing.T, offer specReply) []byte {
+	t.Helper()
+	var resource string
+	for _, res := range offer.Session.Binding {
+		for _, concrete := range res {
+			resource = concrete
+		}
+	}
+	cpu := map[string]float64{"cpu": 1}
+	in := map[string]map[string]float64{}
+	out := map[string]map[string]float64{}
+	var ranking []string
+	for i := 0; i < 100; i++ {
+		in["I"+strconv.Itoa(i)] = map[string]float64{"q": float64(i)}
+		out["O"+strconv.Itoa(i)] = map[string]float64{"q": float64(i)}
+		ranking = append(ranking, "O"+strconv.Itoa(i))
+	}
+	doc := &spec.Session{
+		Name:         "wide",
+		Ranking:      ranking,
+		Availability: map[string]float64{resource: 100},
+		Components: []spec.Component{{
+			ID: "src", In: map[string]map[string]float64{"raw": {"q": 0}},
+			Out:       map[string]map[string]float64{"s": {"q": 0}},
+			Table:     map[string]map[string]map[string]float64{"raw": {"s": cpu}},
+			Resources: []string{"cpu"},
+		}, {
+			ID: "big", In: in, Out: out,
+			Table:     map[string]map[string]map[string]float64{"I0": {"O0": cpu}},
+			Resources: []string{"cpu"},
+		}},
+		Edges:   []spec.Edge{{From: "src", To: "big"}},
+		Binding: map[string]map[string]string{"src": {"cpu": resource}, "big": {"cpu": resource}},
+	}
+	body, err := json.Marshal(map[string]any{"mainHost": offer.MainHost, "session": doc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestServedRefusesWideComponent posts a document whose one component
+// would cost the QRG compiler a 10,000-cell requirement table: the
+// daemon refuses it with 409, naming the component.
+func TestServedRefusesWideComponent(t *testing.T) {
+	s, srv, _ := newTestServer(t, t.TempDir(), false, &manualClock{})
+	defer srv.Close()
+	defer s.env.Close()
+
+	var offer specReply
+	if err := json.Unmarshal([]byte(getBody(t, srv.URL+"/spec")), &offer); err != nil {
+		t.Fatalf("parse /spec: %v", err)
+	}
+	body := wideComponentBody(t, offer)
+	code, reply := postJSON(t, srv.URL+"/establish", body)
+	if code != http.StatusConflict || !strings.Contains(string(reply), "component big has 100 input × 100 output levels") {
+		t.Fatalf("%d-byte wide component: status %d: %s", len(body), code, reply)
+	}
+}
+
 // TestServedRefusesWideFanIn posts a small document whose fan-in would
 // cost the QRG compiler a million-cell table: the daemon refuses it
 // with 409 at once instead of stalling.

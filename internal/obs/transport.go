@@ -12,7 +12,7 @@ const (
 	// message kind (availability, model, prepare, commit, abort).
 	MetricTransportMessages = "qosres_transport_messages_total"
 	// MetricTransportDropped counts deliveries dropped by the fabric, by
-	// reason (loss, partition, closed).
+	// reason (loss, partition, closed, no_handler).
 	MetricTransportDropped = "qosres_transport_dropped_total"
 	// MetricTransportDuplicated counts deliveries the fabric duplicated.
 	MetricTransportDuplicated = "qosres_transport_duplicated_total"

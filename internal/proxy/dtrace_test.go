@@ -23,8 +23,9 @@ func tracedWorld(t *testing.T, fabric transport.Options, opts Options) (*Runtime
 }
 
 // waitTraces polls until the recorder has retained n completed traces —
-// participant spans end asynchronously in the serve goroutines, so the
-// flush can trail the coordinator's root-end by a scheduling beat.
+// participant spans of delayed or duplicated deliveries end on the
+// fabric's delivery goroutines, so the flush can trail the
+// coordinator's root-end by a scheduling beat.
 func waitTraces(t *testing.T, rec *obs.TraceRecorder, n int) []obs.CompletedTrace {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -86,9 +87,8 @@ func TestDuplicatedPrepareTracesOneParticipantSpan(t *testing.T) {
 	if _, err := fabric.Call(ctx, "X", "Y", msgCommit, commitRequest{id: "t-1"}); err != nil {
 		t.Fatal(err)
 	}
-	// Settle enqueues the duplicate copies; the follow-up synchronous
-	// call is the processing barrier (the serve loop is FIFO), so by the
-	// time it answers, both duplicates have been handled.
+	// Settle returns once the duplicate copies have been handled: each
+	// runs its handler before the fabric retires it.
 	fabric.Settle()
 	if _, err := fabric.Call(ctx, "X", "Y", msgAvailability, availabilityRequest{}); err != nil {
 		t.Fatal(err)

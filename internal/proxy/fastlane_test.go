@@ -26,9 +26,9 @@ func (b *reportClock) Report(now broker.Time) broker.Report {
 }
 
 // TestStalledParticipantDelaysOnlyItsOwnLeg pins the fan-out: every leg
-// goes out before the first reply is awaited, and a leg to a wedged
-// proxy whose inbox is full waits for room on its own, so the healthy
-// hosts answer at once while the stalled leg runs out its deadline.
+// goes out before the first reply is awaited, so the healthy hosts
+// answer at once while the leg to a stalled proxy runs out its
+// deadline.
 func TestStalledParticipantDelaysOnlyItsOwnLeg(t *testing.T) {
 	rt := NewRuntime(&ManualClock{}, Options{})
 	healthy := []topo.HostID{"A", "B", "C", "D"}
@@ -55,14 +55,7 @@ func TestStalledParticipantDelaysOnlyItsOwnLeg(t *testing.T) {
 	rt.Start()
 	t.Cleanup(rt.Stop)
 
-	release := stallProxy(t, rt, "Y")
-	defer close(release)
-	// Fill the wedged proxy's inbox, with room to spare for none.
-	fill, cancelFill := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelFill()
-	for i := 0; i < 32; i++ {
-		rt.Transport().Go(fill, "test", "Y", msgAvailability, availabilityRequest{})
-	}
+	defer close(stallProxy(t, rt, "Y").release)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
 	defer cancel()
@@ -90,8 +83,9 @@ func TestStalledParticipantDelaysOnlyItsOwnLeg(t *testing.T) {
 	}
 }
 
-// TestFastLanePrepareVsCrashRestart races fast-lane prepares and aborts
-// on a host against repeated crash-restarts of it. Every hold the book
+// TestFastLanePrepareVsCrashRestart races handler-answered prepares and
+// aborts on a host against repeated crash-restarts of it, each of which
+// re-registers the host's endpoint before installing its handlers. Every hold the book
 // carries must belong to a live prepare of the host's idempotency
 // table, before and after a final restart: no handler may mutate the
 // book between the wipe and the replay or outlive its endpoint.

@@ -110,7 +110,8 @@ func (rt *Runtime) StoreSkeleton(mainHost topo.HostID, sk Skeleton) error {
 	return nil
 }
 
-// handleModel serves a model request from the proxy's serve goroutine.
+// handleModel answers a model request from the proxy's model store,
+// which is fixed once the runtime starts.
 func (p *QoSProxy) handleModel(req modelRequest) modelReply {
 	store := p.models[req.service]
 	if store == nil {

@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -74,13 +73,6 @@ func (c *ManualClock) Advance(d broker.Time) {
 	c.now += d
 }
 
-// Set positions the clock.
-func (c *ManualClock) Set(t broker.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = t
-}
-
 // message kinds exchanged between QoSProxies over the fabric (the
 // transport metrics label messages by these).
 const (
@@ -101,13 +93,6 @@ type availabilityReply struct {
 	err     error
 }
 
-// stallRequest is a test hook: it wedges the receiving proxy's serve
-// goroutine until release is closed, simulating a QoSProxy that accepts
-// messages but never answers them.
-type stallRequest struct {
-	release chan struct{}
-}
-
 // QoSProxy is the per-host reservation coordinator.
 type QoSProxy struct {
 	host topo.HostID
@@ -123,9 +108,8 @@ type QoSProxy struct {
 	skeletons map[string]Skeleton
 
 	// mu serialises the two-phase-commit participant: the prepare,
-	// commit and abort handlers, whether they run on the fast lane or on
-	// the serve loop, and the crash that wipes and replays what they
-	// guard. It guards pending and order.
+	// commit and abort handlers and the crash that wipes and replays
+	// what they guard. It guards pending and order.
 	mu sync.Mutex
 	// pending is the idempotency table of the two-phase commit
 	// participant (see twophase.go).
@@ -133,17 +117,9 @@ type QoSProxy struct {
 	// order remembers pending insertion order for bounded GC.
 	order []string
 
-	// ep and done belong to the current Start..Stop cycle; a restarted
-	// runtime re-registers the endpoint and spawns a fresh serve loop.
-	ep   *transport.Endpoint
-	done chan struct{}
-	wg   sync.WaitGroup
-
-	// wedged mirrors an injected stall (stallRequest) for the fast lane:
-	// while set, its handlers decline, so deliveries queue behind the
-	// stall and callers observe the same wedged-proxy symptoms (deadline
-	// expiry) the serve loop exhibits.
-	wedged atomic.Bool
+	// ep belongs to the current Start..Stop cycle; a restarted runtime
+	// re-registers the endpoint.
+	ep *transport.Endpoint
 }
 
 // newQoSProxy constructs (but does not start) a proxy.
@@ -156,70 +132,76 @@ func newQoSProxy(host topo.HostID, rt *Runtime) *QoSProxy {
 	}
 }
 
-// Host returns the proxy's host.
-func (p *QoSProxy) Host() topo.HostID { return p.host }
-
 // addr is the proxy's fabric address.
 func (p *QoSProxy) addr() transport.Addr { return transport.Addr(p.host) }
 
-// Resources lists the resource IDs of the brokers deployed at this host,
-// sorted.
-func (p *QoSProxy) Resources() []string {
-	out := make([]string, 0, len(p.brokers))
-	for r := range p.brokers {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// listen registers the proxy's fabric endpoint with its fast lane and
-// launches its serve goroutine, for one Start..Stop cycle or one
-// restart. Availability queries are wait-free broker reads; prepare,
-// commit and abort run under p.mu. Both are answered on the delivering
-// goroutine, so an admission on a perfect fabric never waits on the
-// serve loop, which is left the deliveries a handler declined and the
-// message kinds without one.
+// listen registers the proxy's fabric endpoint and its handlers, for
+// one Start..Stop cycle or one restart. The endpoint has no inbox: a
+// message is answered on the delivering goroutine or not at all, and
+// one that lands before its handler is installed is dropped like a
+// lost message instead of stranding in a queue.
 func (p *QoSProxy) listen() {
-	ep := p.rt.fabric.Endpoint(p.addr(), 16)
-	ep.SetHandler(msgAvailability, p.handleAvailabilityFast)
-	twoPhase := func(d transport.Delivery) bool { return p.handleTwoPhaseFast(ep, d) }
-	for _, kind := range []string{msgPrepare, msgCommit, msgAbort} {
-		ep.SetHandler(kind, twoPhase)
+	p.ep = p.rt.fabric.Endpoint(p.addr(), 0)
+	for kind, h := range p.handlers() {
+		p.ep.SetHandler(kind, h)
 	}
-	p.ep = ep
-	p.done = make(chan struct{})
-	p.wg.Add(1)
-	go p.serve(p.ep, p.done)
 }
 
-// halt stops the serve goroutine and drops the proxy off the fabric.
-// It returns once no handler can touch the participant state: the serve
-// loop has exited and every fast-lane handler that got p.mu before the
-// endpoint closed has finished — later ones find it closed and drop
-// their delivery, so a crash lands on a message boundary.
+// handlers maps every message kind the proxy answers to its handler on
+// the current endpoint. Availability, model and outcome queries are
+// reads: broker reports, the model store (fixed at Start) and the
+// decide table under decideMu, so a host reconciling under its own mu
+// can query another without deadlock. Prepare, commit and abort run
+// under p.mu, and one that gets it only after the endpoint closed is
+// dropped unanswered: the host crashed or stopped under it, and the
+// caller observes the closure.
+func (p *QoSProxy) handlers() map[string]func(transport.Delivery) {
+	ep := p.ep
+	read := func(d transport.Delivery) {
+		defer p.participantSpan(d).End()
+		switch req := d.Payload.(type) {
+		case availabilityRequest:
+			d.Reply(p.handleAvailability(req))
+		case modelRequest:
+			d.Reply(p.handleModel(req))
+		case outcomeRequest:
+			d.Reply(p.rt.lookupOutcome(req.id))
+		}
+	}
+	twoPhase := func(d transport.Delivery) {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		select {
+		case <-ep.Done():
+			return
+		default:
+		}
+		defer p.participantSpan(d).End()
+		switch req := d.Payload.(type) {
+		case prepareRequest:
+			d.Reply(p.handlePrepare(req))
+		case commitRequest:
+			d.Reply(p.handleCommit(req))
+		case abortRequest:
+			d.Reply(p.handleAbort(req))
+		}
+	}
+	return map[string]func(transport.Delivery){
+		msgAvailability: read, msgModel: read, msgOutcome: read,
+		msgPrepare: twoPhase, msgCommit: twoPhase, msgAbort: twoPhase,
+	}
+}
+
+// halt drops the proxy off the fabric. It returns once no handler can
+// touch the participant state: every two-phase handler that got p.mu
+// before the endpoint closed has finished, and later ones find it
+// closed and drop their delivery, so a crash lands on a message
+// boundary.
 func (p *QoSProxy) halt() {
-	close(p.done)
 	p.ep.Close()
-	p.wg.Wait()
 	// An empty critical section: a barrier behind the handler in flight.
 	p.mu.Lock()
 	p.mu.Unlock()
-}
-
-// serve is the proxy goroutine: it handles the deliveries that reach
-// the inbox.
-func (p *QoSProxy) serve(ep *transport.Endpoint, done chan struct{}) {
-	defer p.wg.Done()
-	for {
-		select {
-		case <-done:
-			return
-		case d := <-ep.Inbox():
-			p.handle(d)
-			d.Done()
-		}
-	}
 }
 
 // participantSpan opens this proxy's span for a traced delivery,
@@ -237,86 +219,6 @@ func (p *QoSProxy) participantSpan(d transport.Delivery) obs.ActiveSpan {
 		return obs.ActiveSpan{}
 	}
 	return p.rt.tracer.ChildOf(d.Span, d.Kind, string(p.host))
-}
-
-// handle dispatches one delivery under its participant span. Replies
-// cross the fabric back to the caller (and suffer the route's chaos on
-// the way).
-func (p *QoSProxy) handle(d transport.Delivery) {
-	defer p.participantSpan(d).End()
-	switch req := d.Payload.(type) {
-	case availabilityRequest:
-		d.Reply(p.handleAvailability(req))
-	case modelRequest:
-		d.Reply(p.handleModel(req))
-	case prepareRequest, commitRequest, abortRequest:
-		p.mu.Lock()
-		p.handleTwoPhase(d)
-		p.mu.Unlock()
-	case outcomeRequest:
-		d.Reply(p.handleOutcome(req))
-	case stallRequest:
-		// Wedge the whole proxy, fast lane included: availability
-		// handlers drop requests while wedged so callers time out
-		// exactly as they would against a blocked serve loop.
-		p.wedged.Store(true)
-		<-req.release
-		p.wedged.Store(false)
-	}
-}
-
-// handleTwoPhase answers a prepare, commit or abort. Callers hold p.mu.
-func (p *QoSProxy) handleTwoPhase(d transport.Delivery) {
-	switch req := d.Payload.(type) {
-	case prepareRequest:
-		d.Reply(p.handlePrepare(req))
-	case commitRequest:
-		d.Reply(p.handleCommit(req))
-	case abortRequest:
-		d.Reply(p.handleAbort(req))
-	}
-}
-
-// handleTwoPhaseFast is the participant's fast lane on endpoint ep: the
-// handler runs on the coordinator's goroutine under p.mu. Like the
-// availability lane it declines while the proxy is wedged. A delivery
-// that gets p.mu only after ep closed is dropped unanswered: the host
-// crashed or stopped under it, and the caller observes the closure.
-func (p *QoSProxy) handleTwoPhaseFast(ep *transport.Endpoint, d transport.Delivery) bool {
-	if p.wedged.Load() {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	select {
-	case <-ep.Done():
-		return true
-	default:
-	}
-	defer p.participantSpan(d).End()
-	p.handleTwoPhase(d)
-	return true
-}
-
-// handleAvailabilityFast is the read fast lane: it answers availability
-// queries on the delivering goroutine with wait-free broker reads,
-// never touching the serve loop or any stripe lock, under the same
-// participant span handle opens. While the proxy is wedged (stall
-// injection) the handler declines the delivery instead: it falls back
-// to the inbox and queues FIFO behind the stall, exactly as every
-// request did before the fast lane existed — answered once the stall
-// releases, or timing out on the caller's deadline first.
-func (p *QoSProxy) handleAvailabilityFast(d transport.Delivery) bool {
-	if p.wedged.Load() {
-		return false
-	}
-	defer p.participantSpan(d).End()
-	req, ok := d.Payload.(availabilityRequest)
-	if !ok {
-		return false
-	}
-	d.Reply(p.handleAvailability(req))
-	return true
 }
 
 func (p *QoSProxy) handleAvailability(req availabilityRequest) availabilityReply {
@@ -450,8 +352,8 @@ type Runtime struct {
 	decideMu sync.Mutex
 	decided  map[string]broker.Time
 	// crashMu serializes CrashRestart cycles against each other and
-	// against Stop (which must not double-close a crashed proxy's done
-	// channel mid-restart).
+	// against Stop (which must not close a crashed proxy's endpoint while
+	// the restart replaces it).
 	crashMu sync.Mutex
 }
 
@@ -690,15 +592,9 @@ func (rt *Runtime) Deploy(host topo.HostID, b broker.Broker) error {
 	return nil
 }
 
-// Owner returns the host whose proxy owns a resource.
-func (rt *Runtime) Owner(resource string) (topo.HostID, bool) {
-	h, _, ok := rt.owning(resource)
-	return h, ok
-}
-
-// Start registers every proxy's fabric endpoint and launches its serve
-// goroutine. Idempotent; a stopped runtime can be started again (the
-// endpoints are re-registered).
+// Start registers every proxy's fabric endpoint and handlers.
+// Idempotent; a stopped runtime can be started again (the endpoints are
+// re-registered).
 func (rt *Runtime) Start() {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -711,12 +607,11 @@ func (rt *Runtime) Start() {
 	rt.live.Store(rt.copyDeploymentLocked())
 }
 
-// Stop terminates every proxy goroutine, closes their endpoints (the
-// fabric then drops deliveries to them), and waits for the goroutines.
+// Stop closes every proxy's endpoint (the fabric then drops deliveries
+// to them) and waits out the two-phase handlers in flight.
 func (rt *Runtime) Stop() {
-	// Serialize with CrashRestart: a crashed proxy's done channel is
-	// already closed, and the restart must finish re-arming it before
-	// Stop tears it down.
+	// Serialize with CrashRestart: the restart must finish re-registering
+	// the crashed proxy's endpoint before Stop closes it.
 	rt.crashMu.Lock()
 	defer rt.crashMu.Unlock()
 	rt.mu.Lock()

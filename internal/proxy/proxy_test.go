@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"errors"
+	"sort"
 	"sync"
 	"testing"
 
@@ -230,7 +231,7 @@ func TestRuntimeDeployValidation(t *testing.T) {
 	if err := rt.Deploy("X", b); err == nil {
 		t.Fatal("duplicate resource deploy accepted")
 	}
-	if h, ok := rt.Owner("cpu@X"); !ok || h != "X" {
+	if h, _, ok := rt.owning("cpu@X"); !ok || h != "X" {
 		t.Fatalf("owner = %v %v", h, ok)
 	}
 	rt.Start()
@@ -265,7 +266,7 @@ func TestManualClock(t *testing.T) {
 	if c.Now() != 7.5 {
 		t.Fatalf("now = %v", c.Now())
 	}
-	c.Set(100)
+	c.Advance(92.5)
 	if c.Now() != 100 {
 		t.Fatalf("now = %v", c.Now())
 	}
@@ -276,12 +277,18 @@ func TestProxyResourcesListing(t *testing.T) {
 	rt.mu.Lock()
 	p := rt.proxies["Y"]
 	rt.mu.Unlock()
-	rs := p.Resources()
+	rs := make([]string, 0, len(p.brokers))
+	for r := range p.brokers {
+		rs = append(rs, r)
+	}
+	sort.Strings(rs)
 	if len(rs) != 2 || rs[0] != "cpu@Y" || rs[1] != "net:X->Y" {
 		t.Fatalf("Y resources = %v", rs)
 	}
-	if p.Host() != "Y" {
-		t.Fatalf("host = %v", p.Host())
+	for _, r := range rs {
+		if h, owner, ok := rt.owning(r); !ok || h != "Y" || owner != p {
+			t.Fatalf("%s owned by %v (%p), want Y (%p)", r, h, owner, p)
+		}
 	}
 }
 

@@ -137,13 +137,13 @@ func TestRecoverColdStart(t *testing.T) {
 	rt1.Start()
 	s1 := establishDurable(t, rt1)
 	s2 := establishDurable(t, rt1)
-	c1.Set(5)
+	c1.Advance(5)
 	if err := s1.Heartbeat(); err != nil {
 		t.Fatal(err)
 	}
 	want := make(map[string]float64)
 	holds := make(map[string]int)
-	for _, ex := range s1.HoldExports() {
+	for _, ex := range holdExports(s1) {
 		want[ex.Resource] += ex.Amount
 		holds[ex.Resource]++
 	}
@@ -159,7 +159,7 @@ func TestRecoverColdStart(t *testing.T) {
 	// Second process, t=12: s2's lease lapsed during downtime.
 	reg := obs.New()
 	rt2, c2, brokers2 := durableWorld(t, dir, Options{LeaseTTL: 10, Metrics: reg})
-	c2.Set(12)
+	c2.Advance(12)
 	if err := rt2.Recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -354,11 +354,10 @@ func TestEstablishLosesHoldsBeforeLeasing(t *testing.T) {
 	rt, clock, brokers := durableWorld(t, t.TempDir(), Options{LeaseTTL: 50})
 	rt.Start()
 	p := rt.proxies["Y"]
-	p.ep.SetHandler(msgCommit, func(d transport.Delivery) bool {
+	p.ep.SetHandler(msgCommit, func(d transport.Delivery) {
 		rep := p.handleCommit(d.Payload.(commitRequest))
 		brokers["cpu@Y"].Wipe(clock.Now())
 		d.Reply(rep)
-		return true
 	})
 	service, binding := pipelineService(t)
 	_, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}})
@@ -748,12 +747,12 @@ func TestFailedDecideAbortsEverywhere(t *testing.T) {
 		before := bookState(brokers)
 
 		// Intercept prepares on the delivering goroutine: handle each as the
-		// serve loop would, and close the log once both hosts have journaled
-		// theirs — before either reply reaches the coordinator.
+		// proxy's own handler would, and close the log once both hosts have
+		// journaled theirs — before either reply reaches the coordinator.
 		var prepared atomic.Int32
 		for _, h := range []topo.HostID{"X", "Y"} {
 			p := rt.proxies[h]
-			p.ep.SetHandler(msgPrepare, func(d transport.Delivery) bool {
+			p.ep.SetHandler(msgPrepare, func(d transport.Delivery) {
 				rep := p.handlePrepare(d.Payload.(prepareRequest))
 				if rep.err != nil {
 					t.Errorf("prepare on %s: %v", p.host, rep.err)
@@ -764,7 +763,6 @@ func TestFailedDecideAbortsEverywhere(t *testing.T) {
 					}
 				}
 				d.Reply(rep)
-				return true
 			})
 		}
 

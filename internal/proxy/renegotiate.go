@@ -36,7 +36,6 @@ import (
 	"qosres/internal/qos"
 	"qosres/internal/qrg"
 	"qosres/internal/svc"
-	"qosres/internal/topo"
 )
 
 // LevelAt returns the end-to-end level name at a paper-style rank
@@ -175,9 +174,6 @@ func (s *Session) installLocked(now broker.Time, plan *core.Plan, res *reservati
 // Service returns the session's service model (immutable after
 // establishment).
 func (s *Session) Service() *svc.Service { return s.spec.Service }
-
-// MainHost returns the session's main QoSProxy host.
-func (s *Session) MainHost() topo.HostID { return s.mainHost }
 
 // Touches returns a sorted copy of the concrete resources the live
 // reservation holds capacity on; empty when the session is not active.

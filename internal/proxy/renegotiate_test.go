@@ -11,10 +11,21 @@ import (
 	"qosres/internal/core"
 )
 
+// holdExports snapshots the session's live holds in journalable form;
+// nil once the session is no longer active.
+func holdExports(s *Session) []broker.HoldExport {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.state != StateActive || s.reservation == nil {
+		return nil
+	}
+	return s.reservation.exports()
+}
+
 // holdsByResource sums a session's exported holds per resource.
 func holdsByResource(s *Session) map[string]float64 {
 	out := make(map[string]float64)
-	for _, ex := range s.HoldExports() {
+	for _, ex := range holdExports(s) {
 		out[ex.Resource] += ex.Amount
 	}
 	return out
@@ -134,7 +145,7 @@ func TestRenegotiateFailedUpgradeLeavesSessionUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	planBefore := s.CurrentPlan()
-	holdsBefore := s.HoldExports()
+	holdsBefore := holdExports(s)
 	sort.Slice(holdsBefore, func(i, j int) bool { return holdsBefore[i].ID < holdsBefore[j].ID })
 
 	err := rt.Renegotiate(ctx, s, "best")
@@ -147,7 +158,7 @@ func TestRenegotiateFailedUpgradeLeavesSessionUntouched(t *testing.T) {
 	if got := s.CurrentPlan(); got != planBefore {
 		t.Errorf("failed upgrade swapped the plan: %p -> %p", planBefore, got)
 	}
-	holdsAfter := s.HoldExports()
+	holdsAfter := holdExports(s)
 	sort.Slice(holdsAfter, func(i, j int) bool { return holdsAfter[i].ID < holdsAfter[j].ID })
 	if !reflect.DeepEqual(holdsAfter, holdsBefore) {
 		t.Errorf("failed upgrade moved holds:\n got %v\nwant %v", holdsAfter, holdsBefore)

@@ -83,14 +83,6 @@ type RepairReport struct {
 	Abandoned int
 }
 
-// RepairAffected runs the repair protocol with no deadline — every
-// affected session is examined, however long the sweep takes. Prefer
-// RepairAffectedContext where a mass failure could make an unbounded
-// sweep dangerous.
-func (rt *Runtime) RepairAffected(failed []string) RepairReport {
-	return rt.RepairAffectedContext(context.Background(), failed)
-}
-
 // RepairAffectedContext runs the repair protocol for every live session
 // whose reservation holds capacity on any of the given resources
 // (matched against the reservation's full touch set, including the

@@ -10,6 +10,14 @@ import (
 	"qosres/internal/core"
 )
 
+// repairsOf returns how many fault-driven re-admissions the session has
+// survived.
+func repairsOf(s *Session) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.repairs
+}
+
 func establishPipe(t *testing.T, rt *Runtime, planner core.Planner) *Session {
 	t.Helper()
 	service, binding := pipelineService(t)
@@ -32,7 +40,7 @@ func TestRepairAtSameLevel(t *testing.T) {
 	if err := brokers["cpu@Y"].SetCapacity(clock.Now(), 60); err != nil {
 		t.Fatal(err)
 	}
-	rep := rt.RepairAffected([]string{"cpu@Y"})
+	rep := rt.RepairAffectedContext(context.Background(), []string{"cpu@Y"})
 	if rep.Affected != 1 || rep.Repaired != 1 {
 		t.Fatalf("report = %+v, want 1 affected, 1 repaired", rep)
 	}
@@ -42,8 +50,8 @@ func TestRepairAtSameLevel(t *testing.T) {
 	if s.State() != StateActive {
 		t.Fatalf("state = %s, want active", s.State())
 	}
-	if s.Repairs() != 1 {
-		t.Fatalf("repairs = %d", s.Repairs())
+	if repairsOf(s) != 1 {
+		t.Fatalf("repairs = %d", repairsOf(s))
 	}
 	// The initially admitted plan is preserved verbatim.
 	if s.Plan.EndToEnd.Name != "best" {
@@ -68,7 +76,7 @@ func TestRepairDegradesWhenTargetInfeasible(t *testing.T) {
 	if err := brokers["cpu@Y"].SetCapacity(clock.Now(), 15); err != nil {
 		t.Fatal(err)
 	}
-	rep := rt.RepairAffected([]string{"cpu@Y"})
+	rep := rt.RepairAffectedContext(context.Background(), []string{"cpu@Y"})
 	if rep.Affected != 1 || rep.Degraded != 1 {
 		t.Fatalf("report = %+v, want 1 affected, 1 degraded", rep)
 	}
@@ -90,7 +98,7 @@ func TestRepairTerminatesWhenNothingFeasible(t *testing.T) {
 	// Every level of the service needs the network; with it down even
 	// the tradeoff downgrade has no feasible plan.
 	brokers["net:X->Y"].Fail(clock.Now())
-	rep := rt.RepairAffected([]string{"net:X->Y"})
+	rep := rt.RepairAffectedContext(context.Background(), []string{"net:X->Y"})
 	if rep.Affected != 1 || rep.Failed != 1 {
 		t.Fatalf("report = %+v, want 1 affected, 1 failed", rep)
 	}
@@ -116,12 +124,12 @@ func TestRepairTerminatesWhenNothingFeasible(t *testing.T) {
 func TestRepairIgnoresUntouchedSessions(t *testing.T) {
 	rt, _, _ := twoHostWorld(t, Options{})
 	s := establishPipe(t, rt, core.Basic{})
-	rep := rt.RepairAffected([]string{"link:L99"})
+	rep := rt.RepairAffectedContext(context.Background(), []string{"link:L99"})
 	if rep.Affected != 0 {
 		t.Fatalf("report = %+v, want no affected sessions", rep)
 	}
-	if s.Repairs() != 0 || s.State() != StateActive {
-		t.Fatalf("untouched session changed: %d repairs, state %s", s.Repairs(), s.State())
+	if repairsOf(s) != 0 || s.State() != StateActive {
+		t.Fatalf("untouched session changed: %d repairs, state %s", repairsOf(s), s.State())
 	}
 	if err := s.Release(); err != nil {
 		t.Fatal(err)
@@ -157,7 +165,7 @@ func TestReleaseRacingRepair(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			rt.RepairAffected([]string{"cpu@Y"})
+			rt.RepairAffectedContext(context.Background(), []string{"cpu@Y"})
 		}()
 		wg.Wait()
 

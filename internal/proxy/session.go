@@ -532,14 +532,6 @@ func (s *Session) State() SessionState {
 	return s.state
 }
 
-// Repairs returns how many fault-driven re-admissions the session has
-// survived.
-func (s *Session) Repairs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.repairs
-}
-
 // terminateLocked is the single teardown path: every way a session ends
 // — owner Release, repair failure, lease loss — lands here with s.mu
 // held. The first caller moves the session out of StateActive, releases

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,44 +23,45 @@ func unreliableWorld(t *testing.T, fabric transport.Options, opts Options) (*Run
 	return twoHostWorld(t, opts)
 }
 
-// stallProxy wedges the named proxy's serve goroutine: it pulls a stall
-// off its inbox and blocks until the returned release is closed,
-// answering nothing in between. stallProxy returns only once the proxy
-// has demonstrably stopped answering.
-func stallProxy(t *testing.T, rt *Runtime, host topo.HostID) chan struct{} {
+// stall is a proxy that accepts messages and answers none until release
+// is closed; dropped counts the deliveries it swallowed.
+type stall struct {
+	release chan struct{}
+	dropped atomic.Int64
+}
+
+// stallProxy wedges the named proxy of a started runtime: each handler
+// p.handlers returns is wrapped to drop its deliveries until the stall
+// is released, and to answer them as before from then on.
+func stallProxy(t *testing.T, rt *Runtime, host topo.HostID) *stall {
 	t.Helper()
-	release := make(chan struct{})
-	go func() {
-		_, _ = rt.Transport().Call(context.Background(), "test-driver", transport.Addr(host), "stall", stallRequest{release: release})
-	}()
-	// Once a probe times out, the proxy is wedged: the serve loop is
-	// blocked on the stall and the availability fast lane drops
-	// requests while the wedged flag is up (it would otherwise answer
-	// instantly over the perfect fabric). Probes pace themselves so the
-	// serve goroutine gets scheduled to dequeue the stall — fast-lane
-	// answers no longer queue behind it.
-	for i := 0; i < 400; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
-		_, err := rt.Transport().Call(ctx, "test-driver", transport.Addr(host), msgAvailability, availabilityRequest{})
-		cancel()
-		if errors.Is(err, context.DeadlineExceeded) {
-			return release
-		}
-		time.Sleep(time.Millisecond)
+	p, ok, started := rt.proxyOn(host)
+	if !ok || !started {
+		t.Fatalf("no started proxy on %s", host)
 	}
-	t.Fatalf("proxy %s never stalled", host)
-	return release
+	st := &stall{release: make(chan struct{})}
+	for kind, h := range p.handlers() {
+		p.ep.SetHandler(kind, func(d transport.Delivery) {
+			select {
+			case <-st.release:
+				h(d)
+			default:
+				st.dropped.Add(1)
+			}
+		})
+	}
+	return st
 }
 
 // TestEstablishReturnsByDeadlineWhenProxyStalls is the hang-regression
 // test: a participant QoSProxy that accepts protocol messages but never
-// answers them (its serve goroutine is wedged) must not hang Establish
-// past its deadline — the call degrades or aborts and returns.
+// answers them must not hang Establish past its deadline — the call
+// degrades or aborts and returns.
 func TestEstablishReturnsByDeadlineWhenProxyStalls(t *testing.T) {
 	rt, _, _ := unreliableWorld(t, transport.Options{}, Options{})
 	service, binding := pipelineService(t)
 
-	release := stallProxy(t, rt, "Y")
+	stalled := stallProxy(t, rt, "Y")
 	deadlineCtx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 
@@ -80,7 +82,7 @@ func TestEstablishReturnsByDeadlineWhenProxyStalls(t *testing.T) {
 	}
 
 	// Releasing the stall restores service.
-	close(release)
+	close(stalled.release)
 	s, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}})
 	if err != nil {
 		t.Fatalf("establish after unstall: %v", err)
@@ -172,7 +174,7 @@ func TestRepairAbandonsAtDeadline(t *testing.T) {
 	}
 
 	// An unbounded sweep still examines it.
-	if rep := rt.RepairAffected([]string{"cpu@Y"}); rep.Abandoned != 0 || rep.Affected != 1 {
+	if rep := rt.RepairAffectedContext(context.Background(), []string{"cpu@Y"}); rep.Abandoned != 0 || rep.Affected != 1 {
 		t.Fatalf("unbounded sweep report = %+v", rep)
 	}
 	_ = s.Release()
@@ -289,7 +291,7 @@ func TestMaxInFlightShedsConcurrentAdmissions(t *testing.T) {
 
 	// Wedge Y so the first admission parks inside the protocol holding
 	// its gate slot.
-	release := stallProxy(t, rt, "Y")
+	stalled := stallProxy(t, rt, "Y")
 	firstDone := make(chan error, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -297,10 +299,10 @@ func TestMaxInFlightShedsConcurrentAdmissions(t *testing.T) {
 		_, err := rt.EstablishContext(ctx, "X", SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}})
 		firstDone <- err
 	}()
-	// Wait for the first admission to occupy the gate.
-	for i := 0; rt.gate.InFlight() == 0; i++ {
+	// Wait for the first admission to reach Y, inside its gate slot.
+	for i := 0; stalled.dropped.Load() == 0; i++ {
 		if i > 1000 {
-			t.Fatal("first admission never took the gate slot")
+			t.Fatal("first admission never reached the stalled proxy")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -310,7 +312,9 @@ func TestMaxInFlightShedsConcurrentAdmissions(t *testing.T) {
 	if !errors.Is(err, transport.ErrOverloaded) {
 		t.Fatalf("concurrent admission error = %v, want %v", err, transport.ErrOverloaded)
 	}
-	close(release)
+	// The stall dropped the first admission's messages: end its wait.
+	close(stalled.release)
+	cancel()
 	<-firstDone
 
 	var shed float64

@@ -171,11 +171,6 @@ func (rt *Runtime) lookupOutcome(id string) outcomeReply {
 	return outcomeReply{}
 }
 
-// handleOutcome serves msgOutcome for recovering participants.
-func (p *QoSProxy) handleOutcome(req outcomeRequest) outcomeReply {
-	return p.rt.lookupOutcome(req.id)
-}
-
 // logRecord journals one participant record, stamped with this proxy's
 // host. A no-op when durability is off.
 func (p *QoSProxy) logRecord(rec wal.Record) error {
@@ -215,17 +210,6 @@ func exportsFromParts(parts []wal.Part, expiry broker.Time) []broker.HoldExport 
 		out[i] = ex
 	}
 	return out
-}
-
-// HoldExports snapshots the session's live holds in journalable form;
-// nil once the session is no longer active.
-func (s *Session) HoldExports() []broker.HoldExport {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != StateActive || s.reservation == nil {
-		return nil
-	}
-	return s.reservation.exports()
 }
 
 // coordinatorOf parses the coordinating host out of a request ID
@@ -546,11 +530,11 @@ func (rt *Runtime) Recover() error {
 // is replayed from the log, in-doubt prepares are reconciled against
 // their coordinators' outcome tables over the fabric, leases that
 // lapsed while down are swept once, and the proxy rejoins the fabric on
-// a fresh endpoint. The crash lands at a message boundary — the serve
-// goroutine and every fast-lane handler already past the endpoint check
-// finish their message before the wipe, and later ones drop theirs — so
-// books never tear mid-handler; the WAL's torn-tail handling covers the
-// mid-append window.
+// a fresh endpoint. The crash lands at a message boundary — every
+// two-phase handler already holding the participant lock finishes its
+// message before the wipe, and later ones find the endpoint closed and
+// drop theirs — so books never tear mid-handler; the WAL's torn-tail
+// handling covers the mid-append window.
 func (rt *Runtime) CrashRestart(host topo.HostID) error {
 	rt.crashMu.Lock()
 	defer rt.crashMu.Unlock()
@@ -571,8 +555,8 @@ func (rt *Runtime) CrashRestart(host topo.HostID) error {
 		return err
 	}
 
-	// Rejoin the fabric: a fresh endpoint (the crashed one's queued
-	// deliveries died with the process) and a fresh serve loop.
+	// Rejoin the fabric: a fresh endpoint with fresh handlers (the
+	// crashed one's deliveries in flight died with the process).
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.live.Load() == nil {
@@ -584,10 +568,11 @@ func (rt *Runtime) CrashRestart(host topo.HostID) error {
 
 // recoverHost is the restart half of CrashRestart: wipe the host's book
 // and idempotency table, replay the log, reconcile and sweep. It holds
-// p.mu throughout, so a fast-lane handler of the crashed endpoint that
+// p.mu throughout, so a two-phase handler of the crashed endpoint that
 // was still waiting for it finds the endpoint closed and drops its
-// delivery. Outcome queries to other hosts read their decide tables and
-// never take a proxy's mu, so reconciling under it cannot deadlock.
+// delivery. Outcome queries to other hosts read their decide tables
+// under decideMu and never take a proxy's mu, so reconciling under it
+// cannot deadlock.
 func (rt *Runtime) recoverHost(p *QoSProxy) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -2,8 +2,7 @@ package qrg
 
 import (
 	"container/list"
-	"sort"
-	"strings"
+	"hash/maphash"
 	"sync"
 
 	"qosres/internal/obs"
@@ -21,8 +20,11 @@ const DefaultTemplateCacheSize = 4096
 // pair so the per-arrival hot path pays Compile once and Instantiate
 // thereafter. Services are keyed by pointer identity — the expected
 // usage is a fixed catalogue of service models shared across sessions —
-// and bindings by a canonical fingerprint of their contents, since
-// callers commonly rebuild an identical binding map per session.
+// and bindings by their contents, since callers commonly rebuild an
+// identical binding map per session: an order-independent hash picks
+// the entry, and a comparison with the entry's own copy of the binding
+// confirms it, so a hit allocates nothing. A pair Compile refuses is
+// cached with its error and answers from the cache like any other.
 //
 // Behind the serving daemon the pointer identity holds because
 // spec.Catalog interns each service model by its wire bytes. Before it
@@ -51,14 +53,24 @@ type TemplateCache struct {
 
 type templateKey struct {
 	service *svc.Service
-	binding string
+	binding uint64 // bindingHash
 }
 
 // cacheEntry is the list-element payload: the key (for map removal on
-// eviction) plus the compiled template.
+// eviction), the pair's binding flattened (compared on every hit), and
+// Compile's result — the template, or the error refusing the pair.
 type cacheEntry struct {
-	key templateKey
-	tpl *Template
+	key     templateKey
+	binding []boundComp
+	tpl     *Template
+	err     error
+}
+
+// boundComp is one component's entries of a binding: abstract name,
+// concrete resource.
+type boundComp struct {
+	id    svc.ComponentID
+	pairs [][2]string
 }
 
 // NewTemplateCache returns an empty cache bounded at
@@ -87,42 +99,46 @@ func NewTemplateCacheSize(r *obs.Registry, maxEntries int) *TemplateCache {
 	}
 }
 
-// Get returns the compiled template of the pair, compiling and caching
-// it on first use and marking it most-recently-used on every hit.
+// Get returns the compiled template of the pair, or the error Compile
+// refused it with, compiling and caching it on first use and marking it
+// most-recently-used on every hit.
 func (c *TemplateCache) Get(service *svc.Service, binding svc.Binding) (*Template, error) {
-	key := templateKey{service: service, binding: bindingFingerprint(binding)}
+	key := templateKey{service: service, binding: bindingHash(binding)}
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		tpl := el.Value.(*cacheEntry).tpl
-		c.mu.Unlock()
-		c.hits.Inc()
-		return tpl, nil
+		if e := el.Value.(*cacheEntry); e.matches(binding) {
+			c.order.MoveToFront(el)
+			c.mu.Unlock()
+			c.hits.Inc()
+			return e.tpl, e.err
+		}
 	}
 	c.mu.Unlock()
 	c.misses.Inc()
 	tpl, err := Compile(service, binding)
-	if err != nil {
-		return nil, err
-	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		// A concurrent caller compiled the same pair first; keep the
-		// resident template so every session shares one buffer pool.
-		c.order.MoveToFront(el)
-		tpl = el.Value.(*cacheEntry).tpl
-	} else {
-		c.entries[key] = c.order.PushFront(&cacheEntry{key: key, tpl: tpl})
-		for c.maxEntries > 0 && len(c.entries) > c.maxEntries {
-			oldest := c.order.Back()
-			c.order.Remove(oldest)
-			delete(c.entries, oldest.Value.(*cacheEntry).key)
-			c.evictions.Inc()
+		if e := el.Value.(*cacheEntry); e.matches(binding) {
+			// A concurrent caller compiled the same pair first; keep the
+			// resident template so every session shares one buffer pool.
+			c.order.MoveToFront(el)
+			return e.tpl, e.err
 		}
-		c.cached.Set(float64(len(c.entries)))
+		// A different binding with the same hash: the newer pair takes
+		// the slot.
+		c.order.Remove(el)
+		delete(c.entries, key)
 	}
-	c.mu.Unlock()
-	return tpl, nil
+	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, binding: flattenBinding(binding), tpl: tpl, err: err})
+	for c.maxEntries > 0 && len(c.entries) > c.maxEntries {
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.entries, oldest.Value.(*cacheEntry).key)
+		c.evictions.Inc()
+	}
+	c.cached.Set(float64(len(c.entries)))
+	return tpl, err
 }
 
 // Len returns the number of resident templates.
@@ -132,32 +148,58 @@ func (c *TemplateCache) Len() int {
 	return len(c.entries)
 }
 
-// bindingFingerprint renders a binding canonically: components and
-// abstract resource names in sorted order, fields separated by control
-// bytes that cannot occur in identifiers.
-func bindingFingerprint(b svc.Binding) string {
-	comps := make([]string, 0, len(b))
-	for cid := range b {
-		comps = append(comps, string(cid))
-	}
-	sort.Strings(comps)
-	var sb strings.Builder
-	names := make([]string, 0, 8)
-	for _, cid := range comps {
-		sb.WriteString(cid)
-		sb.WriteByte(1)
-		m := b[svc.ComponentID(cid)]
-		names = names[:0]
-		for name := range m {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			sb.WriteString(name)
-			sb.WriteByte(2)
-			sb.WriteString(string(m[name]))
-			sb.WriteByte(3)
+// bindingSeed keys bindingHash for the life of the process.
+var bindingSeed = maphash.MakeSeed()
+
+// bindingHash hashes a binding's contents independently of map order:
+// the sum of one hash per component and one per (component, abstract
+// name, concrete resource) entry, each field hashed on its own and
+// mixed by position. Equal bindings hash equally; a nil and an empty
+// map are equal.
+func bindingHash(b svc.Binding) uint64 {
+	var sum uint64
+	for cid, m := range b {
+		hc := maphash.String(bindingSeed, string(cid))
+		sum += hc
+		for name, res := range m {
+			h := (hc ^ maphash.String(bindingSeed, name)) * 0x9e3779b97f4a7c15
+			sum += (h ^ maphash.String(bindingSeed, res)) * 0xbf58476d1ce4e5b9
 		}
 	}
-	return sb.String()
+	return sum
+}
+
+// flattenBinding copies a binding into slices, so a caller mutating its
+// map after Get cannot change what the cache compares against, and a
+// comparison walks slices instead of iterating maps.
+func flattenBinding(b svc.Binding) []boundComp {
+	out := make([]boundComp, 0, len(b))
+	for cid, m := range b {
+		c := boundComp{id: cid, pairs: make([][2]string, 0, len(m))}
+		for name, res := range m {
+			c.pairs = append(c.pairs, [2]string{name, res})
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// matches reports whether b maps the same components' abstract names
+// to the same concrete resources as the entry's binding.
+func (e *cacheEntry) matches(b svc.Binding) bool {
+	if len(b) != len(e.binding) {
+		return false
+	}
+	for _, c := range e.binding {
+		m, ok := b[c.id]
+		if !ok || len(m) != len(c.pairs) {
+			return false
+		}
+		for _, p := range c.pairs {
+			if res, ok := m[p[0]]; !ok || res != p[1] {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -105,13 +105,22 @@ type Template struct {
 	scratch sync.Pool // *instScratch
 }
 
-// maxFanInCells bounds a fan-in component's match table: the product of
-// its upstream components' declared output-level counts. The table is
-// built before any snapshot prunes it, so without the bound a small
-// document (five upstreams of sixteen levels each) costs a million
-// cells, seconds and most of a gigabyte. Every fan-in this repository
-// models has four cells.
-const maxFanInCells = 4096
+// maxTableCells bounds every table Compile fills for one component:
+// the fan-in match table (the product of its upstream components'
+// declared output-level counts), the single-predecessor match (upstream
+// output levels × input levels, each pair a vector comparison) and the
+// requirement table (input × output levels, each cell a Translate
+// call). The tables are built before any snapshot prunes them, so
+// without the bound a small document (five upstreams of sixteen levels
+// each, or one component of 2,000 input and 2,000 output levels) costs
+// millions of cells, seconds and hundreds of megabytes. Every fan-in
+// this repository models has four cells; its largest component, the
+// synthetic chain at 64 levels, has exactly 4,096.
+const maxTableCells = 4096
+
+// tooManyCells reports whether an a×b table exceeds maxTableCells,
+// dividing first so the product cannot overflow.
+func tooManyCells(a, b int) bool { return b > 0 && a > maxTableCells/b }
 
 // Compile builds the snapshot-independent template of a (service,
 // binding) pair.
@@ -119,9 +128,8 @@ const maxFanInCells = 4096
 // Equivalence between an upstream Qout level and a downstream Qin level
 // is QoS vector equality; for fan-in components the upstream Qout
 // vectors are concatenated (labelled by upstream component ID, in sorted
-// order) before matching, as defined in section 4.3.2. A fan-in whose
-// upstream output levels combine into more than maxFanInCells cells is
-// refused.
+// order) before matching, as defined in section 4.3.2. A component
+// whose tables would exceed maxTableCells cells is refused.
 //
 // A translation pair whose requirement the binding cannot resolve does
 // not fail Compile: the pair keeps its error, and Instantiate returns it
@@ -141,6 +149,10 @@ func Compile(service *svc.Service, binding svc.Binding) (*Template, error) {
 	for k, cid := range order {
 		compIdx[cid] = k
 		comp := service.Components[cid]
+		if tooManyCells(len(comp.In), len(comp.Out)) {
+			return nil, fmt.Errorf("qrg: service %s: component %s has %d input × %d output levels, more than %d requirement cells",
+				service.Name, cid, len(comp.In), len(comp.Out), maxTableCells)
+		}
 		tc := tmplComp{id: cid, comp: comp}
 		preds := service.Preds(cid)
 		sort.Slice(preds, func(i, j int) bool { return preds[i] < preds[j] })
@@ -157,6 +169,10 @@ func Compile(service *svc.Service, binding svc.Binding) (*Template, error) {
 			}
 		case 1:
 			up := service.Components[preds[0]]
+			if tooManyCells(len(up.Out), len(comp.In)) {
+				return nil, fmt.Errorf("qrg: service %s: component %s matches %d upstream output × %d input levels, more than %d cells",
+					service.Name, cid, len(up.Out), len(comp.In), maxTableCells)
+			}
 			tc.singleMatch = make([]int, len(up.Out))
 			for j, lvl := range up.Out {
 				tc.singleMatch[j] = matchInLevelIdx(comp, lvl.Vector)
@@ -169,9 +185,9 @@ func Compile(service *svc.Service, binding svc.Binding) (*Template, error) {
 			for i := len(preds) - 1; i >= 0; i-- {
 				strides[i] = size
 				d := len(service.Components[preds[i]].Out)
-				if d > 0 && size > maxFanInCells/d {
+				if tooManyCells(size, d) {
 					return nil, fmt.Errorf("qrg: service %s: fan-in component %s has more than %d combinations of upstream output levels",
-						service.Name, cid, maxFanInCells)
+						service.Name, cid, maxTableCells)
 				}
 				size *= d
 			}

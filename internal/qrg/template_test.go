@@ -52,7 +52,7 @@ func fanInService(t *testing.T, preds, levels int) (*svc.Service, svc.Binding) {
 }
 
 // TestCompileRefusesWideFanIn pins the fan-in bound: a fan-in whose
-// upstream output levels combine into more than maxFanInCells cells is
+// upstream output levels combine into more than maxTableCells cells is
 // refused before its table is allocated — including a product that
 // overflows int — while one at the bound compiles and plans.
 func TestCompileRefusesWideFanIn(t *testing.T) {
@@ -84,6 +84,143 @@ func TestCompileRefusesWideFanIn(t *testing.T) {
 	}
 	if len(g.Sinks) != 1 {
 		t.Fatalf("sinks = %v, want the one joined level", g.Sinks)
+	}
+}
+
+// wideComponent builds a chain src -> big whose big component declares
+// in input and out output levels; src produces big's first input level
+// from its own up output levels.
+func wideComponent(t *testing.T, up, in, out int) (*svc.Service, svc.Binding) {
+	t.Helper()
+	levels := func(prefix string, n int) []svc.Level {
+		ls := make([]svc.Level, n)
+		for i := range ls {
+			ls[i] = lvl(fmt.Sprintf("%s%d", prefix, i), float64(i))
+		}
+		return ls
+	}
+	// Only the first pair translates, so validating the service stays
+	// cheap; Compile's bound applies before it translates anything.
+	req := qos.ResourceVector{"r": 1}
+	first := func(in, out svc.Level) (qos.ResourceVector, bool) {
+		return req, in.Name[1:] == "0" && out.Name[1:] == "0"
+	}
+	src := &svc.Component{ID: "src", In: []svc.Level{lvl("raw", 0)}, Out: levels("S", up), Translate: first, Resources: []string{"r"}}
+	big := &svc.Component{ID: "big", In: levels("I", in), Out: levels("O", out), Translate: first, Resources: []string{"r"}}
+	binding := svc.Binding{"src": {"r": "r"}, "big": {"r": "r"}}
+	ranking := make([]string, out)
+	for i, l := range big.Out {
+		ranking[i] = l.Name
+	}
+	return svc.MustService("wide", []*svc.Component{src, big}, []svc.Edge{{From: "src", To: "big"}}, ranking), binding
+}
+
+// TestCompileRefusesWideComponent pins the bound on the other two
+// tables Compile fills: a component whose input × output levels exceed
+// maxTableCells requirement cells, or whose single predecessor's output
+// levels × its input levels exceed it in match scans, is refused before
+// its table is allocated, while the synthetic chain at 64 levels —
+// exactly 4,096 cells of each — compiles.
+func TestCompileRefusesWideComponent(t *testing.T) {
+	for _, tc := range []struct {
+		up, in, out int
+		what        string
+	}{{1, 2000, 2000, "requirement cells"}, {100, 100, 1, "100 upstream output × 100 input"}} {
+		service, binding := wideComponent(t, tc.up, tc.in, tc.out)
+		var err error
+		took := time.Hour
+		for i := 0; i < 3; i++ { // best of three, as for the fan-in
+			start := time.Now()
+			_, err = Compile(service, binding)
+			took = min(took, time.Since(start))
+		}
+		if err == nil || !strings.Contains(err.Error(), "service wide: component big") || !strings.Contains(err.Error(), tc.what) {
+			t.Fatalf("%d→%d×%d: err = %v, want a refusal naming the service, the component and %q", tc.up, tc.in, tc.out, err, tc.what)
+		}
+		if !raceEnabled && took > time.Millisecond {
+			t.Fatalf("%d→%d×%d refused after %v, want under 1ms", tc.up, tc.in, tc.out, took)
+		}
+	}
+	service, binding, snap := workload.SyntheticChain(3, 64)
+	tpl, err := Compile(service, binding)
+	if err != nil {
+		t.Fatalf("synthetic chain at 64 levels: %v", err)
+	}
+	if _, err := tpl.Instantiate(snap); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTemplateCacheKeepsRefusals pins that a refused pair answers from
+// the cache: the second Get of the 5×16 fan-in returns the very error
+// of the first, counts a hit, and allocates nothing — no more than a
+// hit on a compiled template.
+func TestTemplateCacheKeepsRefusals(t *testing.T) {
+	reg := obs.New()
+	cache := NewTemplateCache(reg)
+	wide, wideBinding := fanInService(t, 5, 16)
+	_, first := cache.Get(wide, wideBinding)
+	if first == nil {
+		t.Fatal("5×16 fan-in compiled")
+	}
+	tpl, again := cache.Get(wide, wideBinding)
+	if tpl != nil || again != first {
+		t.Fatalf("second Get = %v, %v; want nil and the first refusal %v", tpl, again, first)
+	}
+	hits := reg.Counter(obs.MetricTemplateHits, "").Value()
+	misses := reg.Counter(obs.MetricTemplateMisses, "").Value()
+	if hits != 1 || misses != 1 {
+		t.Fatalf("hits=%v misses=%v, want 1/1", hits, misses)
+	}
+	video, videoBinding := workload.VideoService(), workload.VideoBinding()
+	if _, err := cache.Get(video, videoBinding); err != nil {
+		t.Fatal(err)
+	}
+	for name, get := range map[string]func(){
+		"refusal": func() { _, _ = cache.Get(wide, wideBinding) },
+		"hit":     func() { _, _ = cache.Get(video, videoBinding) },
+	} {
+		if allocs := testing.AllocsPerRun(100, get); allocs != 0 && !raceEnabled {
+			t.Errorf("%s: %.0f allocations per Get, want 0", name, allocs)
+		}
+	}
+}
+
+// TestTemplateCacheHashCollision forces two bindings onto one key: the
+// entry's own copy of the binding tells them apart, so the second pair
+// compiles its own template instead of taking the first's.
+func TestTemplateCacheHashCollision(t *testing.T) {
+	cache := NewTemplateCache(nil)
+	service := workload.VideoService()
+	binding := workload.VideoBinding()
+	tpl, err := cache.Get(service, binding)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := workload.VideoBinding()
+	for cid := range other {
+		for k, v := range other[cid] {
+			other[cid][k] = v + "-alt"
+		}
+	}
+	// File the first template under the other binding's key.
+	cache.mu.Lock()
+	el := cache.entries[templateKey{service: service, binding: bindingHash(binding)}]
+	delete(cache.entries, el.Value.(*cacheEntry).key)
+	key := templateKey{service: service, binding: bindingHash(other)}
+	el.Value.(*cacheEntry).key = key
+	cache.entries[key] = el
+	cache.mu.Unlock()
+
+	got, err := cache.Get(service, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == tpl {
+		t.Fatal("a colliding binding was served the other binding's template")
+	}
+	if again, _ := cache.Get(service, other); again != got || cache.Len() != 1 {
+		t.Fatalf("the colliding pair did not take the slot: %d resident", cache.Len())
 	}
 }
 

@@ -436,9 +436,9 @@ func RunChaos(sc StressConfig) (res *ChaosResult, err error) {
 	}
 	rt.Start()
 	defer func() {
-		// Stop before closing the log: the serve loops journal until they
-		// exit. The log's open segment must be closed before the run's
-		// temporary WAL directory is removed.
+		// Stop before closing the log: a two-phase handler journals until
+		// Stop has waited it out. The log's open segment must be closed
+		// before the run's temporary WAL directory is removed.
 		rt.Stop()
 		if cerr := rt.CloseWAL(); cerr != nil && err == nil {
 			res, err = nil, fmt.Errorf("sim: chaos WAL close: %w", cerr)
@@ -887,12 +887,8 @@ func RunChaos(sc StressConfig) (res *ChaosResult, err error) {
 	// repair sweep flushed a complete span tree — no orphan spans, no
 	// unterminated roots, no multi-root traces — even under loss,
 	// duplication, and partitions, and every established session shows up
-	// as an ok establish root. Participant spans opened by deliveries
-	// that Settle just drained end inside the proxies' serve loops; give
-	// those stragglers a bounded moment before judging.
-	for waited := 0; env.tracerec.OpenTraces() > 0 && waited < 2000; waited++ {
-		time.Sleep(time.Millisecond)
-	}
+	// as an ok establish root. Every participant span ends inside its
+	// handler, which returns before Settle does.
 	if open := env.tracerec.OpenTraces(); open > 0 {
 		failures = append(failures, fmt.Sprintf("%d trace(s) still open after drain", open))
 	}

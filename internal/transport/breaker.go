@@ -78,18 +78,6 @@ func NewBreaker(cfg BreakerConfig, onChange func(BreakerState)) *Breaker {
 	return &Breaker{cfg: cfg, onChange: onChange}
 }
 
-// State returns the breaker's current position, accounting for an
-// elapsed cooldown (an open breaker past its cooldown reports
-// half-open).
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == BreakerOpen && b.cfg.Now().Sub(b.openedAt) >= b.cfg.Cooldown {
-		return BreakerHalfOpen
-	}
-	return b.state
-}
-
 // Allow reports whether a call may proceed. Open: false until the
 // cooldown elapses, then exactly one caller wins the half-open probe
 // slot; the rest keep failing fast until the probe resolves.

@@ -32,11 +32,11 @@ func TestArmedFollowsConfiguration(t *testing.T) {
 		armed bool
 	}{
 		{"SetRoute", func() { f.SetRoute("a", "b", RouteConfig{}) }, true},
-		{"ClearRoutes", f.ClearRoutes, false},
+		{"clearRoutes", func() { clearRoutes(f) }, false},
 		{"Partition", func() { f.Partition("a", "b") }, true},
 		{"Heal", func() { f.Heal("a", "b") }, false},
 		{"Partition twice", func() { f.Partition("a", "b"); f.Partition("b", "c") }, true},
-		{"HealAll", f.HealAll, false},
+		{"Heal both", func() { f.Heal("a", "b"); f.Heal("b", "c") }, false},
 	}
 	for _, s := range steps {
 		s.do()
@@ -46,7 +46,7 @@ func TestArmedFollowsConfiguration(t *testing.T) {
 	}
 }
 
-// directCallAllocs is what one Go/Wait to a fast-lane handler allocates
+// directCallAllocs is what one Go/Wait to a handler allocates
 // on a perfect fabric with no registry and an untraced context: the
 // Pending, nothing else.
 const directCallAllocs = 1
@@ -58,9 +58,8 @@ func TestDirectCallCost(t *testing.T) {
 	f := New(Options{})
 	ep := f.Endpoint("b", 1)
 	var reply interface{} = "pong"
-	ep.SetHandler("probe", func(d Delivery) bool {
+	ep.SetHandler("probe", func(d Delivery) {
 		d.Reply(reply)
-		return true
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -129,16 +128,15 @@ func TestCallHonoursDeadlineOnFullInbox(t *testing.T) {
 // TestLateWaitKeepsCallLatency pins what a call returns and measures
 // when its caller collects it late: a reply that arrived while the
 // caller was waiting on another call is returned even though the
-// shared deadline has expired since, and is timed at its arrival, on
-// the fast lane and through an inbox alike.
+// shared deadline has expired since, and is timed at its arrival,
+// handler-answered and through an inbox alike.
 func TestLateWaitKeepsCallLatency(t *testing.T) {
 	reg := obs.New()
 	f := New(Options{Metrics: reg})
 	f.Endpoint("stuck", 1) // never served
 	fast := f.Endpoint("fast", 1)
-	fast.SetHandler("probe", func(d Delivery) bool {
+	fast.SetHandler("probe", func(d Delivery) {
 		d.Reply("fast")
-		return true
 	})
 	served := f.Endpoint("served", 1)
 	go func() {

@@ -49,10 +49,3 @@ func (g *Gate) Release() {
 		g.inflight--
 	}
 }
-
-// InFlight reports the current number of outstanding acquisitions.
-func (g *Gate) InFlight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.inflight
-}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -82,9 +83,8 @@ func TestFastLaneParity(t *testing.T) {
 	reg := obs.New()
 	f := New(Options{Metrics: reg})
 	fast := f.Endpoint("F", 4)
-	fast.SetHandler("probe", func(d Delivery) bool {
+	fast.SetHandler("probe", func(d Delivery) {
 		d.Reply("fast")
-		return true
 	})
 	slow := f.Endpoint("S", 4)
 	go func() {
@@ -120,6 +120,58 @@ func TestFastLaneParity(t *testing.T) {
 	select {
 	case <-settled:
 	case <-time.After(2 * time.Second):
-		t.Fatal("Settle wedged after fast-lane and inbox calls completed")
+		t.Fatal("Settle wedged after handler and inbox calls completed")
+	}
+}
+
+// TestInboxlessEndpointDropsUnhandledKinds pins the depth-0 rule: an
+// endpoint made without an inbox drops a delivery of a kind it has no
+// handler for instead of stranding it in a queue nobody drains. A
+// direct call fails at once, a routed one times out on its own
+// deadline, each drop is counted as no_handler, and Settle returns.
+func TestInboxlessEndpointDropsUnhandledKinds(t *testing.T) {
+	for _, armed := range []bool{false, true} {
+		reg := obs.New()
+		f := New(Options{Metrics: reg})
+		if armed {
+			f.SetRoute("a", "b", RouteConfig{})
+		}
+		ep := f.Endpoint("b", 0)
+		ep.SetHandler("known", func(d Delivery) { d.Reply("ok") })
+		if ep.Inbox() != nil {
+			t.Fatal("a depth-0 endpoint has an inbox")
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		start := time.Now()
+		_, err := f.Call(ctx, "a", "b", "unknown", nil)
+		elapsed := time.Since(start)
+		cancel()
+		switch {
+		case !armed && !errors.Is(err, errNoHandler):
+			t.Errorf("direct call err = %v, want %v", err, errNoHandler)
+		case !armed && elapsed > 25*time.Millisecond:
+			t.Errorf("direct call took %v, want an immediate failure", elapsed)
+		case armed && !errors.Is(err, context.DeadlineExceeded):
+			t.Errorf("routed call err = %v, want deadline", err)
+		}
+		if elapsed > time.Second {
+			t.Fatalf("armed=%v: call blocked %v", armed, elapsed)
+		}
+		if got := reg.Counter(obs.MetricTransportDropped, "", "reason", "no_handler").Value(); got != 1 {
+			t.Errorf("armed=%v: no_handler drops = %v, want 1", armed, got)
+		}
+		if _, err := f.Call(context.Background(), "a", "b", "known", nil); err != nil {
+			t.Fatalf("armed=%v: handled kind: %v", armed, err)
+		}
+		settled := make(chan struct{})
+		go func() {
+			f.Settle()
+			close(settled)
+		}()
+		select {
+		case <-settled:
+		case <-time.After(time.Second):
+			t.Fatalf("armed=%v: Settle wedged on an unhandled delivery", armed)
+		}
 	}
 }

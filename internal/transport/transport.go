@@ -28,10 +28,17 @@
 //
 // A call is Go, which hands the request over, followed by Wait, which
 // collects the reply; a caller fans out by calling Go for every
-// destination before it waits on the first. While the fabric is unarmed
-// — nothing configured that could happen to a message — every route
-// behaves like loopback, and a message to a fast-lane handler (see
-// Endpoint.SetHandler) costs a function call.
+// destination before it waits on the first. A receiver answers through
+// per-kind handlers (see Endpoint.SetHandler) that run on the
+// delivering goroutine. While the fabric is unarmed — nothing
+// configured that could happen to a message — every route behaves like
+// loopback, and a message costs a function call.
+//
+// An endpoint made with depth 0 has handlers only: a delivery of a kind
+// it has no handler for is dropped (reason "no_handler"), and a direct
+// call fails at once. An endpoint made with a positive depth queues
+// such deliveries in an inbox of that depth instead, for a consumer
+// goroutine to drain.
 package transport
 
 import (
@@ -39,7 +46,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,6 +68,9 @@ var (
 	// ErrClosed is returned by Call when the destination endpoint has
 	// been closed (its host was shut down).
 	ErrClosed = errors.New("transport: endpoint closed")
+	// errNoHandler fails a direct call to an inbox-less endpoint with no
+	// handler for the call's kind: nothing would ever answer it.
+	errNoHandler = errors.New("transport: no handler")
 )
 
 // RouteConfig is the injectable unreliability of one route (unordered
@@ -142,8 +151,9 @@ type doneHook struct {
 // Done marks the delivery fully processed. Inbox consumers must call it
 // after handling each delivery (deferring is fine): Settle's drain
 // barrier counts a queued delivery as in flight until its Done, so a
-// handler still mutating state cannot race a settler's invariant check.
-// Idempotent, and a no-op on fast-lane and hand-constructed deliveries.
+// consumer still mutating state cannot race a settler's invariant
+// check. Idempotent, and a no-op on handler-answered and
+// hand-constructed deliveries.
 func (d Delivery) Done() {
 	if d.ack != nil {
 		d.ack.once.Do(d.ack.fn)
@@ -162,11 +172,11 @@ func (d Delivery) Reply(payload interface{}) {
 	}
 }
 
-// Endpoint is one registered fabric address: a bounded inbox of
-// deliveries plus a close signal, and an optional set of per-kind fast
-// lane handlers that bypass the inbox entirely (see SetHandler).
+// Endpoint is one registered fabric address: a set of per-kind handlers
+// (see SetHandler), a close signal, and, when made with a positive
+// depth, a bounded inbox for the deliveries no handler takes.
 type Endpoint struct {
-	addr  Addr
+	// inbox is nil on an endpoint made with depth 0.
 	inbox chan Delivery
 	done  chan struct{}
 	once  sync.Once
@@ -176,13 +186,11 @@ type Endpoint struct {
 	queued atomic.Int64
 
 	hmu      sync.Mutex
-	handlers atomic.Pointer[map[string]func(Delivery) bool]
+	handlers atomic.Pointer[map[string]func(Delivery)]
 }
 
-// Addr returns the endpoint's address.
-func (e *Endpoint) Addr() Addr { return e.addr }
-
-// Inbox returns the delivery channel the endpoint's owner must drain.
+// Inbox returns the delivery channel the endpoint's owner must drain;
+// nil on an endpoint made with depth 0.
 func (e *Endpoint) Inbox() <-chan Delivery { return e.inbox }
 
 // Done is closed when the endpoint closes; inbox-drain loops select on
@@ -195,27 +203,34 @@ func (e *Endpoint) Close() {
 	e.once.Do(func() { close(e.done) })
 }
 
-// SetHandler registers a fast-lane handler for one message kind:
-// matching deliveries are handed to h directly instead of queueing
-// through the inbox and the owner's serve goroutine. The fabric's chaos
-// (partition, loss, duplication, latency) is applied before dispatch,
-// so a fast-lane message suffers exactly the adversities an inbox
-// message would; on a route with nothing to inject the delivery is a
-// plain function call (see Fabric.Go).
+// closed reports whether Close has run.
+func (e *Endpoint) closed() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// SetHandler registers the handler for one message kind: matching
+// deliveries are handed to h. The fabric's chaos (partition, loss,
+// duplication, latency) is applied before dispatch, so h sees exactly
+// the deliveries and duplicate copies the route lets through; on a
+// route with nothing to inject the delivery is a plain function call
+// (see Fabric.Go).
 //
 // The contract is strict: h runs on the DELIVERING goroutine — the
 // caller's own goroutine for zero-latency routes and loopback — so it
 // must be safe for concurrent invocation, must not wait on anything
 // but short critical sections, and must reply, if at all, before it
-// returns. h returns true when it consumed the delivery (replied or
-// deliberately dropped it) and false to decline: a declined delivery
-// falls back to the inbox path and queues for the owner's serve
-// goroutine exactly as if no handler were registered.
-func (e *Endpoint) SetHandler(kind string, h func(Delivery) bool) {
+// returns. A delivery h leaves unanswered is seen by its caller as a
+// lost message.
+func (e *Endpoint) SetHandler(kind string, h func(Delivery)) {
 	e.hmu.Lock()
 	defer e.hmu.Unlock()
 	old := e.handlers.Load()
-	next := make(map[string]func(Delivery) bool, 2)
+	next := make(map[string]func(Delivery), 2)
 	if old != nil {
 		for k, v := range *old {
 			next[k] = v
@@ -225,26 +240,20 @@ func (e *Endpoint) SetHandler(kind string, h func(Delivery) bool) {
 	e.handlers.Store(&next)
 }
 
-// dispatch hands d to its kind's fast-lane handler, reporting false
-// when no handler is registered, the handler declines the delivery
-// (either way it then takes the inbox path), or the endpoint is closed
-// (the delivery is dropped like an inbox delivery to a closed endpoint
-// would be — the caller observes a missing reply, not an error).
+// dispatch hands d to its kind's handler and reports whether one ran.
+// None runs when the kind has no handler or the endpoint is closed; the
+// caller then queues the delivery or drops it (see Fabric.enqueue).
 func (e *Endpoint) dispatch(d Delivery) bool {
 	m := e.handlers.Load()
 	if m == nil {
 		return false
 	}
 	h, ok := (*m)[d.Kind]
-	if !ok {
+	if !ok || e.closed() {
 		return false
 	}
-	select {
-	case <-e.done:
-		return false
-	default:
-	}
-	return h(d)
+	h(d)
+	return true
 }
 
 // Fabric routes messages between endpoints with injectable per-route
@@ -302,15 +311,13 @@ func (f *Fabric) rearmLocked() {
 // Endpoint registers (or re-registers) the address and returns its
 // endpoint. Re-registering replaces the previous endpoint — the fabric
 // equivalent of a host process restarting — so a stopped runtime can be
-// started again.
+// started again. depth is the capacity of the endpoint's inbox; with
+// depth 0 (or less) it has none, and a delivery no handler takes is
+// dropped rather than stranded in a queue nobody drains.
 func (f *Fabric) Endpoint(addr Addr, depth int) *Endpoint {
-	if depth < 1 {
-		depth = 1
-	}
-	ep := &Endpoint{
-		addr:  addr,
-		inbox: make(chan Delivery, depth),
-		done:  make(chan struct{}),
+	ep := &Endpoint{done: make(chan struct{})}
+	if depth > 0 {
+		ep.inbox = make(chan Delivery, depth)
 	}
 	f.mu.Lock()
 	old := *f.endpoints.Load()
@@ -346,15 +353,6 @@ func (f *Fabric) routeLocked(a, b Addr) RouteConfig {
 	return f.defaults
 }
 
-// ClearRoutes drops every per-route override, restoring the defaults —
-// the heal-side of delay injection.
-func (f *Fabric) ClearRoutes() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.routes = make(map[pair]RouteConfig)
-	f.rearmLocked()
-}
-
 // Partition cuts the route between a and b in both directions: every
 // message and reply between them is silently dropped until Heal.
 func (f *Fabric) Partition(a, b Addr) {
@@ -370,38 +368,6 @@ func (f *Fabric) Heal(a, b Addr) {
 	defer f.mu.Unlock()
 	delete(f.partitioned, norm(a, b))
 	f.rearmLocked()
-}
-
-// HealAll removes every partition.
-func (f *Fabric) HealAll() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.partitioned = make(map[pair]bool)
-	f.rearmLocked()
-}
-
-// Partitioned reports whether the route between a and b is cut.
-func (f *Fabric) Partitioned(a, b Addr) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.partitioned[norm(a, b)]
-}
-
-// Partitions lists the currently-cut routes, sorted.
-func (f *Fabric) Partitions() [][2]Addr {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([][2]Addr, 0, len(f.partitioned))
-	for p := range f.partitioned {
-		out = append(out, [2]Addr(p))
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
 }
 
 // breaker returns the breaker guarding calls from one endpoint to
@@ -425,25 +391,14 @@ func (f *Fabric) breaker(from, to Addr) *Breaker {
 	return br
 }
 
-// BreakerState reports the state of the breaker on (from, to);
-// BreakerClosed when breakers are disabled or the route was never used.
-func (f *Fabric) BreakerState(from, to Addr) BreakerState {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if br, ok := f.breakers[[2]Addr{from, to}]; ok {
-		return br.State()
-	}
-	return BreakerClosed
-}
-
 // Settle blocks until every asynchronous (delayed or duplicated)
 // delivery has been handed to its destination or dropped AND every
 // inbox-queued delivery on an open endpoint has been handled to
 // completion (its consumer called Done), looping until both counts are
 // stably zero (a landing delivery's reply may start new asynchronous
-// sends). Handler-answered fast-lane deliveries complete synchronously
-// inside the delivery that hands them over, so they are covered by the
-// same barrier.
+// sends). Handler-answered deliveries complete synchronously inside
+// the delivery that hands them over, so they are covered by the same
+// barrier.
 // Deliveries stranded in a closed endpoint's inbox died with its host
 // and are excluded. Chaos harnesses call Settle before checking drain
 // invariants so no straggler handler can mutate the books after they
@@ -538,7 +493,7 @@ type Pending struct {
 	// delivered: no endpoint, or an open breaker.
 	err error
 	// resp and replied hold a direct delivery's reply, written by the
-	// fast-lane handler on Go's own goroutine. replyCh carries the reply
+	// handler on Go's own goroutine. replyCh carries the reply
 	// of every other delivery; nil while the call was direct.
 	resp    interface{}
 	replied bool
@@ -580,13 +535,13 @@ func (f *Fabric) Call(ctx context.Context, from, to Addr, kind string, payload i
 //
 // A message on a route with nothing to inject — loopback, or any route
 // while the fabric is unarmed (zero Defaults, no route override, no
-// partition, no breaker) — is a direct call: a registered fast-lane
-// handler runs on this goroutine and its reply is in hand when Go
-// returns, with no fabric lock, no random draw and no reply channel.
-// Without a handler, or when the handler declines, the delivery queues
-// through the destination's inbox. Every other route takes the chaos
-// path: breaker, loss, duplication and latency, each leg drawn from the
-// fabric's seeded source.
+// partition, no breaker) — is a direct call: the destination's handler
+// runs on this goroutine and its reply is in hand when Go returns, with
+// no fabric lock, no random draw and no reply channel. Without a
+// handler the delivery queues through the destination's inbox, or, on
+// an endpoint with none, the call fails at once. Every other route
+// takes the chaos path: breaker, loss, duplication and latency, each
+// leg drawn from the fabric's seeded source.
 //
 // Go never blocks on a full inbox: the delivery then waits for room on
 // its own goroutine, bounded by ctx, so one stalled destination cannot
@@ -617,14 +572,21 @@ func (f *Fabric) Go(ctx context.Context, from, to Addr, kind string, payload int
 }
 
 // direct delivers over a route that cannot lose, delay or duplicate:
-// the fast-lane handler answers in place, and anything it leaves goes
-// through the inbox with a one-slot reply channel.
+// the handler answers in place, and a kind without one goes through the
+// inbox with a one-slot reply channel, or fails the call when the
+// endpoint has no inbox.
 func (pd *Pending) direct(payload interface{}) {
 	d := Delivery{From: pd.from, Kind: pd.kind, Span: pd.cs.Context(), Payload: payload, pend: pd}
 	if pd.ep.dispatch(d) {
 		if pd.replied {
 			pd.finish(obs.StatusOK, time.Time{})
 		}
+		return
+	}
+	if pd.ep.inbox == nil && !pd.ep.closed() {
+		pd.f.metrics.Dropped("no_handler")
+		pd.finish("no_handler", time.Time{})
+		pd.err = fmt.Errorf("transport: %s->%s (%s): %w", pd.from, pd.to, pd.kind, errNoHandler)
 		return
 	}
 	pd.replyCh = make(chan reply, 1)
@@ -686,9 +648,9 @@ func (pd *Pending) routed(payload interface{}) {
 	pd.reqDrop = f.send(from, to, func(dup bool) {
 		dd := d
 		dd.Dup = dup
-		// Fast lane first: the route's chaos has already been applied
-		// by send, so a handler sees exactly the deliveries (and
-		// duplicate copies) the inbox would have.
+		// The route's chaos has already been applied by send, so a
+		// handler sees exactly the deliveries (and duplicate copies) an
+		// inbox would have.
 		if ep.dispatch(dd) {
 			return
 		}
@@ -703,8 +665,17 @@ func (pd *Pending) routed(payload interface{}) {
 // its consumer calls Done. A full inbox does not hold up the sender:
 // the delivery waits for room on its own goroutine and is dropped, its
 // ack run, once the endpoint closes or ctx ends — the caller's Wait
-// then reports the closure or the timeout.
+// then reports the closure or the timeout. On an endpoint without an
+// inbox the delivery is dropped at once.
 func (f *Fabric) enqueue(ctx context.Context, ep *Endpoint, d Delivery) {
+	if ep.inbox == nil {
+		if ep.closed() {
+			f.metrics.Dropped("closed")
+		} else {
+			f.metrics.Dropped("no_handler")
+		}
+		return
+	}
 	d.ack = f.queueHook(ep)
 	select {
 	case ep.inbox <- d:

@@ -35,6 +35,36 @@ func echoEndpoint(t *testing.T, f *Fabric, addr Addr, fn func(interface{}) inter
 	return ep
 }
 
+// clearRoutes drops every per-route override, restoring the defaults.
+func clearRoutes(f *Fabric) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.routes = make(map[pair]RouteConfig)
+	f.rearmLocked()
+}
+
+// breakerState reports the position of the breaker on (from, to);
+// BreakerClosed when the route was never used.
+func breakerState(f *Fabric, from, to Addr) BreakerState {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if br, ok := f.breakers[[2]Addr{from, to}]; ok {
+		return positionOf(br)
+	}
+	return BreakerClosed
+}
+
+// positionOf reports a breaker's position, accounting for an elapsed
+// cooldown (an open breaker past its cooldown reports half-open).
+func positionOf(b *Breaker) BreakerState {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == BreakerOpen && b.cfg.Now().Sub(b.openedAt) >= b.cfg.Cooldown {
+		return BreakerHalfOpen
+	}
+	return b.state
+}
+
 func TestPerfectFabricRoundTrip(t *testing.T) {
 	f := New(Options{})
 	f.Endpoint("a", 1)
@@ -76,10 +106,9 @@ func TestPartitionDropsAndHealRestores(t *testing.T) {
 	f.Endpoint("a", 1)
 	echoEndpoint(t, f, "b", func(p interface{}) interface{} { return "pong" })
 
-	f.Partition("a", "b")
-	if !f.Partitioned("a", "b") || !f.Partitioned("b", "a") {
-		t.Fatal("partition is not symmetric")
-	}
+	// Cut b->a; the a->b call must be dropped too: a partition is
+	// symmetric.
+	f.Partition("b", "a")
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if _, err := f.Call(ctx, "a", "b", "test", nil); !errors.Is(err, context.DeadlineExceeded) {
@@ -87,7 +116,10 @@ func TestPartitionDropsAndHealRestores(t *testing.T) {
 	}
 
 	f.Heal("a", "b")
-	if f.Partitioned("a", "b") {
+	f.mu.Lock()
+	cut := len(f.partitioned)
+	f.mu.Unlock()
+	if cut != 0 {
 		t.Fatal("still partitioned after Heal")
 	}
 	if _, err := f.Call(context.Background(), "a", "b", "test", nil); err != nil {
@@ -165,7 +197,7 @@ func TestSetRouteOverridesDefaults(t *testing.T) {
 	if _, err := f.Call(context.Background(), "a", "b", "test", nil); err != nil {
 		t.Fatalf("overridden route call: %v", err)
 	}
-	f.ClearRoutes()
+	clearRoutes(f)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if _, err := f.Call(ctx, "a", "b", "test", nil); !errors.Is(err, context.DeadlineExceeded) {
@@ -239,15 +271,15 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		}
 		b.Failure()
 	}
-	if b.State() != BreakerOpen {
-		t.Fatalf("state = %v after threshold failures, want open", b.State())
+	if positionOf(b) != BreakerOpen {
+		t.Fatalf("state = %v after threshold failures, want open", positionOf(b))
 	}
 	if b.Allow() {
 		t.Fatal("open breaker allowed a call inside cooldown")
 	}
 	advance(time.Second)
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state = %v after cooldown, want half-open", b.State())
+	if positionOf(b) != BreakerHalfOpen {
+		t.Fatalf("state = %v after cooldown, want half-open", positionOf(b))
 	}
 	// Exactly one probe wins the half-open slot.
 	if !b.Allow() {
@@ -258,7 +290,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	}
 	// Probe failure re-opens for another cooldown.
 	b.Failure()
-	if b.State() != BreakerOpen || b.Allow() {
+	if positionOf(b) != BreakerOpen || b.Allow() {
 		t.Fatal("failed probe did not re-open the breaker")
 	}
 	advance(time.Second)
@@ -266,8 +298,8 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		t.Fatal("re-cooled breaker refused the probe")
 	}
 	b.Success()
-	if b.State() != BreakerClosed {
-		t.Fatalf("state = %v after probe success, want closed", b.State())
+	if positionOf(b) != BreakerClosed {
+		t.Fatalf("state = %v after probe success, want closed", positionOf(b))
 	}
 	if !b.Allow() {
 		t.Fatal("closed breaker refused a call")
@@ -304,12 +336,12 @@ func TestFabricBreakerFastFails(t *testing.T) {
 	if time.Since(start) > 100*time.Millisecond {
 		t.Fatal("fast-fail was not fast")
 	}
-	if f.BreakerState("a", "b") != BreakerOpen {
-		t.Fatalf("breaker state = %v, want open", f.BreakerState("a", "b"))
+	if breakerState(f, "a", "b") != BreakerOpen {
+		t.Fatalf("breaker state = %v, want open", breakerState(f, "a", "b"))
 	}
 	// The reverse direction has its own breaker, still closed.
-	if f.BreakerState("b", "a") != BreakerClosed {
-		t.Fatalf("reverse breaker state = %v, want closed", f.BreakerState("b", "a"))
+	if breakerState(f, "b", "a") != BreakerClosed {
+		t.Fatalf("reverse breaker state = %v, want closed", breakerState(f, "b", "a"))
 	}
 }
 
@@ -328,8 +360,8 @@ func TestGateShedsBeyondLimit(t *testing.T) {
 	if err := g.TryAcquire(); err != nil {
 		t.Fatalf("acquire after release: %v", err)
 	}
-	if got := g.InFlight(); got != 2 {
-		t.Fatalf("InFlight = %d, want 2", got)
+	if got := g.inflight; got != 2 {
+		t.Fatalf("in flight = %d, want 2", got)
 	}
 }
 
