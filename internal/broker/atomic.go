@@ -19,24 +19,27 @@ import (
 // reservations and refuse each other even though either would fit alone.
 //
 // ReserveAtomic provides that commit as the one-member special case of
-// the batch sweep in batch.go: the requirement is resolved to
-// its underlying Local brokers (end-to-end Network resources expand to
-// their route links), their distinct lock stripes are acquired in the
+// the batch sweep in batch.go: the requirement is resolved to its
+// underlying Local brokers (end-to-end Network resources expand to one
+// hold per route link), their distinct lock stripes are acquired in the
 // package-wide acquisition-rank order, every broker's aggregate demand
 // is validated against its current book, and only then is every hold
 // created. A refusal therefore leaves no residue at all, and a success
 // can never over-commit any broker.
 
-// atomicPart is one requirement entry of an atomic reservation plan.
+// atomicPart is one hold an atomic reservation plan creates: a local
+// resource's requirement, or a network requirement's amount on one link
+// of its route.
 type atomicPart struct {
-	local  *Local   // set for local/link resources
-	net    *Network // set for end-to-end network resources
+	local  *Local
 	amount float64
 }
 
 // resolvedPlan is one requirement vector resolved to its underlying
 // Local brokers, ready to validate and commit under stripe locks.
 type resolvedPlan struct {
+	// parts are the holds to create, in requirement order, a network
+	// requirement contributing one part per link in route order.
 	parts []atomicPart
 	// demand aggregates the total amount required from each underlying
 	// Local broker; the same link can back several network resources of
@@ -47,7 +50,8 @@ type resolvedPlan struct {
 }
 
 // resolvePlan expands a requirement vector to the Local brokers backing
-// it. No locks are taken.
+// it: the one requirement→link expansion of the package. No locks are
+// taken.
 func resolvePlan(resolve func(string) (Broker, bool), req qos.ResourceVector) (resolvedPlan, error) {
 	var rp resolvedPlan
 	rp.demand = make(map[*Local]float64)
@@ -56,6 +60,7 @@ func resolvePlan(resolve func(string) (Broker, bool), req qos.ResourceVector) (r
 			rp.locals = append(rp.locals, l)
 		}
 		rp.demand[l] += amount
+		rp.parts = append(rp.parts, atomicPart{local: l, amount: amount})
 	}
 	for _, r := range req.Names() {
 		amount := req[r]
@@ -72,17 +77,32 @@ func resolvePlan(resolve func(string) (Broker, bool), req qos.ResourceVector) (r
 		switch t := b.(type) {
 		case *Local:
 			need(t, amount)
-			rp.parts = append(rp.parts, atomicPart{local: t, amount: amount})
 		case *Network:
 			for _, l := range t.links {
 				need(l, amount)
 			}
-			rp.parts = append(rp.parts, atomicPart{net: t, amount: amount})
 		default:
 			return resolvedPlan{}, fmt.Errorf("broker: resource %s: %T does not support atomic reservation", r, b)
 		}
 	}
 	return rp, nil
+}
+
+// Demand expands a requirement vector to what committing it holds on
+// each Local broker, keyed by resource ID: a network requirement counts
+// on every link of its route, and links shared by several routes carry
+// their sum. It is the budget a reservation shrinks to and the amount
+// an audit expects each book to hold for it.
+func Demand(resolve func(string) (Broker, bool), req qos.ResourceVector) (qos.ResourceVector, error) {
+	rp, err := resolvePlan(resolve, req)
+	if err != nil {
+		return nil, err
+	}
+	out := make(qos.ResourceVector, len(rp.locals))
+	for _, l := range rp.locals {
+		out[l.resource] = rp.demand[l]
+	}
+	return out, nil
 }
 
 // shortfallLocked validates the plan's aggregate demand against every
@@ -108,25 +128,17 @@ func (rp resolvedPlan) shortfallLocked(extra map[*Local]float64) error {
 // hold the stripe locks of every broker in the plan and have validated
 // the plan with shortfallLocked.
 func (rp resolvedPlan) commitLocked(now Time) *MultiReservation {
-	m := &MultiReservation{}
-	for _, p := range rp.parts {
-		if p.local != nil {
-			m.parts = append(m.parts, multiPart{broker: p.local, id: p.local.reserveLocked(now, p.amount)})
-			continue
-		}
-		held := make([]linkHold, len(p.net.links))
-		for i, l := range p.net.links {
-			held[i] = linkHold{link: l, id: l.reserveLocked(now, p.amount)}
-		}
-		m.parts = append(m.parts, multiPart{broker: p.net, id: p.net.adopt(held)})
+	m := &MultiReservation{parts: make([]multiPart, len(rp.parts))}
+	for i, p := range rp.parts {
+		m.parts[i] = multiPart{broker: p.local, id: p.local.reserveLocked(now, p.amount)}
 	}
 	return m
 }
 
 // ReserveAtomic reserves every (resource, amount) pair of req
 // all-or-nothing against the brokers returned by resolve: either every
-// hold (including every per-link hold of network resources) is created,
-// or none is and the bottleneck's ErrInsufficient is returned. Unlike
+// hold (one per link for network resources) is created, or none is and
+// the bottleneck's ErrInsufficient is returned. Unlike
 // sequential reserve-then-rollback, validation happens before any state
 // changes, so concurrent callers never observe — or fail because of —
 // partial reservations, and no broker can ever exceed its capacity.
@@ -149,10 +161,5 @@ func ReserveAtomic(now Time, resolve func(string) (Broker, bool), req qos.Resour
 // availability under the global lock order before any hold is created.
 // See ReserveAtomic for the protocol.
 func (p *Pool) ReserveAllAtomic(now Time, req qos.ResourceVector) (*MultiReservation, error) {
-	m, err := ReserveAtomic(now, p.Get, req)
-	if err != nil {
-		return nil, err
-	}
-	m.pool = p
-	return m, nil
+	return ReserveAtomic(now, p.Get, req)
 }

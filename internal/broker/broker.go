@@ -5,16 +5,18 @@
 // α = r_avail / r_avg computed over a sliding window of past reports.
 //
 // Two kinds of broker are provided, mirroring the paper's two-level
-// management of network resources:
+// management of network resources — two levels for reading, one for
+// holding:
 //
 //   - Local brokers manage a host-local resource (CPU, memory, disk I/O
 //     bandwidth) or a single network link (the RSVP-enabled bandwidth
-//     broker of a router).
-//   - Network brokers manage an end-to-end network resource between two
-//     hosts by composing the per-link bandwidth brokers along the route.
-//     The reported availability is the minimum of the link availabilities,
-//     and a reservation reserves the amount on every link (with rollback
-//     when any link refuses).
+//     broker of a router). Every hold in the package lives in a Local
+//     broker's book.
+//   - Network brokers are read-only views of an end-to-end network
+//     resource between two hosts over the per-link bandwidth brokers
+//     along the route. The reported availability is the minimum of the
+//     link availabilities; a reservation of the path is one hold of the
+//     same amount on every link of the route.
 //
 // Brokers additionally record an availability change log so that
 // observations can be replayed "as of" an earlier time, supporting the
@@ -60,9 +62,10 @@ type Report struct {
 	Epoch    uint64
 }
 
-// Broker is the interface of a Resource Broker (basic operations listed
-// in section 3: report availability, make/enforce reservations, terminate
-// reservations).
+// Broker is the read side of a Resource Broker (section 3): what a
+// QoSProxy asks of every resource it plans over. Reservations are made
+// and terminated on Local brokers (Local.Reserve, Local.Release, and the
+// multi-resource commit paths, which expand a Network to its links).
 type Broker interface {
 	// Resource returns the broker's resource ID, unique in its Pool.
 	Resource() string
@@ -77,11 +80,6 @@ type Broker interface {
 	// Report returns availability plus the change index α, and folds the
 	// report into the α averaging window.
 	Report(now Time) Report
-	// Reserve atomically reserves amount units, failing with
-	// ErrInsufficient when amount exceeds the current availability.
-	Reserve(now Time, amount float64) (ReservationID, error)
-	// Release terminates a reservation and returns its units.
-	Release(now Time, id ReservationID) error
 }
 
 // DefaultAlphaWindow is the paper's report-averaging window T for the
@@ -257,7 +255,8 @@ func (b *Local) Report(now Time) Report {
 	return Report{Resource: b.resource, Avail: p.avail, Alpha: alpha, At: now, Epoch: p.epoch}
 }
 
-// Reserve implements Broker.
+// Reserve atomically reserves amount units, failing with ErrInsufficient
+// when amount exceeds the current availability.
 func (b *Local) Reserve(now Time, amount float64) (ReservationID, error) {
 	if amount < 0 {
 		return 0, fmt.Errorf("broker: resource %s: negative reservation %g", b.resource, amount)
@@ -318,7 +317,7 @@ func (b *Local) reserveLocked(now Time, amount float64) ReservationID {
 	return id
 }
 
-// Release implements Broker.
+// Release terminates a reservation and returns its units.
 func (b *Local) Release(now Time, id ReservationID) error {
 	b.stripe.Lock()
 	defer b.stripe.Unlock()

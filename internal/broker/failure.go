@@ -30,15 +30,6 @@ import "fmt"
 //     ErrUnknownReservation — the signal that the session lost its
 //     reservation and must re-establish it.
 
-// Leaser is implemented by brokers whose holds can carry a lease
-// expiry. Both *Local and *Network implement it; MultiReservation uses
-// it to lease (and renew) every part of a plan in one call.
-type Leaser interface {
-	// SetLease sets (or renews) the expiry of a live hold. A zero
-	// expiry removes the lease, making the hold permanent again.
-	SetLease(id ReservationID, expiry Time) error
-}
-
 // Fail marks the resource as down: availability reports zero and new
 // reservations are refused until Recover. Existing holds are preserved.
 // Failing an already-failed broker is a no-op.
@@ -85,8 +76,9 @@ func (b *Local) SetCapacity(now Time, capacity float64) error {
 	return nil
 }
 
-// SetLease implements Leaser for a local hold.
-func (b *Local) SetLease(id ReservationID, expiry Time) error {
+// setLease sets (or renews) the expiry of a live hold. A zero expiry
+// removes the lease, making the hold permanent again.
+func (b *Local) setLease(id ReservationID, expiry Time) error {
 	b.stripe.Lock()
 	defer b.stripe.Unlock()
 	h, ok := b.holds[id]
@@ -100,8 +92,8 @@ func (b *Local) SetLease(id ReservationID, expiry Time) error {
 
 // ExpireLeases releases every leased hold whose expiry is at or before
 // now and returns the number reclaimed. Holds without a lease (expiry
-// zero) are never touched — in particular the per-link holds owned by a
-// Network reservation, whose lifecycle the network-level lease governs.
+// zero) are never touched. A leased network reservation's link holds
+// each carry the lease, so the sweep of each link reclaims its share.
 func (b *Local) ExpireLeases(now Time) int {
 	b.stripe.Lock()
 	defer b.stripe.Unlock()

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -118,7 +119,7 @@ func TestLeaseExpiryReclaimsLocalHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SetLease(id, 10); err != nil {
+	if err := b.setLease(id, 10); err != nil {
 		t.Fatal(err)
 	}
 	if n := b.ExpireLeases(9); n != 0 {
@@ -136,7 +137,7 @@ func TestLeaseExpiryReclaimsLocalHold(t *testing.T) {
 		t.Fatalf("release after expiry: %v, want ErrUnknownReservation", err)
 	}
 	// Renewal after expiry reports the loss the same way.
-	if err := b.SetLease(id, 20); !errors.Is(err, ErrUnknownReservation) {
+	if err := b.setLease(id, 20); !errors.Is(err, ErrUnknownReservation) {
 		t.Fatalf("renew after expiry: %v, want ErrUnknownReservation", err)
 	}
 }
@@ -150,18 +151,18 @@ func TestLeaseRenewalDefersExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SetLease(id, 10); err != nil {
+	if err := b.setLease(id, 10); err != nil {
 		t.Fatal(err)
 	}
 	// Renew before the sweep: the old expiry no longer applies.
-	if err := b.SetLease(id, 20); err != nil {
+	if err := b.setLease(id, 20); err != nil {
 		t.Fatal(err)
 	}
 	if n := b.ExpireLeases(10); n != 0 {
 		t.Fatalf("renewed lease reclaimed: %d", n)
 	}
 	// Clearing the lease makes the hold permanent again.
-	if err := b.SetLease(id, 0); err != nil {
+	if err := b.setLease(id, 0); err != nil {
 		t.Fatal(err)
 	}
 	if n := b.ExpireLeases(1e9); n != 0 {
@@ -189,7 +190,7 @@ func TestLeaseRenewalRacingExpiry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.SetLease(id, 1); err != nil {
+		if err := b.setLease(id, 1); err != nil {
 			t.Fatal(err)
 		}
 
@@ -199,7 +200,7 @@ func TestLeaseRenewalRacingExpiry(t *testing.T) {
 		expired := 0
 		go func() {
 			defer wg.Done()
-			renewErr = b.SetLease(id, 2) // renew past the sweep instant
+			renewErr = b.setLease(id, 2) // renew past the sweep instant
 		}()
 		go func() {
 			defer wg.Done()
@@ -244,26 +245,29 @@ func TestNetworkLeaseExpiryReleasesLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := n.Reserve(0, 25)
+	m, err := reserveRoute(n, 0, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.SetLease(id, 5); err != nil {
+	if err := m.SetLease(5); err != nil {
 		t.Fatal(err)
 	}
-	// Link holds carry no lease of their own: a link sweep reclaims
-	// nothing.
-	if got := l1.ExpireLeases(1e9); got != 0 {
-		t.Fatalf("link sweep reclaimed %d network-owned holds", got)
+	// Every link hold carries the reservation's lease: nothing lapses
+	// early, and each link's own sweep reclaims its share at the expiry.
+	if got := l1.ExpireLeases(4); got != 0 {
+		t.Fatalf("link sweep before the expiry reclaimed %d holds", got)
 	}
-	if got := n.ExpireLeases(5); got != 1 {
-		t.Fatalf("network sweep reclaimed %d, want 1", got)
+	for _, l := range []*Local{l1, l2} {
+		if got := l.ExpireLeases(5); got != 1 {
+			t.Fatalf("%s sweep reclaimed %d, want 1", l.Resource(), got)
+		}
 	}
-	if l1.Available() != 100 || l2.Available() != 100 {
+	if l1.Available() != 100 || l2.Available() != 100 || n.Available() != 100 {
 		t.Fatalf("links not reclaimed: %g, %g", l1.Available(), l2.Available())
 	}
-	if err := n.Release(6, id); !errors.Is(err, ErrUnknownReservation) {
-		t.Fatalf("release after network lease expiry: %v, want ErrUnknownReservation", err)
+	// A late release of the swept reservation is benign.
+	if err := m.Release(6); err != nil {
+		t.Fatalf("release after lease expiry: %v", err)
 	}
 }
 
@@ -288,22 +292,17 @@ func TestMultiReservationLeaseAndTolerantRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	touches := m.Touches()
-	want := map[string]bool{"cpu@A": true, "net:A->B": true, "link:L1": true}
-	if len(touches) != len(want) {
-		t.Fatalf("touches = %v, want keys of %v", touches, want)
-	}
-	for _, r := range touches {
-		if !want[r] {
-			t.Fatalf("unexpected touch %q in %v", r, touches)
-		}
+	// The network resource is held as its link: the reservation holds
+	// capacity on the cpu and on link:L1, and on nothing else.
+	if got, want := m.Resources(), []string{"cpu@A", "link:L1"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("resources = %v, want %v", got, want)
 	}
 
 	if err := m.SetLease(5); err != nil {
 		t.Fatal(err)
 	}
 	if got := pool.ExpireLeases(5); got != 2 {
-		t.Fatalf("pool sweep reclaimed %d leases, want 2 (local + network)", got)
+		t.Fatalf("pool sweep reclaimed %d leases, want 2 (local + link)", got)
 	}
 	// A late Release of the reclaimed reservation is benign: every part
 	// is already gone, which the leased reservation tolerates.

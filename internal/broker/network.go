@@ -5,13 +5,16 @@ import (
 	"sync"
 )
 
-// Network is an end-to-end network Resource Broker (section 3). At the
-// higher level it treats the network path between two end hosts as one
-// resource; at the lower level each link on the route is managed by its
-// own RSVP-style bandwidth broker (a *Local). The end-to-end availability
-// is the minimum of the link availabilities, and an end-to-end
-// reservation reserves the bandwidth on every link of the route,
-// rolling back if any link refuses.
+// Network is the end-to-end network Resource Broker of section 3, as a
+// read-only view. At the higher level it treats the network path
+// between two end hosts as one resource; at the lower level each link on
+// the route is managed by its own RSVP-style bandwidth broker (a
+// *Local), and those hold the bandwidth. The end-to-end availability is
+// the minimum of the link availabilities, read lock-free, and α is kept
+// over those route minima. Network holds nothing: a commit expands a
+// requirement on the path into one hold of the same amount on every
+// link of the route (see resolvePlan), so an end-to-end reservation is
+// its link holds.
 //
 // Per the paper's RSVP-compatibility note, the broker logically lives on
 // the receiver-side host; the Pool records that placement.
@@ -20,34 +23,18 @@ type Network struct {
 	links    []*Local
 	// lockOrder is the distinct lock stripes backing the route's links,
 	// sorted by stripe acquisition rank — the package-wide multi-lock
-	// order. It backs the locked read fallback (see readLockedAll) and
-	// the mutation paths; the hot read path validates lock-free instead
-	// (see readConsistent).
+	// order. It backs the locked read fallbacks (see availAll); the hot
+	// read path validates lock-free instead (see readConsistent).
 	lockOrder []*stripe
 	// uniq indexes the first occurrence of each distinct link broker on
 	// the route (a link can appear several times). Epoch sums iterate it
 	// so duplicates count once, without a per-call dedup map.
 	uniq []int
 
-	// mu guards the hold table and the α report window of route-minimum
-	// values (the same window type Local brokers use, see window.go).
+	// mu guards the α report window of route-minimum values (the same
+	// window type Local brokers use, see window.go).
 	mu     sync.Mutex
-	holds  map[ReservationID]netHold
-	nextID ReservationID
 	window reportWindow
-}
-
-type linkHold struct {
-	link *Local
-	id   ReservationID
-}
-
-// netHold is one live end-to-end reservation: its per-link holds plus
-// an optional lease expiry (zero = no lease). The lease lives at the
-// network level; the underlying link holds never carry their own.
-type netHold struct {
-	links  []linkHold
-	expiry Time
 }
 
 // NewNetwork creates an end-to-end broker over the given link brokers,
@@ -95,7 +82,6 @@ func NewNetworkWindow(resource string, links []*Local, window Time) (*Network, e
 		links:     ls,
 		lockOrder: order,
 		uniq:      uniq,
-		holds:     make(map[ReservationID]netHold),
 		window:    reportWindow{span: window},
 	}, nil
 }
@@ -130,8 +116,7 @@ func (n *Network) Capacity() float64 {
 // exhibited — e.g. a hold moving atomically from one link to another
 // would be seen on neither — which is exactly the stale-but-plausible
 // lie that admission must not plan against. The hot path avoids it via
-// readConsistent; this remains the fallback and the historical-query
-// path.
+// readConsistent; this remains the historical-query path.
 func (n *Network) availAll(read func(*Local) float64) float64 {
 	lockAll(n.lockOrder)
 	min := read(n.links[0])
@@ -277,121 +262,4 @@ func (n *Network) Report(now Time) Report {
 	defer n.mu.Unlock()
 	alpha := n.window.feed(now, avail)
 	return Report{Resource: n.resource, Avail: avail, Alpha: alpha, At: now, Epoch: epoch}
-}
-
-// Reserve implements Broker: reserve the amount on every link on the
-// route; on any failure roll back the links already reserved and return
-// the failing link's error.
-func (n *Network) Reserve(now Time, amount float64) (ReservationID, error) {
-	if amount < 0 {
-		return 0, fmt.Errorf("broker: resource %s: negative reservation %g", n.resource, amount)
-	}
-	var held []linkHold
-	for _, l := range n.links {
-		id, err := l.Reserve(now, amount)
-		if err != nil {
-			n.rollbackLinkHolds(now, held, err)
-			return 0, fmt.Errorf("broker: resource %s: link %s refused: %w", n.resource, l.Resource(), err)
-		}
-		held = append(held, linkHold{link: l, id: id})
-	}
-	return n.adopt(held), nil
-}
-
-// rollbackLinkHolds releases link holds created moments ago by a
-// mid-route refusal. These holds were never published in n.holds, so a
-// failed release means the hold vanished from its link broker — state
-// corruption that would silently leak link bandwidth if ignored. Rather
-// than assume "rollback cannot fail", the failure is checked explicitly
-// and escalated to a panic carrying the full diagnostic state.
-func (n *Network) rollbackLinkHolds(now Time, held []linkHold, cause error) {
-	for i := len(held) - 1; i >= 0; i-- {
-		h := held[i]
-		if err := h.link.Release(now, h.id); err != nil {
-			panic(fmt.Sprintf(
-				"broker: resource %s: rollback of link %s hold %d failed: %v (refusal being rolled back: %v)",
-				n.resource, h.link.Resource(), h.id, err, cause))
-		}
-	}
-}
-
-// adopt publishes a set of per-link holds as one end-to-end
-// reservation and returns its ID. The atomic multi-resource commit
-// path calls it while still holding the link brokers' stripe locks;
-// that is safe because n.mu is only ever acquired after (never before)
-// stripe locks anywhere in the package.
-func (n *Network) adopt(held []linkHold) ReservationID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.nextID++
-	id := n.nextID
-	n.holds[id] = netHold{links: held}
-	return id
-}
-
-// Release implements Broker.
-func (n *Network) Release(now Time, id ReservationID) error {
-	n.mu.Lock()
-	held, ok := n.holds[id]
-	if ok {
-		delete(n.holds, id)
-	}
-	n.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("broker: resource %s: reservation %d: %w", n.resource, id, ErrUnknownReservation)
-	}
-	var firstErr error
-	for _, h := range held.links {
-		if err := h.link.Release(now, h.id); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// SetLease implements Leaser for an end-to-end hold. The lease lives on
-// the network-level reservation only; the per-link holds it owns stay
-// permanent and are released together when the lease expires.
-func (n *Network) SetLease(id ReservationID, expiry Time) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	h, ok := n.holds[id]
-	if !ok {
-		return fmt.Errorf("broker: resource %s: reservation %d: %w", n.resource, id, ErrUnknownReservation)
-	}
-	h.expiry = expiry
-	n.holds[id] = h
-	return nil
-}
-
-// ExpireLeases reclaims every end-to-end hold whose lease expiry is at
-// or before now, releasing its per-link holds, and returns the number
-// reclaimed. The expired holds are unpublished under n.mu first, so a
-// concurrent Release of the same reservation observes
-// ErrUnknownReservation rather than a double release.
-func (n *Network) ExpireLeases(now Time) int {
-	n.mu.Lock()
-	var expired []netHold
-	for id, h := range n.holds {
-		if h.expiry > 0 && h.expiry <= now {
-			delete(n.holds, id)
-			expired = append(expired, h)
-		}
-	}
-	n.mu.Unlock()
-	for _, h := range expired {
-		for _, lh := range h.links {
-			// The link holds are permanent (no lease of their own) and
-			// unpublished, so release cannot race anything.
-			_ = lh.link.Release(now, lh.id)
-		}
-	}
-	return len(expired)
-}
-
-// Reservations returns the number of live end-to-end reservations.
-func (n *Network) Reservations() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.holds)
 }

@@ -3,9 +3,9 @@ package broker
 import (
 	"errors"
 	"math"
-	"strings"
 	"testing"
 
+	"qosres/internal/qos"
 	"qosres/internal/topo"
 )
 
@@ -20,6 +20,36 @@ func threeLinks(t *testing.T, caps ...float64) []*Local {
 		out[i] = b
 	}
 	return out
+}
+
+// reserveRoute reserves amount on a network resource the way a commit
+// does: one hold of the amount on every link of the route.
+func reserveRoute(n *Network, now Time, amount float64) (*MultiReservation, error) {
+	return ReserveAtomic(now, resolverOf(n), qos.ResourceVector{n.Resource(): amount})
+}
+
+// chainPool builds a pool over hosts A-B-C-D joined by links L1, L2, L3
+// of the given capacities and returns it with the network A->D over all
+// three links.
+func chainPool(t *testing.T, caps ...float64) (*Pool, *Network, []*Local) {
+	t.Helper()
+	top := topo.MustNew([]topo.HostID{"A", "B", "C", "D"}, []topo.Link{
+		{ID: "L1", A: "A", B: "B"}, {ID: "L2", A: "B", B: "C"}, {ID: "L3", A: "C", B: "D"},
+	})
+	p := NewPool(top)
+	links := make([]*Local, len(caps))
+	for i, c := range caps {
+		l, err := p.AddLink(topo.LinkID([]string{"L1", "L2", "L3"}[i]), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		links[i] = l
+	}
+	n, err := p.Network("A", "D")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, n, links
 }
 
 func TestNetworkAvailabilityIsRouteMin(t *testing.T) {
@@ -42,9 +72,12 @@ func TestNetworkAvailabilityIsRouteMin(t *testing.T) {
 func TestNetworkReserveHitsEveryLink(t *testing.T) {
 	links := threeLinks(t, 100, 60, 80)
 	n, _ := NewNetwork("net:A->B", links)
-	id, err := n.Reserve(1, 50)
+	m, err := reserveRoute(n, 1, 50)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := len(m.Resources()); got != 3 {
+		t.Fatalf("reservation has %d holds, want one per link", got)
 	}
 	for i, l := range links {
 		want := []float64{50, 10, 30}[i]
@@ -55,23 +88,25 @@ func TestNetworkReserveHitsEveryLink(t *testing.T) {
 	if n.Available() != 10 {
 		t.Fatalf("end-to-end avail = %v", n.Available())
 	}
-	if err := n.Release(2, id); err != nil {
+	if err := m.Release(2); err != nil {
 		t.Fatal(err)
 	}
 	for i, l := range links {
 		if l.Available() != []float64{100, 60, 80}[i] {
 			t.Errorf("link %d not fully released: %v", i, l.Available())
 		}
-	}
-	if n.Reservations() != 0 {
-		t.Fatal("leaked end-to-end reservation")
+		if l.Reservations() != 0 {
+			t.Errorf("link %d leaked a hold", i)
+		}
 	}
 }
 
+// TestNetworkReserveRollsBackOnRefusal: the sequential ReserveAll takes
+// one link hold at a time, so a refusal mid-route must roll back the
+// holds already taken on the earlier links.
 func TestNetworkReserveRollsBackOnRefusal(t *testing.T) {
-	links := threeLinks(t, 100, 30, 80)
-	n, _ := NewNetwork("net:A->B", links)
-	if _, err := n.Reserve(1, 50); !errors.Is(err, ErrInsufficient) {
+	p, n, links := chainPool(t, 100, 30, 80)
+	if _, err := p.ReserveAll(1, qos.ResourceVector{n.Resource(): 50}); !errors.Is(err, ErrInsufficient) {
 		t.Fatalf("err = %v, want ErrInsufficient", err)
 	}
 	// The first link's tentative reservation must have been rolled back.
@@ -85,18 +120,11 @@ func TestNetworkReserveRollsBackOnRefusal(t *testing.T) {
 	}
 }
 
-func TestNetworkReleaseUnknown(t *testing.T) {
-	n, _ := NewNetwork("net:A->B", threeLinks(t, 10, 10, 10))
-	if err := n.Release(0, 42); !errors.Is(err, ErrUnknownReservation) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestNetworkAvailableAt(t *testing.T) {
 	links := threeLinks(t, 100, 60, 80)
 	n, _ := NewNetwork("net:A->B", links)
-	id, _ := n.Reserve(10, 20)
-	_ = n.Release(20, id)
+	m, _ := reserveRoute(n, 10, 20)
+	_ = m.Release(20)
 	if got := n.AvailableAt(5); got != 60 {
 		t.Fatalf("AvailableAt(5) = %v, want 60", got)
 	}
@@ -114,7 +142,7 @@ func TestNetworkAlphaTracksRouteMin(t *testing.T) {
 	if rep := n.Report(0); rep.Alpha != 1 || rep.Avail != 60 {
 		t.Fatalf("first report = %+v", rep)
 	}
-	id, _ := n.Reserve(1, 30)
+	m, _ := reserveRoute(n, 1, 30)
 	rep := n.Report(2)
 	if rep.Avail != 30 {
 		t.Fatalf("avail = %v", rep.Avail)
@@ -122,7 +150,7 @@ func TestNetworkAlphaTracksRouteMin(t *testing.T) {
 	if rep.Alpha >= 1 {
 		t.Fatalf("alpha = %v, want < 1 after drop", rep.Alpha)
 	}
-	_ = n.Release(3, id)
+	_ = m.Release(3)
 }
 
 func TestNetworkValidation(t *testing.T) {
@@ -136,7 +164,7 @@ func TestNetworkValidation(t *testing.T) {
 		t.Fatal("zero window accepted")
 	}
 	n, _ := NewNetwork("net:x", threeLinks(t, 1, 1, 1))
-	if _, err := n.Reserve(0, -1); err == nil {
+	if _, err := reserveRoute(n, 0, -1); err == nil {
 		t.Fatal("negative reserve accepted")
 	}
 }
@@ -150,20 +178,20 @@ func TestNetworkSharedLinkContention(t *testing.T) {
 	nA, _ := NewNetwork("net:A", []*Local{a1, shared})
 	nB, _ := NewNetwork("net:B", []*Local{shared, b1})
 
-	idA, err := nA.Reserve(1, 70)
+	mA, err := reserveRoute(nA, 1, 70)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nB.Available() != 30 {
 		t.Fatalf("net:B avail = %v, want 30 via shared link", nB.Available())
 	}
-	if _, err := nB.Reserve(2, 40); !errors.Is(err, ErrInsufficient) {
+	if _, err := reserveRoute(nB, 2, 40); !errors.Is(err, ErrInsufficient) {
 		t.Fatalf("expected contention failure, got %v", err)
 	}
-	if _, err := nB.Reserve(3, 30); err != nil {
+	if _, err := reserveRoute(nB, 3, 30); err != nil {
 		t.Fatalf("within-shared-capacity reserve failed: %v", err)
 	}
-	_ = nA.Release(4, idA)
+	_ = mA.Release(4)
 	if nB.Available() != 70 {
 		t.Fatalf("after release net:B avail = %v", nB.Available())
 	}
@@ -187,12 +215,12 @@ func TestNetworkAlphaAllZeroWindowWithRecoveredAvailability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := n.Reserve(0, 60) // saturates the bottleneck link
+	m, err := reserveRoute(n, 0, 60) // saturates the bottleneck link
 	if err != nil {
 		t.Fatal(err)
 	}
 	n.Report(0) // route minimum 0 enters the window
-	if err := n.Release(1, id); err != nil {
+	if err := m.Release(1); err != nil {
 		t.Fatal(err)
 	}
 	rep := n.Report(1)
@@ -207,9 +235,8 @@ func TestNetworkAlphaAllZeroWindowWithRecoveredAvailability(t *testing.T) {
 func TestNetworkReserveLastLinkRefusalRollsBackAllHolds(t *testing.T) {
 	// The failure at the *last* link forces rollback of every earlier
 	// hold on the route, not just one.
-	links := threeLinks(t, 100, 80, 30)
-	n, _ := NewNetwork("net:A->B", links)
-	if _, err := n.Reserve(1, 50); !errors.Is(err, ErrInsufficient) {
+	p, n, links := chainPool(t, 100, 80, 30)
+	if _, err := p.ReserveAll(1, qos.ResourceVector{n.Resource(): 50}); !errors.Is(err, ErrInsufficient) {
 		t.Fatalf("err = %v, want ErrInsufficient", err)
 	}
 	for i, l := range links {
@@ -220,34 +247,6 @@ func TestNetworkReserveLastLinkRefusalRollsBackAllHolds(t *testing.T) {
 			t.Errorf("link %d leaked a reservation", i)
 		}
 	}
-	if n.Reservations() != 0 {
-		t.Fatalf("network broker holds %d reservations after refusal", n.Reservations())
-	}
-}
-
-func TestNetworkRollbackFailurePanicsWithDiagnostics(t *testing.T) {
-	// White-box: rollbackLinkHolds must escalate a failed release of a
-	// just-created hold — silent continuation would leak link bandwidth
-	// invisibly. A bogus hold ID simulates the impossible-by-design state
-	// corruption.
-	links := threeLinks(t, 100, 80, 60)
-	n, _ := NewNetwork("net:A->B", links)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("rollback of an unknown hold did not panic")
-		}
-		msg, ok := r.(string)
-		if !ok {
-			t.Fatalf("panic value %T, want string", r)
-		}
-		for _, want := range []string{"net:A->B", "rollback", "refusal being rolled back"} {
-			if !strings.Contains(msg, want) {
-				t.Errorf("panic %q missing %q", msg, want)
-			}
-		}
-	}()
-	n.rollbackLinkHolds(1, []linkHold{{link: links[0], id: 999}}, ErrInsufficient)
 }
 
 // TestNetworkAvailableConsistentSnapshot is the torn-minimum regression

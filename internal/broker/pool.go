@@ -172,8 +172,9 @@ func (p *Pool) Resources() []string {
 	return out
 }
 
-// LocalBrokers returns every local/link broker, sorted by resource ID.
-// Network brokers are excluded because they alias link capacity.
+// LocalBrokers returns every local/link broker, sorted by resource ID:
+// every book of the pool. Network brokers are excluded because they are
+// views over link books.
 func (p *Pool) LocalBrokers() []*Local {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -249,10 +250,10 @@ func (p *Pool) StaleSnapshot(now Time, resources []string, lag map[string]Time) 
 	return s, nil
 }
 
-// MultiReservation is the set of per-resource reservations backing one
-// end-to-end multi-resource reservation plan.
+// MultiReservation is the set of holds backing one end-to-end
+// multi-resource reservation plan: one per local resource and one per
+// link of every network route, each in its Local broker's book.
 type MultiReservation struct {
-	pool  *Pool
 	parts []multiPart
 	// leased records that SetLease armed an expiry on the parts: from
 	// then on a part may be reclaimed underneath us by a lease sweep,
@@ -262,40 +263,18 @@ type MultiReservation struct {
 }
 
 type multiPart struct {
-	broker Broker
+	broker *Local
 	id     ReservationID
 }
 
-// Resources returns the reserved resource IDs in reservation order.
+// Resources returns the resource IDs the reservation holds capacity on,
+// in reservation order — route links in place of the network resources
+// they back. The repair layer matches failed resources against them to
+// find the sessions a fault invalidates.
 func (m *MultiReservation) Resources() []string {
 	out := make([]string, len(m.parts))
 	for i, p := range m.parts {
-		out[i] = p.broker.Resource()
-	}
-	return out
-}
-
-// Touches returns every underlying concrete resource ID the reservation
-// holds capacity on: the reserved resources themselves plus, for
-// end-to-end network parts, each link on the route. The repair layer
-// matches failed resources against this set to find the sessions a
-// fault invalidates.
-func (m *MultiReservation) Touches() []string {
-	seen := make(map[string]bool, len(m.parts))
-	var out []string
-	add := func(r string) {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	for _, p := range m.parts {
-		add(p.broker.Resource())
-		if n, ok := p.broker.(*Network); ok {
-			for _, l := range n.links {
-				add(l.resource)
-			}
-		}
+		out[i] = p.broker.resource
 	}
 	return out
 }
@@ -308,24 +287,30 @@ func (m *MultiReservation) Touches() []string {
 func (m *MultiReservation) SetLease(expiry Time) error {
 	m.leased = true
 	for _, p := range m.parts {
-		l, ok := p.broker.(Leaser)
-		if !ok {
-			return fmt.Errorf("broker: resource %s: %T does not support leases", p.broker.Resource(), p.broker)
-		}
-		if err := l.SetLease(p.id, expiry); err != nil {
+		if err := p.broker.setLease(p.id, expiry); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// ReserveAll atomically reserves every (resource, amount) pair of an
-// end-to-end reservation plan: if any single reservation fails, all
-// reservations already made are rolled back and the error is returned —
+// ReserveAll reserves every (resource, amount) pair of an end-to-end
+// reservation plan one hold at a time — a network resource on every
+// link of its route — and if any single reservation fails, all
+// reservations already made are rolled back and the error is returned:
 // "the failure to reserve one resource leads to the reservation failure
 // for the whole distributed service session".
 func (p *Pool) ReserveAll(now Time, req qos.ResourceVector) (*MultiReservation, error) {
-	m := &MultiReservation{pool: p}
+	m := &MultiReservation{}
+	hold := func(l *Local, amount float64) error {
+		id, err := l.Reserve(now, amount)
+		if err != nil {
+			m.rollback(now)
+			return err
+		}
+		m.parts = append(m.parts, multiPart{broker: l, id: id})
+		return nil
+	}
 	for _, r := range req.Names() { // sorted for deterministic lock order
 		amount := req[r]
 		if amount == 0 {
@@ -336,12 +321,18 @@ func (p *Pool) ReserveAll(now Time, req qos.ResourceVector) (*MultiReservation, 
 			m.rollback(now)
 			return nil, fmt.Errorf("broker: reserve of unknown resource %s", r)
 		}
-		id, err := b.Reserve(now, amount)
-		if err != nil {
-			m.rollback(now)
-			return nil, err
+		switch t := b.(type) {
+		case *Local:
+			if err := hold(t, amount); err != nil {
+				return nil, err
+			}
+		case *Network:
+			for _, l := range t.links {
+				if err := hold(l, amount); err != nil {
+					return nil, fmt.Errorf("broker: resource %s: link %s refused: %w", r, l.resource, err)
+				}
+			}
 		}
-		m.parts = append(m.parts, multiPart{broker: b, id: id})
 	}
 	return m, nil
 }
@@ -374,29 +365,11 @@ func (m *MultiReservation) Release(now Time) error {
 	return firstErr
 }
 
-// NetworkBrokers returns every end-to-end network broker created so
-// far, sorted by resource ID.
-func (p *Pool) NetworkBrokers() []*Network {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]*Network, 0, len(p.net))
-	for _, n := range p.net {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].resource < out[j].resource })
-	return out
-}
-
-// ExpireLeases sweeps every broker of the pool for leased holds whose
-// expiry has passed, reclaiming their capacity, and returns the number
-// of leases reclaimed. Network brokers are swept too: their leases
-// release the underlying link holds, which never carry leases of their
-// own.
+// ExpireLeases sweeps every local and link broker of the pool for
+// leased holds whose expiry has passed, reclaiming their capacity, and
+// returns the number of holds reclaimed.
 func (p *Pool) ExpireLeases(now Time) int {
 	total := 0
-	for _, n := range p.NetworkBrokers() {
-		total += n.ExpireLeases(now)
-	}
 	for _, b := range p.LocalBrokers() {
 		total += b.ExpireLeases(now)
 	}

@@ -141,7 +141,7 @@ func TestPoolSnapshot(t *testing.T) {
 func TestPoolStaleSnapshot(t *testing.T) {
 	p := testPool(t)
 	b, _ := p.Get("cpu@H1")
-	id, err := b.Reserve(10, 40)
+	id, err := b.(*Local).Reserve(10, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestStaleSnapshotRescalesAlpha(t *testing.T) {
 		p := testPool(t)
 		b, _ := p.Get("cpu@H1")
 		b.Report(0)
-		if _, err := b.Reserve(1, 40); err != nil {
+		if _, err := b.(*Local).Reserve(1, 40); err != nil {
 			t.Fatal(err)
 		}
 		return p

@@ -4,12 +4,14 @@ import (
 	"reflect"
 	"testing"
 
+	"qosres/internal/qos"
 	"qosres/internal/topo"
 )
 
-// poolFixture builds a small pool with one cpu broker and one two-link
-// network route, reserving one hold on each.
-func restoreFixture(t *testing.T) (*Pool, *MultiReservation) {
+// restoreFixture builds a small pool with one cpu broker and one
+// network route, reserving one hold on the cpu and one on every link of
+// the route, under lease.
+func restoreFixture(t *testing.T) (*Pool, *MultiReservation, *Local, *Network) {
 	t.Helper()
 	top := topo.Figure9()
 	pool := NewPool(top)
@@ -26,58 +28,58 @@ func restoreFixture(t *testing.T) (*Pool, *MultiReservation) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cid, err := cpu.Reserve(1, 2.5)
+	m, err := pool.ReserveAllAtomic(1, qos.ResourceVector{cpu.Resource(): 2.5, net.Resource(): 0.75})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nid, err := net.Reserve(1, 0.75)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := &MultiReservation{parts: []multiPart{
-		{broker: cpu, id: cid},
-		{broker: net, id: nid},
-	}}
 	if err := m.SetLease(20); err != nil {
 		t.Fatal(err)
 	}
-	return pool, m
+	return pool, m, cpu, net
 }
 
-// bookShape snapshots the externally observable book state of every
-// broker the reservation touches.
+// bookShape snapshots the hold amounts of every book the reservation
+// holds capacity on.
 func bookShape(pool *Pool, m *MultiReservation) map[string][]float64 {
 	out := make(map[string][]float64)
-	for _, r := range m.Touches() {
-		b, ok := pool.Get(r)
-		if !ok {
-			continue
-		}
-		if l, ok := b.(*Local); ok {
-			out[r] = l.HoldAmounts()
+	for _, r := range m.Resources() {
+		if b, ok := pool.Get(r); ok {
+			out[r] = b.(*Local).HoldAmounts()
 		}
 	}
 	return out
 }
 
+// hostCrashResolver resolves through the pool the way a host restarting
+// alone does: cpu is the host's own book (wiped by the crash), every
+// other resource is a link book that survived it.
+func hostCrashResolver(pool *Pool, cpu *Local) func(string) (*Local, bool, bool) {
+	return func(r string) (*Local, bool, bool) {
+		b, ok := pool.Get(r)
+		if !ok {
+			return nil, false, false
+		}
+		l := b.(*Local)
+		return l, l != cpu, true
+	}
+}
+
 // TestExportRestoreRoundTrip proves a wiped book restored from exports
 // is byte-identical to the pre-crash one: same hold IDs, same amounts,
-// same lease expiries, and the restored handle still releases cleanly.
+// same lease expiries, and the restored handle still releases cleanly,
+// link holds included.
 func TestExportRestoreRoundTrip(t *testing.T) {
-	pool, m := restoreFixture(t)
+	pool, m, cpu, net := restoreFixture(t)
 	before := bookShape(pool, m)
 	exports := m.Export()
-	if len(exports) != 2 {
-		t.Fatalf("exported %d holds, want 2", len(exports))
+	if want := 1 + len(net.Links()); len(exports) != want {
+		t.Fatalf("exported %d holds, want %d (cpu plus one per link)", len(exports), want)
 	}
 
-	// Crash: the owning host forgets its cpu book and its network-level
-	// book; the link brokers (owned by no host) keep their holds.
-	cpu := m.parts[0].broker.(*Local)
-	net := m.parts[1].broker.(*Network)
+	// Crash: the owning host forgets its cpu book; the link brokers
+	// (owned by no host) keep their holds.
 	cpu.Wipe(2)
-	net.Wipe()
-	if cpu.Reservations() != 0 || net.Reservations() != 0 {
+	if cpu.Reservations() != 0 {
 		t.Fatal("wipe left holds behind")
 	}
 	for _, l := range net.Links() {
@@ -86,8 +88,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 		}
 	}
 
-	resolve := func(r string) (Broker, bool) { return pool.Get(r) }
-	restored, err := RestoreMulti(2, resolve, exports, true)
+	restored, err := RestoreMulti(2, hostCrashResolver(pool, cpu), exports, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +103,9 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	if err := restored.Release(3); err != nil {
 		t.Fatal(err)
 	}
-	if cpu.Reservations() != 0 || net.Reservations() != 0 {
-		t.Fatal("release after restore left holds")
-	}
-	for _, l := range net.Links() {
-		if l.Reservations() != 0 {
-			t.Fatalf("link %s leaked after restored release", l.Resource())
+	for _, b := range pool.LocalBrokers() {
+		if b.Reservations() != 0 {
+			t.Fatalf("%s kept %d holds after restored release", b.Resource(), b.Reservations())
 		}
 	}
 }
@@ -115,20 +113,62 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 // TestRestoreIdempotent proves re-restoring existing holds is a no-op:
 // amounts are not double-counted and IDs stay stable.
 func TestRestoreIdempotent(t *testing.T) {
-	pool, m := restoreFixture(t)
+	pool, m, cpu, net := restoreFixture(t)
 	exports := m.Export()
-	resolve := func(r string) (Broker, bool) { return pool.Get(r) }
 	// Restore over a live (never wiped) book: nothing should change.
-	if _, err := RestoreMulti(2, resolve, exports, true); err != nil {
+	wiped := func(r string) (*Local, bool, bool) {
+		b, ok := pool.Get(r)
+		if !ok {
+			return nil, false, false
+		}
+		return b.(*Local), false, true
+	}
+	if _, err := RestoreMulti(2, wiped, exports, true); err != nil {
 		t.Fatal(err)
 	}
-	cpu := m.parts[0].broker.(*Local)
 	if got := cpu.Reserved(); got != 2.5 {
 		t.Fatalf("reserved doubled on idempotent restore: %g", got)
 	}
-	net := m.parts[1].broker.(*Network)
-	if net.Reservations() != 1 {
-		t.Fatalf("network holds doubled: %d", net.Reservations())
+	for _, l := range net.Links() {
+		if l.Reservations() != 1 || l.Reserved() != 0.75 {
+			t.Fatalf("link %s holds doubled: %d holds, %g reserved", l.Resource(), l.Reservations(), l.Reserved())
+		}
+	}
+}
+
+// TestRestoreReattachesOnlySurvivingHolds: a link hold released while
+// its host was down (a teardown racing the crash) is not re-created by
+// the host's replay — its capacity may already belong to someone else —
+// and the restored reservation simply lacks it.
+func TestRestoreReattachesOnlySurvivingHolds(t *testing.T) {
+	pool, m, cpu, net := restoreFixture(t)
+	exports := m.Export()
+	cpu.Wipe(2)
+	links := net.Links()
+	gone := exports[len(exports)-1]
+	if err := links[len(links)-1].Release(2, gone.ID); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreMulti(3, hostCrashResolver(pool, cpu), exports, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(restored.Resources()), len(exports)-1; got != want {
+		t.Fatalf("restored %d holds, want %d", got, want)
+	}
+	if n := links[len(links)-1].Reservations(); n != 0 {
+		t.Fatalf("released link hold re-created: %d holds", n)
+	}
+	if cpu.Reserved() != 2.5 {
+		t.Fatalf("wiped cpu hold not restored: %g reserved", cpu.Reserved())
+	}
+	if err := restored.Release(4); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range pool.LocalBrokers() {
+		if b.Reservations() != 0 {
+			t.Fatalf("%s kept %d holds", b.Resource(), b.Reservations())
+		}
 	}
 }
 
@@ -160,24 +200,21 @@ func TestWipeKeepsIDAllocator(t *testing.T) {
 }
 
 // TestRestoredLeaseExpires proves restored holds keep their lease
-// expiries: a sweep after the expiry reclaims them (links included).
+// expiries: a sweep after the expiry reclaims them, link holds
+// included.
 func TestRestoredLeaseExpires(t *testing.T) {
-	pool, m := restoreFixture(t)
+	pool, m, cpu, net := restoreFixture(t)
 	exports := m.Export()
-	m.parts[0].broker.(*Local).Wipe(2)
-	m.parts[1].broker.(*Network).Wipe()
-	resolve := func(r string) (Broker, bool) { return pool.Get(r) }
-	restored, err := RestoreMulti(2, resolve, exports, true)
-	if err != nil {
+	cpu.Wipe(2)
+	if _, err := RestoreMulti(2, hostCrashResolver(pool, cpu), exports, true); err != nil {
 		t.Fatal(err)
 	}
-	if n := pool.ExpireLeases(25); n != 2 {
-		t.Fatalf("swept %d holds, want 2", n)
+	if n, want := pool.ExpireLeases(25), 1+len(net.Links()); n != want {
+		t.Fatalf("swept %d holds, want %d", n, want)
 	}
-	for _, r := range restored.Touches() {
-		b, _ := pool.Get(r)
-		if l, ok := b.(*Local); ok && l.Reservations() != 0 {
-			t.Fatalf("resource %s kept a hold past its restored lease", r)
+	for _, b := range pool.LocalBrokers() {
+		if b.Reservations() != 0 {
+			t.Fatalf("resource %s kept a hold past its restored lease", b.Resource())
 		}
 	}
 }

@@ -17,16 +17,10 @@ import (
 // fresh hold through the validated 2PC path instead, so a failed
 // upgrade leaves the old holds untouched.
 
-// Shrinker is a broker whose live holds can be reduced in place.
-type Shrinker interface {
-	// Shrink reduces the hold to newAmount, keeping its ID and lease
-	// expiry. newAmount <= 0 releases the hold whole; newAmount at or
-	// above the current amount is a no-op (a shrink never grows).
-	Shrink(now Time, id ReservationID, newAmount float64) error
-}
-
-// Shrink implements Shrinker for a local hold.
-func (b *Local) Shrink(now Time, id ReservationID, newAmount float64) error {
+// shrink reduces a live hold to newAmount, keeping its ID and lease
+// expiry. newAmount <= 0 releases the hold whole; newAmount at or above
+// the current amount is a no-op (a shrink never grows).
+func (b *Local) shrink(now Time, id ReservationID, newAmount float64) error {
 	if newAmount <= 0 {
 		return b.Release(now, id)
 	}
@@ -48,88 +42,37 @@ func (b *Local) Shrink(now Time, id ReservationID, newAmount float64) error {
 	return nil
 }
 
-// Shrink implements Shrinker for an end-to-end hold: every link hold on
-// the route shrinks to the new amount. The hold stays published in
-// n.holds throughout (its ID and lease survive); the link holds are
-// copied out under n.mu and shrunk after it is dropped, since stripe
-// locks are never taken under n.mu.
-func (n *Network) Shrink(now Time, id ReservationID, newAmount float64) error {
-	if newAmount <= 0 {
-		return n.Release(now, id)
-	}
-	n.mu.Lock()
-	h, ok := n.holds[id]
-	if !ok {
-		n.mu.Unlock()
-		return fmt.Errorf("broker: resource %s: reservation %d: %w", n.resource, id, ErrUnknownReservation)
-	}
-	held := make([]linkHold, len(h.links))
-	copy(held, h.links)
-	n.mu.Unlock()
-	var firstErr error
-	for _, lh := range held {
-		if err := lh.link.Shrink(now, lh.id, newAmount); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
 // ShrinkTo reduces the reservation to at most the budgeted amount per
-// resource: each part keeps min(current, remaining budget) and the
-// budget DRAINS IN PLACE in part order, so two parts on the same
-// resource (a renegotiated session's kept hold plus its delta) share
-// one budget — callers spanning several reservations pass the same
-// vector through each. Parts whose keep reaches zero are released and
-// dropped from the set. Resources absent from the budget keep nothing.
-// Like Release, a leased reservation tolerates parts a concurrent sweep
-// already reclaimed.
+// resource: each hold keeps min(current, remaining budget) and the
+// budget DRAINS IN PLACE in part order, so two holds on the same
+// resource (a renegotiated session's kept hold plus its delta, or the
+// holds of two routes sharing a link) share one budget — callers
+// spanning several reservations pass the same vector through each. The
+// budget is per Local broker (see Demand). Holds whose keep reaches
+// zero are released and dropped from the set. Resources absent from the
+// budget keep nothing. Like Release, a leased reservation tolerates
+// holds a concurrent sweep already reclaimed.
 func (m *MultiReservation) ShrinkTo(now Time, budget qos.ResourceVector) error {
 	remaining := budget
 	var firstErr error
 	kept := m.parts[:0]
 	for _, p := range m.parts {
-		resource := p.broker.Resource()
-		current := 0.0
-		switch br := p.broker.(type) {
-		case *Local:
-			if ex, ok := br.exportHold(p.id); ok {
-				current = ex.Amount
-			} else if !m.leased {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("broker: resource %s: reservation %d: %w", resource, p.id, ErrUnknownReservation)
-				}
-				continue
-			} else {
-				continue // reclaimed by a sweep; nothing left to shrink
+		resource := p.broker.resource
+		ex, ok := p.broker.exportHold(p.id)
+		if !ok {
+			if !m.leased && firstErr == nil {
+				firstErr = fmt.Errorf("broker: resource %s: reservation %d: %w", resource, p.id, ErrUnknownReservation)
 			}
-		case *Network:
-			if ex, ok := br.exportHold(p.id); ok {
-				current = ex.Amount
-			} else if !m.leased {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("broker: resource %s: reservation %d: %w", resource, p.id, ErrUnknownReservation)
-				}
-				continue
-			} else {
-				continue
-			}
-		default:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("broker: resource %s: %T does not support shrink", resource, p.broker)
-			}
-			kept = append(kept, p)
-			continue
+			continue // reclaimed by a sweep; nothing left to shrink
 		}
 		keep := remaining[resource]
-		if keep > current {
-			keep = current
+		if keep > ex.Amount {
+			keep = ex.Amount
 		}
 		if keep > 0 {
 			remaining[resource] -= keep
 		}
-		s := p.broker.(Shrinker)
-		if err := s.Shrink(now, p.id, keep); err != nil {
+		if err := p.broker.shrink(now, p.id, keep); err != nil {
 			if m.leased && errors.Is(err, ErrUnknownReservation) {
 				continue
 			}

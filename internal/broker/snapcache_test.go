@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -94,16 +95,21 @@ func TestPublishedReadsTornFreeUnderContention(t *testing.T) {
 		go func(w int) {
 			defer wwg.Done()
 			for i := 0; i < rounds; i++ {
-				var b Broker = local
+				var err error
 				if w%2 == 0 {
-					b = net
-				}
-				id, err := b.Reserve(next(), 1)
-				if err == nil {
-					if err := b.Release(next(), id); err != nil {
-						errs <- "release: " + err.Error()
-						return
+					var m *MultiReservation
+					if m, err = reserveRoute(net, next(), 1); err == nil {
+						err = m.Release(next())
 					}
+				} else {
+					var id ReservationID
+					if id, err = local.Reserve(next(), 1); err == nil {
+						err = local.Release(next(), id)
+					}
+				}
+				if err != nil && !errors.Is(err, ErrInsufficient) {
+					errs <- "reserve/release: " + err.Error()
+					return
 				}
 			}
 		}(w)

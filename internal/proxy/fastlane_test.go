@@ -132,9 +132,9 @@ func TestFastLanePrepareVsCrashRestart(t *testing.T) {
 	fabric.Settle()
 	t.Logf("%d crash-restarts under %v prepares per worker", crashes, sent)
 
-	y, err := rt.proxyFor("cpu@Y")
-	if err != nil {
-		t.Fatal(err)
+	_, y, ok := rt.owning("cpu@Y")
+	if !ok {
+		t.Fatal("cpu@Y deployed nowhere")
 	}
 	book := brokers["cpu@Y"]
 	y.mu.Lock()

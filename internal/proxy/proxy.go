@@ -100,6 +100,9 @@ type QoSProxy struct {
 	// recorder, write-ahead log, and commit-decision table through it.
 	rt      *Runtime
 	brokers map[string]broker.Broker
+	// books are the Local brokers the host holds capacity on, by
+	// resource ID: its own, and the links under its network brokers.
+	books map[string]*broker.Local
 	// models holds, per service, the components stored at this host
 	// under the distributed model-storage approach of section 3.
 	models map[string]map[svc.ComponentID]*svc.Component
@@ -128,6 +131,7 @@ func newQoSProxy(host topo.HostID, rt *Runtime) *QoSProxy {
 		host:    host,
 		rt:      rt,
 		brokers: make(map[string]broker.Broker),
+		books:   make(map[string]*broker.Local),
 		pending: make(map[string]*prepState),
 	}
 }
@@ -572,7 +576,8 @@ func (rt *Runtime) AddHost(host topo.HostID) (*QoSProxy, error) {
 
 // Deploy registers a Resource Broker at a host's proxy. Following the
 // paper's RSVP compatibility note, end-to-end network brokers should be
-// deployed at the receiver-side host.
+// deployed at the receiver-side host; the proxy then holds the
+// network's reservations on the link brokers of its route.
 func (rt *Runtime) Deploy(host topo.HostID, b broker.Broker) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -589,6 +594,14 @@ func (rt *Runtime) Deploy(host topo.HostID, b broker.Broker) error {
 	}
 	p.brokers[r] = b
 	rt.owner[r] = host
+	switch t := b.(type) {
+	case *broker.Local:
+		p.books[r] = t
+	case *broker.Network:
+		for _, l := range t.Links() {
+			p.books[l.Resource()] = l
+		}
+	}
 	return nil
 }
 
@@ -624,15 +637,6 @@ func (rt *Runtime) Stop() {
 	for _, p := range d.proxies {
 		p.halt()
 	}
-}
-
-// proxyFor returns the proxy owning a resource.
-func (rt *Runtime) proxyFor(resource string) (*QoSProxy, error) {
-	_, p, ok := rt.owning(resource)
-	if !ok {
-		return nil, fmt.Errorf("proxy: resource %s deployed nowhere", resource)
-	}
-	return p, nil
 }
 
 // hostFor returns the host owning a resource.

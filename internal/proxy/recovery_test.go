@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -309,9 +311,9 @@ func TestCrashBetweenPrepareAndCommit(t *testing.T) {
 		cancel()
 	}
 	rt.Stop()
-	p, err := rt.proxyFor("cpu@Y")
-	if err != nil {
-		t.Fatal(err)
+	_, p, ok := rt.owning("cpu@Y")
+	if !ok {
+		t.Fatal("cpu@Y deployed nowhere")
 	}
 	st, ok := p.pending["Z#102"]
 	if !ok {
@@ -417,27 +419,41 @@ func admitOnY(t *testing.T, rt *Runtime, id, resource string) {
 }
 
 // TestCrashRestartReleasesStrandedLinkHolds is the regression for a
-// teardown racing a crash: the crash wipes the network-level hold, the
-// release finds nothing to free but still journals itself, and the link
-// holds — owned by no host, so untouched by the wipe — must not outlive
-// replay. A committed reservation that was not released keeps its links.
+// teardown racing a crash. The link holds of a network reservation live
+// outside the crashed host, so the teardown frees them whatever the
+// crash did; here it lands after the wipe but before its release record
+// does, so replay still reads X#300 as live. Replay must reattach to
+// the link holds still there (X#301's, not doubled) and must not
+// re-create X#300's, whose capacity a concurrent admission may already
+// hold. No stranded hold survives the restarts.
 func TestCrashRestartReleasesStrandedLinkHolds(t *testing.T) {
-	rt, link, nets := linkWorld(t, t.TempDir())
+	rt, link, _ := linkWorld(t, t.TempDir())
 	rt.Start()
 	admitOnY(t, rt, "X#300", "net:Y->Z")
 	admitOnY(t, rt, "X#301", "net:Y->Z")
-	// X#300's teardown journaled, but the crash beat it to the books.
+	p := rt.proxies["Y"]
+	p.mu.Lock()
+	torn := p.pending["X#300"].res
+	p.mu.Unlock()
+	if err := torn.Release(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.CrashRestart("Y"); err != nil {
+		t.Fatal(err)
+	}
+	if n, r := link.Reservations(), link.Reserved(); n != 1 || r != 10 {
+		t.Errorf("link holds %d reservations (%g reserved) after replay, want X#301's one of 10", n, r)
+	}
+	// The teardown's record lands after the restart; a second crash
+	// replays it and still leaves only X#301 on the link.
 	if err := rt.appendWAL(wal.Record{Type: wal.TypeRelease, Host: "Y", ID: "X#300"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.CrashRestart("Y"); err != nil {
 		t.Fatal(err)
 	}
-	if n := nets["net:Y->Z"].Reservations(); n != 1 {
-		t.Errorf("network broker holds %d reservations after replay, want X#301's", n)
-	}
 	if n, r := link.Reservations(), link.Reserved(); n != 1 || r != 10 {
-		t.Errorf("link holds %d reservations (%g reserved), want X#301's one of 10", n, r)
+		t.Errorf("link holds %d reservations (%g reserved) after the second replay, want X#301's one of 10", n, r)
 	}
 }
 
@@ -445,8 +461,8 @@ func TestCrashRestartReleasesStrandedLinkHolds(t *testing.T) {
 // over one log. The first process admits and releases a reservation on
 // one route. The second recovers, then admits on another route over the
 // same link. If recovery let that admission reuse the released link
-// hold's ID, the third recovery's stranded-link cleanup for the old
-// entry would free the live reservation's link hold.
+// hold's ID, the third recovery would restore the live reservation under
+// an ID the log also names as released.
 func TestRecoverNeverReusesReleasedLinkIDs(t *testing.T) {
 	dir := t.TempDir()
 
@@ -455,6 +471,7 @@ func TestRecoverNeverReusesReleasedLinkIDs(t *testing.T) {
 	admitOnY(t, rt1, "X#400", "net:Y->Z")
 	rt1.Stop()
 	st := rt1.proxies["Y"].pending["X#400"]
+	released := st.res.Export()
 	if err := st.res.Release(0); err != nil {
 		t.Fatal(err)
 	}
@@ -471,21 +488,127 @@ func TestRecoverNeverReusesReleasedLinkIDs(t *testing.T) {
 	}
 	rt2.Start()
 	admitOnY(t, rt2, "X#401", "net:Y->W")
+	live := rt2.proxies["Y"].pending["X#401"].res.Export()
 	rt2.Stop()
 	if err := rt2.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
+	if len(live) != 1 || len(released) != 1 || live[0].Resource != "link:L1" || live[0].ID == released[0].ID {
+		t.Fatalf("X#401 holds %+v after X#400 released %+v: want one link:L1 hold under a fresh ID", live, released)
+	}
 
-	rt3, link, nets := linkWorld(t, dir)
+	rt3, link, _ := linkWorld(t, dir)
 	if err := rt3.Recover(); err != nil {
 		t.Fatal(err)
-	}
-	if n := nets["net:Y->W"].Reservations(); n != 1 {
-		t.Errorf("net:Y->W holds %d reservations after the second recovery, want X#401's", n)
 	}
 	if n, r := link.Reservations(), link.Reserved(); n != 1 || r != 10 {
 		t.Errorf("link holds %d reservations (%g reserved), want X#401's one of 10", n, r)
 	}
+	if got := rt3.proxies["Y"].pending["X#401"].res.Export(); !reflect.DeepEqual(got, live) {
+		t.Errorf("recovered X#401 holds %+v, want %+v", got, live)
+	}
+}
+
+// TestReplayLegacyNetworkParts recovers a log written when a network
+// reservation was journaled as one path hold owning its link holds
+// (testdata/legacy-network-wal, two hosts, net:X->Y over link:L1 and
+// link:L2, sessions established at "best": X#1 released, X#2 live, X#3
+// renegotiated down to "ok"). Replay maps every path part to its link
+// holds at the path's amount, so the books come back exactly as that
+// version recovered them, under the original link hold IDs.
+func TestReplayLegacyNetworkParts(t *testing.T) {
+	dir := t.TempDir()
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy-network-wal", "wal-00000001.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wal-00000001.log"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rt, books := routedWorld(t, dir)
+	if err := rt.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]float64{
+		"cpu@X": {10, 30, 40}, "cpu@Y": {8, 20, 28},
+		"link:L1": {10, 40, 50}, "link:L2": {10, 40, 50},
+	}
+	if got := bookState(books); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered books:\n got %v\nwant %v", got, want)
+	}
+	y := rt.proxies["Y"]
+	for id, parts := range map[string][]broker.HoldExport{
+		"X#2": {{Resource: "cpu@Y", ID: 2, Amount: 20, Expiry: 50},
+			{Resource: "link:L1", ID: 2, Amount: 40, Expiry: 50}, {Resource: "link:L2", ID: 2, Amount: 40, Expiry: 50}},
+		"X#3": {{Resource: "cpu@Y", ID: 3, Amount: 8, Expiry: 50},
+			{Resource: "link:L1", ID: 3, Amount: 10, Expiry: 50}, {Resource: "link:L2", ID: 3, Amount: 10, Expiry: 50}},
+	} {
+		st := y.pending[id]
+		if st == nil || !st.committed || !reflect.DeepEqual(st.res.Export(), parts) {
+			t.Errorf("%s on Y recovered as %+v, want committed holds %+v", id, st, parts)
+		}
+	}
+	// The recovered reservations own every hold: releasing them drains
+	// the books, and new holds never reuse a journaled ID.
+	rt.Start()
+	s := establishDurable(t, rt)
+	for _, h := range []string{"X", "Y"} {
+		for _, id := range []string{"X#2", "X#3"} {
+			if err := rt.proxies[topo.HostID(h)].pending[id].res.Release(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Release(); err != nil {
+		t.Fatal(err)
+	}
+	for r, b := range books {
+		if b.Reservations() != 0 || b.Reserved() != 0 {
+			t.Errorf("%s keeps %d holds (%g reserved) after draining", r, b.Reservations(), b.Reserved())
+		}
+	}
+}
+
+// routedWorld is the legacy log's deployment: hosts X and Y with a cpu
+// each, and net:X->Y on Y routed over link:L1 and link:L2, all of
+// capacity 100, leasing for 50 and journaling to dir. It returns every
+// book by resource ID; the runtime is not started.
+func routedWorld(t *testing.T, dir string) (*Runtime, map[string]*broker.Local) {
+	t.Helper()
+	log, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRuntime(&ManualClock{}, Options{WAL: log, LeaseTTL: 50})
+	t.Cleanup(func() {
+		rt.Stop()
+		rt.CloseWAL()
+	})
+	books := map[string]*broker.Local{}
+	book := func(r string) *broker.Local {
+		b, err := broker.NewLocal(r, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		books[r] = b
+		return b
+	}
+	for _, h := range []topo.HostID{"X", "Y"} {
+		if _, err := rt.AddHost(h); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Deploy(h, book("cpu@"+string(h))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, err := broker.NewNetwork("net:X->Y", []*broker.Local{book("link:L1"), book("link:L2")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Deploy("Y", n); err != nil {
+		t.Fatal(err)
+	}
+	return rt, books
 }
 
 // TestRenegotiateCrashRecovery pins renegotiation against the WAL: a

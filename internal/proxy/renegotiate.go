@@ -16,8 +16,8 @@ package proxy
 //     is on). A refusal returns before the session is touched, so a
 //     failed upgrade leaves it byte-identical at its old level.
 //   - A downgrade releases the surplus whole by shrinking the live
-//     holds in place (broker.Shrinker); shrinking only returns
-//     capacity, so it cannot be refused.
+//     holds in place (MultiReservation.ShrinkTo); shrinking only
+//     returns capacity, so it cannot be refused.
 //
 // The whole protocol runs under s.mu — the same lock that fences
 // Heartbeat, repair, and the single teardown path — so a heartbeat
@@ -132,7 +132,7 @@ func (s *Session) renegotiateLocked(ctx context.Context, level string) error {
 	// shared budget. Shrinking cannot be refused, so from here the
 	// renegotiation cannot fail back to the old level.
 	now := rt.clock.Now()
-	if err := res.shrinkTo(now, newReq.Clone()); err != nil {
+	if err := res.shrinkTo(now, newReq); err != nil {
 		// A hold that cannot shrink leaves the books matching no level at
 		// all; terminating through the single teardown path is the only
 		// exit that keeps holds and recorded level consistent.
@@ -201,11 +201,11 @@ func (rt *Runtime) SessionList() []*Session {
 }
 
 // AuditSessions checks the adaptation invariant on every live session:
-// the booked holds sum to exactly the recorded plan's requirement,
-// per resource. A session whose lease a sweep already reclaimed is
-// terminated (exactly as its next Heartbeat would be) and skipped, so
-// sweep losses never misread as mismatches. Returns one description
-// per violation.
+// the booked holds sum to exactly the recorded plan's requirement, per
+// book — a network requirement on every link of its route. A session
+// whose lease a sweep already reclaimed is terminated (exactly as its
+// next Heartbeat would be) and skipped, so sweep losses never misread
+// as mismatches. Returns one description per violation.
 func (rt *Runtime) AuditSessions(tol float64) []string {
 	var bad []string
 	ttl := rt.leaseTTL
@@ -225,7 +225,10 @@ func (rt *Runtime) AuditSessions(tol float64) []string {
 				continue
 			}
 		}
-		req := s.plan.Requirement()
+		req, err := rt.demand(s.plan.Requirement())
+		if err != nil {
+			bad = append(bad, fmt.Sprintf("session at level %s: %v", s.plan.EndToEnd.Name, err))
+		}
 		got := make(qos.ResourceVector)
 		for _, ex := range s.reservation.exports() {
 			got[ex.Resource] += ex.Amount

@@ -85,8 +85,8 @@ type RepairReport struct {
 
 // RepairAffectedContext runs the repair protocol for every live session
 // whose reservation holds capacity on any of the given resources
-// (matched against the reservation's full touch set, including the
-// route links under end-to-end network holds), bounded by ctx. It
+// (matched against the reservation's touch set, where a network
+// resource is held as its route links), bounded by ctx. It
 // returns the per-outcome tally.
 //
 // Sessions are repaired sequentially in registration-set order; each

@@ -157,7 +157,7 @@ type Session struct {
 	plan        *core.Plan // live plan; starts equal to Plan
 	reservation *reservationSet
 	// touches is the set of concrete resources the live reservation
-	// holds capacity on (including route links of network resources);
+	// holds capacity on (route links in place of network resources);
 	// the repair layer matches failed resources against it.
 	touches map[string]bool
 	repairs int
@@ -511,7 +511,7 @@ func (rt *Runtime) collectAvailability(ctx context.Context, mainHost topo.HostID
 func (s *Session) adoptReservationLocked(res *reservationSet) {
 	s.touches = make(map[string]bool)
 	for _, sh := range res.shares {
-		for _, r := range sh.res.Touches() {
+		for _, r := range sh.res.Resources() {
 			s.touches[r] = true
 		}
 	}

@@ -192,7 +192,7 @@ func (p *QoSProxy) handlePrepare(req prepareRequest) prepareReply {
 // crash forgets.
 func (p *QoSProxy) journalPrepare(id string, expiry broker.Time, st *prepState) *prepState {
 	err := p.logRecord(wal.Record{Type: wal.TypePrepare, ID: id,
-		Expiry: float64(expiry), Parts: partsFromReservation(st.res)})
+		Expiry: float64(expiry), Parts: partsFromExports(st.res.Export())})
 	if err == nil {
 		return st
 	}
@@ -308,13 +308,18 @@ func (s *reservationSet) SetLease(expiry broker.Time) error {
 	return nil
 }
 
-// shrinkTo shrinks the shares in place to a per-resource budget, which
-// they drain in order, so the kept holds go before an upgrade's delta.
-// Each share's surviving holds are journaled even on partial error: a
-// part a concurrent sweep already reclaimed can only under-account on
-// replay, never resurrect capacity. An emptied share keeps its slot and
+// shrinkTo shrinks the shares in place to a plan requirement. Its
+// per-book demand (Runtime.demand) is the budget the shares drain in
+// order, so the kept holds go before an upgrade's delta. Each share's
+// surviving holds are journaled even on partial error: a part a
+// concurrent sweep already reclaimed can only under-account on replay,
+// never resurrect capacity. An emptied share keeps its slot and
 // journals an empty shrink, which replay reads as a release.
-func (s *reservationSet) shrinkTo(now broker.Time, budget qos.ResourceVector) error {
+func (s *reservationSet) shrinkTo(now broker.Time, req qos.ResourceVector) error {
+	budget, err := s.rt.demand(req)
+	if err != nil {
+		return err
+	}
 	var firstErr error
 	for _, sh := range s.shares {
 		if err := sh.res.ShrinkTo(now, budget); err != nil && firstErr == nil {
@@ -345,9 +350,23 @@ func (s *reservationSet) journal(typ string, sh share, expiry broker.Time) {
 	}
 	rec := wal.Record{Type: typ, Host: string(sh.host), ID: sh.id, Expiry: float64(expiry)}
 	if typ == wal.TypeShrink {
-		rec.Parts = partsFromReservation(sh.res)
+		rec.Parts = partsFromExports(sh.res.Export())
 	}
 	_ = s.rt.appendWAL(rec)
+}
+
+// demand expands a plan requirement to what it holds on each book: a
+// network resource counts on every link of its route (broker.Demand),
+// resolved through the resources' owning proxies.
+func (rt *Runtime) demand(req qos.ResourceVector) (qos.ResourceVector, error) {
+	return broker.Demand(func(r string) (broker.Broker, bool) {
+		_, p, ok := rt.owning(r)
+		if !ok {
+			return nil, false
+		}
+		b, ok := p.brokers[r]
+		return b, ok
+	}, req)
 }
 
 // splitByHost partitions a requirement vector into per-owning-host

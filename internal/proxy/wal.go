@@ -178,36 +178,27 @@ func (p *QoSProxy) logRecord(rec wal.Record) error {
 	return p.rt.appendWAL(rec)
 }
 
-// partsFromReservation flattens a prepared multi-reservation's holds
-// into journalable parts.
-func partsFromReservation(res *broker.MultiReservation) []wal.Part {
-	if res == nil {
-		return nil
-	}
-	return partsFromExports(res.Export())
-}
-
 func partsFromExports(exs []broker.HoldExport) []wal.Part {
 	out := make([]wal.Part, len(exs))
 	for i, ex := range exs {
-		p := wal.Part{Resource: ex.Resource, ID: uint64(ex.ID), Amount: ex.Amount}
-		for _, l := range ex.Links {
-			p.Links = append(p.Links, wal.Link{Resource: l.Resource, ID: uint64(l.ID)})
-		}
-		out[i] = p
+		out[i] = wal.Part{Resource: ex.Resource, ID: uint64(ex.ID), Amount: ex.Amount}
 	}
 	return out
 }
 
+// exportsFromParts converts journaled parts to hold exports. A part
+// written before network reservations were held as their links names a
+// path hold and the per-link holds it owned (wal.Part.Links): each link
+// hold carried the path's amount, and comes back as an export of its own.
 func exportsFromParts(parts []wal.Part, expiry broker.Time) []broker.HoldExport {
-	out := make([]broker.HoldExport, len(parts))
-	for i, p := range parts {
-		ex := broker.HoldExport{Resource: p.Resource, ID: broker.ReservationID(p.ID),
-			Amount: p.Amount, Expiry: expiry}
-		for _, l := range p.Links {
-			ex.Links = append(ex.Links, broker.LinkExport{Resource: l.Resource, ID: broker.ReservationID(l.ID)})
+	out := make([]broker.HoldExport, 0, len(parts))
+	for _, p := range parts {
+		if len(p.Links) == 0 {
+			out = append(out, broker.HoldExport{Resource: p.Resource, ID: broker.ReservationID(p.ID), Amount: p.Amount, Expiry: expiry})
 		}
-		out[i] = ex
+		for _, l := range p.Links {
+			out = append(out, broker.HoldExport{Resource: l.Resource, ID: broker.ReservationID(l.ID), Amount: p.Amount, Expiry: expiry})
+		}
 	}
 	return out
 }
@@ -227,7 +218,7 @@ type replayEntry struct {
 	id    string
 	parts []wal.Part
 	// seen accumulates every part any prepare or shrink record named,
-	// for ID retirement and the stranded-link cleanup in replayHost.
+	// for ID retirement in replayHost.
 	seen      []wal.Part
 	expiry    broker.Time
 	committed bool
@@ -305,11 +296,12 @@ func reduceHost(records []wal.Record, host string) (entries []*replayEntry, deci
 // its commit decisions into the decide table (keeping any decision
 // already there), counts the records replayed, and restores the
 // idempotency table and broker books with the exact pre-crash hold IDs.
-// Must run while no handler can reach the host's participant state:
-// before Start, or under p.mu with the endpoint closed. Returns the
-// in-doubt request IDs, in log order: prepared, never committed, never
-// aborted.
-func (rt *Runtime) replayHost(p *QoSProxy, records []wal.Record, now broker.Time) (indoubt []string, err error) {
+// A restart wiped only the host's own books, so replay reattaches to the
+// link holds still there (broker.RestoreMulti). Must run while no
+// handler can reach the host's participant state: before Start, or under
+// p.mu with the endpoint closed. Returns the in-doubt request IDs, in
+// log order: prepared, never committed, never aborted.
+func (rt *Runtime) replayHost(p *QoSProxy, records []wal.Record, now broker.Time, restart bool) (indoubt []string, err error) {
 	entries, decided, matched := reduceHost(records, string(p.host))
 	rt.decideMu.Lock()
 	for id, exp := range decided {
@@ -319,9 +311,10 @@ func (rt *Runtime) replayHost(p *QoSProxy, records []wal.Record, now broker.Time
 	}
 	rt.decideMu.Unlock()
 	rt.walMetrics.ReplayRecords.Add(float64(matched))
-	resolve := func(r string) (broker.Broker, bool) {
-		b, ok := p.brokers[r]
-		return b, ok
+	resolve := func(r string) (b *broker.Local, survived, ok bool) {
+		b, ok = p.books[r]
+		_, own := p.brokers[r]
+		return b, restart && !own, ok
 	}
 	for _, e := range entries {
 		switch {
@@ -349,20 +342,11 @@ func (rt *Runtime) replayHost(p *QoSProxy, records []wal.Record, now broker.Time
 		p.order = append(p.order, e.id)
 	}
 	// Retire every ID the log names before serving, so a fresh process
-	// never reuses one. Then free stranded link holds: a release or
-	// shrink that raced the crash found its network-level hold wiped and
-	// journaled a teardown it never carried out on the links, which live
-	// outside the host and survived. Replay restored no owner for them.
+	// never reuses one.
 	for _, e := range entries {
 		for _, ex := range exportsFromParts(e.seen, 0) {
-			switch b := p.brokers[ex.Resource].(type) {
-			case *broker.Local:
+			if b, _, ok := resolve(ex.Resource); ok {
 				b.RetireID(ex.ID)
-			case *broker.Network:
-				b.RetireIDs(ex)
-				if len(ex.Links) > 0 {
-					b.ReleaseStranded(now, ex)
-				}
 			}
 		}
 	}
@@ -405,20 +389,12 @@ func (rt *Runtime) resolveInDoubt(p *QoSProxy, st *prepState, id string, now bro
 }
 
 // recoverySweep expires leases that lapsed while the host was down —
-// exactly once, before the recovered proxy serves any new admission.
-// Network books sweep first (releasing their surviving link holds),
-// then locals, mirroring Pool.ExpireLeases.
-func recoverySweep(now broker.Time, brokers map[string]broker.Broker) int {
+// exactly once, before the recovered proxy serves any new admission —
+// on every book the host holds capacity on.
+func (p *QoSProxy) recoverySweep(now broker.Time) int {
 	n := 0
-	for _, b := range brokers {
-		if nb, ok := b.(*broker.Network); ok {
-			n += nb.ExpireLeases(now)
-		}
-	}
-	for _, b := range brokers {
-		if lb, ok := b.(*broker.Local); ok {
-			n += lb.ExpireLeases(now)
-		}
+	for _, b := range p.books {
+		n += b.ExpireLeases(now)
 	}
 	return n
 }
@@ -460,7 +436,7 @@ func (rt *Runtime) reconcile(p *QoSProxy, fabric *transport.Fabric, indoubt []st
 		}
 		m.InDoubt(rt.resolveInDoubt(p, st, id, now, rep))
 	}
-	if swept := recoverySweep(now, p.brokers); swept > 0 {
+	if swept := p.recoverySweep(now); swept > 0 {
 		m.LeasesSwept.Add(float64(swept))
 	}
 }
@@ -511,7 +487,7 @@ func (rt *Runtime) Recover() error {
 	now := rt.clock.Now()
 	indoubt := make([][]string, len(proxies))
 	for i, p := range proxies {
-		if indoubt[i], err = rt.replayHost(p, records, now); err != nil {
+		if indoubt[i], err = rt.replayHost(p, records, now, false); err != nil {
 			return err
 		}
 	}
@@ -578,16 +554,14 @@ func (rt *Runtime) recoverHost(p *QoSProxy) error {
 	defer p.mu.Unlock()
 
 	// Amnesia: the process forgets its book and its idempotency table.
-	// Link brokers are owned by no host and keep their holds.
+	// Link brokers are owned by no host and keep their holds; network
+	// brokers hold nothing.
 	now := rt.clock.Now()
 	p.pending = make(map[string]*prepState)
 	p.order = nil
 	for _, b := range p.brokers {
-		switch br := b.(type) {
-		case *broker.Local:
-			br.Wipe(now)
-		case *broker.Network:
-			br.Wipe()
+		if lb, ok := b.(*broker.Local); ok {
+			lb.Wipe(now)
 		}
 	}
 
@@ -597,7 +571,7 @@ func (rt *Runtime) recoverHost(p *QoSProxy) error {
 	if err != nil {
 		return err
 	}
-	indoubt, err := rt.replayHost(p, records, now)
+	indoubt, err := rt.replayHost(p, records, now, true)
 	if err != nil {
 		return err
 	}

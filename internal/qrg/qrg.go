@@ -10,7 +10,6 @@
 package qrg
 
 import (
-	"math"
 	"strings"
 
 	"qosres/internal/broker"
@@ -209,9 +208,6 @@ func Build(service *svc.Service, binding svc.Binding, snap *broker.Snapshot) (*G
 	}
 	return tpl.Instantiate(snap)
 }
-
-// Infinity is the distance of unreachable nodes in plan computations.
-var Infinity = math.Inf(1)
 
 // PathLevels renders a node sequence as the dash-joined level names the
 // paper's tables 1-2 use, e.g. "Qa-Qc-Qf-Qi-Qm-Qp".

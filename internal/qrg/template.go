@@ -105,23 +105,6 @@ type Template struct {
 	scratch sync.Pool // *instScratch
 }
 
-// maxTableCells bounds every table Compile fills for one component:
-// the fan-in match table (the product of its upstream components'
-// declared output-level counts), the single-predecessor match (upstream
-// output levels × input levels, each pair a vector comparison) and the
-// requirement table (input × output levels, each cell a Translate
-// call). The tables are built before any snapshot prunes them, so
-// without the bound a small document (five upstreams of sixteen levels
-// each, or one component of 2,000 input and 2,000 output levels) costs
-// millions of cells, seconds and hundreds of megabytes. Every fan-in
-// this repository models has four cells; its largest component, the
-// synthetic chain at 64 levels, has exactly 4,096.
-const maxTableCells = 4096
-
-// tooManyCells reports whether an a×b table exceeds maxTableCells,
-// dividing first so the product cannot overflow.
-func tooManyCells(a, b int) bool { return b > 0 && a > maxTableCells/b }
-
 // Compile builds the snapshot-independent template of a (service,
 // binding) pair.
 //
@@ -129,7 +112,7 @@ func tooManyCells(a, b int) bool { return b > 0 && a > maxTableCells/b }
 // is QoS vector equality; for fan-in components the upstream Qout
 // vectors are concatenated (labelled by upstream component ID, in sorted
 // order) before matching, as defined in section 4.3.2. A component
-// whose tables would exceed maxTableCells cells is refused.
+// whose tables would exceed svc.MaxTableCells cells is refused.
 //
 // A translation pair whose requirement the binding cannot resolve does
 // not fail Compile: the pair keeps its error, and Instantiate returns it
@@ -149,9 +132,9 @@ func Compile(service *svc.Service, binding svc.Binding) (*Template, error) {
 	for k, cid := range order {
 		compIdx[cid] = k
 		comp := service.Components[cid]
-		if tooManyCells(len(comp.In), len(comp.Out)) {
+		if svc.TooManyCells(len(comp.In), len(comp.Out)) {
 			return nil, fmt.Errorf("qrg: service %s: component %s has %d input × %d output levels, more than %d requirement cells",
-				service.Name, cid, len(comp.In), len(comp.Out), maxTableCells)
+				service.Name, cid, len(comp.In), len(comp.Out), svc.MaxTableCells)
 		}
 		tc := tmplComp{id: cid, comp: comp}
 		preds := service.Preds(cid)
@@ -169,9 +152,9 @@ func Compile(service *svc.Service, binding svc.Binding) (*Template, error) {
 			}
 		case 1:
 			up := service.Components[preds[0]]
-			if tooManyCells(len(up.Out), len(comp.In)) {
+			if svc.TooManyCells(len(up.Out), len(comp.In)) {
 				return nil, fmt.Errorf("qrg: service %s: component %s matches %d upstream output × %d input levels, more than %d cells",
-					service.Name, cid, len(up.Out), len(comp.In), maxTableCells)
+					service.Name, cid, len(up.Out), len(comp.In), svc.MaxTableCells)
 			}
 			tc.singleMatch = make([]int, len(up.Out))
 			for j, lvl := range up.Out {
@@ -185,9 +168,9 @@ func Compile(service *svc.Service, binding svc.Binding) (*Template, error) {
 			for i := len(preds) - 1; i >= 0; i-- {
 				strides[i] = size
 				d := len(service.Components[preds[i]].Out)
-				if tooManyCells(size, d) {
+				if svc.TooManyCells(size, d) {
 					return nil, fmt.Errorf("qrg: service %s: fan-in component %s has more than %d combinations of upstream output levels",
-						service.Name, cid, maxTableCells)
+						service.Name, cid, svc.MaxTableCells)
 				}
 				size *= d
 			}

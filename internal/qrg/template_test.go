@@ -52,7 +52,7 @@ func fanInService(t *testing.T, preds, levels int) (*svc.Service, svc.Binding) {
 }
 
 // TestCompileRefusesWideFanIn pins the fan-in bound: a fan-in whose
-// upstream output levels combine into more than maxTableCells cells is
+// upstream output levels combine into more than svc.MaxTableCells cells is
 // refused before its table is allocated — including a product that
 // overflows int — while one at the bound compiles and plans.
 func TestCompileRefusesWideFanIn(t *testing.T) {
@@ -99,8 +99,8 @@ func wideComponent(t *testing.T, up, in, out int) (*svc.Service, svc.Binding) {
 		}
 		return ls
 	}
-	// Only the first pair translates, so validating the service stays
-	// cheap; Compile's bound applies before it translates anything.
+	// Only the first pair translates; Compile's bound applies before it
+	// translates anything.
 	req := qos.ResourceVector{"r": 1}
 	first := func(in, out svc.Level) (qos.ResourceVector, bool) {
 		return req, in.Name[1:] == "0" && out.Name[1:] == "0"
@@ -112,12 +112,19 @@ func wideComponent(t *testing.T, up, in, out int) (*svc.Service, svc.Binding) {
 	for i, l := range big.Out {
 		ranking[i] = l.Name
 	}
-	return svc.MustService("wide", []*svc.Component{src, big}, []svc.Edge{{From: "src", To: "big"}}, ranking), binding
+	// Built without validation, which refuses a component past the bound
+	// on its own: Compile must still bound what it is handed.
+	return &svc.Service{
+		Name:            "wide",
+		Components:      map[svc.ComponentID]*svc.Component{"src": src, "big": big},
+		Edges:           []svc.Edge{{From: "src", To: "big"}},
+		EndToEndRanking: ranking,
+	}, binding
 }
 
 // TestCompileRefusesWideComponent pins the bound on the other two
 // tables Compile fills: a component whose input × output levels exceed
-// maxTableCells requirement cells, or whose single predecessor's output
+// svc.MaxTableCells requirement cells, or whose single predecessor's output
 // levels × its input levels exceed it in match scans, is refused before
 // its table is allocated, while the synthetic chain at 64 levels —
 // exactly 4,096 cells of each — compiles.

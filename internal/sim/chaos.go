@@ -865,11 +865,6 @@ func RunChaos(sc StressConfig) (res *ChaosResult, err error) {
 			failures = append(failures, fmt.Sprintf("broker %s availability %g after drain, want capacity %g", r, a, c))
 		}
 	}
-	for _, n := range env.pool.NetworkBrokers() {
-		if live := n.Reservations(); live != 0 {
-			failures = append(failures, fmt.Sprintf("network broker %s leaked %d holds", n.Resource(), live))
-		}
-	}
 	// Invariant 3: every session is accounted for; the runtime's repair
 	// registry holds no zombies.
 	if live := rt.LiveSessions(); live != 0 {

@@ -73,7 +73,24 @@ func (c *Component) OutLevel(name string) (Level, bool) {
 	return Level{}, false
 }
 
-// Validate checks structural sanity of the component definition.
+// MaxTableCells bounds every table built over one component's levels:
+// its requirement table (input × output levels, each cell a Translate
+// call, probed by Validate and filled by the QRG compiler) and the
+// compiler's match tables against its upstream components' output
+// levels. Without the bound a small document (one component of 2,000
+// input and 2,000 output levels, or five upstreams of sixteen levels
+// each) costs millions of cells, seconds and hundreds of megabytes.
+// Every fan-in this repository models has four cells; its largest
+// component, the synthetic chain at 64 levels, has exactly 4,096.
+const MaxTableCells = 4096
+
+// TooManyCells reports whether an a×b table exceeds MaxTableCells,
+// dividing first so the product cannot overflow.
+func TooManyCells(a, b int) bool { return b > 0 && a > MaxTableCells/b }
+
+// Validate checks structural sanity of the component definition. A
+// component whose requirement table would exceed MaxTableCells is
+// refused before its translation function is called at all.
 func (c *Component) Validate() error {
 	if c.ID == "" {
 		return fmt.Errorf("svc: component with empty ID")
@@ -117,7 +134,12 @@ func (c *Component) Validate() error {
 		declared[r] = true
 	}
 	// Probe the translation function over the full level cross product and
-	// check that every returned requirement only names declared resources.
+	// check that every returned requirement only names declared resources
+	// — after refusing a product too large to probe (or to compile).
+	if TooManyCells(len(c.In), len(c.Out)) {
+		return fmt.Errorf("svc: component %s has %d input × %d output levels, more than %d requirement cells",
+			c.ID, len(c.In), len(c.Out), MaxTableCells)
+	}
 	for _, in := range c.In {
 		for _, out := range c.Out {
 			req, ok := c.Translate(in, out)

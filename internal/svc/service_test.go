@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -210,6 +211,41 @@ func TestValidateRejectsComponentDefects(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: expected validation error", name)
 		}
+	}
+}
+
+// TestValidateRefusesWideComponentBeforeProbing: a component of 5,000
+// input and 5,000 output levels would cost 25 million Translate calls
+// to probe; Validate refuses it on the level counts alone, naming it,
+// without calling Translate once. The synthetic chain's 64×64, exactly
+// the bound, is still probed whole.
+func TestValidateRefusesWideComponentBeforeProbing(t *testing.T) {
+	levels := func(prefix string, n int) []Level {
+		ls := make([]Level, n)
+		for i := range ls {
+			ls[i] = lvl(fmt.Sprintf("%s%d", prefix, i), float64(i))
+		}
+		return ls
+	}
+	var calls int
+	counting := func(Level, Level) (qos.ResourceVector, bool) {
+		calls++
+		return nil, false
+	}
+	wide := &Component{ID: "big", In: levels("I", 5000), Out: levels("O", 5000), Translate: counting, Resources: []string{"r"}}
+	err := wide.Validate()
+	if err == nil || !strings.Contains(err.Error(), "component big has 5000 input × 5000 output levels") {
+		t.Fatalf("err = %v, want a refusal naming the component and its level counts", err)
+	}
+	if calls != 0 {
+		t.Fatalf("Translate called %d times before the refusal, want 0", calls)
+	}
+	edge := &Component{ID: "edge", In: levels("I", 64), Out: levels("O", 64), Translate: counting, Resources: []string{"r"}}
+	if err := edge.Validate(); err != nil {
+		t.Fatalf("64×64 component refused: %v", err)
+	}
+	if calls != 64*64 {
+		t.Fatalf("Translate called %d times on a 64×64 component, want %d", calls, 64*64)
 	}
 }
 

@@ -173,12 +173,6 @@ func (t *Topology) Link(id LinkID) (Link, bool) {
 	return l, ok
 }
 
-// HasHost reports whether the host exists.
-func (t *Topology) HasHost(h HostID) bool {
-	_, ok := t.adj[h]
-	return ok
-}
-
 // Route returns the ordered link IDs of the minimum-hop route from a to
 // b. The route from a host to itself is empty.
 func (t *Topology) Route(a, b HostID) ([]LinkID, error) {

@@ -72,15 +72,19 @@ const (
 	TypeShrink = "shrink"
 )
 
-// Link identifies one per-link hold owned by a network reservation.
+// Link identifies one per-link hold a legacy network part owned (see
+// Part.Links).
 type Link struct {
 	Resource string `json:"resource"`
 	ID       uint64 `json:"id"`
 }
 
-// Part is one hold of a multi-resource reservation: the broker resource,
-// the hold's reservation ID, its amount, and — for network brokers — the
-// per-link holds it owns.
+// Part is one hold of a multi-resource reservation: the broker resource
+// (a local resource or a link), the hold's reservation ID and its
+// amount. Links is written only by logs from before network
+// reservations were held as their link holds: such a part names the
+// network resource and the per-link holds it owned, each of the part's
+// amount. New records never set it; replay still reads it.
 type Part struct {
 	Resource string  `json:"resource"`
 	ID       uint64  `json:"id"`
