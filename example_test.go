@@ -61,7 +61,7 @@ func Example() {
 	plan, _ := qosres.NewBasicPlanner().Plan(g)
 	fmt.Printf("%s at Ψ=%.2f via %s\n", plan.EndToEnd.Name, plan.Psi, plan.Bottleneck)
 
-	res, _ := pool.ReserveAll(0, plan.Requirement())
+	res, _ := pool.ReserveAllAtomic(0, plan.Requirement())
 	defer res.Release(1)
 	net, _ := pool.Get("net@server")
 	fmt.Printf("net available: %.0f\n", net.Available())

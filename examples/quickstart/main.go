@@ -102,7 +102,7 @@ func main() {
 	}
 
 	// --- 4. Reserve, use, release -------------------------------------
-	res, err := pool.ReserveAll(0, plan.Requirement())
+	res, err := pool.ReserveAllAtomic(0, plan.Requirement())
 	if err != nil {
 		log.Fatal(err)
 	}

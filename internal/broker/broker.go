@@ -18,6 +18,13 @@
 //     link availabilities; a reservation of the path is one hold of the
 //     same amount on every link of the route.
 //
+// Every Local broker guards its own book with its own lock, and a
+// reservation over several books has exactly one commit, ReserveAtomic:
+// it locks the distinct books in ascending registration rank, validates
+// the plan's whole demand and only then creates its holds (see
+// atomic.go). Reads never lock a book: each mutation republishes the
+// book's observable state (see publish.go).
+//
 // Brokers additionally record an availability change log so that
 // observations can be replayed "as of" an earlier time, supporting the
 // paper's study of inaccurate resource availability observations
@@ -51,9 +58,9 @@ var ErrUnknownReservation = errors.New("broker: unknown reservation")
 // availability and the availability change index α of equation (5).
 // α >= 1 means the availability trend is "up" or "unchanged"; α < 1 means
 // the trend is "down". Epoch stamps the observation with the broker's
-// book epoch (see stripe.go) so consumers can tell whether the book
-// moved between two reports; for network brokers it is the sum of the
-// route links' epochs.
+// book epoch — its count of availability-affecting mutations — so
+// consumers can tell whether the book moved between two reports; for
+// network brokers it is the sum of the route links' epochs.
 type Report struct {
 	Resource string
 	Avail    float64
@@ -64,8 +71,8 @@ type Report struct {
 
 // Broker is the read side of a Resource Broker (section 3): what a
 // QoSProxy asks of every resource it plans over. Reservations are made
-// and terminated on Local brokers (Local.Reserve, Local.Release, and the
-// multi-resource commit paths, which expand a Network to its links).
+// and terminated on Local brokers (Local.Reserve, Local.Release, and
+// ReserveAtomic, which expands a Network to its links).
 type Broker interface {
 	// Resource returns the broker's resource ID, unique in its Pool.
 	Resource() string
@@ -104,28 +111,29 @@ type hold struct {
 }
 
 // Local is a Resource Broker for a single local resource or network link.
-// It is safe for concurrent use. Its book lives on a lock stripe
-// (possibly shared with other brokers of its pool — see stripe.go);
-// the book fields below the stripe pointer are guarded by the stripe
-// mutex. Read-side queries never take the stripe: the externally
-// observable state is republished as an immutable record behind pub at
-// the end of every mutation (see publish.go), and the α report window
-// lives under its own small mutex.
+// It is safe for concurrent use. It guards its own book with its own
+// mutex: the book fields below mu are guarded by it. A path that locks
+// several books (ReserveAtomic, and a Network's locked reads) locks the
+// distinct books in ascending seq, so the lock order is total across
+// pools and for brokers sharing a resource ID. Read-side queries never
+// take mu: the externally observable state is republished as an
+// immutable record behind pub at the end of every mutation (see
+// publish.go), and the α report window lives under its own small mutex.
 type Local struct {
 	resource string
 	capacity float64
-	// seq is the broker's registration index: the deterministic
-	// tie-break for orderings when two distinct brokers share a
-	// resource ID. Immutable after construction.
+	// seq is the broker's process-wide registration rank: the order in
+	// which multi-book paths lock books, and so the tie-break when two
+	// distinct brokers share a resource ID. Immutable after
+	// construction.
 	seq uint64
 
-	stripe   *stripe
+	mu       sync.Mutex
 	reserved float64
 	holds    map[ReservationID]hold
 	nextID   ReservationID
 	log      changeLog
-	// epoch counts this broker's availability-affecting mutations; the
-	// stripe keeps its own aggregate counter.
+	// epoch counts this broker's availability-affecting mutations.
 	epoch uint64
 	// failed marks the resource as down (a fault-injected or observed
 	// outage): availability reports zero and new reservations are
@@ -133,35 +141,30 @@ type Local struct {
 	// repair layer can release them in an orderly way. See failure.go.
 	failed bool
 
-	// pub is the atomically published book state, replaced under the
-	// stripe lock at the end of every mutation and at construction.
-	// Hot-path reads load it instead of locking the stripe.
+	// pub is the atomically published book state, replaced under mu at
+	// the end of every mutation and at construction. Hot-path reads
+	// load it instead of locking the book.
 	pub atomic.Pointer[pubRecord]
 
 	// alphaMu guards the α report window. It is deliberately separate
-	// from the stripe: feeding the window is a read-side concern and
-	// must not contend with commits.
+	// from mu: feeding the window is a read-side concern and must not
+	// contend with commits.
 	alphaMu sync.Mutex
 	window  reportWindow
 }
 
+// localSeq mints the process-wide registration ranks of Local brokers.
+var localSeq atomic.Uint64
+
 // NewLocal creates a broker for the named resource with the given total
-// capacity and the default α window.
+// capacity and the default α window, keeping its whole change history.
 func NewLocal(resource string, capacity float64) (*Local, error) {
-	return NewLocalWindow(resource, capacity, DefaultAlphaWindow)
+	return newLocal(resource, capacity, DefaultAlphaWindow, keepAllHistory)
 }
 
-// NewLocalWindow creates a broker with an explicit α averaging window
-// that keeps its whole change history. The broker gets a private lock
-// stripe; pool-registered brokers share the pool's StripeSet instead
-// (see newLocalOn).
-func NewLocalWindow(resource string, capacity float64, window Time) (*Local, error) {
-	return newLocalOn(newStripe(), resource, capacity, window, keepAllHistory)
-}
-
-// newLocalOn creates a broker whose book lives on the given stripe and
-// whose change log answers AvailableAt queries up to history old.
-func newLocalOn(s *stripe, resource string, capacity float64, window, history Time) (*Local, error) {
+// newLocal creates a broker with an explicit α averaging window whose
+// change log answers AvailableAt queries up to history old.
+func newLocal(resource string, capacity float64, window, history Time) (*Local, error) {
 	if resource == "" {
 		return nil, fmt.Errorf("broker: empty resource name")
 	}
@@ -178,7 +181,6 @@ func newLocalOn(s *stripe, resource string, capacity float64, window, history Ti
 		resource: resource,
 		capacity: capacity,
 		seq:      localSeq.Add(1),
-		stripe:   s,
 		holds:    make(map[ReservationID]hold),
 		log:      newChangeLog(history, capacity),
 		window:   reportWindow{span: window},
@@ -201,7 +203,7 @@ func (b *Local) Capacity() float64 {
 // failed resource offers nothing, a live one offers capacity minus the
 // reserved total (which can be negative after a capacity collapse, until
 // the repair layer releases the overhanging holds). Callers must hold
-// the stripe lock.
+// the book lock.
 func (b *Local) availLocked() float64 {
 	if b.failed {
 		return 0
@@ -210,7 +212,7 @@ func (b *Local) availLocked() float64 {
 }
 
 // Available implements Broker. Wait-free: it loads the published book
-// state and never touches the stripe.
+// state and never touches the book lock.
 func (b *Local) Available() float64 {
 	return b.published().avail
 }
@@ -221,19 +223,19 @@ func (b *Local) Available() float64 {
 // published record, whose avail equals the change log's final entry
 // (same-instant and backdated mutations coalesce, so once pub.at <= asOf
 // the log has no later entry). Only genuinely historical queries walk
-// the log under the stripe lock.
+// the log under the book lock.
 func (b *Local) AvailableAt(asOf Time) float64 {
 	if p := b.published(); asOf >= p.at {
 		return p.avail
 	}
-	b.stripe.Lock()
-	defer b.stripe.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	return b.availableAtLocked(asOf)
 }
 
 // availableAtLocked reconstructs the availability in force at asOf from
 // the change log; instants the log no longer reaches report the full
-// capacity. Callers must hold the stripe lock.
+// capacity. Callers must hold the book lock.
 func (b *Local) availableAtLocked(asOf Time) float64 {
 	if avail, ok := b.log.availableAt(asOf); ok {
 		return avail
@@ -245,7 +247,7 @@ func (b *Local) availableAtLocked(asOf Time) float64 {
 // the average of the values reported during the past window (equation 5);
 // when no past reports fall in the window, or the average is zero, α is
 // 1.0 ("unchanged"). Availability and epoch come from one atomic load of
-// the published record — internally consistent, no stripe lock; only the
+// the published record — internally consistent, no book lock; only the
 // broker-private α window mutex is taken.
 func (b *Local) Report(now Time) Report {
 	p := b.published()
@@ -261,8 +263,8 @@ func (b *Local) Reserve(now Time, amount float64) (ReservationID, error) {
 	if amount < 0 {
 		return 0, fmt.Errorf("broker: resource %s: negative reservation %g", b.resource, amount)
 	}
-	b.stripe.Lock()
-	defer b.stripe.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if !b.fitsLocked(amount) {
 		return 0, fmt.Errorf("broker: resource %s: need %g, have %g: %w", b.resource, amount, b.availLocked(), ErrInsufficient)
 	}
@@ -276,7 +278,7 @@ func (b *Local) Reserve(now Time, amount float64) (ReservationID, error) {
 // NOT forgiven, which the previous check (amount <= avail + 1e-9) did:
 // at exactly-full capacity it admitted an extra 1e-9 per admission, an
 // overcommit that admit/release churn could renew indefinitely.
-// Callers must hold the stripe lock.
+// Callers must hold the book lock.
 func (b *Local) fitsLocked(amount float64) bool {
 	if b.failed && amount > 0 {
 		return false
@@ -305,7 +307,7 @@ func capNoise(capacity float64) float64 {
 }
 
 // reserveLocked creates a hold without checking availability. Callers
-// must hold the stripe lock and have validated that amount fits; the
+// must hold the book lock and have validated that amount fits; the
 // atomic multi-resource commit path validates every broker of a plan
 // before committing any of them.
 func (b *Local) reserveLocked(now Time, amount float64) ReservationID {
@@ -319,8 +321,8 @@ func (b *Local) reserveLocked(now Time, amount float64) ReservationID {
 
 // Release terminates a reservation and returns its units.
 func (b *Local) Release(now Time, id ReservationID) error {
-	b.stripe.Lock()
-	defer b.stripe.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	h, ok := b.holds[id]
 	if !ok {
 		return fmt.Errorf("broker: resource %s: reservation %d: %w", b.resource, id, ErrUnknownReservation)
@@ -337,8 +339,8 @@ func (b *Local) Release(now Time, id ReservationID) error {
 // Reservations returns the number of live reservations, for tests and
 // leak checks.
 func (b *Local) Reservations() int {
-	b.stripe.Lock()
-	defer b.stripe.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	return len(b.holds)
 }
 
@@ -346,33 +348,31 @@ func (b *Local) Reservations() int {
 // is meaningful even while the resource is failed or its capacity has
 // collapsed below the held total.
 func (b *Local) Reserved() float64 {
-	b.stripe.Lock()
-	defer b.stripe.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	return b.reserved
 }
 
 // HoldAmounts returns the amounts of every live hold, sorted ascending.
 // Two books with equal multisets of hold amounts are observably
 // equivalent regardless of the order the holds were admitted in —
-// the equivalence tests of the batch and contention paths compare
-// exactly this.
+// the recovery and contention tests compare exactly this.
 func (b *Local) HoldAmounts() []float64 {
-	b.stripe.Lock()
+	b.mu.Lock()
 	out := make([]float64, 0, len(b.holds))
 	for _, h := range b.holds {
 		out = append(out, h.amount)
 	}
-	b.stripe.Unlock()
+	b.mu.Unlock()
 	sort.Float64s(out)
 	return out
 }
 
-// logChangeLocked bumps the epochs, records the new availability in the
+// logChangeLocked bumps the epoch, records the new availability in the
 // change log and republishes the book, both under the instant the log
-// recorded it at (see changeLog.record). Callers must hold the stripe
+// recorded it at (see changeLog.record). Callers must hold the book
 // lock.
 func (b *Local) logChangeLocked(now Time) {
 	b.epoch++
-	b.stripe.epoch++
 	b.publishLocked(b.log.record(now, b.availLocked()))
 }

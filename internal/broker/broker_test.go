@@ -71,7 +71,7 @@ func TestNewLocalValidation(t *testing.T) {
 	if _, err := NewLocal("r", -1); err == nil {
 		t.Fatal("negative capacity accepted")
 	}
-	if _, err := NewLocalWindow("r", 1, 0); err == nil {
+	if _, err := newLocal("r", 1, 0, keepAllHistory); err == nil {
 		t.Fatal("zero window accepted")
 	}
 }
@@ -106,7 +106,7 @@ func TestChangeLogTrimKeepsBaseline(t *testing.T) {
 	// A 5-TU horizon: the change at 30 makes 25 the oldest instant the
 	// log must answer, so the entry in force then (the release at 20)
 	// becomes the baseline and everything before it goes.
-	b, err := newLocalOn(newStripe(), "r", 100, DefaultAlphaWindow, 5)
+	b, err := newLocal("r", 100, DefaultAlphaWindow, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +122,13 @@ func TestChangeLogTrimKeepsBaseline(t *testing.T) {
 	if got := len(b.log.buf) - b.log.head; got != 2 {
 		t.Fatalf("log retains %d entries, want 2 (baseline at 20, change at 30)", got)
 	}
-	if _, err := newLocalOn(newStripe(), "r", 100, DefaultAlphaWindow, -1); err == nil {
+	if _, err := newLocal("r", 100, DefaultAlphaWindow, -1); err == nil {
 		t.Fatal("negative history horizon accepted")
 	}
 }
 
 func TestAlphaTrendDown(t *testing.T) {
-	b, _ := NewLocalWindow("r", 100, 3)
+	b, _ := newLocal("r", 100, 3, keepAllHistory)
 	// First report: empty window, alpha = 1.
 	rep := b.Report(0)
 	if rep.Alpha != 1 {
@@ -151,7 +151,7 @@ func TestAlphaTrendDown(t *testing.T) {
 }
 
 func TestAlphaTrendUp(t *testing.T) {
-	b, _ := NewLocalWindow("r", 100, 3)
+	b, _ := newLocal("r", 100, 3, keepAllHistory)
 	id, _ := b.Reserve(0, 80)
 	b.Report(0) // reports 20
 	_ = b.Release(1, id)
@@ -162,7 +162,7 @@ func TestAlphaTrendUp(t *testing.T) {
 }
 
 func TestAlphaWindowExpiry(t *testing.T) {
-	b, _ := NewLocalWindow("r", 100, 3)
+	b, _ := newLocal("r", 100, 3, keepAllHistory)
 	_, _ = b.Reserve(0, 50)
 	b.Report(0) // 50 within window
 	// After the window passes, the old report must not drag alpha.
@@ -173,7 +173,7 @@ func TestAlphaWindowExpiry(t *testing.T) {
 }
 
 func TestAlphaZeroAvailability(t *testing.T) {
-	b, _ := NewLocalWindow("r", 100, 3)
+	b, _ := newLocal("r", 100, 3, keepAllHistory)
 	_, _ = b.Reserve(0, 100)
 	b.Report(0) // reports 0
 	rep := b.Report(1)
@@ -273,7 +273,7 @@ func TestAlphaAllZeroWindowWithRecoveredAvailability(t *testing.T) {
 	// Regression guard for the α = r_avail / r_avg division: a window
 	// whose reports are all zero combined with a *nonzero* current
 	// availability would yield +Inf without the zero-average guard.
-	b, _ := NewLocalWindow("r", 100, 3)
+	b, _ := newLocal("r", 100, 3, keepAllHistory)
 	id, err := b.Reserve(0, 100)
 	if err != nil {
 		t.Fatal(err)

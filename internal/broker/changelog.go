@@ -6,9 +6,8 @@ import (
 )
 
 // keepAllHistory is the change-log retention of brokers built without an
-// explicit one (NewLocal, NewLocalWindow, NewPool, NewPoolStriped): every
-// availability change stays answerable by AvailableAt for the broker's
-// lifetime.
+// explicit one (NewLocal, NewPool): every availability change stays
+// answerable by AvailableAt for the broker's lifetime.
 const keepAllHistory Time = math.MaxFloat64
 
 // changeLog is a Local broker's availability history: one entry per
@@ -18,7 +17,7 @@ const keepAllHistory Time = math.MaxFloat64
 // older than the retention horizon can no longer reach, keeping the
 // latest entry at or before now-keep as the baseline. A horizon of zero
 // — a deployment that only ever asks about now — leaves the one current
-// entry. Callers hold the broker's stripe lock.
+// entry. Callers hold the broker's book lock.
 type changeLog struct {
 	keep Time
 	// buf[head:] are the retained entries; buf[:head] is a dead prefix
@@ -35,7 +34,7 @@ func newChangeLog(keep Time, capacity float64) changeLog {
 // record notes that the availability became avail at now and returns the
 // instant it was recorded under. Mutations of one instant coalesce into
 // one entry. So does a mutation stamped before the latest entry — its
-// caller read the clock before taking the stripe and lost the race for
+// caller read the clock before taking the book lock and lost the race for
 // it — which keeps the log sorted: the returned instant is then the
 // latest entry's, not now.
 func (l *changeLog) record(now Time, avail float64) Time {

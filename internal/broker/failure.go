@@ -34,8 +34,8 @@ import "fmt"
 // reservations are refused until Recover. Existing holds are preserved.
 // Failing an already-failed broker is a no-op.
 func (b *Local) Fail(now Time) {
-	b.stripe.Lock()
-	defer b.stripe.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.failed {
 		return
 	}
@@ -46,18 +46,13 @@ func (b *Local) Fail(now Time) {
 // Recover clears the failure, restoring the availability that the book
 // of holds implies. Recovering a healthy broker is a no-op.
 func (b *Local) Recover(now Time) {
-	b.stripe.Lock()
-	defer b.stripe.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if !b.failed {
 		return
 	}
 	b.failed = false
 	b.logChangeLocked(now)
-}
-
-// Failed reports whether the resource is currently down.
-func (b *Local) Failed() bool {
-	return b.published().failed
 }
 
 // SetCapacity changes the total amount of the resource in force —
@@ -69,8 +64,8 @@ func (b *Local) SetCapacity(now Time, capacity float64) error {
 	if capacity < 0 {
 		return fmt.Errorf("broker: resource %s: negative capacity %g", b.resource, capacity)
 	}
-	b.stripe.Lock()
-	defer b.stripe.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.capacity = capacity
 	b.logChangeLocked(now)
 	return nil
@@ -79,8 +74,8 @@ func (b *Local) SetCapacity(now Time, capacity float64) error {
 // setLease sets (or renews) the expiry of a live hold. A zero expiry
 // removes the lease, making the hold permanent again.
 func (b *Local) setLease(id ReservationID, expiry Time) error {
-	b.stripe.Lock()
-	defer b.stripe.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	h, ok := b.holds[id]
 	if !ok {
 		return fmt.Errorf("broker: resource %s: reservation %d: %w", b.resource, id, ErrUnknownReservation)
@@ -95,8 +90,8 @@ func (b *Local) setLease(id ReservationID, expiry Time) error {
 // zero) are never touched. A leased network reservation's link holds
 // each carry the lease, so the sweep of each link reclaims its share.
 func (b *Local) ExpireLeases(now Time) int {
-	b.stripe.Lock()
-	defer b.stripe.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	n := 0
 	for id, h := range b.holds {
 		if h.expiry > 0 && h.expiry <= now {

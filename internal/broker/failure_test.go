@@ -21,7 +21,7 @@ func TestFailAndRecover(t *testing.T) {
 	}
 
 	b.Fail(2)
-	if !b.Failed() {
+	if !b.published().failed {
 		t.Fatal("broker not failed")
 	}
 	if got := b.Available(); got != 0 {

@@ -1,7 +1,9 @@
 package broker
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -21,15 +23,11 @@ import (
 type Network struct {
 	resource string
 	links    []*Local
-	// lockOrder is the distinct lock stripes backing the route's links,
-	// sorted by stripe acquisition rank — the package-wide multi-lock
-	// order. It backs the locked read fallbacks (see availAll); the hot
-	// read path validates lock-free instead (see readConsistent).
-	lockOrder []*stripe
-	// uniq indexes the first occurrence of each distinct link broker on
-	// the route (a link can appear several times). Epoch sums iterate it
-	// so duplicates count once, without a per-call dedup map.
-	uniq []int
+	// books are the route's distinct link brokers (a link can appear
+	// several times) in ascending seq, the package-wide lock order. The
+	// locked read fallbacks lock them (see availAll); the lock-free reads
+	// load each once, so epoch sums count a repeated link once.
+	books []*Local
 
 	// mu guards the α report window of route-minimum values (the same
 	// window type Local brokers use, see window.go).
@@ -38,13 +36,14 @@ type Network struct {
 }
 
 // NewNetwork creates an end-to-end broker over the given link brokers,
-// in route order. The route must be non-empty.
+// in route order, with the default α window. The route must be
+// non-empty.
 func NewNetwork(resource string, links []*Local) (*Network, error) {
-	return NewNetworkWindow(resource, links, DefaultAlphaWindow)
+	return newNetwork(resource, links, DefaultAlphaWindow)
 }
 
-// NewNetworkWindow creates an end-to-end broker with an explicit α window.
-func NewNetworkWindow(resource string, links []*Local, window Time) (*Network, error) {
+// newNetwork creates an end-to-end broker with an explicit α window.
+func newNetwork(resource string, links []*Local, window Time) (*Network, error) {
 	if resource == "" {
 		return nil, fmt.Errorf("broker: empty resource name")
 	}
@@ -54,35 +53,13 @@ func NewNetworkWindow(resource string, links []*Local, window Time) (*Network, e
 	if window <= 0 {
 		return nil, fmt.Errorf("broker: network resource %s has non-positive alpha window %g", resource, float64(window))
 	}
-	ls := make([]*Local, len(links))
-	copy(ls, links)
-	// Distinct stripes in ascending acquisition-rank order, the only
-	// order in which this package ever acquires multiple stripe locks.
-	seen := make(map[*stripe]bool, len(ls))
-	order := make([]*stripe, 0, len(ls))
-	for _, l := range ls {
-		if !seen[l.stripe] {
-			seen[l.stripe] = true
-			order = append(order, l.stripe)
-		}
-	}
-	sortStripes(order)
-	// First occurrence of each distinct link broker, for dedup'd epoch
-	// sums without per-call allocation.
-	seenLink := make(map[*Local]bool, len(ls))
-	uniq := make([]int, 0, len(ls))
-	for i, l := range ls {
-		if !seenLink[l] {
-			seenLink[l] = true
-			uniq = append(uniq, i)
-		}
-	}
+	books := slices.Clone(links)
+	slices.SortFunc(books, func(a, b *Local) int { return cmp.Compare(a.seq, b.seq) })
 	return &Network{
-		resource:  resource,
-		links:     ls,
-		lockOrder: order,
-		uniq:      uniq,
-		window:    reportWindow{span: window},
+		resource: resource,
+		links:    slices.Clone(links),
+		books:    slices.Compact(books),
+		window:   reportWindow{span: window},
 	}, nil
 }
 
@@ -108,24 +85,24 @@ func (n *Network) Capacity() float64 {
 	return min
 }
 
-// availAll locks every distinct stripe backing the route (in the
-// package-wide ascending acquisition-rank order, so it can never
-// deadlock against the atomic commit path) and returns the route
-// minimum of read(link) as a consistent snapshot. Reading the links one
+// availAll locks every distinct book of the route (in the package-wide
+// ascending seq order, so it can never deadlock against the atomic
+// commit path) and returns the route minimum of read(link) as a
+// consistent snapshot. Reading the links one
 // lock at a time instead can yield a torn minimum that no instant ever
 // exhibited — e.g. a hold moving atomically from one link to another
 // would be seen on neither — which is exactly the stale-but-plausible
 // lie that admission must not plan against. The hot path avoids it via
 // readConsistent; this remains the historical-query path.
 func (n *Network) availAll(read func(*Local) float64) float64 {
-	lockAll(n.lockOrder)
-	min := read(n.links[0])
-	for _, l := range n.links[1:] {
+	lockAll(n.books)
+	min := read(n.books[0])
+	for _, l := range n.books[1:] {
 		if a := read(l); a < min {
 			min = a
 		}
 	}
-	unlockAll(n.lockOrder)
+	unlockAll(n.books)
 	return min
 }
 
@@ -150,16 +127,16 @@ const readRetries = 4
 // duplicates contribute the same availability.
 func (n *Network) tryReadConsistent() (min float64, epochSum uint64, ok bool) {
 	var sum1 uint64
-	for k, i := range n.uniq {
-		p := n.links[i].published()
+	for k, l := range n.books {
+		p := l.published()
 		sum1 += p.epoch
 		if k == 0 || p.avail < min {
 			min = p.avail
 		}
 	}
 	var sum2 uint64
-	for _, i := range n.uniq {
-		sum2 += n.links[i].published().epoch
+	for _, l := range n.books {
+		sum2 += l.published().epoch
 	}
 	return min, sum1, sum1 == sum2
 }
@@ -167,24 +144,22 @@ func (n *Network) tryReadConsistent() (min float64, epochSum uint64, ok bool) {
 // readConsistent returns a consistent (route-min availability, dedup'd
 // epoch sum) pair: lock-free via tryReadConsistent when a quiet window
 // is found within readRetries attempts, otherwise exactly once under
-// all route stripes.
+// all route books.
 func (n *Network) readConsistent() (min float64, epochSum uint64) {
 	for r := 0; r < readRetries; r++ {
 		if min, epochSum, ok := n.tryReadConsistent(); ok {
 			return min, epochSum
 		}
 	}
-	lockAll(n.lockOrder)
-	min = n.links[0].availLocked()
-	for _, l := range n.links[1:] {
+	lockAll(n.books)
+	min = n.books[0].availLocked()
+	for _, l := range n.books {
 		if a := l.availLocked(); a < min {
 			min = a
 		}
+		epochSum += l.epoch
 	}
-	for _, i := range n.uniq {
-		epochSum += n.links[i].epoch
-	}
-	unlockAll(n.lockOrder)
+	unlockAll(n.books)
 	return min, epochSum
 }
 
@@ -220,8 +195,8 @@ func (n *Network) AvailableAt(asOf Time) float64 {
 // the published record cannot answer the query.
 func (n *Network) tryReadConsistentAt(asOf Time) (min float64, current, ok bool) {
 	var sum1 uint64
-	for k, i := range n.uniq {
-		p := n.links[i].published()
+	for k, l := range n.books {
+		p := l.published()
 		if p.at > asOf {
 			return 0, false, false
 		}
@@ -231,25 +206,25 @@ func (n *Network) tryReadConsistentAt(asOf Time) (min float64, current, ok bool)
 		}
 	}
 	var sum2 uint64
-	for _, i := range n.uniq {
-		sum2 += n.links[i].published().epoch
+	for _, l := range n.books {
+		sum2 += l.published().epoch
 	}
 	return min, true, sum1 == sum2
 }
 
-// Epoch returns the dedup'd sum of the route links' epochs as a
-// wait-free single-pass read. Every link epoch is monotone
-// non-decreasing, so two equal sums bracket a route whose every link
-// was individually unchanged — sums of monotone components collide only
-// when each component is equal. (A torn read across an in-flight commit
-// yields a sum that matches no quiescent state; it is still never
-// smaller than an earlier one.)
-func (n *Network) Epoch() uint64 {
-	var sum uint64
-	for _, i := range n.uniq {
-		sum += n.links[i].published().epoch
+// lockAll locks the given books, which must be distinct and in
+// ascending seq.
+func lockAll(books []*Local) {
+	for _, l := range books {
+		l.mu.Lock()
 	}
-	return sum
+}
+
+// unlockAll unlocks books locked by lockAll, in reverse order.
+func unlockAll(books []*Local) {
+	for i := len(books) - 1; i >= 0; i-- {
+		books[i].mu.Unlock()
+	}
 }
 
 // Report implements Broker. The availability is the route minimum; α is

@@ -101,18 +101,16 @@ func TestNetworkReserveHitsEveryLink(t *testing.T) {
 	}
 }
 
-// TestNetworkReserveRollsBackOnRefusal: the sequential ReserveAll takes
-// one link hold at a time, so a refusal mid-route must roll back the
-// holds already taken on the earlier links.
+// TestNetworkReserveRollsBackOnRefusal: a refusal mid-route leaves no
+// hold on the links before it.
 func TestNetworkReserveRollsBackOnRefusal(t *testing.T) {
 	p, n, links := chainPool(t, 100, 30, 80)
-	if _, err := p.ReserveAll(1, qos.ResourceVector{n.Resource(): 50}); !errors.Is(err, ErrInsufficient) {
+	if _, err := p.ReserveAllAtomic(1, qos.ResourceVector{n.Resource(): 50}); !errors.Is(err, ErrInsufficient) {
 		t.Fatalf("err = %v, want ErrInsufficient", err)
 	}
-	// The first link's tentative reservation must have been rolled back.
 	for i, l := range links {
 		if l.Available() != []float64{100, 30, 80}[i] {
-			t.Errorf("link %d avail = %v after rollback", i, l.Available())
+			t.Errorf("link %d avail = %v after refusal", i, l.Available())
 		}
 		if l.Reservations() != 0 {
 			t.Errorf("link %d leaked a reservation", i)
@@ -138,7 +136,7 @@ func TestNetworkAvailableAt(t *testing.T) {
 
 func TestNetworkAlphaTracksRouteMin(t *testing.T) {
 	links := threeLinks(t, 100, 60, 80)
-	n, _ := NewNetworkWindow("net:A->B", links, 3)
+	n, _ := newNetwork("net:A->B", links, 3)
 	if rep := n.Report(0); rep.Alpha != 1 || rep.Avail != 60 {
 		t.Fatalf("first report = %+v", rep)
 	}
@@ -160,7 +158,7 @@ func TestNetworkValidation(t *testing.T) {
 	if _, err := NewNetwork("net:x", nil); err == nil {
 		t.Fatal("empty route accepted")
 	}
-	if _, err := NewNetworkWindow("net:x", threeLinks(t, 1, 1, 1), 0); err == nil {
+	if _, err := newNetwork("net:x", threeLinks(t, 1, 1, 1), 0); err == nil {
 		t.Fatal("zero window accepted")
 	}
 	n, _ := NewNetwork("net:x", threeLinks(t, 1, 1, 1))
@@ -211,7 +209,7 @@ func TestNetworkAlphaAllZeroWindowWithRecoveredAvailability(t *testing.T) {
 	// Same regression guard as the Local case, through the route-minimum
 	// availability: all-zero window reports plus recovered availability
 	// must give the neutral α, not +Inf.
-	n, err := NewNetworkWindow("net:A->B", threeLinks(t, 100, 60, 80), 3)
+	n, err := newNetwork("net:A->B", threeLinks(t, 100, 60, 80), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,15 +231,15 @@ func TestNetworkAlphaAllZeroWindowWithRecoveredAvailability(t *testing.T) {
 }
 
 func TestNetworkReserveLastLinkRefusalRollsBackAllHolds(t *testing.T) {
-	// The failure at the *last* link forces rollback of every earlier
-	// hold on the route, not just one.
+	// A refusal at the *last* link leaves no hold on any earlier link
+	// of the route.
 	p, n, links := chainPool(t, 100, 80, 30)
-	if _, err := p.ReserveAll(1, qos.ResourceVector{n.Resource(): 50}); !errors.Is(err, ErrInsufficient) {
+	if _, err := p.ReserveAllAtomic(1, qos.ResourceVector{n.Resource(): 50}); !errors.Is(err, ErrInsufficient) {
 		t.Fatalf("err = %v, want ErrInsufficient", err)
 	}
 	for i, l := range links {
 		if got, want := l.Available(), []float64{100, 80, 30}[i]; got != want {
-			t.Errorf("link %d avail = %v after rollback, want %v", i, got, want)
+			t.Errorf("link %d avail = %v after refusal, want %v", i, got, want)
 		}
 		if l.Reservations() != 0 {
 			t.Errorf("link %d leaked a reservation", i)
@@ -281,10 +279,10 @@ func TestNetworkAvailableConsistentSnapshot(t *testing.T) {
 				return
 			default:
 			}
-			// Move the hold atomically: both link mutexes held, in the
-			// package-wide stripe acquisition order.
-			l1.stripe.Lock()
-			l2.stripe.Lock()
+			// Move the hold atomically: both book locks held, in the
+			// package-wide ascending seq order.
+			l1.mu.Lock()
+			l2.mu.Lock()
 			if onFirst {
 				l1.reserved -= 50
 				l2.reserved += 50
@@ -293,8 +291,8 @@ func TestNetworkAvailableConsistentSnapshot(t *testing.T) {
 				l1.reserved += 50
 			}
 			onFirst = !onFirst
-			l2.stripe.Unlock()
-			l1.stripe.Unlock()
+			l2.mu.Unlock()
+			l1.mu.Unlock()
 		}
 	}()
 

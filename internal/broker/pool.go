@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"qosres/internal/qos"
@@ -16,7 +17,13 @@ func LocalResourceID(kind string, host topo.HostID) string {
 }
 
 // LinkResourceID names a link bandwidth resource, e.g. "link:L7".
-func LinkResourceID(id topo.LinkID) string { return fmt.Sprintf("link:%s", id) }
+func LinkResourceID(id topo.LinkID) string { return linkPrefix + string(id) }
+
+// IsLinkResource reports whether a resource ID names a link bandwidth
+// resource (see LinkResourceID).
+func IsLinkResource(resource string) bool { return strings.HasPrefix(resource, linkPrefix) }
+
+const linkPrefix = "link:"
 
 // NetResourceID names the end-to-end network resource from a sender host
 // to a receiver host, e.g. "net:H4->H1". Following the paper's
@@ -34,10 +41,6 @@ type Pool struct {
 	// history is how far back the local brokers' change logs answer
 	// AvailableAt (see changelog.go).
 	history Time
-	// stripes shards the pool's broker books across a fixed set of
-	// lock stripes (see stripe.go); brokers are hashed onto stripes by
-	// resource ID at registration.
-	stripes *StripeSet
 
 	mu     sync.Mutex
 	local  map[string]*Local   // host-local resources and links
@@ -49,7 +52,7 @@ type Pool struct {
 // for pools that only hold local resources. Its brokers use the default
 // α window and keep their whole change history.
 func NewPool(topology *topo.Topology) *Pool {
-	return newPool(topology, DefaultAlphaWindow, keepAllHistory, DefaultStripes)
+	return NewPoolWindow(topology, DefaultAlphaWindow, keepAllHistory)
 }
 
 // NewPoolWindow creates a pool whose brokers use the given α window and
@@ -58,31 +61,15 @@ func NewPool(topology *topo.Topology) *Pool {
 // that only ever observes the present. A negative history is refused
 // when the first broker is added.
 func NewPoolWindow(topology *topo.Topology, window, history Time) *Pool {
-	return newPool(topology, window, history, DefaultStripes)
-}
-
-// NewPoolStriped creates a pool whose broker books are sharded across
-// the given number of lock stripes (minimum 1; 1 degenerates to one
-// global book lock) and keep their whole change history.
-func NewPoolStriped(topology *topo.Topology, window Time, stripes int) *Pool {
-	return newPool(topology, window, keepAllHistory, stripes)
-}
-
-func newPool(topology *topo.Topology, window, history Time, stripes int) *Pool {
 	return &Pool{
 		topology:    topology,
 		alphaWindow: window,
 		history:     history,
-		stripes:     NewStripeSet(stripes),
 		local:       make(map[string]*Local),
 		net:         make(map[string]*Network),
 		byName:      make(map[string]Broker),
 	}
 }
-
-// StripeCount returns the number of lock stripes the pool's books are
-// sharded across.
-func (p *Pool) StripeCount() int { return p.stripes.Size() }
 
 // AddLocal registers a broker for a host-local resource and returns it.
 func (p *Pool) AddLocal(kind string, host topo.HostID, capacity float64) (*Local, error) {
@@ -100,7 +87,7 @@ func (p *Pool) AddLink(id topo.LinkID, capacity float64) (*Local, error) {
 }
 
 func (p *Pool) addLocal(resource string, capacity float64) (*Local, error) {
-	b, err := newLocalOn(p.stripes.forResource(resource), resource, capacity, p.alphaWindow, p.history)
+	b, err := newLocal(resource, capacity, p.alphaWindow, p.history)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +129,7 @@ func (p *Pool) Network(from, to topo.HostID) (*Network, error) {
 		}
 		links[i] = lb
 	}
-	n, err := NewNetworkWindow(resource, links, p.alphaWindow)
+	n, err := newNetwork(resource, links, p.alphaWindow)
 	if err != nil {
 		return nil, err
 	}
@@ -158,18 +145,6 @@ func (p *Pool) Get(resource string) (Broker, bool) {
 	defer p.mu.Unlock()
 	b, ok := p.byName[resource]
 	return b, ok
-}
-
-// Resources returns every registered resource ID, sorted.
-func (p *Pool) Resources() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.byName))
-	for r := range p.byName {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // LocalBrokers returns every local/link broker, sorted by resource ID:
@@ -292,56 +267,6 @@ func (m *MultiReservation) SetLease(expiry Time) error {
 		}
 	}
 	return nil
-}
-
-// ReserveAll reserves every (resource, amount) pair of an end-to-end
-// reservation plan one hold at a time — a network resource on every
-// link of its route — and if any single reservation fails, all
-// reservations already made are rolled back and the error is returned:
-// "the failure to reserve one resource leads to the reservation failure
-// for the whole distributed service session".
-func (p *Pool) ReserveAll(now Time, req qos.ResourceVector) (*MultiReservation, error) {
-	m := &MultiReservation{}
-	hold := func(l *Local, amount float64) error {
-		id, err := l.Reserve(now, amount)
-		if err != nil {
-			m.rollback(now)
-			return err
-		}
-		m.parts = append(m.parts, multiPart{broker: l, id: id})
-		return nil
-	}
-	for _, r := range req.Names() { // sorted for deterministic lock order
-		amount := req[r]
-		if amount == 0 {
-			continue
-		}
-		b, ok := p.Get(r)
-		if !ok {
-			m.rollback(now)
-			return nil, fmt.Errorf("broker: reserve of unknown resource %s", r)
-		}
-		switch t := b.(type) {
-		case *Local:
-			if err := hold(t, amount); err != nil {
-				return nil, err
-			}
-		case *Network:
-			for _, l := range t.links {
-				if err := hold(l, amount); err != nil {
-					return nil, fmt.Errorf("broker: resource %s: link %s refused: %w", r, l.resource, err)
-				}
-			}
-		}
-	}
-	return m, nil
-}
-
-func (m *MultiReservation) rollback(now Time) {
-	for i := len(m.parts) - 1; i >= 0; i-- {
-		_ = m.parts[i].broker.Release(now, m.parts[i].id)
-	}
-	m.parts = nil
 }
 
 // Release terminates every reservation in the set. On a leased

@@ -47,7 +47,7 @@ func TestPoolRegistrationAndLookup(t *testing.T) {
 	if _, ok := p.Get("nope"); ok {
 		t.Fatal("unknown resource found")
 	}
-	if got := len(p.Resources()); got != 18 {
+	if got := len(p.byName); got != 18 {
 		t.Fatalf("resources = %d, want 18 (4 cpus + 14 links)", got)
 	}
 	if got := len(p.LocalBrokers()); got != 18 {
@@ -172,20 +172,20 @@ func TestReserveAllAtomicity(t *testing.T) {
 	if _, err := p.Network("H1", "H2"); err != nil {
 		t.Fatal(err)
 	}
-	// cpu@H2 can't satisfy 150: everything must roll back.
+	// cpu@H2 can't satisfy 150: nothing may be held.
 	req := qos.ResourceVector{"cpu@H1": 30, "cpu@H2": 150, "net:H1->H2": 20}
-	if _, err := p.ReserveAll(1, req); !errors.Is(err, ErrInsufficient) {
+	if _, err := p.ReserveAllAtomic(1, req); !errors.Is(err, ErrInsufficient) {
 		t.Fatalf("err = %v", err)
 	}
 	for _, r := range []string{"cpu@H1", "cpu@H2", "net:H1->H2"} {
 		b, _ := p.Get(r)
 		if b.Available() != 100 {
-			t.Errorf("%s avail = %v after failed ReserveAll", r, b.Available())
+			t.Errorf("%s avail = %v after failed ReserveAllAtomic", r, b.Available())
 		}
 	}
 	// A feasible request reserves everything; release restores it.
 	req["cpu@H2"] = 50
-	m, err := p.ReserveAll(2, req)
+	m, err := p.ReserveAllAtomic(2, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,14 +209,14 @@ func TestReserveAllAtomicity(t *testing.T) {
 
 func TestReserveAllUnknownResource(t *testing.T) {
 	p := testPool(t)
-	if _, err := p.ReserveAll(0, qos.ResourceVector{"ghost": 1}); err == nil {
+	if _, err := p.ReserveAllAtomic(0, qos.ResourceVector{"ghost": 1}); err == nil {
 		t.Fatal("unknown resource accepted")
 	}
 }
 
 func TestReserveAllSkipsZeroAmounts(t *testing.T) {
 	p := testPool(t)
-	m, err := p.ReserveAll(0, qos.ResourceVector{"cpu@H1": 0, "cpu@H2": 5})
+	m, err := p.ReserveAllAtomic(0, qos.ResourceVector{"cpu@H1": 0, "cpu@H2": 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,22 +5,22 @@ package broker
 // capacity, epoch, failure flag, and the instant of the last mutation —
 // as an immutable record behind an atomic pointer, replaced (never
 // mutated) at the end of every locked book mutation. Hot-path reads
-// (Available, AvailableAt(now), Report, Capacity, Failed, Epoch) load
-// the record and never touch the stripe mutexes, so the plan-side read
-// path scales independently of the commit side.
+// (Available, AvailableAt(now), Report, Capacity) load the
+// record and never touch the book locks, so the plan-side read path
+// scales independently of the commit side.
 //
 // Consistency. A single atomic load yields an internally consistent
 // record: availability, epoch, and failure flag all from the same book
-// state. Records are stored under the stripe lock in strictly
+// state. Records are stored under the book lock in strictly
 // increasing epoch order, and Go's atomics are sequentially consistent,
 // so any reader observes a non-decreasing sequence of epochs — an
 // observation can be stale, never torn and never travelling backwards.
 // Multi-link consistency for Network brokers is layered on top with a
 // seqlock-style epoch revalidation (see network.go). Exactness is still
-// enforced only at validate-at-commit, which always re-reads the book
-// under the stripe locks.
+// enforced only at validate-at-commit, which always re-reads the books
+// under their locks.
 //
-// The α report window is off the stripe too: it lives under a small
+// The α report window is off the book lock too: it lives under a small
 // per-broker mutex (alphaMu) as a reportWindow — samples in arrival
 // order behind a head index, with a running sum that eviction subtracts
 // from (window.go has the rules for when it is re-summed). Feeding the
@@ -43,7 +43,7 @@ type pubRecord struct {
 }
 
 // publishLocked replaces the broker's published record with the current
-// book state. Callers must hold the stripe lock; now is the instant of
+// book state. Callers must hold the book lock; now is the instant of
 // the mutation being published.
 func (b *Local) publishLocked(now Time) {
 	b.pub.Store(&pubRecord{

@@ -43,8 +43,8 @@ func (m *MultiReservation) Export() []HoldExport {
 
 // exportHold snapshots one local hold.
 func (b *Local) exportHold(id ReservationID) (HoldExport, bool) {
-	b.stripe.Lock()
-	defer b.stripe.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	h, ok := b.holds[id]
 	if !ok {
 		return HoldExport{}, false
@@ -52,18 +52,18 @@ func (b *Local) exportHold(id ReservationID) (HoldExport, bool) {
 	return HoldExport{Resource: b.resource, ID: id, Amount: h.amount, Expiry: h.expiry}, true
 }
 
-// RestoreHold re-creates a hold with its exact original ID, bumping the
+// restoreHold re-creates a hold with its exact original ID, bumping the
 // ID allocator past it so future holds never collide. Restoring an ID
 // that is already held is a no-op (idempotent replay).
-func (b *Local) RestoreHold(now Time, id ReservationID, amount float64, expiry Time) error {
+func (b *Local) restoreHold(now Time, id ReservationID, amount float64, expiry Time) error {
 	if amount < 0 {
 		return fmt.Errorf("broker: resource %s: restore: negative amount %g", b.resource, amount)
 	}
 	if id == 0 {
 		return fmt.Errorf("broker: resource %s: restore: zero reservation ID", b.resource)
 	}
-	b.stripe.Lock()
-	defer b.stripe.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if id > b.nextID {
 		b.nextID = id
 	}
@@ -80,8 +80,8 @@ func (b *Local) RestoreHold(now Time, id ReservationID, amount float64, expiry T
 // releasing anything. The ID allocator is NOT reset, so holds created
 // after the wipe can never collide with IDs a later replay restores.
 func (b *Local) Wipe(now Time) {
-	b.stripe.Lock()
-	defer b.stripe.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if len(b.holds) == 0 && b.reserved == 0 {
 		return
 	}
@@ -95,11 +95,11 @@ func (b *Local) Wipe(now Time) {
 // process starts its allocators at zero, and restoring only the live
 // holds would let it hand out IDs that older records still name.
 func (b *Local) RetireID(id ReservationID) {
-	b.stripe.Lock()
+	b.mu.Lock()
 	if id > b.nextID {
 		b.nextID = id
 	}
-	b.stripe.Unlock()
+	b.mu.Unlock()
 }
 
 // RestoreMulti rebuilds a reservation from its journaled exports,
@@ -125,7 +125,7 @@ func RestoreMulti(now Time, resolve func(string) (b *Local, survived, ok bool), 
 			if _, held := b.exportHold(ex.ID); !held {
 				continue
 			}
-		} else if err := b.RestoreHold(now, ex.ID, ex.Amount, ex.Expiry); err != nil {
+		} else if err := b.restoreHold(now, ex.ID, ex.Amount, ex.Expiry); err != nil {
 			return nil, err
 		}
 		m.parts = append(m.parts, multiPart{broker: b, id: ex.ID})

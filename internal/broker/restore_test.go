@@ -191,7 +191,7 @@ func TestWipeKeepsIDAllocator(t *testing.T) {
 	if id2 == id1 {
 		t.Fatalf("post-wipe reservation reused ID %d", id1)
 	}
-	if err := b.RestoreHold(3, id1, 1, 0); err != nil {
+	if err := b.restoreHold(3, id1, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if b.Reservations() != 2 {

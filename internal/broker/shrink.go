@@ -24,8 +24,8 @@ func (b *Local) shrink(now Time, id ReservationID, newAmount float64) error {
 	if newAmount <= 0 {
 		return b.Release(now, id)
 	}
-	b.stripe.Lock()
-	defer b.stripe.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	h, ok := b.holds[id]
 	if !ok {
 		return fmt.Errorf("broker: resource %s: reservation %d: %w", b.resource, id, ErrUnknownReservation)

@@ -230,9 +230,9 @@ func TestAlphaReportMatchesReference(t *testing.T) {
 	// while reservations move the availability. Both must feed exactly
 	// the sample the reference is given.
 	rng := rand.New(rand.NewSource(3))
-	link, _ := NewLocalWindow("link:L1", 1000, 3)
-	other, _ := NewLocalWindow("link:L2", 700, 3)
-	net, err := NewNetworkWindow("net:A->B", []*Local{link, other}, 3)
+	link, _ := newLocal("link:L1", 1000, 3, keepAllHistory)
+	other, _ := newLocal("link:L2", 700, 3, keepAllHistory)
+	net, err := newNetwork("net:A->B", []*Local{link, other}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,12 +274,12 @@ func TestAlphaReportMatchesReference(t *testing.T) {
 
 func TestBackdatedSamplesKeepLogsSorted(t *testing.T) {
 	// Fast-lane probes and commits read the clock before taking alphaMu
-	// or the stripe, so a later arrival can carry an earlier time. Both
+	// or the book lock, so a later arrival can carry an earlier time. Both
 	// logs clamp it: they stay sorted, nothing panics, and no sample
 	// outlives the cutoff by more than the skew.
 	const skew = 0.01
 	rng := rand.New(rand.NewSource(4))
-	b, err := newLocalOn(newStripe(), "r", 1000, 3, 1)
+	b, err := newLocal("r", 1000, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestChangeLogBoundedAtRuntimeHorizon(t *testing.T) {
 	// The runtime's horizon is zero. A million reserve/release cycles on
 	// an advancing clock must leave the log at a small constant size,
 	// where it used to grow 32 B a cycle until something trimmed it.
-	b, err := newLocalOn(newStripe(), "r", 1000, DefaultAlphaWindow, 0)
+	b, err := newLocal("r", 1000, DefaultAlphaWindow, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,7 +154,7 @@ func (in *Injector) FailResource(now broker.Time, resource string) error {
 	in.downed[resource] = true
 	in.mu.Unlock()
 	kind := KindResourceDown
-	if strings.HasPrefix(resource, "link:") {
+	if broker.IsLinkResource(resource) {
 		kind = KindLinkDown
 	}
 	in.emit(Event{Kind: kind, Resources: []string{resource}})

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"math/rand"
-	"strings"
 
 	"qosres/internal/broker"
 )
@@ -103,7 +102,7 @@ func (in *Injector) RandomStep(now broker.Time, rng *rand.Rand, cfg RandomConfig
 			return nil
 		}
 		kind := KindResourceDown
-		if strings.HasPrefix(r, "link:") {
+		if broker.IsLinkResource(r) {
 			kind = KindLinkDown
 		}
 		return &Event{Kind: kind, Resources: []string{r}}

@@ -158,7 +158,7 @@ func TestRuntimeMatchesDirectLibraryPath(t *testing.T) {
 		}
 		matched++
 		live = append(live, session)
-		hold, err := directPool.ReserveAll(now, directPlan.Requirement())
+		hold, err := directPool.ReserveAllAtomic(now, directPlan.Requirement())
 		if err != nil {
 			t.Fatalf("step %d: direct reserve failed after plan success: %v", step, err)
 		}

@@ -457,6 +457,67 @@ func TestCrashRestartReleasesStrandedLinkHolds(t *testing.T) {
 	}
 }
 
+// TestCrashRestartKeepsLinkBookDeployedOnHost: a link book deployed as
+// one host's own resource still belongs to no host. Here link:L1 is
+// deployed on X and backs net:X->Y on Y; X's crash must not wipe the
+// link hold Y's reservation owns, and Y's teardown must free it.
+func TestCrashRestartKeepsLinkBookDeployedOnHost(t *testing.T) {
+	log, err := wal.Open(wal.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRuntime(&ManualClock{}, Options{WAL: log, LeaseTTL: 50})
+	t.Cleanup(func() {
+		rt.Stop()
+		rt.CloseWAL()
+	})
+	for _, h := range []topo.HostID{"X", "Y"} {
+		if _, err := rt.AddHost(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	link, err := broker.NewLocal("link:L1", 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	route, err := broker.NewNetwork("net:X->Y", []*broker.Local{link})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Deploy("X", link); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Deploy("Y", route); err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	expect := func(when string, holds int, reserved float64) {
+		t.Helper()
+		if n, r := link.Reservations(), link.Reserved(); n != holds || r != reserved {
+			t.Errorf("%s: link holds %d reservations (%g reserved), want %d (%g)", when, n, r, holds, reserved)
+		}
+	}
+
+	admitOnY(t, rt, "X#500", "net:X->Y")
+	expect("before X's crash", 1, 10)
+	if err := rt.CrashRestart("X"); err != nil {
+		t.Fatal(err)
+	}
+	expect("after X's crash", 1, 10)
+
+	p := rt.proxies["Y"]
+	p.mu.Lock()
+	res := p.pending["X#500"].res
+	p.mu.Unlock()
+	if err := res.Release(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.appendWAL(wal.Record{Type: wal.TypeRelease, Host: "Y", ID: "X#500"}); err != nil {
+		t.Fatal(err)
+	}
+	expect("after Y's teardown", 0, 0)
+}
+
 // TestRecoverNeverReusesReleasedLinkIDs recovers fresh processes twice
 // over one log. The first process admits and releases a reservation on
 // one route. The second recovers, then admits on another route over the

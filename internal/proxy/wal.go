@@ -296,8 +296,8 @@ func reduceHost(records []wal.Record, host string) (entries []*replayEntry, deci
 // its commit decisions into the decide table (keeping any decision
 // already there), counts the records replayed, and restores the
 // idempotency table and broker books with the exact pre-crash hold IDs.
-// A restart wiped only the host's own books, so replay reattaches to the
-// link holds still there (broker.RestoreMulti). Must run while no
+// A restart wiped only the host's own books, never a link book, so replay
+// reattaches to the link holds still there (broker.RestoreMulti). Must run while no
 // handler can reach the host's participant state: before Start, or under
 // p.mu with the endpoint closed. Returns the in-doubt request IDs, in
 // log order: prepared, never committed, never aborted.
@@ -314,7 +314,7 @@ func (rt *Runtime) replayHost(p *QoSProxy, records []wal.Record, now broker.Time
 	resolve := func(r string) (b *broker.Local, survived, ok bool) {
 		b, ok = p.books[r]
 		_, own := p.brokers[r]
-		return b, restart && !own, ok
+		return b, restart && (!own || broker.IsLinkResource(r)), ok
 	}
 	for _, e := range entries {
 		switch {
@@ -554,13 +554,14 @@ func (rt *Runtime) recoverHost(p *QoSProxy) error {
 	defer p.mu.Unlock()
 
 	// Amnesia: the process forgets its book and its idempotency table.
-	// Link brokers are owned by no host and keep their holds; network
-	// brokers hold nothing.
+	// Link books are owned by no host and keep their holds, even one
+	// deployed on this host as its own resource; network brokers hold
+	// nothing.
 	now := rt.clock.Now()
 	p.pending = make(map[string]*prepState)
 	p.order = nil
-	for _, b := range p.brokers {
-		if lb, ok := b.(*broker.Local); ok {
+	for r, b := range p.brokers {
+		if lb, ok := b.(*broker.Local); ok && !broker.IsLinkResource(r) {
 			lb.Wipe(now)
 		}
 	}

@@ -444,7 +444,7 @@ func (env *environment) handleArrival(cfg Config, rng *rand.Rand, planner core.P
 	})
 
 	st = obs.BeginStage(stages.Reserve, root.Child(obs.StageReserve, host))
-	res, err := env.pool.ReserveAll(now, plan.Requirement())
+	res, err := env.pool.ReserveAllAtomic(now, plan.Requirement())
 	if errors.Is(err, broker.ErrInsufficient) {
 		st.End(err, "refused")
 	} else {

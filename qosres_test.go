@@ -70,7 +70,7 @@ func TestPublicAPIQuickstartFlow(t *testing.T) {
 	if plan.EndToEnd.Name != "good" || plan.Psi != 0.6 {
 		t.Fatalf("plan = %s / %v", plan.EndToEnd.Name, plan.Psi)
 	}
-	res, err := pool.ReserveAll(0, plan.Requirement())
+	res, err := pool.ReserveAllAtomic(0, plan.Requirement())
 	if err != nil {
 		t.Fatal(err)
 	}
