@@ -91,7 +91,7 @@ func TestServedCountRatchet(t *testing.T) {
 	hits0, misses0 := hits.Value(), misses.Value()
 	allocs := testing.AllocsPerRun(offers, cycle)
 	h, m := hits.Value()-hits0, misses.Value()-misses0
-	templates := int(reg.Gauge(obs.MetricTemplatesCached, "").Value())
+	templates := templatesCached(reg)
 	t.Logf("%.0f allocs/cycle, template hits %.0f misses %.0f, %d templates for %d (service, binding) pairs, %d models, %d bindings",
 		allocs, h, m, templates, len(pairs), s.models.Len(), len(bindings))
 
@@ -217,7 +217,17 @@ func TestServedSampledEstablishSharesTemplates(t *testing.T) {
 			t.Fatalf("teardown %s: status %d: %s", est.ID, rec.Code, rec.Body)
 		}
 	}
-	if templates := int(reg.Gauge(obs.MetricTemplatesCached, "").Value()); templates > len(pairs) {
+	if templates := templatesCached(reg); templates > len(pairs) {
 		t.Fatalf("%d templates resident after 200 sampled establishes of %d distinct (service, binding) pairs", templates, len(pairs))
 	}
+}
+
+// templatesCached reads the resident template gauge.
+func templatesCached(reg *obs.Registry) int {
+	for _, g := range reg.Snapshot().Gauges {
+		if g.Name == obs.MetricTemplatesCached {
+			return int(g.Value)
+		}
+	}
+	return 0
 }

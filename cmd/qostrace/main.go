@@ -23,35 +23,48 @@ import (
 	"sort"
 
 	"qosres/internal/trace"
-	"qosres/internal/tracetree"
 )
 
 func main() {
-	var (
-		input          = flag.String("input", "-", "JSONL trace file to analyze (- for stdin)")
-		failIncomplete = flag.Bool("fail-incomplete", false, "exit 1 when any trace reconstructs incompletely (orphan spans, rootless or multi-root traces)")
-		paths          = flag.Int("paths", 0, "additionally print the critical path of the N slowest traces")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
 
-	var r io.Reader = os.Stdin
+// run is the command with its arguments and streams; it returns the
+// exit status.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("qostrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		input          = fs.String("input", "-", "JSONL trace file to analyze (- for stdin)")
+		failIncomplete = fs.Bool("fail-incomplete", false, "exit 1 when any trace reconstructs incompletely (orphan spans, rootless or multi-root traces)")
+		paths          = fs.Int("paths", 0, "additionally print the critical path of the N slowest traces")
+	)
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+
+	r := stdin
 	if *input != "-" && *input != "" {
 		f, err := os.Open(*input)
 		if err != nil {
-			fatal(err)
+			fmt.Fprintln(stderr, "qostrace:", err)
+			return 1
 		}
 		defer f.Close()
 		r = f
 	}
 	events, err := trace.ReadJSONL(r)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "qostrace:", err)
+		return 1
 	}
-	forest := tracetree.FromEvents(events)
-	tracetree.Report(os.Stdout, forest)
+	forest := FromEvents(events)
+	Report(stdout, forest)
 
 	if *paths > 0 {
-		trees := make([]*tracetree.Tree, 0, len(forest.Trees))
+		trees := make([]*Tree, 0, len(forest.Trees))
 		for _, t := range forest.Trees {
 			if t.Root != nil {
 				trees = append(trees, t)
@@ -63,20 +76,16 @@ func main() {
 		if len(trees) > *paths {
 			trees = trees[:*paths]
 		}
-		fmt.Printf("\nslowest %d critical path(s):\n", len(trees))
+		fmt.Fprintf(stdout, "\nslowest %d critical path(s):\n", len(trees))
 		for _, t := range trees {
-			fmt.Printf("  %s: %s\n", t.TraceID, tracetree.PathString(t.CriticalPath()))
+			fmt.Fprintf(stdout, "  %s: %s\n", t.TraceID, PathString(t.CriticalPath()))
 		}
 	}
 
 	if *failIncomplete && !forest.Complete() {
-		fmt.Fprintf(os.Stderr, "qostrace: incomplete forest: %d orphan spans, %d rootless, %d multi-root trace(s)\n",
+		fmt.Fprintf(stderr, "qostrace: incomplete forest: %d orphan spans, %d rootless, %d multi-root trace(s)\n",
 			forest.OrphanSpans, forest.Rootless, forest.MultiRoot)
-		os.Exit(1)
+		return 1
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "qostrace:", err)
-	os.Exit(1)
+	return 0
 }

@@ -1,86 +1,15 @@
-// Package tracetree bridges the distributed-trace recorder of package
-// obs to the JSONL/CSV event sinks of package trace, and reconstructs
-// span trees back from recorded events for analysis: completeness
-// checking (orphan spans, rootless traces) and per-session
-// critical-path decomposition (which phase, which route, which retry
-// dominated the end-to-end latency).
-package tracetree
+package main
 
 import (
 	"fmt"
 	"io"
 	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"qosres/internal/broker"
 	"qosres/internal/obs"
 	"qosres/internal/trace"
 )
-
-// Sink adapts a trace.Tracer into an obs.TraceSink: every exported
-// span becomes one SpanEnd event plus one SpanEvent event per
-// annotation. Timestamps are wall-clock seconds relative to the sink's
-// creation, so JSONL artifacts order and offset spans without leaking
-// absolute wall time.
-type Sink struct {
-	t  trace.Tracer
-	t0 time.Time
-}
-
-// NewSink creates a sink exporting into t.
-func NewSink(t trace.Tracer) *Sink {
-	return &Sink{t: t, t0: time.Now()}
-}
-
-// ExportSpan implements obs.TraceSink.
-func (s *Sink) ExportSpan(sp obs.SpanRecord) {
-	at := broker.Time(sp.Start.Sub(s.t0).Seconds())
-	tid := obs.TraceIDString(sp.Trace)
-	sid := obs.TraceIDString(sp.Span)
-	parent := ""
-	if sp.Parent != 0 {
-		parent = obs.TraceIDString(sp.Parent)
-	}
-	s.t.Trace(trace.Event{
-		At: at, Kind: trace.SpanEnd,
-		Stage: sp.Name, Scope: sp.Scope, Status: sp.Status,
-		Duration: sp.Dur.Seconds(),
-		TraceID:  tid, SpanID: sid, ParentID: parent,
-	})
-	for _, ev := range sp.Events {
-		s.t.Trace(trace.Event{
-			At: at, Kind: trace.SpanEvent,
-			Stage: ev.Type, Detail: ev.Detail,
-			Duration: ev.At.Sub(sp.Start).Seconds(),
-			TraceID:  tid, SpanID: sid,
-		})
-	}
-}
-
-// Collector is an unbounded in-memory Tracer, the analysis-side
-// counterpart of a JSONL file. Safe for concurrent use.
-type Collector struct {
-	mu     sync.Mutex
-	events []trace.Event
-}
-
-// Trace implements trace.Tracer.
-func (c *Collector) Trace(ev trace.Event) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.events = append(c.events, ev)
-}
-
-// Events returns the collected events in arrival order.
-func (c *Collector) Events() []trace.Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]trace.Event, len(c.events))
-	copy(out, c.events)
-	return out
-}
 
 // Node is one span of a reconstructed tree with its events and
 // children (children sorted by start time).

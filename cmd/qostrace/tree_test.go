@@ -1,6 +1,7 @@
-package tracetree
+package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -17,12 +18,13 @@ func span(tid, sid, parent, name, scope, status string, dur float64) trace.Event
 }
 
 // TestRoundTripRecorderToForest pins the full pipeline: spans recorded
-// by the obs recorder, exported through the Sink into a Collector, and
-// reconstructed by FromEvents come back as one complete tree with the
-// recorded hierarchy, statuses, and events.
+// by the obs recorder, written through trace.Spans as JSON lines, read
+// back and reconstructed by FromEvents come back as one complete tree
+// with the recorded hierarchy, statuses, and events.
 func TestRoundTripRecorderToForest(t *testing.T) {
-	col := &Collector{}
-	rec := obs.NewTraceRecorder(nil, obs.TraceOptions{Sample: 1, Sink: NewSink(col)})
+	var buf bytes.Buffer
+	jsonl := trace.NewJSONL(&buf)
+	rec := obs.NewTraceRecorder(obs.TraceOptions{Sample: 1, Sink: trace.Spans(jsonl)})
 
 	root := rec.Root(obs.StageEstablish, "H1")
 	reserve := root.Child(obs.StageReserve, "H1")
@@ -33,8 +35,15 @@ func TestRoundTripRecorderToForest(t *testing.T) {
 	call.EndStatus("timeout")
 	reserve.End()
 	root.End()
+	if err := jsonl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := trace.ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	forest := FromEvents(col.Events())
+	forest := FromEvents(events)
 	if !forest.Complete() {
 		t.Fatalf("round-tripped forest incomplete: %+v", forest)
 	}

@@ -1,12 +1,13 @@
 // Distributed tracing: causal trace contexts propagated across the
 // transport fabric, recorded as hierarchical span trees with typed
-// events, head-based sampling plus always-sample-on-error tail rescue,
-// and a bounded resident-trace store (LRU by root completion).
+// events, head-based sampling plus always-sample-on-error tail rescue.
+// A finished tree leaves the recorder once, whole, to its one sink; the
+// recorder keeps nothing after that.
 //
 // The recorder follows the package's nil-is-inert discipline: a nil
-// *TraceRecorder is a valid no-op recorder, the zero ActiveSpan is
-// inert, and with sampling off the hot path never locks, never reads
-// the clock, and never allocates.
+// *TraceRecorder is a valid no-op recorder (NewTraceRecorder returns
+// one when sampling is off), the zero ActiveSpan is inert, and on the
+// unsampled path nothing locks, reads the clock, or allocates.
 package obs
 
 import (
@@ -16,10 +17,6 @@ import (
 	"sync"
 	"time"
 )
-
-// MetricTraceEvictions counts completed traces evicted from the
-// recorder's bounded resident store.
-const MetricTraceEvictions = "qosres_trace_evictions_total"
 
 // Span event types: protocol adversities annotated on the owning span.
 const (
@@ -69,11 +66,12 @@ type SpanEventRecord struct {
 	Detail string
 }
 
-// SpanRecord is one completed span of a trace tree.
+// SpanRecord is one completed span of a trace tree; Parent is 0 for
+// the root.
 type SpanRecord struct {
 	Trace  uint64
 	Span   uint64
-	Parent uint64 // 0 for roots
+	Parent uint64
 	Name   string
 	Scope  string
 	Start  time.Time
@@ -82,42 +80,29 @@ type SpanRecord struct {
 	Events []SpanEventRecord
 }
 
-// Root reports whether the span is a trace root.
-func (s SpanRecord) Root() bool { return s.Parent == 0 }
-
-// TraceSink receives the spans of retained traces, one call per span,
-// at trace completion (root ended and every child span ended).
+// TraceSink receives each retained trace tree once, whole, at its
+// completion (root ended and every child span ended): its spans in end
+// order. The sink owns the slice. Calls may come from several
+// goroutines at once.
 type TraceSink interface {
-	ExportSpan(SpanRecord)
+	ExportTrace([]SpanRecord)
 }
 
 // TraceOptions configures a recorder.
 type TraceOptions struct {
-	// Sample is the head-sampling probability in [0,1]. 0 disables
-	// head sampling (only error rescue, if enabled, retains traces).
+	// Sample is the head-sampling probability in (0,1]. At 0 or below
+	// the recorder is nil: nothing is recorded. An unsampled trace is
+	// still recorded provisionally and retained if any of its spans
+	// ends errored (tail rescue).
 	Sample float64
-	// RescueErrors retains unsampled traces whose tree contains at
-	// least one errored span (tail rescue).
-	RescueErrors bool
-	// MaxResident caps completed traces kept in memory; the oldest
-	// completion is evicted first. Defaults to 512.
-	MaxResident int
 	// Seed seeds the head-sampling roll for reproducible runs.
 	Seed int64
-	// Sink, when non-nil, receives every span of retained traces.
+	// Sink, when non-nil, receives every retained trace tree.
 	Sink TraceSink
-}
-
-// CompletedTrace is one retained trace tree, spans in end order.
-type CompletedTrace struct {
-	Trace   uint64
-	Spans   []SpanRecord
-	Errored bool
 }
 
 // traceBuf accumulates one in-flight trace.
 type traceBuf struct {
-	id        uint64
 	sampled   bool
 	errored   bool
 	rootEnded bool
@@ -127,73 +112,50 @@ type traceBuf struct {
 	openEvents map[uint64][]SpanEventRecord
 }
 
-// TraceRecorder creates, collects and retains trace trees. A nil
-// recorder is a valid no-op. Safe for concurrent use.
+// TraceRecorder creates and collects trace trees and hands each
+// finished one to its sink. A nil recorder is a valid no-op. Safe for
+// concurrent use.
 type TraceRecorder struct {
 	mu        sync.Mutex
 	rng       *rand.Rand
 	sample    float64
-	rescue    bool
-	capacity  int
 	sink      TraceSink
 	nextTrace uint64
 	nextSpan  uint64
 	building  map[uint64]*traceBuf
-	done      []CompletedTrace
-	evictions *Counter
-	// exports tracks in-flight sink export loops: a completed tree is
-	// removed from building before its spans are written to the sink, so
+	// exports tracks in-flight sink exports: a completed tree is
+	// removed from building before it is handed to the sink, so
 	// OpenTraces()==0 alone does not mean the sink has seen everything.
 	exports sync.WaitGroup
 }
 
-// NewTraceRecorder creates a recorder. The registry (nil allowed) hosts
-// the eviction counter.
-func NewTraceRecorder(reg *Registry, o TraceOptions) *TraceRecorder {
-	if o.MaxResident <= 0 {
-		o.MaxResident = 512
-	}
-	if o.Sample < 0 {
-		o.Sample = 0
-	}
-	if o.Sample > 1 {
-		o.Sample = 1
+// NewTraceRecorder creates a recorder, or returns nil (the inert
+// recorder) when o.Sample is 0 or below.
+func NewTraceRecorder(o TraceOptions) *TraceRecorder {
+	if o.Sample <= 0 {
+		return nil
 	}
 	return &TraceRecorder{
 		rng:      rand.New(rand.NewSource(o.Seed)),
-		sample:   o.Sample,
-		rescue:   o.RescueErrors,
-		capacity: o.MaxResident,
+		sample:   min(o.Sample, 1),
 		sink:     o.Sink,
 		building: make(map[uint64]*traceBuf),
-		evictions: reg.Counter(MetricTraceEvictions,
-			"Completed traces evicted from the bounded resident store."),
 	}
 }
 
-// Root starts a new trace with a root span, rolling head sampling.
-// Returns an inert span (Recording() false) when the trace is not
-// retained, at zero allocation cost.
+// Root starts a new trace with a root span, rolling head sampling. An
+// unsampled trace records provisionally, for tail rescue.
 func (r *TraceRecorder) Root(name, scope string) ActiveSpan {
 	if r == nil {
 		return ActiveSpan{}
 	}
-	// sample and rescue are immutable after construction; with both off
-	// the recorder can bail before touching the lock or the clock.
-	if r.sample <= 0 && !r.rescue {
-		return ActiveSpan{}
-	}
 	r.mu.Lock()
-	sampled := r.sample > 0 && r.rng.Float64() < r.sample
-	if !sampled && !r.rescue {
-		r.mu.Unlock()
-		return ActiveSpan{}
-	}
+	sampled := r.rng.Float64() < r.sample
 	r.nextTrace++
 	r.nextSpan++
 	tid, sid := r.nextTrace, r.nextSpan
 	r.building[tid] = &traceBuf{
-		id: tid, sampled: sampled, open: 1,
+		sampled: sampled, open: 1,
 		openEvents: make(map[uint64][]SpanEventRecord),
 	}
 	r.mu.Unlock()
@@ -203,8 +165,8 @@ func (r *TraceRecorder) Root(name, scope string) ActiveSpan {
 
 // ChildOf starts a span causally parented under a remote caller's span
 // context — the participant side of cross-fabric propagation. Inert
-// when the context is unsampled or its trace is no longer resident
-// (late delivery after root completion).
+// when the context is unsampled or its trace is no longer open (late
+// delivery after root completion).
 func (r *TraceRecorder) ChildOf(sc SpanContext, name, scope string) ActiveSpan {
 	if r == nil || !sc.Sampled {
 		return ActiveSpan{}
@@ -227,7 +189,7 @@ func (r *TraceRecorder) ChildOf(sc SpanContext, name, scope string) ActiveSpan {
 // context — used for adversities observed away from the span's owner
 // (e.g. a duplicated delivery suppressed by the receiver). The event
 // attaches to the span whether it is still open or already ended, as
-// long as its trace is resident; otherwise it is dropped silently.
+// long as its trace is open; otherwise it is dropped silently.
 func (r *TraceRecorder) EventOn(sc SpanContext, typ, detail string) {
 	if r == nil || !sc.Sampled {
 		return
@@ -279,8 +241,8 @@ func (r *TraceRecorder) event(s ActiveSpan, typ, detail string) {
 }
 
 // endSpan completes a span at end. When the root has ended and no spans
-// remain open, the trace is flushed: exported to the sink (if
-// retained) and moved into the bounded completed store.
+// remain open, the trace is flushed: handed to the sink if retained
+// (head-sampled or errored), dropped otherwise.
 func (r *TraceRecorder) endSpan(s ActiveSpan, status string, end time.Time) {
 	var flushed *traceBuf
 	r.mu.Lock()
@@ -306,24 +268,14 @@ func (r *TraceRecorder) endSpan(s ActiveSpan, status string, end time.Time) {
 	}
 	if buf.rootEnded && buf.open <= 0 {
 		delete(r.building, s.trace)
-		if buf.sampled || (r.rescue && buf.errored) {
-			r.done = append(r.done, CompletedTrace{
-				Trace: buf.id, Spans: buf.spans, Errored: buf.errored})
-			for len(r.done) > r.capacity {
-				r.done = r.done[1:]
-				r.evictions.Inc()
-			}
+		if r.sink != nil && (buf.sampled || buf.errored) {
 			flushed = buf
 			r.exports.Add(1)
 		}
 	}
 	r.mu.Unlock()
 	if flushed != nil {
-		if r.sink != nil {
-			for _, sp := range flushed.spans {
-				r.sink.ExportSpan(sp)
-			}
-		}
+		r.sink.ExportTrace(flushed.spans)
 		r.exports.Done()
 	}
 }
@@ -331,8 +283,8 @@ func (r *TraceRecorder) endSpan(s ActiveSpan, status string, end time.Time) {
 // DrainExports blocks until every in-flight sink export has finished.
 // Call after the last span has ended (OpenTraces()==0) and before
 // closing or flushing the sink: trees are removed from the open table
-// before their spans are written, so without this wait a caller can
-// flush the sink mid-export and tear the last tree.
+// before they reach the sink, so without this wait a caller can flush
+// the sink mid-export and tear the last tree.
 func (r *TraceRecorder) DrainExports() {
 	if r == nil {
 		return
@@ -349,19 +301,6 @@ func (r *TraceRecorder) OpenTraces() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.building)
-}
-
-// Completed returns a snapshot of the retained trace trees,
-// oldest-completion first.
-func (r *TraceRecorder) Completed() []CompletedTrace {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]CompletedTrace, len(r.done))
-	copy(out, r.done)
-	return out
 }
 
 // ActiveSpan is an in-progress span. The zero value is inert: every
@@ -388,9 +327,9 @@ func (s ActiveSpan) Context() SpanContext {
 	return SpanContext{Trace: s.trace, Span: s.span, Sampled: true}
 }
 
-// TraceID renders the trace identifier as fixed-width hex — the
+// traceID renders the trace identifier as fixed-width hex — the
 // exemplar format attached to histogram buckets.
-func (s ActiveSpan) TraceID() string {
+func (s ActiveSpan) traceID() string {
 	if s.rec == nil {
 		return ""
 	}
@@ -446,9 +385,9 @@ func (s ActiveSpan) EndStatusAt(status string, end time.Time) {
 	s.rec.endSpan(s, status, end)
 }
 
-// EndErr completes the span: StatusOK when err is nil, otherwise the
+// endErr completes the span: StatusOK when err is nil, otherwise the
 // status given (or "error" when empty).
-func (s ActiveSpan) EndErr(err error, status string) {
+func (s ActiveSpan) endErr(err error, status string) {
 	if s.rec == nil {
 		return
 	}

@@ -6,20 +6,30 @@ import (
 	"testing"
 )
 
-// recordedSink collects exported spans for assertions.
-type recordedSink struct {
-	spans []SpanRecord
+// treeSink collects exported trees for assertions.
+type treeSink struct {
+	trees [][]SpanRecord
 }
 
-func (s *recordedSink) ExportSpan(sp SpanRecord) { s.spans = append(s.spans, sp) }
+func (s *treeSink) ExportTrace(spans []SpanRecord) { s.trees = append(s.trees, spans) }
+
+// errored reports whether any span of a tree ended non-ok.
+func errored(spans []SpanRecord) bool {
+	for _, sp := range spans {
+		if sp.Status != StatusOK {
+			return true
+		}
+	}
+	return false
+}
 
 // TestTraceRecorderBuildsTree pins the core lifecycle: a sampled root
 // with nested children and typed events flushes, at completion, into
-// one retained trace whose spans carry the right parents, statuses and
+// one exported tree whose spans carry the right parents, statuses and
 // events — and the flush waits for children that outlive the root.
 func TestTraceRecorderBuildsTree(t *testing.T) {
-	sink := &recordedSink{}
-	rec := NewTraceRecorder(nil, TraceOptions{Sample: 1, Sink: sink})
+	sink := &treeSink{}
+	rec := NewTraceRecorder(TraceOptions{Sample: 1, Sink: sink})
 
 	root := rec.Root("establish", "H1")
 	if !root.Recording() {
@@ -37,7 +47,7 @@ func TestTraceRecorderBuildsTree(t *testing.T) {
 	root.End()
 	// The root has ended but the remote span is still open: the trace
 	// must not flush yet.
-	if got := len(rec.Completed()); got != 0 {
+	if got := len(sink.trees); got != 0 {
 		t.Fatalf("trace flushed with %d open span(s) pending", got)
 	}
 	if got := rec.OpenTraces(); got != 1 {
@@ -45,23 +55,18 @@ func TestTraceRecorderBuildsTree(t *testing.T) {
 	}
 	remote.End()
 
-	done := rec.Completed()
-	if len(done) != 1 {
-		t.Fatalf("Completed() = %d traces, want 1", len(done))
+	if len(sink.trees) != 1 {
+		t.Fatalf("sink received %d trees, want 1", len(sink.trees))
 	}
-	tr := done[0]
-	if !tr.Errored {
-		t.Error("trace with a timeout span not marked errored")
-	}
-	if len(tr.Spans) != 4 {
-		t.Fatalf("trace has %d spans, want 4", len(tr.Spans))
+	tr := sink.trees[0]
+	if len(tr) != 4 {
+		t.Fatalf("trace has %d spans, want 4", len(tr))
 	}
 	byName := map[string]SpanRecord{}
-	for _, sp := range tr.Spans {
+	for _, sp := range tr {
 		byName[sp.Name+"@"+sp.Scope] = sp
 	}
-	rootSp := byName["establish@H1"]
-	if !rootSp.Root() {
+	if byName["establish@H1"].Parent != 0 {
 		t.Error("establish span is not the root")
 	}
 	if p := byName["prepare@H1->H2"].Parent; p != byName["reserve@H1"].Span {
@@ -77,17 +82,15 @@ func TestTraceRecorderBuildsTree(t *testing.T) {
 	if len(cs.Events) != 1 || cs.Events[0].Type != EventRetry {
 		t.Errorf("call span events = %+v, want one retry", cs.Events)
 	}
-	if len(sink.spans) != 4 {
-		t.Errorf("sink received %d spans, want 4", len(sink.spans))
-	}
 }
 
 // TestTraceRecorderEventOnEndedSpan pins the duplicate-suppression
 // path: an event addressed to a span that already ended still attaches,
-// as long as the trace is resident; after the trace flushes, it is
-// dropped silently.
+// as long as the trace is open; after the trace flushes, it is dropped
+// silently.
 func TestTraceRecorderEventOnEndedSpan(t *testing.T) {
-	rec := NewTraceRecorder(nil, TraceOptions{Sample: 1})
+	sink := &treeSink{}
+	rec := NewTraceRecorder(TraceOptions{Sample: 1, Sink: sink})
 	root := rec.Root("establish", "H1")
 	call := root.Child("prepare", "H1->H2")
 	sc := call.Context()
@@ -96,12 +99,11 @@ func TestTraceRecorderEventOnEndedSpan(t *testing.T) {
 	// Call span ended, root still open: the event must land.
 	rec.EventOn(sc, EventDuplicateSuppressed, "prepare")
 	root.End()
-	done := rec.Completed()
-	if len(done) != 1 {
-		t.Fatalf("Completed() = %d traces, want 1", len(done))
+	if len(sink.trees) != 1 {
+		t.Fatalf("sink received %d trees, want 1", len(sink.trees))
 	}
 	var found bool
-	for _, sp := range done[0].Spans {
+	for _, sp := range sink.trees[0] {
 		for _, ev := range sp.Events {
 			if ev.Type == EventDuplicateSuppressed {
 				found = true
@@ -122,59 +124,28 @@ func TestTraceRecorderEventOnEndedSpan(t *testing.T) {
 	}
 }
 
-// TestTraceRecorderRescuesErroredTraces pins tail rescue: with head
-// sampling off, an all-ok trace is dropped but a trace containing an
-// errored span is retained.
+// TestTraceRecorderRescuesErroredTraces pins tail rescue: at a head
+// sampling rate no root of this seed wins, an all-ok trace is dropped
+// but a trace containing an errored span is exported.
 func TestTraceRecorderRescuesErroredTraces(t *testing.T) {
-	rec := NewTraceRecorder(nil, TraceOptions{Sample: 0, RescueErrors: true})
+	sink := &treeSink{}
+	rec := NewTraceRecorder(TraceOptions{Sample: 1e-9, Seed: 1, Sink: sink})
 
 	ok := rec.Root("establish", "H1")
+	if !ok.Recording() {
+		t.Fatal("unsampled root not recorded provisionally")
+	}
 	ok.Child("plan", "H1").End()
 	ok.End()
-	if got := len(rec.Completed()); got != 0 {
-		t.Fatalf("all-ok unsampled trace retained (%d)", got)
+	if got := len(sink.trees); got != 0 {
+		t.Fatalf("all-ok unsampled trace exported (%d)", got)
 	}
 
 	bad := rec.Root("establish", "H1")
 	bad.Child("reserve", "H1").EndStatus("refused")
 	bad.End()
-	done := rec.Completed()
-	if len(done) != 1 || !done[0].Errored {
-		t.Fatalf("errored trace not rescued: %+v", done)
-	}
-}
-
-// TestTraceRecorderEvictsAtCapacity pins the bounded resident store:
-// completions beyond MaxResident evict the oldest trace and advance
-// qosres_trace_evictions_total.
-func TestTraceRecorderEvictsAtCapacity(t *testing.T) {
-	reg := New()
-	rec := NewTraceRecorder(reg, TraceOptions{Sample: 1, MaxResident: 2})
-	var first uint64
-	for i := 0; i < 5; i++ {
-		root := rec.Root("establish", "H1")
-		if i == 0 {
-			first = root.Context().Trace
-		}
-		root.End()
-	}
-	done := rec.Completed()
-	if len(done) != 2 {
-		t.Fatalf("resident traces = %d, want 2", len(done))
-	}
-	for _, tr := range done {
-		if tr.Trace == first {
-			t.Error("oldest trace survived eviction")
-		}
-	}
-	var evicted float64
-	for _, c := range reg.Snapshot().Counters {
-		if c.Name == MetricTraceEvictions {
-			evicted += c.Value
-		}
-	}
-	if evicted != 3 {
-		t.Fatalf("%s = %g, want 3", MetricTraceEvictions, evicted)
+	if len(sink.trees) != 1 || !errored(sink.trees[0]) {
+		t.Fatalf("errored trace not rescued: %+v", sink.trees)
 	}
 }
 
@@ -183,8 +154,10 @@ func TestTraceRecorderEvictsAtCapacity(t *testing.T) {
 // root, children, events, context plumbing, exemplar IDs — must not
 // allocate at all.
 func TestTraceRecorderUnsampledZeroAlloc(t *testing.T) {
-	rec := NewTraceRecorder(nil, TraceOptions{Sample: 0})
-	var nilRec *TraceRecorder
+	rec := NewTraceRecorder(TraceOptions{Sample: 0})
+	if rec != nil {
+		t.Fatal("sample 0 built a live recorder")
+	}
 	ctx := context.Background()
 	errBoom := errors.New("boom")
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -193,14 +166,13 @@ func TestTraceRecorderUnsampledZeroAlloc(t *testing.T) {
 		c.Event(EventRetry, "attempt 2")
 		cctx := ContextWithSpan(ctx, c)
 		sp := SpanFromContext(cctx)
-		sp.EndErr(errBoom, "error")
-		if sp.TraceID() != "" {
+		sp.endErr(errBoom, "error")
+		if sp.traceID() != "" {
 			t.Fatal("inert span has a trace ID")
 		}
 		rec.EventOn(root.Context(), EventShed, "")
 		rec.ChildOf(c.Context(), "prepare", "H2").End()
 		root.EndStatus("shed")
-		nilRec.Root("establish", "H1").End()
 	})
 	if allocs != 0 {
 		t.Fatalf("unsampled tracing path allocates %.1f per op, want 0", allocs)
@@ -208,23 +180,16 @@ func TestTraceRecorderUnsampledZeroAlloc(t *testing.T) {
 }
 
 // TestTraceRecorderHeadSampling sanity-checks the sampling roll: with
-// probability 0.5 over many roots, both outcomes occur, and unsampled
-// roots (rescue off) retain nothing.
+// probability 0.5 over many all-ok roots, both outcomes occur — some
+// trees are exported, the unsampled rest are dropped.
 func TestTraceRecorderHeadSampling(t *testing.T) {
-	rec := NewTraceRecorder(nil, TraceOptions{Sample: 0.5, MaxResident: 4096, Seed: 42})
-	sampled := 0
+	sink := &treeSink{}
+	rec := NewTraceRecorder(TraceOptions{Sample: 0.5, Seed: 42, Sink: sink})
 	const n = 400
 	for i := 0; i < n; i++ {
-		root := rec.Root("establish", "H1")
-		if root.Recording() {
-			sampled++
-		}
-		root.End()
+		rec.Root("establish", "H1").End()
 	}
-	if sampled == 0 || sampled == n {
-		t.Fatalf("sample=0.5 produced %d/%d sampled roots", sampled, n)
-	}
-	if got := len(rec.Completed()); got != sampled {
-		t.Fatalf("retained %d traces, want %d (the sampled ones)", got, sampled)
+	if got := len(sink.trees); got == 0 || got == n {
+		t.Fatalf("sample=0.5 exported %d/%d all-ok trees", got, n)
 	}
 }

@@ -6,16 +6,16 @@ import (
 	"net/http/pprof"
 )
 
-// Handler serves the registry in the Prometheus text exposition format.
-func Handler(r *Registry) http.Handler {
+// handler serves the registry in the Prometheus text exposition format.
+func handler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WritePrometheus(w)
+		_ = r.writePrometheus(w)
 	})
 }
 
-// SnapshotHandler serves the registry as a JSON snapshot.
-func SnapshotHandler(r *Registry) http.Handler {
+// snapshotHandler serves the registry as a JSON snapshot.
+func snapshotHandler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -29,8 +29,8 @@ func SnapshotHandler(r *Registry) http.Handler {
 // /debug/pprof/.
 func NewMux(r *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", Handler(r))
-	mux.Handle("/snapshot", SnapshotHandler(r))
+	mux.Handle("/metrics", handler(r))
+	mux.Handle("/snapshot", snapshotHandler(r))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -144,7 +144,7 @@ func TestPrometheusEscaping(t *testing.T) {
 	r := New()
 	r.Gauge("weird", "help with\nnewline", "l", `va"l\ue`).Set(1)
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := r.writePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

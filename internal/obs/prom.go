@@ -7,12 +7,12 @@ import (
 	"strings"
 )
 
-// WritePrometheus writes every metric in the Prometheus text exposition
+// writePrometheus writes every metric in the Prometheus text exposition
 // format (version 0.0.4): families sorted by name, each preceded by its
 // # HELP and # TYPE lines; histograms expand to cumulative _bucket
 // samples (with an le label), plus _sum and _count. A nil registry
 // writes nothing.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+func (r *Registry) writePrometheus(w io.Writer) error {
 	var err error
 	lastFamily := ""
 	r.visit(func(f *family, _ string, ch *child) {
@@ -32,11 +32,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 		}
 		switch f.typ {
-		case TypeCounter:
+		case typeCounter:
 			err = writeSample(w, f.name, ch.labels, "", "", ch.c.Value())
-		case TypeGauge:
-			err = writeSample(w, f.name, ch.labels, "", "", ch.g.Value())
-		case TypeHistogram:
+		case typeGauge:
+			err = writeSample(w, f.name, ch.labels, "", "", ch.g.value())
+		case typeHistogram:
 			bounds, counts, sum, total := ch.h.snapshot()
 			var cum uint64
 			for i, bound := range bounds {

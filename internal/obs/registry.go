@@ -4,7 +4,7 @@
 // JSON exposition layer (see prom.go, snapshot.go, http.go), and one
 // stage timer for instrumenting the admission hot path (see span.go).
 //
-// The registry is designed so that a disabled ("Nop") registry costs
+// The registry is designed so that a disabled (nil) registry costs
 // nothing on the hot path: a nil *Registry is a valid no-op registry,
 // every metric handle it returns is nil, and every metric method is
 // nil-safe and allocation-free when the receiver is nil. Callers can
@@ -27,9 +27,9 @@ type MetricType string
 
 // The supported metric types.
 const (
-	TypeCounter   MetricType = "counter"
-	TypeGauge     MetricType = "gauge"
-	TypeHistogram MetricType = "histogram"
+	typeCounter   MetricType = "counter"
+	typeGauge     MetricType = "gauge"
+	typeHistogram MetricType = "histogram"
 )
 
 // Registry is a concurrency-safe collection of metric families. The
@@ -65,10 +65,6 @@ type labelPair struct{ k, v string }
 func New() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
-
-// Nop returns the no-op registry. All metric handles obtained from it
-// are nil and record nothing, at zero allocation cost.
-func Nop() *Registry { return nil }
 
 // Enabled reports whether the registry records anything.
 func (r *Registry) Enabled() bool { return r != nil }
@@ -120,11 +116,11 @@ func (r *Registry) get(typ MetricType, name, help string, buckets []float64, lab
 	if ch == nil {
 		ch = &child{labels: pairs}
 		switch typ {
-		case TypeCounter:
+		case typeCounter:
 			ch.c = &Counter{}
-		case TypeGauge:
+		case typeGauge:
 			ch.g = &Gauge{}
-		case TypeHistogram:
+		case typeHistogram:
 			ch.h = newHistogram(f.buckets)
 		}
 		f.metrics[key] = ch
@@ -139,7 +135,7 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.get(TypeCounter, name, help, nil, labels).c
+	return r.get(typeCounter, name, help, nil, labels).c
 }
 
 // Gauge returns the gauge for (name, labels), creating it on first use.
@@ -147,7 +143,7 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.get(TypeGauge, name, help, nil, labels).g
+	return r.get(typeGauge, name, help, nil, labels).g
 }
 
 // Histogram returns the histogram for (name, labels), creating it on
@@ -158,7 +154,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 	if r == nil {
 		return nil
 	}
-	return r.get(TypeHistogram, name, help, buckets, labels).h
+	return r.get(typeHistogram, name, help, buckets, labels).h
 }
 
 // visit calls fn for every family (sorted by name) and, within a
@@ -233,22 +229,8 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add moves the gauge by a (possibly negative) delta.
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value (0 for a nil gauge).
-func (g *Gauge) Value() float64 {
+// value returns the current gauge value (0 for a nil gauge).
+func (g *Gauge) value() float64 {
 	if g == nil {
 		return 0
 	}
@@ -268,13 +250,13 @@ type Histogram struct {
 	// exemplars pairs each bucket with the trace that most recently
 	// landed in it; allocated lazily on the first exemplar so plain
 	// observations pay nothing.
-	exemplars []Exemplar
+	exemplars []exemplar
 }
 
-// Exemplar ties a bucket's most recent observation to the trace that
+// exemplar ties a bucket's most recent observation to the trace that
 // produced it, letting dashboards jump from a latency bucket to a
 // concrete trace tree.
-type Exemplar struct {
+type exemplar struct {
 	Value   float64 `json:"value"`
 	TraceID string  `json:"trace_id"`
 }
@@ -299,10 +281,10 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// ObserveExemplar records one value and attaches the trace that
+// observeExemplar records one value and attaches the trace that
 // produced it as the landing bucket's exemplar (replacing any previous
 // one). An empty trace ID degrades to a plain Observe.
-func (h *Histogram) ObserveExemplar(v float64, traceID string) {
+func (h *Histogram) observeExemplar(v float64, traceID string) {
 	if h == nil {
 		return
 	}
@@ -316,21 +298,21 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	h.sum += v
 	h.total++
 	if h.exemplars == nil {
-		h.exemplars = make([]Exemplar, len(h.counts))
+		h.exemplars = make([]exemplar, len(h.counts))
 	}
-	h.exemplars[i] = Exemplar{Value: v, TraceID: traceID}
+	h.exemplars[i] = exemplar{Value: v, TraceID: traceID}
 	h.mu.Unlock()
 }
 
 // exemplarSnapshot copies the per-bucket exemplars (nil when none were
 // ever attached).
-func (h *Histogram) exemplarSnapshot() []Exemplar {
+func (h *Histogram) exemplarSnapshot() []exemplar {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.exemplars == nil {
 		return nil
 	}
-	out := make([]Exemplar, len(h.exemplars))
+	out := make([]exemplar, len(h.exemplars))
 	copy(out, h.exemplars)
 	return out
 }
@@ -343,16 +325,6 @@ func (h *Histogram) Count() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.total
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }
 
 // Quantile estimates the q-quantile (0 <= q <= 1) by linear
@@ -411,11 +383,11 @@ func (h *Histogram) snapshot() (bounds []float64, counts []uint64, sum float64, 
 	return h.bounds, counts, h.sum, h.total
 }
 
-// ExpBuckets returns n exponentially spaced bucket bounds starting at
+// expBuckets returns n exponentially spaced bucket bounds starting at
 // start and multiplying by factor: start, start*factor, ...
-func ExpBuckets(start, factor float64, n int) []float64 {
+func expBuckets(start, factor float64, n int) []float64 {
 	if start <= 0 || factor <= 1 || n < 1 {
-		panic("obs: ExpBuckets needs start > 0, factor > 1, n >= 1")
+		panic("obs: expBuckets needs start > 0, factor > 1, n >= 1")
 	}
 	out := make([]float64, n)
 	v := start

@@ -36,7 +36,7 @@ type HistogramValue struct {
 type BucketValue struct {
 	UpperBound float64   `json:"le"`
 	Count      uint64    `json:"count"`
-	Exemplar   *Exemplar `json:"exemplar,omitempty"`
+	Exemplar   *exemplar `json:"exemplar,omitempty"`
 }
 
 // Snapshot copies every metric out of the registry. A nil registry
@@ -50,13 +50,13 @@ func (r *Registry) Snapshot() SnapshotData {
 	r.visit(func(f *family, _ string, ch *child) {
 		labels := labelMap(ch.labels)
 		switch f.typ {
-		case TypeCounter:
+		case typeCounter:
 			snap.Counters = append(snap.Counters, MetricValue{
 				Name: f.name, Labels: labels, Value: ch.c.Value()})
-		case TypeGauge:
+		case typeGauge:
 			snap.Gauges = append(snap.Gauges, MetricValue{
-				Name: f.name, Labels: labels, Value: ch.g.Value()})
-		case TypeHistogram:
+				Name: f.name, Labels: labels, Value: ch.g.value()})
+		case typeHistogram:
 			bounds, counts, sum, total := ch.h.snapshot()
 			exemplars := ch.h.exemplarSnapshot()
 			hv := HistogramValue{

@@ -63,9 +63,9 @@ const (
 	MetricTemplateEvictions = "qosres_qrg_template_evictions_total"
 )
 
-// StageBuckets are the default latency buckets of the stage histograms:
+// stageBuckets are the default latency buckets of the stage histograms:
 // 1µs up to ~0.5s, exponentially spaced.
-func StageBuckets() []float64 { return ExpBuckets(1e-6, 2, 20) }
+func stageBuckets() []float64 { return expBuckets(1e-6, 2, 20) }
 
 // PlanStages bundles the stage-latency histograms of the planning hot
 // path. Obtained from NewPlanStages; with a nil registry every field is
@@ -83,7 +83,7 @@ type PlanStages struct {
 // lets post-run code read the quantiles the run recorded.
 func NewPlanStages(r *Registry) *PlanStages {
 	help := "Planning hot-path stage latency in seconds."
-	bk := StageBuckets()
+	bk := stageBuckets()
 	return &PlanStages{
 		Snapshot:  r.Histogram(MetricPlanStage, help, bk, "stage", StageSnapshot),
 		Build:     r.Histogram(MetricPlanStage, help, bk, "stage", StageBuild),
@@ -111,7 +111,7 @@ type Stage struct {
 func BeginStage(h *Histogram, span ActiveSpan) Stage {
 	st := Stage{h: h, span: span}
 	if h != nil || span.Recording() {
-		st.tid = span.TraceID()
+		st.tid = span.traceID()
 		st.start = time.Now()
 		st.on = true
 	}
@@ -128,6 +128,6 @@ func (st Stage) End(err error, status string) {
 	if !st.on {
 		return
 	}
-	st.h.ObserveExemplar(time.Since(st.start).Seconds(), st.tid)
-	st.span.EndErr(err, status)
+	st.h.observeExemplar(time.Since(st.start).Seconds(), st.tid)
+	st.span.endErr(err, status)
 }

@@ -107,7 +107,7 @@ func droppedCounter(r *Registry, reason string) *Counter {
 func callHistogram(r *Registry, rk [2]string) *Histogram {
 	return r.Histogram(MetricTransportCallSeconds,
 		"Fabric call latency in seconds, by route and message kind.",
-		StageBuckets(), "route", rk[0], "kind", rk[1])
+		stageBuckets(), "route", rk[0], "kind", rk[1])
 }
 
 func breakerGauge(r *Registry, route string) *Gauge {

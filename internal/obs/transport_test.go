@@ -28,7 +28,7 @@ func TestTransportMetricsPerMessageCost(t *testing.T) {
 	if got := reg.Counter(MetricTransportMessages, "", "kind", "prepare").Value(); got != 1002 {
 		t.Errorf("%s{kind=prepare} = %v, want 1002", MetricTransportMessages, got)
 	}
-	if got := reg.Histogram(MetricTransportCallSeconds, "", StageBuckets(), "route", "X->Y", "kind", "prepare").Count(); got != 1002 {
+	if got := reg.Histogram(MetricTransportCallSeconds, "", stageBuckets(), "route", "X->Y", "kind", "prepare").Count(); got != 1002 {
 		t.Errorf("%s count = %d, want 1002", MetricTransportCallSeconds, got)
 	}
 }

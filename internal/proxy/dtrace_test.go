@@ -3,6 +3,7 @@ package proxy
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,33 +13,59 @@ import (
 	"qosres/internal/transport"
 )
 
-// tracedWorld is unreliableWorld with a trace recorder attached, so
-// the coordinator and the participant proxies record spans.
-func tracedWorld(t *testing.T, fabric transport.Options, opts Options) (*Runtime, *obs.TraceRecorder) {
-	t.Helper()
-	rec := obs.NewTraceRecorder(nil, obs.TraceOptions{Sample: 1})
-	opts.Tracing = rec
-	rt, _, _ := unreliableWorld(t, fabric, opts)
-	return rt, rec
+// treeSink collects the trees its recorder exports.
+type treeSink struct {
+	rec   *obs.TraceRecorder
+	mu    sync.Mutex
+	trees [][]obs.SpanRecord
 }
 
-// waitTraces polls until the recorder has retained n completed traces —
+func (s *treeSink) ExportTrace(spans []obs.SpanRecord) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.trees = append(s.trees, spans)
+}
+
+// tracedWorld is unreliableWorld with a trace recorder attached, so
+// the coordinator and the participant proxies record spans.
+func tracedWorld(t *testing.T, fabric transport.Options, opts Options) (*Runtime, *treeSink) {
+	t.Helper()
+	traces := &treeSink{}
+	traces.rec = obs.NewTraceRecorder(obs.TraceOptions{Sample: 1, Sink: traces})
+	opts.Tracing = traces.rec
+	rt, _, _ := unreliableWorld(t, fabric, opts)
+	return rt, traces
+}
+
+// waitTraces polls until n trees have been exported and none is open —
 // participant spans of delayed or duplicated deliveries end on the
 // fabric's delivery goroutines, so the flush can trail the
 // coordinator's root-end by a scheduling beat.
-func waitTraces(t *testing.T, rec *obs.TraceRecorder, n int) []obs.CompletedTrace {
+func waitTraces(t *testing.T, traces *treeSink, n int) [][]obs.SpanRecord {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		done := rec.Completed()
-		if len(done) >= n && rec.OpenTraces() == 0 {
+		traces.mu.Lock()
+		done := traces.trees
+		traces.mu.Unlock()
+		if len(done) >= n && traces.rec.OpenTraces() == 0 {
 			return done
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d trace(s) completed (%d still open)", len(done), n, rec.OpenTraces())
+			t.Fatalf("only %d/%d trace(s) completed (%d still open)", len(done), n, traces.rec.OpenTraces())
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// errored reports whether any span of a tree ended non-ok.
+func errored(spans []obs.SpanRecord) bool {
+	for _, sp := range spans {
+		if sp.Status != obs.StatusOK {
+			return true
+		}
+	}
+	return false
 }
 
 // spansNamed filters a trace's spans by name and scope.
@@ -72,12 +99,12 @@ func hasEvent(spans []obs.SpanRecord, typ string) bool {
 // copy annotates a duplicate-suppressed event instead of opening a
 // second span — the tree stays complete and un-doubled.
 func TestDuplicatedPrepareTracesOneParticipantSpan(t *testing.T) {
-	rt, rec := tracedWorld(t, transport.Options{
+	rt, traces := tracedWorld(t, transport.Options{
 		Defaults: transport.RouteConfig{Dup: 1},
 	}, Options{})
 	fabric := rt.Transport()
 
-	root := rec.Root(obs.StageEstablish, "test")
+	root := traces.rec.Root(obs.StageEstablish, "test")
 	ctx := obs.ContextWithSpan(context.Background(), root)
 	if _, err := fabric.Call(ctx, "X", "Y", msgPrepare, prepareRequest{
 		id: "t-1", req: qos.ResourceVector{"cpu@Y": 5},
@@ -95,8 +122,8 @@ func TestDuplicatedPrepareTracesOneParticipantSpan(t *testing.T) {
 	}
 	root.End()
 
-	done := waitTraces(t, rec, 1)
-	spans := done[0].Spans
+	done := waitTraces(t, traces, 1)
+	spans := done[0]
 	if got := spansNamed(spans, msgPrepare, "Y"); len(got) != 1 {
 		t.Fatalf("prepare participant spans = %d, want exactly 1 (duplicate must not open a second span)", len(got))
 	}
@@ -129,11 +156,11 @@ func TestDuplicatedPrepareTracesOneParticipantSpan(t *testing.T) {
 // "partition" and a partition-drop event — never an orphan, never a
 // bare timeout when the cause is known.
 func TestPartitionedCallSpanTerminatesWithPartition(t *testing.T) {
-	rt, rec := tracedWorld(t, transport.Options{}, Options{})
+	rt, traces := tracedWorld(t, transport.Options{}, Options{})
 	fabric := rt.Transport()
 	fabric.Partition("X", "Y")
 
-	root := rec.Root(obs.StageEstablish, "test")
+	root := traces.rec.Root(obs.StageEstablish, "test")
 	ctx, cancel := context.WithTimeout(obs.ContextWithSpan(context.Background(), root), 50*time.Millisecond)
 	defer cancel()
 	if _, err := fabric.Call(ctx, "X", "Y", msgAvailability, availabilityRequest{}); err == nil {
@@ -141,8 +168,8 @@ func TestPartitionedCallSpanTerminatesWithPartition(t *testing.T) {
 	}
 	root.EndStatus("error")
 
-	done := waitTraces(t, rec, 1)
-	spans := done[0].Spans
+	done := waitTraces(t, traces, 1)
+	spans := done[0]
 	calls := spansNamed(spans, msgAvailability, "X->Y")
 	if len(calls) != 1 {
 		t.Fatalf("availability call spans = %d, want 1", len(calls))
@@ -164,13 +191,13 @@ func TestPartitionedCallSpanTerminatesWithPartition(t *testing.T) {
 // span (status circuit_open, breaker-fastfail event) so the trace tree
 // stays complete for refused work.
 func TestBreakerFastFailTracesTerminatedSpan(t *testing.T) {
-	rt, rec := tracedWorld(t, transport.Options{
+	rt, traces := tracedWorld(t, transport.Options{
 		Breaker: &transport.BreakerConfig{Threshold: 1, Cooldown: time.Minute},
 	}, Options{})
 	fabric := rt.Transport()
 	fabric.Partition("X", "Y")
 
-	root := rec.Root(obs.StageEstablish, "test")
+	root := traces.rec.Root(obs.StageEstablish, "test")
 	sctx := obs.ContextWithSpan(context.Background(), root)
 	ctx, cancel := context.WithTimeout(sctx, 50*time.Millisecond)
 	if _, err := fabric.Call(ctx, "X", "Y", msgAvailability, availabilityRequest{}); err == nil {
@@ -183,8 +210,8 @@ func TestBreakerFastFailTracesTerminatedSpan(t *testing.T) {
 	}
 	root.EndStatus("error")
 
-	done := waitTraces(t, rec, 1)
-	calls := spansNamed(done[0].Spans, msgAvailability, "X->Y")
+	done := waitTraces(t, traces, 1)
+	calls := spansNamed(done[0], msgAvailability, "X->Y")
 	if len(calls) != 2 {
 		t.Fatalf("availability call spans = %d, want 2", len(calls))
 	}
@@ -207,7 +234,7 @@ func TestBreakerFastFailTracesTerminatedSpan(t *testing.T) {
 // with status "shed" and a shed event — refused admissions are visible
 // in the trace store, not silent.
 func TestShedEstablishTracesTerminatedRoot(t *testing.T) {
-	rt, rec := tracedWorld(t, transport.Options{}, Options{MaxInFlight: 1})
+	rt, traces := tracedWorld(t, transport.Options{}, Options{MaxInFlight: 1})
 	service, binding := pipelineService(t)
 
 	if err := rt.gate.TryAcquire(); err != nil {
@@ -218,17 +245,17 @@ func TestShedEstablishTracesTerminatedRoot(t *testing.T) {
 		t.Fatalf("establish error = %v, want ErrOverloaded", err)
 	}
 
-	done := waitTraces(t, rec, 1)
-	root := done[0].Spans[0]
-	for _, sp := range done[0].Spans {
-		if sp.Root() {
+	done := waitTraces(t, traces, 1)
+	root := done[0][0]
+	for _, sp := range done[0] {
+		if sp.Parent == 0 {
 			root = sp
 		}
 	}
 	if root.Name != obs.StageEstablish || root.Status != "shed" {
 		t.Fatalf("shed root span = %s/%s, want %s/shed", root.Name, root.Status, obs.StageEstablish)
 	}
-	if !hasEvent(done[0].Spans, obs.EventShed) {
+	if !hasEvent(done[0], obs.EventShed) {
 		t.Error("shed trace has no shed event")
 	}
 }
@@ -239,7 +266,7 @@ func TestShedEstablishTracesTerminatedRoot(t *testing.T) {
 // call spans under the stages, and remote participant spans parented
 // under their call spans.
 func TestEstablishTracesFullTree(t *testing.T) {
-	rt, rec := tracedWorld(t, transport.Options{}, Options{})
+	rt, traces := tracedWorld(t, transport.Options{}, Options{})
 	service, binding := pipelineService(t)
 
 	s, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}})
@@ -250,9 +277,9 @@ func TestEstablishTracesFullTree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	done := waitTraces(t, rec, 1)
-	spans := done[0].Spans
-	if done[0].Errored {
+	done := waitTraces(t, traces, 1)
+	spans := done[0]
+	if errored(spans) {
 		t.Error("successful admission trace marked errored")
 	}
 
@@ -260,7 +287,7 @@ func TestEstablishTracesFullTree(t *testing.T) {
 	byID := map[uint64]obs.SpanRecord{}
 	for _, sp := range spans {
 		byID[sp.Span] = sp
-		if sp.Root() {
+		if sp.Parent == 0 {
 			root = sp
 		}
 	}

@@ -49,7 +49,7 @@ func TestTemplateCacheLRUEviction(t *testing.T) {
 	if got := reg.Counter(obs.MetricTemplateEvictions, "").Value(); got != 1 {
 		t.Fatalf("evictions = %g, want 1", got)
 	}
-	if got := reg.Gauge(obs.MetricTemplatesCached, "").Value(); got != 2 {
+	if got := templatesCached(reg); got != 2 {
 		t.Fatalf("cached gauge = %g, want 2", got)
 	}
 
@@ -94,4 +94,14 @@ func TestTemplateCacheUnbounded(t *testing.T) {
 	if got := reg.Counter(obs.MetricTemplateEvictions, "").Value(); got != 0 {
 		t.Fatalf("evictions = %g, want 0", got)
 	}
+}
+
+// templatesCached reads the resident template gauge.
+func templatesCached(reg *obs.Registry) float64 {
+	for _, g := range reg.Snapshot().Gauges {
+		if g.Name == obs.MetricTemplatesCached {
+			return g.Value
+		}
+	}
+	return 0
 }

@@ -272,7 +272,7 @@ func TestTemplateCacheCounters(t *testing.T) {
 
 	hits := reg.Counter(obs.MetricTemplateHits, "").Value()
 	misses := reg.Counter(obs.MetricTemplateMisses, "").Value()
-	cached := reg.Gauge(obs.MetricTemplatesCached, "").Value()
+	cached := templatesCached(reg)
 	if hits != 1 || misses != 2 || cached != 2 {
 		t.Fatalf("counters hits=%v misses=%v cached=%v, want 1/2/2", hits, misses, cached)
 	}

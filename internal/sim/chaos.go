@@ -17,7 +17,6 @@ import (
 	"qosres/internal/proxy"
 	"qosres/internal/topo"
 	"qosres/internal/trace"
-	"qosres/internal/tracetree"
 	"qosres/internal/transport"
 	"qosres/internal/wal"
 )
@@ -375,20 +374,15 @@ func RunChaos(sc StressConfig) (res *ChaosResult, err error) {
 	}
 	// Chaos always traces at sample 1.0: the trace-completeness invariant
 	// below needs every admission's and every repair sweep's span tree.
-	// The collector feeds the invariant; when the run also writes a JSONL
-	// trace (cfg.Tracer), the same spans tee into it for offline
-	// critical-path analysis (cmd/qostrace).
-	collector := &tracetree.Collector{}
-	var spanOut trace.Tracer = collector
+	// The check sees each tree as it leaves the recorder; when the run
+	// also writes a JSONL trace (cfg.Tracer), the tree goes on into it
+	// for offline critical-path analysis (cmd/qostrace).
+	trees := &treeCheck{}
 	if cfg.Tracer != nil {
-		spanOut = trace.Multi{collector, cfg.Tracer}
+		trees.out = trace.Spans(cfg.Tracer)
 	}
-	env.tracerec = obs.NewTraceRecorder(cfg.Obs, obs.TraceOptions{
-		Sample:       1,
-		RescueErrors: true,
-		Seed:         sc.Seed + 6700417,
-		Sink:         tracetree.NewSink(spanOut),
-	})
+	env.tracerec = obs.NewTraceRecorder(obs.TraceOptions{
+		Sample: 1, Seed: sc.Seed + 6700417, Sink: trees})
 	// Lease every session's holds so a silent (orphaned) session can
 	// never strand capacity.
 	opts := proxy.Options{LeaseTTL: fc.LeaseTTL}
@@ -892,24 +886,52 @@ func RunChaos(sc StressConfig) (res *ChaosResult, err error) {
 	// its tracer without tearing the last tree (torn JSONL tails fail
 	// the qostrace completeness gate).
 	env.tracerec.DrainExports()
-	forest := tracetree.FromEvents(collector.Events())
-	if !forest.Complete() {
+	if trees.broken > 0 {
 		failures = append(failures, fmt.Sprintf(
-			"incomplete trace forest: %d orphan spans, %d rootless, %d multi-root trace(s)",
-			forest.OrphanSpans, forest.Rootless, forest.MultiRoot))
+			"%d incomplete trace tree(s): orphan spans, no root, or several", trees.broken))
 	}
-	okEstablish := 0
-	for _, t := range forest.Trees {
-		if t.Root != nil && t.Root.Name == obs.StageEstablish && t.Root.Status == obs.StatusOK {
-			okEstablish++
-		}
-	}
-	if okEstablish != result.Established {
+	if trees.okEstablish != result.Established {
 		failures = append(failures, fmt.Sprintf("%d ok establish trace(s) != %d established sessions",
-			okEstablish, result.Established))
+			trees.okEstablish, result.Established))
 	}
 	if len(failures) > 0 {
 		return nil, fmt.Errorf("sim: chaos invariants violated: %v", failures)
 	}
 	return &result, nil
+}
+
+// treeCheck is the chaos run's trace sink: it checks each finished span
+// tree as it leaves the recorder — exactly one root, every parent
+// inside the tree — counts ok establish roots, and passes the tree on
+// to out, when set. Safe for concurrent use.
+type treeCheck struct {
+	out                 obs.TraceSink
+	mu                  sync.Mutex
+	broken, okEstablish int
+}
+
+func (c *treeCheck) ExportTrace(spans []obs.SpanRecord) {
+	in := make(map[uint64]bool, len(spans))
+	for _, sp := range spans {
+		in[sp.Span] = true
+	}
+	c.mu.Lock()
+	roots, orphans := 0, 0
+	for _, sp := range spans {
+		if sp.Parent != 0 && !in[sp.Parent] {
+			orphans++
+		} else if sp.Parent == 0 {
+			roots++
+			if sp.Name == obs.StageEstablish && sp.Status == obs.StatusOK {
+				c.okEstablish++
+			}
+		}
+	}
+	if roots != 1 || orphans > 0 {
+		c.broken++
+	}
+	c.mu.Unlock()
+	if c.out != nil {
+		c.out.ExportTrace(spans)
+	}
 }

@@ -53,11 +53,7 @@ func TestChaosCrashCycles(t *testing.T) {
 
 	// The WAL counters surface in the Prometheus exposition: the 2PC
 	// journaled transitions, and every restart replayed some of them.
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	text := sb.String()
+	text := exposition(t, reg)
 	for _, name := range []string{
 		obs.MetricWALAppends,
 		obs.MetricWALReplayRecords,

@@ -54,11 +54,7 @@ func TestChaosStress(t *testing.T) {
 		t.Errorf("orphaned %d > established %d", res.Orphaned, res.Established)
 	}
 
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	text := sb.String()
+	text := exposition(t, reg)
 	for _, name := range []string{
 		obs.MetricFaultInjected,
 		obs.MetricSessionsRepaired,
@@ -134,11 +130,7 @@ func TestChaosAdaptive(t *testing.T) {
 			res.Established, res.QoSSeconds)
 	}
 	// The adaptation metrics surface in the Prometheus exposition.
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	text := sb.String()
+	text := exposition(t, reg)
 	for _, name := range []string{
 		obs.MetricAdaptUpgrades,
 		obs.MetricAdaptDowngrades,
@@ -213,5 +205,45 @@ func TestChaosConfigValidation(t *testing.T) {
 	cfg.Duration = 10
 	if _, err := Run(cfg); err == nil {
 		t.Error("Run accepted a chaos config")
+	}
+}
+
+// TestTreeCheckReportsBrokenTrees pins invariant 4's per-tree check: a
+// tree with an orphan span, a rootless tree and a two-root tree are
+// each counted broken, a well-formed tree is not, and only ok
+// establish roots count toward the established sessions. Every tree
+// reaches the forwarding sink whole.
+func TestTreeCheckReportsBrokenTrees(t *testing.T) {
+	sp := func(span, parent uint64, name, status string) obs.SpanRecord {
+		return obs.SpanRecord{Trace: 1, Span: span, Parent: parent, Name: name, Status: status}
+	}
+	for _, tc := range []struct {
+		name        string
+		spans       []obs.SpanRecord
+		broken, oks int
+	}{
+		{"complete", []obs.SpanRecord{
+			sp(2, 1, obs.StageReserve, obs.StatusOK), sp(1, 0, obs.StageEstablish, obs.StatusOK),
+		}, 0, 1},
+		{"refused root", []obs.SpanRecord{sp(1, 0, obs.StageEstablish, "refused")}, 0, 0},
+		{"orphan span", []obs.SpanRecord{
+			sp(1, 0, obs.StageEstablish, obs.StatusOK), sp(3, 9, "prepare", obs.StatusOK),
+		}, 1, 1},
+		{"rootless", []obs.SpanRecord{sp(2, 1, obs.StageReserve, obs.StatusOK)}, 1, 0},
+		{"two roots", []obs.SpanRecord{
+			sp(1, 0, obs.StageEstablish, obs.StatusOK), sp(2, 0, "repair", obs.StatusOK),
+		}, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			col := &treeCollector{}
+			c := &treeCheck{out: col}
+			c.ExportTrace(tc.spans)
+			if c.broken != tc.broken || c.okEstablish != tc.oks {
+				t.Fatalf("broken %d, ok establish %d; want %d, %d", c.broken, c.okEstablish, tc.broken, tc.oks)
+			}
+			if len(col.trees) != 1 || len(col.trees[0]) != len(tc.spans) {
+				t.Fatalf("forwarded %v, want the one tree", col.trees)
+			}
+		})
 	}
 }

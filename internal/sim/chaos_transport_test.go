@@ -84,11 +84,7 @@ func TestChaosPartitioned(t *testing.T) {
 		t.Error("12%% loss plus a partition dropped no messages")
 	}
 
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	text := sb.String()
+	text := exposition(t, reg)
 	for _, name := range []string{
 		obs.MetricTransportMessages,
 		obs.MetricTransportDropped,

@@ -2,14 +2,50 @@ package sim
 
 import (
 	"context"
+	"net/http/httptest"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"qosres/internal/obs"
 	"qosres/internal/trace"
-	"qosres/internal/tracetree"
 )
+
+// kindTally counts traced events by kind.
+type kindTally struct {
+	mu sync.Mutex
+	n  map[trace.Kind]int
+}
+
+func (k *kindTally) Trace(ev trace.Event) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.n == nil {
+		k.n = make(map[trace.Kind]int)
+	}
+	k.n[ev.Kind]++
+}
+
+// exposition scrapes the registry's Prometheus text page.
+func exposition(t *testing.T, reg *obs.Registry) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	obs.NewMux(reg).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	return rec.Body.String()
+}
+
+// treeCollector keeps every exported span tree.
+type treeCollector struct {
+	mu    sync.Mutex
+	trees [][]obs.SpanRecord
+}
+
+func (c *treeCollector) ExportTrace(spans []obs.SpanRecord) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.trees = append(c.trees, spans)
+}
 
 // TestRunRecordsMetrics checks that an instrumented run populates the
 // registry: session-event counters that reconcile with the metrics,
@@ -109,7 +145,7 @@ func TestObsDoesNotPerturbResults(t *testing.T) {
 	cfg := quickConfig(AlgTradeoff, 150)
 	cfg.Obs = obs.New()
 	cfg.TraceSample = 1
-	cfg.Tracer = trace.NewCounter()
+	cfg.Tracer = &kindTally{}
 	instrumented, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -121,17 +157,16 @@ func TestObsDoesNotPerturbResults(t *testing.T) {
 }
 
 // TestRuntimeTraceParity asserts that a UseRuntime run emits the same
-// event-kind tallies per session stream as the direct path, via
-// trace.Counter.Counts.
+// event-kind tallies per session stream as the direct path.
 func TestRuntimeTraceParity(t *testing.T) {
 	for _, alg := range []Algorithm{AlgBasic, AlgTradeoff, AlgRandom} {
 		direct := quickConfig(alg, 150)
-		dc := trace.NewCounter()
+		dc := &kindTally{}
 		direct.Tracer = dc
 
 		viaRuntime := quickConfig(alg, 150)
 		viaRuntime.UseRuntime = true
-		rc := trace.NewCounter()
+		rc := &kindTally{}
 		viaRuntime.Tracer = rc
 
 		if _, err := Run(direct); err != nil {
@@ -140,23 +175,19 @@ func TestRuntimeTraceParity(t *testing.T) {
 		if _, err := Run(viaRuntime); err != nil {
 			t.Fatal(err)
 		}
-		dCounts, rCounts := dc.Counts(), rc.Counts()
-		if len(dCounts) == 0 || dCounts[trace.Arrival] == 0 {
-			t.Fatalf("%s: direct run traced nothing: %v", alg, dCounts)
+		if dc.n[trace.Arrival] == 0 {
+			t.Fatalf("%s: direct run traced nothing: %v", alg, dc.n)
 		}
-		for _, k := range trace.Kinds() {
-			if dCounts[k] != rCounts[k] {
-				t.Errorf("%s: kind %s: direct %d events, runtime %d",
-					alg, k, dCounts[k], rCounts[k])
-			}
+		if !reflect.DeepEqual(dc.n, rc.n) {
+			t.Errorf("%s: direct event tallies %v, runtime %v", alg, dc.n, rc.n)
 		}
 	}
 }
 
 // TestRuntimeSpanTreeParity extends trace parity to the distributed
 // span trees: a direct run and a UseRuntime run, both with full trace
-// sampling, must reconstruct complete forests whose admission roots
-// carry the same statuses over the same stage-child sequences. The
+// sampling, must export complete trees whose admission roots carry the
+// same statuses over the same stage-child sequences. The
 // runtime's trees additionally contain fabric call spans and remote
 // participant spans nested under the stages — the comparison therefore
 // covers root status plus the ordered stage children, the shared
@@ -168,29 +199,41 @@ func TestRuntimeSpanTreeParity(t *testing.T) {
 		cfg.Duration = 600
 		cfg.UseRuntime = useRuntime
 		cfg.TraceSample = 1
-		col := &tracetree.Collector{}
-		cfg.Tracer = col
-		if _, err := Run(cfg); err != nil {
+		col := &treeCollector{}
+		check := &treeCheck{out: col}
+		if _, err := run(cfg, check); err != nil {
 			t.Fatal(err)
 		}
-		forest := tracetree.FromEvents(col.Events())
-		if !forest.Complete() {
-			t.Fatalf("useRuntime=%v: incomplete forest: %d orphan spans, %d rootless, %d multi-root",
-				useRuntime, forest.OrphanSpans, forest.Rootless, forest.MultiRoot)
+		if check.broken > 0 {
+			t.Fatalf("useRuntime=%v: %d incomplete tree(s)", useRuntime, check.broken)
 		}
 		stageNames := map[string]bool{
 			obs.StageSnapshot: true, obs.StageBuild: true,
 			obs.StagePlan: true, obs.StageReserve: true,
 		}
 		sigs := map[string]int{}
-		for _, tree := range forest.Trees {
-			if tree.Root == nil || tree.Root.Name != obs.StageEstablish {
+		for _, spans := range col.trees {
+			// Spans arrive in end order; the stage children are compared
+			// in start order.
+			sort.Slice(spans, func(i, j int) bool {
+				if !spans[i].Start.Equal(spans[j].Start) {
+					return spans[i].Start.Before(spans[j].Start)
+				}
+				return spans[i].Span < spans[j].Span
+			})
+			root := spans[0]
+			for _, sp := range spans {
+				if sp.Parent == 0 {
+					root = sp
+				}
+			}
+			if root.Name != obs.StageEstablish {
 				continue
 			}
-			sig := tree.Root.Status
-			for _, c := range tree.Root.Children {
-				if stageNames[c.Name] {
-					sig += "|" + c.Name
+			sig := root.Status
+			for _, sp := range spans {
+				if sp.Parent == root.Span && stageNames[sp.Name] {
+					sig += "|" + sp.Name
 				}
 			}
 			sigs[sig]++

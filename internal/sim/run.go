@@ -14,7 +14,6 @@ import (
 	"qosres/internal/svc"
 	"qosres/internal/topo"
 	"qosres/internal/trace"
-	"qosres/internal/tracetree"
 	"qosres/internal/workload"
 )
 
@@ -33,6 +32,15 @@ type Result struct {
 // Run executes one simulation run and returns its metrics. Runs are
 // fully deterministic in Config (including Seed).
 func Run(cfg Config) (*Result, error) {
+	var spans obs.TraceSink
+	if cfg.Tracer != nil {
+		spans = trace.Spans(cfg.Tracer)
+	}
+	return run(cfg, spans)
+}
+
+// run is Run with the sink of the sampled span trees (cfg.TraceSample).
+func run(cfg Config, spans obs.TraceSink) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -48,6 +56,10 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Distributed tracing: head-sample admissions into span trees,
+	// rescue errored ones, and export retained trees to spans.
+	env.tracerec = obs.NewTraceRecorder(obs.TraceOptions{
+		Sample: cfg.TraceSample, Seed: cfg.Seed + 2654435769, Sink: spans})
 
 	metrics := stats.NewMetrics()
 	if cfg.TimelineWindow > 0 {
@@ -99,10 +111,7 @@ func Run(cfg Config) (*Result, error) {
 			env.ins.released.Inc()
 			env.ins.simTime.Set(float64(now))
 			env.ins.sampleUtilization(env.pool, ev.release.resources)
-			env.tracer.Trace(trace.Event{
-				At: now, Kind: trace.Released, Session: ev.release.id,
-				Service: ev.release.service, Class: ev.release.class,
-			})
+			env.traceSession(now, trace.Released, ev.release.id, ev.release.service, ev.release.class, nil)
 		case evPopularity:
 			if now > cfg.Duration {
 				continue
@@ -171,21 +180,6 @@ func buildEnvironment(cfg Config, rng *rand.Rand) (*environment, error) {
 	}
 	env.ins = newInstruments(cfg.Obs)
 	env.templates = qrg.NewTemplateCache(cfg.Obs)
-	if cfg.TraceSample > 0 {
-		// Distributed tracing: head-sample admissions into span trees,
-		// rescue errored ones, and export retained trees to the Tracer
-		// (when set) as span_end/span_event lines for offline analysis.
-		var sink obs.TraceSink
-		if cfg.Tracer != nil {
-			sink = tracetree.NewSink(cfg.Tracer)
-		}
-		env.tracerec = obs.NewTraceRecorder(cfg.Obs, obs.TraceOptions{
-			Sample:       cfg.TraceSample,
-			RescueErrors: true,
-			Seed:         cfg.Seed + 2654435769,
-			Sink:         sink,
-		})
-	}
 	// Only stale observations (section 5.2.4) ever read broker history,
 	// at lags up to StaleE; the runtime observes the present alone.
 	history := cfg.StaleE + 2*cfg.AlphaWindow
@@ -340,6 +334,18 @@ func sessionResources(sh sessionShape) (svc.Binding, []string) {
 	return binding, []string{cpuS, cpuP, netSP, netPC}
 }
 
+// traceSession emits one lifecycle event of session sid; a non-nil
+// plan fills the plan fields.
+func (env *environment) traceSession(now broker.Time, kind trace.Kind, sid uint64,
+	service, class string, plan *core.Plan) {
+	ev := trace.Event{At: now, Kind: kind, Session: sid, Service: service, Class: class}
+	if plan != nil {
+		ev.Level, ev.Rank, ev.Psi = plan.EndToEnd.Name, plan.Rank, plan.Psi
+		ev.Bottleneck, ev.Path = plan.Bottleneck, plan.PathLevels
+	}
+	env.tracer.Trace(ev)
+}
+
 // handleArrival processes one session arrival end to end: observe
 // availability, build the QRG, plan, reserve, and schedule the release.
 func (env *environment) handleArrival(cfg Config, rng *rand.Rand, planner core.Planner,
@@ -355,10 +361,7 @@ func (env *environment) handleArrival(cfg Config, rng *rand.Rand, planner core.P
 	sid := env.nextSession
 	env.ins.arrivals.Inc()
 	env.ins.simTime.Set(float64(now))
-	env.tracer.Trace(trace.Event{
-		At: now, Kind: trace.Arrival, Session: sid,
-		Service: service.Name, Class: class.String(),
-	})
+	env.traceSession(now, trace.Arrival, sid, service.Name, class.String(), nil)
 
 	// Distributed-trace root for this arrival's establishment. The stages
 	// are timed exactly as the runtime path times them, under the same
@@ -423,10 +426,7 @@ func (env *environment) handleArrival(cfg Config, rng *rand.Rand, planner core.P
 		metrics.PlanFailures++
 		metrics.ObserveSessionAt(float64(now), class, false, 0)
 		metrics.ObserveService(service.Name, false, 0)
-		env.tracer.Trace(trace.Event{
-			At: now, Kind: trace.PlanFailed, Session: sid,
-			Service: service.Name, Class: class.String(),
-		})
+		env.traceSession(now, trace.PlanFailed, sid, service.Name, class.String(), nil)
 		root.EndStatus("infeasible")
 		return nil
 	}
@@ -436,12 +436,7 @@ func (env *environment) handleArrival(cfg Config, rng *rand.Rand, planner core.P
 	}
 	env.ins.planned.Inc()
 	metrics.ObservePlan(family, plan.PathLevels, plan.Bottleneck)
-	env.tracer.Trace(trace.Event{
-		At: now, Kind: trace.Planned, Session: sid,
-		Service: service.Name, Class: class.String(),
-		Level: plan.EndToEnd.Name, Rank: plan.Rank,
-		Psi: plan.Psi, Bottleneck: plan.Bottleneck, Path: plan.PathLevels,
-	})
+	env.traceSession(now, trace.Planned, sid, service.Name, class.String(), plan)
 
 	st = obs.BeginStage(stages.Reserve, root.Child(obs.StageReserve, host))
 	res, err := env.pool.ReserveAllAtomic(now, plan.Requirement())
@@ -462,12 +457,7 @@ func (env *environment) handleArrival(cfg Config, rng *rand.Rand, planner core.P
 		metrics.ReserveFailures++
 		metrics.ObserveSessionAt(float64(now), class, false, 0)
 		metrics.ObserveService(service.Name, false, 0)
-		env.tracer.Trace(trace.Event{
-			At: now, Kind: trace.ReserveFailed, Session: sid,
-			Service: service.Name, Class: class.String(),
-			Level: plan.EndToEnd.Name, Rank: plan.Rank,
-			Psi: plan.Psi, Bottleneck: plan.Bottleneck, Path: plan.PathLevels,
-		})
+		env.traceSession(now, trace.ReserveFailed, sid, service.Name, class.String(), plan)
 		root.EndStatus("refused")
 		return nil
 	}
@@ -477,12 +467,7 @@ func (env *environment) handleArrival(cfg Config, rng *rand.Rand, planner core.P
 	env.ins.sampleUtilization(env.pool, resources)
 	metrics.ObserveSessionAt(float64(now), class, true, plan.Rank)
 	metrics.ObserveService(service.Name, true, plan.Rank)
-	env.tracer.Trace(trace.Event{
-		At: now, Kind: trace.Reserved, Session: sid,
-		Service: service.Name, Class: class.String(),
-		Level: plan.EndToEnd.Name, Rank: plan.Rank,
-		Psi: plan.Psi, Bottleneck: plan.Bottleneck, Path: plan.PathLevels,
-	})
+	env.traceSession(now, trace.Reserved, sid, service.Name, class.String(), plan)
 	sched.at(now+sh.duration, evRelease, &liveSession{
 		id: sid, service: service.Name, class: class.String(),
 		resources: resources, reservation: res,

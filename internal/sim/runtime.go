@@ -111,10 +111,7 @@ func (env *environment) handleArrivalRuntime(cfg Config, rt *proxy.Runtime,
 	sid := env.nextSession
 	env.ins.arrivals.Inc()
 	env.ins.simTime.Set(float64(now))
-	env.tracer.Trace(trace.Event{
-		At: now, Kind: trace.Arrival, Session: sid,
-		Service: service.Name, Class: class.String(),
-	})
+	env.traceSession(now, trace.Arrival, sid, service.Name, class.String(), nil)
 
 	// Establish records every stage histogram itself, establish included.
 	session, err := rt.Establish(topo.ServerHost(sh.service), proxy.SessionSpec{
@@ -125,10 +122,7 @@ func (env *environment) handleArrivalRuntime(cfg Config, rt *proxy.Runtime,
 		metrics.PlanFailures++
 		metrics.ObserveSessionAt(float64(now), class, false, 0)
 		metrics.ObserveService(service.Name, false, 0)
-		env.tracer.Trace(trace.Event{
-			At: now, Kind: trace.PlanFailed, Session: sid,
-			Service: service.Name, Class: class.String(),
-		})
+		env.traceSession(now, trace.PlanFailed, sid, service.Name, class.String(), nil)
 		return nil
 	}
 	if errors.Is(err, broker.ErrInsufficient) {
@@ -141,10 +135,7 @@ func (env *environment) handleArrivalRuntime(cfg Config, rt *proxy.Runtime,
 		metrics.ReserveFailures++
 		metrics.ObserveSessionAt(float64(now), class, false, 0)
 		metrics.ObserveService(service.Name, false, 0)
-		env.tracer.Trace(trace.Event{
-			At: now, Kind: trace.ReserveFailed, Session: sid,
-			Service: service.Name, Class: class.String(),
-		})
+		env.traceSession(now, trace.ReserveFailed, sid, service.Name, class.String(), nil)
 		return nil
 	}
 	if err != nil {
@@ -153,23 +144,13 @@ func (env *environment) handleArrivalRuntime(cfg Config, rt *proxy.Runtime,
 	plan := session.Plan
 	env.ins.planned.Inc()
 	metrics.ObservePlan(family, plan.PathLevels, plan.Bottleneck)
-	env.tracer.Trace(trace.Event{
-		At: now, Kind: trace.Planned, Session: sid,
-		Service: service.Name, Class: class.String(),
-		Level: plan.EndToEnd.Name, Rank: plan.Rank,
-		Psi: plan.Psi, Bottleneck: plan.Bottleneck, Path: plan.PathLevels,
-	})
+	env.traceSession(now, trace.Planned, sid, service.Name, class.String(), plan)
 	env.ins.reserved.Inc()
 	env.ins.observeAcceptedPlan(plan)
 	env.ins.sampleUtilization(env.pool, resources)
 	metrics.ObserveSessionAt(float64(now), class, true, plan.Rank)
 	metrics.ObserveService(service.Name, true, plan.Rank)
-	env.tracer.Trace(trace.Event{
-		At: now, Kind: trace.Reserved, Session: sid,
-		Service: service.Name, Class: class.String(),
-		Level: plan.EndToEnd.Name, Rank: plan.Rank,
-		Psi: plan.Psi, Bottleneck: plan.Bottleneck, Path: plan.PathLevels,
-	})
+	env.traceSession(now, trace.Reserved, sid, service.Name, class.String(), plan)
 	sched.at(now+sh.duration, evRelease, &liveSession{
 		id: sid, service: service.Name, class: class.String(),
 		resources: resources, proxySession: session,

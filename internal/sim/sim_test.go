@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"qosres/internal/broker"
@@ -343,7 +342,7 @@ func newTestRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func TestTracerReceivesLifecycle(t *testing.T) {
 	cfg := quickConfig(AlgBasic, 120)
-	counter := trace.NewCounter()
+	counter := &kindTally{}
 	ring := trace.NewRing(32)
 	cfg.Tracer = trace.Multi{counter, ring}
 	res, err := Run(cfg)
@@ -351,17 +350,17 @@ func TestTracerReceivesLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := res.Metrics
-	if got := counter.Count(trace.Arrival); got != m.Overall.Attempts {
+	if got := counter.n[trace.Arrival]; got != m.Overall.Attempts {
 		t.Fatalf("arrivals traced = %d, sessions = %d", got, m.Overall.Attempts)
 	}
-	if got := counter.Count(trace.Reserved); got != m.Overall.Successes {
+	if got := counter.n[trace.Reserved]; got != m.Overall.Successes {
 		t.Fatalf("reserved traced = %d, successes = %d", got, m.Overall.Successes)
 	}
-	if got := counter.Count(trace.PlanFailed); got != m.PlanFailures {
+	if got := counter.n[trace.PlanFailed]; got != m.PlanFailures {
 		t.Fatalf("plan failures traced = %d, metrics = %d", got, m.PlanFailures)
 	}
 	// Everything reserved is eventually released (the run drains).
-	if got := counter.Count(trace.Released); got != m.Overall.Successes {
+	if got := counter.n[trace.Released]; got != m.Overall.Successes {
 		t.Fatalf("released traced = %d, successes = %d", got, m.Overall.Successes)
 	}
 	if ring.Len() == 0 {
@@ -374,27 +373,27 @@ func TestTracerReceivesLifecycle(t *testing.T) {
 	}
 }
 
-func TestTracerCSVEndToEnd(t *testing.T) {
+func TestTracerJSONLEndToEnd(t *testing.T) {
 	var buf bytes.Buffer
-	csvT, err := trace.NewCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jsonl := trace.NewJSONL(&buf)
 	cfg := quickConfig(AlgBasic, 60)
 	cfg.Duration = 300
-	cfg.Tracer = csvT
+	cfg.Tracer = jsonl
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := csvT.Flush(); err != nil {
+	if err := jsonl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) < 100 {
-		t.Fatalf("only %d CSV lines", len(lines))
+	events, err := trace.ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.HasPrefix(lines[0], "time,kind,session") {
-		t.Fatalf("header = %q", lines[0])
+	if len(events) < 100 {
+		t.Fatalf("only %d JSONL lines", len(events))
+	}
+	if events[0].Kind != trace.Arrival || events[0].Session != 1 {
+		t.Fatalf("first event = %+v, want session 1's arrival", events[0])
 	}
 }
 

@@ -46,11 +46,7 @@ func TestConcurrentAdmissionStress(t *testing.T) {
 			retries, stale)
 	}
 
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	text := b.String()
+	text := exposition(t, reg)
 	for _, name := range []string{
 		obs.MetricAdmitRetries,
 		obs.MetricAdmitStaleRejects,

@@ -9,10 +9,9 @@ import (
 )
 
 // JSONL streams events as JSON Lines (one JSON object per line) to an
-// io.Writer — machine-readable without CSV quoting pitfalls. Event
-// kinds render as their string names. Create with NewJSONL; call Flush
-// (or Close) when done. The first write error is latched and reported
-// by every subsequent Flush/Close.
+// io.Writer. Event kinds render as their string names. Create with
+// NewJSONL; call Close when done. The first write error is latched and
+// reported by Close.
 type JSONL struct {
 	mu  sync.Mutex
 	buf *bufio.Writer
@@ -27,7 +26,7 @@ func NewJSONL(w io.Writer) *JSONL {
 }
 
 // Trace implements Tracer. Write errors are latched and surface on
-// Flush or Close; once a write has failed, further events are dropped.
+// Close; once a write has failed, further events are dropped.
 func (j *JSONL) Trace(ev Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -37,8 +36,9 @@ func (j *JSONL) Trace(ev Event) {
 	j.err = j.enc.Encode(ev)
 }
 
-// Flush flushes buffered lines and reports the first write error.
-func (j *JSONL) Flush() error {
+// Close flushes buffered lines and reports the first write error. The
+// underlying writer is not closed (the tracer did not open it).
+func (j *JSONL) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err := j.buf.Flush(); err != nil && j.err == nil {
@@ -46,10 +46,6 @@ func (j *JSONL) Flush() error {
 	}
 	return j.err
 }
-
-// Close flushes buffered lines and reports the first write error. The
-// underlying writer is not closed (the tracer did not open it).
-func (j *JSONL) Close() error { return j.Flush() }
 
 // ReadJSONL parses a JSONL trace back into events, the round-trip
 // counterpart of the JSONL tracer. Blank lines are skipped; a malformed

@@ -75,65 +75,22 @@ func TestJSONLLatchesWriteError(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		j.Trace(Event{Kind: Arrival, Session: uint64(i)})
 	}
-	if err := j.Flush(); !errors.Is(err, sink.err) {
-		t.Fatalf("flush error = %v, want latched %v", err, sink.err)
+	if err := j.Close(); !errors.Is(err, sink.err) {
+		t.Fatalf("close error = %v, want latched %v", err, sink.err)
 	}
 	if err := j.Close(); !errors.Is(err, sink.err) {
 		t.Fatalf("close must keep reporting the latched error, got %v", err)
 	}
 }
 
-func TestCSVCloseAndErrorLatch(t *testing.T) {
-	var buf bytes.Buffer
-	c, err := NewCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Trace(ev(Reserved, 1))
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "reserved") {
-		t.Fatal("close did not flush")
-	}
-
-	sink := &failAfter{n: len(buf.Bytes()), err: errors.New("pipe broken")}
-	c2, err := NewCSV(sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100000; i++ {
-		c2.Trace(ev(Arrival, uint64(i)))
-	}
-	if err := c2.Close(); !errors.Is(err, sink.err) {
-		t.Fatalf("close error = %v, want latched %v", err, sink.err)
-	}
-}
-
-func TestCounterCounts(t *testing.T) {
-	c := NewCounter()
-	c.Trace(ev(Arrival, 1))
-	c.Trace(ev(Arrival, 2))
-	c.Trace(ev(Planned, 1))
-	got := c.Counts()
-	if got[Arrival] != 2 || got[Planned] != 1 || len(got) != 2 {
-		t.Fatalf("counts = %v", got)
-	}
-	// The snapshot must be a copy.
-	got[Arrival] = 99
-	if c.Count(Arrival) != 2 {
-		t.Fatal("Counts leaked internal state")
-	}
-}
-
 func TestKindParsing(t *testing.T) {
-	for _, k := range Kinds() {
-		parsed, ok := KindFromString(k.String())
+	for _, k := range kinds() {
+		parsed, ok := kindFromString(k.String())
 		if !ok || parsed != k {
 			t.Errorf("round trip failed for %v", k)
 		}
 	}
-	if _, ok := KindFromString("nope"); ok {
+	if _, ok := kindFromString("nope"); ok {
 		t.Fatal("unknown kind parsed")
 	}
 }

@@ -1,18 +1,19 @@
 // Package trace records structured session-level events from simulation
 // runs and live runtimes: arrivals, plan computations, reservation
-// outcomes, and releases. Tracers are pluggable sinks; the package
-// provides a bounded in-memory ring (for tests and postmortems) and a
-// CSV writer (for external analysis/plotting).
+// outcomes, and releases — and, converted by Spans, the finished span
+// trees of the distributed-trace recorder. Tracers are pluggable sinks;
+// the package provides a bounded in-memory ring (for tests and
+// postmortems) and a JSON Lines writer (for offline analysis).
 package trace
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"strconv"
 	"sync"
+	"time"
 
 	"qosres/internal/broker"
+	"qosres/internal/obs"
 )
 
 // Kind classifies an event.
@@ -34,8 +35,8 @@ const (
 	// Released is a completed session returning its resources.
 	Released
 	// SpanEnd is one completed span of a distributed trace tree (see
-	// the Trace/Span/Parent/Scope/Status fields); emitted at trace
-	// completion when distributed tracing is enabled.
+	// the Trace/Span/Parent/Scope/Status fields); written by Spans at
+	// trace completion.
 	SpanEnd
 	// SpanEvent is one typed adversity event (retry, backoff, shed,
 	// partition drop, duplicate suppressed, ...) annotated on a span of
@@ -66,15 +67,15 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Kinds lists every event kind in lifecycle order.
-func Kinds() []Kind {
+// kinds lists every event kind in lifecycle order.
+func kinds() []Kind {
 	return []Kind{Arrival, Planned, PlanFailed, Reserved, ReserveFailed, Released,
 		SpanEnd, SpanEvent}
 }
 
-// KindFromString parses a Kind's String rendering.
-func KindFromString(s string) (Kind, bool) {
-	for _, k := range Kinds() {
+// kindFromString parses a Kind's String rendering.
+func kindFromString(s string) (Kind, bool) {
+	for _, k := range kinds() {
 		if k.String() == s {
 			return k, true
 		}
@@ -94,7 +95,7 @@ func (k *Kind) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("trace: kind must be a JSON string: %w", err)
 	}
-	parsed, ok := KindFromString(s)
+	parsed, ok := kindFromString(s)
 	if !ok {
 		return fmt.Errorf("trace: unknown event kind %q", s)
 	}
@@ -209,76 +210,6 @@ func (r *Ring) Events() []Event {
 	return out
 }
 
-// CSV streams events as CSV rows to an io.Writer. Create with NewCSV;
-// call Flush (or Close) when done. The first write error is latched and
-// reported by every subsequent Flush/Close.
-type CSV struct {
-	mu  sync.Mutex
-	w   *csv.Writer
-	err error
-}
-
-// csvHeader is the column layout of CSV traces.
-var csvHeader = []string{
-	"time", "kind", "session", "service", "class",
-	"level", "rank", "psi", "bottleneck", "path", "stage", "duration",
-	"trace", "span", "parent", "scope", "status", "detail",
-}
-
-// NewCSV creates a CSV tracer and writes the header row.
-func NewCSV(w io.Writer) (*CSV, error) {
-	c := &CSV{w: csv.NewWriter(w)}
-	if err := c.w.Write(csvHeader); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Trace implements Tracer. Write errors are latched and surface on
-// Flush or Close; once a write has failed, further events are dropped.
-func (c *CSV) Trace(ev Event) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return
-	}
-	c.err = c.w.Write([]string{
-		strconv.FormatFloat(float64(ev.At), 'g', -1, 64),
-		ev.Kind.String(),
-		strconv.FormatUint(ev.Session, 10),
-		ev.Service,
-		ev.Class,
-		ev.Level,
-		strconv.Itoa(ev.Rank),
-		strconv.FormatFloat(ev.Psi, 'g', -1, 64),
-		ev.Bottleneck,
-		ev.Path,
-		ev.Stage,
-		strconv.FormatFloat(ev.Duration, 'g', -1, 64),
-		ev.TraceID,
-		ev.SpanID,
-		ev.ParentID,
-		ev.Scope,
-		ev.Status,
-		ev.Detail,
-	})
-}
-
-// Flush flushes buffered rows and reports the first write error.
-func (c *CSV) Flush() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.w.Flush()
-	if c.err != nil {
-		return c.err
-	}
-	return c.w.Error()
-}
-
-// Close flushes buffered rows and reports the first write error. The
-// underlying writer is not closed (the tracer did not open it).
-func (c *CSV) Close() error { return c.Flush() }
-
 // Multi fans events out to several tracers.
 type Multi []Tracer
 
@@ -289,37 +220,42 @@ func (m Multi) Trace(ev Event) {
 	}
 }
 
-// Counter tallies events by kind, a cheap Tracer for tests.
-type Counter struct {
-	mu     sync.Mutex
-	counts map[Kind]int
+// Spans returns the recorder sink that writes each finished span tree
+// into t: one SpanEnd event per span, in the tree's end order, each
+// followed by one SpanEvent per annotation. Timestamps are wall-clock
+// seconds since the call, so a JSONL file orders and offsets spans
+// without leaking absolute wall time.
+func Spans(t Tracer) obs.TraceSink {
+	return spanSink{t: t, t0: time.Now()}
 }
 
-// NewCounter creates an empty counter.
-func NewCounter() *Counter { return &Counter{counts: map[Kind]int{}} }
-
-// Trace implements Tracer.
-func (c *Counter) Trace(ev Event) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.counts[ev.Kind]++
+type spanSink struct {
+	t  Tracer
+	t0 time.Time
 }
 
-// Count returns the tally of one kind.
-func (c *Counter) Count(k Kind) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counts[k]
-}
-
-// Counts returns a copied snapshot of every kind's tally. Kinds never
-// observed are absent from the map.
-func (c *Counter) Counts() map[Kind]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[Kind]int, len(c.counts))
-	for k, n := range c.counts {
-		out[k] = n
+func (s spanSink) ExportTrace(spans []obs.SpanRecord) {
+	for _, sp := range spans {
+		at := broker.Time(sp.Start.Sub(s.t0).Seconds())
+		tid := obs.TraceIDString(sp.Trace)
+		sid := obs.TraceIDString(sp.Span)
+		parent := ""
+		if sp.Parent != 0 {
+			parent = obs.TraceIDString(sp.Parent)
+		}
+		s.t.Trace(Event{
+			At: at, Kind: SpanEnd,
+			Stage: sp.Name, Scope: sp.Scope, Status: sp.Status,
+			Duration: sp.Dur.Seconds(),
+			TraceID:  tid, SpanID: sid, ParentID: parent,
+		})
+		for _, ev := range sp.Events {
+			s.t.Trace(Event{
+				At: at, Kind: SpanEvent,
+				Stage: ev.Type, Detail: ev.Detail,
+				Duration: ev.At.Sub(sp.Start).Seconds(),
+				TraceID:  tid, SpanID: sid,
+			})
+		}
 	}
-	return out
 }

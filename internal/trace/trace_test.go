@@ -1,11 +1,11 @@
 package trace
 
 import (
-	"strings"
 	"sync"
 	"testing"
+	"time"
 
-	"bytes"
+	"qosres/internal/obs"
 )
 
 func ev(k Kind, session uint64) Event {
@@ -84,44 +84,47 @@ func TestRingConcurrent(t *testing.T) {
 	}
 }
 
-func TestCSVOutput(t *testing.T) {
-	var buf bytes.Buffer
-	c, err := NewCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Trace(Event{
-		At: 2.5, Kind: Reserved, Session: 7, Service: "S2",
-		Class: "Fat-long", Level: "Qp", Rank: 3, Psi: 0.25,
-		Bottleneck: "cpu@H1", Path: "Qa-Qb",
-	})
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d:\n%s", len(lines), out)
-	}
-	if !strings.HasPrefix(lines[0], "time,kind,session") {
-		t.Fatalf("header = %q", lines[0])
-	}
-	for _, want := range []string{"2.5", "reserved", "7", "S2", "Fat-long", "Qp", "3", "0.25", "cpu@H1", "Qa-Qb"} {
-		if !strings.Contains(lines[1], want) {
-			t.Errorf("row missing %q: %q", want, lines[1])
+func TestMultiFansOut(t *testing.T) {
+	a, b := NewRing(4), NewRing(4)
+	m := Multi{a, b, Nop{}}
+	m.Trace(ev(Planned, 1))
+	m.Trace(ev(Planned, 2))
+	for _, r := range []*Ring{a, b} {
+		if got := r.Events(); len(got) != 2 || got[0].Session != 1 || got[1].Session != 2 {
+			t.Fatalf("fanned-out events = %+v", got)
 		}
 	}
 }
 
-func TestMultiFansOut(t *testing.T) {
-	a, b := NewCounter(), NewCounter()
-	m := Multi{a, b, Nop{}}
-	m.Trace(ev(Planned, 1))
-	m.Trace(ev(Planned, 2))
-	if a.Count(Planned) != 2 || b.Count(Planned) != 2 {
-		t.Fatalf("counts = %d, %d", a.Count(Planned), b.Count(Planned))
+// TestSpansWritesTreeInEndOrder pins the span-to-event conversion: one
+// SpanEnd per span in the tree's end order, each followed by its
+// annotations as SpanEvents, with hex IDs and an empty parent for the
+// root.
+func TestSpansWritesTreeInEndOrder(t *testing.T) {
+	ring := NewRing(8)
+	start := time.Now()
+	Spans(ring).ExportTrace([]obs.SpanRecord{
+		{Trace: 1, Span: 2, Parent: 1, Name: "prepare", Scope: "H1->H2", Start: start,
+			Dur: time.Millisecond, Status: "timeout",
+			Events: []obs.SpanEventRecord{{At: start.Add(time.Microsecond), Type: obs.EventRetry, Detail: "attempt 2"}}},
+		{Trace: 1, Span: 1, Name: "establish", Scope: "H1", Start: start, Dur: 2 * time.Millisecond, Status: "ok"},
+	})
+	got := ring.Events()
+	want := []Event{
+		{Kind: SpanEnd, Stage: "prepare", Scope: "H1->H2", Status: "timeout", Duration: 0.001,
+			TraceID: "0000000000000001", SpanID: "0000000000000002", ParentID: "0000000000000001"},
+		{Kind: SpanEvent, Stage: obs.EventRetry, Detail: "attempt 2", Duration: 1e-6,
+			TraceID: "0000000000000001", SpanID: "0000000000000002"},
+		{Kind: SpanEnd, Stage: "establish", Scope: "H1", Status: "ok", Duration: 0.002,
+			TraceID: "0000000000000001", SpanID: "0000000000000001"},
 	}
-	if a.Count(Released) != 0 {
-		t.Fatal("wrong kind counted")
+	if len(got) != len(want) {
+		t.Fatalf("got %d events, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		got[i].At = 0
+		if got[i] != want[i] {
+			t.Errorf("event %d = %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }

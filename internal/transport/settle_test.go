@@ -106,7 +106,7 @@ func TestFastLaneParity(t *testing.T) {
 		}
 	}
 	for _, route := range []string{"B->F", "B->S"} {
-		h := reg.Histogram(obs.MetricTransportCallSeconds, "", obs.StageBuckets(),
+		h := reg.Histogram(obs.MetricTransportCallSeconds, "", nil,
 			"route", route, "kind", "probe")
 		if got := h.Count(); got != 1 {
 			t.Errorf("route %s recorded %d call observations, want 1", route, got)

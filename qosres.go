@@ -247,8 +247,8 @@ type (
 	TraceKind = trace.Kind
 	// TraceRing keeps the last N events in memory.
 	TraceRing = trace.Ring
-	// TraceCSV streams events as CSV.
-	TraceCSV = trace.CSV
+	// TraceJSONL streams events as JSON lines.
+	TraceJSONL = trace.JSONL
 	// TraceMulti fans events out to several tracers.
 	TraceMulti = trace.Multi
 )
@@ -256,8 +256,9 @@ type (
 // NewTraceRing creates an in-memory ring tracer holding up to n events.
 func NewTraceRing(n int) *TraceRing { return trace.NewRing(n) }
 
-// NewTraceCSV creates a CSV tracer over a writer.
-func NewTraceCSV(w io.Writer) (*TraceCSV, error) { return trace.NewCSV(w) }
+// NewTraceJSONL creates a JSON-lines tracer over a writer; Close
+// flushes it.
+func NewTraceJSONL(w io.Writer) *TraceJSONL { return trace.NewJSONL(w) }
 
 // Simulation algorithms.
 const (

@@ -209,13 +209,10 @@ func TestFacadeWrapperCoverage(t *testing.T) {
 	}
 	ring := qosres.NewTraceRing(4)
 	var buf bytes.Buffer
-	csvT, err := qosres.NewTraceCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jsonl := qosres.NewTraceJSONL(&buf)
 	cfg := qosres.DefaultSimConfig(qosres.SimTradeoff, 90, 2)
 	cfg.Duration = 300
-	cfg.Tracer = qosres.TraceMulti{ring, csvT}
+	cfg.Tracer = qosres.TraceMulti{ring, jsonl}
 	res, err := qosres.RunSimulation(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -223,11 +220,11 @@ func TestFacadeWrapperCoverage(t *testing.T) {
 	if ring.Len() == 0 {
 		t.Fatal("ring tracer empty")
 	}
-	if err := csvT.Flush(); err != nil {
+	if err := jsonl.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {
-		t.Fatal("csv tracer empty")
+		t.Fatal("jsonl tracer empty")
 	}
 	_ = res
 

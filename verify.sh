@@ -1,8 +1,16 @@
 #!/usr/bin/env bash
-# Repository verification gate: static checks, a full build, and the
-# test suite under the race detector. Run before every push.
+# Repository verification gate: formatting and static checks, a full
+# build, and the test suite under the race detector. Run before every push.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files are not formatted:"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "== go vet ./..."
 go vet ./...
