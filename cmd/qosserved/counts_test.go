@@ -97,7 +97,7 @@ func TestServedCountRatchet(t *testing.T) {
 
 	// The race detector instruments allocations, so the ceiling is only
 	// meaningful in a plain build.
-	const ceiling = 205
+	const ceiling = 167
 	if allocs > ceiling && !raceEnabled {
 		t.Errorf("%.0f allocations per establish+teardown cycle, ceiling %d", allocs, ceiling)
 	}

@@ -32,7 +32,7 @@ func (p AtLevel) Plan(g *qrg.Graph) (*Plan, error) {
 		// let Plan reject the mismatch below.
 		return sinks[0]
 	}
-	if !g.Service.IsChain() {
+	if !g.Chain {
 		plan, err := planDAG(g, choose)
 		if err != nil {
 			return nil, err

@@ -23,7 +23,7 @@ func (Basic) Name() string { return "basic" }
 
 // Plan implements Planner.
 func (b Basic) Plan(g *qrg.Graph) (*Plan, error) {
-	if !g.Service.IsChain() {
+	if !g.Chain {
 		return (TwoPass{}).Plan(g)
 	}
 	s := maxPlusDijkstraOpt(g, b.NoTieBreak)

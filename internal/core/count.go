@@ -25,7 +25,7 @@ type PlanCount struct {
 // DAG services count embedded graphs by enumeration (exponential; small
 // services only).
 func FeasiblePlanCounts(g *qrg.Graph) []PlanCount {
-	if g.Service.IsChain() {
+	if g.Chain {
 		return chainPlanCounts(g)
 	}
 	return dagPlanCounts(g)

@@ -33,7 +33,7 @@ func (r *Random) Plan(g *qrg.Graph) (*Plan, error) {
 	if r.RNG == nil {
 		return nil, fmt.Errorf("core: Random planner has no RNG")
 	}
-	if !g.Service.IsChain() {
+	if !g.Chain {
 		return nil, fmt.Errorf("core: Random planner supports chain services only, service %s is a DAG", g.Service.Name)
 	}
 	counts := pathCounts(g)

@@ -26,7 +26,7 @@ func (Tradeoff) Name() string { return "tradeoff" }
 
 // Plan implements Planner.
 func (Tradeoff) Plan(g *qrg.Graph) (*Plan, error) {
-	if !g.Service.IsChain() {
+	if !g.Chain {
 		// The tradeoff policy composes with the DAG heuristic by applying
 		// the same sink-selection rule to the two-pass results.
 		return planDAG(g, chooseTradeoffSink)

@@ -60,7 +60,7 @@ func TestStalledParticipantDelaysOnlyItsOwnLeg(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	snap, err := rt.collectAvailability(ctx, "A", resources)
+	snap, err := rt.collectAvailability(ctx, "A", newRoute(rt.live.Load().owner, resources))
 	if err != nil {
 		t.Fatal(err)
 	}

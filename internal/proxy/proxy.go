@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -531,6 +532,74 @@ func (rt *Runtime) owning(resource string) (topo.HostID, *QoSProxy, bool) {
 	return h, rt.proxies[h], ok
 }
 
+// route is a compiled template's resources resolved to their owning
+// hosts: one leg per host, in host order. Phase 1 sends each leg's
+// query as it is, and the prepare fan-out splits a plan's requirement
+// along the same legs. Every admission of the template shares the
+// route, so nothing modifies it once built.
+type route struct {
+	legs []routeLeg
+	// size is the number of resources over all legs.
+	size int
+	// err names the first resource deployed nowhere; an admission over
+	// the route fails with it before sending anything.
+	err error
+}
+
+// routeLeg is one owning host's part of a route.
+type routeLeg struct {
+	host      topo.HostID
+	resources []string
+	// query is the leg's phase-1 request, boxed once.
+	query interface{}
+}
+
+// newRoute resolves resources to their hosts through owner.
+func newRoute(owner map[string]topo.HostID, resources []string) *route {
+	r := &route{}
+	for _, res := range resources {
+		host, ok := owner[res]
+		if !ok {
+			if r.err == nil {
+				r.err = fmt.Errorf("proxy: resource %s deployed nowhere", res)
+			}
+			continue
+		}
+		i := 0
+		for i < len(r.legs) && r.legs[i].host != host {
+			i++
+		}
+		if i == len(r.legs) {
+			r.legs = append(r.legs, routeLeg{host: host})
+		}
+		r.legs[i].resources = append(r.legs[i].resources, res)
+		r.size++
+	}
+	sort.Slice(r.legs, func(i, j int) bool { return r.legs[i].host < r.legs[j].host })
+	for i := range r.legs {
+		r.legs[i].query = availabilityRequest{resources: r.legs[i].resources}
+	}
+	return r
+}
+
+// routeOf returns the route of a template's resources. On a started
+// runtime it is resolved once per template against the deployment
+// Start published, and kept in the template, so it goes when the
+// template cache evicts the template and is resolved again after a
+// restart publishes a new deployment. A stopped runtime resolves it
+// under rt.mu on every call.
+func (rt *Runtime) routeOf(tpl *qrg.Template) *route {
+	d := rt.live.Load()
+	if d == nil {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+		return newRoute(rt.owner, tpl.Resources())
+	}
+	return tpl.Derive(d, func(t *qrg.Template) interface{} {
+		return newRoute(d.owner, t.Resources())
+	}).(*route)
+}
+
 // proxyOn returns the proxy on a host and whether the runtime is
 // started, reading the published snapshot when it is.
 func (rt *Runtime) proxyOn(host topo.HostID) (p *QoSProxy, ok, started bool) {
@@ -637,13 +706,4 @@ func (rt *Runtime) Stop() {
 	for _, p := range d.proxies {
 		p.halt()
 	}
-}
-
-// hostFor returns the host owning a resource.
-func (rt *Runtime) hostFor(resource string) (topo.HostID, error) {
-	host, _, ok := rt.owning(resource)
-	if !ok {
-		return "", fmt.Errorf("proxy: resource %s deployed nowhere", resource)
-	}
-	return host, nil
 }

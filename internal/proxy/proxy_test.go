@@ -2,7 +2,9 @@ package proxy
 
 import (
 	"errors"
+	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -302,4 +304,53 @@ func TestStopIsIdempotentAndRestartable(t *testing.T) {
 	rt.Start() // no-op
 	rt.Stop()
 	rt.Stop() // no-op
+}
+
+// TestRouteResolvedOncePerDeployment: admissions of one template share
+// one route, resolved against the deployment Start published — one leg
+// per owning host, in host order — and a restart, which publishes a new
+// deployment, has the next admission resolve it again.
+func TestRouteResolvedOncePerDeployment(t *testing.T) {
+	rt, _, _ := twoHostWorld(t, Options{})
+	service, binding := pipelineService(t)
+	spec := SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}}
+	cycle := func() {
+		t.Helper()
+		s, err := rt.Establish("X", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	tpl, err := rt.templates.Get(service, binding)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := rt.routeOf(tpl)
+	var legs []string
+	for _, l := range first.legs {
+		legs = append(legs, fmt.Sprintf("%s%v", l.host, l.resources))
+	}
+	if got, want := strings.Join(legs, " "), "X[cpu@X] Y[cpu@Y net:X->Y]"; got != want {
+		t.Fatalf("route legs %q, want %q", got, want)
+	}
+	cycle()
+	if rt.routeOf(tpl) != first {
+		t.Fatal("a second admission resolved the template's route again")
+	}
+	rt.Stop()
+	rt.Start()
+	cycle()
+	if rt.routeOf(tpl) == first {
+		t.Fatal("the route resolved against the stopped deployment survived a restart")
+	}
+
+	stray := svc.Binding{"a": binding["a"], "b": {"cpu": "cpu@Y", "net": "net:X->Z"}}
+	if _, err := rt.Establish("X", SessionSpec{Service: service, Binding: stray, Planner: core.Basic{}}); err == nil ||
+		!strings.Contains(err.Error(), "net:X->Z deployed nowhere") {
+		t.Fatalf("establish over an undeployed resource: err = %v", err)
+	}
 }

@@ -26,8 +26,14 @@ import (
 // runtime is NOT started so tests can Recover first.
 func durableWorld(t *testing.T, dir string, opts Options) (*Runtime, *ManualClock, map[string]*broker.Local) {
 	t.Helper()
+	return durableWorldLog(t, wal.Options{Dir: dir}, opts)
+}
+
+// durableWorldLog is durableWorld over a log opened with logOpts.
+func durableWorldLog(t *testing.T, logOpts wal.Options, opts Options) (*Runtime, *ManualClock, map[string]*broker.Local) {
+	t.Helper()
 	clock := &ManualClock{}
-	log, err := wal.Open(wal.Options{Dir: dir})
+	log, err := wal.Open(logOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -972,4 +978,46 @@ func TestFailedDecideAbortsEverywhere(t *testing.T) {
 			}
 		}
 	})
+}
+
+// decisions returns the size of the coordinator's decide table.
+func decisions(rt *Runtime) int {
+	rt.decideMu.Lock()
+	defer rt.decideMu.Unlock()
+	return len(rt.decided)
+}
+
+// TestDecideTableBoundedByLiveSessions: the decide table holds the
+// decisions of live reservations only. Establishing a session adds its
+// request's decision, an upgrade adds the delta's, and the release
+// drops both, so 10,000 establish/release cycles, every tenth one
+// upgraded in between, leave the table empty.
+func TestDecideTableBoundedByLiveSessions(t *testing.T) {
+	rt, _, _ := durableWorldLog(t, wal.Options{Dir: t.TempDir(), NoSync: true}, Options{LeaseTTL: 50})
+	rt.Start()
+	service, binding := pipelineService(t)
+	spec := SessionSpec{Service: service, Binding: binding, Planner: core.AtLevel{Level: "ok"}}
+	ctx := context.Background()
+	for i := 0; i < 10000; i++ {
+		s, err := rt.EstablishContext(ctx, "X", spec)
+		if err != nil {
+			t.Fatalf("cycle %d: establish: %v", i, err)
+		}
+		want := 1
+		if i%10 == 0 {
+			if err := rt.Renegotiate(ctx, s, "best"); err != nil {
+				t.Fatalf("cycle %d: upgrade: %v", i, err)
+			}
+			want = 2
+		}
+		if n := decisions(rt); n != want {
+			t.Fatalf("cycle %d: %d decisions held for one live session, want %d", i, n, want)
+		}
+		if err := s.Release(); err != nil {
+			t.Fatalf("cycle %d: release: %v", i, err)
+		}
+	}
+	if n := decisions(rt); n != 0 {
+		t.Fatalf("%d decisions left after every session was released", n)
+	}
 }

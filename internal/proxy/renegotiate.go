@@ -34,7 +34,6 @@ import (
 	"qosres/internal/core"
 	"qosres/internal/obs"
 	"qosres/internal/qos"
-	"qosres/internal/qrg"
 	"qosres/internal/svc"
 )
 
@@ -93,14 +92,12 @@ func (s *Session) renegotiateLocked(ctx context.Context, level string) error {
 	oldReq := s.plan.Requirement()
 	spec := s.spec
 	spec.Planner = core.AtLevel{Level: level}
-	resources, err := sessionResourceSet(spec)
-	var tpl *qrg.Template
-	if err == nil {
-		tpl, err = rt.templates.Get(spec.Service, spec.Binding)
-	}
+	tpl, err := rt.templates.Get(spec.Service, spec.Binding)
+	var rte *route
 	var plan *core.Plan
 	if err == nil {
-		plan, err = rt.planPhases(ctx, obs.ActiveSpan{}, obs.PlanStages{}, s.mainHost, spec, tpl, resources, oldReq)
+		rte = rt.routeOf(tpl)
+		plan, err = rt.planPhases(ctx, obs.ActiveSpan{}, obs.PlanStages{}, s.mainHost, spec, tpl, rte, oldReq)
 	}
 	if err != nil {
 		root.EndStatus(admitStatus(err))
@@ -119,7 +116,7 @@ func (s *Session) renegotiateLocked(ctx context.Context, level string) error {
 	if len(delta) > 0 {
 		// Phase 3, delta only: validate-at-commit across the owning
 		// proxies. Failure returns with the session byte-identical.
-		deltaRes, derr := rt.commitPlan(ctx, s.mainHost, delta)
+		deltaRes, derr := rt.commitPlan(ctx, s.mainHost, rte, delta)
 		if derr != nil {
 			root.EndStatus(admitStatus(derr))
 			return derr

@@ -294,14 +294,14 @@ func admitStatus(err error) string {
 // hangs a child span under it, and the fabric calls of phases 1 and 3
 // parent under their stage's span in turn.
 func (rt *Runtime) admitOnce(ctx context.Context, mainHost topo.HostID, spec SessionSpec) (*core.Plan, *reservationSet, error) {
-	resources, err := sessionResourceSet(spec)
-	if err != nil {
-		return nil, nil, err
+	if spec.Service == nil || spec.Planner == nil {
+		return nil, nil, fmt.Errorf("proxy: session spec missing service or planner")
 	}
 	tpl, err := rt.templates.Get(spec.Service, spec.Binding)
 	if err != nil {
 		return nil, nil, err
 	}
+	rte := rt.routeOf(tpl)
 	stages, admit, policy := *rt.stages, rt.admit, rt.policy
 	root := obs.SpanFromContext(ctx)
 
@@ -317,7 +317,7 @@ func (rt *Runtime) admitOnce(ctx context.Context, mainHost topo.HostID, spec Ses
 		// Phases 1-2 against a fresh snapshot: retrying against the stale
 		// one would just recompute the refused plan. A planning failure
 		// against a fresh snapshot is not staleness; retrying cannot help.
-		plan, err := rt.planPhases(ctx, root, stages, mainHost, spec, tpl, resources, nil)
+		plan, err := rt.planPhases(ctx, root, stages, mainHost, spec, tpl, rte, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -326,7 +326,7 @@ func (rt *Runtime) admitOnce(ctx context.Context, mainHost topo.HostID, spec Ses
 		// proxies. A refusal leaves zero residual holds and is retried
 		// here against a fresh snapshot.
 		st := obs.BeginStage(stages.Reserve, root.Child(obs.StageReserve, string(mainHost)))
-		res, err := rt.commitPlan(obs.ContextWithSpan(ctx, st.Span()), mainHost, plan.Requirement())
+		res, err := rt.commitPlan(obs.ContextWithSpan(ctx, st.Span()), mainHost, rte, plan.Requirement())
 		if err != nil && errors.Is(err, broker.ErrInsufficient) {
 			st.End(err, "refused")
 		} else {
@@ -358,17 +358,17 @@ func (rt *Runtime) admitOnce(ctx context.Context, mainHost topo.HostID, spec Ses
 }
 
 // planPhases runs admission phases 1 and 2 once: collect availability
-// from the owning proxies in parallel (crediting the snapshot with
-// credit, a renegotiating session's own live holds), instantiate the
-// session's compiled QRG template, and run the planner locally at the
-// main proxy.
+// from the owning proxies along the template's route, in parallel
+// (crediting the snapshot with credit, a renegotiating session's own
+// live holds), instantiate the session's compiled QRG template, and run
+// the planner locally at the main proxy.
 // Each phase is timed into stages and spanned under root; renegotiation
 // passes inert ones.
 func (rt *Runtime) planPhases(ctx context.Context, root obs.ActiveSpan, stages obs.PlanStages,
-	mainHost topo.HostID, spec SessionSpec, tpl *qrg.Template, resources []string, credit qos.ResourceVector) (*core.Plan, error) {
+	mainHost topo.HostID, spec SessionSpec, tpl *qrg.Template, rte *route, credit qos.ResourceVector) (*core.Plan, error) {
 	host := string(mainHost)
 	st := obs.BeginStage(stages.Snapshot, root.Child(obs.StageSnapshot, host))
-	snap, err := rt.collectAvailability(obs.ContextWithSpan(ctx, st.Span()), mainHost, resources)
+	snap, err := rt.collectAvailability(obs.ContextWithSpan(ctx, st.Span()), mainHost, rte)
 	st.End(err, "error")
 	if err != nil {
 		return nil, err
@@ -395,35 +395,13 @@ func (rt *Runtime) planPhases(ctx context.Context, root obs.ActiveSpan, stages o
 	return plan, nil
 }
 
-// sessionResourceSet lists the concrete resources the session's QRG can
-// touch: every binding target of every component.
-func sessionResourceSet(spec SessionSpec) ([]string, error) {
-	if spec.Service == nil || spec.Planner == nil {
-		return nil, fmt.Errorf("proxy: session spec missing service or planner")
-	}
-	seen := make(map[string]bool)
-	var out []string
-	for _, cid := range spec.Service.ComponentIDs() {
-		for _, concrete := range spec.Binding[cid] {
-			if !seen[concrete] {
-				seen[concrete] = true
-				out = append(out, concrete)
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("proxy: session binding names no resources")
-	}
-	return out, nil
-}
-
-// collectAvailability is phase 1: group the resources by owning host,
-// send every owning proxy its query over the fabric from the main
-// proxy's address, then collect the replies.
+// collectAvailability is phase 1: send every owning proxy on the route
+// its query over the fabric from the main proxy's address, then collect
+// the replies.
 //
-// Degradation ladder: a group whose proxy replies in time contributes
+// Degradation ladder: a leg whose proxy replies in time contributes
 // fresh reports (which also refresh the runtime's availability cache). A
-// group whose call fails — partition, loss burning the whole deadline,
+// leg whose call fails — partition, loss burning the whole deadline,
 // open breaker — degrades per resource: the last cached report, aged
 // conservatively by its α availability-change index (avail × min(α, 1):
 // a shrinking-availability trend discounts the stale value, a growing
@@ -431,39 +409,30 @@ func sessionResourceSet(spec SessionSpec) ([]string, error) {
 // ever cached (excluding the unreachable host from planning). The
 // two-phase commit re-validates real availability anyway, so optimism
 // here can waste a retry but never over-commit.
-func (rt *Runtime) collectAvailability(ctx context.Context, mainHost topo.HostID, resources []string) (*broker.Snapshot, error) {
-	groups := make(map[topo.HostID][]string)
-	for _, r := range resources {
-		host, err := rt.hostFor(r)
-		if err != nil {
-			return nil, err
-		}
-		groups[host] = append(groups[host], r)
+func (rt *Runtime) collectAvailability(ctx context.Context, mainHost topo.HostID, rte *route) (*broker.Snapshot, error) {
+	if rte.err != nil {
+		return nil, rte.err
 	}
 	from := transport.Addr(mainHost)
-	type leg struct {
-		host topo.HostID
-		rs   []string
-		call *transport.Pending
-	}
-	legs := make([]leg, 0, len(groups))
-	for host, rs := range groups {
-		legs = append(legs, leg{host: host, rs: rs,
-			call: rt.fabric.Go(ctx, from, transport.Addr(host), msgAvailability, availabilityRequest{resources: rs})})
+	var buf [8]*transport.Pending
+	calls := buf[:0]
+	for _, l := range rte.legs {
+		calls = append(calls, rt.fabric.Go(ctx, from, transport.Addr(l.host), msgAvailability, l.query))
 	}
 	snap := &broker.Snapshot{
 		At:    rt.clock.Now(),
-		Avail: make(qos.ResourceVector, len(resources)),
-		Alpha: make(map[string]float64, len(resources)),
+		Avail: make(qos.ResourceVector, rte.size),
+		Alpha: make(map[string]float64, rte.size),
 	}
 	span := obs.SpanFromContext(ctx)
 	var firstErr error
-	for _, l := range legs {
-		resp, err := l.call.Wait()
+	for i, call := range calls {
+		l := &rte.legs[i]
+		resp, err := call.Wait()
 		if err != nil {
 			// Transport failure: degrade to the cache.
 			span.Event(obs.EventDegradedToCached, string(l.host))
-			for _, r := range l.rs {
+			for _, r := range l.resources {
 				if cached, ok := rt.cachedReport(r); ok {
 					age := cached.Alpha
 					if age > 1 {

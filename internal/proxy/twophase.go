@@ -41,6 +41,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"qosres/internal/broker"
@@ -191,6 +192,9 @@ func (p *QoSProxy) handlePrepare(req prepareRequest) prepareReply {
 // released — acknowledging it would let a commit build on holds that a
 // crash forgets.
 func (p *QoSProxy) journalPrepare(id string, expiry broker.Time, st *prepState) *prepState {
+	if p.rt.wal == nil {
+		return st
+	}
 	err := p.logRecord(wal.Record{Type: wal.TypePrepare, ID: id,
 		Expiry: float64(expiry), Parts: partsFromExports(st.res.Export())})
 	if err == nil {
@@ -293,6 +297,7 @@ func (s *reservationSet) Release(now broker.Time) error {
 		}
 		s.journal(wal.TypeRelease, sh, 0)
 	}
+	s.rt.forgetDecisions(s.shares)
 	return firstErr
 }
 
@@ -369,35 +374,68 @@ func (rt *Runtime) demand(req qos.ResourceVector) (qos.ResourceVector, error) {
 	}, req)
 }
 
-// splitByHost partitions a requirement vector into per-owning-host
-// shares.
-func (rt *Runtime) splitByHost(req qos.ResourceVector) (map[topo.HostID]qos.ResourceVector, error) {
-	shares := make(map[topo.HostID]qos.ResourceVector)
-	for _, r := range req.Names() {
-		if req[r] == 0 {
-			continue
+// requestID names two-phase-commit request seq of the coordinator on
+// mainHost: "<mainHost>#<seq>" (coordinatorOf parses it back).
+func requestID(mainHost topo.HostID, seq uint64) string {
+	var buf [64]byte
+	b := append(buf[:0], mainHost...)
+	b = append(b, '#')
+	return string(strconv.AppendUint(b, seq, 10))
+}
+
+// hostShare is one owning host's share of a requirement, and the
+// fabric call carrying it.
+type hostShare struct {
+	host topo.HostID
+	need qos.ResourceVector
+	call *transport.Pending
+}
+
+// split partitions a requirement along the route's legs, appending one
+// share per host with a nonzero requirement, in host order. Each share
+// is a fresh vector: a payload handed to the fabric must not change
+// after it is sent, because armed routes delay and duplicate it.
+func (r *route) split(req qos.ResourceVector, shares []hostShare) ([]hostShare, error) {
+	if r.err != nil {
+		return nil, r.err
+	}
+	placed := 0
+	for _, l := range r.legs {
+		var need qos.ResourceVector
+		for _, res := range l.resources {
+			if amt := req[res]; amt != 0 {
+				if need == nil {
+					need = make(qos.ResourceVector, len(l.resources))
+				}
+				need[res] = amt
+				placed++
+			}
 		}
-		host, err := rt.hostFor(r)
-		if err != nil {
-			return nil, err
+		if need != nil {
+			shares = append(shares, hostShare{host: l.host, need: need})
 		}
-		if shares[host] == nil {
-			shares[host] = make(qos.ResourceVector)
+	}
+	for _, amt := range req {
+		if amt != 0 {
+			placed--
 		}
-		shares[host][r] = req[r]
+	}
+	if placed != 0 {
+		return nil, fmt.Errorf("proxy: requirement names resources outside the session's binding")
 	}
 	return shares, nil
 }
 
 // commitPlan is the coordinator: it runs the idempotent two-phase
-// commit of a plan's requirement from the main proxy. On success the
-// returned reservation owns every created hold. On any failure every
-// participant is aborted (best effort — a lost abort is reclaimed by
+// commit of a plan's requirement from the main proxy, along the route
+// of the session's template. On success the returned reservation owns
+// every created hold. On any failure every participant is aborted (best effort — a lost abort is reclaimed by
 // the lease sweep) and no capacity is retained. A refusal because some
 // share no longer fits current availability is broker.ErrInsufficient
 // (retryable staleness); everything else is terminal for this attempt.
-func (rt *Runtime) commitPlan(ctx context.Context, mainHost topo.HostID, req qos.ResourceVector) (*reservationSet, error) {
-	shares, err := rt.splitByHost(req)
+func (rt *Runtime) commitPlan(ctx context.Context, mainHost topo.HostID, rte *route, req qos.ResourceVector) (*reservationSet, error) {
+	var buf [8]hostShare
+	shares, err := rte.split(req, buf[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -409,7 +447,7 @@ func (rt *Runtime) commitPlan(ctx context.Context, mainHost topo.HostID, req qos
 	}
 	fabric := rt.fabric
 	from := transport.Addr(mainHost)
-	id := fmt.Sprintf("%s#%d", mainHost, seq)
+	id := requestID(mainHost, seq)
 	var expiry broker.Time
 	if rt.leaseTTL > 0 {
 		expiry = rt.clock.Now() + rt.leaseTTL
@@ -422,29 +460,25 @@ func (rt *Runtime) commitPlan(ctx context.Context, mainHost topo.HostID, req qos
 		actx, cancel := context.WithTimeout(context.Background(), abortTimeout)
 		defer cancel()
 		actx = obs.ContextWithSpan(actx, obs.SpanFromContext(ctx))
-		calls := make([]*transport.Pending, 0, len(shares))
-		for host := range shares {
-			calls = append(calls, fabric.Go(actx, from, transport.Addr(host), msgAbort, abortRequest{id: id}))
+		for i, sh := range shares {
+			shares[i].call = fabric.Go(actx, from, transport.Addr(sh.host), msgAbort, abortRequest{id: id})
 		}
-		for _, c := range calls {
-			_, _ = c.Wait()
+		for _, sh := range shares {
+			_, _ = sh.call.Wait()
 		}
 	}
 
 	// Prepare fan-out: every participating proxy validates and holds its
 	// share; the requests all go out before the first reply is awaited.
-	type leg struct {
-		host topo.HostID
-		call *transport.Pending
+	for i, sh := range shares {
+		shares[i].call = fabric.Go(ctx, from, transport.Addr(sh.host), msgPrepare, prepareRequest{id: id, req: sh.need, expiry: expiry})
 	}
-	legs := make([]leg, 0, len(shares))
-	for host, need := range shares {
-		legs = append(legs, leg{host: host,
-			call: fabric.Go(ctx, from, transport.Addr(host), msgPrepare, prepareRequest{id: id, req: need, expiry: expiry})})
-	}
+	// Shares are in host order, so the set is too: neither its records
+	// nor the order a shrink budget drains in depends on which prepare
+	// replied first.
 	prepared := make([]share, 0, len(shares))
 	var refusal, failure error
-	for _, l := range legs {
+	for _, l := range shares {
 		var rep prepareReply
 		resp, err := l.call.Wait()
 		if err == nil {
@@ -486,11 +520,11 @@ func (rt *Runtime) commitPlan(ctx context.Context, mainHost topo.HostID, req qos
 	}
 
 	// Commit fan-out: transfer ownership of every prepared share.
-	for i, l := range legs {
-		legs[i].call = fabric.Go(ctx, from, transport.Addr(l.host), msgCommit, commitRequest{id: id, expiry: expiry})
+	for i, sh := range shares {
+		shares[i].call = fabric.Go(ctx, from, transport.Addr(sh.host), msgCommit, commitRequest{id: id, expiry: expiry})
 	}
 	var commitErr error
-	for _, l := range legs {
+	for _, l := range shares {
 		resp, err := l.call.Wait()
 		if err == nil {
 			if rep, ok := resp.(commitReply); !ok {
@@ -506,16 +540,12 @@ func (rt *Runtime) commitPlan(ctx context.Context, mainHost topo.HostID, req qos
 	if commitErr != nil {
 		// Partial commit: roll everything back. Aborting a committed
 		// share releases it; a share whose commit-ack merely got lost is
-		// released the same way (the session never existed).
+		// released the same way (the session never existed), and the
+		// decision goes with it: a participant that recovers the prepare
+		// in doubt is then presumed aborted.
 		abortAll()
+		rt.forgetDecisions(prepared)
 		return nil, commitErr
-	}
-	// Host order, so neither the set's records nor the order a shrink
-	// budget drains in depends on which prepare replied first.
-	for i := 1; i < len(prepared); i++ {
-		for j := i; j > 0 && prepared[j].host < prepared[j-1].host; j-- {
-			prepared[j], prepared[j-1] = prepared[j-1], prepared[j]
-		}
 	}
 	return &reservationSet{rt: rt, seq: seq, shares: prepared}, nil
 }

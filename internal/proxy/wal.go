@@ -160,6 +160,24 @@ func (rt *Runtime) recordDecide(main topo.HostID, id string, expiry broker.Time)
 	return nil
 }
 
+// forgetDecisions drops the commit decisions of the requests the shares
+// were prepared under, once their holds are gone: released with their
+// session, or rolled back after a failed commit fan-out. A participant
+// that later recovers one of those prepares in doubt is presumed
+// aborted and releases holds that no longer exist, and the table stays
+// as large as the set of live reservations instead of growing with
+// every admission. Replay still rebuilds every decision in the log.
+func (rt *Runtime) forgetDecisions(shares []share) {
+	if rt.wal == nil || len(shares) == 0 {
+		return
+	}
+	rt.decideMu.Lock()
+	defer rt.decideMu.Unlock()
+	for _, sh := range shares {
+		delete(rt.decided, sh.id)
+	}
+}
+
 // lookupOutcome answers an outcome query from the decide table: absent
 // means the commit point was never journaled — presumed abort.
 func (rt *Runtime) lookupOutcome(id string) outcomeReply {

@@ -240,7 +240,8 @@ func requireSamePlans(t *testing.T, label string, want, got *qrg.Graph, seed int
 // instantiated against that snapshot, two scaled-down copies and a
 // drained one, in that order, so later rounds run on recycled buffers.
 // Each round must match the reference builder: the same error outcome
-// and, on success, the same graph and the same plan from every planner.
+// and, on success, the same graph (its chain mark equal to
+// svc.Service.IsChain) and the same plan from every planner.
 func FuzzTemplateMatchesReference(f *testing.F) {
 	f.Add([]byte{})
 	for fix := range fixtures {
@@ -280,6 +281,9 @@ func FuzzTemplateMatchesReference(f *testing.F) {
 				continue
 			}
 			requireSameGraph(t, label, want, got)
+			if got.Chain != service.IsChain() {
+				t.Fatalf("%s: chain mark %v, IsChain %v", label, got.Chain, service.IsChain())
+			}
 			requireSamePlans(t, label, want, got, int64(len(data)))
 			tpl.Recycle(got)
 		}

@@ -108,6 +108,10 @@ type Graph struct {
 	Sinks []Sink
 	// Snapshot is the availability snapshot the graph was built from.
 	Snapshot *broker.Snapshot
+	// Chain reports whether the service's dependency graph is a simple
+	// chain (svc.Service.IsChain), which the single-path planners
+	// require; the template fixes it once per service.
+	Chain bool
 
 	// outFlat/inFlat back the OutEdges/InEdges slices (CSR layout),
 	// letting Recycle reuse the whole adjacency across instantiations.

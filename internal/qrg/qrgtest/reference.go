@@ -28,6 +28,9 @@ func ReferenceBuild(service *svc.Service, binding svc.Binding, snap *broker.Snap
 	if snap == nil {
 		return nil, fmt.Errorf("qrg: nil snapshot")
 	}
+	if !namesResources(service, binding) {
+		return nil, fmt.Errorf("qrg: service %s: binding names no resources", service.Name)
+	}
 	contention := opts.Contention
 	if contention == nil {
 		contention = qrg.RatioContention
@@ -36,7 +39,7 @@ func ReferenceBuild(service *svc.Service, binding svc.Binding, snap *broker.Snap
 	if err != nil {
 		return nil, err
 	}
-	g := &qrg.Graph{Service: service, Source: -1, Snapshot: snap}
+	g := &qrg.Graph{Service: service, Chain: service.IsChain(), Source: -1, Snapshot: snap}
 
 	// outNodes[comp] lists the Qout node IDs created for comp, in the
 	// component's declared level order.
@@ -160,6 +163,17 @@ func ReferenceBuild(service *svc.Service, binding svc.Binding, snap *broker.Snap
 	return g, nil
 }
 
+// namesResources reports whether the binding maps some abstract name of
+// one of the service's components to a concrete resource.
+func namesResources(service *svc.Service, binding svc.Binding) bool {
+	for cid := range service.Components {
+		if len(binding[cid]) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // matchInLevel finds the component's declared input level whose vector
 // equals v.
 func matchInLevel(comp *svc.Component, v qos.Vector) (svc.Level, bool) {
@@ -245,6 +259,8 @@ func GraphDiff(want, got *qrg.Graph) string {
 		return fmt.Sprintf("out-adjacency differs\nreference: %v\ntemplate:  %v", want.OutEdges, got.OutEdges)
 	case !sameSlice(want.InEdges, got.InEdges):
 		return fmt.Sprintf("in-adjacency differs\nreference: %v\ntemplate:  %v", want.InEdges, got.InEdges)
+	case want.Chain != got.Chain:
+		return fmt.Sprintf("chain mark %v vs %v", want.Chain, got.Chain)
 	case want.Source != got.Source:
 		return fmt.Sprintf("source %d vs %d", want.Source, got.Source)
 	case !sameSlice(want.Sinks, got.Sinks):

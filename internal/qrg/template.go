@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"qosres/internal/broker"
 	"qosres/internal/qos"
@@ -100,9 +101,24 @@ type Template struct {
 	sinks    []tmplSink
 	nodeCap  int
 	edgeCap  int
+	// resources lists every concrete resource the binding names for the
+	// service's components, once each: components in ComponentIDs order,
+	// each one's abstract names sorted.
+	resources []string
+	// chain marks a dependency graph that is a simple chain
+	// (svc.Service.IsChain); every instantiated graph carries it.
+	chain bool
 
 	graphs  sync.Pool // *Graph
 	scratch sync.Pool // *instScratch
+	// derived is the one value a caller derived from the template with
+	// Derive, and the key it was derived for.
+	derived atomic.Pointer[derivedValue]
+}
+
+// derivedValue is the content of Template.derived.
+type derivedValue struct {
+	key, val interface{}
 }
 
 // Compile builds the snapshot-independent template of a (service,
@@ -113,6 +129,10 @@ type Template struct {
 // vectors are concatenated (labelled by upstream component ID, in sorted
 // order) before matching, as defined in section 4.3.2. A component
 // whose tables would exceed svc.MaxTableCells cells is refused.
+//
+// The pair's resource set (Resources) and chain mark are fixed here
+// too, and a binding that names no resource for any of the service's
+// components is refused.
 //
 // A translation pair whose requirement the binding cannot resolve does
 // not fail Compile: the pair keeps its error, and Instantiate returns it
@@ -126,7 +146,10 @@ func Compile(service *svc.Service, binding svc.Binding) (*Template, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Template{service: service}
+	t := &Template{service: service, chain: service.IsChain()}
+	if t.resources = boundResources(service, binding); len(t.resources) == 0 {
+		return nil, fmt.Errorf("qrg: service %s: binding names no resources", service.Name)
+	}
 	compIdx := make(map[svc.ComponentID]int, len(order))
 	sources := 0
 	for k, cid := range order {
@@ -230,6 +253,49 @@ func Compile(service *svc.Service, binding svc.Binding) (*Template, error) {
 	return t, nil
 }
 
+// boundResources lists the concrete resources binding names for the
+// service's components, once each, in ComponentIDs order and, within a
+// component, by abstract name.
+func boundResources(service *svc.Service, binding svc.Binding) []string {
+	var out, names []string
+	seen := make(map[string]bool)
+	for _, cid := range service.ComponentIDs() {
+		m := binding[cid]
+		names = names[:0]
+		for name := range m {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			if concrete := m[name]; !seen[concrete] {
+				seen[concrete] = true
+				out = append(out, concrete)
+			}
+		}
+	}
+	return out
+}
+
+// Resources returns the concrete resources the template's binding names
+// for the service's components, once each: every resource an
+// instantiation can require. The slice is shared; callers must not
+// modify it.
+func (t *Template) Resources() []string { return t.resources }
+
+// Derive returns derive(t), computed once per key and kept in one slot
+// that lives and dies with the template: a call with the key of the
+// slot's value (compared with ==) returns that value, a call with
+// another key derives again and replaces it. Concurrent callers may
+// each derive; the last store wins.
+func (t *Template) Derive(key interface{}, derive func(*Template) interface{}) interface{} {
+	if d := t.derived.Load(); d != nil && d.key == key {
+		return d.val
+	}
+	v := derive(t)
+	t.derived.Store(&derivedValue{key: key, val: v})
+	return v
+}
+
 // matchInLevelIdx returns the index of the component's declared input
 // level whose vector equals v, or -1.
 func matchInLevelIdx(comp *svc.Component, v qos.Vector) int {
@@ -265,6 +331,7 @@ func (t *Template) InstantiateWithOptions(snap *broker.Snapshot, opts BuildOptio
 	g.Edges = g.Edges[:0]
 	g.Sinks = g.Sinks[:0]
 	g.Service = t.service
+	g.Chain = t.chain
 	g.Snapshot = snap
 	g.Source = -1
 

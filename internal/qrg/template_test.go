@@ -158,6 +158,48 @@ func TestCompileRefusesWideComponent(t *testing.T) {
 	}
 }
 
+// TestCompileRefusesUnboundService: a binding that names no resource
+// for any of the service's components is refused at compile time,
+// whether it is empty, binds only components the service lacks, or
+// binds its components to nothing.
+func TestCompileRefusesUnboundService(t *testing.T) {
+	service := workload.VideoService()
+	for name, binding := range map[string]svc.Binding{
+		"empty":   {},
+		"foreign": {"nobody": {"cpu": "cpu@H1"}},
+		"blank":   {"cS": {}},
+	} {
+		if _, err := Compile(service, binding); err == nil || !strings.Contains(err.Error(), "binding names no resources") {
+			t.Errorf("%s: err = %v, want a binding refusal", name, err)
+		}
+	}
+}
+
+// TestTemplateDerive: Derive computes once per key and keeps one value;
+// another key derives again and replaces it.
+func TestTemplateDerive(t *testing.T) {
+	tpl, err := Compile(workload.VideoService(), workload.VideoBinding())
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	derive := func(t *Template) any {
+		calls++
+		return len(t.Resources()) + calls
+	}
+	a, b := new(int), new(int)
+	first := tpl.Derive(a, derive)
+	if again := tpl.Derive(a, derive); again != first || calls != 1 {
+		t.Fatalf("second Derive for one key = %v after %d derivations, want %v after 1", again, calls, first)
+	}
+	if other := tpl.Derive(b, derive); other == first || calls != 2 {
+		t.Fatalf("Derive for another key = %v after %d derivations, want a new value after 2", other, calls)
+	}
+	if back := tpl.Derive(a, derive); back == first || calls != 3 {
+		t.Fatalf("Derive back to the first key = %v after %d derivations, want a new value after 3", back, calls)
+	}
+}
+
 // TestTemplateCacheKeepsRefusals pins that a refused pair answers from
 // the cache: the second Get of the 5×16 fan-in returns the very error
 // of the first, counts a hit, and allocates nothing — no more than a

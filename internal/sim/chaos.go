@@ -716,7 +716,7 @@ func RunChaos(sc StressConfig) (res *ChaosResult, err error) {
 				heartbeat()
 				sh := env.drawSession(cfg, crng)
 				service := env.services[sh.service-1][sh.variant]
-				binding, _ := sessionResources(sh)
+				binding, _ := env.placement(sh)
 				ctx, cancel := bound()
 				t0, began := time.Now(), clock.Now()
 				s, err := rt.EstablishContext(ctx, topo.ServerHost(sh.service), proxy.SessionSpec{

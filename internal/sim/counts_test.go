@@ -47,7 +47,7 @@ func TestInprocCountRatchet(t *testing.T) {
 
 	// The race detector instruments allocations, so the ceiling is only
 	// meaningful in a plain build.
-	const ceiling = 140
+	const ceiling = 100
 	if allocs > ceiling && !raceEnabled {
 		t.Errorf("%.0f allocations per establish+release, ceiling %d", allocs, ceiling)
 	}

@@ -163,6 +163,17 @@ type environment struct {
 	tracerec *obs.TraceRecorder
 	// templates serves compiled QRG templates to both execution modes.
 	templates *qrg.TemplateCache
+	// placements[s-1][d-1] is the binding and resource list of service
+	// S(s) requested from domain d (sessionResources), built once and
+	// shared by every such arrival.
+	placements [topo.NumServers][topo.NumDomains]placement
+}
+
+// placement is one (service, domain) pair's session binding and its
+// concrete resources.
+type placement struct {
+	binding   svc.Binding
+	resources []string
 }
 
 // buildEnvironment draws capacities, registers all brokers, pre-creates
@@ -244,6 +255,12 @@ func buildEnvironment(cfg Config, rng *rand.Rand) (*environment, error) {
 				DiversityRatio: cfg.Workload.DiversityRatio,
 			}
 			env.services[s][m] = workload.Chain(fmt.Sprintf("S%d", s+1), workload.FamilyOf(s+1), opts)
+		}
+	}
+	for s := range env.placements {
+		for d := range env.placements[s] {
+			binding, resources := sessionResources(sessionShape{service: s + 1, domain: d + 1})
+			env.placements[s][d] = placement{binding: binding, resources: resources}
 		}
 	}
 	env.redrawPopularity(rng)
@@ -334,6 +351,14 @@ func sessionResources(sh sessionShape) (svc.Binding, []string) {
 	return binding, []string{cpuS, cpuP, netSP, netPC}
 }
 
+// placement returns the binding and the concrete resources of a
+// session's placement, shared by every session of its service and
+// domain: callers must not modify either.
+func (env *environment) placement(sh sessionShape) (svc.Binding, []string) {
+	p := &env.placements[sh.service-1][sh.domain-1]
+	return p.binding, p.resources
+}
+
 // traceSession emits one lifecycle event of session sid; a non-nil
 // plan fills the plan fields.
 func (env *environment) traceSession(now broker.Time, kind trace.Kind, sid uint64,
@@ -355,7 +380,7 @@ func (env *environment) handleArrival(cfg Config, rng *rand.Rand, planner core.P
 	class := stats.ClassOf(sh.fat, sh.long)
 	service := env.services[sh.service-1][sh.variant]
 	family := workload.FamilyOf(sh.service).String()
-	binding, resources := sessionResources(sh)
+	binding, resources := env.placement(sh)
 
 	env.nextSession++
 	sid := env.nextSession

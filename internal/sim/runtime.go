@@ -105,7 +105,7 @@ func (env *environment) handleArrivalRuntime(cfg Config, rt *proxy.Runtime,
 	class := stats.ClassOf(sh.fat, sh.long)
 	service := env.services[sh.service-1][sh.variant]
 	family := workload.FamilyOf(sh.service).String()
-	binding, resources := sessionResources(sh)
+	binding, resources := env.placement(sh)
 
 	env.nextSession++
 	sid := env.nextSession

@@ -183,7 +183,8 @@ func (se *ServedEnv) Close() error {
 // holding time a well-behaved client would keep it for. Service and
 // Binding are the environment's own model and binding the document was
 // rendered from, for callers that establish the offer in-process
-// without building the document again.
+// without building the document again. Both are shared with every
+// other offer of the same service and domain: do not modify them.
 type SampledSession struct {
 	MainHost topo.HostID
 	Duration broker.Time
@@ -201,7 +202,7 @@ func (se *ServedEnv) SampleSession() (*SampledSession, error) {
 	sh := se.env.drawSession(se.cfg, se.rng)
 	se.mu.Unlock()
 	service := se.env.services[sh.service-1][sh.variant]
-	binding, resources := sessionResources(sh)
+	binding, resources := se.env.placement(sh)
 	snap, err := se.env.pool.Snapshot(se.clock.Now(), resources)
 	if err != nil {
 		return nil, err

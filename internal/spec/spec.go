@@ -223,7 +223,12 @@ func FromModel(service *svc.Service, binding svc.Binding, snap *broker.Snapshot)
 		doc.Edges = append(doc.Edges, Edge{From: string(e.From), To: string(e.To)})
 	}
 	for comp, m := range binding {
-		doc.Binding[string(comp)] = m
+		// A copy: the caller's binding may be shared by other sessions.
+		cm := make(map[string]string, len(m))
+		for name, res := range m {
+			cm[name] = res
+		}
+		doc.Binding[string(comp)] = cm
 	}
 	if snap != nil {
 		for r, a := range snap.Avail {

@@ -70,7 +70,7 @@ func TestDirectCallCost(t *testing.T) {
 		}
 	}
 	call()
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	allocs := testing.AllocsPerRun(1000, call)
 	if after := runtime.NumGoroutine(); after != before {
 		t.Errorf("goroutines %d -> %d across direct calls", before, after)
@@ -79,6 +79,23 @@ func TestDirectCallCost(t *testing.T) {
 	if allocs > directCallAllocs && !raceEnabled {
 		t.Errorf("%.0f allocations per direct Go/Wait, ceiling %d", allocs, directCallAllocs)
 	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still
+// over ten 1 ms sleeps. The goroutine that ran the previous test
+// signals its end before it exits, so a count taken right as a test
+// starts can still include it.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for stable := 0; stable < 10; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, stable = m, 0
+			continue
+		}
+		stable++
+	}
+	return n
 }
 
 // TestCallHonoursDeadlineOnFullInbox is the full-inbox regression: with

@@ -18,7 +18,13 @@ func TestSettleWaitsForInboxConsumer(t *testing.T) {
 	f := New(Options{})
 	ep := f.Endpoint("A", 4)
 	var handled atomic.Bool
+	consumed := make(chan struct{})
+	defer func() {
+		ep.Close()
+		<-consumed
+	}()
 	go func() {
+		defer close(consumed)
 		for {
 			select {
 			case d := <-ep.Inbox():

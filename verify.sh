@@ -24,6 +24,11 @@ echo "== go test -race -shuffle=on ./..."
 # chosen seed is printed for replay with -shuffle=<seed>.
 go test -race -shuffle=on ./...
 
+echo "== go test -race -count=10 -shuffle=1792392912117684552 ./internal/transport"
+# A fixed order that once made TestDirectCallCost fail: the goroutine
+# that ran the previous test was still exiting while it counted.
+go test -race -count=10 -shuffle=1792392912117684552 ./internal/transport
+
 echo "== bench/ (its own module): go vet, go test -short"
 # The harness builds against internal packages of this module but is not
 # covered by ./... above, so an API change can break it unnoticed.
