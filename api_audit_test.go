@@ -22,17 +22,24 @@ const apiAllowlist = "testdata/api_allowlist.txt"
 
 // TestExportedAPIAudit keeps unreached API out of internal/: every
 // exported identifier of an internal package — package-level names and
-// methods of its named types, not struct fields — must be used by a
-// non-test file outside its own package. The callers are every non-test
-// package of the repository: the root package, cmd/, examples/,
-// internal/ and the bench/ module. Exempt are methods whose name and
-// signature match a method of some interface in the loaded packages
-// (they can be reached through it) and packages named *test, which
-// exist for tests. Each remaining hit is listed in apiAllowlist with a
-// reason; the test fails on a hit that is not listed and on a listed
-// entry that is no longer a hit, so the list can only shrink.
+// methods of its named types — must be used by a non-test file outside
+// its own package, and every exported field of a configuration struct
+// (an exported struct type named *Options, *Config or *Policy) must be
+// written by some non-test file: a knob nothing sets is a constant. The
+// callers are every non-test package of the repository: the root
+// package, cmd/, examples/, internal/ and the bench/ module. Exempt are
+// methods whose name and signature match a method of some interface in
+// the loaded packages (they can be reached through it) and packages
+// named *test, which exist for tests. A field write counts when it sits
+// in another package, or when its value uses a parameter of the
+// function it sits in (a constructor passing its caller's choice
+// through); a package filling in its own defaults sets nothing. Each
+// remaining hit is listed
+// in apiAllowlist with a reason; the test fails on a hit that is not
+// listed and on a listed entry that is no longer a hit, so the list can
+// only shrink.
 func TestExportedAPIAudit(t *testing.T) {
-	hits, err := auditExportedAPI(".")
+	hits, fields, err := auditExportedAPI(".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,6 +53,12 @@ func TestExportedAPIAudit(t *testing.T) {
 		}
 		delete(allowed, h)
 	}
+	for _, h := range fields {
+		if _, ok := allowed[h]; !ok {
+			t.Errorf("%s is a configuration field that no non-test file sets: make it a constant, or list it with a reason in %s", h, apiAllowlist)
+		}
+		delete(allowed, h)
+	}
 	stale := make([]string, 0, len(allowed))
 	for id := range allowed {
 		stale = append(stale, id)
@@ -54,7 +67,7 @@ func TestExportedAPIAudit(t *testing.T) {
 	for _, id := range stale {
 		t.Errorf("%s is listed in %s but has a non-test caller outside its package (or is gone): drop the entry", id, apiAllowlist)
 	}
-	t.Logf("%d exported identifiers without an outside non-test caller", len(hits))
+	t.Logf("%d exported identifiers without an outside non-test caller, %d configuration fields without a writer", len(hits), len(fields))
 }
 
 // readAPIAllowlist parses the allowlist: blank lines and #-comments are
@@ -95,20 +108,28 @@ type apiLoader struct {
 	// uses records, per object, whether a non-test file of another
 	// package refers to it.
 	uses map[types.Object]bool
+	// set records the struct fields a non-test file sets — as a
+	// composite-literal key, on the left of an assignment or an
+	// increment, or by taking its address — from another package, or
+	// from a parameter of the enclosing function.
+	set map[*types.Var]bool
 }
 
 // auditExportedAPI returns the audit's hits in the repository rooted at
 // root (module qosres, with the bench/ module under it), sorted, each
-// as "<package path without qosres/>.<Name>" or ".<Type>.<Method>".
-func auditExportedAPI(root string) ([]string, error) {
+// as "<package path without qosres/>.<Name>" or ".<Type>.<Method>":
+// unreached identifiers, then unwritten configuration fields
+// (".<Type>.<Field>").
+func auditExportedAPI(root string) (hits, fields []string, err error) {
 	l := &apiLoader{
 		fset: token.NewFileSet(),
 		dirs: make(map[string]string),
 		pkgs: make(map[string]*types.Package),
 		uses: make(map[types.Object]bool),
+		set:  make(map[*types.Var]bool),
 	}
 	l.std = importer.ForCompiler(l.fset, "gc", nil)
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -134,7 +155,7 @@ func auditExportedAPI(root string) ([]string, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	paths := make([]string, 0, len(l.dirs))
 	for ip := range l.dirs {
@@ -143,12 +164,11 @@ func auditExportedAPI(root string) ([]string, error) {
 	sort.Strings(paths)
 	for _, ip := range paths {
 		if _, err := l.Import(ip); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
 	ifaces := l.interfaceMethods()
-	var hits []string
 	for _, ip := range paths {
 		pkg := l.pkgs[ip]
 		if !strings.HasPrefix(ip, "qosres/internal/") || strings.HasSuffix(pkg.Name(), "test") {
@@ -168,6 +188,13 @@ func auditExportedAPI(root string) ([]string, error) {
 			if _, isType := obj.(*types.TypeName); !isType || !ok || types.IsInterface(named) {
 				continue
 			}
+			if st, ok := named.Underlying().(*types.Struct); ok && isConfigName(name) {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() && !l.set[f] {
+						fields = append(fields, short+"."+name+"."+f.Name())
+					}
+				}
+			}
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
 				if m.Exported() && !l.uses[m] && !ifaces.matches(m) {
@@ -177,7 +204,107 @@ func auditExportedAPI(root string) ([]string, error) {
 		}
 	}
 	sort.Strings(hits)
-	return hits, nil
+	sort.Strings(fields)
+	return hits, fields, nil
+}
+
+// isConfigName reports whether a struct type named name is
+// configuration, whose fields the audit checks for writers.
+func isConfigName(name string) bool {
+	for _, suffix := range []string{"Options", "Config", "Policy"} {
+		if strings.HasSuffix(name, suffix) {
+			return true
+		}
+	}
+	return false
+}
+
+// recordWrites walks a type-checked file for the struct fields it sets.
+func (l *apiLoader) recordWrites(pkg *types.Package, info *types.Info, f *ast.File) {
+	field := func(id *ast.Ident) *types.Var {
+		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+			return v.Origin()
+		}
+		return nil
+	}
+	for _, decl := range f.Decls {
+		params := make(map[types.Object]bool)
+		if fd, ok := decl.(*ast.FuncDecl); ok {
+			for _, p := range fd.Type.Params.List {
+				for _, id := range p.Names {
+					params[info.Defs[id]] = true
+				}
+			}
+		}
+		// fromParam reports whether an assigned value uses a parameter.
+		fromParam := func(e ast.Expr) bool {
+			found := false
+			ast.Inspect(e, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && params[info.Uses[id]] {
+					found = true
+				}
+				return !found
+			})
+			return found
+		}
+		write := func(v *types.Var, value ast.Expr) {
+			if v != nil && (v.Pkg() != pkg || value != nil && fromParam(value)) {
+				l.set[v] = true
+			}
+		}
+		// lhs marks every field selected along an assigned expression:
+		// a.B.C = x writes both B and C.
+		lhs := func(e, value ast.Expr) {
+			for e != nil {
+				switch x := e.(type) {
+				case *ast.SelectorExpr:
+					write(field(x.Sel), value)
+					e = x.X
+				case *ast.IndexExpr:
+					e = x.X
+				case *ast.ParenExpr:
+					e = x.X
+				case *ast.StarExpr:
+					e = x.X
+				default:
+					e = nil
+				}
+			}
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				var st *types.Struct
+				if t := info.TypeOf(n); t != nil {
+					st, _ = t.Underlying().(*types.Struct)
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							write(field(id), kv.Value)
+						}
+					} else if st != nil && i < st.NumFields() {
+						write(st.Field(i).Origin(), elt)
+					}
+				}
+			case *ast.AssignStmt:
+				for i, e := range n.Lhs {
+					var value ast.Expr
+					if len(n.Rhs) == len(n.Lhs) {
+						value = n.Rhs[i]
+					}
+					lhs(e, value)
+				}
+			case *ast.IncDecStmt:
+				lhs(n.X, nil)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					lhs(n.X, nil)
+				}
+			}
+			return true
+		})
+	}
 }
 
 // reached reports whether a non-test file outside obj's package uses
@@ -269,13 +396,20 @@ func (l *apiLoader) Import(path string) (*types.Package, error) {
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{Uses: make(map[*ast.Ident]types.Object)}
+	info := &types.Info{
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+	}
 	conf := types.Config{Importer: l}
 	pkg, err := conf.Check(path, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("audit: type-check %s: %w", path, err)
 	}
 	l.pkgs[path] = pkg
+	for _, f := range files {
+		l.recordWrites(pkg, info, f)
+	}
 	for _, obj := range info.Uses {
 		if obj.Pkg() == nil || obj.Pkg() == pkg {
 			continue

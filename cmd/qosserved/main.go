@@ -50,7 +50,6 @@ import (
 	"syscall"
 	"time"
 
-	"qosres/internal/adapt"
 	"qosres/internal/broker"
 	"qosres/internal/obs"
 	"qosres/internal/proxy"
@@ -79,8 +78,7 @@ func newServed(env *sim.ServedEnv) *served {
 }
 
 // planOf reports a session's live level. It is read from the session
-// each time, not copied at admission: a renegotiation — client-driven
-// via /renegotiate or controller-driven under -adapt — changes the level
+// each time, not copied at admission: a /renegotiate changes the level
 // mid-flight, and a reply must report the level the books hold.
 func planOf(sess *proxy.Session) (level string, rank int, psi float64) {
 	p := sess.CurrentPlan()
@@ -414,13 +412,8 @@ func main() {
 		addr      = flag.String("addr", "localhost:8080", "listen address")
 		walDir    = flag.String("wal", "qosserved-wal", "write-ahead-log directory (empty disables durability)")
 		recoverFl = flag.Bool("recover", true, "replay an existing WAL on startup")
-		seed      = flag.Int64("seed", 1, "environment seed (keep stable across restarts of one deployment)")
+		seed      = flag.Int64("seed", 1, "environment seed (-recover refuses a log written under another)")
 		lease     = flag.Float64("lease", 30, "session lease TTL in seconds (0 disables leasing)")
-		rate      = flag.Float64("rate", 60, "sampled session mix rate (sessions per 60 TUs)")
-		adaptOn   = flag.Bool("adapt", false, "run the mid-session adaptation controller")
-		adaptHigh = flag.Float64("adapt-high", 0.85, "utilization at or above which brownout downgrades run")
-		adaptLow  = flag.Float64("adapt-low", 0.55, "utilization below which upgrades run")
-		adaptTick = flag.Duration("adapt-every", 5*time.Second, "adaptation controller tick interval")
 	)
 	flag.Parse()
 
@@ -430,25 +423,16 @@ func main() {
 		}
 	}
 	reg := obs.New()
-	var policy *adapt.Policy
-	if *adaptOn {
-		p := adapt.DefaultPolicy()
-		p.HighWater = *adaptHigh
-		p.LowWater = *adaptLow
-		// One cooldown covers a couple of controller ticks so a session
-		// settles at a level before it is reconsidered.
-		p.Cooldown = broker.Time(2 * adaptTick.Seconds())
-		policy = &p
-	}
 	env, err := sim.NewServedEnv(sim.ServedOptions{
 		Seed:     *seed,
-		Rate:     *rate,
 		LeaseTTL: broker.Time(*lease),
 		WALDir:   *walDir,
 		Recover:  *recoverFl && *walDir != "",
 		Registry: reg,
-		Adapt:    policy,
 	})
+	if errors.Is(err, proxy.ErrForeignLog) {
+		log.Fatalf("qosserved: %v: restart with the -seed that wrote %s, or point -wal elsewhere", err, *walDir)
+	}
 	if err != nil {
 		log.Fatalf("qosserved: %v", err)
 	}
@@ -463,29 +447,6 @@ func main() {
 
 	stop := make(chan struct{})
 	var sweeper sync.WaitGroup
-	if ctrl := env.Controller(); ctrl != nil {
-		sweeper.Add(1)
-		go func() {
-			defer sweeper.Done()
-			tick := time.NewTicker(*adaptTick)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					actions := ctrl.Tick(context.Background(), env.Clock().Now())
-					for _, a := range actions {
-						if a.Err != nil {
-							log.Printf("qosserved: adapt: renegotiate to %s refused: %v", a.Level, a.Err)
-							continue
-						}
-						log.Printf("qosserved: adapt: session moved %d -> %d (%s)", a.FromRank, a.ToRank, a.Level)
-					}
-				case <-stop:
-					return
-				}
-			}
-		}()
-	}
 	if *lease > 0 {
 		sweeper.Add(1)
 		go func() {

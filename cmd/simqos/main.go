@@ -195,7 +195,7 @@ func main() {
 		}
 		if ap := fc.Adapt; ap != nil {
 			fmt.Printf("adapt: high=%g low=%g cooldown=%g budget=%d surge=%g\n",
-				ap.HighWater, ap.LowWater, float64(ap.Cooldown), ap.MaxActionsPerTick, *surgeP)
+				ap.HighWater, ap.LowWater, float64(ap.Cooldown), adapt.MaxActionsPerTick, *surgeP)
 		}
 		fmt.Println(cres)
 		printAdmission(reg)

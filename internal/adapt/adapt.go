@@ -1,8 +1,8 @@
 // Package adapt implements the mid-session QoS adaptation loop: a
-// controller that watches the published broker signals — utilization
-// and the α availability-change index, read wait-free off the brokers'
-// published records — against a watermark policy with a hysteresis
-// band, and renegotiates live sessions through proxy.Runtime.
+// controller that watches the brokers' utilization, read wait-free off
+// their published records, against a watermark policy with a
+// hysteresis band, and renegotiates live sessions through
+// proxy.Runtime.
 //
 // The loop provably cannot flap or stampede:
 //
@@ -34,6 +34,14 @@ import (
 	"qosres/internal/proxy"
 )
 
+// MaxActionsPerTick bounds the renegotiations one tick attempts.
+const MaxActionsPerTick = 4
+
+// FloorRank is the rank below which adaptation never downgrades a
+// session: the worst ranked level, so adaptation may brown a session
+// out but never terminate it.
+const FloorRank = 1
+
 // Policy is the watermark/hysteresis configuration of a Controller.
 type Policy struct {
 	// HighWater is the utilization (1 - available/capacity) at or above
@@ -47,23 +55,12 @@ type Policy struct {
 	// one session. Attempts count even when they fail, so a refused
 	// upgrade cannot be retried into a stampede.
 	Cooldown broker.Time
-	// MaxActionsPerTick bounds renegotiations per tick (default 4).
-	MaxActionsPerTick int
-	// FloorRank is the rank below which adaptation never downgrades a
-	// session (default 1, the worst ranked level — adaptation may brown
-	// a session out, never terminate it).
-	FloorRank int
-	// UpgradeAlphaMin, when positive, gates upgrades on the bottleneck
-	// availability trend: no upgrade unless every watched resource's α
-	// is at least this (1.0 = availability not shrinking). Zero disables
-	// the gate.
-	UpgradeAlphaMin float64
 }
 
 // DefaultPolicy is a conservative starting point: brown out above 85%
-// utilization, upgrade below 55%, at most 4 actions per tick.
+// utilization, upgrade below 55%.
 func DefaultPolicy() Policy {
-	return Policy{HighWater: 0.85, LowWater: 0.55, MaxActionsPerTick: 4, FloorRank: 1}
+	return Policy{HighWater: 0.85, LowWater: 0.55}
 }
 
 // withDefaults fills unset fields.
@@ -77,12 +74,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.LowWater > p.HighWater {
 		p.LowWater = p.HighWater
-	}
-	if p.MaxActionsPerTick <= 0 {
-		p.MaxActionsPerTick = d.MaxActionsPerTick
-	}
-	if p.FloorRank < 1 {
-		p.FloorRank = 1
 	}
 	return p
 }
@@ -136,13 +127,6 @@ func (c *Controller) Instrument(m *obs.AdaptMetrics) {
 	c.metrics = m
 }
 
-// Policy returns the controller's normalized policy.
-func (c *Controller) Policy() Policy {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.policy
-}
-
 // candidate is one live session with the plan fields the ordering and
 // floor checks need, snapshotted once per tick.
 type candidate struct {
@@ -164,10 +148,9 @@ func (c *Controller) Tick(ctx context.Context, now broker.Time) []Action {
 	p := c.policy
 	m := c.metrics
 
-	// Signals: wait-free utilization reads plus the α trend.
+	// Signals: wait-free utilization reads.
 	hot := make(map[string]bool)
 	maxUtil := 0.0
-	minAlpha := 1.0
 	for _, b := range c.brokers {
 		cap := b.Capacity()
 		if cap <= 0 {
@@ -179,9 +162,6 @@ func (c *Controller) Tick(ctx context.Context, now broker.Time) []Action {
 		}
 		if util >= p.HighWater {
 			hot[b.Resource()] = true
-		}
-		if rep := b.Report(now); rep.Alpha < minAlpha {
-			minAlpha = rep.Alpha
 		}
 	}
 
@@ -196,12 +176,6 @@ func (c *Controller) Tick(ctx context.Context, now broker.Time) []Action {
 	case len(hot) > 0:
 		return c.brownout(ctx, now, p, m, hot)
 	case maxUtil < p.LowWater:
-		if p.UpgradeAlphaMin > 0 && minAlpha < p.UpgradeAlphaMin {
-			// Headroom exists but the availability trend is shrinking;
-			// upgrading into a downtrend is how flapping starts.
-			m.Held.Inc()
-			return nil
-		}
 		return c.upgrade(ctx, now, p, m)
 	default:
 		// Inside the hysteresis band: hold everything.
@@ -238,7 +212,7 @@ func (c *Controller) snapshot() []candidate {
 func (c *Controller) brownout(ctx context.Context, now broker.Time, p Policy, m *obs.AdaptMetrics, hot map[string]bool) []Action {
 	var victims []candidate
 	for _, cand := range c.snapshot() {
-		if cand.rank-1 < p.FloorRank {
+		if cand.rank-1 < FloorRank {
 			continue // already at (or below) the floor: never push further
 		}
 		touchesHot := false
@@ -288,7 +262,7 @@ func (c *Controller) upgrade(ctx context.Context, now broker.Time, p Policy, m *
 func (c *Controller) act(ctx context.Context, now broker.Time, p Policy, m *obs.AdaptMetrics, cands []candidate, step int) []Action {
 	var actions []Action
 	for _, cand := range cands {
-		if len(actions) >= p.MaxActionsPerTick {
+		if len(actions) >= MaxActionsPerTick {
 			m.FlapsSuppressed.Inc()
 			continue
 		}

@@ -102,9 +102,6 @@ func TestPolicyDefaults(t *testing.T) {
 	if p.LowWater != p.HighWater {
 		t.Errorf("inverted watermarks kept: low %g, high %g", p.LowWater, p.HighWater)
 	}
-	if p.FloorRank < 1 {
-		t.Errorf("floor rank %d below 1", p.FloorRank)
-	}
 }
 
 // TestHysteresisUnderOscillatingLoad is the no-flap tentpole: a square
@@ -135,10 +132,9 @@ func TestHysteresisUnderOscillatingLoad(t *testing.T) {
 		list = append(list, b)
 	}
 	ctrl := New(rt, Policy{
-		HighWater:         0.85,
-		LowWater:          0.55,
-		Cooldown:          cooldown,
-		MaxActionsPerTick: 4,
+		HighWater: 0.85,
+		LowWater:  0.55,
+		Cooldown:  cooldown,
 	}, list)
 	ctrl.Instrument(metrics)
 
@@ -174,7 +170,7 @@ func TestHysteresisUnderOscillatingLoad(t *testing.T) {
 				continue
 			}
 			renegotiated++
-			if a.ToRank < ctrl.Policy().FloorRank {
+			if a.ToRank < FloorRank {
 				t.Fatalf("tick %d: downgraded below the floor: %d -> %d", i, a.FromRank, a.ToRank)
 			}
 		}

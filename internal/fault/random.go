@@ -23,9 +23,6 @@ type RandomConfig struct {
 	// MaxActive bounds the number of concurrently-downed resources;
 	// 0 means at most one.
 	MaxActive int
-	// ShrinkLo and ShrinkHi bound the uniform capacity multiplier of
-	// shrink events; zero values default to [0.3, 0.8).
-	ShrinkLo, ShrinkHi float64
 	// PartitionProb is the per-step probability of cutting the transport
 	// route between one more random host pair (needs a topology and an
 	// attached fabric; silently skipped otherwise).
@@ -49,6 +46,10 @@ type RandomConfig struct {
 	SurgeProb float64
 }
 
+// shrinkLo and shrinkHi bound the uniform capacity multiplier of a
+// shrink event.
+const shrinkLo, shrinkHi = 0.3, 0.8
+
 // DefaultRandomConfig is a moderately hostile walk: something is usually
 // broken, but rarely everything at once.
 func DefaultRandomConfig() RandomConfig {
@@ -57,8 +58,6 @@ func DefaultRandomConfig() RandomConfig {
 		ShrinkProb:  0.15,
 		RecoverProb: 0.35,
 		MaxActive:   2,
-		ShrinkLo:    0.3,
-		ShrinkHi:    0.8,
 	}
 }
 
@@ -111,12 +110,8 @@ func (in *Injector) RandomStep(now broker.Time, rng *rand.Rand, cfg RandomConfig
 		if len(candidates) == 0 {
 			return nil
 		}
-		lo, hi := cfg.ShrinkLo, cfg.ShrinkHi
-		if lo <= 0 || hi <= lo || hi >= 1 {
-			lo, hi = 0.3, 0.8
-		}
 		r := candidates[rng.Intn(len(candidates))]
-		factor := lo + rng.Float64()*(hi-lo)
+		factor := shrinkLo + rng.Float64()*(shrinkHi-shrinkLo)
 		if in.ShrinkCapacity(now, r, factor) != nil {
 			return nil
 		}

@@ -22,8 +22,6 @@ import (
 const (
 	// EventRetry marks an admission retry attempt.
 	EventRetry = "retry"
-	// EventBackoff marks a backoff wait before a retry.
-	EventBackoff = "backoff"
 	// EventBreakerFastFail marks a call refused by an open breaker.
 	EventBreakerFastFail = "breaker_fastfail"
 	// EventShed marks an admission refused by the in-flight gate.

@@ -13,14 +13,14 @@ import (
 )
 
 // TestOptionsZeroValueIsDefaultRuntime pins what Options{} means: the
-// default admission policy (three replanning retries, no backoff), a
-// fresh template cache, a perfect fabric, an unbounded
+// default admission policy (three replanning retries), a fresh
+// template cache, a perfect fabric, an unbounded
 // admission gate, no leasing, no durability, and inert instrumentation.
 func TestOptionsZeroValueIsDefaultRuntime(t *testing.T) {
 	rt, clock, brokers := twoHostWorld(t, Options{})
 
-	if rt.policy != DefaultAdmitPolicy || rt.policy.MaxRetries != 3 || rt.jitter != nil {
-		t.Errorf("policy = %+v (jitter %v), want DefaultAdmitPolicy with MaxRetries 3 and no jitter", rt.policy, rt.jitter)
+	if rt.policy != defaultAdmitPolicy || rt.policy.MaxRetries != 3 {
+		t.Errorf("policy = %+v, want defaultAdmitPolicy with MaxRetries 3", rt.policy)
 	}
 	if rt.leaseTTL != 0 || rt.wal != nil || rt.tracer != nil {
 		t.Errorf("leaseTTL %v, wal %v, tracer %v; want none of them", rt.leaseTTL, rt.wal, rt.tracer)

@@ -34,7 +34,6 @@ package proxy
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -262,16 +261,9 @@ type Options struct {
 	// abort message is reclaimed by the sweep too. Zero or negative holds
 	// live until released.
 	LeaseTTL broker.Time
-	// Templates is the compiled-template cache Establish draws QRG graphs
-	// from — pass one built over a live registry to count hits and
-	// misses. nil is an unobserved cache.
-	Templates *qrg.TemplateCache
 	// AdmitPolicy bounds the validate-at-commit retry loop of Establish;
-	// nil is DefaultAdmitPolicy. Negative MaxRetries is treated as zero (a
-	// single attempt, no replanning). When the policy enables Jitter, the
-	// backoff sleeps are drawn full-jitter from a source seeded with
-	// JitterSeed, so retry storms de-synchronize deterministically under
-	// a fixed seed.
+	// nil retries up to three times. Negative MaxRetries is treated as
+	// zero (a single attempt, no replanning).
 	AdmitPolicy *AdmitPolicy
 	// WAL, when non-nil, makes the reservation books durable: participant
 	// prepare/commit/abort records, coordinator commit decisions, lease
@@ -281,8 +273,9 @@ type Options struct {
 	WAL *wal.Log
 	// Metrics is the registry the runtime records into: the latency of
 	// every Establish and of each of its stages, commit-time refusals,
-	// retries and sheds, repair and renegotiation outcomes, and — only
-	// when WAL is set — log appends and recovery counters.
+	// retries and sheds, repair and renegotiation outcomes, the hits and
+	// misses of the compiled-template cache, and — only when WAL is set —
+	// log appends and recovery counters.
 	Metrics *obs.Registry
 	// Tracing records distributed traces: every Establish, renegotiation
 	// and repair sweep opens a trace whose spans follow the protocol
@@ -305,11 +298,8 @@ type Runtime struct {
 	faults *obs.FaultMetrics
 	adapt  *obs.AdaptMetrics
 	tracer *obs.TraceRecorder
-	// policy bounds the validate-at-commit retry loop of Establish;
-	// jitter is the seeded source behind its full-jitter backoff, nil
-	// when jitter is off.
+	// policy bounds the validate-at-commit retry loop of Establish.
 	policy AdmitPolicy
-	jitter *lockedRand
 	// gate bounds concurrent admissions; excess Establish calls are shed
 	// with transport.ErrOverloaded.
 	gate *transport.Gate
@@ -322,6 +312,9 @@ type Runtime struct {
 	// Recover/CrashRestart replay it.
 	wal        *wal.Log
 	walMetrics *obs.WALMetrics
+	// stamped records that the log names this runtime's deployment (a
+	// deployment record); the one append that does runs under mu.
+	stamped atomic.Bool
 
 	// mu guards what changes over the runtime's life: the deployment
 	// (proxies and owner, frozen while started), the Start..Stop cycle,
@@ -335,6 +328,10 @@ type Runtime struct {
 	// withdraws, so the admission path routes without a lock. nil means
 	// not started.
 	live atomic.Pointer[deployment]
+	// fingerprint identifies the deployment in the write-ahead log:
+	// computed by the first Start, Recover or CheckpointWAL, and reset
+	// by AddHost and Deploy.
+	fingerprint string
 	// sessions is the registry of live sessions, the set the repair
 	// layer walks when a fault invalidates reservations.
 	sessions map[*Session]struct{}
@@ -363,9 +360,10 @@ type Runtime struct {
 }
 
 // NewRuntime creates an empty runtime over a clock, configured by opts.
-// Options{} is a perfect fabric, the default admission policy, an
-// unobserved template cache, no admission bound, no leasing, no
-// durability, and no instrumentation.
+// Options{} is a perfect fabric, the default admission policy, no
+// admission bound, no leasing, no durability, and no instrumentation.
+// The runtime compiles QRG templates into its own cache, counted in
+// opts.Metrics.
 func NewRuntime(clock Clock, opts Options) *Runtime {
 	rt := &Runtime{
 		clock:      clock,
@@ -375,9 +373,9 @@ func NewRuntime(clock Clock, opts Options) *Runtime {
 		faults:     obs.NewFaultMetrics(opts.Metrics),
 		adapt:      obs.NewAdaptMetrics(opts.Metrics),
 		tracer:     opts.Tracing,
-		policy:     DefaultAdmitPolicy,
+		policy:     defaultAdmitPolicy,
 		gate:       transport.NewGate(opts.MaxInFlight),
-		templates:  opts.Templates,
+		templates:  qrg.NewTemplateCache(opts.Metrics),
 		leaseTTL:   opts.LeaseTTL,
 		wal:        opts.WAL,
 		walMetrics: &obs.WALMetrics{},
@@ -400,12 +398,6 @@ func NewRuntime(clock Clock, opts Options) *Runtime {
 	}
 	if rt.policy.MaxRetries < 0 {
 		rt.policy.MaxRetries = 0
-	}
-	if rt.policy.Jitter {
-		rt.jitter = newLockedRand(rt.policy.JitterSeed)
-	}
-	if rt.templates == nil {
-		rt.templates = qrg.NewTemplateCache(nil)
 	}
 	if rt.leaseTTL < 0 {
 		rt.leaseTTL = 0
@@ -474,24 +466,6 @@ func (rt *Runtime) LiveSessions() int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return len(rt.sessions)
-}
-
-// lockedRand is a mutex-guarded rand.Rand shared by concurrent
-// admission retries.
-type lockedRand struct {
-	mu sync.Mutex
-	r  *rand.Rand
-}
-
-func newLockedRand(seed int64) *lockedRand {
-	return &lockedRand{r: rand.New(rand.NewSource(seed))}
-}
-
-// Int63n draws uniformly from [0, n).
-func (l *lockedRand) Int63n(n int64) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.r.Int63n(n)
 }
 
 // cachedReport returns the last availability report seen from a
@@ -640,6 +614,7 @@ func (rt *Runtime) AddHost(host topo.HostID) (*QoSProxy, error) {
 	}
 	p := newQoSProxy(host, rt)
 	rt.proxies[host] = p
+	rt.fingerprint = ""
 	return p, nil
 }
 
@@ -663,6 +638,7 @@ func (rt *Runtime) Deploy(host topo.HostID, b broker.Broker) error {
 	}
 	p.brokers[r] = b
 	rt.owner[r] = host
+	rt.fingerprint = ""
 	switch t := b.(type) {
 	case *broker.Local:
 		p.books[r] = t
@@ -686,6 +662,9 @@ func (rt *Runtime) Start() {
 	for _, p := range rt.proxies {
 		p.listen()
 	}
+	// Name the deployment in the log by the capacities it starts with,
+	// before a fault can shrink one.
+	rt.fingerprintLocked()
 	rt.live.Store(rt.copyDeploymentLocked())
 }
 

@@ -354,11 +354,13 @@ func TestCommitAfterPrepareLeaseSwept(t *testing.T) {
 	}
 }
 
-// TestEstablishLosesHoldsBeforeLeasing covers the window between the
-// commit and the session's lease arming: a crash wiping a participant's
-// book there leaves the session nothing to own. Establish must report
-// ErrSessionLost, register nothing, and leave no hold behind.
-func TestEstablishLosesHoldsBeforeLeasing(t *testing.T) {
+// TestHoldsLostAfterCommitEndTheSession covers a participant losing
+// its holds right after it committed them — a crash's amnesia on a book
+// the log cannot restore. The commit already leased every share, so the
+// admission stands; the session's next heartbeat finds the lost share,
+// reports ErrSessionLost, unregisters the session and releases every
+// surviving hold.
+func TestHoldsLostAfterCommitEndTheSession(t *testing.T) {
 	rt, clock, brokers := durableWorld(t, t.TempDir(), Options{LeaseTTL: 50})
 	rt.Start()
 	p := rt.proxies["Y"]
@@ -368,16 +370,19 @@ func TestEstablishLosesHoldsBeforeLeasing(t *testing.T) {
 		d.Reply(rep)
 	})
 	service, binding := pipelineService(t)
-	_, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}})
-	if !errors.Is(err, ErrSessionLost) {
-		t.Fatalf("establish err = %v, want ErrSessionLost", err)
+	s, err := rt.Establish("X", SessionSpec{Service: service, Binding: binding, Planner: core.Basic{}})
+	if err != nil {
+		t.Fatalf("establish: %v", err)
+	}
+	if err := s.Heartbeat(); !errors.Is(err, ErrSessionLost) {
+		t.Fatalf("heartbeat err = %v, want ErrSessionLost", err)
 	}
 	if live := rt.LiveSessions(); live != 0 {
-		t.Errorf("%d live sessions after the lost establish", live)
+		t.Errorf("%d live sessions after the lost share", live)
 	}
 	for r, b := range brokers {
 		if n := b.Reservations(); n != 0 {
-			t.Errorf("%s keeps %d holds after the lost establish", r, n)
+			t.Errorf("%s keeps %d holds after the lost share", r, n)
 		}
 	}
 }
@@ -522,6 +527,67 @@ func TestCrashRestartKeepsLinkBookDeployedOnHost(t *testing.T) {
 		t.Fatal(err)
 	}
 	expect("after Y's teardown", 0, 0)
+}
+
+// TestRecoverChecksDeploymentRecord: a log names the deployment that
+// wrote it, a checkpoint keeps the name, and Recover refuses the log on
+// a runtime whose deployment differs (here one capacity) before it
+// touches a book. A log without a deployment record still recovers.
+func TestRecoverChecksDeploymentRecord(t *testing.T) {
+	dir := t.TempDir()
+	rt1, _, brokers1 := durableWorld(t, dir, Options{LeaseTTL: 50})
+	rt1.Start()
+	establishDurable(t, rt1)
+	want := bookState(brokers1)
+	rt1.Stop()
+	if err := rt1.CheckpointWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt1.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	records, _, err := wal.Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) == 0 || records[0].Type != wal.TypeDeployment || records[0].ID != rt1.fingerprint {
+		t.Fatalf("checkpointed log %+v does not start with the deployment record %s", records, rt1.fingerprint)
+	}
+
+	rt2, clock2, brokers2 := durableWorld(t, dir, Options{LeaseTTL: 50})
+	if err := brokers2["cpu@Y"].SetCapacity(clock2.Now(), 99); err != nil {
+		t.Fatal(err)
+	}
+	empty := bookState(brokers2)
+	if err := rt2.Recover(); !errors.Is(err, ErrForeignLog) {
+		t.Fatalf("recover under another capacity: err = %v, want ErrForeignLog", err)
+	}
+	if got := bookState(brokers2); !reflect.DeepEqual(got, empty) {
+		t.Errorf("a refused recovery touched the books: %v", got)
+	}
+	rt2.CloseWAL()
+
+	legacy := t.TempDir()
+	log, err := wal.Open(wal.Options{Dir: legacy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range records[1:] {
+		if err := log.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rt3, _, brokers3 := durableWorld(t, legacy, Options{LeaseTTL: 50})
+	defer rt3.CloseWAL()
+	if err := rt3.Recover(); err != nil {
+		t.Fatalf("recover a log without a deployment record: %v", err)
+	}
+	if got := bookState(brokers3); !reflect.DeepEqual(got, want) {
+		t.Errorf("books after recovering the unnamed log:\n got %v\nwant %v", got, want)
+	}
 }
 
 // TestRecoverNeverReusesReleasedLinkIDs recovers fresh processes twice
@@ -824,6 +890,10 @@ func TestSessionLifecycleWALRecords(t *testing.T) {
 	}
 	var got []string
 	for i, r := range records {
+		if r.Type == wal.TypeDeployment {
+			got = append(got, r.Type)
+			continue
+		}
 		got = append(got, fmt.Sprintf("%s %s %s", r.Type, r.Host, r.ID))
 		// Participants journal prepares and commits concurrently, so a run
 		// of them is compared in host order.
@@ -833,9 +903,10 @@ func TestSessionLifecycleWALRecords(t *testing.T) {
 		}
 	}
 	want := []string{
-		// Establish at "ok": 2PC over both hosts, then the session lease.
+		// The log names its deployment ahead of the first record.
+		"deployment",
+		// Establish at "ok": 2PC over both hosts; the commit leases.
 		"prepare X X#1", "prepare Y X#1", "decide X X#1", "commit X X#1", "commit Y X#1",
-		"lease X X#1", "lease Y X#1",
 		// Heartbeat.
 		"lease X X#1", "lease Y X#1",
 		// Upgrade to "best": the delta's 2PC on Y, every share shrunk to
@@ -852,8 +923,8 @@ func TestSessionLifecycleWALRecords(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("journaled stream:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
-	if appends := reg.Counter(obs.MetricWALAppends, "").Value(); appends != 27 {
-		t.Errorf("%s = %v, want 27", obs.MetricWALAppends, appends)
+	if appends := reg.Counter(obs.MetricWALAppends, "").Value(); appends != 26 {
+		t.Errorf("%s = %v, want 26", obs.MetricWALAppends, appends)
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"qosres/internal/broker"
@@ -153,14 +154,13 @@ func (s *Session) renegotiateLocked(ctx context.Context, level string) error {
 
 // installLocked swaps a freshly admitted, repaired, or renegotiated
 // plan and reservation into the session: the QoS-seconds segment that
-// just ended accrues at its old rank, the touch set re-adopts, and the
-// new holds are leased. Lease failure (a sweep won the race) exits
-// through the single teardown path. Callers hold s.mu.
+// just ended accrues at its old rank, and the new holds are leased.
+// Lease failure (a sweep won the race) exits through the single
+// teardown path. Callers hold s.mu.
 func (s *Session) installLocked(now broker.Time, plan *core.Plan, res *reservationSet) error {
 	s.qosAccrueLocked(now)
 	s.plan = plan
 	s.reservation = res
-	s.adoptReservationLocked(res)
 	if err := s.runtime.armLease(res); err != nil {
 		_ = s.terminateLocked(StateFailed)
 		return fmt.Errorf("%w: %v", ErrSessionLost, err)
@@ -177,12 +177,15 @@ func (s *Session) Service() *svc.Service { return s.spec.Service }
 func (s *Session) Touches() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.touches))
-	for r := range s.touches {
-		out = append(out, r)
+	if s.state != StateActive || s.reservation == nil {
+		return nil
+	}
+	var out []string
+	for _, sh := range s.reservation.shares {
+		out = append(out, sh.res.Resources()...)
 	}
 	sort.Strings(out)
-	return out
+	return slices.Compact(out)
 }
 
 // SessionList snapshots the live-session registry for the adaptation

@@ -35,32 +35,32 @@ import (
 	"qosres/internal/obs"
 )
 
-// RepairOutcome classifies what the repair protocol did to one session.
-type RepairOutcome int
+// repairOutcome classifies what the repair protocol did to one session.
+type repairOutcome int
 
 const (
-	// RepairUnaffected: the session held nothing on the failed
+	// repairUnaffected: the session held nothing on the failed
 	// resources; it was left alone.
-	RepairUnaffected RepairOutcome = iota
-	// RepairRepaired: re-admitted at the same or a better QoS level.
-	RepairRepaired
-	// RepairDegraded: re-admitted at a lower QoS level.
-	RepairDegraded
-	// RepairFailed: no feasible plan even after the tradeoff downgrade;
+	repairUnaffected repairOutcome = iota
+	// repairRepaired: re-admitted at the same or a better QoS level.
+	repairRepaired
+	// repairDegraded: re-admitted at a lower QoS level.
+	repairDegraded
+	// repairFailed: no feasible plan even after the tradeoff downgrade;
 	// the session was terminated and its surviving holds released.
-	RepairFailed
+	repairFailed
 )
 
 // String renders the outcome for logs and the simulation summary.
-func (o RepairOutcome) String() string {
+func (o repairOutcome) String() string {
 	switch o {
-	case RepairUnaffected:
+	case repairUnaffected:
 		return "unaffected"
-	case RepairRepaired:
+	case repairRepaired:
 		return "repaired"
-	case RepairDegraded:
+	case repairDegraded:
 		return "degraded"
-	case RepairFailed:
+	case repairFailed:
 		return "failed"
 	default:
 		return "unknown"
@@ -130,16 +130,16 @@ func (rt *Runtime) RepairAffectedContext(ctx context.Context, failed []string) R
 			break
 		}
 		switch s.repair(ctx, set) {
-		case RepairUnaffected:
-		case RepairRepaired:
+		case repairUnaffected:
+		case repairRepaired:
 			rep.Affected++
 			rep.Repaired++
 			m.Repaired.Inc()
-		case RepairDegraded:
+		case repairDegraded:
 			rep.Affected++
 			rep.Degraded++
 			m.Degraded.Inc()
-		case RepairFailed:
+		case repairFailed:
 			rep.Affected++
 			rep.Failed++
 			m.RepairFailed.Inc()
@@ -156,24 +156,17 @@ func (rt *Runtime) RepairAffectedContext(ctx context.Context, failed []string) R
 // repair runs the repair protocol on one session if the failed-resource
 // set intersects its touch set. s.mu is held for the whole protocol —
 // release, re-admission, state swap — so an owner Release racing the
-// repair either runs before it (the session is gone, RepairUnaffected)
+// repair either runs before it (the session is gone, repairUnaffected)
 // or after it (releasing whichever reservation the repair installed),
 // never interleaved with it.
-func (s *Session) repair(ctx context.Context, failed map[string]bool) (outcome RepairOutcome) {
+func (s *Session) repair(ctx context.Context, failed map[string]bool) (outcome repairOutcome) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.state != StateActive || s.reservation == nil {
-		return RepairUnaffected
+		return repairUnaffected
 	}
-	hit := false
-	for r := range s.touches {
-		if failed[r] {
-			hit = true
-			break
-		}
-	}
-	if !hit {
-		return RepairUnaffected
+	if !s.reservation.touchesAny(failed) {
+		return repairUnaffected
 	}
 
 	rt := s.runtime
@@ -186,7 +179,7 @@ func (s *Session) repair(ctx context.Context, failed map[string]bool) (outcome R
 	ctx = obs.ContextWithSpan(ctx, sp)
 	defer func() {
 		switch outcome {
-		case RepairRepaired:
+		case repairRepaired:
 			sp.End()
 		default:
 			sp.EndStatus(outcome.String())
@@ -199,7 +192,6 @@ func (s *Session) repair(ctx context.Context, failed map[string]bool) (outcome R
 	// concurrent sweep is tolerated.
 	res := s.reservation
 	s.reservation = nil
-	s.touches = nil
 	_ = res.Release(now)
 
 	// Step 2: re-admit at the same target QoS with the session's own
@@ -219,20 +211,20 @@ func (s *Session) repair(ctx context.Context, failed map[string]bool) (outcome R
 		// Step 4: no feasible plan at any level. Terminate: the state
 		// flip unregisters the session; the reservation is already gone.
 		_ = s.terminateLocked(StateFailed)
-		return RepairFailed
+		return repairFailed
 	}
 
 	// Install through the same path a renegotiation takes: a repair is a
 	// forced renegotiation — the fault already invalidated the holds, so
 	// the "delta" is the entire new requirement and there is nothing to
-	// shrink. QoS-seconds accrual, touch-set adoption, and leasing (with
+	// shrink. QoS-seconds accrual and leasing (with
 	// its terminate-on-failure exit) are one shared code path.
 	if err := s.installLocked(rt.clock.Now(), plan, newRes); err != nil {
-		return RepairFailed
+		return repairFailed
 	}
 	s.repairs++
 	if plan.Rank >= oldRank {
-		return RepairRepaired
+		return repairRepaired
 	}
-	return RepairDegraded
+	return repairDegraded
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"qosres/internal/core"
 )
@@ -347,40 +346,5 @@ func TestHeartbeatWithoutLeasingIsNoop(t *testing.T) {
 	}
 	if err := s.Heartbeat(); !errors.Is(err, ErrSessionLost) {
 		t.Fatalf("heartbeat after release: %v, want ErrSessionLost", err)
-	}
-}
-
-func TestAdmitBackoffOverflowCapsAtMax(t *testing.T) {
-	p := AdmitPolicy{Backoff: time.Nanosecond}
-	if got := p.backoff(1, nil); got != time.Nanosecond {
-		t.Fatalf("backoff(1) = %v", got)
-	}
-	if got := p.backoff(8, nil); got != 128*time.Nanosecond {
-		t.Fatalf("backoff(8) = %v", got)
-	}
-	// 1ns<<27 = ~134ms exceeds the cap.
-	if got := p.backoff(28, nil); got != maxAdmitBackoff {
-		t.Fatalf("backoff(28) = %v, want cap", got)
-	}
-	// attempt 63: 1ns<<62 is a huge positive duration — capped.
-	// attempt 64: 1ns<<63 wraps negative — must cap, not underflow.
-	// attempt 65+: the shift itself would be out of range — capped
-	// before computing it.
-	for _, attempt := range []int{63, 64, 65, 1000} {
-		if got := p.backoff(attempt, nil); got != maxAdmitBackoff {
-			t.Fatalf("backoff(%d) = %v, want cap %v", attempt, got, maxAdmitBackoff)
-		}
-	}
-	// A zero base disables sleeping entirely, at any attempt.
-	z := AdmitPolicy{}
-	for _, attempt := range []int{1, 64, 1000} {
-		if got := z.backoff(attempt, nil); got != 0 {
-			t.Fatalf("zero-base backoff(%d) = %v", attempt, got)
-		}
-	}
-	// A large base still caps rather than multiplying past the cap.
-	big := AdmitPolicy{Backoff: time.Second}
-	if got := big.backoff(1, nil); got != maxAdmitBackoff {
-		t.Fatalf("big backoff(1) = %v, want cap", got)
 	}
 }

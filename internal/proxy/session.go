@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"qosres/internal/broker"
 	"qosres/internal/core"
@@ -28,78 +27,16 @@ type SessionSpec struct {
 
 // AdmitPolicy bounds the validate-at-commit retry loop of Establish.
 // When a computed plan is refused at commit time (its phase-1 snapshot
-// went stale), Establish replans against a fresh snapshot up to
-// MaxRetries more times, sleeping Backoff<<attempt between attempts.
+// went stale), Establish replans against a fresh snapshot at once, up
+// to MaxRetries more times.
 type AdmitPolicy struct {
 	// MaxRetries is the number of replanning attempts after the first
 	// refusal; 0 means a single attempt, fail-fast.
 	MaxRetries int
-	// Backoff is the base sleep before retry attempt 1; attempt k waits
-	// Backoff<<(k-1), capped at maxAdmitBackoff. Zero disables sleeping,
-	// which is what simulated (manual-clock) deployments want.
-	Backoff time.Duration
-	// Jitter, when set, draws each sleep uniformly from [0, d] (full
-	// jitter) where d is the capped exponential above, so a mass refusal
-	// does not re-synchronize every refused client into a retry storm.
-	// The draw comes from a source seeded with JitterSeed, so tests
-	// replay deterministically.
-	Jitter bool
-	// JitterSeed seeds the jitter source; two runtimes with different
-	// seeds de-correlate their retry schedules.
-	JitterSeed int64
 }
 
-// DefaultAdmitPolicy retries replanning up to three times with no
-// backoff sleep.
-var DefaultAdmitPolicy = AdmitPolicy{MaxRetries: 3}
-
-// maxAdmitBackoff caps the exponential backoff between admission
-// attempts.
-const maxAdmitBackoff = 100 * time.Millisecond
-
-// backoff returns the sleep before retry attempt k (1-based):
-// Backoff<<(k-1), capped at maxAdmitBackoff. The shift overflows for
-// large attempt counts — a 1ns base shifted 63 times is negative, 64
-// times is zero — so any non-positive or over-cap result collapses to
-// the cap rather than to "no sleep" or a panic-length wait. With Jitter
-// enabled and a non-nil source, the result is drawn uniformly from
-// [0, capped] instead (full jitter; the cap still bounds every draw).
-func (p AdmitPolicy) backoff(attempt int, jitter *lockedRand) time.Duration {
-	if p.Backoff <= 0 {
-		return 0
-	}
-	var d time.Duration
-	if attempt > 63 {
-		// The shift itself is undefined territory past the word size;
-		// don't even compute it.
-		d = maxAdmitBackoff
-	} else {
-		d = p.Backoff << uint(attempt-1)
-		if d > maxAdmitBackoff || d <= 0 {
-			d = maxAdmitBackoff
-		}
-	}
-	if p.Jitter && jitter != nil {
-		d = time.Duration(jitter.Int63n(int64(d) + 1))
-	}
-	return d
-}
-
-// wait sleeps before retry attempt k (1-based), bounded by the context.
-// A zero Backoff is a no-op so simulated time is never mixed with
-// wall-clock sleeps.
-func (p AdmitPolicy) wait(ctx context.Context, attempt int, jitter *lockedRand) {
-	d := p.backoff(attempt, jitter)
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
-}
+// defaultAdmitPolicy retries replanning up to three times.
+var defaultAdmitPolicy = AdmitPolicy{MaxRetries: 3}
 
 // SessionState is the lifecycle state of an established session.
 type SessionState int
@@ -156,11 +93,7 @@ type Session struct {
 	state       SessionState
 	plan        *core.Plan // live plan; starts equal to Plan
 	reservation *reservationSet
-	// touches is the set of concrete resources the live reservation
-	// holds capacity on (route links in place of network resources);
-	// the repair layer matches failed resources against it.
-	touches map[string]bool
-	repairs int
+	repairs     int
 	// qosSeconds accumulates delivered QoS-seconds (rank × held time)
 	// over completed level segments; qosMarkAt is where the current
 	// segment started. The sum folds into the runtime's delivered total
@@ -199,9 +132,9 @@ func (rt *Runtime) Establish(mainHost topo.HostID, spec SessionSpec) (*Session, 
 // Every call past the host checks, shed, refused or admitted, is timed
 // into the establish stage histogram of Options.Metrics.
 //
-// When the runtime has a lease TTL configured (Options.LeaseTTL), the new
-// session's holds are leased: they expire and are reclaimed unless the
-// session heartbeats (Heartbeat) before the TTL elapses.
+// When the runtime has a lease TTL configured (Options.LeaseTTL), the
+// commit leases the new session's holds: they expire and are reclaimed
+// unless the session heartbeats (Heartbeat) before the TTL elapses.
 func (rt *Runtime) EstablishContext(ctx context.Context, mainHost topo.HostID, spec SessionSpec) (*Session, error) {
 	_, ok, started := rt.proxyOn(mainHost)
 	if !ok {
@@ -242,19 +175,6 @@ func (rt *Runtime) EstablishContext(ctx context.Context, mainHost topo.HostID, s
 		plan:        plan,
 		reservation: res,
 		qosMarkAt:   rt.clock.Now(),
-	}
-	s.adoptReservationLocked(res)
-	if err := rt.armLease(res); err != nil {
-		// Either a broker of the plan does not support leases, or the
-		// holds vanished between commit and arming — a crash's amnesia
-		// window on a participant, or a sweep after the clock outran the
-		// commit's lease. The session never owned what it lost.
-		_ = res.Release(rt.clock.Now())
-		est.End(err, "error")
-		if errors.Is(err, broker.ErrUnknownReservation) {
-			return nil, fmt.Errorf("proxy: establish on %s: %w: %v", mainHost, ErrSessionLost, err)
-		}
-		return nil, err
 	}
 	rt.register(s)
 	est.End(nil, "")
@@ -350,10 +270,6 @@ func (rt *Runtime) admitOnce(ctx context.Context, mainHost topo.HostID, spec Ses
 		}
 		admit.Retries.Inc()
 		root.Event(obs.EventRetry, fmt.Sprintf("attempt %d", attempt+2))
-		if policy.Backoff > 0 {
-			root.Event(obs.EventBackoff, "")
-		}
-		policy.wait(ctx, attempt+1, rt.jitter)
 	}
 }
 
@@ -474,18 +390,6 @@ func (rt *Runtime) collectAvailability(ctx context.Context, mainHost topo.HostID
 	return snap, nil
 }
 
-// adoptReservationLocked records the union of a reservation's shares'
-// touch sets on the session. Callers either hold s.mu or own the
-// session exclusively (construction).
-func (s *Session) adoptReservationLocked(res *reservationSet) {
-	s.touches = make(map[string]bool)
-	for _, sh := range res.shares {
-		for _, r := range sh.res.Resources() {
-			s.touches[r] = true
-		}
-	}
-}
-
 // CurrentPlan returns the session's live plan: the initially admitted
 // one, or the latest repair's plan after a fault-driven re-admission.
 func (s *Session) CurrentPlan() *core.Plan {
@@ -516,7 +420,6 @@ func (s *Session) terminateLocked(to SessionState) error {
 	s.state = to
 	res := s.reservation
 	s.reservation = nil
-	s.touches = nil
 	now := s.runtime.clock.Now()
 	s.qosAccrueLocked(now)
 	s.runtime.addDeliveredQoS(s.qosSeconds)
@@ -577,8 +480,9 @@ func (s *Session) Heartbeat() error {
 	return err
 }
 
-// armLease leases a freshly admitted reservation when the runtime has a
-// TTL configured; without one the holds stay permanent.
+// armLease leases a renegotiated or repaired reservation when the
+// runtime has a TTL configured; without one the holds stay permanent.
+// An admission needs no arming: its commit already leased every share.
 func (rt *Runtime) armLease(res *reservationSet) error {
 	if rt.leaseTTL <= 0 {
 		return nil

@@ -238,46 +238,6 @@ func TestDuplicatedMessagesCommitExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestJitteredBackoffDivergesBySeedAndHoldsCap is the full-jitter test:
-// two seeds draw different backoff sequences, the same seed replays
-// identically, and every draw stays within both the cap and the
-// non-jittered exponential envelope.
-func TestJitteredBackoffDivergesBySeedAndHoldsCap(t *testing.T) {
-	p := AdmitPolicy{MaxRetries: 8, Backoff: time.Millisecond, Jitter: true}
-	draw := func(seed int64) []time.Duration {
-		src := newLockedRand(seed)
-		out := make([]time.Duration, 0, 24)
-		for attempt := 1; attempt <= 24; attempt++ {
-			out = append(out, p.backoff(attempt, src))
-		}
-		return out
-	}
-
-	a1, a2 := draw(1), draw(1)
-	b := draw(2)
-	for i := range a1 {
-		if a1[i] != a2[i] {
-			t.Fatalf("same seed diverged at draw %d: %v vs %v", i, a1[i], a2[i])
-		}
-	}
-	diverged := false
-	plain := AdmitPolicy{MaxRetries: 8, Backoff: time.Millisecond}
-	for i := range a1 {
-		if a1[i] != b[i] {
-			diverged = true
-		}
-		envelope := plain.backoff(i+1, nil)
-		for _, d := range [2]time.Duration{a1[i], b[i]} {
-			if d < 0 || d > envelope || d > maxAdmitBackoff {
-				t.Fatalf("draw %d = %v outside [0, min(%v, cap %v)]", i, d, envelope, maxAdmitBackoff)
-			}
-		}
-	}
-	if !diverged {
-		t.Fatal("seeds 1 and 2 drew identical backoff sequences")
-	}
-}
-
 // TestMaxInFlightShedsConcurrentAdmissions pins the overload gate: with
 // the in-flight bound at 1, a second concurrent Establish is shed with
 // transport.ErrOverloaded (and counted), not queued.

@@ -344,6 +344,19 @@ func (s *reservationSet) exports() []broker.HoldExport {
 	return out
 }
 
+// touchesAny reports whether some share holds capacity on a resource
+// in set: route links stand in for the network resources they back.
+func (s *reservationSet) touchesAny(set map[string]bool) bool {
+	for _, sh := range s.shares {
+		for _, r := range sh.res.Resources() {
+			if set[r] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // journal appends one session-layer record for a share; a shrink record
 // carries the share's current holds. A no-op when durability is off.
 // Losing a record is safe: replay then keeps an older (shorter) lease,

@@ -2,8 +2,11 @@ package proxy
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -25,6 +28,9 @@ import (
 //   - A session's reservationSet journals its lease renewals, releases
 //     and shrinks itself, one record per share (request ID and host) —
 //     each host's replay is self-contained.
+//   - The first record a runtime appends is preceded by a deployment
+//     record naming the runtime's deployment (fingerprintLocked), and
+//     Recover refuses a log that names another.
 //   - replayHost rebuilds one host's book from the log. Recover runs it
 //     for every host of a dead process; CrashRestart runs it for a
 //     single host while the rest of the runtime keeps serving,
@@ -47,6 +53,69 @@ type outcomeReply struct {
 	expiry broker.Time
 }
 
+// ErrForeignLog reports a write-ahead log written by another deployment:
+// its deployment record names other hosts, resources, capacities or
+// routes than the recovering runtime has. Replaying it would restore
+// holds into books they were never admitted against.
+var ErrForeignLog = errors.New("proxy: write-ahead log belongs to another deployment")
+
+// fingerprintLocked returns the deployment's fingerprint, computing it
+// on first use: a SHA-256 over every host, in order, with the resources
+// deployed on it, in order — a local resource with its capacity, a
+// network resource with its route's links and their capacities. Callers
+// hold rt.mu.
+func (rt *Runtime) fingerprintLocked() string {
+	if rt.fingerprint != "" {
+		return rt.fingerprint
+	}
+	hosts := make([]string, 0, len(rt.proxies))
+	for h := range rt.proxies {
+		hosts = append(hosts, string(h))
+	}
+	sort.Strings(hosts)
+	h := sha256.New()
+	capacity := func(c float64) string { return strconv.FormatFloat(c, 'g', -1, 64) }
+	for _, host := range hosts {
+		p := rt.proxies[topo.HostID(host)]
+		fmt.Fprintf(h, "host %s\n", host)
+		resources := make([]string, 0, len(p.brokers))
+		for r := range p.brokers {
+			resources = append(resources, r)
+		}
+		sort.Strings(resources)
+		for _, r := range resources {
+			switch b := p.brokers[r].(type) {
+			case *broker.Network:
+				fmt.Fprintf(h, "network %s", r)
+				for _, l := range b.Links() {
+					fmt.Fprintf(h, " %s %s", l.Resource(), capacity(l.Capacity()))
+				}
+				fmt.Fprintln(h)
+			default:
+				fmt.Fprintf(h, "local %s %s\n", r, capacity(b.Capacity()))
+			}
+		}
+	}
+	rt.fingerprint = hex.EncodeToString(h.Sum(nil))
+	return rt.fingerprint
+}
+
+// stampWAL appends the deployment record once, ahead of the first
+// record the runtime journals.
+func (rt *Runtime) stampWAL() error {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if rt.stamped.Load() {
+		return nil
+	}
+	if err := rt.wal.Append(wal.Record{Type: wal.TypeDeployment, ID: rt.fingerprintLocked()}); err != nil {
+		return err
+	}
+	rt.walMetrics.Appends.Inc()
+	rt.stamped.Store(true)
+	return nil
+}
+
 // CloseWAL flushes and closes the write-ahead log; call after Stop when
 // the process is done with the runtime. Safe when durability is off.
 func (rt *Runtime) CloseWAL() error {
@@ -56,8 +125,9 @@ func (rt *Runtime) CloseWAL() error {
 	return rt.wal.Close()
 }
 
-// CheckpointWAL compacts the log: the live book state — every pending
-// entry on every host plus the coordinator decide table — is rewritten
+// CheckpointWAL compacts the log: the deployment record and the live
+// book state — every pending entry on every host plus the coordinator
+// decide table — are rewritten
 // as a fresh snapshot segment and older segments are pruned, so replay
 // cost tracks live state, not history. The pending tables change under
 // every admission, so checkpointing requires a stopped (or
@@ -72,11 +142,12 @@ func (rt *Runtime) CheckpointWAL() error {
 	for _, p := range rt.proxies {
 		proxies = append(proxies, p)
 	}
+	fp := rt.fingerprintLocked()
 	rt.mu.Unlock()
 	if started {
 		return errors.New("proxy: CheckpointWAL requires a stopped runtime")
 	}
-	var snap []wal.Record
+	snap := []wal.Record{{Type: wal.TypeDeployment, ID: fp}}
 	for _, p := range proxies {
 		host := string(p.host)
 		for _, id := range p.order {
@@ -120,14 +191,24 @@ func (rt *Runtime) CheckpointWAL() error {
 			Outcome: "commit", Expiry: float64(exp)})
 	}
 	rt.decideMu.Unlock()
-	return rt.wal.Checkpoint(snap)
+	if err := rt.wal.Checkpoint(snap); err != nil {
+		return err
+	}
+	rt.stamped.Store(true)
+	return nil
 }
 
-// appendWAL journals one record and counts it. A no-op when durability
-// is off.
+// appendWAL journals one record and counts it, after the deployment
+// record if the log does not carry it yet. A no-op when durability is
+// off.
 func (rt *Runtime) appendWAL(rec wal.Record) error {
 	if rt.wal == nil {
 		return nil
+	}
+	if !rt.stamped.Load() {
+		if err := rt.stampWAL(); err != nil {
+			return err
+		}
 	}
 	if err := rt.wal.Append(rec); err != nil {
 		return err
@@ -466,7 +547,9 @@ func (rt *Runtime) reconcile(p *QoSProxy, fabric *transport.Fabric, indoubt []st
 // (all local — the whole process restarted together); then sweep every
 // lease that lapsed while down, exactly once, before Start can admit
 // anything new. Must be called after deployment and before Start; the
-// runtime clock says how long the process was down.
+// runtime clock says how long the process was down. A log whose
+// deployment record names another deployment fails with ErrForeignLog
+// before any book is touched; a log without one recovers as it is.
 func (rt *Runtime) Recover() error {
 	rt.mu.Lock()
 	if rt.live.Load() != nil {
@@ -477,6 +560,7 @@ func (rt *Runtime) Recover() error {
 	for _, p := range rt.proxies {
 		proxies = append(proxies, p)
 	}
+	fp := rt.fingerprintLocked()
 	rt.mu.Unlock()
 	if rt.wal == nil {
 		return errors.New("proxy: WAL not enabled")
@@ -484,6 +568,20 @@ func (rt *Runtime) Recover() error {
 	records, _, err := wal.Replay(rt.wal.Dir())
 	if err != nil {
 		return err
+	}
+	stamps := 0
+	for _, r := range records {
+		if r.Type != wal.TypeDeployment {
+			continue
+		}
+		if r.ID != fp {
+			return fmt.Errorf("%w: the log names deployment %.12s, this runtime is %.12s", ErrForeignLog, r.ID, fp)
+		}
+		stamps++
+	}
+	if stamps > 0 {
+		rt.stamped.Store(true)
+		rt.walMetrics.ReplayRecords.Add(float64(stamps))
 	}
 	// Advance the request-ID sequence past everything in the log: a
 	// fresh process restarts nextReq at zero, and without this bump its

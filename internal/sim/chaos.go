@@ -140,7 +140,7 @@ type TransportConfig struct {
 	// Latency is the one-way wall-clock delivery delay of every message.
 	Latency time.Duration
 	// Deadline bounds every Establish call and every fault-triggered
-	// repair sweep; 0 uses DefaultChaosDeadline. The harness asserts that
+	// repair sweep; 0 uses defaultChaosDeadline. The harness asserts that
 	// no call overruns it (plus scheduling grace) — a lost message must
 	// degrade or abort the protocol, never hang it.
 	Deadline time.Duration
@@ -154,9 +154,9 @@ type TransportConfig struct {
 	BreakerCooldown time.Duration
 }
 
-// DefaultChaosDeadline bounds Establish and repair sweeps when
+// defaultChaosDeadline bounds Establish and repair sweeps when
 // TransportConfig.Deadline is zero.
-const DefaultChaosDeadline = 250 * time.Millisecond
+const defaultChaosDeadline = 250 * time.Millisecond
 
 // DefaultTransportConfig is the acceptance-grade unreliable transport:
 // 10% loss, 5% duplication, a small delivery delay, a breaker, and a
@@ -166,7 +166,7 @@ func DefaultTransportConfig() *TransportConfig {
 		Loss:             0.10,
 		Dup:              0.05,
 		Latency:          time.Millisecond,
-		Deadline:         DefaultChaosDeadline,
+		Deadline:         defaultChaosDeadline,
 		MaxInFlight:      0,
 		BreakerThreshold: 5,
 		BreakerCooldown:  100 * time.Millisecond,
@@ -343,7 +343,7 @@ func RunChaos(sc StressConfig) (res *ChaosResult, err error) {
 		cfg.Faults = DefaultFaultsConfig()
 	}
 	fc := cfg.Faults
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if sc.Sessions < 1 || sc.Iterations < 1 {
@@ -460,7 +460,7 @@ func RunChaos(sc StressConfig) (res *ChaosResult, err error) {
 	// asserts nothing overruns it (plus generous scheduling grace — the
 	// assertion catches hangs, not slow scheduling).
 	transportOn := fc.Transport != nil
-	deadline := DefaultChaosDeadline
+	deadline := defaultChaosDeadline
 	if transportOn && fc.Transport.Deadline > 0 {
 		deadline = fc.Transport.Deadline
 	}
@@ -647,7 +647,7 @@ func RunChaos(sc StressConfig) (res *ChaosResult, err error) {
 					}
 					mu.Unlock()
 					// Adaptation invariant 6: never below the policy floor.
-					if a.ToRank < a.FromRank && a.ToRank < ctrl.Policy().FloorRank {
+					if a.ToRank < a.FromRank && a.ToRank < adapt.FloorRank {
 						fail("adaptation downgraded below the rank floor: %d -> %d", a.FromRank, a.ToRank)
 					}
 				}

@@ -174,29 +174,29 @@ func TestChaosConfigValidation(t *testing.T) {
 		return cfg
 	}
 	cfg := base()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		t.Fatalf("default chaos config invalid: %v", err)
 	}
 
 	cfg = base()
 	cfg.UseRuntime = false
-	if err := cfg.Validate(); err == nil {
+	if err := cfg.validate(); err == nil {
 		t.Error("chaos without UseRuntime accepted")
 	}
 	cfg = base()
 	cfg.Faults.OrphanRate = 0.5
 	cfg.Faults.LeaseTTL = 0
-	if err := cfg.Validate(); err == nil {
+	if err := cfg.validate(); err == nil {
 		t.Error("orphaning without leasing accepted")
 	}
 	cfg = base()
 	cfg.Faults.Steps = 0
-	if err := cfg.Validate(); err == nil {
+	if err := cfg.validate(); err == nil {
 		t.Error("zero chaos steps accepted")
 	}
 	cfg = base()
 	cfg.Faults.StepEvery = 0
-	if err := cfg.Validate(); err == nil {
+	if err := cfg.validate(); err == nil {
 		t.Error("zero step interval accepted")
 	}
 

@@ -106,35 +106,35 @@ func TestChaosTransportValidation(t *testing.T) {
 		cfg.Faults = fc
 		return cfg
 	}
-	if err := base().Validate(); err != nil {
+	if err := base().validate(); err != nil {
 		t.Fatalf("default transport chaos config invalid: %v", err)
 	}
 
 	cfg := base()
 	cfg.Faults.Transport.Loss = 1.5
-	if err := cfg.Validate(); err == nil {
+	if err := cfg.validate(); err == nil {
 		t.Error("loss > 1 accepted")
 	}
 	cfg = base()
 	cfg.Faults.Transport.Dup = -0.1
-	if err := cfg.Validate(); err == nil {
+	if err := cfg.validate(); err == nil {
 		t.Error("negative duplication accepted")
 	}
 	cfg = base()
 	cfg.Faults.Transport.Latency = -time.Millisecond
-	if err := cfg.Validate(); err == nil {
+	if err := cfg.validate(); err == nil {
 		t.Error("negative latency accepted")
 	}
 	cfg = base()
 	cfg.Faults.LeaseTTL = 0
 	cfg.Faults.OrphanRate = 0
-	if err := cfg.Validate(); err == nil {
+	if err := cfg.validate(); err == nil {
 		t.Error("lossy transport without leasing accepted")
 	}
 	cfg = base()
 	cfg.Faults.Transport = nil
 	cfg.Faults.Random.PartitionProb = 0.1
-	if err := cfg.Validate(); err == nil {
+	if err := cfg.validate(); err == nil {
 		t.Error("partition walk without transport chaos accepted")
 	}
 }

@@ -53,23 +53,6 @@ type Config struct {
 	// CapacityMin/Max bound the uniformly drawn initial total amount of
 	// each resource; the paper uses 1000..4000.
 	CapacityMin, CapacityMax float64
-	// PopularityInterval is how often the per-service request
-	// probabilities are re-drawn, creating the shifting per-resource
-	// demand of section 5.1.
-	PopularityInterval broker.Time
-	// FatRatio is the probability that a session is "fat"; the paper's
-	// normal:fat ratio of 1:2 gives 2/3.
-	FatRatio float64
-	// FatMultipliers are the candidate requirement multipliers N of fat
-	// sessions (the paper: 2 or 10, which we draw uniformly).
-	FatMultipliers []float64
-	// LongRatio is the probability that a session is "long"; the paper's
-	// long:short ratio of 1:2 gives 1/3.
-	LongRatio float64
-	// DurationMin/Split/Max delimit the session duration ranges:
-	// short in [DurationMin, DurationSplit], long in (DurationSplit,
-	// DurationMax]; the paper uses 20/60/600.
-	DurationMin, DurationSplit, DurationMax broker.Time
 	// Contention selects the per-resource contention index definition:
 	// "" or "ratio" (the paper's equation 2), "headroom", or "log"
 	// (footnote-2 alternatives, for ablation).
@@ -116,6 +99,28 @@ type Config struct {
 	Faults *FaultsConfig
 }
 
+// The paper's fixed session mix (section 5.1).
+const (
+	// popularityInterval is how often the per-service request
+	// probabilities are re-drawn, creating the shifting per-resource
+	// demand of section 5.1.
+	popularityInterval broker.Time = 1080
+	// fatRatio is the probability that a session is "fat": the paper's
+	// normal:fat ratio of 1:2.
+	fatRatio = 2.0 / 3.0
+	// longRatio is the probability that a session is "long": the
+	// paper's long:short ratio of 1:2.
+	longRatio = 1.0 / 3.0
+	// durationMin, durationSplit and durationMax delimit the session
+	// durations: short in [durationMin, durationSplit], long in
+	// (durationSplit, durationMax].
+	durationMin, durationSplit, durationMax broker.Time = 20, 60, 600
+)
+
+// fatMultipliers are the candidate requirement multipliers N of fat
+// sessions (the paper: 2 or 10, drawn uniformly).
+var fatMultipliers = []float64{2, 10}
+
 // DefaultBaseScale calibrates the figure-10 requirement units against
 // the 1000..4000-unit resource capacities so that the environment
 // saturates across the paper's 60..240 arrival-rate sweep and the
@@ -127,27 +132,20 @@ const DefaultBaseScale = 1.3
 // rate and seed.
 func DefaultConfig(alg Algorithm, rate float64, seed int64) Config {
 	return Config{
-		Seed:               seed,
-		Algorithm:          alg,
-		Rate:               rate,
-		Duration:           10800,
-		Workload:           workload.Options{BaseScale: DefaultBaseScale},
-		AlphaWindow:        broker.DefaultAlphaWindow,
-		CapacityMin:        1000,
-		CapacityMax:        4000,
-		PopularityInterval: 1080,
-		FatRatio:           2.0 / 3.0,
-		FatMultipliers:     []float64{2, 10},
-		LongRatio:          1.0 / 3.0,
-		DurationMin:        20,
-		DurationSplit:      60,
-		DurationMax:        600,
-		MaxAdmitRetries:    3,
+		Seed:            seed,
+		Algorithm:       alg,
+		Rate:            rate,
+		Duration:        10800,
+		Workload:        workload.Options{BaseScale: DefaultBaseScale},
+		AlphaWindow:     broker.DefaultAlphaWindow,
+		CapacityMin:     1000,
+		CapacityMax:     4000,
+		MaxAdmitRetries: 3,
 	}
 }
 
-// Validate checks the configuration.
-func (c Config) Validate() error {
+// validate checks the configuration.
+func (c Config) validate() error {
 	switch c.Algorithm {
 	case AlgBasic, AlgTradeoff, AlgRandom:
 	default:
@@ -164,27 +162,6 @@ func (c Config) Validate() error {
 	}
 	if c.CapacityMin <= 0 || c.CapacityMax < c.CapacityMin {
 		return fmt.Errorf("sim: invalid capacity range [%g, %g]", c.CapacityMin, c.CapacityMax)
-	}
-	if c.FatRatio < 0 || c.FatRatio > 1 {
-		return fmt.Errorf("sim: fat ratio %g out of [0,1]", c.FatRatio)
-	}
-	if c.LongRatio < 0 || c.LongRatio > 1 {
-		return fmt.Errorf("sim: long ratio %g out of [0,1]", c.LongRatio)
-	}
-	if len(c.FatMultipliers) == 0 && c.FatRatio > 0 {
-		return fmt.Errorf("sim: fat sessions enabled but no multipliers")
-	}
-	for _, m := range c.FatMultipliers {
-		if m <= 0 {
-			return fmt.Errorf("sim: non-positive fat multiplier %g", m)
-		}
-	}
-	if !(c.DurationMin > 0 && c.DurationMin <= c.DurationSplit && c.DurationSplit <= c.DurationMax) {
-		return fmt.Errorf("sim: invalid duration ranges %g/%g/%g",
-			float64(c.DurationMin), float64(c.DurationSplit), float64(c.DurationMax))
-	}
-	if c.PopularityInterval < 0 {
-		return fmt.Errorf("sim: negative popularity interval")
 	}
 	if c.AlphaWindow <= 0 {
 		return fmt.Errorf("sim: non-positive alpha window")

@@ -41,7 +41,7 @@ func Run(cfg Config) (*Result, error) {
 
 // run is Run with the sink of the sampled span trees (cfg.TraceSample).
 func run(cfg Config, spans obs.TraceSink) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Faults != nil {
@@ -80,8 +80,8 @@ func run(cfg Config, spans obs.TraceSink) (*Result, error) {
 		defer rt.Stop()
 	}
 	sched.at(env.nextArrivalGap(rng), evArrival, nil)
-	if cfg.PopularityInterval > 0 && cfg.PopularityInterval < cfg.Duration {
-		sched.at(cfg.PopularityInterval, evPopularity, nil)
+	if popularityInterval < cfg.Duration {
+		sched.at(popularityInterval, evPopularity, nil)
 	}
 
 	for {
@@ -117,7 +117,7 @@ func run(cfg Config, spans obs.TraceSink) (*Result, error) {
 				continue
 			}
 			env.redrawPopularity(rng)
-			sched.at(now+cfg.PopularityInterval, evPopularity, nil)
+			sched.at(now+popularityInterval, evPopularity, nil)
 		}
 	}
 
@@ -241,7 +241,7 @@ func buildEnvironment(cfg Config, rng *rand.Rand) (*environment, error) {
 	}
 
 	// Service variants: normal plus one per fat multiplier.
-	env.multipliers = append([]float64{1}, cfg.FatMultipliers...)
+	env.multipliers = append([]float64{1}, fatMultipliers...)
 	base := cfg.Workload.BaseScale
 	if base <= 0 {
 		base = 1
@@ -316,15 +316,15 @@ func (env *environment) drawSession(cfg Config, rng *rand.Rand) sessionShape {
 		}
 	}
 
-	if rng.Float64() < cfg.FatRatio {
+	if rng.Float64() < fatRatio {
 		sh.fat = true
-		sh.variant = 1 + rng.Intn(len(cfg.FatMultipliers))
+		sh.variant = 1 + rng.Intn(len(fatMultipliers))
 	}
-	if rng.Float64() < cfg.LongRatio {
+	if rng.Float64() < longRatio {
 		sh.long = true
-		sh.duration = cfg.DurationSplit + broker.Time(rng.Float64())*(cfg.DurationMax-cfg.DurationSplit)
+		sh.duration = durationSplit + broker.Time(rng.Float64())*(durationMax-durationSplit)
 	} else {
-		sh.duration = cfg.DurationMin + broker.Time(rng.Float64())*(cfg.DurationSplit-cfg.DurationMin)
+		sh.duration = durationMin + broker.Time(rng.Float64())*(durationSplit-durationMin)
 	}
 	return sh
 }

@@ -37,15 +37,12 @@ func (c simClock) Now() broker.Time { return c.sched.now }
 // shares. The caller starts the returned runtime, after recovering it
 // from its WAL if it must.
 func (env *environment) buildRuntime(cfg Config, clock proxy.Clock, opts proxy.Options) (*proxy.Runtime, error) {
-	// Admission retries are bounded by the run config; no backoff sleep,
-	// since a simulated run must never block on wall-clock time.
+	// Admission retries are bounded by the run config.
 	opts.AdmitPolicy = &proxy.AdmitPolicy{MaxRetries: cfg.MaxAdmitRetries}
-	// Share the run's template cache (instrumented into the run registry)
-	// so hit/miss counters cover both execution modes.
-	opts.Templates = env.templates
 	// The runtime records into the run's registry, sharing the stage
-	// histograms and counters of the direct path, so both execution modes
-	// have one latency and admission vocabulary.
+	// histograms and counters of the direct path (template hits and
+	// misses included), so both execution modes have one latency and
+	// admission vocabulary.
 	opts.Metrics = cfg.Obs
 	// Distributed tracing gates itself on TraceSample, not on the metrics
 	// registry: the runtime roots one trace per Establish, stage spans and

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"qosres/internal/adapt"
 	"qosres/internal/broker"
 	"qosres/internal/core"
 	"qosres/internal/obs"
@@ -24,6 +23,11 @@ import (
 // scheduler. The WAL makes it restartable — a ServedEnv opened with
 // Recover over a surviving log replays the books before serving.
 
+// servedRate is the rate of the underlying config. A served deployment
+// is paced by its clients; the rate only completes the config the
+// environment is built from.
+const servedRate = 60
+
 // ServedOptions configures a serving environment.
 type ServedOptions struct {
 	// Seed drives the environment build (capacities, workload tables)
@@ -31,10 +35,6 @@ type ServedOptions struct {
 	// the identical environment, which is what makes WAL replay
 	// meaningful across process restarts.
 	Seed int64
-	// Rate parameterizes the sampled session mix (sessions per 60 TUs in
-	// the underlying config); it does not pace anything by itself. 0
-	// defaults to 60.
-	Rate float64
 	// LeaseTTL leases every established session's holds: they expire
 	// this many TUs (= seconds of wall time) after the last heartbeat.
 	// 0 disables leasing — then an abandoned client strands its holds
@@ -54,10 +54,6 @@ type ServedOptions struct {
 	// one TU per second, so lease TTLs keep their meaning.
 	// Tests substitute a manual clock to force lease expiry.
 	Clock proxy.Clock
-	// Adapt, when non-nil, arms the mid-session adaptation controller
-	// over the deployment's brokers. The caller paces it (cmd/qosserved
-	// ticks it on wall-clock time via Controller).
-	Adapt *adapt.Policy
 }
 
 // ServedEnv is a live serving deployment: the figure-9 topology, its
@@ -71,23 +67,18 @@ type ServedEnv struct {
 	rt      *proxy.Runtime
 	planner core.Planner
 	clock   proxy.Clock
-	ctrl    *adapt.Controller
 }
 
 // NewServedEnv builds the environment and deploys the runtime. The
 // returned env is serving (Establish works) until Close.
 func NewServedEnv(opts ServedOptions) (*ServedEnv, error) {
-	rate := opts.Rate
-	if rate <= 0 {
-		rate = 60
-	}
 	if opts.LeaseTTL < 0 {
 		return nil, fmt.Errorf("sim: negative lease TTL %g", float64(opts.LeaseTTL))
 	}
 	if opts.Recover && opts.WALDir == "" {
 		return nil, fmt.Errorf("sim: Recover needs a WAL directory to replay")
 	}
-	cfg := DefaultConfig(AlgBasic, rate, opts.Seed)
+	cfg := DefaultConfig(AlgBasic, servedRate, opts.Seed)
 	cfg.UseRuntime = true
 	cfg.Obs = opts.Registry
 	clock := opts.Clock
@@ -123,16 +114,6 @@ func NewServedEnv(opts ServedOptions) (*ServedEnv, error) {
 		}
 	}
 	rt.Start()
-	var ctrl *adapt.Controller
-	if opts.Adapt != nil {
-		locals := env.pool.LocalBrokers()
-		brokers := make([]broker.Broker, 0, len(locals))
-		for _, b := range locals {
-			brokers = append(brokers, b)
-		}
-		ctrl = adapt.New(rt, *opts.Adapt, brokers)
-		ctrl.Instrument(env.ins.adapt)
-	}
 	return &ServedEnv{
 		rng:     rng,
 		cfg:     cfg,
@@ -140,14 +121,8 @@ func NewServedEnv(opts ServedOptions) (*ServedEnv, error) {
 		rt:      rt,
 		planner: planner,
 		clock:   clock,
-		ctrl:    ctrl,
 	}, nil
 }
-
-// Controller returns the adaptation controller, nil unless
-// ServedOptions.Adapt armed one. The serving front end ticks it on
-// wall-clock time.
-func (se *ServedEnv) Controller() *adapt.Controller { return se.ctrl }
 
 // Renegotiate moves an established session to the named end-to-end
 // level through the delta-reservation path.
@@ -158,9 +133,6 @@ func (se *ServedEnv) Renegotiate(ctx context.Context, s *proxy.Session, level st
 // Runtime exposes the deployed QoSProxy runtime (heartbeat sweeps,
 // recovery, instrumentation).
 func (se *ServedEnv) Runtime() *proxy.Runtime { return se.rt }
-
-// Clock returns the runtime clock.
-func (se *ServedEnv) Clock() proxy.Clock { return se.clock }
 
 // SweepLeases reclaims every leased hold whose expiry has passed and
 // returns how many were released. A serving deployment ticks this

@@ -223,7 +223,7 @@ func TestPathHistogramsCoverBothFamilies(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	good := DefaultConfig(AlgBasic, 100, 1)
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatal(err)
 	}
 	mutations := map[string]func(*Config){
@@ -233,19 +233,12 @@ func TestConfigValidation(t *testing.T) {
 		"negative stale": func(c *Config) { c.StaleE = -1 },
 		"bad capacity":   func(c *Config) { c.CapacityMax = c.CapacityMin - 1 },
 		"zero capacity":  func(c *Config) { c.CapacityMin = 0 },
-		"bad fat ratio":  func(c *Config) { c.FatRatio = 1.5 },
-		"bad long ratio": func(c *Config) { c.LongRatio = -0.1 },
-		"no multipliers": func(c *Config) { c.FatMultipliers = nil },
-		"bad multiplier": func(c *Config) { c.FatMultipliers = []float64{0} },
-		"bad durations":  func(c *Config) { c.DurationSplit = c.DurationMax + 1 },
-		"zero dur min":   func(c *Config) { c.DurationMin = 0 },
-		"neg popularity": func(c *Config) { c.PopularityInterval = -1 },
 		"zero window":    func(c *Config) { c.AlphaWindow = 0 },
 	}
 	for name, mutate := range mutations {
 		cfg := DefaultConfig(AlgBasic, 100, 1)
 		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Errorf("%s: expected validation error", name)
 		}
 		if _, err := Run(cfg); err == nil {
@@ -447,12 +440,12 @@ func TestRuntimeModeValidation(t *testing.T) {
 	cfg := quickConfig(AlgBasic, 100)
 	cfg.UseRuntime = true
 	cfg.StaleE = 2
-	if err := cfg.Validate(); err == nil {
+	if err := cfg.validate(); err == nil {
 		t.Fatal("UseRuntime with staleness accepted")
 	}
 	cfg.StaleE = 0
 	cfg.Contention = "headroom"
-	if err := cfg.Validate(); err == nil {
+	if err := cfg.validate(); err == nil {
 		t.Fatal("UseRuntime with non-ratio contention accepted")
 	}
 }

@@ -38,9 +38,9 @@ const (
 	// the Trace/Span/Parent/Scope/Status fields); written by Spans at
 	// trace completion.
 	SpanEnd
-	// SpanEvent is one typed adversity event (retry, backoff, shed,
-	// partition drop, duplicate suppressed, ...) annotated on a span of
-	// a distributed trace tree.
+	// SpanEvent is one typed adversity event (retry, shed, partition
+	// drop, duplicate suppressed, ...) annotated on a span of a
+	// distributed trace tree.
 	SpanEvent
 )
 

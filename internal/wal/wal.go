@@ -70,6 +70,10 @@ const (
 	// shrunk away. Replay replaces the request's remembered parts whole,
 	// so a recovered book carries the post-downgrade amounts.
 	TypeShrink = "shrink"
+	// TypeDeployment names the deployment that writes the log: ID is a
+	// fingerprint of its hosts, resources, capacities and routes.
+	// Recovery refuses a log whose fingerprint is not its own.
+	TypeDeployment = "deployment"
 )
 
 // Link identifies one per-link hold a legacy network part owned (see
@@ -93,7 +97,8 @@ type Part struct {
 }
 
 // Record is one journaled event. Host names the proxy whose book the
-// record belongs to; ID is the 2PC request ID; Expiry is a broker.Time
+// record belongs to; ID is the 2PC request ID (a deployment record's
+// fingerprint); Expiry is a broker.Time
 // lease expiry; Outcome carries the decide verdict; Parts carries hold
 // detail for prepare and shrink records.
 type Record struct {
